@@ -116,6 +116,7 @@ def fig3_pruning_effects(
                 "inference_time_ms": profile.total_compute_time_s * 1e3,
                 "class_accuracy": accuracy,
                 "params": float(profile.total_params),
+                "flops": float(profile.total_flops),
             }
     return out
 

@@ -110,12 +110,12 @@ class ClusterNode:
         single-node executor's pool, so a one-node cluster reproduces
         the plain :class:`~repro.serving.executor.BatchExecutor` timing.
         """
-        worker = min(
-            range(len(self._worker_free_at)), key=lambda w: self._worker_free_at[w]
-        )
-        start = max(now, self._worker_free_at[worker])
+        free_at = self._worker_free_at
+        # earliest-free worker, lowest index on ties
+        worker = free_at.index(min(free_at))
+        start = max(now, free_at[worker])
         finish = start + compute_s
-        self._worker_free_at[worker] = finish
+        free_at[worker] = finish
         self.busy[worker].add(start, finish)
         self.segments_executed += 1
         return start, finish

@@ -7,7 +7,8 @@ through the deployed DNN paths on the discrete-event simulator, with
 * :mod:`repro.serving.admission` — token buckets enforcing the solved
   admission ratios ``z_τ``;
 * :mod:`repro.serving.queueing` — bounded, deadline-aware per-slice
-  queues (FIFO or EDF) with drop accounting;
+  queues (FIFO or EDF) with drop accounting, and the ready-queue index
+  that lets a dispatcher tick visit only the non-empty ones;
 * :mod:`repro.serving.executor` — a worker-pool batch executor whose
   shared-block prefix cache fuses requests across paths that share
   frozen blocks, plus a tensor-level blockwise runner;
@@ -39,7 +40,12 @@ from repro.serving.parallel import (
     WeightArena,
     shared_memory_available,
 )
-from repro.serving.queueing import DropReason, ServingQueue, ServingRequest
+from repro.serving.queueing import (
+    DropReason,
+    ReadyQueues,
+    ServingQueue,
+    ServingRequest,
+)
 from repro.serving.runtime import ServingConfig, ServingRuntime
 
 __all__ = [
@@ -50,6 +56,7 @@ __all__ = [
     "LatencyStats",
     "MicroBatcher",
     "ParallelBackend",
+    "ReadyQueues",
     "RequestPool",
     "ServingConfig",
     "ServingMetrics",

@@ -16,7 +16,9 @@ with numpy over whole arrival waves:
    an array scan (:func:`repro.serving.waves.fifo_deliveries`);
 4. admitted requests are materialized from a freelist pool and pushed
    into their serving queues in delivery order by the dispatcher tick
-   itself — one DES event per batching window, not one per request.
+   itself — one DES event per batching window, not one per request —
+   and the tick finds them through one index over all waves' deliveries,
+   so its cost follows the requests due, not the number of tasks.
 
 **Bit-exactness.**  The engine reproduces the scalar path's results
 exactly (served set, drop reasons, metrics) on any workload the
@@ -70,13 +72,6 @@ class TaskWave:
     bits: float
     #: next admitted request not yet pushed into the serving queue
     cursor: int = 0
-    #: delivery instant of ``cursor`` as a plain float (``inf`` when
-    #: exhausted) — lets an idle tick skip the wave on one compare
-    next_delivery: float = float("inf")
-
-    def __post_init__(self) -> None:
-        if len(self.deliveries):
-            self.next_delivery = float(self.deliveries[0])
 
     @property
     def offered(self) -> int:
@@ -134,6 +129,37 @@ class WavePlan:
     total_admitted: int = 0
     #: every dispatcher tick instant fired so far (tie-break record)
     tick_times: list[float] = field(default_factory=list)
+    #: wave positions holding an on-tick delivery that lost the scalar
+    #: tie-break: the due index has moved past it, so the wave is
+    #: revisited on the next tick, where the delivery is strictly due
+    carry: list[int] = field(default_factory=list)
+    # due-delivery index: every admitted delivery of every wave, merged
+    # once by (delivery, wave position), and how far ticks have consumed it
+    _due_times: np.ndarray = field(init=False, repr=False)
+    _due_wave: np.ndarray = field(init=False, repr=False)
+    _due_cursor: int = field(init=False, repr=False, default=0)
+    #: ``_due_times[_due_cursor]`` as a plain float (``inf`` when
+    #: exhausted) — an idle tick returns on one compare, no numpy
+    _next_due: float = field(init=False, repr=False, default=float("inf"))
+
+    def __post_init__(self) -> None:
+        counts = np.array([wave.admitted for wave in self.tasks], dtype=np.intp)
+        deliveries = np.concatenate(
+            [wave.deliveries for wave in self.tasks] or [np.empty(0)]
+        )
+        # stable over a wave-ordered concatenation = (delivery, wave
+        # position) order, each wave's entries staying in cursor order
+        order = np.argsort(deliveries, kind="stable")
+        self._due_times = deliveries[order]
+        self._due_wave = np.repeat(
+            np.arange(len(self.tasks), dtype=np.int32), counts
+        )[order]
+        self._next_due = self._due_time(0)
+
+    def _due_time(self, index: int) -> float:
+        if index < len(self._due_times):
+            return float(self._due_times[index])
+        return float("inf")
 
     @classmethod
     def build(
@@ -220,44 +246,74 @@ class WavePlan:
         (:meth:`TaskWave.arrives_before_tick`).  ``push`` runs the
         runtime's queue-insert (backpressure, tracing); ``collect``
         files the record for metrics.
+
+        A tick costs what is due, not the number of tasks: one
+        ``searchsorted`` over the merged due index names the waves with
+        a delivery at or before ``now``; waves with nothing due are
+        never looked at.
         """
-        for wave in self.tasks:
-            # the common tick has nothing due on most waves: one float
-            # compare, no numpy, no method calls
-            if wave.next_delivery > now:
-                continue
-            n = len(wave.deliveries)
-            # everything strictly before the tick is due...
-            due = int(
-                np.searchsorted(wave.deliveries, now, side="left") - wave.cursor
-            )
-            # ...plus on-tick deliveries that win the scalar tie-break
-            while (
-                wave.cursor + due < n
-                and wave.deliveries[wave.cursor + due] == now
-                and wave.arrives_before_tick(wave.cursor + due, self.tick_times)
+        if now < self._next_due and not self.carry:
+            return
+        # waves with a delivery at or before the tick, plus last tick's
+        # tie-break losers, visited in wave order like the full scan did
+        lo = self._due_cursor
+        hi = int(self._due_times.searchsorted(now, "right"))
+        visit = self._due_wave[lo:hi].tolist()
+        if self.carry:
+            visit += self.carry
+            self.carry = []
+        if len(visit) > 1:
+            visit = sorted(set(visit))
+        self._due_cursor = hi
+        self._next_due = self._due_time(hi)
+        for position in visit:
+            if self._push_wave(self.tasks[position], now, pool, push, collect):
+                self.carry.append(position)
+
+    def _push_wave(
+        self,
+        wave: TaskWave,
+        now: float,
+        pool: RequestPool,
+        push: Callable[[ServingRequest], None],
+        collect: Callable[[int, ServingRequest], None],
+    ) -> bool:
+        """Push one wave's due requests; True if an on-tick one stays behind."""
+        deliveries = wave.deliveries
+        n = len(deliveries)
+        lo = wave.cursor
+        # everything strictly before the tick is due...
+        hi = int(deliveries.searchsorted(now, "left"))
+        # ...plus on-tick deliveries that win the scalar tie-break
+        left_behind = False
+        while hi < n and deliveries[hi] == now:
+            if not wave.arrives_before_tick(hi, self.tick_times):
+                left_behind = True
+                break
+            hi += 1
+        if hi > lo:
+            # one conversion per array for the whole due slice
+            arrival_index = wave.admitted_idx[lo:hi]
+            task_id, path, bits = wave.task_id, wave.path, wave.bits
+            for request_id, created_at, deadline_at, delivered_at in zip(
+                wave.ids[arrival_index].tolist(),
+                wave.arrivals[arrival_index].tolist(),
+                wave.deadlines[lo:hi].tolist(),
+                deliveries[lo:hi].tolist(),
             ):
-                due += 1
-            for _ in range(due):
-                i = wave.cursor
-                arrival_index = int(wave.admitted_idx[i])
                 request = pool.acquire(
-                    task_id=wave.task_id,
-                    request_id=int(wave.ids[arrival_index]),
-                    path=wave.path,
-                    created_at=float(wave.arrivals[arrival_index]),
-                    deadline_at=float(wave.deadlines[i]),
-                    bits=wave.bits,
+                    task_id=task_id,
+                    request_id=request_id,
+                    path=path,
+                    created_at=created_at,
+                    deadline_at=deadline_at,
+                    bits=bits,
                 )
-                request.uplink_done_at = float(wave.deliveries[i])
-                wave.cursor = i + 1
-                collect(wave.task_id, request)
+                request.uplink_done_at = delivered_at
+                collect(task_id, request)
                 push(request)
-            wave.next_delivery = (
-                float(wave.deliveries[wave.cursor])
-                if wave.cursor < n
-                else float("inf")
-            )
+            wave.cursor = hi
+        return left_behind
 
     def emit_shed_traces(self, tracer) -> None:
         """Replay admission-shed drop events into an enabled tracer.

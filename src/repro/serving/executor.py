@@ -170,10 +170,12 @@ class BatchExecutor:
         merged = self._data_parallel(merged, len(requests))
         unmerged = self._data_parallel(unmerged, len(requests))
         cost = merged if self.prefix_cache else unmerged
-        worker = min(range(self.num_workers), key=lambda w: self._worker_free_at[w])
-        start = max(now, self._worker_free_at[worker])
+        free_at = self._worker_free_at
+        # earliest-free worker, lowest index on ties
+        worker = free_at.index(min(free_at))
+        start = max(now, free_at[worker])
         finish = start + cost
-        self._worker_free_at[worker] = finish
+        free_at[worker] = finish
         share = cost / len(requests)
         for request in requests:
             request.started_at = start

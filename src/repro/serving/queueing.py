@@ -18,12 +18,18 @@ from __future__ import annotations
 
 import enum
 import heapq
+import sys
 from collections import deque
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.catalog import Path
 
-__all__ = ["DropReason", "ServingRequest", "ServingQueue"]
+__all__ = ["DropReason", "ServingRequest", "ServingQueue", "ReadyQueues"]
+
+#: what :meth:`ServingQueue.pop_ready` and :meth:`ReadyQueues.drain`
+#: return when nothing expired (shared: callers only size or iterate it)
+_NONE_EXPIRED: tuple = ()
 
 
 class DropReason(enum.Enum):
@@ -136,22 +142,26 @@ class ServingQueue:
             return victim
         return None
 
-    def pop_ready(self, now: float) -> tuple[ServingRequest | None, list[ServingRequest]]:
+    def pop_ready(
+        self, now: float
+    ) -> tuple[ServingRequest | None, Sequence[ServingRequest]]:
         """Next serviceable request plus any expired ones dropped on the way.
 
         A request is expired when even zero queueing cannot meet its
         deadline: ``now + Σc(s) > deadline``.
         """
-        expired: list[ServingRequest] = []
+        expired: list[ServingRequest] | None = None
         while True:
             request = self._pop()
-            if request is None:
-                return None, expired
-            if now + request.path.compute_time_s > request.deadline_at + 1e-12:
+            if request is not None and (
+                now + request.path.compute_time_s > request.deadline_at + 1e-12
+            ):
                 request.drop_reason = DropReason.DEADLINE
+                if expired is None:
+                    expired = []
                 expired.append(request)
                 continue
-            return request, expired
+            return request, expired or _NONE_EXPIRED
 
     def _pop(self) -> ServingRequest | None:
         if self.policy == "fifo":
@@ -159,3 +169,71 @@ class ServingQueue:
         if not self._heap:
             return None
         return heapq.heappop(self._heap)[2]
+
+
+class ReadyQueues:
+    """The dispatcher's queue-selection stage: only non-empty queues cost.
+
+    A batching window drains the serving queues in ascending task-id
+    order.  Scanning every queue every tick costs ``tasks × ticks``
+    whatever the traffic; this index keeps the *positions* (ranks in
+    task-id order) of the queues that may hold something in a min-heap
+    with a membership flag, so a tick touches only queues that were
+    pushed to since they last ran empty — no per-tick scan or sort.
+
+    Invariant: every non-empty queue is in the heap.  A queue outside it
+    is empty, and ``pop_ready`` on an empty queue decides nothing, so
+    skipping it leaves windows, expiries and their order exactly as the
+    full scan would have produced them.
+    """
+
+    __slots__ = ("_ordered", "_position", "_heap", "_marked")
+
+    def __init__(self, queues: Mapping[int, ServingQueue]) -> None:
+        self._ordered = [queues[task_id] for task_id in sorted(queues)]
+        self._position = {
+            queue.task_id: position for position, queue in enumerate(self._ordered)
+        }
+        self._heap: list[int] = []
+        self._marked = [False] * len(self._ordered)
+
+    def push(self, request: ServingRequest) -> ServingRequest | None:
+        """Enqueue on the request's task queue and mark it ready.
+
+        Returns the backpressure victim, if any.  A queue is never empty
+        after a push (depth ≥ 1 keeps the newcomer or its elders).
+        """
+        position = self._position[request.task_id]
+        if not self._marked[position]:
+            self._marked[position] = True
+            heapq.heappush(self._heap, position)
+        return self._ordered[position].push(request)
+
+    def drain(
+        self, now: float, max_batch: int | None = None
+    ) -> tuple[list[ServingRequest], Sequence[ServingRequest]]:
+        """One window: ``(dispatched, expired)``, both in task-id order.
+
+        Ready queues are emptied lowest task id first.  A queue leaves
+        the index when ``pop_ready`` finds nothing left in it; when
+        ``max_batch`` fills the window first, the queue being drained
+        and every later one stay indexed, untouched, for the next tick.
+        """
+        window: list[ServingRequest] = []
+        expired: Sequence[ServingRequest] = _NONE_EXPIRED
+        heap = self._heap
+        limit = sys.maxsize if max_batch is None else max_batch
+        while heap and len(window) < limit:
+            position = heap[0]
+            pop_ready = self._ordered[position].pop_ready
+            while len(window) < limit:
+                request, dropped = pop_ready(now)
+                if dropped:
+                    expired = [*expired, *dropped]
+                if request is None:
+                    heapq.heappop(heap)
+                    self._marked[position] = False
+                    break
+                request.dispatched_at = now
+                window.append(request)
+        return window, expired

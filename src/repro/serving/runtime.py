@@ -44,7 +44,12 @@ from repro.serving.engine import WavePlan
 from repro.serving.executor import BatchExecutor
 from repro.serving.metrics import ServingMetrics, TaskServingMetrics
 from repro.serving.pool import RequestPool
-from repro.serving.queueing import DropReason, ServingQueue, ServingRequest
+from repro.serving.queueing import (
+    DropReason,
+    ReadyQueues,
+    ServingQueue,
+    ServingRequest,
+)
 
 __all__ = ["ServingConfig", "ServingRuntime"]
 
@@ -288,9 +293,9 @@ class ServingRuntime:
                 policy=cfg.queue_policy,
                 max_depth=cfg.queue_depth,
             )
-        # dispatch order is fixed for the whole run: build the sorted
-        # queue index once instead of re-sorting every window
-        ordered_queues = [(tid, queues[tid]) for tid in sorted(queues)]
+        # queue selection is its own stage: the index hands each window
+        # the non-empty queues in task-id order without scanning the rest
+        ready = ReadyQueues(queues)
 
         def drain_window(now: float) -> None:
             """One batching window: pop, dispatch, schedule completion.
@@ -301,26 +306,17 @@ class ServingRuntime:
             makes cross-engine bit-identity a property of the arrival
             side alone.
             """
-            window: list[ServingRequest] = []
-            for task_id, queue in ordered_queues:
-                while cfg.max_batch is None or len(window) < cfg.max_batch:
-                    request, expired = queue.pop_ready(now)
-                    state["outstanding"] -= len(expired)
-                    if tracer.enabled:
-                        for victim in expired:
-                            tracer.event_at(
-                                "drop.deadline",
-                                now,
-                                cat="serving",
-                                track=f"task{victim.task_id}",
-                                args={"request": victim.request_id},
-                            )
-                    if request is None:
-                        break
-                    request.dispatched_at = now
-                    window.append(request)
-                if cfg.max_batch is not None and len(window) >= cfg.max_batch:
-                    break
+            window, expired = ready.drain(now, cfg.max_batch)
+            state["outstanding"] -= len(expired)
+            if tracer.enabled:
+                for victim in expired:
+                    tracer.event_at(
+                        "drop.deadline",
+                        now,
+                        cat="serving",
+                        track=f"task{victim.task_id}",
+                        args={"request": victim.request_id},
+                    )
             if window:
                 report = executor.dispatch(window, now)
                 completed_at = report.finished_at + cfg.result_return_s
@@ -371,7 +367,7 @@ class ServingRuntime:
                 plan.emit_shed_traces(tracer)
 
             def wave_push(request: ServingRequest) -> None:
-                victim = queues[request.task_id].push(request)
+                victim = ready.push(request)
                 if victim is not None:
                     state["outstanding"] -= 1
                     if tracer.enabled:
@@ -427,7 +423,7 @@ class ServingRuntime:
                     request.uplink_done_at = delivery
 
                     def arrive() -> None:
-                        victim = queues[task.task_id].push(request)
+                        victim = ready.push(request)
                         if victim is not None:
                             state["outstanding"] -= 1
                             if tracer.enabled:

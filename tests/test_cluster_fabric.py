@@ -66,6 +66,19 @@ def test_cluster_node_execute_and_clamped_utilization():
     assert node.busy_time_s == 0.0 and node.segments_executed == 0
 
 
+def test_cluster_node_equal_free_times_pick_lowest_worker():
+    node = ClusterNode(spec=NodeSpec(node_id="n", num_workers=3))
+    for worker in range(3):
+        node.execute(1.0, 0.0)
+        assert [t > 0.0 for t in node._worker_free_at] == [
+            w <= worker for w in range(3)
+        ]
+    # all free again at t = 1: worker 0 takes the next job, then 1
+    node.execute(2.0, 0.0)
+    node.execute(1.0, 0.0)
+    assert node._worker_free_at == [3.0, 2.0, 1.0]
+
+
 def test_cluster_node_scaled_cost():
     fast = ClusterNode(spec=NodeSpec(node_id="f", cpu_scale=4.0))
     assert fast.scaled_cost(1.0) == pytest.approx(0.25)

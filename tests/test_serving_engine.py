@@ -6,23 +6,35 @@ set, same drop reasons, same metrics to the last float.  These tests
 pin that contract on the paper's small-scale scenario (deterministic
 and Poisson arrivals, several loads and seeds, both queue policies,
 tight queues, a one-node cluster) plus the engine's own mechanics:
-request pooling, event recycling, and rerun-determinism of traces at
-10⁴ requests.
+request pooling, event recycling, rerun-determinism of traces at
+10⁴ requests, and the dispatcher's ready-queue and due-delivery indexes
+against the full per-tick scans they replaced (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterDeployment, default_topology
 from repro.core.heuristic import OffloaDNNSolver
+from repro.emulator.lte import LteCell
 from repro.emulator.simulator import Simulator
 from repro.obs import ObsSession, jsonl_lines
+from repro.serving import runtime as runtime_module
+from repro.serving import waves
+from repro.serving.engine import TaskWave, WavePlan
 from repro.serving.pool import RequestPool
-from repro.serving.queueing import DropReason
+from repro.serving.queueing import DropReason, ServingQueue
 from repro.serving.runtime import ServingConfig, ServingRuntime
 from repro.workloads.smallscale import serving_small_scale_problem
+from tests.oracles import (
+    FullScanQueues,
+    full_scan_push_due,
+    replicated_serving_problem,
+)
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +48,11 @@ def _runtime(problem, **overrides):
         ServingConfig(**overrides),
         solver=OffloaDNNSolver(slice_margin_rbs=2),
     )
+
+
+def _field(value):
+    # NaN != NaN would make every absent-timestamp comparison fail
+    return None if value != value else value
 
 
 def _metrics_key(metrics):
@@ -54,21 +71,17 @@ def _metrics_key(metrics):
                 tuple(sorted((r.value, c) for r, c in t.drops.items())),
                 (
                     t.latency.count,
-                    t.latency.mean_s,
-                    t.latency.p50_s,
-                    t.latency.p95_s,
-                    t.latency.p99_s,
-                    t.latency.max_s,
+                    # NaN when a starved task completed nothing
+                    _field(t.latency.mean_s),
+                    _field(t.latency.p50_s),
+                    _field(t.latency.p95_s),
+                    _field(t.latency.p99_s),
+                    _field(t.latency.max_s),
                 ),
             )
             for tid, t in metrics.tasks.items()
         },
     )
-
-
-def _field(value):
-    # NaN != NaN would make every absent-timestamp comparison fail
-    return None if value != value else value
 
 
 def _served_key(runtime):
@@ -268,3 +281,187 @@ def test_summary_rows_order_and_cache(problem):
     extra = dataclasses.replace(metrics.tasks[rows[0][0]], task_id=999)
     metrics.tasks[999] = extra
     assert metrics.task_order()[-1] == 999
+
+
+# -- O(work) dispatcher ticks: indexes vs the full scans they replaced ------
+
+
+@pytest.fixture(scope="module")
+def sparse_problem():
+    # 200 tasks, each a sparse stream: most queues and waves have
+    # nothing to do on most 2 ms ticks
+    return replicated_serving_problem(40)
+
+
+def _traced_run(problem, **overrides):
+    runtime = _runtime(
+        problem, duration_s=2.0, batch_window_s=0.002, num_workers=40, seed=2,
+        **overrides,
+    )
+    runtime.obs = ObsSession()
+    metrics = runtime.run()
+    return (
+        _metrics_key(metrics),
+        _served_key(runtime),
+        jsonl_lines([runtime.obs.virtual]),
+    )
+
+
+@pytest.mark.parametrize("poisson", [False, True])
+@pytest.mark.parametrize("max_batch", [None, 2])
+def test_sparse_many_task_run_matches_scalar_and_full_scan(
+    sparse_problem, poisson, max_batch, monkeypatch
+):
+    kw = dict(poisson=poisson, max_batch=max_batch)
+    metrics, served, trace = _traced_run(sparse_problem, engine="vector", **kw)
+    assert len(served) > 1500
+    assert _traced_run(sparse_problem, engine="vector", **kw)[2] == trace
+    ref_metrics, ref_served, ref_trace = _traced_run(
+        sparse_problem, engine="scalar", **kw
+    )
+    # cross-engine trace bytes differ by design (shed events in bulk)
+    assert (metrics, served) == (ref_metrics, ref_served)
+    # the same engines driven by the old scans: same bytes, both engines
+    monkeypatch.setattr(runtime_module, "ReadyQueues", FullScanQueues)
+    monkeypatch.setattr(WavePlan, "push_due", full_scan_push_due)
+    assert _traced_run(sparse_problem, engine="vector", **kw) == (
+        metrics,
+        served,
+        trace,
+    )
+    assert _traced_run(sparse_problem, engine="scalar", **kw)[2] == ref_trace
+
+
+def _spy_on_carry(monkeypatch) -> list[int]:
+    """Carry-set size at the start of every ``push_due``."""
+    carried: list[int] = []
+    push_due = WavePlan.push_due
+
+    def spy(self, now, pool, push, collect):
+        carried.append(len(self.carry))
+        push_due(self, now, pool, push, collect)
+
+    monkeypatch.setattr(WavePlan, "push_due", spy)
+    return carried
+
+
+@pytest.mark.parametrize("windows_per_airtime", [1, 2])
+def test_deliveries_landing_exactly_on_ticks(
+    problem, windows_per_airtime, monkeypatch
+):
+    # deterministic arrivals start at t = 0, so a window that divides a
+    # task's uplink airtime puts its first delivery exactly on a tick.
+    # One window per airtime: the arrive event was scheduled after the
+    # tick (both during setup) and loses — the due index has consumed
+    # the entry, the carry set must bring the wave back.  Two windows:
+    # the emit (t = 0) precedes the previous tick and the delivery wins.
+    base = _runtime(problem, duration_s=1.0, engine="scalar")
+    task = next(t for t in problem.tasks if base.tickets[t.task_id].admitted)
+    path = base.solution.assignment(task).path
+    airtime = LteCell(slice_manager=base.slice_manager).transmission_duration(
+        task.task_id, path.bits_per_image, now=0.0
+    )
+    window = airtime / windows_per_airtime
+    carried = _spy_on_carry(monkeypatch)
+    vec = base.with_config(engine="vector", batch_window_s=window)
+    ref = base.with_config(batch_window_s=window)
+    assert _metrics_key(vec.run()) == _metrics_key(ref.run())
+    assert _served_key(vec) == _served_key(ref)
+    first = next(r for r in vec.last_requests if r.task_id == task.task_id)
+    assert first.uplink_done_at == airtime == window * windows_per_airtime
+    # the tick after the one the delivery lands on starts with the wave
+    # carried over only when the delivery lost
+    lands_on = windows_per_airtime - 1
+    assert carried[lands_on + 1] == (1 if windows_per_airtime == 1 else 0)
+
+
+def _grid_plan(specs) -> WavePlan:
+    """Waves on a 1/8 s grid: every sum is exact, so ties are everywhere."""
+    arrivals = [np.arange(count) * (gap / 8.0) for gap, _air, count, _every in specs]
+    ids = waves.merge_arrival_order(arrivals)
+    tasks = []
+    for position, (_gap, airtime, count, every) in enumerate(specs):
+        admitted_idx = np.arange(count)[::every]
+        admitted = arrivals[position][admitted_idx]
+        tasks.append(
+            TaskWave(
+                task_id=10 - position,  # wave order is not task-id order
+                path=None,
+                arrivals=arrivals[position],
+                ids=ids[position],
+                admitted_idx=admitted_idx,
+                deliveries=waves.fifo_deliveries(admitted, airtime / 8.0),
+                deadlines=admitted + 1.0,
+                bits=1.0,
+            )
+        )
+    return WavePlan(tasks=tasks, gated={})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(
+            st.integers(1, 6),  # arrival gap, eighths of a second
+            st.integers(0, 6),  # uplink airtime, eighths
+            st.integers(1, 12),  # offered requests (a wave starts at t = 0)
+            st.integers(1, 3),  # gate admits every n-th
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    window=st.integers(1, 5),
+)
+def test_due_index_matches_full_scan_under_exact_ties(specs, window):
+    # deliveries landing exactly on ticks, winning and losing the scalar
+    # tie-break, several per tick and per wave: the index plus carry set
+    # must hand over the same requests on the same ticks, wave by wave
+    logs = []
+    for push_due in (WavePlan.push_due, full_scan_push_due):
+        plan, pool, log = _grid_plan(specs), RequestPool(), []
+        for tick in range(1, 100 // window):
+            now = tick * (window / 8.0)
+            plan.begin_tick(now)
+            push_due(
+                plan,
+                now,
+                pool,
+                lambda r: log.append(
+                    (now, r.task_id, r.request_id, r.created_at, r.deadline_at, r.uplink_done_at)
+                ),
+                lambda task_id, r: log.append((now, task_id, r.request_id)),
+            )
+        assert [wave.cursor for wave in plan.tasks] == [
+            wave.admitted for wave in plan.tasks
+        ]
+        logs.append(log)
+    assert logs[0] == logs[1]
+
+
+def test_dispatcher_cost_follows_requests_not_tasks(sparse_problem, monkeypatch):
+    # no wall clock: a reintroduced per-tick scan over 200 tasks makes
+    # ~10^5 queue pops and wave visits here and fails both bounds
+    counts = {"pops": 0, "wave_visits": 0}
+    pop_ready, push_wave = ServingQueue.pop_ready, WavePlan._push_wave
+
+    def counted_pop(self, now):
+        counts["pops"] += 1
+        return pop_ready(self, now)
+
+    def counted_visit(self, *args):
+        counts["wave_visits"] += 1
+        return push_wave(self, *args)
+
+    monkeypatch.setattr(ServingQueue, "pop_ready", counted_pop)
+    monkeypatch.setattr(WavePlan, "_push_wave", counted_visit)
+    carried = _spy_on_carry(monkeypatch)
+    runtime = _runtime(
+        sparse_problem, duration_s=2.0, batch_window_s=0.002, num_workers=40,
+        poisson=True, seed=2,
+    )
+    metrics = runtime.run()
+    admitted = sum(t.admitted for t in metrics.tasks.values())
+    ticks = len(carried)
+    assert admitted > 1500 and ticks * len(metrics.tasks) > 50 * admitted
+    assert counts["pops"] <= 2 * admitted + metrics.windows
+    assert counts["wave_visits"] <= admitted + sum(carried)

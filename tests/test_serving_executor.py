@@ -142,6 +142,22 @@ class TestBatchExecutor:
         assert first.started_at == second.started_at == pytest.approx(0.0)
         assert executor.utilization(first.finished_at) == pytest.approx(1.0)
 
+    def test_equal_free_times_pick_lowest_worker(self):
+        # three idle workers: windows land on worker 0, 1, 2 in that
+        # order; then two workers free up at the same instant and the
+        # lower index wins again
+        executor = BatchExecutor(num_workers=3)
+        for worker in range(3):
+            executor.dispatch([request(PATH_A, worker)], now=0.0)
+            assert [t > 0.0 for t in executor._worker_free_at] == [
+                w <= worker for w in range(3)
+            ]
+        assert len(set(executor._worker_free_at)) == 1
+        executor.dispatch([request(PATH_C, 3), request(PATH_C, 4)], now=0.0)
+        assert executor._worker_free_at[0] > executor._worker_free_at[1]
+        executor.dispatch([request(PATH_A, 5)], now=0.0)
+        assert executor._worker_free_at[1] > executor._worker_free_at[2]
+
     def test_saved_accounting(self):
         executor = BatchExecutor(prefix_cache=True)
         report = executor.dispatch([request(PATH_A, 0), request(PATH_B, 1)], 0.0)

@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.catalog import Block, Path
 from repro.core.task import QualityLevel
-from repro.serving.queueing import DropReason, ServingQueue, ServingRequest
+from repro.serving.queueing import (
+    DropReason,
+    ReadyQueues,
+    ServingQueue,
+    ServingRequest,
+)
+from tests.oracles import FullScanQueues
 
 QUALITY = QualityLevel(name="full", bits_per_image=350_000.0)
 
@@ -103,7 +111,7 @@ class TestDeadlineDropping:
 
     def test_empty_pop(self):
         request, expired = ServingQueue(task_id=1).pop_ready(0.0)
-        assert request is None and expired == []
+        assert request is None and len(expired) == 0
 
 
 class TestValidation:
@@ -131,3 +139,88 @@ class TestServingRequest:
         request.drop_reason = DropReason.ADMISSION
         request.completed_at = 0.4
         assert request.dropped and not request.completed
+
+
+# -- ready-queue index vs the full scan it replaced -------------------------
+
+
+def _queue_contents(queue: ServingQueue) -> list[int]:
+    """Request ids still queued, in pop order (destructive)."""
+    out = []
+    while True:
+        request = queue._pop()
+        if request is None:
+            return out
+        out.append(request.request_id)
+
+
+# one step: push (task, deadline, compute time) or drain at (time advance)
+_pushes = st.tuples(
+    st.just("push"),
+    st.integers(0, 5),
+    st.floats(0.0, 2.0, allow_nan=False),
+    st.sampled_from([0.01, 0.2]),
+)
+_drains = st.tuples(st.just("drain"), st.floats(0.0, 0.3, allow_nan=False))
+
+
+class TestReadyQueuesMatchFullScan:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(st.one_of(_pushes, _drains), max_size=60),
+        policy=st.sampled_from(["fifo", "edf"]),
+        max_depth=st.integers(1, 4),
+        max_batch=st.sampled_from([None, 1, 3]),
+    )
+    def test_same_windows_expiries_and_leftovers(
+        self, steps, policy, max_depth, max_batch
+    ):
+        def build(index_type):
+            queues = {
+                # ids out of insertion order: drain order is by task id
+                tid: ServingQueue(task_id=tid, policy=policy, max_depth=max_depth)
+                for tid in (3, 0, 5, 1, 4, 2)
+            }
+            return queues, index_type(queues)
+
+        queues, index = build(ReadyQueues)
+        ref_queues, reference = build(FullScanQueues)
+        now = 0.0
+        for request_id, step in enumerate(steps):
+            if step[0] == "push":
+                _, task_id, slack, compute_time_s = step
+                victims = []
+                for target in (index, reference):
+                    request = make_request(
+                        request_id, deadline_at=now + slack,
+                        created_at=now, compute_time_s=compute_time_s,
+                    )
+                    request.task_id = task_id
+                    victim = target.push(request)
+                    victims.append(victim and (victim.request_id, victim.drop_reason))
+                assert victims[0] == victims[1]
+            else:
+                now += step[1]
+                window, expired = index.drain(now, max_batch)
+                ref_window, ref_expired = reference.drain(now, max_batch)
+                assert [(r.task_id, r.request_id, r.dispatched_at) for r in window] == [
+                    (r.task_id, r.request_id, r.dispatched_at) for r in ref_window
+                ]
+                assert [(r.request_id, r.drop_reason) for r in expired] == [
+                    (r.request_id, r.drop_reason) for r in ref_expired
+                ]
+        for tid in queues:
+            assert _queue_contents(queues[tid]) == _queue_contents(ref_queues[tid])
+
+    def test_max_batch_leaves_later_queues_indexed(self):
+        queues = {tid: ServingQueue(task_id=tid, policy="fifo") for tid in (2, 1)}
+        index = ReadyQueues(queues)
+        for request_id, task_id in enumerate((2, 1, 1)):
+            request = make_request(request_id, deadline_at=9.0)
+            request.task_id = task_id
+            index.push(request)
+        window, _ = index.drain(0.0, max_batch=1)
+        assert [r.request_id for r in window] == [1]
+        window, _ = index.drain(0.0, max_batch=5)
+        assert [(r.task_id, r.request_id) for r in window] == [(1, 2), (2, 0)]
+        assert index.drain(0.0) == ([], ())
