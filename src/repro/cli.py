@@ -121,11 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--window", type=float, default=0.005, help="batch window (s)"
         )
-        parser.add_argument("--workers", type=int, default=1)
         parser.add_argument(
-            "--procs", type=int, default=1,
-            help="data-parallel processes per batching window "
-            "(models repro.serving.parallel sharding; single-node only)",
+            "--workers", type=int, default=None,
+            help="executor workers (default 1; single-node only — cluster "
+            "nodes take their worker counts from the topology)",
         )
         parser.add_argument(
             "--slice-margin", type=int, default=2,
@@ -141,11 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(4x fewer payload bytes than fp32; multi-node only)",
         )
         parser.add_argument("--poisson", action="store_true", help="Poisson arrivals")
-        parser.add_argument(
-            "--engine", choices=["vector", "scalar"], default="vector",
-            help="data plane: vectorized arrival waves (default) or the "
-            "per-request DES reference it is bit-identical to",
-        )
         parser.add_argument("--seed", type=int, default=0)
         _add_trace_arg(parser)
 
@@ -445,6 +439,13 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     import contextlib
 
     cluster_spec = getattr(args, "cluster", None) or getattr(args, "nodes", None)
+    if cluster_spec is not None and args.workers is not None:
+        print(
+            "error: --workers has no effect with a cluster; set num_workers "
+            "per node in the topology (nodes.json)",
+            file=sys.stderr,
+        )
+        return 2
     obs = None
     scope = contextlib.nullcontext()
     if args.trace is not None:
@@ -457,12 +458,10 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         duration_s=args.duration,
         batch_window_s=args.window,
         queue_policy=args.policy,
-        num_workers=args.workers,
-        num_procs=args.procs,
+        num_workers=1 if args.workers is None else args.workers,
         prefix_cache=not args.no_prefix_cache,
         poisson=args.poisson,
         load_factor=args.load,
-        engine=args.engine,
         seed=args.seed,
     )
     with scope:
@@ -486,8 +485,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     print(
         f"serving {args.tasks} tasks for {args.duration:g} s "
         f"at {args.load:g}x offered load ({config.queue_policy}, "
-        f"prefix cache {'on' if config.prefix_cache else 'off'}, "
-        f"{config.num_procs} proc{'s' if config.num_procs != 1 else ''})"
+        f"prefix cache {'on' if config.prefix_cache else 'off'})"
     )
     print(
         format_table(

@@ -14,7 +14,7 @@ driven through the :class:`~repro.cluster.orchestrator.PlacementPlan`:
    wire frame (batch on the leading axis) over the simulated link; link
    occupancy is FIFO and deterministic.
 3. **Later hops** — per-task batches queue on their segment's node
-   (earliest-free worker) and execute at that node's CPU scale.
+   pool and execute at that node's CPU scale.
 
 **Failure semantics** (fault injection, seeded and deterministic):
 every segment dispatch draws against the target node's
@@ -37,8 +37,7 @@ import numpy as np
 from repro.cluster.orchestrator import ClusterOrchestrator, PlacementPlan, Segment
 from repro.cluster.qos import Hop, QosMonitor
 from repro.cluster.registry import ClusterTopology, NodeRegistry
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-from repro.serving.executor import WindowReport, _window_costs
+from repro.serving.executor import WindowLedger, WindowReport
 from repro.serving.queueing import DropReason, ServingRequest
 
 __all__ = ["ClusterDeployment", "ClusterExecutor"]
@@ -78,24 +77,16 @@ class ClusterDeployment:
 
 
 @dataclass
-class ClusterExecutor:
+class ClusterExecutor(WindowLedger):
     """Executes batching windows across the deployment's nodes."""
 
     deployment: ClusterDeployment
-    batch_efficiency: float = 0.5
-    prefix_cache: bool = True
     seed: int = 0
-    tracer: Tracer | NullTracer = NULL_TRACER
     qos: QosMonitor = field(init=False)
-    windows: list[WindowReport] = field(default_factory=list)
-    total_compute_s: float = 0.0
-    compute_saved_s: float = 0.0
-    prefix_merges: int = 0
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.batch_efficiency <= 1.0:
-            raise ValueError("batch_efficiency must be in [0, 1]")
+        super().__post_init__()
         self.qos = QosMonitor(registry=self.deployment.registry)
         self._rng = np.random.default_rng(self.seed * 9176 + 13)
 
@@ -207,24 +198,19 @@ class ClusterExecutor:
                 tid: resolved[tid][2][0] for tid in by_node[node_id]
             }
             blocks_for = lambda r, seg=segment_of: seg[r.task_id].blocks  # noqa: E731
-            merged, unmerged, node_merges = _window_costs(
-                batch, self.batch_efficiency, blocks_for=blocks_for
-            )
-            merged, unmerged = node.scaled_cost(merged), node.scaled_cost(unmerged)
-            cost = merged if self.prefix_cache else unmerged
             ready = now + max(resolved[tid][1] for tid in by_node[node_id])
-            start, finish = node.execute(cost, ready)
+            _worker, start, finish, cost, unmerged, node_merges = self._run_fused(
+                batch, node.execute, ready, node.spec.cpu_scale, blocks_for
+            )
             compute += cost
             unshared += unmerged
-            if self.prefix_cache:
-                merges += node_merges
+            merges += node_merges
             window_start = start if window_start is None else min(window_start, start)
-            share = cost / len(batch)
             for request in batch:
-                request.started_at = start
-                request.compute_time_s = share
-                hops = [Hop("queue", node_id, now, start), Hop("exec", node_id, start, finish)]
-                request.hops = hops
+                request.hops = [
+                    Hop("queue", node_id, now, start),
+                    Hop("exec", node_id, start, finish),
+                ]
             for tid in by_node[node_id]:
                 cursor[tid] = finish
 
@@ -263,7 +249,7 @@ class ClusterExecutor:
                         for b in segment.blocks
                     )
                 )
-                start, finish = exec_node.execute(cost, delivery + delay)
+                _worker, start, finish = exec_node.execute(cost, delivery + delay)
                 compute += cost
                 unshared += cost
                 share = cost / len(batch)
@@ -284,44 +270,16 @@ class ClusterExecutor:
                 window_end = max(window_end, at)
             self.qos.observe_hops(batch[0].hops if batch else [])
 
-        report = WindowReport(
-            requests=len(requests),
-            compute_s=compute,
-            unshared_compute_s=unshared,
-            prefix_merges=merges if self.prefix_cache else 0,
-            started_at=window_start if window_start is not None else now,
-            finished_at=window_end,
+        if window_start is None:
+            window_start = now
+        return self._close_window(
+            len(requests), compute, unshared, merges, window_start, window_end,
+            "cluster", window_end - window_start,
         )
-        self.windows.append(report)
-        self.total_compute_s += compute
-        if self.prefix_cache:
-            self.compute_saved_s += report.saved_s
-            self.prefix_merges += merges
-        if self.tracer.enabled:
-            self.tracer.record(
-                "window",
-                report.started_at,
-                report.finished_at - report.started_at,
-                cat="executor",
-                track="cluster",
-                args={
-                    "requests": len(requests),
-                    "merges": report.prefix_merges,
-                    "saved_s": report.saved_s,
-                },
-            )
-        return report
 
     def busy_workers(self, now: float) -> int:
         """Workers mid-segment across all nodes (sampler probe)."""
         return sum(
             node.busy_workers(now)
             for node in self.deployment.registry.nodes.values()
-        )
-
-    @property
-    def busy_until(self) -> float:
-        return max(
-            (n.busy_until for n in self.deployment.registry.nodes.values()),
-            default=0.0,
         )

@@ -5,11 +5,12 @@ registry when it joins the fabric — its tier (edge or cloud), relative
 CPU capacity, memory, worker count, which block configs of the Table I
 repository it holds resident, and a per-dispatch failure rate for
 fault-injection studies.  A :class:`ClusterNode` wraps one spec with
-the mutable serving-time state: per-worker free times (the same
-earliest-free-worker discipline as the single-node
-:class:`~repro.serving.executor.BatchExecutor`) and clamped busy-time
-accounting reused from the emulator's :class:`~repro.emulator.nodes.
-BusyTracker` so per-node utilization gauges never report > 1.0.
+the mutable serving-time state: a
+:class:`~repro.serving.executor.WorkerPool` (the pool the single-node
+:class:`~repro.serving.executor.BatchExecutor` books on too) and
+clamped busy-time accounting reused from the emulator's
+:class:`~repro.emulator.nodes.BusyTracker` so per-node utilization
+gauges never report > 1.0.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.emulator.nodes import BusyTracker
+from repro.serving.executor import WorkerPool
 
 __all__ = ["NodeSpec", "ClusterNode"]
 
@@ -69,20 +71,18 @@ class ClusterNode:
     """One registered node's serving-time state."""
 
     spec: NodeSpec
-    _worker_free_at: list[float] = field(default_factory=list)
+    pool: WorkerPool = field(init=False, repr=False)
     #: one clamped busy tracker per worker (per-worker service intervals
     #: are FIFO and non-overlapping, which is what BusyTracker assumes)
-    busy: list[BusyTracker] = field(default_factory=list)
+    busy: list[BusyTracker] = field(init=False)
     #: segment executions completed (including retried dispatches)
     segments_executed: int = 0
     #: dispatches that failed on this node (fault injection draws)
     dispatch_failures: int = 0
 
     def __post_init__(self) -> None:
-        if not self._worker_free_at:
-            self._worker_free_at = [0.0] * self.spec.num_workers
-        if not self.busy:
-            self.busy = [BusyTracker() for _ in range(self.spec.num_workers)]
+        self.pool = WorkerPool(self.spec.num_workers)
+        self.busy = [BusyTracker() for _ in range(self.spec.num_workers)]
 
     @property
     def node_id(self) -> str:
@@ -90,35 +90,28 @@ class ClusterNode:
 
     @property
     def busy_until(self) -> float:
-        return max(self._worker_free_at)
+        return max(self.pool.free_at)
 
     @property
     def earliest_free_at(self) -> float:
-        return min(self._worker_free_at)
+        return min(self.pool.free_at)
 
     def busy_workers(self, now: float) -> int:
-        return sum(1 for free_at in self._worker_free_at if free_at > now)
+        return self.pool.busy_workers(now)
 
     def scaled_cost(self, compute_s: float) -> float:
         """Execution time of ``compute_s`` profiled seconds on this CPU."""
         return compute_s / self.spec.cpu_scale
 
-    def execute(self, compute_s: float, now: float) -> tuple[float, float]:
-        """Queue ``compute_s`` of (already scaled) work; returns (start, finish).
+    def execute(self, compute_s: float, now: float) -> tuple[int, float, float]:
+        """Queue ``compute_s`` of (already scaled) work on the node's pool.
 
-        The earliest-free worker takes the job, exactly like the
-        single-node executor's pool, so a one-node cluster reproduces
-        the plain :class:`~repro.serving.executor.BatchExecutor` timing.
+        Returns ``(worker, start, finish)``, like the pool's ``claim``.
         """
-        free_at = self._worker_free_at
-        # earliest-free worker, lowest index on ties
-        worker = free_at.index(min(free_at))
-        start = max(now, free_at[worker])
-        finish = start + compute_s
-        free_at[worker] = finish
+        worker, start, finish = self.pool.claim(compute_s, now)
         self.busy[worker].add(start, finish)
         self.segments_executed += 1
-        return start, finish
+        return worker, start, finish
 
     @property
     def busy_time_s(self) -> float:
@@ -138,7 +131,7 @@ class ClusterNode:
         return min(1.0, busy_within / (self.spec.num_workers * duration_s))
 
     def reset(self) -> None:
-        self._worker_free_at = [0.0] * self.spec.num_workers
+        self.pool = WorkerPool(self.spec.num_workers)
         for tracker in self.busy:
             tracker.clear()
         self.segments_executed = 0

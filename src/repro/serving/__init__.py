@@ -9,21 +9,23 @@ through the deployed DNN paths on the discrete-event simulator, with
 * :mod:`repro.serving.queueing` — bounded, deadline-aware per-slice
   queues (FIFO or EDF) with drop accounting, and the ready-queue index
   that lets a dispatcher tick visit only the non-empty ones;
-* :mod:`repro.serving.executor` — a worker-pool batch executor whose
-  shared-block prefix cache fuses requests across paths that share
-  frozen blocks, plus a tensor-level blockwise runner;
+* :mod:`repro.serving.executor` — the worker pool and window ledger
+  every executor books on, the batch executor whose shared-block
+  prefix cache fuses requests across paths that share frozen blocks,
+  plus a tensor-level blockwise runner;
 * :mod:`repro.serving.metrics` — per-task latency histograms
   (p50/p95/p99), deadline-miss rates and drop reasons;
 * :mod:`repro.serving.parallel` — a multi-core execution backend:
-  shared-memory weight arenas, a persistent process pool sharding
-  batches across workers, and an adaptive micro-batching dispatcher;
+  shared-memory weight arenas and a persistent process pool sharding
+  batches across workers;
 * :mod:`repro.serving.runtime` — the end-to-end loop on the emulator
   clock, reusing the LTE uplink for transfer time;
 * :mod:`repro.serving.waves` / :mod:`repro.serving.engine` — the
-  vectorized data plane: whole arrival waves precomputed with numpy,
+  arrival side: whole arrival waves precomputed with numpy,
   closed-form token-bucket admission, pooled request records
   (:mod:`repro.serving.pool`), one DES event per batching window —
-  bit-identical to the scalar path and the default engine.
+  bit-identical to the one-event-per-request reference kept in
+  ``tests/oracles.py``.
 
 Entry points: ``ServingRuntime.from_problem(problem).run()`` or the
 ``repro serve-sim`` CLI command.
@@ -34,12 +36,7 @@ from repro.serving.engine import TaskWave, WavePlan
 from repro.serving.executor import BatchExecutor, BlockwiseRunner, WindowReport
 from repro.serving.pool import RequestPool
 from repro.serving.metrics import LatencyStats, ServingMetrics, TaskServingMetrics
-from repro.serving.parallel import (
-    MicroBatcher,
-    ParallelBackend,
-    WeightArena,
-    shared_memory_available,
-)
+from repro.serving.parallel import ParallelBackend, WeightArena, shared_memory_available
 from repro.serving.queueing import (
     DropReason,
     ReadyQueues,
@@ -54,7 +51,6 @@ __all__ = [
     "BlockwiseRunner",
     "DropReason",
     "LatencyStats",
-    "MicroBatcher",
     "ParallelBackend",
     "ReadyQueues",
     "RequestPool",

@@ -1,10 +1,11 @@
-"""The wave engine: a vectorized data plane for the serving runtime.
+"""The wave engine: the arrival side of the serving runtime.
 
-The scalar :class:`~repro.serving.runtime.ServingRuntime` path costs
-one DES event plus one closure per *offered* request — three heap
-operations, an allocation, and a token-bucket call each.  The wave
-engine replaces all per-request control flow up to the serving queue
-with numpy over whole arrival waves:
+A one-event-per-request DES (the *scalar* reference, kept as
+``tests/oracles.py::scalar_run``) costs one event plus one closure per
+*offered* request — three heap operations, an allocation, and a
+token-bucket call each.  The wave engine replaces all per-request
+control flow up to the serving queue with numpy over whole arrival
+waves:
 
 1. each task's arrival instants are pre-drawn as one array
    (:func:`repro.serving.waves.arrival_times`, bit-identical to the
@@ -20,9 +21,9 @@ with numpy over whole arrival waves:
    and the tick finds them through one index over all waves' deliveries,
    so its cost follows the requests due, not the number of tasks.
 
-**Bit-exactness.**  The engine reproduces the scalar path's results
-exactly (served set, drop reasons, metrics) on any workload the
-runtime generates.  The one subtle piece is the window boundary: when
+**Bit-exactness.**  The engine reproduces the scalar reference's
+results exactly (served set, drop reasons, metrics) on any workload
+the runtime generates.  The one subtle piece is the window boundary: when
 a request's uplink delivery lands *exactly* on a dispatcher tick, the
 scalar DES breaks the tie by schedule order — the arrive event wins
 iff its emit chain reached the shared instant before the dispatch
@@ -178,7 +179,7 @@ class WavePlan:
         if cell.fading is not None or cell.harq is not None:
             raise ValueError(
                 "the wave engine models a plain FIFO uplink; fading/HARQ "
-                "cells need engine='scalar'"
+                "cells cannot be served"
             )
         arrivals_per_task = []
         for task, _path in served_tasks:

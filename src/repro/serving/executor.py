@@ -1,7 +1,9 @@
 """Worker-pool path executor with shared-block prefix caching.
 
 The executor drains one *batching window* of requests at a time and
-charges simulated GPU time for it.  Costs are grounded in the profiled
+charges simulated GPU time for it on a :class:`WorkerPool`; the cluster
+executor books per node on the same pool, fused-batch costing and
+window log (:class:`WindowLedger`).  Costs are grounded in the profiled
 per-block compute times ``c(s)`` the DOT solver already consumes, with
 a sub-linear batching model: a block processing a batch of ``n``
 requests costs
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from repro.serving.queueing import ServingRequest
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serving.parallel import ParallelBackend
 
-__all__ = ["WindowReport", "BatchExecutor", "BlockwiseRunner"]
+__all__ = ["WindowReport", "WorkerPool", "BatchExecutor", "BlockwiseRunner"]
 
 
 @dataclass(frozen=True)
@@ -109,112 +111,147 @@ def _window_costs(
     return merged, unmerged, merges
 
 
-@dataclass
-class BatchExecutor:
-    """Pool of GPU workers executing batching windows.
+class WorkerPool:
+    """Per-worker free times: the one place a job is assigned to a worker."""
 
-    Each window runs as one fused job on the earliest-free worker;
-    several windows can be in flight on different workers.
+    def __init__(self, num_workers: int = 1) -> None:
+        if num_workers < 1:
+            raise ValueError("num_workers must be >= 1")
+        self.free_at = [0.0] * num_workers
+
+    def claim(self, cost_s: float, ready_at: float) -> tuple[int, float, float]:
+        """Book ``cost_s`` of work ready at ``ready_at``: (worker, start, finish)."""
+        free_at = self.free_at
+        # earliest-free worker, lowest index on ties
+        worker = free_at.index(min(free_at))
+        start = max(ready_at, free_at[worker])
+        finish = start + cost_s
+        free_at[worker] = finish
+        return worker, start, finish
+
+    def busy_workers(self, now: float) -> int:
+        """Workers still executing at virtual time ``now`` (sampler probe)."""
+        return sum(1 for free_at in self.free_at if free_at > now)
+
+
+@dataclass(kw_only=True)
+class WindowLedger:
+    """What every executor shares: cost knobs, fused batches, the window log.
+
+    :class:`BatchExecutor` closes a window over one fused batch on its own
+    pool; the cluster executor over one fused batch per node (at the
+    node's CPU scale) plus the later hops.
     """
 
-    num_workers: int = 1
     #: marginal cost of one extra request in a batch, in [0, 1]
     batch_efficiency: float = 0.5
     prefix_cache: bool = True
-    #: data-parallel processes per window (the simulated counterpart of
-    #: :class:`repro.serving.parallel.ParallelBackend` sharding)
-    num_procs: int = 1
-    #: fixed per-shard cost of the scatter/gather round-trip
-    shard_overhead_s: float = 0.0
-    #: smallest request count worth one shard
-    min_shard: int = 1
     #: DES-clock tracer recording one span per executed window
     tracer: Tracer | NullTracer = NULL_TRACER
-    _worker_free_at: list[float] = field(default_factory=list)
     windows: list[WindowReport] = field(default_factory=list)
     total_compute_s: float = 0.0
     compute_saved_s: float = 0.0
     prefix_merges: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
         if not 0.0 <= self.batch_efficiency <= 1.0:
             raise ValueError("batch_efficiency must be in [0, 1]")
-        if self.num_procs < 1:
-            raise ValueError("num_procs must be >= 1")
-        if self.shard_overhead_s < 0.0:
-            raise ValueError("shard_overhead_s must be >= 0")
-        if self.min_shard < 1:
-            raise ValueError("min_shard must be >= 1")
-        self._worker_free_at = [0.0] * self.num_workers
 
-    def _data_parallel(self, cost: float, n: int) -> float:
-        """Shard a window's cost across ``num_procs`` processes.
+    def _run_fused(
+        self,
+        batch: list[ServingRequest],
+        execute: Callable[[float, float], tuple[int, float, float]],
+        ready_at: float,
+        cpu_scale: float = 1.0,
+        blocks_for=None,
+    ) -> tuple[int, float, float, float, float, int]:
+        """Cost one co-located batch, book it through ``execute``, stamp it.
 
-        Mirrors :meth:`ParallelBackend._shard_count`: a window of ``n``
-        requests splits into at most ``n // min_shard`` shards (batches
-        below ``2 * min_shard`` stay serial), each shard paying the
-        scatter/gather overhead on top of its slice of the compute.
+        Returns ``(worker, start, finish, cost, unshared cost, merges)``.
         """
-        if self.num_procs <= 1 or n < 2 * self.min_shard:
-            return cost
-        shards = min(self.num_procs, n // self.min_shard)
-        return cost / shards + self.shard_overhead_s
-
-    def dispatch(self, requests: list[ServingRequest], now: float) -> WindowReport:
-        """Execute one window; stamps the requests and returns the report."""
-        if not requests:
-            raise ValueError("cannot dispatch an empty window")
-        merged, unmerged, merges = _window_costs(requests, self.batch_efficiency)
-        merged = self._data_parallel(merged, len(requests))
-        unmerged = self._data_parallel(unmerged, len(requests))
-        cost = merged if self.prefix_cache else unmerged
-        free_at = self._worker_free_at
-        # earliest-free worker, lowest index on ties
-        worker = free_at.index(min(free_at))
-        start = max(now, free_at[worker])
-        finish = start + cost
-        free_at[worker] = finish
-        share = cost / len(requests)
-        for request in requests:
+        merged, unmerged, merges = _window_costs(
+            batch, self.batch_efficiency, blocks_for
+        )
+        unmerged = unmerged / cpu_scale
+        cost = merged / cpu_scale if self.prefix_cache else unmerged
+        worker, start, finish = execute(cost, ready_at)
+        share = cost / len(batch)
+        for request in batch:
             request.started_at = start
             request.compute_time_s = share
+        return worker, start, finish, cost, unmerged, merges
+
+    def _close_window(
+        self,
+        requests: int,
+        compute_s: float,
+        unshared_s: float,
+        merges: int,
+        started_at: float,
+        finished_at: float,
+        track: str,
+        span_s: float,
+    ) -> WindowReport:
+        """Log one executed window: report, run totals, ``window`` span."""
         report = WindowReport(
-            requests=len(requests),
-            compute_s=cost,
-            unshared_compute_s=unmerged,
+            requests=requests,
+            compute_s=compute_s,
+            unshared_compute_s=unshared_s,
             prefix_merges=merges if self.prefix_cache else 0,
-            started_at=start,
-            finished_at=finish,
+            started_at=started_at,
+            finished_at=finished_at,
         )
         self.windows.append(report)
-        self.total_compute_s += cost
+        self.total_compute_s += compute_s
         if self.prefix_cache:
             self.compute_saved_s += report.saved_s
             self.prefix_merges += merges
         if self.tracer.enabled:
             self.tracer.record(
                 "window",
-                start,
-                cost,
+                started_at,
+                span_s,
                 cat="executor",
-                track=f"worker{worker}",
+                track=track,
                 args={
-                    "requests": len(requests),
+                    "requests": requests,
                     "merges": report.prefix_merges,
                     "saved_s": report.saved_s,
                 },
             )
         return report
 
+
+@dataclass
+class BatchExecutor(WindowLedger):
+    """Pool of GPU workers executing batching windows.
+
+    Each window runs as one fused job on one :class:`WorkerPool` worker;
+    several windows can be in flight on different workers.
+    """
+
+    num_workers: int = 1
+    pool: WorkerPool = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.pool = WorkerPool(self.num_workers)
+
+    def dispatch(self, requests: list[ServingRequest], now: float) -> WindowReport:
+        """Execute one window; stamps the requests and returns the report."""
+        if not requests:
+            raise ValueError("cannot dispatch an empty window")
+        worker, start, finish, cost, unmerged, merges = self._run_fused(
+            requests, self.pool.claim, now
+        )
+        return self._close_window(
+            len(requests), cost, unmerged, merges, start, finish,
+            f"worker{worker}", cost,
+        )
+
     def busy_workers(self, now: float) -> int:
         """Workers still executing at virtual time ``now`` (sampler probe)."""
-        return sum(1 for free_at in self._worker_free_at if free_at > now)
-
-    @property
-    def busy_until(self) -> float:
-        return max(self._worker_free_at)
+        return self.pool.busy_workers(now)
 
     def utilization(self, duration_s: float) -> float:
         """Mean fraction of ``duration_s`` the workers spent computing."""

@@ -24,13 +24,6 @@ and BLAS threads don't oversubscribe the cores.  With ``num_procs=1``,
 or where shared memory is unavailable (sandboxes without ``/dev/shm``),
 the backend degrades to an in-process serial engine with the same API.
 
-**Adaptive micro-batching.**  :class:`MicroBatcher` coalesces queued
-single-image requests until either the batch is full or the oldest
-request's latency budget forces a flush — waiting longer than
-``deadline − est(n) − safety`` would risk the deadline, where ``est`` is
-an EWMA of measured batch execution time.  Flushed batches go through
-the backend, which splits them across workers.
-
 Sharding is at *block granularity along the batch axis*: a shard runs
 the same block sequence over a slice of the samples, so the shared-trunk
 prefix-cache semantics of :class:`BlockwiseRunner` (memoized activations
@@ -44,14 +37,12 @@ import atexit
 import io
 import os
 import pickle
-import time
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.dnn.layers import Layer
-from repro.obs.trace import current_tracer
 
 try:  # restricted interpreters may lack _multiprocessing/shm support
     import multiprocessing as _mp
@@ -67,8 +58,6 @@ __all__ = [
     "ArenaSpec",
     "WeightArena",
     "ParallelBackend",
-    "MicroBatcher",
-    "MicroBatchReport",
     "BLAS_THREAD_VARS",
 ]
 
@@ -566,130 +555,3 @@ class ParallelBackend:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-# ----------------------------------------------------------------------
-# adaptive micro-batching
-
-@dataclass(frozen=True)
-class MicroBatchReport:
-    """Accounting for one flushed micro-batch."""
-
-    size: int
-    wall_s: float
-    #: what forced the flush: "full", "deadline" or "manual"
-    trigger: str
-
-
-class MicroBatcher:
-    """Coalesce single requests into latency-budgeted micro-batches.
-
-    Requests accumulate until either (a) ``max_batch`` is reached or
-    (b) the oldest pending request's deadline leaves no slack: flushing
-    later than ``deadline − est(n) − safety_s`` would risk missing it.
-    ``est(n) = overhead_s + per_sample_s · n`` where ``per_sample_s`` is
-    an EWMA of measured execution time, so the batcher adapts to the
-    model, the batch size and the machine.
-
-    Drive it with :meth:`submit` on arrival and :meth:`poll` on a timer
-    (``next_flush_at`` says when); both return flushed
-    ``(request_id, output)`` pairs or ``None``.
-    """
-
-    def __init__(
-        self,
-        backend: ParallelBackend,
-        block_ids,
-        *,
-        max_batch: int = 32,
-        safety_s: float = 0.002,
-        est_alpha: float = 0.25,
-        per_sample_s: float = 0.005,
-        overhead_s: float = 0.001,
-        clock=time.perf_counter,
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if not 0.0 < est_alpha <= 1.0:
-            raise ValueError("est_alpha must be in (0, 1]")
-        self.backend = backend
-        self.block_ids = tuple(block_ids)
-        self.max_batch = max_batch
-        self.safety_s = safety_s
-        self.est_alpha = est_alpha
-        self.per_sample_s = per_sample_s
-        self.overhead_s = overhead_s
-        self._clock = clock
-        self._pending: list[tuple[object, np.ndarray, float]] = []
-        self.reports: list[MicroBatchReport] = []
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def estimate_s(self, n: int) -> float:
-        """Predicted wall time of an ``n``-sample flush."""
-        return self.overhead_s + self.per_sample_s * n
-
-    def next_flush_at(self) -> float:
-        """Latest safe flush time for the current backlog (inf if empty)."""
-        if not self._pending:
-            return float("inf")
-        earliest = min(deadline for _, _, deadline in self._pending)
-        return earliest - self.estimate_s(len(self._pending)) - self.safety_s
-
-    def submit(
-        self, request_id, x: np.ndarray, deadline_at: float, now: float
-    ) -> list[tuple[object, np.ndarray]] | None:
-        """Enqueue one sample; returns flushed results when it triggers.
-
-        ``x`` is one sample: either unbatched (``(C, H, W)`` / ``(F,)``)
-        or with a leading batch axis of 1.
-        """
-        if x.ndim in (1, 3):  # unbatched sample -> add the batch axis
-            x = x[None, ...]
-        elif x.shape[0] != 1:
-            raise ValueError("submit() takes one sample at a time")
-        self._pending.append((request_id, x, deadline_at))
-        if len(self._pending) >= self.max_batch:
-            return self._flush("full")
-        if now >= self.next_flush_at():
-            return self._flush("deadline")
-        return None
-
-    def poll(self, now: float) -> list[tuple[object, np.ndarray]] | None:
-        """Timer hook: flush if the latency budget says it is time."""
-        if self._pending and now >= self.next_flush_at():
-            return self._flush("deadline")
-        return None
-
-    def flush(self) -> list[tuple[object, np.ndarray]] | None:
-        """Flush whatever is pending (end of stream)."""
-        if not self._pending:
-            return None
-        return self._flush("manual")
-
-    def _flush(self, trigger: str) -> list[tuple[object, np.ndarray]]:
-        batch = self._pending
-        self._pending = []
-        x = np.concatenate([sample for _, sample, _ in batch], axis=0)
-        start = self._clock()
-        out = self.backend.run_path(self.block_ids, x)
-        wall = self._clock() - start
-        n = len(batch)
-        observed = max(wall - self.overhead_s, 0.0) / n
-        self.per_sample_s += self.est_alpha * (observed - self.per_sample_s)
-        self.reports.append(MicroBatchReport(size=n, wall_s=wall, trigger=trigger))
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.record(
-                "microbatch.flush",
-                start,
-                wall,
-                cat="serving",
-                track="microbatch",
-                args={"size": n, "trigger": trigger},
-            )
-        return [
-            (request_id, out[i : i + 1])
-            for i, (request_id, _, _) in enumerate(batch)
-        ]

@@ -25,8 +25,7 @@ configuration produce bit-identical metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
-
-import numpy as np
+from functools import partial
 
 from repro.core.heuristic import OffloaDNNSolver
 from repro.core.problem import DOTProblem
@@ -44,12 +43,7 @@ from repro.serving.engine import WavePlan
 from repro.serving.executor import BatchExecutor
 from repro.serving.metrics import ServingMetrics, TaskServingMetrics
 from repro.serving.pool import RequestPool
-from repro.serving.queueing import (
-    DropReason,
-    ReadyQueues,
-    ServingQueue,
-    ServingRequest,
-)
+from repro.serving.queueing import ReadyQueues, ServingQueue, ServingRequest
 
 __all__ = ["ServingConfig", "ServingRuntime"]
 
@@ -115,11 +109,6 @@ class ServingConfig:
     #: marginal batch cost factor (see :mod:`repro.serving.executor`)
     batch_efficiency: float = 0.5
     prefix_cache: bool = True
-    #: data-parallel processes per window (``repro serve-sim --procs``);
-    #: models :class:`repro.serving.parallel.ParallelBackend` sharding
-    num_procs: int = 1
-    #: per-shard scatter/gather overhead charged when ``num_procs > 1``
-    shard_overhead_s: float = 0.0005
     #: cap on requests fused into one window (None = drain everything)
     max_batch: int | None = None
     #: Poisson arrivals if True, deterministic spacing otherwise
@@ -130,16 +119,9 @@ class ServingConfig:
     result_return_s: float = 0.002
     #: token-bucket burst in requests
     admission_burst: float = 1.0
-    #: data-plane engine: ``"vector"`` precomputes whole arrival waves
-    #: (numpy, pooled records, one event per window — the 10⁵–10⁶
-    #: request path), ``"scalar"`` is the one-event-per-request DES
-    #: reference the vector path is bit-identical to
-    engine: str = "vector"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.engine not in ("vector", "scalar"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if self.batch_window_s <= 0:
@@ -148,10 +130,16 @@ class ServingConfig:
             raise ValueError("load_factor must be positive")
         if self.max_batch is not None and self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.num_procs < 1:
-            raise ValueError("num_procs must be >= 1")
-        if self.shard_overhead_s < 0.0:
-            raise ValueError("shard_overhead_s must be >= 0")
+        if self.queue_policy not in ("fifo", "edf"):
+            raise ValueError(f"unknown queue_policy {self.queue_policy!r}")
+        if self.queue_depth < 1:
+            raise ValueError("queue_depth must be >= 1")
+        if self.num_workers < 1:
+            raise ValueError("num_workers must be >= 1")
+        if self.result_return_s < 0.0:
+            raise ValueError("result_return_s must be >= 0")
+        if self.admission_burst < 1.0:
+            raise ValueError("admission_burst must be >= 1 request")
 
 
 @dataclass
@@ -174,7 +162,7 @@ class ServingRuntime:
     # run state (rebuilt by every run() call)
     simulator: Simulator = field(init=False, repr=False)
     executor: object = field(init=False, repr=False)
-    #: freelist reused across runs (vector engine request records)
+    #: freelist of request records, reused across runs
     pool: RequestPool = field(init=False, repr=False, default_factory=RequestPool)
     #: every request record of the last run (completed and dropped)
     last_requests: list[ServingRequest] = field(
@@ -224,287 +212,230 @@ class ServingRuntime:
 
     def run(self) -> ServingMetrics:
         """Execute one seeded serving simulation and summarize it."""
-        cfg = self.config
-        obs = self.obs
-        vector = cfg.engine == "vector"
         # the wave engine never hands event objects to callers, so the
         # simulator may recycle them through its freelist
-        sim = self.simulator = Simulator(recycle_events=vector)
-        tracer: Tracer | NullTracer = NULL_TRACER
-        if obs is not None:
-            obs.bind_virtual_clock(lambda: sim.now)
-            tracer = obs.virtual
-        cell = LteCell(slice_manager=self.slice_manager)
-        cell.reset()
-        record_hop_spans = None
-        if self.cluster is not None:
+        sim = Simulator(recycle_events=True)
+        run = _Run(self, sim)
+        if run.served_tasks:
+            run.start_waves()
+            run.attach_probes()
+        sim.run()
+        # quiet or empty deployments: still advance the clock to the
+        # configured horizon (Simulator.run_until works on an empty queue)
+        sim.run_until(self.config.duration_s)
+        self.last_requests = run.plan.records_in_creation_order(run.records)
+        return run.metrics()
+
+
+class _Run:
+    """One run's data plane: push → tick → drain window → complete.
+
+    Everything downstream of the arrival side (queue insert and
+    backpressure, EDF/FIFO pops, deadline drops, prefix fusion,
+    completion timing, metrics) exists once, here.  The
+    one-event-per-request reference in ``tests/oracles.py`` drives its
+    own arrival events into :meth:`push` and :meth:`drain_window`, so
+    its parity with :meth:`tick` is a property of the arrival side alone.
+    """
+
+    def __init__(self, runtime: ServingRuntime, sim: Simulator) -> None:
+        cfg = self.cfg = runtime.config
+        self.runtime = runtime
+        self.sim = runtime.simulator = sim
+        self.tracer: Tracer | NullTracer = NULL_TRACER
+        if runtime.obs is not None:
+            runtime.obs.bind_virtual_clock(lambda: sim.now)
+            self.tracer = runtime.obs.virtual
+        self.cell = LteCell(slice_manager=runtime.slice_manager)
+        self.cell.reset()
+        self.record_hop_spans = None
+        # both executors book on the same window ledger
+        ledger = dict(
+            batch_efficiency=cfg.batch_efficiency,
+            prefix_cache=cfg.prefix_cache,
+            tracer=self.tracer,
+        )
+        if runtime.cluster is not None:
             # lazy import: repro.cluster imports from repro.serving
             from repro.cluster.executor import ClusterExecutor
             from repro.cluster.qos import record_hop_spans
 
-            self.cluster.reset()
-            executor = self.executor = ClusterExecutor(
-                deployment=self.cluster,
-                batch_efficiency=cfg.batch_efficiency,
-                prefix_cache=cfg.prefix_cache,
-                seed=cfg.seed,
-                tracer=tracer,
+            self.record_hop_spans = record_hop_spans
+            runtime.cluster.reset()
+            self.executor = ClusterExecutor(
+                deployment=runtime.cluster, seed=cfg.seed, **ledger
             )
         else:
-            executor = self.executor = BatchExecutor(
-                num_workers=cfg.num_workers,
-                batch_efficiency=cfg.batch_efficiency,
-                prefix_cache=cfg.prefix_cache,
-                num_procs=cfg.num_procs,
-                shard_overhead_s=cfg.shard_overhead_s,
-                tracer=tracer,
-            )
+            self.executor = BatchExecutor(num_workers=cfg.num_workers, **ledger)
+        runtime.executor = self.executor
         # The ticket grants z_τ·λ_τ requests/s; devices offer
         # λ_τ·load_factor.  The bucket meters the granted *rate* against
         # the offered stream, so overload sheds at the gate instead of
         # melting the uplink: effective ratio = min(1, z / load_factor).
-        gate = AdmissionGate.from_ratios(
+        self.gate = AdmissionGate.from_ratios(
             {
                 tid: min(1.0, ticket.admission_ratio / cfg.load_factor)
-                for tid, ticket in self.tickets.items()
+                for tid, ticket in runtime.tickets.items()
                 if ticket.admitted
             },
             burst=cfg.admission_burst,
         )
-        queues: dict[int, ServingQueue] = {}
-        records: list[ServingRequest] = []
-        # admitted requests not yet completed or dropped; the dispatcher
-        # keeps ticking until this drains after generation stops.
-        # work_end tracks the last *workload* event time: the sampler
-        # keeps ticking past it, so sim.now alone would make the
-        # reported duration depend on whether tracing was on.
-        state = {"outstanding": 0, "next_id": 0, "work_end": 0.0}
-
-        served_tasks = []
-        for task in self.problem.tasks:
-            ticket = self.tickets[task.task_id]
-            if not ticket.admitted:
+        self.queues: dict[int, ServingQueue] = {}
+        self.served_tasks = []
+        for task in runtime.problem.tasks:
+            if not runtime.tickets[task.task_id].admitted:
                 continue
-            assignment = self.solution.assignment(task)
+            assignment = runtime.solution.assignment(task)
             assert assignment.path is not None
-            served_tasks.append((task, assignment.path))
-            queues[task.task_id] = ServingQueue(
+            self.served_tasks.append((task, assignment.path))
+            self.queues[task.task_id] = ServingQueue(
                 task_id=task.task_id,
                 policy=cfg.queue_policy,
                 max_depth=cfg.queue_depth,
             )
         # queue selection is its own stage: the index hands each window
         # the non-empty queues in task-id order without scanning the rest
-        ready = ReadyQueues(queues)
+        self.ready = ReadyQueues(self.queues)
+        #: materialized request records per task, in delivery order
+        self.records: dict[int, list[ServingRequest]] = {
+            task.task_id: [] for task in runtime.problem.tasks
+        }
+        #: empty until :meth:`start_waves` (never, for an empty deployment)
+        self.plan = WavePlan(tasks=[], gated={})
+        #: admitted requests not yet completed or dropped; the dispatcher
+        #: keeps ticking until this drains after generation stops
+        self.outstanding = 0
+        #: last *workload* event time: the sampler keeps ticking past it,
+        #: so sim.now alone would make the reported duration depend on
+        #: whether tracing was on
+        self.work_end = 0.0
 
-        def drain_window(now: float) -> None:
-            """One batching window: pop, dispatch, schedule completion.
+    def start_waves(self) -> None:
+        """Precompute the arrival waves and schedule the first tick."""
+        self.plan = WavePlan.build(self.served_tasks, self.cfg, self.gate, self.cell)
+        self.runtime.pool.reset()
+        # every admitted request is in flight from the start; queue_full,
+        # deadline and completion decrements drain the count
+        self.outstanding = self.plan.total_admitted
+        if self.tracer.enabled:
+            self.plan.emit_shed_traces(self.tracer)
+        self.sim.schedule(self.cfg.batch_window_s, self.tick)
 
-            Shared verbatim by both engines — everything downstream of
-            the serving queues (EDF/FIFO pops, deadline drops, prefix
-            fusion, completion timing) is one code path, which is what
-            makes cross-engine bit-identity a property of the arrival
-            side alone.
-            """
-            window, expired = ready.drain(now, cfg.max_batch)
-            state["outstanding"] -= len(expired)
-            if tracer.enabled:
-                for victim in expired:
-                    tracer.event_at(
-                        "drop.deadline",
-                        now,
-                        cat="serving",
-                        track=f"task{victim.task_id}",
-                        args={"request": victim.request_id},
+    def live(self) -> bool:
+        """Whether the dispatcher (and the sampler) must keep ticking."""
+        return self.sim.now < self.cfg.duration_s or self.outstanding > 0
+
+    def collect(self, task_id: int, request: ServingRequest) -> None:
+        self.records[task_id].append(request)
+
+    def push(self, request: ServingRequest) -> None:
+        """Queue insert at the request's uplink delivery; may evict."""
+        victim = self.ready.push(request)
+        if victim is not None:
+            self.outstanding -= 1
+            if self.tracer.enabled:
+                self.tracer.event_at(
+                    "drop.queue_full",
+                    request.uplink_done_at,
+                    cat="serving",
+                    track=f"task{victim.task_id}",
+                    args={"request": victim.request_id},
+                )
+
+    def tick(self) -> None:
+        """One dispatcher tick: enqueue what is due, drain one window."""
+        now = self.sim.now
+        self.plan.begin_tick(now)
+        self.plan.push_due(now, self.runtime.pool, self.push, self.collect)
+        self.drain_window(now)
+        if self.live():
+            self.sim.schedule(self.cfg.batch_window_s, self.tick)
+
+    def drain_window(self, now: float) -> None:
+        """One batching window: pop, dispatch, schedule completion."""
+        window, expired = self.ready.drain(now, self.cfg.max_batch)
+        self.outstanding -= len(expired)
+        if self.tracer.enabled:
+            for victim in expired:
+                self.tracer.event_at(
+                    "drop.deadline",
+                    now,
+                    cat="serving",
+                    track=f"task{victim.task_id}",
+                    args={"request": victim.request_id},
+                )
+        if window:
+            report = self.executor.dispatch(window, now)
+            completed_at = report.finished_at + self.cfg.result_return_s
+            self.sim.schedule_at(
+                completed_at, partial(self.complete, window, completed_at)
+            )
+        self.work_end = now
+
+    def complete(self, batch: list[ServingRequest], at: float) -> None:
+        """Stamp one window's completions (and their spans)."""
+        result_return_s = self.cfg.result_return_s
+        for request in batch:
+            if request.dropped:
+                # lost mid-execution (cluster: remote_error
+                # or transfer_timeout); never completes
+                continue
+            done = request.service_done_at
+            # cluster segments finish per task; single-node
+            # windows finish together (done is NaN there)
+            request.completed_at = done + result_return_s if done == done else at
+        self.outstanding -= len(batch)
+        if self.tracer.enabled:
+            for request in batch:
+                if not request.completed:
+                    continue
+                _record_request_spans(self.tracer, request, result_return_s)
+                if request.hops and self.record_hop_spans is not None:
+                    self.record_hop_spans(
+                        self.tracer, request.task_id, request.request_id, request.hops
                     )
-            if window:
-                report = executor.dispatch(window, now)
-                completed_at = report.finished_at + cfg.result_return_s
 
-                def complete(batch=window, at=completed_at) -> None:
-                    for request in batch:
-                        if request.dropped:
-                            # lost mid-execution (cluster: remote_error
-                            # or transfer_timeout); never completes
-                            continue
-                        done = request.service_done_at
-                        # cluster segments finish per task; single-node
-                        # windows finish together (done is NaN there)
-                        request.completed_at = (
-                            done + cfg.result_return_s if done == done else at
-                        )
-                    state["outstanding"] -= len(batch)
-                    if tracer.enabled:
-                        for request in batch:
-                            if not request.completed:
-                                continue
-                            _record_request_spans(
-                                tracer, request, cfg.result_return_s
-                            )
-                            if request.hops and record_hop_spans is not None:
-                                record_hop_spans(
-                                    tracer,
-                                    request.task_id,
-                                    request.request_id,
-                                    request.hops,
-                                )
-
-                sim.schedule_at(completed_at, complete)
-            state["work_end"] = now
-
-        plan: WavePlan | None = None
-        wave_records: dict[int, list[ServingRequest]] = {}
-        if vector and served_tasks:
-            plan = WavePlan.build(served_tasks, cfg, gate, cell)
-            self.pool.reset()
-            wave_records = {task.task_id: [] for task in self.problem.tasks}
-            # every admitted request is in flight from the engine's
-            # point of view; the same decrements as the scalar path
-            # (queue_full, deadline, completion) drain the count, so the
-            # tick chain keeps running exactly as long as scalar's does
-            state["outstanding"] = plan.total_admitted
-            if tracer.enabled:
-                plan.emit_shed_traces(tracer)
-
-            def wave_push(request: ServingRequest) -> None:
-                victim = ready.push(request)
-                if victim is not None:
-                    state["outstanding"] -= 1
-                    if tracer.enabled:
-                        # scalar traces this at the arrive event, whose
-                        # time is the newcomer's uplink delivery
-                        tracer.event_at(
-                            "drop.queue_full",
-                            request.uplink_done_at,
-                            cat="serving",
-                            track=f"task{victim.task_id}",
-                            args={"request": victim.request_id},
-                        )
-
-            def wave_collect(task_id: int, request: ServingRequest) -> None:
-                wave_records[task_id].append(request)
-
-            def wave_tick() -> None:
-                now = sim.now
-                plan.begin_tick(now)
-                plan.push_due(now, self.pool, wave_push, wave_collect)
-                drain_window(now)
-                if now < cfg.duration_s or state["outstanding"] > 0:
-                    sim.schedule(cfg.batch_window_s, wave_tick)
-
-            sim.schedule(cfg.batch_window_s, wave_tick)
-        elif served_tasks:
-
-            def emit(task, path, rng) -> None:
-                now = sim.now
-                request = ServingRequest(
-                    task_id=task.task_id,
-                    request_id=state["next_id"],
-                    path=path,
-                    created_at=now,
-                    deadline_at=now + task.max_latency_s,
-                    bits=path.bits_per_image,
-                )
-                state["next_id"] += 1
-                records.append(request)
-                if not gate.allow(task.task_id):
-                    request.drop_reason = DropReason.ADMISSION
-                    if tracer.enabled:
-                        tracer.event_at(
-                            "drop.admission",
-                            now,
-                            cat="serving",
-                            track=f"task{task.task_id}",
-                            args={"request": request.request_id},
-                        )
-                else:
-                    state["outstanding"] += 1
-                    delivery = cell.enqueue_frame(task.task_id, request.bits, now)
-                    request.uplink_done_at = delivery
-
-                    def arrive() -> None:
-                        victim = ready.push(request)
-                        if victim is not None:
-                            state["outstanding"] -= 1
-                            if tracer.enabled:
-                                tracer.event_at(
-                                    "drop.queue_full",
-                                    sim.now,
-                                    cat="serving",
-                                    track=f"task{victim.task_id}",
-                                    args={"request": victim.request_id},
-                                )
-
-                    sim.schedule_at(delivery, arrive)
-                rate = task.request_rate * cfg.load_factor
-                gap = (
-                    float(rng.exponential(1.0 / rate)) if cfg.poisson else 1.0 / rate
-                )
-                if now + gap <= cfg.duration_s:
-                    sim.schedule(gap, lambda: emit(task, path, rng))
-
-            for task, path in served_tasks:
-                rng = np.random.default_rng(cfg.seed * 7919 + task.task_id)
-                sim.schedule(0.0, lambda t=task, p=path, r=rng: emit(t, p, r))
-
-            def dispatch() -> None:
-                now = sim.now
-                drain_window(now)
-                if now < cfg.duration_s or state["outstanding"] > 0:
-                    sim.schedule(cfg.batch_window_s, dispatch)
-
-            sim.schedule(cfg.batch_window_s, dispatch)
-        if obs is not None and served_tasks:
-            sampler = obs.sampler()
-            for task, _path in served_tasks:
-                tid = task.task_id
-                queue = queues[tid]
-                sampler.add_probe(f"queue.depth.task{tid}", lambda q=queue: len(q))
-                bucket = gate.bucket(tid)
-                sampler.add_probe(
-                    f"admission.credit.task{tid}", lambda b=bucket: b.credit
-                )
-            sampler.add_probe("serving.outstanding", lambda: state["outstanding"])
+    def attach_probes(self) -> None:
+        """Sampled gauges of an observed run: queues, gate, executor."""
+        obs = self.runtime.obs
+        if obs is None:
+            return
+        sim, executor = self.sim, self.executor
+        sampler = obs.sampler()
+        for task, _path in self.served_tasks:
+            tid = task.task_id
+            queue = self.queues[tid]
+            sampler.add_probe(f"queue.depth.task{tid}", lambda q=queue: len(q))
+            bucket = self.gate.bucket(tid)
             sampler.add_probe(
-                "executor.busy_workers", lambda: executor.busy_workers(sim.now)
+                f"admission.credit.task{tid}", lambda b=bucket: b.credit
             )
-            sampler.add_probe("executor.windows", lambda: len(executor.windows))
-            sampler.add_probe(
-                "executor.prefix_merges", lambda: executor.prefix_merges
-            )
-            if self.cluster is not None:
-                executor.qos.add_probes(sampler, lambda: sim.now)
-            sampler.attach(
-                sim,
-                while_fn=lambda: (
-                    sim.now < cfg.duration_s or state["outstanding"] > 0
-                ),
-            )
-        sim.run()
-        # quiet or empty deployments: still advance the clock to the
-        # configured horizon (Simulator.run_until works on an empty queue)
-        sim.run_until(cfg.duration_s)
+        sampler.add_probe("serving.outstanding", lambda: self.outstanding)
+        sampler.add_probe(
+            "executor.busy_workers", lambda: executor.busy_workers(sim.now)
+        )
+        sampler.add_probe("executor.windows", lambda: len(executor.windows))
+        sampler.add_probe("executor.prefix_merges", lambda: executor.prefix_merges)
+        if self.runtime.cluster is not None:
+            executor.qos.add_probes(sampler, lambda: sim.now)
+        sampler.attach(sim, while_fn=self.live)
 
-        if plan is not None:
-            # the wave engine materializes only admitted requests;
-            # admission-shed offers reach the metrics as counts
-            by_task = wave_records
-            self.last_requests = plan.records_in_creation_order(wave_records)
-        else:
-            self.last_requests = records
-            by_task = {task.task_id: [] for task in self.problem.tasks}
-            for request in records:
-                by_task[request.task_id].append(request)
+    def metrics(self) -> ServingMetrics:
+        """Summarize the finished run from its per-task request records."""
+        executor = self.executor
+        # the wave engine materializes only admitted requests;
+        # admission-shed offers reach the metrics as counts
+        gated = self.plan.gated
         metrics = ServingMetrics(
-            duration_s=max(cfg.duration_s, state["work_end"]),
+            duration_s=max(self.cfg.duration_s, self.work_end),
             total_compute_s=executor.total_compute_s,
             compute_saved_s=executor.compute_saved_s,
             windows=len(executor.windows),
             prefix_merges=executor.prefix_merges,
         )
+        obs = self.runtime.obs
         registry = obs.registry if obs is not None else None
-        gated = plan.gated if plan is not None else {}
-        for task_id, reqs in by_task.items():
+        for task_id, reqs in self.records.items():
             metrics.tasks[task_id] = TaskServingMetrics.from_requests(
                 task_id, reqs, registry=registry, gated=gated.get(task_id, 0)
             )

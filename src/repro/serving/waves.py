@@ -1,9 +1,10 @@
 """Vectorized arrival waves: the numpy half of the serving data plane.
 
-The scalar serving runtime generates one DES event per offered request
-(an ``emit`` closure that draws the next inter-arrival gap, meters the
-token bucket, and enqueues the uplink frame).  That is perfectly fine
-at paper scale — a few hundred requests — and hopeless at 10⁵–10⁶.
+A scalar data plane (the reference kept in ``tests/oracles.py``)
+generates one DES event per offered request (an ``emit`` closure that
+draws the next inter-arrival gap, meters the token bucket, and enqueues
+the uplink frame).  That is perfectly fine at paper scale — a few
+hundred requests — and hopeless at 10⁵–10⁶.
 
 This module computes the same quantities as whole numpy arrays, one
 *wave* per task, with **bit-identical** results to the scalar event

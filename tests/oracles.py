@@ -1,6 +1,14 @@
 """Reference implementations the serving data plane is checked against.
 
-The dispatcher used to scan every task on every tick: every serving
+:func:`scalar_run` is the one-event-per-request DES the wave engine
+replaced: every offered request is an emit event, a token-bucket call
+and (if admitted) an arrive event at its uplink delivery, and the
+dispatcher is its own event chain.  Only that arrival side lives here;
+queue insert, window drain, completion and metrics are the runtime's
+own (``repro.serving.runtime._Run``), so a disagreement can only come
+from the arrival side.
+
+The dispatcher also used to scan every task on every tick: every serving
 queue in :func:`drain_window`, every wave in ``WavePlan.push_due``.
 Both scans were replaced by indexes that only touch tasks with work
 (:class:`repro.serving.queueing.ReadyQueues`, the due-delivery index of
@@ -16,8 +24,72 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.catalog import Catalog
-from repro.serving.queueing import ServingQueue, ServingRequest
+from repro.emulator.simulator import Simulator
+from repro.serving.metrics import ServingMetrics
+from repro.serving.queueing import DropReason, ServingQueue, ServingRequest
+from repro.serving.runtime import ServingRuntime, _Run
 from repro.workloads.smallscale import serving_small_scale_problem
+
+
+def scalar_run(runtime: ServingRuntime) -> ServingMetrics:
+    """``runtime.run()`` by the old rule: one DES event per offered request.
+
+    Admission-shed requests are materialized (``runtime.last_requests``
+    holds them, in creation order) and traced one by one, so trace bytes
+    differ from the wave engine's bulk shed events; everything else —
+    metrics, served records, windows, registry instruments — must not.
+    """
+    sim = Simulator()
+    run = _Run(runtime, sim)
+    cfg, tracer, gate, cell = run.cfg, run.tracer, run.gate, run.cell
+    records: list[ServingRequest] = []
+
+    def emit(task, path, rng) -> None:
+        now = sim.now
+        request = ServingRequest(
+            task_id=task.task_id,
+            request_id=len(records),
+            path=path,
+            created_at=now,
+            deadline_at=now + task.max_latency_s,
+            bits=path.bits_per_image,
+        )
+        records.append(request)
+        run.collect(task.task_id, request)
+        if not gate.allow(task.task_id):
+            request.drop_reason = DropReason.ADMISSION
+            if tracer.enabled:
+                tracer.event_at(
+                    "drop.admission",
+                    now,
+                    cat="serving",
+                    track=f"task{task.task_id}",
+                    args={"request": request.request_id},
+                )
+        else:
+            run.outstanding += 1
+            request.uplink_done_at = cell.enqueue_frame(task.task_id, request.bits, now)
+            sim.schedule_at(request.uplink_done_at, lambda: run.push(request))
+        rate = task.request_rate * cfg.load_factor
+        gap = float(rng.exponential(1.0 / rate)) if cfg.poisson else 1.0 / rate
+        if now + gap <= cfg.duration_s:
+            sim.schedule(gap, lambda: emit(task, path, rng))
+
+    def dispatch() -> None:
+        run.drain_window(sim.now)
+        if run.live():
+            sim.schedule(cfg.batch_window_s, dispatch)
+
+    if run.served_tasks:
+        for task, path in run.served_tasks:
+            rng = np.random.default_rng(cfg.seed * 7919 + task.task_id)
+            sim.schedule(0.0, lambda t=task, p=path, r=rng: emit(t, p, r))
+        sim.schedule(cfg.batch_window_s, dispatch)
+        run.attach_probes()
+    sim.run()
+    sim.run_until(cfg.duration_s)
+    runtime.last_requests = records
+    return run.metrics()
 
 
 class FullScanQueues:

@@ -53,9 +53,9 @@ def test_node_spec_validation():
 def test_cluster_node_execute_and_clamped_utilization():
     node = ClusterNode(spec=NodeSpec(node_id="n", num_workers=2))
     # both workers busy [0, 2]; a third job queues behind worker 0
-    assert node.execute(2.0, 0.0) == (0.0, 2.0)
-    assert node.execute(2.0, 0.0) == (0.0, 2.0)
-    assert node.execute(1.0, 0.0) == (2.0, 3.0)
+    assert node.execute(2.0, 0.0) == (0, 0.0, 2.0)
+    assert node.execute(2.0, 0.0) == (1, 0.0, 2.0)
+    assert node.execute(1.0, 0.0) == (0, 2.0, 3.0)
     assert node.busy_workers(1.0) == 2
     assert node.busy_until == 3.0
     # horizon at t=1: both workers saturated; tails never push past 1.0
@@ -70,13 +70,13 @@ def test_cluster_node_equal_free_times_pick_lowest_worker():
     node = ClusterNode(spec=NodeSpec(node_id="n", num_workers=3))
     for worker in range(3):
         node.execute(1.0, 0.0)
-        assert [t > 0.0 for t in node._worker_free_at] == [
+        assert [t > 0.0 for t in node.pool.free_at] == [
             w <= worker for w in range(3)
         ]
     # all free again at t = 1: worker 0 takes the next job, then 1
     node.execute(2.0, 0.0)
     node.execute(1.0, 0.0)
-    assert node._worker_free_at == [3.0, 2.0, 1.0]
+    assert node.pool.free_at == [3.0, 2.0, 1.0]
 
 
 def test_cluster_node_scaled_cost():
@@ -179,6 +179,31 @@ def test_one_node_cluster_matches_batch_executor_exactly():
         assert clu.completed == base_task.completed
         assert clu.latency.p50_s == pytest.approx(base_task.latency.p50_s, abs=0)
         assert clu.latency.p95_s == pytest.approx(base_task.latency.p95_s, abs=0)
+
+
+@pytest.mark.parametrize("prefix_cache", [True, False])
+def test_one_node_cluster_books_the_same_ledger_as_batch_executor(prefix_cache):
+    # the shared pool and ledger's contract: on a stream of mixed-path
+    # windows a one-node fabric logs the same WindowReport sequence and
+    # stamps every request like the plain executor
+    runtime = _runtime().with_config(
+        poisson=True, batch_window_s=0.1, num_workers=2, prefix_cache=prefix_cache
+    )
+    logs = []
+    for cluster in (None, _deploy(runtime, default_topology(1, num_workers=2))):
+        runtime.cluster = cluster
+        runtime.run()
+        stamps = [
+            (r.request_id, r.dispatched_at, r.started_at, r.compute_time_s,
+             r.completed_at)
+            for r in runtime.last_requests
+            if r.completed
+        ]
+        logs.append((runtime.executor.windows, stamps))
+    windows, stamps = logs[0]
+    assert max(w.requests for w in windows) >= 3 and len(stamps) >= 25
+    assert prefix_cache == any(w.prefix_merges for w in windows)
+    assert logs[1] == logs[0]
 
 
 def test_multi_node_serves_same_admitted_set_as_single_node():
@@ -385,6 +410,22 @@ def test_cli_serve_cluster(capsys):
     out = capsys.readouterr().out
     assert "cluster: 2 nodes" in out
     assert "edge0" in out and "edge1" in out
+
+
+def test_cli_rejects_workers_with_a_cluster(capsys):
+    from repro.cli import main
+
+    # node worker counts come from the topology, so --workers must be
+    # refused, not silently ignored, on both cluster spellings
+    for argv in (
+        ["serve-cluster", "2", "--workers", "4"],
+        ["serve-sim", "--cluster", "2", "--workers", "4"],
+    ):
+        assert main(argv + ["--duration", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "--workers" in captured.err and "topology" in captured.err
+        assert captured.out == ""
+    assert main(["serve-sim", "--workers", "2", "--duration", "1"]) == 0
 
 
 def test_cli_serve_sim_cluster_topology_file(tmp_path, capsys):

@@ -1,9 +1,10 @@
-"""Cross-engine bit-identity and the vector data plane's mechanics.
+"""Wave engine vs the scalar oracle, and the data plane's mechanics.
 
 The wave engine's contract is not "statistically close" — it is
-bit-identical to the scalar one-event-per-request path: same served
-set, same drop reasons, same metrics to the last float.  These tests
-pin that contract on the paper's small-scale scenario (deterministic
+bit-identical to the one-event-per-request DES it replaced
+(``tests/oracles.py::scalar_run``): same served set, same drop
+reasons, same metrics to the last float.  These tests pin that
+contract on the paper's small-scale scenario (deterministic
 and Poisson arrivals, several loads and seeds, both queue policies,
 tight queues, a one-node cluster) plus the engine's own mechanics:
 request pooling, event recycling, rerun-determinism of traces at
@@ -34,6 +35,7 @@ from tests.oracles import (
     FullScanQueues,
     full_scan_push_due,
     replicated_serving_problem,
+    scalar_run,
 )
 
 
@@ -105,7 +107,7 @@ def _served_key(runtime):
     ]
 
 
-# -- cross-engine bit-identity (the tentpole acceptance criterion) ---------
+# -- bit-identity with the scalar oracle -----------------------------------
 
 
 @pytest.mark.parametrize("poisson", [False, True])
@@ -115,9 +117,9 @@ def test_engines_bit_identical_on_paper_scenario(
     problem, poisson, load_factor, seed
 ):
     kw = dict(duration_s=3.0, load_factor=load_factor, seed=seed, poisson=poisson)
-    vec = _runtime(problem, engine="vector", **kw)
-    ref = _runtime(problem, engine="scalar", **kw)
-    assert _metrics_key(vec.run()) == _metrics_key(ref.run())
+    vec = _runtime(problem, **kw)
+    ref = _runtime(problem, **kw)
+    assert _metrics_key(vec.run()) == _metrics_key(scalar_run(ref))
     assert _served_key(vec) == _served_key(ref)
 
 
@@ -132,55 +134,48 @@ def test_engines_agree_under_backpressure(problem, policy):
         queue_depth=2,
         queue_policy=policy,
     )
-    vec = _runtime(problem, engine="vector", **kw)
-    ref = _runtime(problem, engine="scalar", **kw)
-    assert _metrics_key(vec.run()) == _metrics_key(ref.run())
+    vec = _runtime(problem, **kw)
+    ref = _runtime(problem, **kw)
+    assert _metrics_key(vec.run()) == _metrics_key(scalar_run(ref))
     assert _served_key(vec) == _served_key(ref)
 
 
-def test_engines_agree_with_max_batch_and_procs(problem):
-    kw = dict(duration_s=2.0, load_factor=2.5, seed=7, max_batch=3, num_procs=2)
-    vec = _runtime(problem, engine="vector", **kw)
-    ref = _runtime(problem, engine="scalar", **kw)
-    assert _metrics_key(vec.run()) == _metrics_key(ref.run())
+def test_engines_agree_with_max_batch(problem):
+    kw = dict(duration_s=2.0, load_factor=2.5, seed=7, max_batch=3)
+    vec = _runtime(problem, **kw)
+    ref = _runtime(problem, **kw)
+    assert _metrics_key(vec.run()) == _metrics_key(scalar_run(ref))
 
 
 def test_engines_agree_on_one_node_cluster(problem):
-    results = {}
-    for engine in ("vector", "scalar"):
-        runtime = _runtime(problem, engine=engine, duration_s=2.0, seed=0)
+    results = []
+    for serve in (ServingRuntime.run, scalar_run):
+        runtime = _runtime(problem, duration_s=2.0, seed=0)
         runtime.cluster = ClusterDeployment.place(
             runtime.problem, runtime.solution, runtime.tickets, default_topology(1)
         )
-        results[engine] = _metrics_key(runtime.run())
-    assert results["vector"] == results["scalar"]
+        results.append(_metrics_key(serve(runtime)))
+    assert results[0] == results[1]
 
 
 def test_engines_agree_on_registry_instruments(problem):
     # counters and histogram summaries — the obs-facing numbers — match
-    snapshots = {}
-    for engine in ("vector", "scalar"):
+    snapshots = []
+    for serve in (ServingRuntime.run, scalar_run):
         obs = ObsSession()
-        runtime = _runtime(
-            problem, engine=engine, duration_s=2.0, load_factor=2.0, seed=3
-        )
+        runtime = _runtime(problem, duration_s=2.0, load_factor=2.0, seed=3)
         runtime.obs = obs
-        runtime.run()
+        serve(runtime)
         snap = obs.registry.snapshot()
-        snapshots[engine] = (snap["counters"], snap["histograms"])
-    assert snapshots["vector"] == snapshots["scalar"]
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="unknown engine"):
-        ServingConfig(engine="quantum")
+        snapshots.append((snap["counters"], snap["histograms"]))
+    assert snapshots[0] == snapshots[1]
 
 
 def test_wave_engine_refuses_faded_cells(problem):
     from repro.emulator.lte import BlockFading, LteCell
     from repro.serving.engine import WavePlan
 
-    runtime = _runtime(problem, engine="vector", duration_s=1.0)
+    runtime = _runtime(problem, duration_s=1.0)
     cell = LteCell(slice_manager=runtime.slice_manager, fading=BlockFading())
     with pytest.raises(ValueError, match="fading"):
         WavePlan.build([], runtime.config, None, cell)
@@ -197,7 +192,6 @@ def test_trace_jsonl_byte_identical_across_reruns_at_1e4(problem):
         obs = ObsSession()
         runtime = _runtime(
             problem,
-            engine="vector",
             duration_s=10.0,
             load_factor=40.0,
             poisson=True,
@@ -212,7 +206,7 @@ def test_trace_jsonl_byte_identical_across_reruns_at_1e4(problem):
 
 def test_same_runtime_rerun_is_bit_stable(problem):
     # the pool recycles records between runs on the same runtime object
-    runtime = _runtime(problem, engine="vector", duration_s=2.0, load_factor=2.0)
+    runtime = _runtime(problem, duration_s=2.0, load_factor=2.0)
     first_metrics = _metrics_key(runtime.run())
     first_served = _served_key(runtime)
     assert _metrics_key(runtime.run()) == first_metrics
@@ -258,7 +252,7 @@ def test_request_pool_resets_every_field(problem):
 def test_dispatch_order_matches_sorted_queue_ids(problem):
     # dispatched requests of one window are ordered by task id: the
     # prebuilt ordered index must behave exactly like per-window sorted()
-    runtime = _runtime(problem, engine="vector", duration_s=1.0, load_factor=1.5)
+    runtime = _runtime(problem, duration_s=1.0, load_factor=1.5)
     runtime.run()
     by_window: dict[float, list[int]] = {}
     for r in runtime.last_requests:
@@ -293,13 +287,13 @@ def sparse_problem():
     return replicated_serving_problem(40)
 
 
-def _traced_run(problem, **overrides):
+def _traced_run(problem, serve=ServingRuntime.run, **overrides):
     runtime = _runtime(
         problem, duration_s=2.0, batch_window_s=0.002, num_workers=40, seed=2,
         **overrides,
     )
     runtime.obs = ObsSession()
-    metrics = runtime.run()
+    metrics = serve(runtime)
     return (
         _metrics_key(metrics),
         _served_key(runtime),
@@ -313,23 +307,19 @@ def test_sparse_many_task_run_matches_scalar_and_full_scan(
     sparse_problem, poisson, max_batch, monkeypatch
 ):
     kw = dict(poisson=poisson, max_batch=max_batch)
-    metrics, served, trace = _traced_run(sparse_problem, engine="vector", **kw)
+    metrics, served, trace = _traced_run(sparse_problem, **kw)
     assert len(served) > 1500
-    assert _traced_run(sparse_problem, engine="vector", **kw)[2] == trace
+    assert _traced_run(sparse_problem, **kw)[2] == trace
     ref_metrics, ref_served, ref_trace = _traced_run(
-        sparse_problem, engine="scalar", **kw
+        sparse_problem, scalar_run, **kw
     )
-    # cross-engine trace bytes differ by design (shed events in bulk)
+    # trace bytes differ from the oracle's by design (shed events in bulk)
     assert (metrics, served) == (ref_metrics, ref_served)
-    # the same engines driven by the old scans: same bytes, both engines
+    # both driven by the old scans: same bytes, engine and oracle
     monkeypatch.setattr(runtime_module, "ReadyQueues", FullScanQueues)
     monkeypatch.setattr(WavePlan, "push_due", full_scan_push_due)
-    assert _traced_run(sparse_problem, engine="vector", **kw) == (
-        metrics,
-        served,
-        trace,
-    )
-    assert _traced_run(sparse_problem, engine="scalar", **kw)[2] == ref_trace
+    assert _traced_run(sparse_problem, **kw) == (metrics, served, trace)
+    assert _traced_run(sparse_problem, scalar_run, **kw)[2] == ref_trace
 
 
 def _spy_on_carry(monkeypatch) -> list[int]:
@@ -355,7 +345,7 @@ def test_deliveries_landing_exactly_on_ticks(
     # tick (both during setup) and loses — the due index has consumed
     # the entry, the carry set must bring the wave back.  Two windows:
     # the emit (t = 0) precedes the previous tick and the delivery wins.
-    base = _runtime(problem, duration_s=1.0, engine="scalar")
+    base = _runtime(problem, duration_s=1.0)
     task = next(t for t in problem.tasks if base.tickets[t.task_id].admitted)
     path = base.solution.assignment(task).path
     airtime = LteCell(slice_manager=base.slice_manager).transmission_duration(
@@ -363,9 +353,9 @@ def test_deliveries_landing_exactly_on_ticks(
     )
     window = airtime / windows_per_airtime
     carried = _spy_on_carry(monkeypatch)
-    vec = base.with_config(engine="vector", batch_window_s=window)
+    vec = base.with_config(batch_window_s=window)
     ref = base.with_config(batch_window_s=window)
-    assert _metrics_key(vec.run()) == _metrics_key(ref.run())
+    assert _metrics_key(vec.run()) == _metrics_key(scalar_run(ref))
     assert _served_key(vec) == _served_key(ref)
     first = next(r for r in vec.last_requests if r.task_id == task.task_id)
     assert first.uplink_done_at == airtime == window * windows_per_airtime

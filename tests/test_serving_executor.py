@@ -149,14 +149,14 @@ class TestBatchExecutor:
         executor = BatchExecutor(num_workers=3)
         for worker in range(3):
             executor.dispatch([request(PATH_A, worker)], now=0.0)
-            assert [t > 0.0 for t in executor._worker_free_at] == [
+            assert [t > 0.0 for t in executor.pool.free_at] == [
                 w <= worker for w in range(3)
             ]
-        assert len(set(executor._worker_free_at)) == 1
+        assert len(set(executor.pool.free_at)) == 1
         executor.dispatch([request(PATH_C, 3), request(PATH_C, 4)], now=0.0)
-        assert executor._worker_free_at[0] > executor._worker_free_at[1]
+        assert executor.pool.free_at[0] > executor.pool.free_at[1]
         executor.dispatch([request(PATH_A, 5)], now=0.0)
-        assert executor._worker_free_at[1] > executor._worker_free_at[2]
+        assert executor.pool.free_at[1] > executor.pool.free_at[2]
 
     def test_saved_accounting(self):
         executor = BatchExecutor(prefix_cache=True)
@@ -353,46 +353,3 @@ class TestBlockwiseRunner:
         # activation cache untouched: the next run still hits the trunk
         compiled.run(path_a, x, input_key=7)
         assert compiled.cache_hits == 1
-
-
-class TestDataParallelCostModel:
-    def test_defaults_change_nothing(self):
-        reqs = [request(PATH_A, i) for i in range(8)]
-        base = BatchExecutor().dispatch(list(reqs), 0.0)
-        explicit = BatchExecutor(num_procs=1).dispatch(list(reqs), 0.0)
-        assert explicit.compute_s == pytest.approx(base.compute_s)
-
-    def test_sharding_divides_cost_plus_overhead(self):
-        reqs = [request(PATH_A, i) for i in range(8)]
-        serial = BatchExecutor().dispatch(list(reqs), 0.0)
-        sharded = BatchExecutor(
-            num_procs=4, shard_overhead_s=0.001, min_shard=1
-        ).dispatch(list(reqs), 0.0)
-        assert sharded.compute_s == pytest.approx(serial.compute_s / 4 + 0.001)
-        # the unshared counterfactual is scaled the same way
-        assert sharded.unshared_compute_s == pytest.approx(
-            serial.unshared_compute_s / 4 + 0.001
-        )
-
-    def test_small_windows_stay_serial(self):
-        reqs = [request(PATH_A, i) for i in range(3)]
-        serial = BatchExecutor().dispatch(list(reqs), 0.0)
-        sharded = BatchExecutor(
-            num_procs=4, shard_overhead_s=0.001, min_shard=2
-        ).dispatch(list(reqs), 0.0)  # 3 < 2 * min_shard
-        assert sharded.compute_s == pytest.approx(serial.compute_s)
-
-    def test_shards_capped_by_request_count(self):
-        reqs = [request(PATH_A, i) for i in range(4)]
-        serial = BatchExecutor().dispatch(list(reqs), 0.0)
-        sharded = BatchExecutor(num_procs=8, min_shard=1).dispatch(list(reqs), 0.0)
-        # 4 requests: at most 4 shards despite 8 processes
-        assert sharded.compute_s == pytest.approx(serial.compute_s / 4)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"num_procs": 0}, {"shard_overhead_s": -0.1}, {"min_shard": 0}],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            BatchExecutor(**kwargs)

@@ -1,4 +1,4 @@
-"""Parallel backend: weight arenas, process pool, micro-batching."""
+"""Parallel backend: weight arenas and the process pool."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from repro.dnn.resnet import build_resnet18
 from repro.serving.executor import BlockwiseRunner
 from repro.serving.parallel import (
     BLAS_THREAD_VARS,
-    MicroBatcher,
     ParallelBackend,
     WeightArena,
     pin_blas_threads,
@@ -224,115 +223,6 @@ class TestPinBlasThreads:
                 assert os.environ[var] == "1"
         assert os.environ["OMP_NUM_THREADS"] == "7"
         assert "MKL_NUM_THREADS" not in os.environ
-
-
-class FakeBackend:
-    """Duck-typed stand-in recording run_path batches."""
-
-    def __init__(self):
-        self.batches: list[int] = []
-
-    def run_path(self, block_ids, x):
-        self.batches.append(x.shape[0])
-        return x * 2.0
-
-
-class FakeClock:
-    def __init__(self, step: float = 0.0):
-        self.now = 0.0
-        self.step = step
-
-    def __call__(self) -> float:
-        value = self.now
-        self.now += self.step
-        return value
-
-
-class TestMicroBatcher:
-    def _batcher(self, **kwargs) -> tuple[MicroBatcher, FakeBackend]:
-        backend = FakeBackend()
-        kwargs.setdefault("clock", FakeClock())
-        batcher = MicroBatcher(backend, ("stem",), **kwargs)
-        return batcher, backend
-
-    def test_full_batch_flushes(self):
-        batcher, backend = self._batcher(max_batch=3)
-        xs = [np.full((1, 2), float(i), dtype=np.float32) for i in range(3)]
-        assert batcher.submit("r0", xs[0], deadline_at=10.0, now=0.0) is None
-        assert batcher.submit("r1", xs[1], deadline_at=10.0, now=0.0) is None
-        results = batcher.submit("r2", xs[2], deadline_at=10.0, now=0.0)
-        assert backend.batches == [3]
-        assert [rid for rid, _ in results] == ["r0", "r1", "r2"]
-        for i, (_, out) in enumerate(results):
-            np.testing.assert_array_equal(out, xs[i] * 2.0)
-        assert batcher.reports[-1].trigger == "full"
-        assert len(batcher) == 0
-
-    def test_deadline_forces_flush(self):
-        batcher, backend = self._batcher(max_batch=32)
-        x = np.zeros((1, 2), dtype=np.float32)
-        # est(1) + safety ≈ 8 ms: a deadline 5 ms out leaves no slack
-        results = batcher.submit("r0", x, deadline_at=0.005, now=0.0)
-        assert results is not None
-        assert batcher.reports[-1].trigger == "deadline"
-        assert backend.batches == [1]
-
-    def test_poll_flushes_when_budget_expires(self):
-        batcher, _ = self._batcher(max_batch=32)
-        x = np.zeros((1, 2), dtype=np.float32)
-        assert batcher.submit("r0", x, deadline_at=1.0, now=0.0) is None
-        assert batcher.poll(now=0.5) is None
-        results = batcher.poll(now=1.0)
-        assert results is not None
-        assert batcher.reports[-1].trigger == "deadline"
-
-    def test_manual_flush_drains(self):
-        batcher, _ = self._batcher()
-        assert batcher.flush() is None
-        batcher.submit("r0", np.zeros((1, 2), dtype=np.float32), 10.0, now=0.0)
-        results = batcher.flush()
-        assert [rid for rid, _ in results] == ["r0"]
-        assert batcher.reports[-1].trigger == "manual"
-
-    def test_unbatched_samples_accepted(self):
-        batcher, backend = self._batcher(max_batch=2)
-        batcher.submit("a", np.zeros((3, 8, 8), dtype=np.float32), 10.0, now=0.0)
-        batcher.submit("b", np.zeros((1, 3, 8, 8), dtype=np.float32), 10.0, now=0.0)
-        assert backend.batches == [2]
-
-    def test_vector_samples_accepted(self):
-        batcher, backend = self._batcher(max_batch=2)
-        batcher.submit("a", np.zeros(4, dtype=np.float32), 10.0, now=0.0)
-        batcher.submit("b", np.zeros(4, dtype=np.float32), 10.0, now=0.0)
-        assert backend.batches == [2]
-
-    def test_multi_sample_submit_rejected(self):
-        batcher, _ = self._batcher()
-        with pytest.raises(ValueError):
-            batcher.submit("a", np.zeros((2, 4), dtype=np.float32), 10.0, now=0.0)
-
-    def test_ewma_adapts_to_measured_time(self):
-        clock = FakeClock(step=0.1)  # every flush observes 0.1 s of wall time
-        batcher, _ = self._batcher(max_batch=1, clock=clock)
-        before = batcher.per_sample_s
-        batcher.submit("a", np.zeros((1, 2), dtype=np.float32), 100.0, now=0.0)
-        observed = (0.1 - batcher.overhead_s) / 1
-        expected = before + batcher.est_alpha * (observed - before)
-        assert batcher.per_sample_s == pytest.approx(expected)
-        assert batcher.estimate_s(2) == pytest.approx(
-            batcher.overhead_s + 2 * batcher.per_sample_s
-        )
-
-    def test_next_flush_at_empty_is_inf(self):
-        batcher, _ = self._batcher()
-        assert batcher.next_flush_at() == float("inf")
-
-    def test_validation(self):
-        backend = FakeBackend()
-        with pytest.raises(ValueError):
-            MicroBatcher(backend, ("stem",), max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(backend, ("stem",), est_alpha=0.0)
 
 
 class TestBlockwiseRunnerIntegration:

@@ -127,6 +127,17 @@ class TestRuntime:
             ServingConfig(load_factor=0.0)
         with pytest.raises(ValueError):
             ServingConfig(max_batch=0)
+        # rejected at construction, by name, not deep inside run()
+        for bad in (
+            {"result_return_s": -0.001},
+            {"queue_depth": 0},
+            {"num_workers": 0},
+            {"admission_burst": 0.5},
+            {"queue_policy": "lifo"},
+        ):
+            (name,) = bad
+            with pytest.raises(ValueError, match=name):
+                ServingConfig(**bad)
 
 
 class TestMetricsShape:
