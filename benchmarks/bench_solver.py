@@ -5,7 +5,10 @@ Three measurements back the vectorized DOT control plane:
 1. **Parity at paper scale.**  The vector engine must return the exact
    solution of the scalar reference — same chosen paths, bit-identical
    ``(z, r)`` — on the Table IV large-scale scenario at all three
-   request loads.  Any divergence fails the bench.
+   request loads.  Any divergence fails the bench.  Both engines are
+   timed as the online controller runs them: re-solves of a live
+   catalog, median of ``PARITY_REPEATS`` alternating solves after one
+   untimed solve each.
 2. **Solve time vs population.**  Replicated large-scale instances
    (20 service classes × N replicas) are solved with the aggregation
    layer up to 10⁶ modeled users, with the direct per-task vector
@@ -15,6 +18,10 @@ Three measurements back the vectorized DOT control plane:
 3. **Warm-start churn.**  At 10⁴ tasks, a 1% arrival/departure churn is
    re-solved with the clique cache versus from scratch; the speedup is
    recorded.
+
+The whole bench runs under one :class:`repro.obs.ObsSession`: the solver
+spans (O(1) per solve) give every row its tree build / select / allocate
+split and the report its ``phases`` block.
 
 Full mode writes ``BENCH_solver.json`` at the repo root (committed);
 ``--quick`` runs a reduced grid for CI smoke, writes
@@ -26,16 +33,18 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import statistics
 import time
 from dataclasses import replace
 
-from benchmarks._report import emit, write_json
+from benchmarks._report import attach_obs, emit, write_json
 from repro.analysis.report import format_table
 from repro.core.aggregate import AggregateSolver
 from repro.core.catalog import Catalog
 from repro.core.heuristic import OffloaDNNSolver
 from repro.core.incremental import WarmStartSolver
 from repro.core.problem import DOTProblem
+from repro.obs import ObsSession, current_tracer, use_tracer
 from repro.workloads.largescale import (
     RequestRate,
     replicated_large_scale_problem,
@@ -52,6 +61,8 @@ DIRECT_CAP = 100_000
 SCALAR_CAP = 10_000
 #: admission-equivalence tolerance between aggregated and direct solves
 EQUIV_RTOL = 0.02
+#: timed solves per engine and rate in the paper-scale parity rows
+PARITY_REPEATS = 25
 
 
 def _solution_key(solution):
@@ -66,6 +77,19 @@ def _solution_key(solution):
     ]
 
 
+def _traced(solve, problem):
+    """``(solution, seconds per solver span)`` of one ``solve(problem)``."""
+    records = current_tracer().records
+    mark = len(records)
+    solution = solve(problem)
+    phases: dict[str, float] = {}
+    for record in records[mark:]:
+        if record.name.startswith("solver."):
+            key = record.name.removeprefix("solver.") + "_s"
+            phases[key] = phases.get(key, 0.0) + record.dur
+    return solution, phases
+
+
 def paper_scale_parity() -> list[dict]:
     """Bit-exact scalar-vs-vector parity on the Table IV scenario."""
     from repro.workloads.largescale import large_scale_problem
@@ -73,16 +97,31 @@ def paper_scale_parity() -> list[dict]:
     rows = []
     for rate in RequestRate:
         problem = large_scale_problem(rate, seed=SEED)
-        scalar = OffloaDNNSolver(engine="scalar").solve(problem)
-        vector = OffloaDNNSolver(engine="vector").solve(problem)
+        engines = {
+            name: OffloaDNNSolver(engine=name).solve for name in ("scalar", "vector")
+        }
+        first = {name: solve(problem) for name, solve in engines.items()}
+        totals = {name: [] for name in engines}
+        phases: dict[str, list[float]] = {}
+        for _ in range(PARITY_REPEATS):
+            for name, solve in engines.items():
+                solution, spans = _traced(solve, problem)
+                totals[name].append(solution.total_time_s)
+                if name == "vector":
+                    for key, seconds in spans.items():
+                        phases.setdefault(key, []).append(seconds)
         rows.append(
             {
                 "rate": rate.label,
                 "tasks": len(problem.tasks),
-                "bit_exact": _solution_key(scalar) == _solution_key(vector),
-                "scalar_total_s": scalar.total_time_s,
-                "vector_total_s": vector.total_time_s,
-                "weighted_admission": vector.weighted_admission_ratio,
+                "bit_exact": _solution_key(first["scalar"])
+                == _solution_key(first["vector"]),
+                "scalar_total_s": statistics.median(totals["scalar"]),
+                "vector_total_s": statistics.median(totals["vector"]),
+                "vector_phases": {
+                    key: statistics.median(values) for key, values in phases.items()
+                },
+                "weighted_admission": first["vector"].weighted_admission_ratio,
             }
         )
     return rows
@@ -97,7 +136,7 @@ def scaling_curve(users_grid: list[int]) -> list[dict]:
         )
         solver = AggregateSolver()
         start = time.perf_counter()
-        aggregated = solver.solve(problem)
+        aggregated, aggregate_phases = _traced(solver.solve, problem)
         agg_wall_s = time.perf_counter() - start
         assert solver.last_plan is not None
         row = {
@@ -107,12 +146,16 @@ def scaling_curve(users_grid: list[int]) -> list[dict]:
             "aggregate_wall_s": agg_wall_s,
             "weighted_admission": aggregated.weighted_admission_ratio,
             "admitted_tasks": aggregated.admitted_task_count,
+            "aggregate_phases": aggregate_phases,
             "direct_vector_s": None,
+            "direct_vector_phases": None,
             "scalar_s": None,
             "admission_equivalent": None,
         }
         if len(problem.tasks) <= DIRECT_CAP:
-            direct = OffloaDNNSolver(engine="vector").solve(problem)
+            direct, row["direct_vector_phases"] = _traced(
+                OffloaDNNSolver(engine="vector").solve, problem
+            )
             row["direct_vector_s"] = direct.total_time_s
             ref = direct.weighted_admission_ratio
             delta = abs(aggregated.weighted_admission_ratio - ref)
@@ -209,19 +252,21 @@ def warm_start_churn(
 
 
 def run(quick: bool) -> dict:
-    parity = paper_scale_parity()
-    scaling = scaling_curve(QUICK_USERS if quick else FULL_USERS)
-    churn_users = 1_000 if quick else 10_000
-    warm = [
-        warm_start_churn(churn_users, heterogeneous=False),
-        warm_start_churn(churn_users, heterogeneous=True),
-    ]
+    obs = ObsSession()
+    with use_tracer(obs.wall):
+        parity = paper_scale_parity()
+        scaling = scaling_curve(QUICK_USERS if quick else FULL_USERS)
+        churn_users = 1_000 if quick else 10_000
+        warm = [
+            warm_start_churn(churn_users, heterogeneous=False),
+            warm_start_churn(churn_users, heterogeneous=True),
+        ]
     parity_ok = (
         all(r["bit_exact"] for r in parity)
         and all(r["admission_equivalent"] is not False for r in scaling)
         and all(w["bit_exact"] for w in warm)
     )
-    return {
+    report = {
         "bench": "bench_solver",
         "mode": "quick" if quick else "full",
         "settings": {
@@ -231,12 +276,14 @@ def run(quick: bool) -> dict:
             "scalar_cap": SCALAR_CAP,
             "equivalence_rtol": EQUIV_RTOL,
             "churn_fraction": 0.01,
+            "parity_repeats": PARITY_REPEATS,
         },
         "paper_scale_parity": parity,
         "scaling": scaling,
         "warm_start": warm,
         "parity_ok": parity_ok,
     }
+    return attach_obs(report, obs)
 
 
 def _fmt_s(value) -> str:
@@ -255,14 +302,19 @@ def main() -> int:
     report = run(quick=args.quick)
 
     parity_table = format_table(
-        ["rate", "tasks", "bit exact", "scalar s", "vector s"],
+        ["rate", "tasks", "bit exact", "scalar ms", "vector ms"]
+        + ["build", "select", "allocate"],
         [
             [
                 r["rate"],
                 r["tasks"],
                 str(r["bit_exact"]),
-                f"{r['scalar_total_s']:.4f}",
-                f"{r['vector_total_s']:.4f}",
+                f"{r['scalar_total_s'] * 1e3:.3f}",
+                f"{r['vector_total_s'] * 1e3:.3f}",
+            ]
+            + [
+                f"{r['vector_phases'][key] * 1e3:.3f}"
+                for key in ("tree_build_s", "select_branch_s", "allocate_s")
             ]
             for r in report["paper_scale_parity"]
         ],

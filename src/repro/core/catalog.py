@@ -11,6 +11,7 @@ optimizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.task import QualityLevel, Task
 
@@ -53,6 +54,11 @@ class Path:
     ``accuracy`` is the experimentally derived accuracy the path attains
     for its task on full-quality input; the effective accuracy under a
     quality level ``q`` is ``accuracy * q.accuracy_factor``.
+
+    The block sums are computed on first read and kept on the (frozen)
+    instance: the solver and the serving queues read them per variant
+    and per request.  ``dataclasses.replace`` builds a new instance, so
+    a re-blocked path never sees the old sums.
     """
 
     path_id: str
@@ -72,10 +78,15 @@ class Path:
         # blocks may carry different provenance (``dnn_id``) than the
         # composed structure itself.
 
-    @property
+    @cached_property
     def compute_time_s(self) -> float:
         """Per-inference processing time ``Σ_{s∈π} c(s)``."""
         return sum(b.compute_time_s for b in self.blocks)
+
+    @cached_property
+    def memory_gb(self) -> float:
+        """Memory of the path deployed alone, ``Σ_{s∈π} µ(s)``."""
+        return sum(b.memory_gb for b in self.blocks)
 
     @property
     def effective_accuracy(self) -> float:

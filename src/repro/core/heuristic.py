@@ -145,60 +145,57 @@ class OffloaDNNSolver:
     ) -> list[tuple[int, Vertex | None]]:
         """Vectorized twin of :meth:`_select_branch`.
 
-        Per clique: mask radio-infeasible variants, compute every
-        variant's incremental memory in one ``np.add.reduceat`` over the
-        interned block table, and pick the first fitting variant under
-        the configured ordering.  Only the chosen variant's ``Path`` is
-        materialized, so a 10⁵-task solve allocates 10⁵ paths instead of
-        millions of vertices.
+        Per clique: mask radio-infeasible variants and pick the first
+        variant under the configured ordering whose incremental memory —
+        the blocks not yet deployed, summed in path order as the scalar
+        pass does — still fits.  Under the paper's ``"compute"``
+        ordering the first candidate almost always fits, so memory is
+        evaluated per *visited* candidate; only the ``"memory"``
+        ablation evaluates every candidate's increment.  Only the chosen
+        variant's ``Path`` is materialized, so a 10⁵-task solve
+        allocates 10⁵ paths instead of millions of vertices.
         """
         radio_blocks = problem.budgets.radio_blocks
-        memory_budget = problem.budgets.memory_gb
-        block_mem = vtree.registry.block_memory()
-        deployed = np.zeros(len(vtree.registry), dtype=bool)
+        memory_limit = problem.budgets.memory_gb + 1e-12
+        deployed: set[str] = set()
         mem_used = 0.0
+
+        def fresh_blocks(clique, i: int) -> list:
+            return [
+                b for b in clique.base_path(i).blocks if b.block_id not in deployed
+            ]
+
         chosen: list[tuple[int, Vertex | None]] = []
         for clique in vtree.cliques:
-            feasible = np.flatnonzero(clique.min_latency_rbs <= radio_blocks)
-            if feasible.size == 0:
-                chosen.append((clique.task.task_id, None))
-                continue
-            rows = clique.block_rows
-            contrib = np.where(deployed[rows], 0.0, block_mem[rows])
-            # segments are never empty (a path has >= 1 block), so
-            # reduceat's segment sums are well defined; numpy sums short
-            # segments sequentially, matching the scalar accumulation
-            inc_all = np.add.reduceat(contrib, clique.block_ptr[:-1])
-            if self.ordering == "compute":
-                candidates = feasible.tolist()
-            elif self.ordering == "memory":
-                candidates = sorted(
-                    feasible.tolist(),
-                    key=lambda i: (inc_all[i], clique.path_ids[i]),
+            candidates = np.flatnonzero(clique.min_latency_rbs <= radio_blocks).tolist()
+            if self.ordering == "memory":
+                candidates.sort(
+                    key=lambda i: (
+                        sum(b.memory_gb for b in fresh_blocks(clique, i)),
+                        clique.variant_path_id(i),
+                    )
                 )
-            else:
-                candidates = sorted(
-                    feasible.tolist(),
-                    key=lambda i: (-clique.accuracy[i], clique.path_ids[i]),
+            elif self.ordering == "accuracy":
+                candidates.sort(
+                    key=lambda i: (-clique.accuracy[i], clique.variant_path_id(i))
                 )
-            pick = -1
+            vertex = None
             for i in candidates:
-                if mem_used + inc_all[i] <= memory_budget + 1e-12:
-                    pick = i
-                    break
-            if pick < 0:
-                chosen.append((clique.task.task_id, None))
-                continue
-            # deploy: accumulate block by block, the scalar float order
-            for b in clique.variant_blocks(pick):
-                if not deployed[b]:
-                    deployed[b] = True
-                    mem_used += float(block_mem[b])
-            vertex = Vertex(
-                task=clique.task,
-                path=clique.variant_path(pick),
-                bits_per_rb=clique.bits_per_rb,
-            )
+                fresh = fresh_blocks(clique, i)
+                if mem_used + sum(b.memory_gb for b in fresh) > memory_limit:
+                    continue
+                # deploy: accumulate block by block, the scalar float
+                # order (a block a path repeats is paid once)
+                for block in fresh:
+                    if block.block_id not in deployed:
+                        deployed.add(block.block_id)
+                        mem_used += block.memory_gb
+                vertex = Vertex(
+                    task=clique.task,
+                    path=clique.variant_path(i),
+                    bits_per_rb=clique.bits_per_rb,
+                )
+                break
             chosen.append((clique.task.task_id, vertex))
         return chosen
 

@@ -31,12 +31,7 @@ from repro.core.heuristic import OffloaDNNSolver
 from repro.core.problem import Budgets, DOTProblem
 from repro.core.solution import DOTSolution
 from repro.core.task import Task
-from repro.core.tree import (
-    BlockRegistry,
-    VectorClique,
-    VectorTree,
-    build_task_clique,
-)
+from repro.core.tree import VectorClique, VectorTree, build_cliques
 
 __all__ = ["discount_problem", "deployed_block_ids", "WarmStartSolver"]
 
@@ -120,16 +115,6 @@ def discount_problem(
 
 
 @dataclass
-class _CliqueEntry:
-    """Cache validity record for one task's vectorized clique."""
-
-    task: Task
-    paths: tuple[Path, ...]
-    bits_per_rb: float
-    clique: VectorClique
-
-
-@dataclass
 class WarmStartSolver:
     """Reuses surviving per-task cliques across churn re-solves.
 
@@ -138,9 +123,9 @@ class WarmStartSolver:
     its radio capacity ``B(σ_τ)``, not on the other tasks or the edge
     budgets (the radio filter is applied per solve).  So when the active
     set changes by a few arrivals/departures, only the *new* tasks need
-    clique construction; everything else is tree assembly plus the
-    selection/allocation passes.  At 10⁴ tasks the from-scratch build
-    dominates the solve, which is where the speedup comes from.
+    clique construction — all of them in one batched
+    :func:`~repro.core.tree.build_cliques` call; everything else is
+    tree assembly plus the selection/allocation passes.
 
     Entries are validated by task equality, path-tuple identity and the
     task's bits-per-RB — a changed task definition or catalog rebuilds
@@ -155,8 +140,7 @@ class WarmStartSolver:
                 "warm start supports the first-branch rule only "
                 "(explore_branches == 1)"
             )
-        self.registry = BlockRegistry()
-        self._entries: dict[int, _CliqueEntry] = {}
+        self._entries: dict[int, VectorClique] = {}
         #: churn statistics of the most recent solve
         self.last_reused = 0
         self.last_built = 0
@@ -171,32 +155,32 @@ class WarmStartSolver:
 
     def solve(self, problem: DOTProblem) -> DOTSolution:
         start = time.perf_counter()
-        cliques: list[VectorClique] = []
-        reused = built = 0
+        cliques: list[VectorClique | None] = []
+        misses: list[tuple[Task, tuple[Path, ...], float]] = []
         for task in problem.tasks_by_priority():
             paths = problem.catalog.paths_for(task)
             bits_per_rb = problem.radio.bits_per_rb(task)
-            entry = self._entries.get(task.task_id)
+            clique = self._entries.get(task.task_id)
             if (
-                entry is not None
-                and entry.paths is paths
-                and entry.bits_per_rb == bits_per_rb
-                and entry.task == task
+                clique is None
+                or clique.source_paths is not paths
+                or clique.bits_per_rb != bits_per_rb
+                or clique.task != task
             ):
-                cliques.append(entry.clique)
-                reused += 1
-                continue
-            clique = build_task_clique(task, paths, bits_per_rb, self.registry)
-            self._entries[task.task_id] = _CliqueEntry(
-                task=task, paths=paths, bits_per_rb=bits_per_rb, clique=clique
-            )
+                clique = None
+                misses.append((task, paths, bits_per_rb))
             cliques.append(clique)
-            built += 1
-        self.last_reused, self.last_built = reused, built
+        # every miss goes through one batched build
+        built = iter(build_cliques(misses))
+        for i, clique in enumerate(cliques):
+            if clique is None:
+                clique = cliques[i] = next(built)
+                self._entries[clique.task.task_id] = clique
+        reused = len(cliques) - len(misses)
+        self.last_reused, self.last_built = reused, len(misses)
         vtree = VectorTree(
             problem=problem,
             cliques=cliques,
-            registry=self.registry,
             build_time_s=time.perf_counter() - start,
             cached_cliques=reused,
         )
@@ -215,4 +199,3 @@ class WarmStartSolver:
 
     def clear(self) -> None:
         self._entries.clear()
-        self.registry = BlockRegistry()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.catalog import Block, Path
+from repro.core.catalog import Path
 from repro.core.problem import DOTProblem
 from repro.core.subproblem import minimum_latency_rbs
 from repro.core.task import QualityLevel, Task
@@ -33,10 +33,9 @@ __all__ = [
     "BranchState",
     "SolutionTree",
     "build_tree",
-    "BlockRegistry",
     "VectorClique",
     "VectorTree",
-    "build_task_clique",
+    "build_cliques",
     "build_vector_tree",
 ]
 
@@ -76,10 +75,9 @@ class Vertex:
         Ties break toward smaller memory, then fewer bits per image
         (cheaper radio), then path id for determinism.
         """
-        memory = sum(b.memory_gb for b in self.path.blocks)
         return (
             self.path.compute_time_s,
-            memory,
+            self.path.memory_gb,
             self.path.bits_per_image,
             self.path.path_id,
         )
@@ -233,54 +231,9 @@ def build_tree(problem: DOTProblem) -> SolutionTree:
 # Vectorized tree construction (the 10⁴–10⁶-task control plane)
 # ---------------------------------------------------------------------------
 
-
-class BlockRegistry:
-    """Interned block table backing the vectorized cliques.
-
-    Maps ``block_id`` to a dense index so clique traversal can compute
-    incremental memory with array arithmetic instead of per-vertex
-    Python set operations.  The registry is append-only and may outlive
-    a single problem: the warm-start solver shares one across churn
-    re-solves, and per-``Path`` derived rows (block indices, compute
-    time, total memory) are cached by object identity so replicated
-    workloads sharing path tuples pay the derivation once.
-    """
-
-    def __init__(self) -> None:
-        self._index: dict[str, int] = {}
-        self._memory: list[float] = []
-        self._memory_arr: np.ndarray | None = None
-        # id(path) -> (path, block index row, compute_time_s, memory_gb)
-        self._path_rows: dict[int, tuple[Path, np.ndarray, float, float]] = {}
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def intern(self, block: Block) -> int:
-        index = self._index.get(block.block_id)
-        if index is None:
-            index = len(self._index)
-            self._index[block.block_id] = index
-            self._memory.append(block.memory_gb)
-            self._memory_arr = None
-        return index
-
-    def path_entry(self, path: Path) -> tuple[np.ndarray, float, float]:
-        """(block index row, compute time, total memory) for a path."""
-        cached = self._path_rows.get(id(path))
-        if cached is not None and cached[0] is path:
-            return cached[1], cached[2], cached[3]
-        row = np.array([self.intern(b) for b in path.blocks], dtype=np.int64)
-        compute = path.compute_time_s
-        memory = sum(b.memory_gb for b in path.blocks)
-        self._path_rows[id(path)] = (path, row, compute, memory)
-        return row, compute, memory
-
-    def block_memory(self) -> np.ndarray:
-        """Per-index memory (GB), rebuilt lazily after growth."""
-        if self._memory_arr is None or len(self._memory_arr) != len(self._memory):
-            self._memory_arr = np.array(self._memory, dtype=np.float64)
-        return self._memory_arr
+#: tasks flattened per batched pass: bounds the Python lists and numpy
+#: temporaries a 10⁵-task direct solve holds at once
+_CHUNK_TASKS = 2048
 
 
 @dataclass
@@ -292,7 +245,9 @@ class VectorClique:
     (1f)/(1g) feasibility filters.  The radio filter ``min_latency_rbs
     ≤ R`` is applied per solve (a mask over ``min_latency_rbs``), which
     keeps a clique reusable across budget changes: the warm-start cache
-    relies on that.
+    relies on that.  The arrays are views into the batch the clique was
+    built in (:func:`build_cliques`) and are shared read-only; blocks
+    and their costs are read off ``source_paths``, never copied.
     """
 
     task: Task
@@ -300,119 +255,132 @@ class VectorClique:
     #: the catalog tuple this clique was derived from (identity check
     #: for cache validity)
     source_paths: tuple[Path, ...]
-    #: surviving (base path, quality) pairs in clique order
-    variants: list[tuple[Path, QualityLevel]]
-    compute_s: np.ndarray
-    memory_gb: np.ndarray
-    bits_per_image: np.ndarray
+    #: per variant, its base path's position in ``source_paths`` and its
+    #: quality's position in ``task.qualities``
+    path_pos: np.ndarray
+    quality_pos: np.ndarray
     accuracy: np.ndarray
     min_latency_rbs: np.ndarray
-    #: concatenated registry rows of the variants' blocks
-    block_rows: np.ndarray
-    #: row pointers into ``block_rows`` (len(variants) + 1)
-    block_ptr: np.ndarray
-    #: variant path ids in clique order (ordering-ablation tie-break)
-    path_ids: list[str]
     #: variants removed by the (1f)/(1g) filters (radio filter excluded)
     filtered_static: int
 
     def __len__(self) -> int:
-        return len(self.variants)
+        return len(self.path_pos)
+
+    def base_path(self, index: int) -> Path:
+        """The catalog path a variant re-expresses (same blocks)."""
+        return self.source_paths[self.path_pos[index]]
 
     def variant_path(self, index: int) -> Path:
-        path, quality = self.variants[index]
-        return _variant_path(path, quality)
+        return _variant_path(
+            self.base_path(index), self.task.qualities[self.quality_pos[index]]
+        )
 
-    def variant_blocks(self, index: int) -> np.ndarray:
-        return self.block_rows[self.block_ptr[index] : self.block_ptr[index + 1]]
+    def variant_path_id(self, index: int) -> str:
+        return _variant_path_id(
+            self.base_path(index), self.task.qualities[self.quality_pos[index]]
+        )
 
 
-def build_task_clique(
-    task: Task,
-    paths: tuple[Path, ...],
-    bits_per_rb: float,
-    registry: BlockRegistry,
-) -> VectorClique:
-    """One vectorized pass over a task's path × quality variants.
+def build_cliques(
+    specs: list[tuple[Task, tuple[Path, ...], float]]
+) -> list[VectorClique]:
+    """The cliques of ``(task, candidate paths, bits per RB)`` specs.
 
-    Replicates the scalar pipeline exactly — same feasibility
+    The one clique builder: every spec's (path × quality) variants are
+    flattened into one set of arrays with a task column, filtered and
+    sorted together (:func:`_build_chunk`), ``_CHUNK_TASKS`` specs at a
+    time.  It replicates the scalar pipeline exactly — same feasibility
     comparisons, same float expressions for the latency RB demand, same
     sort keys — so a materialized clique is vertex-for-vertex identical
-    to :func:`build_tree`'s.
+    to :func:`build_tree`'s, whatever batch it was built in.
     """
-    qualities = task.qualities
-    n_q = len(qualities)
-    n_p = len(paths)
-    rows: list[np.ndarray] = []
-    comp_path = np.empty(n_p, dtype=np.float64)
-    mem_path = np.empty(n_p, dtype=np.float64)
-    acc_path = np.empty(n_p, dtype=np.float64)
-    for j, path in enumerate(paths):
-        row, compute, memory = registry.path_entry(path)
-        rows.append(row)
-        comp_path[j] = compute
-        mem_path[j] = memory
-        acc_path[j] = path.accuracy
+    cliques: list[VectorClique] = []
+    for lo in range(0, len(specs), _CHUNK_TASKS):
+        cliques.extend(_build_chunk(specs[lo : lo + _CHUNK_TASKS]))
+    return cliques
 
-    q_factor = np.array([q.accuracy_factor for q in qualities], dtype=np.float64)
-    q_bits = np.array([q.bits_per_image for q in qualities], dtype=np.float64)
 
-    # variant layout: paths outer, qualities inner (the scalar order)
-    comp = np.repeat(comp_path, n_q)
-    mem = np.repeat(mem_path, n_q)
-    acc = np.repeat(acc_path, n_q) * np.tile(q_factor, n_p)
-    bits = np.tile(q_bits, n_p)
+def _build_chunk(
+    specs: list[tuple[Task, tuple[Path, ...], float]]
+) -> list[VectorClique]:
+    n_tasks = len(specs)
+    f8, i8 = np.float64, np.int64
+    # per (task, path) pair; the sums are cached on the Path objects
+    pairs = [path for _, paths, _ in specs for path in paths]
+    pair_comp = np.array([path.compute_time_s for path in pairs], dtype=f8)
+    pair_mem = np.array([path.memory_gb for path in pairs], dtype=f8)
+    pair_acc = np.array([path.accuracy for path in pairs], dtype=f8)
+    qualities = [task.qualities for task, _, _ in specs]
+    q_factor = np.array([q.accuracy_factor for qs in qualities for q in qs], dtype=f8)
+    q_bits = np.array([q.bits_per_image for qs in qualities for q in qs], dtype=f8)
+    n_q = np.array(list(map(len, qualities)), dtype=i8)
+    n_paths = np.array([len(paths) for _, paths, _ in specs], dtype=i8)
+    min_acc = np.array([task.min_accuracy for task, _, _ in specs], dtype=f8)
+    max_lat = np.array([task.max_latency_s for task, _, _ in specs], dtype=f8)
+    bits_per_rb = np.array([b for _, _, b in specs], dtype=f8)
+
+    # variant layout: tasks outer, then paths, qualities inner (the
+    # scalar order, which the stable sort below preserves among ties)
+    pair_task = np.repeat(np.arange(n_tasks), n_paths)
+    pair_nq = n_q[pair_task]
+    var_pair = np.repeat(np.arange(pair_task.size), pair_nq)
+    var_task = pair_task[var_pair]
+    var_q = np.arange(var_pair.size) - np.repeat(np.cumsum(pair_nq) - pair_nq, pair_nq)
+    var_quality = (np.cumsum(n_q) - n_q)[var_task] + var_q
+    comp = pair_comp[var_pair]
+    acc = pair_acc[var_pair] * q_factor[var_quality]
 
     # (1f) accuracy and (1g) compute-vs-latency, radio-independent
-    feasible = (acc >= task.min_accuracy - 1e-12) & (comp < task.max_latency_s)
-    kept = np.flatnonzero(feasible)
-    filtered_static = int(comp.size - kept.size)
+    kept = np.flatnonzero(
+        (acc >= (min_acc - 1e-12)[var_task]) & (comp < max_lat[var_task])
+    )
+    # the scalar Vertex.sort_key per task (task ids are exact as floats);
+    # only variants tying on all three numeric keys fall through to the
+    # path-id comparison
+    pair_k, quality_k = var_pair[kept], var_quality[kept]
+    keys = np.array((q_bits[quality_k], pair_mem[pair_k], comp[kept], var_task[kept]))
+    order = np.lexsort(keys)
+    kept, keys = kept[order], keys[:, order]
+    tied = (keys[:, 1:] == keys[:, :-1]).all(axis=0)
+    if tied.any():
 
-    comp_k = comp[kept]
-    mem_k = mem[kept]
-    acc_k = acc[kept]
-    bits_k = bits[kept]
+        def path_id(v: int) -> str:
+            quality = qualities[var_task[v]][var_q[v]]
+            return _variant_path_id(pairs[var_pair[v]], quality)
+
+        edges = np.diff(np.concatenate(([False], tied, [False])).astype(np.int8))
+        for lo, hi in zip(np.flatnonzero(edges > 0), np.flatnonzero(edges < 0) + 1):
+            kept[lo:hi] = sorted(kept[lo:hi].tolist(), key=path_id)
+
+    task_k = var_task[kept]
     # slack > 0 is guaranteed by the (1g) filter; replicate the exact
     # float expression of minimum_latency_rbs
-    slack = task.max_latency_s - comp_k
+    slack = max_lat[task_k] - keys[2]
     r_lat = np.maximum(
-        1, np.ceil(bits_k / (bits_per_rb * slack) - 1e-12).astype(np.int64)
+        1, np.ceil(keys[0] / (bits_per_rb[task_k] * slack) - 1e-12).astype(i8)
     )
+    acc_k, q_k = acc[kept], var_q[kept]
+    pos_k = var_pair[kept] - (np.cumsum(n_paths) - n_paths)[task_k]
 
-    pairs = [(paths[i // n_q], qualities[i % n_q]) for i in kept]
-    pids = [_variant_path_id(p, q) for p, q in pairs]
-    # the scalar Vertex.sort_key, applied with identical tuple semantics
-    order = sorted(
-        range(len(pairs)),
-        key=lambda i: (comp_k[i], mem_k[i], bits_k[i], pids[i]),
-    )
-    order_arr = np.array(order, dtype=np.int64)
-
-    sorted_rows = [rows[kept[i] // n_q] for i in order]
-    if sorted_rows:
-        block_rows = np.concatenate(sorted_rows)
-        lengths = np.array([r.size for r in sorted_rows], dtype=np.int64)
-    else:
-        block_rows = np.empty(0, dtype=np.int64)
-        lengths = np.empty(0, dtype=np.int64)
-    block_ptr = np.zeros(len(sorted_rows) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=block_ptr[1:])
-
-    return VectorClique(
-        task=task,
-        bits_per_rb=bits_per_rb,
-        source_paths=paths,
-        variants=[pairs[i] for i in order],
-        compute_s=comp_k[order_arr] if order else comp_k,
-        memory_gb=mem_k[order_arr] if order else mem_k,
-        bits_per_image=bits_k[order_arr] if order else bits_k,
-        accuracy=acc_k[order_arr] if order else acc_k,
-        min_latency_rbs=r_lat[order_arr] if order else r_lat,
-        block_rows=block_rows,
-        block_ptr=block_ptr,
-        path_ids=[pids[i] for i in order],
-        filtered_static=filtered_static,
-    )
+    survivors = np.bincount(task_k, minlength=n_tasks)
+    filtered = (np.bincount(var_task, minlength=n_tasks) - survivors).tolist()
+    bounds = np.concatenate(([0], np.cumsum(survivors))).tolist()
+    return [
+        VectorClique(
+            task=task,
+            bits_per_rb=task_bits_per_rb,
+            source_paths=paths,
+            path_pos=pos_k[lo:hi],
+            quality_pos=q_k[lo:hi],
+            accuracy=acc_k[lo:hi],
+            min_latency_rbs=r_lat[lo:hi],
+            filtered_static=dropped,
+        )
+        for (task, paths, task_bits_per_rb), lo, hi, dropped in zip(
+            specs, bounds, bounds[1:], filtered
+        )
+    ]
 
 
 @dataclass
@@ -421,7 +389,6 @@ class VectorTree:
 
     problem: DOTProblem
     cliques: list[VectorClique]
-    registry: BlockRegistry
     build_time_s: float = 0.0
     #: cliques served from a warm-start cache instead of being rebuilt
     cached_cliques: int = 0
@@ -457,50 +424,57 @@ class VectorTree:
         )
 
 
-def build_vector_tree(
-    problem: DOTProblem, registry: BlockRegistry | None = None
-) -> VectorTree:
+def build_vector_tree(problem: DOTProblem) -> VectorTree:
     """Vectorized counterpart of :func:`build_tree`.
 
     Clique contents depend only on the candidate-path tuple, the quality
     set, the accuracy/latency requirements and the per-RB capacity — not
     on a task's identity, priority or rate — so replicated populations
-    (many tasks sharing one catalog entry by identity) build each
-    distinct clique once and share its arrays read-only.
+    (many tasks sharing one catalog entry by identity) contribute each
+    distinct clique once to the batched build (:func:`build_cliques`)
+    and share its arrays read-only.  The memo lives for this call only:
+    nothing is carried from one solve to the next.
     """
     start = time.perf_counter()
     tracer = current_tracer()
-    registry = registry if registry is not None else BlockRegistry()
-    cliques: list[VectorClique] = []
-    memo: dict[tuple, VectorClique] = {}
-    built = 0
+    specs: list[tuple[Task, tuple[Path, ...], float]] = []
+    memo: dict[tuple, int] = {}
+    slots: list[tuple[Task, int]] = []
     for task in problem.tasks_by_priority():
         paths = problem.catalog.paths_for(task)
         bits_per_rb = problem.radio.bits_per_rb(task)
+        # identity, not value, of the two tuples: replicas share both, and
+        # the problem keeps them alive, so ids are unique for this call
         key = (
             id(paths),
             bits_per_rb,
             task.min_accuracy,
             task.max_latency_s,
-            task.qualities,
+            id(task.qualities),
         )
-        cached = memo.get(key)
-        if cached is not None and cached.source_paths is paths:
-            cliques.append(replace(cached, task=task))
-            continue
-        if tracer.enabled:
-            with tracer.span(
-                "solver.clique_filter",
-                cat="solver",
-                track="solver",
-                task=task.task_id,
-            ):
-                clique = build_task_clique(task, paths, bits_per_rb, registry)
-        else:
-            clique = build_task_clique(task, paths, bits_per_rb, registry)
-        built += 1
-        memo[key] = clique
-        cliques.append(clique)
+        slot = memo.setdefault(key, len(specs))
+        if slot == len(specs):
+            specs.append((task, paths, bits_per_rb))
+        slots.append((task, slot))
+    build_start = time.perf_counter()
+    built = build_cliques(specs)
+    if tracer.enabled:
+        tracer.record(
+            "solver.clique_build",
+            build_start,
+            time.perf_counter() - build_start,
+            cat="solver",
+            track="solver",
+            args={
+                "tasks": len(slots),
+                "built": len(built),
+                "variants": sum(map(len, built)),
+            },
+        )
+    cliques = [
+        built[slot] if built[slot].task is task else replace(built[slot], task=task)
+        for task, slot in slots
+    ]
     elapsed = time.perf_counter() - start
     if tracer.enabled:
         tracer.record(
@@ -509,11 +483,6 @@ def build_vector_tree(
             elapsed,
             cat="solver",
             track="solver",
-            args={"tasks": len(cliques), "built": built, "engine": "vector"},
+            args={"tasks": len(cliques), "built": len(built), "engine": "vector"},
         )
-    return VectorTree(
-        problem=problem,
-        cliques=cliques,
-        registry=registry,
-        build_time_s=elapsed,
-    )
+    return VectorTree(problem=problem, cliques=cliques, build_time_s=elapsed)

@@ -250,6 +250,30 @@ class TestWarmStartSolver:
             OffloaDNNSolver().solve(changed)
         )
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_discounted_resolve_matches_cold(self, seed):
+        """A block re-costed between re-solves (deployed blocks zeroed by
+        ``discount_problem``) must not be charged the memory the shared
+        registry first saw under its id."""
+        from repro.core.incremental import WarmStartSolver
+        from tests.test_core_vectorized import random_problem, solution_key
+
+        problem = random_problem(seed)
+        warm = WarmStartSolver()
+        first = warm.solve(problem)
+        discounted = discount_problem(
+            problem,
+            deployed_block_ids(first),
+            used_memory_gb=0.9 * problem.budgets.memory_gb,
+        )
+        cold = OffloaDNNSolver().solve(discounted)
+        assert solution_key(warm.solve(discounted)) == solution_key(cold)
+        # seed 0 is the reported instance: the stale charge rejected all
+        if seed == 0:
+            assert cold.admitted_task_count > 0
+        # and back: the undiscounted costs are not served stale either
+        assert solution_key(warm.solve(problem)) == solution_key(first)
+
     def test_rejects_multi_branch_base(self):
         from repro.core.incremental import WarmStartSolver
 

@@ -84,6 +84,27 @@ class TestPath:
         path = make_path(task, "p", blocks)
         assert path.compute_time_s == pytest.approx(0.03)
 
+    def test_block_sums_are_per_instance(self):
+        """The sums are kept on the frozen instance; a re-blocked copy
+        (``dataclasses.replace``) computes its own."""
+        from dataclasses import replace
+
+        task = make_task(1)
+        blocks = (
+            make_block("a", compute_time_s=0.1, memory_gb=0.3),
+            make_block("b", compute_time_s=0.2, memory_gb=0.4),
+            make_block("c", compute_time_s=0.3, memory_gb=0.5),
+        )
+        path = make_path(task, "p", blocks)
+        assert path.compute_time_s == sum(b.compute_time_s for b in blocks)
+        assert path.memory_gb == sum(b.memory_gb for b in blocks)
+        shorter = replace(path, blocks=blocks[:2])
+        assert shorter.compute_time_s == sum(b.compute_time_s for b in blocks[:2])
+        assert shorter.memory_gb == sum(b.memory_gb for b in blocks[:2])
+        assert path.compute_time_s == sum(b.compute_time_s for b in blocks)
+        # the cached sums are not part of the value
+        assert replace(path) == path and hash(replace(path)) == hash(path)
+
     def test_effective_accuracy_scaled_by_quality(self):
         q = QualityLevel("half", 100_000.0, accuracy_factor=0.5)
         task = make_task(1, quality=q)

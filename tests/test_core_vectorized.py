@@ -8,15 +8,21 @@ orderings, branch exploration, slice margins and problem geometries.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import tree as tree_module
 from repro.core.catalog import Catalog
 from repro.core.heuristic import OffloaDNNSolver
 from repro.core.objective import check_constraints
 from repro.core.problem import Budgets, DOTProblem, RadioModel
 from repro.core.task import QualityLevel
-from repro.core.tree import build_tree, build_vector_tree
+from repro.core.tree import build_cliques, build_tree, build_vector_tree
 from tests.conftest import make_block, make_path, make_task
 
 
@@ -249,3 +255,154 @@ class TestTimingAccounting:
         legacy = solution_to_dict(solution)
         legacy.pop("tree_build_time_s")
         assert solution_from_dict(legacy, tiny_problem).tree_build_time_s == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The batched clique build against the scalar reference, off the seeds' path
+# ---------------------------------------------------------------------------
+
+#: few distinct costs over many ids: path sums collide all the time
+_POOL = tuple(
+    make_block(
+        f"b{i}",
+        compute_time_s=(0.004, 0.008)[i % 2],
+        memory_gb=(0.25, 0.5)[(i // 2) % 2],
+    )
+    for i in range(8)
+)
+#: "half" and "alt" carry the same bits, so variants of one path tie too
+_QUALITIES = (
+    QualityLevel("full", 350_000.0),
+    QualityLevel("half", 175_000.0, accuracy_factor=0.92),
+    QualityLevel("alt", 175_000.0, accuracy_factor=0.9),
+    QualityLevel("low", 50_000.0, accuracy_factor=0.85),
+)
+
+
+@st.composite
+def tie_heavy_problems(draw) -> DOTProblem:
+    """Ties on every numeric sort key, filtered-out and path-less tasks,
+    multi-quality tasks, bits-per-RB overrides, memo replicas."""
+    tasks, overrides = [], {}
+    catalog = Catalog()
+    for tid in range(1, draw(st.integers(1, 6)) + 1):
+        qualities = tuple(
+            draw(st.lists(st.sampled_from(_QUALITIES), min_size=1, max_size=3,
+                          unique=True))
+        )
+        task = replace(
+            make_task(
+                tid,
+                priority=draw(st.sampled_from([0.2, 0.5, 0.9])),
+                # 0.99 filters every variant on accuracy, 0.005 on latency
+                min_accuracy=draw(st.sampled_from([0.5, 0.8, 0.99])),
+                max_latency_s=draw(st.sampled_from([0.3, 0.05, 0.005])),
+            ),
+            qualities=qualities,
+        )
+        tasks.append(task)
+        # path ids in an order unrelated to the insertion order
+        labels = draw(st.permutations("abcd"))
+        for label in labels[: draw(st.integers(1, 4))]:
+            blocks = tuple(
+                draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=3))
+            )
+            accuracy = draw(st.sampled_from([0.7, 0.9, 0.95]))
+            catalog.add_path(make_path(task, f"t{tid}-{label}", blocks, accuracy))
+    # replicas share the base tuple by identity (the build memo), except
+    # where a bits-per-RB override splits them off again
+    for base in draw(st.lists(st.sampled_from(tasks), max_size=4)):
+        tid = len(tasks) + 1
+        priority = draw(st.sampled_from([0.3, 0.9]))
+        tasks.append(replace(base, task_id=tid, priority=priority))
+        catalog.paths_by_task[tid] = catalog.paths_by_task[base.task_id]
+    for task in tasks:
+        if draw(st.integers(0, 3)) == 0:
+            overrides[task.task_id] = draw(st.sampled_from([175_000.0, 700_000.0]))
+    problem = DOTProblem(
+        tasks=tuple(tasks),
+        catalog=catalog,
+        budgets=Budgets(
+            compute_time_s=draw(st.sampled_from([0.2, 3.0])),
+            training_budget_s=1000.0,
+            memory_gb=draw(st.sampled_from([0.5, 2.0, 8.0])),
+            radio_blocks=draw(st.sampled_from([3, 20, 100])),
+        ),
+        radio=RadioModel(default_bits_per_rb=350_000.0, per_task_bits_per_rb=overrides),
+    )
+    # a task may lose its candidates after validation (catalog churn)
+    if draw(st.booleans()):
+        catalog.paths_by_task[draw(st.sampled_from(tasks)).task_id] = ()
+    return problem
+
+
+def _clique_rows(tree):
+    return [
+        (
+            clique.task,
+            [
+                (v.path.path_id, v.path.quality.name, v.compute_time_s,
+                 v.path.bits_per_image, v.accuracy, v.min_latency_rbs())
+                for v in clique.vertices
+            ],
+        )
+        for clique in tree.cliques
+    ]
+
+
+class TestBatchedBuild:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=tie_heavy_problems(), chunk=st.integers(1, 4))
+    def test_equals_scalar_build(self, problem, chunk):
+        scalar = build_tree(problem)
+        # the chunk boundary falls inside the task list
+        with mock.patch.object(tree_module, "_CHUNK_TASKS", chunk):
+            vector = build_vector_tree(problem).materialize()
+        assert _clique_rows(scalar) == _clique_rows(vector)
+        assert scalar.filtered_out == vector.filtered_out
+        for ordering in ("compute", "memory", "accuracy"):
+            assert solution_key(
+                OffloaDNNSolver(engine="scalar", ordering=ordering).solve(problem)
+            ) == solution_key(
+                OffloaDNNSolver(engine="vector", ordering=ordering).solve(problem)
+            )
+
+    def test_path_id_breaks_full_ties(self):
+        """Equal compute, memory and bits: the later-inserted ``a`` sorts
+        before ``z``, as the scalar sort key orders them."""
+        task = make_task(1)
+        catalog = Catalog()
+        catalog.add_path(make_path(task, "z", (_POOL[0],)))
+        catalog.add_path(make_path(task, "a", (_POOL[4],)))
+        problem = DOTProblem(
+            tasks=(task,),
+            catalog=catalog,
+            budgets=Budgets(
+                compute_time_s=1.0, training_budget_s=1000.0,
+                memory_gb=8.0, radio_blocks=50,
+            ),
+        )
+        (clique,) = build_vector_tree(problem).cliques
+        assert [clique.variant_path_id(i) for i in range(len(clique))] == ["a", "z"]
+        assert _clique_rows(build_tree(problem)) == _clique_rows(
+            build_vector_tree(problem).materialize()
+        )
+
+    def test_one_task_build_equals_its_clique_in_a_batch(self):
+        problem = random_problem(11, num_tasks=50)
+        specs = [
+            (task, problem.catalog.paths_for(task), problem.radio.bits_per_rb(task))
+            for task in problem.tasks_by_priority()
+        ]
+        batch = build_cliques(specs)
+        assert len(batch) == 50
+        for spec, in_batch in zip(specs, batch):
+            (alone,) = build_cliques([spec])
+            assert alone.task is in_batch.task
+            assert alone.source_paths is in_batch.source_paths
+            assert alone.bits_per_rb == in_batch.bits_per_rb
+            assert alone.filtered_static == in_batch.filtered_static
+            for name in ("path_pos", "quality_pos", "accuracy", "min_latency_rbs"):
+                np.testing.assert_array_equal(
+                    getattr(alone, name), getattr(in_batch, name), err_msg=name
+                )

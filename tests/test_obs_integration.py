@@ -218,3 +218,10 @@ class TestEmulatorObservability:
         assert "solver.tree_build" in names
         assert "solver.select_branch" in names
         assert "solver.allocate" in names
+        # one clique-build span per solve, not one per task
+        builds = [r for r in obs.wall.records if r.name == "solver.clique_build"]
+        trees = [r for r in obs.wall.records if r.name == "solver.tree_build"]
+        assert len(builds) == len(trees) >= 1
+        assert set(builds[0].args) == {"tasks", "built", "variants"}
+        assert builds[0].args["tasks"] == builds[0].args["built"] == 2
+        assert builds[0].args["variants"] > 0
