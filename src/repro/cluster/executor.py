@@ -16,6 +16,10 @@ driven through the :class:`~repro.cluster.orchestrator.PlacementPlan`:
 3. **Later hops** — per-task batches queue on their segment's node
    pool and execute at that node's CPU scale.
 
+Every stage a batch passes — queueing, executing, streaming, retrying —
+is one immutable :class:`~repro.cluster.qos.Hop`, built once and listed
+by every request of the batch (``request.hops``, in journey order).
+
 **Failure semantics** (fault injection, seeded and deterministic):
 every segment dispatch draws against the target node's
 ``failure_rate``; a failed dispatch is retried once on the
@@ -95,14 +99,14 @@ class ClusterExecutor(WindowLedger):
     def _draw_fails(self, rate: float) -> bool:
         return rate > 0.0 and bool(self._rng.random() < rate)
 
-    def _resolve_node(self, segment: Segment, now: float):
+    def _resolve_node(self, segment: Segment):
         """Pick the executing node for one segment dispatch.
 
         Returns ``(node, start_delay)`` or ``(None, drop_time_delay)``
         when both the placed node and its retry target fail.
         """
         registry = self.deployment.registry
-        node = registry.node(segment.node_id)
+        node = registry.nodes[segment.node_id]
         if not self._draw_fails(node.spec.failure_rate):
             return node, 0.0
         node.dispatch_failures += 1
@@ -120,28 +124,29 @@ class ClusterExecutor(WindowLedger):
 
     def _transfer(
         self, src: str, dst: str, payload_bits: float, now: float
-    ) -> tuple[float | None, int, list[Hop]]:
+    ) -> tuple[float | None, list[Hop]]:
         """One (possibly retried) activation stream over a link.
 
-        Returns ``(delivery_or_None, nbytes, hops)``; ``None`` delivery
-        means both attempts stalled past the timeout and the batch is
-        dropped with ``TRANSFER_TIMEOUT``.
+        Returns ``(delivery_or_None, hops)``; ``None`` delivery means
+        both attempts stalled past the timeout and the batch is dropped
+        with ``TRANSFER_TIMEOUT``.
         """
         router = self.deployment.registry.router
         timeout = self.deployment.transfer_timeout_s
+        where = f"{src}->{dst}"
         hops: list[Hop] = []
         at = now
-        for attempt in range(2):
+        for _attempt in range(2):
             delivery, stalled, nbytes = router.transfer_bits(
                 src, dst, payload_bits, at, rng=self._rng
             )
             if not stalled or delivery - at <= timeout:
-                hops.append(Hop("transfer", f"{src}->{dst}", at, delivery, nbytes))
-                return delivery, nbytes, hops
+                hops.append(Hop("transfer", where, at, delivery, nbytes))
+                return delivery, hops
             # sender notices the stall at its timeout and (once) retries
-            hops.append(Hop("retry", f"{src}->{dst}", at, at + timeout, nbytes))
+            hops.append(Hop("retry", where, at, at + timeout, nbytes))
             at = at + timeout
-        return None, 0, hops
+        return None, hops
 
     def _drop_batch(
         self, batch: list[ServingRequest], reason: DropReason, at: float
@@ -163,112 +168,102 @@ class ClusterExecutor(WindowLedger):
         """Run one batching window through the placed segments."""
         if not requests:
             raise ValueError("cannot dispatch an empty window")
-        plan = self.deployment.plan
+        routes = self.deployment.plan.segments_by_task
         groups: dict[int, list[ServingRequest]] = {}
         for request in requests:
             groups.setdefault(request.task_id, []).append(request)
 
         # resolve hop-0 nodes first (failure draws in task order), then
         # fuse co-placed first segments into one batch per node
-        resolved: dict[int, tuple] = {}
         window_start = None
         window_end = now
-        compute = 0.0
-        unshared = 0.0
+        compute = unshared = 0.0
         merges = 0
+        by_node: dict[str, list] = {}  # node id -> [node, retry delay, task ids]
         for task_id in sorted(groups):
-            segments = plan.segments(task_id)
-            node, delay = self._resolve_node(segments[0], now)
+            node, delay = self._resolve_node(routes[task_id][0])
             if node is None:
-                drop_at = now + delay
-                self._drop_batch(groups[task_id], DropReason.REMOTE_ERROR, drop_at)
-                window_end = max(window_end, drop_at)
+                self._drop_batch(groups[task_id], DropReason.REMOTE_ERROR, now + delay)
+                window_end = max(window_end, now + delay)
                 continue
-            resolved[task_id] = (node, delay, segments)
+            placed = by_node.setdefault(node.node_id, [node, delay, []])
+            placed[1] = max(placed[1], delay)
+            placed[2].append(task_id)
 
-        by_node: dict[str, list[int]] = {}
-        for task_id, (node, _delay, _segments) in resolved.items():
-            by_node.setdefault(node.node_id, []).append(task_id)
-
-        cursor: dict[int, float] = {}  # task -> time its batch reaches hop 1
+        # task -> [node its batch leaves hop 0 on, when, the hops so far]
+        journeys: dict[int, tuple] = {}
         for node_id in sorted(by_node):
-            node = self.deployment.registry.node(node_id)
-            batch = [r for tid in by_node[node_id] for r in groups[tid]]
-            segment_of = {
-                tid: resolved[tid][2][0] for tid in by_node[node_id]
-            }
-            blocks_for = lambda r, seg=segment_of: seg[r.task_id].blocks  # noqa: E731
-            ready = now + max(resolved[tid][1] for tid in by_node[node_id])
+            node, delay, task_ids = by_node[node_id]
+            batch = [r for tid in task_ids for r in groups[tid]]
+            segments = [
+                (groups[tid][0].path.path_id, routes[tid][0].blocks, len(groups[tid]))
+                for tid in task_ids
+            ]
             _worker, start, finish, cost, unmerged, node_merges = self._run_fused(
-                batch, node.execute, ready, node.spec.cpu_scale, blocks_for
+                batch, node.execute, now + delay, segments, node.spec.cpu_scale
             )
             compute += cost
             unshared += unmerged
             merges += node_merges
             window_start = start if window_start is None else min(window_start, start)
-            for request in batch:
-                request.hops = [
-                    Hop("queue", node_id, now, start),
-                    Hop("exec", node_id, start, finish),
-                ]
-            for tid in by_node[node_id]:
-                cursor[tid] = finish
+            # one record per hop, shared by every request that took it
+            first_hops = [
+                Hop("queue", node_id, now, start),
+                Hop("exec", node_id, start, finish),
+            ]
+            for tid in task_ids:
+                journeys[tid] = (node_id, finish, first_hops)
 
         # later hops: per-task batches stream and execute independently
-        for task_id in sorted(resolved):
-            node, _delay, segments = resolved[task_id]
+        timeout = self.deployment.transfer_timeout_s
+        for task_id in sorted(journeys):
+            prev_node_id, at, first_hops = journeys[task_id]
             batch = groups[task_id]
-            at = cursor[task_id]
-            prev_node_id = node.node_id
-            dropped = False
-            for seg_index, segment in enumerate(segments[1:], start=1):
+            segments = routes[task_id]
+            hops = list(first_hops)
+            spent = batch[0].compute_time_s
+            scale = 1.0 + (len(batch) - 1) * self.batch_efficiency
+            dropped = None
+            for index in range(1, len(segments)):
+                segment = segments[index]
                 # batch travels as one frame: batch axis on the payload
-                payload_bits = segments[seg_index - 1].egress_bits * len(batch)
-                delivery, _nbytes, hops = self._transfer(
-                    prev_node_id, segment.node_id, payload_bits, at
+                delivery, legs = self._transfer(
+                    prev_node_id,
+                    segment.node_id,
+                    segments[index - 1].egress_bits * len(batch),
+                    at,
                 )
-                for request in batch:
-                    request.hops.extend(hops)
+                hops += legs
                 if delivery is None:
-                    drop_at = at + 2 * self.deployment.transfer_timeout_s
-                    self._drop_batch(batch, DropReason.TRANSFER_TIMEOUT, drop_at)
-                    window_end = max(window_end, drop_at)
-                    dropped = True
+                    dropped = DropReason.TRANSFER_TIMEOUT, at + 2 * timeout
                     break
-                exec_node, delay = self._resolve_node(segment, delivery)
+                exec_node, delay = self._resolve_node(segment)
+                ready = delivery + delay
                 if exec_node is None:
-                    drop_at = delivery + delay
-                    self._drop_batch(batch, DropReason.REMOTE_ERROR, drop_at)
-                    window_end = max(window_end, drop_at)
-                    dropped = True
+                    dropped = DropReason.REMOTE_ERROR, ready
                     break
                 cost = exec_node.scaled_cost(
-                    sum(
-                        b.compute_time_s
-                        * (1.0 + (len(batch) - 1) * self.batch_efficiency)
-                        for b in segment.blocks
-                    )
+                    sum(block.compute_time_s * scale for block in segment.blocks)
                 )
-                _worker, start, finish = exec_node.execute(cost, delivery + delay)
+                _worker, start, finish = exec_node.execute(cost, ready)
                 compute += cost
                 unshared += cost
-                share = cost / len(batch)
-                for request in batch:
-                    request.compute_time_s += share
-                    if start > delivery + delay:
-                        request.hops.append(
-                            Hop("queue", exec_node.node_id, delivery + delay, start)
-                        )
-                    request.hops.append(
-                        Hop("exec", exec_node.node_id, start, finish)
-                    )
+                spent += cost / len(batch)
+                if start > ready:
+                    hops.append(Hop("queue", exec_node.node_id, ready, start))
+                hops.append(Hop("exec", exec_node.node_id, start, finish))
                 prev_node_id = exec_node.node_id
                 at = finish
-            if not dropped:
-                for request in batch:
+            if dropped is not None:
+                reason, at = dropped
+                self._drop_batch(batch, reason, at)
+            window_end = max(window_end, at)
+            for request in batch:
+                request.hops = list(hops)
+                request.compute_time_s = spent
+                if dropped is None:
                     request.service_done_at = at
-                window_end = max(window_end, at)
-            self.qos.observe_hops(batch[0].hops if batch else [])
+            self.qos.observe_hops(hops)
 
         if window_start is None:
             window_start = now

@@ -17,6 +17,7 @@ crossing the sampling instant never reports utilization above 1.0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.cluster.registry import NodeRegistry
 from repro.obs.metrics import DesSampler
@@ -25,9 +26,12 @@ from repro.obs.trace import NullTracer, Tracer
 __all__ = ["Hop", "QosMonitor", "record_hop_spans"]
 
 
-@dataclass(frozen=True)
-class Hop:
-    """One stage of a request's journey through the fabric."""
+class Hop(NamedTuple):
+    """One stage of a request's journey through the fabric.
+
+    An immutable record the executor builds once per batch and hop;
+    every request of the batch lists the same object.
+    """
 
     #: ``queue`` | ``exec`` | ``transfer`` | ``retry``
     kind: str

@@ -22,6 +22,7 @@ wire`):
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable
 
@@ -175,7 +176,7 @@ class StreamRouter:
         """
         if src == dst:
             return now, False, 0
-        payload_bytes = int(np.ceil(payload_bits / 8.0))
+        payload_bytes = math.ceil(payload_bits / 8.0)
         if self.int8_activations:
             payload_bytes = (payload_bytes + 3) // 4
         elif self.fp16_activations:

@@ -15,11 +15,12 @@ waves:
    sheds are *counted*, never materialized;
 3. uplink deliveries of the admitted subset replay the slice FIFO as
    an array scan (:func:`repro.serving.waves.fifo_deliveries`);
-4. admitted requests are materialized from a freelist pool and pushed
-   into their serving queues in delivery order by the dispatcher tick
-   itself — one DES event per batching window, not one per request —
-   and the tick finds them through one index over all waves' deliveries,
-   so its cost follows the requests due, not the number of tasks.
+4. the dispatcher's tick grid is laid out before the run exactly as the
+   DES will accumulate it, and every admitted delivery is assigned the
+   tick that enqueues it (the *tick index*); the tick itself — one DES
+   event per batching window, not one per request — materializes its
+   slice of the index from a freelist pool and pushes it into the
+   serving queues.  A tick with nothing due is one compare.
 
 **Bit-exactness.**  The engine reproduces the scalar reference's
 results exactly (served set, drop reasons, metrics) on any workload
@@ -28,9 +29,10 @@ a request's uplink delivery lands *exactly* on a dispatcher tick, the
 scalar DES breaks the tie by schedule order — the arrive event wins
 iff its emit chain reached the shared instant before the dispatch
 chain did.  :meth:`TaskWave.arrives_before_tick` replays that
-comparison from the recorded chains (it recurses past repeated exact
-ties, which float-accumulated grids make vanishingly rare but the
-``t = 0`` wave start makes real).
+comparison from the two chains (it recurses past repeated exact ties,
+which float-accumulated grids make vanishingly rare but the ``t = 0``
+wave start makes real); both chains are known before the first tick,
+so the tie is settled when the index is built, not when the tick fires.
 
 What the engine deliberately does **not** reproduce is per-request
 observability *between* windows: admission-shed trace events are
@@ -42,8 +44,9 @@ counters, histograms, spans of served requests, and every
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -71,8 +74,6 @@ class TaskWave:
     #: deadline per admitted request (``created + L_τ``)
     deadlines: np.ndarray
     bits: float
-    #: next admitted request not yet pushed into the serving queue
-    cursor: int = 0
 
     @property
     def offered(self) -> int:
@@ -86,10 +87,13 @@ class TaskWave:
     def gated(self) -> int:
         return len(self.arrivals) - len(self.admitted_idx)
 
-    def arrives_before_tick(self, admitted_pos: int, tick_times: list[float]) -> bool:
+    def arrives_before_tick(
+        self, admitted_pos: int, tick_times: Sequence[float]
+    ) -> bool:
         """Scalar tie-break for a delivery landing exactly on a tick.
 
-        The scalar DES orders same-time events by schedule sequence.
+        ``tick_times`` are the tick instants up to the tied one.  The
+        scalar DES orders same-time events by schedule sequence.
         The arrive event was scheduled at its request's emit instant;
         the dispatch tick was scheduled at the previous tick (the first
         tick during setup).  When those instants tie too, the
@@ -121,46 +125,69 @@ class TaskWave:
 
 @dataclass
 class WavePlan:
-    """All tasks' waves plus the bookkeeping the dispatcher needs."""
+    """All tasks' waves plus the tick index the dispatcher walks."""
 
     tasks: list[TaskWave]
     #: admission-shed count per task (never materialized)
     gated: dict[int, int]
+    #: dispatcher period: tick ``k`` fires after ``k + 1`` additions of it
+    batch_window_s: float
     total_offered: int = 0
     total_admitted: int = 0
-    #: every dispatcher tick instant fired so far (tie-break record)
-    tick_times: list[float] = field(default_factory=list)
-    #: wave positions holding an on-tick delivery that lost the scalar
-    #: tie-break: the due index has moved past it, so the wave is
-    #: revisited on the next tick, where the delivery is strictly due
-    carry: list[int] = field(default_factory=list)
-    # due-delivery index: every admitted delivery of every wave, merged
-    # once by (delivery, wave position), and how far ticks have consumed it
-    _due_times: np.ndarray = field(init=False, repr=False)
-    _due_wave: np.ndarray = field(init=False, repr=False)
-    _due_cursor: int = field(init=False, repr=False, default=0)
-    #: ``_due_times[_due_cursor]`` as a plain float (``inf`` when
-    #: exhausted) — an idle tick returns on one compare, no numpy
-    _next_due: float = field(init=False, repr=False, default=float("inf"))
+    # tick index: every admitted delivery of every wave, sorted once by
+    # (tick that enqueues it, wave position, in-wave position) into five
+    # parallel arrays — wave position, request id, created, deadline,
+    # delivered; tick ``_times[k]`` owns rows ``_starts[k]:_starts[k + 1]``
+    _rows: tuple[np.ndarray, ...] = field(init=False, repr=False, default=())
+    _starts: list[int] = field(init=False, repr=False)
+    #: instants of the ticks with something due, then ``inf``
+    _times: list[float] = field(init=False, repr=False)
+    _cursor: int = field(init=False, repr=False, default=0)
+    #: what every record of a wave shares, by wave position
+    _static: list[tuple] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        counts = np.array([wave.admitted for wave in self.tasks], dtype=np.intp)
-        deliveries = np.concatenate(
-            [wave.deliveries for wave in self.tasks] or [np.empty(0)]
+        tasks = self.tasks
+        self._static = [(w.task_id, w.path, w.bits) for w in tasks]
+        delivered = np.concatenate([w.deliveries for w in tasks] or [np.empty(0)])
+        if len(delivered) == 0:
+            self._starts, self._times = [0], [float("inf")]
+            return
+        # the DES reaches tick k by k + 1 float additions of the window
+        # (first tick at 0 + w, each next at now + w); cumsum accumulates
+        # in the same order, so the grid is the tick instants bit for bit
+        ticks = int(float(delivered.max()) / self.batch_window_s) + 3
+        grid = np.cumsum(np.full(ticks, self.batch_window_s))
+        # deliveries strictly before a tick join it (grid[-1] is past every
+        # delivery, so tick 0's grid[tick - 1] never reads as a tie) ...
+        tick = np.searchsorted(grid, delivered, "right")
+        offsets = np.cumsum([0] + [w.admitted for w in tasks]).tolist()
+        for row in np.flatnonzero(grid[tick - 1] == delivered).tolist():
+            # ... and one exactly on a tick joins it only if the scalar DES
+            # would have fired its arrive event first; the next tick if not.
+            # (A wave's ticks stay in order: among equal deliveries a later
+            # request's emit chain is never earlier, so it never wins a tie
+            # its elder lost.)
+            position = bisect_right(offsets, row) - 1
+            on = int(tick[row]) - 1
+            if tasks[position].arrives_before_tick(
+                row - offsets[position], grid[: on + 1]
+            ):
+                tick[row] = on
+        # stable over a wave-ordered concatenation = (tick, wave, in-wave)
+        order = np.argsort(tick, kind="stable")
+        columns = (
+            np.repeat(np.arange(len(tasks), dtype=np.int32), np.diff(offsets)),
+            np.concatenate([w.ids[w.admitted_idx] for w in tasks]),
+            np.concatenate([w.arrivals[w.admitted_idx] for w in tasks]),
+            np.concatenate([w.deadlines for w in tasks]),
+            delivered,
         )
-        # stable over a wave-ordered concatenation = (delivery, wave
-        # position) order, each wave's entries staying in cursor order
-        order = np.argsort(deliveries, kind="stable")
-        self._due_times = deliveries[order]
-        self._due_wave = np.repeat(
-            np.arange(len(self.tasks), dtype=np.int32), counts
-        )[order]
-        self._next_due = self._due_time(0)
-
-    def _due_time(self, index: int) -> float:
-        if index < len(self._due_times):
-            return float(self._due_times[index])
-        return float("inf")
+        self._rows = tuple(column[order] for column in columns)
+        tick = tick[order]
+        first = np.flatnonzero(np.diff(tick, prepend=-1))
+        self._starts = first.tolist() + [len(tick)]
+        self._times = grid[tick[first]].tolist() + [float("inf")]
 
     @classmethod
     def build(
@@ -224,13 +251,10 @@ class WavePlan:
         return cls(
             tasks=task_waves,
             gated=gated,
+            batch_window_s=config.batch_window_s,
             total_offered=total_offered,
             total_admitted=total_admitted,
         )
-
-    def begin_tick(self, now: float) -> None:
-        """Record a dispatcher tick instant (tie-break bookkeeping)."""
-        self.tick_times.append(now)
 
     def push_due(
         self,
@@ -239,82 +263,36 @@ class WavePlan:
         push: Callable[[ServingRequest], None],
         collect: Callable[[int, ServingRequest], None],
     ) -> None:
-        """Materialize and enqueue every request delivered by ``now``.
+        """Materialize and enqueue every request the tick at ``now`` owns.
 
-        Requests with delivery strictly before the tick always join it;
-        a delivery exactly *on* the tick joins only when the scalar DES
-        would have fired its arrive event first
-        (:meth:`TaskWave.arrives_before_tick`).  ``push`` runs the
-        runtime's queue-insert (backpressure, tracing); ``collect``
-        files the record for metrics.
-
-        A tick costs what is due, not the number of tasks: one
-        ``searchsorted`` over the merged due index names the waves with
-        a delivery at or before ``now``; waves with nothing due are
-        never looked at.
+        Which tick a delivery joins was settled when the index was built
+        (strictly before the tick, or on it and winning the scalar
+        tie-break); the tick only slices its rows.  ``push`` runs the
+        runtime's queue-insert (backpressure, tracing); ``collect`` files
+        the record for metrics.  A tick with nothing due costs the one
+        compare against the next non-empty tick's instant.
         """
-        if now < self._next_due and not self.carry:
+        due_at = self._times[self._cursor]
+        if now < due_at:
             return
-        # waves with a delivery at or before the tick, plus last tick's
-        # tie-break losers, visited in wave order like the full scan did
-        lo = self._due_cursor
-        hi = int(self._due_times.searchsorted(now, "right"))
-        visit = self._due_wave[lo:hi].tolist()
-        if self.carry:
-            visit += self.carry
-            self.carry = []
-        if len(visit) > 1:
-            visit = sorted(set(visit))
-        self._due_cursor = hi
-        self._next_due = self._due_time(hi)
-        for position in visit:
-            if self._push_wave(self.tasks[position], now, pool, push, collect):
-                self.carry.append(position)
-
-    def _push_wave(
-        self,
-        wave: TaskWave,
-        now: float,
-        pool: RequestPool,
-        push: Callable[[ServingRequest], None],
-        collect: Callable[[int, ServingRequest], None],
-    ) -> bool:
-        """Push one wave's due requests; True if an on-tick one stays behind."""
-        deliveries = wave.deliveries
-        n = len(deliveries)
-        lo = wave.cursor
-        # everything strictly before the tick is due...
-        hi = int(deliveries.searchsorted(now, "left"))
-        # ...plus on-tick deliveries that win the scalar tie-break
-        left_behind = False
-        while hi < n and deliveries[hi] == now:
-            if not wave.arrives_before_tick(hi, self.tick_times):
-                left_behind = True
-                break
-            hi += 1
-        if hi > lo:
-            # one conversion per array for the whole due slice
-            arrival_index = wave.admitted_idx[lo:hi]
-            task_id, path, bits = wave.task_id, wave.path, wave.bits
-            for request_id, created_at, deadline_at, delivered_at in zip(
-                wave.ids[arrival_index].tolist(),
-                wave.arrivals[arrival_index].tolist(),
-                wave.deadlines[lo:hi].tolist(),
-                deliveries[lo:hi].tolist(),
-            ):
-                request = pool.acquire(
-                    task_id=task_id,
-                    request_id=request_id,
-                    path=path,
-                    created_at=created_at,
-                    deadline_at=deadline_at,
-                    bits=bits,
-                )
-                request.uplink_done_at = delivered_at
-                collect(task_id, request)
-                push(request)
-            wave.cursor = hi
-        return left_behind
+        if now != due_at:
+            raise RuntimeError(
+                f"dispatcher tick at {now!r} skipped the tick at {due_at!r} "
+                "the index was built on"
+            )
+        lo, hi = self._starts[self._cursor], self._starts[self._cursor + 1]
+        self._cursor += 1
+        static = self._static
+        for position, request_id, created_at, deadline_at, delivered_at in zip(
+            *[column[lo:hi].tolist() for column in self._rows]
+        ):
+            task_id, path, bits = static[position]
+            request = pool.acquire(
+                task_id, request_id, path, created_at, deadline_at, bits
+            )
+            request.uplink_done_at = delivered_at
+            collect(task_id, request)
+            push(request)
 
     def emit_shed_traces(self, tracer) -> None:
         """Replay admission-shed drop events into an enabled tracer.

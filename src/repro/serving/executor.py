@@ -32,7 +32,7 @@ several coupled paths computes the shared trunk once.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -68,47 +68,57 @@ class WindowReport:
         return self.unshared_compute_s - self.compute_s
 
 
-def _window_costs(
-    requests: list[ServingRequest],
-    batch_efficiency: float,
-    blocks_for=None,
-) -> tuple[float, float, int]:
+def _path_groups(requests: list[ServingRequest]) -> list[tuple]:
+    """``(path id, blocks, count)`` per distinct path, in first-seen order."""
+    # by identity (the requests keep their paths alive): hashing a frozen
+    # path would hash every block of it
+    paths = [request.path for request in requests]
+    by_id = {id(path): path for path in paths}
+    return [
+        (by_id[key].path_id, by_id[key].blocks, n)
+        for key, n in Counter(map(id, paths)).items()
+    ]
+
+
+def _window_costs(groups, batch_efficiency: float) -> tuple[float, float, int]:
     """(merged cost, unmerged cost, merge count) for one window.
 
-    The merged cost walks a prefix trie keyed by the block-id sequence;
-    the unmerged cost batches per path only.  ``blocks_for`` overrides
-    the block sequence considered per request (default: the full path)
-    — the cluster executor passes per-node *segments* so fusion happens
-    over exactly the blocks co-placed on one node.
+    ``groups`` partitions the window into ``(path id, blocks, count)``
+    runs in first-seen order — whole paths for the single-node executor,
+    per-node *segments* for the cluster executor, so fusion happens over
+    exactly the blocks co-placed on one node.  The merged cost walks a
+    prefix trie over the block-id sequences, once per group; the unmerged
+    cost batches per (path, block sequence) only.  Sums run in first-seen
+    order, so the floats are those of a request-by-request walk.
     """
-    if blocks_for is None:
-        blocks_for = lambda request: request.path.blocks  # noqa: E731
-
-    def batch_cost(block_compute_s: float, n: int) -> float:
-        return block_compute_s * (1.0 + (n - 1) * batch_efficiency)
-
-    # trie node -> (block compute, request count, distinct path count)
-    trie: dict[tuple[str, ...], list] = {}
-    by_path: dict[str, tuple[tuple, int]] = {}
-    for request in requests:
-        blocks = blocks_for(request)
-        prefix: tuple[str, ...] = ()
+    # trie node: [block compute, requests, first path id, fused?, children]
+    nodes: list[list] = []
+    root: dict[str, list] = {}
+    # (path id, the sequence's last trie level) -> [blocks, requests]
+    by_path: dict[tuple, list] = {}
+    for path_id, blocks, n in groups:
+        children = root
         for block in blocks:
-            prefix = prefix + (block.block_id,)
-            node = trie.setdefault(prefix, [block.compute_time_s, 0, set()])
-            node[1] += 1
-            node[2].add(request.path.path_id)
-        known = by_path.get(request.path.path_id)
-        by_path[request.path.path_id] = (blocks, (known[1] if known else 0) + 1)
+            node = children.get(block.block_id)
+            if node is None:
+                node = [block.compute_time_s, n, path_id, False, {}]
+                children[block.block_id] = node
+                nodes.append(node)
+            else:
+                node[1] += n
+                if node[2] != path_id:
+                    node[3] = True
+            children = node[4]
+        tally = by_path.setdefault((path_id, id(children)), [blocks, 0])
+        tally[1] += n
 
-    merged = sum(batch_cost(c, n) for c, n, _paths in trie.values())
+    merged = sum(node[0] * (1.0 + (node[1] - 1) * batch_efficiency) for node in nodes)
     unmerged = sum(
-        batch_cost(block.compute_time_s, n)
+        block.compute_time_s * (1.0 + (n - 1) * batch_efficiency)
         for blocks, n in by_path.values()
         for block in blocks
     )
-    merges = sum(1 for _c, _n, paths in trie.values() if len(paths) > 1)
-    return merged, unmerged, merges
+    return merged, unmerged, sum(node[3] for node in nodes)
 
 
 class WorkerPool:
@@ -162,16 +172,15 @@ class WindowLedger:
         batch: list[ServingRequest],
         execute: Callable[[float, float], tuple[int, float, float]],
         ready_at: float,
+        groups,
         cpu_scale: float = 1.0,
-        blocks_for=None,
     ) -> tuple[int, float, float, float, float, int]:
         """Cost one co-located batch, book it through ``execute``, stamp it.
 
+        ``groups`` is the batch as :func:`_window_costs` takes it.
         Returns ``(worker, start, finish, cost, unshared cost, merges)``.
         """
-        merged, unmerged, merges = _window_costs(
-            batch, self.batch_efficiency, blocks_for
-        )
+        merged, unmerged, merges = _window_costs(groups, self.batch_efficiency)
         unmerged = unmerged / cpu_scale
         cost = merged / cpu_scale if self.prefix_cache else unmerged
         worker, start, finish = execute(cost, ready_at)
@@ -242,7 +251,7 @@ class BatchExecutor(WindowLedger):
         if not requests:
             raise ValueError("cannot dispatch an empty window")
         worker, start, finish, cost, unmerged, merges = self._run_fused(
-            requests, self.pool.claim, now
+            requests, self.pool.claim, now, _path_groups(requests)
         )
         return self._close_window(
             len(requests), cost, unmerged, merges, start, finish,

@@ -301,7 +301,7 @@ class _Run:
             task.task_id: [] for task in runtime.problem.tasks
         }
         #: empty until :meth:`start_waves` (never, for an empty deployment)
-        self.plan = WavePlan(tasks=[], gated={})
+        self.plan = WavePlan(tasks=[], gated={}, batch_window_s=cfg.batch_window_s)
         #: admitted requests not yet completed or dropped; the dispatcher
         #: keeps ticking until this drains after generation stops
         self.outstanding = 0
@@ -345,7 +345,6 @@ class _Run:
     def tick(self) -> None:
         """One dispatcher tick: enqueue what is due, drain one window."""
         now = self.sim.now
-        self.plan.begin_tick(now)
         self.plan.push_due(now, self.runtime.pool, self.push, self.collect)
         self.drain_window(now)
         if self.live():

@@ -11,10 +11,16 @@ from the arrival side.
 The dispatcher also used to scan every task on every tick: every serving
 queue in :func:`drain_window`, every wave in ``WavePlan.push_due``.
 Both scans were replaced by indexes that only touch tasks with work
-(:class:`repro.serving.queueing.ReadyQueues`, the due-delivery index of
+(:class:`repro.serving.queueing.ReadyQueues`, the tick index of
 :class:`repro.serving.engine.WavePlan`).  The scans live on here, as
 they were, so tests can drive the same runs through them and demand the
 same windows, drops, metrics and trace bytes.
+
+So do the per-request window trie (:func:`per_request_window_costs`) and
+the cluster dispatcher that re-derived routes, costs and hop records per
+request (:func:`per_request_cluster_dispatch`): the executors now cost a
+window per distinct (path, block sequence) group and build one hop record
+per batch, and must produce the same floats, stamps and draws.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.cluster.qos import Hop
 from repro.core.catalog import Catalog
 from repro.emulator.simulator import Simulator
 from repro.serving.metrics import ServingMetrics
@@ -121,23 +128,29 @@ class FullScanQueues:
 def full_scan_push_due(plan, now: float, pool, push, collect) -> None:
     """``WavePlan.push_due`` by the old rule: walk every wave, every tick.
 
-    Scalar conversions per request, no due index, no carry set: a wave
-    whose on-tick delivery loses the tie-break is simply met again by
-    the next tick's walk.
+    No tick index: the scan keeps its own record of the ticks fired and
+    one cursor per wave (on the plan it is driving, under ``_scan``),
+    settles on-tick ties as the tick fires, and meets a wave whose
+    on-tick delivery lost the tie-break again on the next tick's walk.
+    Scalar conversions per request.
     """
-    for wave in plan.tasks:
+    tick_times, cursors = plan.__dict__.setdefault(
+        "_scan", ([], [0] * len(plan.tasks))
+    )
+    tick_times.append(now)
+    for position, wave in enumerate(plan.tasks):
         n = len(wave.deliveries)
-        if wave.cursor >= n or wave.deliveries[wave.cursor] > now:
+        cursor = cursors[position]
+        if cursor >= n or wave.deliveries[cursor] > now:
             continue
-        due = int(np.searchsorted(wave.deliveries, now, side="left") - wave.cursor)
+        due = int(np.searchsorted(wave.deliveries, now, side="left") - cursor)
         while (
-            wave.cursor + due < n
-            and wave.deliveries[wave.cursor + due] == now
-            and wave.arrives_before_tick(wave.cursor + due, plan.tick_times)
+            cursor + due < n
+            and wave.deliveries[cursor + due] == now
+            and wave.arrives_before_tick(cursor + due, tick_times)
         ):
             due += 1
-        for _ in range(due):
-            i = wave.cursor
+        for i in range(cursor, cursor + due):
             arrival_index = int(wave.admitted_idx[i])
             request = pool.acquire(
                 task_id=wave.task_id,
@@ -148,9 +161,168 @@ def full_scan_push_due(plan, now: float, pool, push, collect) -> None:
                 bits=wave.bits,
             )
             request.uplink_done_at = float(wave.deliveries[i])
-            wave.cursor = i + 1
+            cursors[position] = i + 1
             collect(wave.task_id, request)
             push(request)
+
+
+def per_request_window_costs(requests, batch_efficiency: float, blocks_for=None):
+    """``_window_costs`` by the old rule: one trie walk per request.
+
+    A prefix tuple per request × block, a set of path ids per node.
+    ``blocks_for`` overrides the block sequence per request (the cluster
+    passes per-node segments).  The one change from the code this
+    replaced: the unmerged tally is keyed by (path id, block sequence),
+    not by path id alone (see ``test_shared_path_split_differently``).
+    """
+    if blocks_for is None:
+        blocks_for = lambda request: request.path.blocks  # noqa: E731
+
+    def batch_cost(block_compute_s: float, n: int) -> float:
+        return block_compute_s * (1.0 + (n - 1) * batch_efficiency)
+
+    trie: dict[tuple[str, ...], list] = {}
+    by_path: dict[tuple, tuple[tuple, int]] = {}
+    for request in requests:
+        blocks = blocks_for(request)
+        prefix: tuple[str, ...] = ()
+        for block in blocks:
+            prefix = prefix + (block.block_id,)
+            node = trie.setdefault(prefix, [block.compute_time_s, 0, set()])
+            node[1] += 1
+            node[2].add(request.path.path_id)
+        key = (request.path.path_id, prefix)
+        known = by_path.get(key)
+        by_path[key] = (blocks, (known[1] if known else 0) + 1)
+
+    merged = sum(batch_cost(c, n) for c, n, _paths in trie.values())
+    unmerged = sum(
+        batch_cost(block.compute_time_s, n)
+        for blocks, n in by_path.values()
+        for block in blocks
+    )
+    merges = sum(1 for _c, _n, paths in trie.values() if len(paths) > 1)
+    return merged, unmerged, merges
+
+
+def per_request_cluster_dispatch(self, requests, now: float):
+    """``ClusterExecutor.dispatch`` by the old rule (patch it in as a method).
+
+    Routes through ``plan.segments()`` per task, hop-0 batches costed by
+    the per-request trie, later-hop cost re-summed per window, two fresh
+    ``Hop`` records per request per hop.  Failure and stall draws come
+    from the executor's own ``_rng``, in the same order.
+    """
+    plan = self.deployment.plan
+    groups: dict[int, list[ServingRequest]] = {}
+    for request in requests:
+        groups.setdefault(request.task_id, []).append(request)
+
+    resolved: dict[int, tuple] = {}
+    window_start = None
+    window_end = now
+    compute = 0.0
+    unshared = 0.0
+    merges = 0
+    for task_id in sorted(groups):
+        segments = plan.segments(task_id)
+        node, delay = self._resolve_node(segments[0])
+        if node is None:
+            drop_at = now + delay
+            self._drop_batch(groups[task_id], DropReason.REMOTE_ERROR, drop_at)
+            window_end = max(window_end, drop_at)
+            continue
+        resolved[task_id] = (node, delay, segments)
+
+    by_node: dict[str, list[int]] = {}
+    for task_id, (node, _delay, _segments) in resolved.items():
+        by_node.setdefault(node.node_id, []).append(task_id)
+
+    cursor: dict[int, float] = {}  # task -> time its batch reaches hop 1
+    for node_id in sorted(by_node):
+        node = self.deployment.registry.node(node_id)
+        batch = [r for tid in by_node[node_id] for r in groups[tid]]
+        segment_of = {tid: resolved[tid][2][0] for tid in by_node[node_id]}
+        ready = now + max(resolved[tid][1] for tid in by_node[node_id])
+        merged, unmerged, node_merges = per_request_window_costs(
+            batch, self.batch_efficiency, lambda r: segment_of[r.task_id].blocks
+        )
+        unmerged = unmerged / node.spec.cpu_scale
+        cost = merged / node.spec.cpu_scale if self.prefix_cache else unmerged
+        _worker, start, finish = node.execute(cost, ready)
+        share = cost / len(batch)
+        for request in batch:
+            request.started_at = start
+            request.compute_time_s = share
+            request.hops = [
+                Hop("queue", node_id, now, start),
+                Hop("exec", node_id, start, finish),
+            ]
+        compute += cost
+        unshared += unmerged
+        merges += node_merges
+        window_start = start if window_start is None else min(window_start, start)
+        for tid in by_node[node_id]:
+            cursor[tid] = finish
+
+    for task_id in sorted(resolved):
+        node, _delay, segments = resolved[task_id]
+        batch = groups[task_id]
+        at = cursor[task_id]
+        prev_node_id = node.node_id
+        dropped = False
+        for seg_index, segment in enumerate(segments[1:], start=1):
+            payload_bits = segments[seg_index - 1].egress_bits * len(batch)
+            delivery, hops = self._transfer(
+                prev_node_id, segment.node_id, payload_bits, at
+            )
+            for request in batch:
+                request.hops.extend(hops)
+            if delivery is None:
+                drop_at = at + 2 * self.deployment.transfer_timeout_s
+                self._drop_batch(batch, DropReason.TRANSFER_TIMEOUT, drop_at)
+                window_end = max(window_end, drop_at)
+                dropped = True
+                break
+            exec_node, delay = self._resolve_node(segment)
+            if exec_node is None:
+                drop_at = delivery + delay
+                self._drop_batch(batch, DropReason.REMOTE_ERROR, drop_at)
+                window_end = max(window_end, drop_at)
+                dropped = True
+                break
+            cost = exec_node.scaled_cost(
+                sum(
+                    b.compute_time_s
+                    * (1.0 + (len(batch) - 1) * self.batch_efficiency)
+                    for b in segment.blocks
+                )
+            )
+            _worker, start, finish = exec_node.execute(cost, delivery + delay)
+            compute += cost
+            unshared += cost
+            share = cost / len(batch)
+            for request in batch:
+                request.compute_time_s += share
+                if start > delivery + delay:
+                    request.hops.append(
+                        Hop("queue", exec_node.node_id, delivery + delay, start)
+                    )
+                request.hops.append(Hop("exec", exec_node.node_id, start, finish))
+            prev_node_id = exec_node.node_id
+            at = finish
+        if not dropped:
+            for request in batch:
+                request.service_done_at = at
+            window_end = max(window_end, at)
+        self.qos.observe_hops(batch[0].hops)
+
+    if window_start is None:
+        window_start = now
+    return self._close_window(
+        len(requests), compute, unshared, merges, window_start, window_end,
+        "cluster", window_end - window_start,
+    )
 
 
 def replicated_serving_problem(k: int):

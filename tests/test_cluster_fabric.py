@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     ClusterDeployment,
@@ -15,11 +17,13 @@ from repro.cluster import (
     NodeSpec,
     default_topology,
 )
+from repro.cluster.executor import ClusterExecutor
 from repro.core.heuristic import OffloaDNNSolver
 from repro.obs import ObsSession, jsonl_lines
 from repro.serving import ServingConfig, ServingRuntime
 from repro.serving.queueing import DropReason
 from repro.workloads.smallscale import serving_small_scale_problem
+from tests.oracles import per_request_cluster_dispatch, replicated_serving_problem
 
 
 def _runtime(duration_s: float = 2.0, seed: int = 0) -> ServingRuntime:
@@ -389,6 +393,66 @@ def test_transfer_timeout_drops_when_link_keeps_stalling():
     assert timeouts > 0
     # the QoS monitor saw the sender-side retries
     assert runtime.executor.qos.hop_counts.get("retry", 0) > 0
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 50),
+    failure_rate=st.sampled_from((0.3, 0.6)),
+    stall_rate=st.sampled_from((0.3, 0.6)),
+    prefix_cache=st.booleans(),
+    poisson=st.booleans(),
+)
+def test_faulty_run_is_identical_through_the_per_request_dispatcher(
+    seed, failure_rate, stall_rate, prefix_cache, poisson
+):
+    # four nodes of different speeds, every dispatch and every transfer a
+    # seeded draw: the lean dispatcher (routes read, costs memoized, one hop
+    # record per batch) must make the same draws in the same order and
+    # leave the same records as the dispatcher that redid it all per request
+    topology = ClusterTopology(
+        nodes=tuple(
+            NodeSpec(node_id=f"n{i}", cpu_scale=1.0 + 0.5 * i, failure_rate=failure_rate)
+            for i in range(4)
+        ),
+        default_link=LinkSpec(
+            src="*", dst="*", bandwidth_bps=2e8, stall_rate=stall_rate,
+            stall_factor=200.0,
+        ),
+    )
+    config = ServingConfig(
+        duration_s=3.0, seed=seed, poisson=poisson, prefix_cache=prefix_cache
+    )
+    outcomes = []
+    for dispatch in (ClusterExecutor.dispatch, per_request_cluster_dispatch):
+        runtime = ServingRuntime.from_problem(
+            replicated_serving_problem(2), config,
+            solver=OffloaDNNSolver(slice_margin_rbs=10),
+        )
+        runtime.cluster = _deploy(runtime, topology)
+        runtime.obs = ObsSession()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ClusterExecutor, "dispatch", dispatch)
+            metrics = runtime.run()
+        qos = runtime.executor.qos
+        outcomes.append(
+            (
+                repr(metrics),
+                [
+                    (r.request_id, r.started_at, r.completed_at, r.compute_time_s,
+                     r.drop_reason, r.service_done_at, repr(r.hops))
+                    for r in runtime.last_requests
+                ],
+                runtime.executor.windows,
+                (qos.hop_counts, qos.bytes_streamed, qos.node_rows(3.0), qos.link_rows()),
+                jsonl_lines([runtime.obs.virtual]),
+            )
+        )
+    drops = {r.drop_reason for r in runtime.last_requests}
+    assert runtime.cluster.plan.split_tasks > 0 and drops & {
+        DropReason.REMOTE_ERROR, DropReason.TRANSFER_TIMEOUT
+    }
+    assert outcomes[0] == outcomes[1]
 
 
 def test_single_node_runtime_unaffected_by_new_fields():

@@ -8,7 +8,7 @@ contract on the paper's small-scale scenario (deterministic
 and Poisson arrivals, several loads and seeds, both queue policies,
 tight queues, a one-node cluster) plus the engine's own mechanics:
 request pooling, event recycling, rerun-determinism of traces at
-10⁴ requests, and the dispatcher's ready-queue and due-delivery indexes
+10⁴ requests, and the dispatcher's ready-queue index and tick index
 against the full per-tick scans they replaced (``tests/oracles.py``).
 """
 
@@ -322,17 +322,24 @@ def test_sparse_many_task_run_matches_scalar_and_full_scan(
     assert _traced_run(sparse_problem, scalar_run, **kw)[2] == ref_trace
 
 
-def _spy_on_carry(monkeypatch) -> list[int]:
-    """Carry-set size at the start of every ``push_due``."""
-    carried: list[int] = []
-    push_due = WavePlan.push_due
+def _capture_plans(monkeypatch) -> list[WavePlan]:
+    """Every plan ``WavePlan.build`` hands a run, as it is built."""
+    plans: list[WavePlan] = []
+    build = WavePlan.build.__func__
 
-    def spy(self, now, pool, push, collect):
-        carried.append(len(self.carry))
-        push_due(self, now, pool, push, collect)
+    def capture(cls, *args):
+        plans.append(build(cls, *args))
+        return plans[-1]
 
-    monkeypatch.setattr(WavePlan, "push_due", spy)
-    return carried
+    monkeypatch.setattr(WavePlan, "build", classmethod(capture))
+    return plans
+
+
+def _tick_of(plan: WavePlan, request_id: int) -> float:
+    """Instant of the tick the index assigned a request to."""
+    instants = np.repeat(plan._times[:-1], np.diff(plan._starts))
+    (row,) = np.flatnonzero(plan._rows[1] == request_id)
+    return float(instants[row])
 
 
 @pytest.mark.parametrize("windows_per_airtime", [1, 2])
@@ -342,9 +349,9 @@ def test_deliveries_landing_exactly_on_ticks(
     # deterministic arrivals start at t = 0, so a window that divides a
     # task's uplink airtime puts its first delivery exactly on a tick.
     # One window per airtime: the arrive event was scheduled after the
-    # tick (both during setup) and loses — the due index has consumed
-    # the entry, the carry set must bring the wave back.  Two windows:
-    # the emit (t = 0) precedes the previous tick and the delivery wins.
+    # tick (both during setup) and loses — the index, at build time, hands
+    # the delivery to the next tick.  Two windows: the emit (t = 0)
+    # precedes the previous tick, the delivery wins and joins its own tick.
     base = _runtime(problem, duration_s=1.0)
     task = next(t for t in problem.tasks if base.tickets[t.task_id].admitted)
     path = base.solution.assignment(task).path
@@ -352,20 +359,19 @@ def test_deliveries_landing_exactly_on_ticks(
         task.task_id, path.bits_per_image, now=0.0
     )
     window = airtime / windows_per_airtime
-    carried = _spy_on_carry(monkeypatch)
+    plans = _capture_plans(monkeypatch)
     vec = base.with_config(batch_window_s=window)
     ref = base.with_config(batch_window_s=window)
     assert _metrics_key(vec.run()) == _metrics_key(scalar_run(ref))
     assert _served_key(vec) == _served_key(ref)
     first = next(r for r in vec.last_requests if r.task_id == task.task_id)
     assert first.uplink_done_at == airtime == window * windows_per_airtime
-    # the tick after the one the delivery lands on starts with the wave
-    # carried over only when the delivery lost
-    lands_on = windows_per_airtime - 1
-    assert carried[lands_on + 1] == (1 if windows_per_airtime == 1 else 0)
+    joined = airtime if windows_per_airtime == 2 else airtime + window
+    (plan,) = plans
+    assert _tick_of(plan, first.request_id) == joined
 
 
-def _grid_plan(specs) -> WavePlan:
+def _grid_plan(specs, window: int) -> WavePlan:
     """Waves on a 1/8 s grid: every sum is exact, so ties are everywhere."""
     arrivals = [np.arange(count) * (gap / 8.0) for gap, _air, count, _every in specs]
     ids = waves.merge_arrival_order(arrivals)
@@ -385,14 +391,14 @@ def _grid_plan(specs) -> WavePlan:
                 bits=1.0,
             )
         )
-    return WavePlan(tasks=tasks, gated={})
+    return WavePlan(tasks=tasks, gated={}, batch_window_s=window / 8.0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     specs=st.lists(
         st.tuples(
-            st.integers(1, 6),  # arrival gap, eighths of a second
+            st.integers(0, 6),  # arrival gap, eighths (0: a burst at t = 0)
             st.integers(0, 6),  # uplink airtime, eighths
             st.integers(1, 12),  # offered requests (a wave starts at t = 0)
             st.integers(1, 3),  # gate admits every n-th
@@ -404,14 +410,15 @@ def _grid_plan(specs) -> WavePlan:
 )
 def test_due_index_matches_full_scan_under_exact_ties(specs, window):
     # deliveries landing exactly on ticks, winning and losing the scalar
-    # tie-break, several per tick and per wave: the index plus carry set
-    # must hand over the same requests on the same ticks, wave by wave
+    # tie-break, several per tick and per wave: the tick index, which
+    # settled every tie when it was built, must hand over the same
+    # requests on the same ticks, wave by wave, as the scan that settles
+    # them as the ticks fire (with its own tick record and cursors)
     logs = []
     for push_due in (WavePlan.push_due, full_scan_push_due):
-        plan, pool, log = _grid_plan(specs), RequestPool(), []
+        plan, pool, log = _grid_plan(specs, window), RequestPool(), []
         for tick in range(1, 100 // window):
             now = tick * (window / 8.0)
-            plan.begin_tick(now)
             push_due(
                 plan,
                 now,
@@ -421,37 +428,77 @@ def test_due_index_matches_full_scan_under_exact_ties(specs, window):
                 ),
                 lambda task_id, r: log.append((now, task_id, r.request_id)),
             )
-        assert [wave.cursor for wave in plan.tasks] == [
-            wave.admitted for wave in plan.tasks
-        ]
+        assert pool.in_use == sum(wave.admitted for wave in plan.tasks)
         logs.append(log)
     assert logs[0] == logs[1]
 
 
+def test_push_due_refuses_a_tick_off_its_grid():
+    # the index is only as good as the grid it was built on: a dispatcher
+    # that skips past a tick with deliveries must fail, not serve them late
+    plan = _grid_plan([(1, 1, 4, 1)], window=1)
+    with pytest.raises(RuntimeError, match="skipped the tick"):
+        plan.push_due(3.0, RequestPool(), lambda r: None, lambda task_id, r: None)
+
+
+class _CountedSlices(np.ndarray):
+    """An index column that counts how often it is sliced."""
+
+    def __getitem__(self, key):
+        self.slices[0] += 1
+        return super().__getitem__(key)
+
+
 def test_dispatcher_cost_follows_requests_not_tasks(sparse_problem, monkeypatch):
     # no wall clock: a reintroduced per-tick scan over 200 tasks makes
-    # ~10^5 queue pops and wave visits here and fails both bounds
-    counts = {"pops": 0, "wave_visits": 0}
-    pop_ready, push_wave = ServingQueue.pop_ready, WavePlan._push_wave
+    # ~10^5 queue pops here, and per-tick searches or per-wave slices of
+    # the deliveries show up in the three counts below
+    counts = {"pops": 0, "searches": 0, "ticks": 0, "acquired": 0}
+    slices = [0]
+    pop_ready, acquire = ServingQueue.pop_ready, RequestPool.acquire
+    searchsorted, push_due = np.searchsorted, WavePlan.push_due
+    built: list[tuple[WavePlan, int]] = []
 
     def counted_pop(self, now):
         counts["pops"] += 1
         return pop_ready(self, now)
 
-    def counted_visit(self, *args):
-        counts["wave_visits"] += 1
-        return push_wave(self, *args)
+    def counted_search(*args, **kwargs):
+        counts["searches"] += 1
+        return searchsorted(*args, **kwargs)
+
+    def counted_acquire(self, *args, **kwargs):
+        counts["acquired"] += 1
+        return acquire(self, *args, **kwargs)
+
+    def counted_tick(self, *args):
+        if not counts["ticks"]:
+            columns = []
+            for column in self._rows:
+                column = column.view(_CountedSlices)
+                column.slices = slices
+                columns.append(column)
+            self._rows = tuple(columns)
+            built.append((self, counts["searches"]))
+        counts["ticks"] += 1
+        return push_due(self, *args)
 
     monkeypatch.setattr(ServingQueue, "pop_ready", counted_pop)
-    monkeypatch.setattr(WavePlan, "_push_wave", counted_visit)
-    carried = _spy_on_carry(monkeypatch)
+    monkeypatch.setattr(np, "searchsorted", counted_search)
+    monkeypatch.setattr(RequestPool, "acquire", counted_acquire)
+    monkeypatch.setattr(WavePlan, "push_due", counted_tick)
     runtime = _runtime(
         sparse_problem, duration_s=2.0, batch_window_s=0.002, num_workers=40,
         poisson=True, seed=2,
     )
     metrics = runtime.run()
     admitted = sum(t.admitted for t in metrics.tasks.values())
-    ticks = len(carried)
-    assert admitted > 1500 and ticks * len(metrics.tasks) > 50 * admitted
+    assert admitted > 1500 and counts["ticks"] * len(metrics.tasks) > 50 * admitted
     assert counts["pops"] <= 2 * admitted + metrics.windows
-    assert counts["wave_visits"] <= admitted + sum(carried)
+    ((plan, searches_by_first_tick),) = built
+    # everything is looked up before the first tick; a tick slices its rows
+    assert searches_by_first_tick >= 1
+    assert counts["searches"] == searches_by_first_tick
+    busy_ticks = len(plan._times) - 1
+    assert busy_ticks <= admitted and slices[0] <= len(plan._rows) * busy_ticks
+    assert counts["acquired"] == admitted

@@ -4,13 +4,24 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster import ClusterDeployment, ClusterTopology, NodeRegistry, NodeSpec
+from repro.cluster.executor import ClusterExecutor
+from repro.cluster.orchestrator import PlacementPlan, Segment
 from repro.core.catalog import Block, Path
 from repro.core.task import QualityLevel
 from repro.dnn.graph import NamedModule
 from repro.dnn.layers import Linear, ReLU
-from repro.serving.executor import BatchExecutor, BlockwiseRunner, _window_costs
+from repro.serving.executor import (
+    BatchExecutor,
+    BlockwiseRunner,
+    _path_groups,
+    _window_costs,
+)
 from repro.serving.queueing import ServingRequest
+from tests.oracles import per_request_window_costs
 
 QUALITY = QualityLevel(name="full", bits_per_image=350_000.0)
 
@@ -48,14 +59,14 @@ def request(path: Path, request_id: int = 0) -> ServingRequest:
 
 class TestWindowCosts:
     def test_single_request_no_discount(self):
-        merged, unmerged, merges = _window_costs([request(PATH_A)], 0.5)
+        merged, unmerged, merges = _window_costs(_path_groups([request(PATH_A)]), 0.5)
         assert merged == pytest.approx(PATH_A.compute_time_s)
         assert unmerged == pytest.approx(PATH_A.compute_time_s)
         assert merges == 0
 
     def test_same_path_batching_sublinear(self):
         reqs = [request(PATH_A, i) for i in range(3)]
-        merged, unmerged, merges = _window_costs(reqs, 0.5)
+        merged, unmerged, merges = _window_costs(_path_groups(reqs), 0.5)
         # batch of 3 through every block: c · (1 + 2·0.5) = 2c
         assert merged == pytest.approx(2 * PATH_A.compute_time_s)
         assert unmerged == pytest.approx(merged)  # same path: nothing to merge
@@ -63,7 +74,7 @@ class TestWindowCosts:
 
     def test_shared_prefix_fused_once(self):
         reqs = [request(PATH_A, 0), request(PATH_B, 1)]
-        merged, unmerged, merges = _window_costs(reqs, 0.5)
+        merged, unmerged, merges = _window_costs(_path_groups(reqs), 0.5)
         trunk = sum(b.compute_time_s for b in TRUNK)
         heads = HEAD_A.compute_time_s + HEAD_B.compute_time_s
         # trunk runs once over the union batch of 2, heads separately
@@ -74,13 +85,13 @@ class TestWindowCosts:
 
     def test_disjoint_paths_gain_nothing(self):
         reqs = [request(PATH_A, 0), request(PATH_C, 1)]
-        merged, unmerged, merges = _window_costs(reqs, 0.5)
+        merged, unmerged, merges = _window_costs(_path_groups(reqs), 0.5)
         assert merged == pytest.approx(unmerged)
         assert merges == 0
 
     def test_efficiency_one_is_serial(self):
         reqs = [request(PATH_A, 0), request(PATH_A, 1), request(PATH_B, 2)]
-        _, unmerged, _ = _window_costs(reqs, 1.0)
+        _, unmerged, _ = _window_costs(_path_groups(reqs), 1.0)
         assert unmerged == pytest.approx(
             2 * PATH_A.compute_time_s + PATH_B.compute_time_s
         )
@@ -100,14 +111,100 @@ class TestWindowCosts:
             accuracy=0.895, quality=QUALITY,
         )
         reqs = [request(PATH_A, 0), request(path_q, 1)]
-        merged, unmerged, merges = _window_costs(reqs, 0.5)
+        merged, unmerged, merges = _window_costs(_path_groups(reqs), 0.5)
         assert merges == 0
         assert merged == pytest.approx(unmerged)
         # sanity: the same shape with a *shared* trunk does merge
         _, _, fp32_merges = _window_costs(
-            [request(PATH_A, 0), request(PATH_B, 1)], 0.5
+            _path_groups([request(PATH_A, 0), request(PATH_B, 1)]), 0.5
         )
         assert fp32_merges > 0
+
+
+    def test_shared_path_split_differently(self):
+        # two tasks share PATH_A; placement kept task 1's whole path on n0
+        # and split task 2's after the trunk, so n0 runs [g1 g2 g3] for one
+        # and [g1 g2] for the other.  The unmerged tally used to be keyed
+        # by path id alone and charged both batches the last one's blocks.
+        def node_costs(prefix_cache):
+            plan = PlacementPlan(
+                segments_by_task={
+                    1: (Segment("n0", PATH_A.blocks),),
+                    2: (
+                        Segment("n0", TRUNK, egress_bits=64_000.0),
+                        Segment("n1", (HEAD_A,)),
+                    ),
+                }
+            )
+            registry = NodeRegistry.from_topology(
+                ClusterTopology(nodes=(NodeSpec(node_id="n0"), NodeSpec(node_id="n1")))
+            )
+            executor = ClusterExecutor(
+                deployment=ClusterDeployment(registry=registry, plan=plan),
+                batch_efficiency=0.5,
+                prefix_cache=prefix_cache,
+            )
+            reqs = [request(PATH_A, i) for i in range(3)]
+            reqs[0].task_id = 1
+            reqs[1].task_id = reqs[2].task_id = 2
+            report = executor.dispatch(reqs, now=0.0)
+            return reqs[0].hops[1].duration_s, report
+
+        trunk = sum(b.compute_time_s for b in TRUNK)
+        head = HEAD_A.compute_time_s
+        # n0, unshared: one request through the whole path, two (at 1.5x)
+        # through the trunk; the last hop adds task 2's head at 1.5x
+        n0_unshared = (trunk + head) + 1.5 * trunk
+        hop0_s, unfused = node_costs(prefix_cache=False)
+        assert hop0_s == pytest.approx(n0_unshared)
+        assert unfused.compute_s == pytest.approx(n0_unshared + 1.5 * head)
+        # fused: the trunk once over all three (2x), the head once
+        hop0_s, fused = node_costs(prefix_cache=True)
+        assert hop0_s == pytest.approx(2.0 * trunk + head)
+        assert fused.saved_s == pytest.approx(n0_unshared - (2.0 * trunk + head))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_grouped_costing_equals_per_request_trie(self, data):
+        # shuffled windows over paths that share prefixes, share ids across
+        # different block sequences (per-node segments) and repeat as equal
+        # but distinct tuples: same floats as the request-by-request walk
+        pool = [
+            Block(f"s{i}", "d", compute_time_s=c, memory_gb=0.1)
+            for i, c in enumerate((0.010, 0.008, 0.004, 0.006, 0.0031, 0.0007))
+        ]
+        sequences = data.draw(
+            st.lists(
+                st.lists(st.sampled_from(pool), min_size=1, max_size=5).map(tuple),
+                min_size=1,
+                max_size=5,
+            )
+        )
+        paths = [
+            Path(data.draw(st.sampled_from("abc")), "d", 1, blocks, 0.9, QUALITY)
+            for blocks in sequences
+        ]
+        reqs = [
+            request(path, i)
+            for i, path in enumerate(
+                data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=24))
+            )
+        ]
+        # the cluster costs per-node segments: any cut of each path's blocks
+        cuts = {id(path): data.draw(st.integers(1, len(path.blocks))) for path in paths}
+        efficiency = data.draw(st.sampled_from((0.0, 0.3, 0.5, 1.0)))
+        assert _window_costs(_path_groups(reqs), efficiency) == (
+            per_request_window_costs(reqs, efficiency)
+        )
+        segment_groups = [
+            (path_id, blocks[: cuts[id(path)]], n)
+            for (path_id, blocks, n), path in zip(
+                _path_groups(reqs), {id(r.path): r.path for r in reqs}.values()
+            )
+        ]
+        assert _window_costs(segment_groups, efficiency) == per_request_window_costs(
+            reqs, efficiency, lambda r: r.path.blocks[: cuts[id(r.path)]]
+        )
 
 
 class TestBatchExecutor:

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.serving.metrics import LatencyStats, ServingMetrics, TaskServingMetrics
-from repro.serving.queueing import DropReason
+from repro.serving.queueing import DropReason, ServingRequest
 
 
 class TestLatencyStatsEdgeCases:
@@ -97,3 +98,89 @@ class TestSingleSortPercentiles:
         histogram.observe_many(rng.exponential(0.02, size=1001))
         batched = histogram.percentiles((50, 95, 99))
         assert batched == tuple(histogram.percentile(q) for q in (50, 95, 99))
+
+
+class TestTalliedInstruments:
+    """``from_requests`` counts in locals and feeds each instrument once:
+    totals and the latency sample order are what per-request ``inc()`` /
+    ``observe()`` calls would have left, with and without a shared registry.
+    """
+
+    @staticmethod
+    def _requests() -> list[ServingRequest]:
+        def record(i, completed_at=float("nan"), drop=None):
+            request = ServingRequest(
+                task_id=3, request_id=i, path=None, created_at=0.1 * i,
+                deadline_at=0.1 * i + 0.25, bits=1.0,
+            )
+            request.completed_at = completed_at
+            request.drop_reason = drop
+            return request
+
+        return [
+            record(0, completed_at=0.2),
+            record(1, drop=DropReason.QUEUE_FULL),
+            record(2, completed_at=0.5),  # late: 0.5 > 0.2 + 0.25
+            record(3, drop=DropReason.DEADLINE),
+            record(4),  # admitted, still in flight when the run ended
+            record(5, completed_at=0.6),
+            record(6, drop=DropReason.QUEUE_FULL),
+            # dropped after a stamp (lost mid-execution): a drop, not a completion
+            record(7, completed_at=0.9, drop=DropReason.REMOTE_ERROR),
+            record(8, drop=DropReason.ADMISSION),  # the scalar oracle materializes these
+        ]
+
+    @staticmethod
+    def _check(task: TaskServingMetrics, registry: MetricsRegistry, runs: int) -> None:
+        assert (task.offered, task.admitted, task.completed) == (
+            13 * runs, 8 * runs, 3 * runs
+        )
+        assert task.deadline_misses == 1 * runs
+        assert task.drops == {
+            DropReason.ADMISSION: 5 * runs,
+            DropReason.QUEUE_FULL: 2 * runs,
+            DropReason.DEADLINE: 1 * runs,
+            DropReason.REMOTE_ERROR: 1 * runs,
+            DropReason.TRANSFER_TIMEOUT: 0,
+        }
+        counters = {name: c.value for name, c in registry.counters.items()}
+        assert counters == {
+            "task3.offered": 13.0 * runs,
+            "task3.completed": 3.0 * runs,
+            "task3.deadline_misses": 1.0 * runs,
+            "task3.drops.admission": 5.0 * runs,
+            "task3.drops.queue_full": 2.0 * runs,
+            "task3.drops.deadline": 1.0 * runs,
+            "task3.drops.remote_error": 1.0 * runs,
+            "task3.drops.transfer_timeout": 0.0,
+        }
+        assert all(type(value) is float for value in counters.values())
+        # creation order, one sample per completion
+        assert registry.histograms["task3.latency_s"].samples == [
+            0.2 - 0.0, 0.5 - 0.1 * 2, 0.6 - 0.1 * 5
+        ] * runs
+
+    def test_shared_registry_accumulates_across_runs(self):
+        registry = MetricsRegistry()
+        for runs in (1, 2):
+            task = TaskServingMetrics.from_requests(
+                3, self._requests(), registry=registry, gated=4
+            )
+            self._check(task, registry, runs)
+
+    def test_private_registry_gives_the_same_summary(self, monkeypatch):
+        created: list[MetricsRegistry] = []
+        init = MetricsRegistry.__init__
+
+        def remember(self):
+            init(self)
+            created.append(self)
+
+        monkeypatch.setattr(MetricsRegistry, "__init__", remember)
+        task = TaskServingMetrics.from_requests(3, self._requests(), gated=4)
+        (registry,) = created
+        self._check(task, registry, 1)
+        shared = TaskServingMetrics.from_requests(
+            3, self._requests(), registry=MetricsRegistry(), gated=4
+        )
+        assert task == shared
