@@ -20,20 +20,23 @@ per group.  :class:`AggregateSolver` then
    as the pools allow in one subtraction.  A pool-bound member yields a
    run of one, so the replay degrades to the per-task cascade exactly
    where it matters and stays O(#groups) everywhere else;
-3. expands back to per-task assignments (members in ascending task-id
-   order, all sharing the representative's chosen ``Path`` object).
+3. returns the rounds as runs ``(assignment, member ids)``, ids ascending:
+   :class:`~repro.core.solution.AssignmentRuns` reads like the expanded
+   dict (same keys, order, values, one shared ``Path`` per run), builds
+   an ``Assignment`` only on lookup, and sums fold over runs.
 
-The expansion is feasibility-preserving by construction; it is *not*
+The replay is feasibility-preserving by construction; it is *not*
 promised bit-identical to the per-task scalar solve when distinct
 groups share a priority level (the scalar cascade would interleave
 their members by task id, the replay keeps groups contiguous).  The
 test suite checks feasibility and admission-equivalence instead.
 
-Grouping keys on the *identity* of the candidate-path tuple
-(``id(paths)``), not its value: two tasks are poolable only when they
-share the very same catalog entry, which is how the replicated
-workloads are built (see :mod:`repro.workloads.largescale`) and the
-only case where equality is O(1) at 10⁶ tasks.
+Grouping sorts one numpy column per task field (Python work is per
+group) and keys on the *identity* of the candidate-path tuple, not its
+value: two tasks are poolable only when they share the very same
+catalog entry, which is how the replicated workloads are built (see
+:mod:`repro.workloads.largescale`) and the only case where equality is
+O(1) at 10⁶ tasks.
 """
 
 from __future__ import annotations
@@ -41,11 +44,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 
-from repro.core.catalog import Catalog, Path
+import numpy as np
+
+from repro.core.catalog import Catalog
 from repro.core.heuristic import OffloaDNNSolver
 from repro.core.problem import DOTProblem
-from repro.core.solution import Assignment, DOTSolution
+from repro.core.solution import Assignment, AssignmentRuns, DOTSolution, Run
 from repro.core.subproblem import BranchItem, _best_admission_for_item
 from repro.core.task import Task
 from repro.core.tree import build_vector_tree
@@ -86,42 +93,63 @@ class AggregationPlan:
         return len(self.problem.tasks) / max(1, len(self.groups))
 
 
-def _signature(task: Task, paths: tuple[Path, ...], bits_per_rb: float):
-    return (
-        id(paths),
-        task.method,
-        task.priority,
-        task.request_rate,
-        task.min_accuracy,
-        task.max_latency_s,
-        task.qualities,
-        bits_per_rb,
-    )
-
-
 def aggregate_problem(problem: DOTProblem) -> AggregationPlan:
     """Group interchangeable tasks into a meta-problem of representatives."""
-    buckets: dict[tuple, list[Task]] = {}
-    for task in problem.tasks_by_priority():
-        paths = problem.catalog.paths_for(task)
-        sig = _signature(task, paths, problem.radio.bits_per_rb(task))
-        buckets.setdefault(sig, []).append(task)
+    tasks, radio, paths_by_task = problem.tasks, problem.radio, problem.catalog.paths_by_task
+    count = len(tasks)
+
+    def column(name: str, dtype: type = np.float64) -> np.ndarray:
+        return np.fromiter(map(attrgetter(name), tasks), dtype, count)
+
+    def value_codes(name: str) -> np.ndarray:
+        # objects are told apart by identity first, so only the distinct
+        # ones are hashed (a ``qualities`` tuple hashes every level in it)
+        ids = np.fromiter(map(id, map(attrgetter(name), tasks)), np.int64, count)
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        codes: dict = {}
+        distinct = [codes.setdefault(getattr(tasks[i], name), len(codes)) for i in first]
+        return np.array(distinct)[inverse]
+
+    ids, priority = column("task_id", np.int64), column("priority")
+    id_list = ids.tolist()
+    # the decision signature, one column per field
+    columns = [
+        np.fromiter(map(id, map(paths_by_task.get, id_list)), np.int64, count),
+        value_codes("method"),
+        priority,
+        column("request_rate"),
+        column("min_accuracy"),
+        column("max_latency_s"),
+        value_codes("qualities"),
+    ]
+    if overrides := radio.per_task_bits_per_rb:
+        bits_per_rb = map(overrides.get, id_list, repeat(radio.default_bits_per_rb))
+        columns.append(np.fromiter(bits_per_rb, np.float64, count))
+    # tasks equal in every column end up adjacent, ids ascending inside a
+    # group, so its smallest id comes first and represents it
+    order = np.lexsort((ids, *columns))
+    differs = np.arange(count) == 0
+    for values in columns:
+        in_order = values[order]
+        differs[1:] |= in_order[1:] != in_order[:-1]
+    starts = np.flatnonzero(differs)
+    first = order[starts]
+    sorted_ids, bounds = ids[order].tolist(), starts.tolist() + [count]
 
     reps: list[Task] = []
     groups: dict[int, TaskGroup] = {}
     meta_catalog = Catalog()
-    for members in buckets.values():
-        # tasks_by_priority breaks ties by ascending task id, so the
-        # first member is the group's canonical representative and
-        # member_ids are already sorted
-        rep = members[0]
+    # groups in the order the cascade visits them: descending priority,
+    # ties by representative id
+    for g in np.lexsort((ids[first], -priority[first])).tolist():
+        rep = tasks[first[g]]
         reps.append(rep)
         # assign the shared tuple directly to keep its identity (the
         # warm-start cache and re-aggregation key on it)
-        meta_catalog.paths_by_task[rep.task_id] = problem.catalog.paths_for(rep)
+        meta_catalog.paths_by_task[rep.task_id] = paths_by_task[rep.task_id]
         groups[rep.task_id] = TaskGroup(
             representative=rep,
-            member_ids=tuple(t.task_id for t in members),
+            member_ids=tuple(sorted_ids[bounds[g] : bounds[g + 1]]),
         )
     meta_problem = DOTProblem(
         tasks=tuple(reps),
@@ -135,7 +163,7 @@ def aggregate_problem(problem: DOTProblem) -> AggregationPlan:
 
 @dataclass
 class AggregateSolver:
-    """OffloaDNN over meta-tasks, expanded to per-task assignments.
+    """OffloaDNN over meta-tasks, returned as per-task assignment runs.
 
     Wraps a first-branch :class:`OffloaDNNSolver` (``explore_branches``
     must be 1 and ``slice_margin_rbs`` 0 — branch exploration and margin
@@ -185,19 +213,12 @@ class AggregateSolver:
         floor_z = self.base.admission_floor
         remaining_radio = float(budgets.radio_blocks)
         remaining_compute = float(budgets.compute_time_s)
-        tasks_by_id = {t.task_id: t for t in problem.tasks}
-        solution = DOTSolution()
+        runs: list[Run] = []
         for rep_id, vertex in chosen:
             group = plan.groups[rep_id]
-            members = group.member_ids
+            members, rep = group.member_ids, group.representative
             if vertex is None:
-                for member_id in members:
-                    solution.assignments[member_id] = Assignment(
-                        task=tasks_by_id[member_id],
-                        path=None,
-                        admission_ratio=0.0,
-                        radio_blocks=0,
-                    )
+                runs.append((Assignment(rep, None, 0.0, 0), members))
                 continue
             item = BranchItem(
                 task=vertex.task, path=vertex.path, bits_per_rb=vertex.bits_per_rb
@@ -223,23 +244,13 @@ class AggregateSolver:
                     )
                 # the member the closed form was computed for always fits
                 run = max(1, run)
-                for member_id in members[index : index + run]:
-                    solution.assignments[member_id] = Assignment(
-                        task=tasks_by_id[member_id],
-                        path=vertex.path,
-                        admission_ratio=z,
-                        radio_blocks=r,
-                    )
+                admitted = Assignment(rep, vertex.path, z, r)
+                runs.append((admitted, members[index : index + run]))
                 remaining_radio = max(0.0, remaining_radio - run * radio_demand)
                 remaining_compute = max(
                     0.0, remaining_compute - run * compute_demand
                 )
                 index += run
-            for member_id in members[index:]:
-                solution.assignments[member_id] = Assignment(
-                    task=tasks_by_id[member_id],
-                    path=None,
-                    admission_ratio=0.0,
-                    radio_blocks=0,
-                )
-        return solution
+            if index < len(members):
+                runs.append((Assignment(rep, None, 0.0, 0), members[index:]))
+        return DOTSolution(assignments=AssignmentRuns(runs, problem.task))

@@ -149,8 +149,9 @@ def check_constraints(problem: DOTProblem, solution: DOTSolution) -> ConstraintR
     """Verify Eq. (1b)-(1g); (1h)/(1i) hold by construction because
     ``m(s)`` is derived from the admitted paths."""
     violations: list[str] = []
-    missing = [t.task_id for t in problem.tasks if t.task_id not in solution.assignments]
-    if missing:
+    unassigned = {t.task_id for t in problem.tasks}.difference(solution.assignments)
+    if unassigned:
+        missing = [t.task_id for t in problem.tasks if t.task_id in unassigned]
         violations.append(f"tasks without an assignment: {missing}")
 
     memory = solution.total_memory_gb
@@ -169,9 +170,13 @@ def check_constraints(problem: DOTProblem, solution: DOTSolution) -> ConstraintR
         violations.append(
             f"radio {radio:.2f} RBs exceeds budget {problem.budgets.radio_blocks} (1d)"
         )
-    for task in problem.tasks:
-        if task.task_id in solution.assignments:
-            _check_task(problem, task, solution.assignment(task), violations)
+    for assignment, member_ids in solution.runs():
+        probe: list[str] = []
+        _check_task(problem, assignment.task, assignment, probe)
+        # the members of a run break (1e)-(1g) together: name each one
+        for task_id in member_ids if probe else ():
+            member = solution.assignment(task_id)
+            _check_task(problem, member.task, member, violations)
 
     return ConstraintReport(
         memory_used_gb=memory,

@@ -8,6 +8,7 @@ solvers consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.catalog import Catalog
 from repro.core.task import Task
@@ -88,8 +89,9 @@ class DOTProblem:
         """Tasks in descending priority order (ties by id for determinism)."""
         return tuple(sorted(self.tasks, key=lambda t: (-t.priority, t.task_id)))
 
+    @cached_property
+    def _tasks_by_id(self) -> dict[int, Task]:
+        return {task.task_id: task for task in self.tasks}
+
     def task(self, task_id: int) -> Task:
-        for task in self.tasks:
-            if task.task_id == task_id:
-                return task
-        raise KeyError(task_id)
+        return self._tasks_by_id[task_id]

@@ -8,12 +8,16 @@ rejected task has ``z = 0``; its path, if any, deploys no blocks
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from functools import cached_property, reduce
+from itertools import chain, repeat
+from operator import add
 
 from repro.core.catalog import Block, Path
 from repro.core.task import Task
 
-__all__ = ["Assignment", "DOTSolution"]
+__all__ = ["Assignment", "AssignmentRuns", "DOTSolution"]
 
 
 @dataclass(frozen=True)
@@ -46,11 +50,39 @@ class Assignment:
         return self.admission_ratio * self.task.request_rate
 
 
+#: ``(assignment, member ids)``: every member gets its path, ``z`` and ``r``,
+#: and has its task's priority, rate, bounds and bits per RB
+Run = tuple[Assignment, Sequence[int]]
+
+
+class AssignmentRuns(Mapping[int, Assignment]):
+    """Task id -> assignment kept as runs, in run order (the population solve).
+
+    A member's own :class:`Assignment` is built when it is looked up.
+    """
+
+    def __init__(self, runs: Sequence[Run], task_of: Callable[[int], Task]) -> None:
+        self.runs, self._task_of = runs, task_of
+
+    @cached_property
+    def _run_of(self) -> dict[int, int]:
+        return {tid: i for i, (_, ids) in enumerate(self.runs) for tid in ids}
+
+    def __getitem__(self, task_id: int) -> Assignment:
+        return replace(self.runs[self._run_of[task_id]][0], task=self._task_of(task_id))
+
+    def __iter__(self):
+        return chain.from_iterable(ids for _, ids in self.runs)
+
+    def __len__(self) -> int:
+        return sum(len(ids) for _, ids in self.runs)
+
+
 @dataclass
 class DOTSolution:
     """A complete solution: one assignment per task."""
 
-    assignments: dict[int, Assignment] = field(default_factory=dict)
+    assignments: dict[int, Assignment] | AssignmentRuns = field(default_factory=dict)
     #: wall-clock seconds of selection + allocation, excluding tree
     #: construction — uniform whether the solver built the tree itself
     #: or was handed a pre-built one
@@ -72,13 +104,28 @@ class DOTSolution:
     def admitted_assignments(self) -> list[Assignment]:
         return [a for a in self.assignments.values() if a.admitted]
 
+    def runs(self) -> Iterable[Run]:
+        """The assignments as runs, in order; a plain dict is runs of one."""
+        if isinstance(self.assignments, AssignmentRuns):
+            return self.assignments.runs
+        return ((a, (task_id,)) for task_id, a in self.assignments.items())
+
+    def _sum(self, term: Callable[[Assignment], float], total: float = 0) -> float:
+        """``Σ term`` over members, added one by one in assignment order."""
+        # not ``sum``, which compensates float additions from Python 3.12
+        # on: a run must add up to exactly what its members would
+        for assignment, member_ids in self.runs():
+            total = reduce(add, repeat(term(assignment), len(member_ids)), total)
+        return total
+
     def active_blocks(self) -> dict[str, Block]:
         """Blocks used by at least one admitted task (``m(s) = 1``)."""
         blocks: dict[str, Block] = {}
-        for assignment in self.admitted_assignments():
-            assert assignment.path is not None
-            for block in assignment.path.blocks:
-                blocks.setdefault(block.block_id, block)
+        for assignment, _ in self.runs():
+            if assignment.admitted:
+                assert assignment.path is not None
+                for block in assignment.path.blocks:
+                    blocks.setdefault(block.block_id, block)
         return blocks
 
     # ------------------------------------------------------------------
@@ -98,30 +145,25 @@ class DOTSolution:
     @property
     def total_inference_compute_s(self) -> float:
         """``Σ_τ z_τ λ_τ Σ_{s∈π_τ} c(s)`` (1c LHS)."""
-        total = 0.0
-        for assignment in self.admitted_assignments():
-            assert assignment.path is not None
-            total += assignment.admitted_rate * assignment.path.compute_time_s
-        return total
+        return self._sum(
+            lambda a: a.admitted_rate * a.path.compute_time_s if a.admitted else 0.0,
+            0.0,
+        )
 
     @property
     def total_radio_blocks(self) -> float:
         """``Σ_τ z_τ r_τ`` (1d LHS)."""
-        return sum(
-            a.admission_ratio * a.radio_blocks for a in self.assignments.values()
-        )
+        return self._sum(lambda a: a.admission_ratio * a.radio_blocks)
 
     @property
     def weighted_admission_ratio(self) -> float:
         """``Σ_τ z_τ p_τ`` — the Fig. 8/10 left-panel metric."""
-        return sum(
-            a.admission_ratio * a.task.priority for a in self.assignments.values()
-        )
+        return self._sum(lambda a: a.admission_ratio * a.task.priority)
 
     @property
     def admitted_task_count(self) -> int:
-        return len(self.admitted_assignments())
+        return sum(len(ids) for a, ids in self.runs() if a.admitted)
 
     def admission_vector(self) -> dict[int, float]:
         """Task id -> admission ratio (the Fig. 9 series)."""
-        return {tid: a.admission_ratio for tid, a in self.assignments.items()}
+        return {tid: a.admission_ratio for a, ids in self.runs() for tid in ids}

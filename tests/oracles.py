@@ -25,12 +25,16 @@ per batch, and must produce the same floats, stamps and draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
 from repro.cluster.qos import Hop
 from repro.core.catalog import Catalog
+from repro.core.solution import Assignment, DOTSolution
+from repro.core.subproblem import BranchItem, _best_admission_for_item
+from repro.core.tree import build_vector_tree
 from repro.emulator.simulator import Simulator
 from repro.serving.metrics import ServingMetrics
 from repro.serving.queueing import DropReason, ServingQueue, ServingRequest
@@ -348,3 +352,88 @@ def replicated_serving_problem(k: int):
         radio_blocks=base.budgets.radio_blocks * k,
     )
     return replace(base, tasks=tuple(tasks), catalog=catalog, budgets=budgets)
+
+
+def tuple_signature_groups(problem) -> list[tuple[int, tuple[int, ...]]]:
+    """``(representative id, member ids)`` per group, in group order.
+
+    One 8-tuple per task, hashed into a dict in priority order: the first
+    member of a bucket (smallest id) represents it and members ascend.
+    """
+    buckets: dict[tuple, list[int]] = {}
+    for task in problem.tasks_by_priority():
+        signature = (
+            id(problem.catalog.paths_for(task)),
+            task.method,
+            task.priority,
+            task.request_rate,
+            task.min_accuracy,
+            task.max_latency_s,
+            task.qualities,
+            problem.radio.bits_per_rb(task),
+        )
+        buckets.setdefault(signature, []).append(task.task_id)
+    return [(members[0], tuple(members)) for members in buckets.values()]
+
+
+def per_member_allocate_groups(self, problem, plan, chosen) -> DOTSolution:
+    """``AggregateSolver._allocate_groups`` with one dict entry per member
+    (patch it over the method to get a solve's expanded twin)."""
+    budgets = problem.budgets
+    floor_z = self.base.admission_floor
+    remaining_radio = float(budgets.radio_blocks)
+    remaining_compute = float(budgets.compute_time_s)
+    tasks_by_id = {t.task_id: t for t in problem.tasks}
+    solution = DOTSolution()
+
+    def assign(member_ids, path, z, r) -> None:
+        for member_id in member_ids:
+            solution.assignments[member_id] = Assignment(
+                task=tasks_by_id[member_id], path=path, admission_ratio=z, radio_blocks=r
+            )
+
+    for rep_id, vertex in chosen:
+        members = plan.groups[rep_id].member_ids
+        if vertex is None:
+            assign(members, None, 0.0, 0)
+            continue
+        item = BranchItem(task=vertex.task, path=vertex.path, bits_per_rb=vertex.bits_per_rb)
+        compute_per_z = vertex.task.request_rate * vertex.path.compute_time_s
+        index = 0
+        while index < len(members):
+            z, r = _best_admission_for_item(
+                item, remaining_radio, remaining_compute, budgets.radio_blocks
+            )
+            if z < floor_z:
+                break
+            radio_demand = z * r
+            compute_demand = z * compute_per_z
+            run = len(members) - index
+            if radio_demand > 0:
+                run = min(run, math.floor(remaining_radio / radio_demand + 1e-9))
+            if compute_demand > 0:
+                run = min(run, math.floor(remaining_compute / compute_demand + 1e-9))
+            run = max(1, run)
+            assign(members[index : index + run], vertex.path, z, r)
+            remaining_radio = max(0.0, remaining_radio - run * radio_demand)
+            remaining_compute = max(0.0, remaining_compute - run * compute_demand)
+            index += run
+        assign(members[index:], None, 0.0, 0)
+    return solution
+
+
+def allocate_both_ways(solver, problem):
+    """``(plan, chosen, run-backed solution, per-member twin)`` of one
+    selection, so both solutions must hold the very same ``Path`` objects."""
+    from repro.core.aggregate import aggregate_problem
+
+    plan = aggregate_problem(problem)
+    chosen = solver.base._select_branch_vector(
+        plan.meta_problem, build_vector_tree(plan.meta_problem)
+    )
+    return (
+        plan,
+        chosen,
+        solver._allocate_groups(problem, plan, chosen),
+        per_member_allocate_groups(solver, problem, plan, chosen),
+    )

@@ -154,3 +154,75 @@ class TestSolutionRoundTrip:
             restored.assignment(task).path.quality
             == solution.assignment(task).path.quality
         )
+
+
+class TestRunBackedSolution:
+    """A population solve keeps runs; its dump is the expanded dict's."""
+
+    def _solve_both(self, rate: str, replicas: int):
+        from repro.core.aggregate import AggregateSolver
+        from repro.workloads.largescale import RequestRate, replicated_large_scale_problem
+        from tests.oracles import allocate_both_ways
+
+        problem = replicated_large_scale_problem(RequestRate[rate], replicas)
+        solver = AggregateSolver()
+        plan, _chosen, solution, twin = allocate_both_ways(solver, problem)
+        solution.solver_name = twin.solver_name = solver.name
+        return problem, plan, solution, twin
+
+    def test_dump_is_byte_identical_to_the_expanded_twin(self):
+        import json
+
+        problem, plan, solution, twin = self._solve_both("HIGH", replicas=10)
+        assert type(twin.assignments) is dict and type(solution.assignments) is not dict
+        # one group is split over full, fractional and rejected members
+        assert any(
+            len({solution.assignment(i).admission_ratio for i in group.member_ids}) > 2
+            for group in plan.groups.values()
+        )
+        dumped = json.dumps(solution_to_dict(solution), indent=2)
+        assert dumped == json.dumps(solution_to_dict(twin), indent=2)
+        restored = solution_from_dict(json.loads(dumped), problem)
+        assert restored.assignments == solution.assignments
+        assert restored.assignments == twin.assignments
+        # a dump is in id order, so the restored sums add in another order
+        assert restored.weighted_admission_ratio == pytest.approx(
+            twin.weighted_admission_ratio
+        )
+
+    def test_loading_a_large_dump_resolves_each_id_once(self):
+        """``DOTProblem.task`` was a linear scan, so loading T assignments
+        compared T²/2 ids (a 10⁵-assignment dump effectively hung)."""
+        from dataclasses import fields, replace
+
+        from repro.core.task import Task
+
+        class CountingTask(Task):
+            reads = 0
+            limit = 0
+
+            def __getattribute__(self, name):
+                if name == "task_id":
+                    CountingTask.reads += 1
+                    assert CountingTask.reads <= CountingTask.limit, "task ids re-scanned"
+                return super().__getattribute__(name)
+
+        problem, _plan, solution, _twin = self._solve_both("MEDIUM", replicas=1_000)
+        count = len(problem.tasks)
+        assert count == 20_000
+        data = solution_to_dict(solution)
+        CountingTask.limit = 10**9
+        counted = replace(
+            problem,
+            tasks=tuple(
+                CountingTask(**{f.name: getattr(t, f.name) for f in fields(t)})
+                for t in problem.tasks
+            ),
+        )
+        # one read to index each task, a few per entry to rebuild it
+        CountingTask.reads, CountingTask.limit = 0, 6 * count
+        restored = solution_from_dict(data, counted)
+        assert len(restored.assignments) == count
+        assert counted.task(count).task_id == count
+        with pytest.raises(KeyError):
+            counted.task(count + 1)
