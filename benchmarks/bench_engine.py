@@ -14,11 +14,18 @@ Table I ResNet configurations at their paper scale (width 64).  Each
 row records the speedup, the top-1 agreement with fp32 on a fixed probe
 batch, and whether two int8 runs were bit-identical (determinism).
 
+Two counts ride along (no clock): the bytes the thread's buffer arena
+and pad pool own after every plan and batch size of the run went through
+them, against the neediest single (plan, batch size) — one arena serves
+them all — and the scheme every int8 conv binds to at batch 1, where
+Winograd's tile GEMMs are too skinny to pay.
+
 Results go to ``BENCH_engine.json`` at the repo root (machine-readable,
 committed, so later PRs can track the perf trajectory) and a text table
 under ``benchmarks/results/``.  ``--quick`` runs a small-shape subset
-for CI smoke: it asserts parity and exits nonzero on divergence or
-crash, writing ``benchmarks/results/BENCH_engine_quick.json`` instead.
+for CI smoke: it asserts parity and the two counts and exits nonzero on
+divergence or crash, writing
+``benchmarks/results/BENCH_engine_quick.json`` instead.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import numpy as np
 
 from benchmarks._report import emit, write_json
 from repro.analysis.report import format_table
-from repro.dnn.compile import compile_module
+from repro.dnn.compile import _Arena, _thread_arena, compile_module
 from repro.dnn.configs import TABLE_I_CONFIGS
 from repro.dnn.mobilenet import build_mobilenetv2
 from repro.dnn.pruning import prune_resnet
@@ -42,6 +49,11 @@ PARITY_TOL = 1e-4
 #: quantization is lossy; gate on top-1 agreement with fp32 instead of
 #: element-wise closeness (measured worst config: 0.88)
 INT8_AGREEMENT_TOL = 0.75
+#: the arena may own this much more than the neediest single (plan,
+#: batch size): its block is exactly that need, the slack is the pool's
+#: pads of the other geometries (asserted by --quick, whose plans share
+#: most of theirs; the full run's 13 models do not)
+ARENA_SLACK = 1.25
 SEED = 0
 
 
@@ -54,6 +66,13 @@ def _median_time(fn, x: np.ndarray, repeats: int, warmup: int = 1) -> float:
         fn(x)
         samples.append(time.perf_counter() - start)
     return float(np.median(samples))
+
+
+def _single_need(plan, n: int) -> int:
+    """Arena + pad bytes ``plan`` alone needs at batch size ``n``."""
+    alone = _Arena()
+    plan._bind(alone, n)
+    return alone.nbytes
 
 
 def _resnet_config_model(name: str, width: int, input_size: int):
@@ -116,6 +135,8 @@ def run_int8(quick: bool) -> dict:
     rng = np.random.default_rng(SEED + 1)
     rows = []
     agreement_by_config = {}
+    batch1_schemes = {}
+    need = 0
     for label, model, _width, _size in _int8_models(quick):
         compiled = compile_module(model)
         quantized = compile_module(model, quantize="int8")
@@ -129,6 +150,7 @@ def run_int8(quick: bool) -> dict:
             x = rng.standard_normal((n, *model.input_shape), dtype=np.float32)
             fp32_s = _median_time(compiled.forward, x, repeats)
             int8_s = _median_time(quantized.forward, x, repeats)
+            need = max(need, _single_need(compiled, n), _single_need(quantized, n))
             rows.append(
                 {
                     "model": label,
@@ -140,8 +162,7 @@ def run_int8(quick: bool) -> dict:
                     "bit_identical": bit_identical,
                 }
             )
-        compiled.release_buffers()
-        quantized.release_buffers()
+        batch1_schemes[label] = sorted(set(quantized.conv_schemes(1)))
     batch8 = [r["speedup_vs_fp32"] for r in rows if r["batch"] == 8]
     return {
         "settings": {
@@ -158,6 +179,8 @@ def run_int8(quick: bool) -> dict:
         "top1_agreement_by_config": agreement_by_config,
         "min_top1_agreement": min(agreement_by_config.values()),
         "all_bit_identical": all(r["bit_identical"] for r in rows),
+        "batch1_schemes": batch1_schemes,
+        "largest_single_need_bytes": need,
     }
 
 
@@ -166,6 +189,8 @@ def run(quick: bool) -> dict:
     repeats = 3 if quick else 5
     rng = np.random.default_rng(SEED)
     rows = []
+    need = 0
+    _thread_arena().release()  # count this run's plans only
     for label, model in _models(quick):
         eager = model._as_sequential
         compiled = compile_module(model)
@@ -174,6 +199,7 @@ def run(quick: bool) -> dict:
             diff = float(np.abs(eager.forward(x) - compiled.forward(x)).max())
             eager_s = _median_time(eager.forward, x, repeats)
             compiled_s = _median_time(compiled.forward, x, repeats)
+            need = max(need, _single_need(compiled, n))
             rows.append(
                 {
                     "model": label,
@@ -184,8 +210,9 @@ def run(quick: bool) -> dict:
                     "max_abs_diff": diff,
                 }
             )
-        compiled.release_buffers()
     batch8 = [r["speedup"] for r in rows if r["batch"] == 8]
+    int8 = run_int8(quick)
+    need = max(need, int8.pop("largest_single_need_bytes"))
     return {
         "bench": "bench_engine",
         "mode": "quick" if quick else "full",
@@ -198,7 +225,11 @@ def run(quick: bool) -> dict:
         "results": rows,
         "geomean_speedup_batch8": float(np.exp(np.mean(np.log(batch8)))),
         "max_abs_diff": max(r["max_abs_diff"] for r in rows),
-        "int8": run_int8(quick),
+        "int8": int8,
+        "arena": {
+            "bytes": _thread_arena().nbytes,
+            "largest_single_need_bytes": need,
+        },
     }
 
 
@@ -251,11 +282,16 @@ def main() -> int:
         f"min top-1 agreement: {int8['min_top1_agreement']:.2f}   "
         f"bit-identical: {int8['all_bit_identical']}"
     )
+    arena_summary = (
+        f"arena + pad pool after every plan: "
+        f"{report['arena']['bytes'] / 1e6:.1f} MB   neediest single (plan, batch): "
+        f"{report['arena']['largest_single_need_bytes'] / 1e6:.1f} MB"
+    )
     name = "BENCH_engine_quick" if args.quick else "BENCH_engine"
     emit(
         name,
         table + "\n\n" + summary + "\n\nint8 quantized vs fp32 compiled:\n"
-        + int8_table + "\n\n" + int8_summary,
+        + int8_table + "\n\n" + int8_summary + "\n" + arena_summary,
     )
 
     if args.quick:
@@ -278,6 +314,23 @@ def main() -> int:
         return 1
     if not int8["all_bit_identical"]:
         print("INT8 DETERMINISM FAILURE: repeated runs not bit-identical")
+        return 1
+    wino = {
+        label: schemes
+        for label, schemes in int8["batch1_schemes"].items()
+        if any(scheme.startswith("wino") for scheme in schemes)
+    }
+    # the quick models are 8-64 channels wide at 16 px: none reaches the
+    # 4096 transform columns at batch 1 (the full run's width-64 layer1 does)
+    if args.quick and wino:
+        print(f"INT8 SCHEME FAILURE: Winograd bound at batch 1: {wino}")
+        return 1
+    arena = report["arena"]
+    if args.quick and arena["bytes"] > ARENA_SLACK * arena["largest_single_need_bytes"]:
+        print(
+            f"ARENA FAILURE: {arena['bytes']} bytes owned > {ARENA_SLACK} x "
+            f"largest single need {arena['largest_single_need_bytes']}"
+        )
         return 1
     return 0
 

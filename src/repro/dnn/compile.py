@@ -23,13 +23,21 @@ Optimization passes
 3. **Weight pre-layout** — the (C_out, C_in*K*K) GEMM matrix of every
    convolution and the contiguous transpose of every ``Linear`` weight
    are materialized once at compile time instead of per call.
-4. **Buffer arena** — all activation shapes are precomputed for the
-   compiled input shape; every step owns preallocated output (and pad)
-   buffers per ``(thread, batch size)``, and one im2col/temp scratch per
-   executing thread is reused across layers and calls.  Steady-state
-   forwards allocate nothing but the final output copy, and concurrent
-   ``forward`` calls from different threads (or the worker processes of
-   :mod:`repro.serving.parallel`) never share mutable buffers.
+4. **Buffer arena** — a plan owns weights, never buffers.  The first
+   ``forward`` at a batch size on a thread *binds* the plan: all
+   activation shapes are known from the compiled input shape, so the
+   shared im2col/temp scratch and every step's output are laid out at
+   fixed offsets of that thread's one grow-only arena, in plan order.
+   Nothing is live across forwards (``forward`` returns a copy), so the
+   arena is shared by every plan and batch size the thread runs and is
+   as large as the neediest of them, not their sum; when it has to grow
+   every binding is dropped and rebuilt on the new block.  Only pad
+   buffers persist — their zero borders are written once — in a
+   thread-local pool keyed by geometry and shared by every conv/pool of
+   that geometry.  Steady-state forwards allocate nothing but the final
+   output copy, and concurrent ``forward`` calls from different threads
+   (or the worker processes of :mod:`repro.serving.parallel`) never
+   share mutable buffers.
 
 :class:`CompiledModule` is a drop-in :class:`~repro.dnn.layers.Layer`
 (same ``forward`` / ``output_shape`` / ``flops`` interface, delegated to
@@ -37,13 +45,16 @@ the source module), so the profiler, repository and
 ``serving.BlockwiseRunner`` can opt in via a flag.
 
 The plan snapshots the module's weights: mutate the source (pruning,
-fine-tuning) and you must re-compile.  Inputs are cast to float32; plan
-buffers are private, so each forward returns a fresh copy of the output.
+fine-tuning) and you must re-compile.  Inputs are cast to float32; the
+arena is rewritten by the next forward, so each forward returns a fresh
+copy of the output.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
+from itertools import accumulate
 
 import numpy as np
 
@@ -87,40 +98,141 @@ def fold_batch_norm(
     return folded_w.astype(np.float32), folded_b.astype(np.float32)
 
 
-class _Scratch:
-    """Per-(thread, batch) scratch: one im2col buffer, one elementwise temp.
+#: arena offsets are cache-line multiples
+_ALIGN = 64
 
-    ``key`` is the ``(thread_id, batch)`` pair the plan allocated this
-    scratch under; steps key their own output/pad buffers by it, so two
-    threads running ``forward`` concurrently on one plan never write
-    into the same buffer.
+
+def _batch_shape(shape: tuple, n, dtype) -> tuple:
+    """Whole-batch shape (or index) of a per-sample ``shape`` (or index).
+
+    int8 activations are channel-major ``(C, H, N, W)`` (see
+    :mod:`repro.dnn.quantize`); everything else is batch-major.
+    """
+    if dtype is np.int8 and len(shape) == 3:
+        return (shape[0], shape[1], n, shape[2])
+    return (n, *shape)
+
+
+def _nbytes(shape: tuple[int, ...], dtype) -> int:
+    return int(np.prod(shape)) * np.dtype(dtype).itemsize
+
+
+class _Arena:
+    """One thread's plan memory: a grow-only block, a pad pool, the bound views.
+
+    Nothing a plan writes is live across forwards (``forward`` returns a
+    copy), so every plan and batch size a thread runs lays its scratch
+    and step outputs out at offsets of the same ``block``, which is as
+    large as the neediest of them.  Pad buffers cannot live there — their
+    zero borders must survive whatever runs in between — so they come
+    from ``pads``, one per (dtype, per-sample shape, batch, padding)
+    shared by every conv/pool with that geometry: each rewrites the whole
+    interior before reading.  ``bound`` maps plan -> batch size ->
+    :class:`_Binding`; replacing the block drops every binding, so no
+    view of the old block survives to keep it alive or be written to.
     """
 
-    def __init__(
-        self, key: tuple[int, int], n: int, cols_elems: int, tmp_elems: int
-    ) -> None:
-        self.key = key
-        self.n = n
-        self.cols = np.empty(n * cols_elems, dtype=np.float32) if cols_elems else None
-        self.tmp = np.empty(n * tmp_elems, dtype=np.float32) if tmp_elems else None
+    def __init__(self) -> None:
+        self.block = np.empty(0, dtype=np.uint8)
+        self.pads: dict[tuple, np.ndarray] = {}
+        self.bound: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes this arena owns: the block plus the pad pool."""
+        return self.block.nbytes + sum(pad.nbytes for pad in self.pads.values())
+
+    def reserve(self, nbytes: int) -> None:
+        if nbytes > self.block.nbytes:
+            self.bound.clear()
+            block = np.empty(nbytes + _ALIGN, dtype=np.uint8)
+            skew = -block.ctypes.data % _ALIGN
+            self.block = block[skew : skew + nbytes]
+
+    def view(self, offset: int, shape: tuple[int, ...], dtype) -> np.ndarray:
+        end = offset + _nbytes(shape, dtype)
+        return self.block[offset:end].view(dtype).reshape(shape)
+
+    def pad(
+        self, shape: tuple[int, ...], n: int, p: int, dtype
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(zero-bordered buffer, its interior)`` for a batch of ``shape``."""
+        c, h, w = shape
+        key = (dtype, shape, n, p)
+        buf = self.pads.get(key)
+        if buf is None:
+            buf = self.pads[key] = np.zeros(
+                _batch_shape((c, h + 2 * p, w + 2 * p), n, dtype), dtype=dtype
+            )
+        # the interior's index, laid out as the buffer's shape is
+        inner = (slice(None), slice(p, p + h), slice(p, p + w))
+        return buf, buf[_batch_shape(inner, slice(None), dtype)]
+
+    def release(self) -> None:
+        self.__init__()
+
+
+_THREAD = threading.local()
+
+
+def _thread_arena() -> _Arena:
+    arena = getattr(_THREAD, "arena", None)
+    if arena is None:
+        arena = _THREAD.arena = _Arena()
+    return arena
+
+
+class _Binding:
+    """One plan's views on one arena for one batch size.
+
+    ``cols`` / ``tmp`` are the flat float32 gather and elementwise
+    scratch every step of the plan shares; ``bufs`` maps each step to
+    ``(pad interior, pad, output, token)``.
+    """
+
+    __slots__ = ("cols", "tmp", "bufs")
+
+    def __init__(self, cols: np.ndarray, tmp: np.ndarray) -> None:
+        self.cols = cols
+        self.tmp = tmp
+        self.bufs: dict[_Step, tuple] = {}
+
+    def enter(self, step: "_Step", x: np.ndarray) -> tuple:
+        """``(x inside its zero border, output buffer, token)`` for ``step``."""
+        interior, pad, out, token = self.bufs[step]
+        if pad is not None:
+            interior[...] = x
+            x = pad
+        return x, out, token
 
 
 class _Step:
-    """One node of the execution plan."""
+    """One node of the execution plan.
+
+    A step owns weights, never buffers: it declares what it needs and
+    the plan binds views for it (:meth:`CompiledModule._bind`).
+    """
 
     label = "step"
     #: output shape for one sample
     out_shape: tuple[int, ...] = ()
+    #: dtype of the bound output buffer (None: the step needs none)
+    out_dtype = np.float32
+    #: dtype of the input, hence of the pad buffer when ``padding`` > 0
+    in_dtype = np.float32
+    padding = 0
     #: per-sample im2col scratch elements this step needs
     cols_elems = 0
     #: per-sample elementwise-temp scratch elements this step needs
     tmp_elems = 0
 
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
-        raise NotImplementedError
+    def bind(self, n: int) -> tuple[int, int, object]:
+        """``(gather elements, temp elements, token)`` for a batch of ``n``;
+        the token comes back to :meth:`run` with the buffers."""
+        return n * self.cols_elems, n * self.tmp_elems, None
 
-    def release(self) -> None:
-        """Drop any per-batch buffers (they re-allocate lazily)."""
+    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
+        raise NotImplementedError
 
 
 class _FusedConv(_Step):
@@ -158,36 +270,9 @@ class _FusedConv(_Step):
             self.cols_elems = c * oh * ow
         else:
             self.cols_elems = c * kernel * kernel * oh * ow
-        self._bufs: dict[tuple[int, int], tuple[np.ndarray | None, np.ndarray]] = {}
 
-    def _buffers(self, scratch: _Scratch) -> tuple[np.ndarray | None, np.ndarray]:
-        bufs = self._bufs.get(scratch.key)
-        if bufs is None:
-            n = scratch.n
-            c, h, w = self.in_shape
-            pad = None
-            if self.padding:
-                # borders stay zero forever; only the interior is
-                # rewritten each call
-                pad = np.zeros(
-                    (n, c, h + 2 * self.padding, w + 2 * self.padding),
-                    dtype=np.float32,
-                )
-            out = np.empty(
-                (n, self.out_shape[0], self.out_shape[1] * self.out_shape[2]),
-                dtype=np.float32,
-            )
-            bufs = (pad, out)
-            self._bufs[scratch.key] = bufs
-        return bufs
-
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
-        pad, out = self._buffers(scratch)
-        if pad is not None:
-            p = self.padding
-            h, w = self.in_shape[1], self.in_shape[2]
-            pad[:, :, p : p + h, p : p + w] = x
-            x = pad
+    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
+        x, out, _ = b.enter(self, x)
         return ops.conv2d_fused(
             x,
             self.w_mat,
@@ -197,12 +282,9 @@ class _FusedConv(_Step):
             self.out_shape[1],
             self.out_shape[2],
             out=out,
-            cols=scratch.cols,
+            cols=b.cols,
             activation=self.activation,
         )
-
-    def release(self) -> None:
-        self._bufs.clear()
 
 
 class _FusedDepthwise(_Step):
@@ -231,31 +313,14 @@ class _FusedDepthwise(_Step):
         self.in_shape = in_shape
         self.out_shape = out_shape
         self.label = label
-        self._padded = (c, in_shape[1] + 2 * padding, in_shape[2] + 2 * padding)
-        # the fused kernel gathers one sample's columns at a time, so the
-        # scratch need is per-sample regardless of batch size
-        self.cols_elems = c * k * k * out_shape[1] * out_shape[2]
-        self._bufs: dict[tuple[int, int], tuple[np.ndarray | None, np.ndarray]] = {}
+        self._cols = c * k * k * out_shape[1] * out_shape[2]
 
-    def _buffers(self, scratch: _Scratch) -> tuple[np.ndarray | None, np.ndarray]:
-        bufs = self._bufs.get(scratch.key)
-        if bufs is None:
-            n = scratch.n
-            pad = None
-            if self.padding:
-                pad = np.zeros((n, *self._padded), dtype=np.float32)
-            out = np.empty((n, *self.out_shape), dtype=np.float32)
-            bufs = (pad, out)
-            self._bufs[scratch.key] = bufs
-        return bufs
+    def bind(self, n: int) -> tuple[int, int, object]:
+        # the fused kernel gathers one sample's columns at a time
+        return self._cols, 0, None
 
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
-        pad, out = self._buffers(scratch)
-        if pad is not None:
-            p = self.padding
-            h, w = self.in_shape[1], self.in_shape[2]
-            pad[:, :, p : p + h, p : p + w] = x
-            x = pad
+    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
+        x, out, _ = b.enter(self, x)
         return ops.depthwise_conv2d_fused(
             x,
             self.w_mat,
@@ -265,40 +330,19 @@ class _FusedDepthwise(_Step):
             self.out_shape[1],
             self.out_shape[2],
             out=out,
-            cols=scratch.cols,
+            cols=b.cols,
             activation=self.activation,
         )
 
-    def release(self) -> None:
-        self._bufs.clear()
 
-
-class _BufferedStep(_Step):
-    """Base for steps with a single preallocated output buffer."""
-
-    def __init__(self, out_shape: tuple[int, ...], label: str) -> None:
-        self.out_shape = out_shape
-        self.label = label
-        self._bufs: dict[tuple[int, int], np.ndarray] = {}
-
-    def _out(self, scratch: _Scratch) -> np.ndarray:
-        out = self._bufs.get(scratch.key)
-        if out is None:
-            out = np.empty((scratch.n, *self.out_shape), dtype=np.float32)
-            self._bufs[scratch.key] = out
-        return out
-
-    def release(self) -> None:
-        self._bufs.clear()
-
-
-class _BatchNormAct(_BufferedStep):
+class _BatchNormAct(_Step):
     """Standalone BN (no foldable conv before it), + optional activation."""
 
     def __init__(
         self, bn: BatchNorm2d, activation: str | None, shape: tuple[int, ...]
     ) -> None:
-        super().__init__(shape, "batchnorm" + (f"+{activation}" if activation else ""))
+        self.out_shape = shape
+        self.label = "batchnorm" + (f"+{activation}" if activation else "")
         scale, shift = ops.bn_scale_shift(
             bn.gamma, bn.beta, bn.running_mean, bn.running_var
         )
@@ -306,30 +350,54 @@ class _BatchNormAct(_BufferedStep):
         self.shift = shift.astype(np.float32).reshape(1, -1, 1, 1)
         self.activation = activation
 
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
-        out = self._out(scratch)
+    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
+        x, out, _ = b.enter(self, x)
         np.multiply(x, self.scale, out=out)
         out += self.shift
         return ops.apply_activation_(out, self.activation)
 
 
-class _Act(_BufferedStep):
-    """Standalone activation (writes a private buffer: the incoming array
+class _Act(_Step):
+    """Standalone activation (writes a bound buffer: the incoming array
     may be the caller's input, which must not be clipped in place)."""
 
     def __init__(self, activation: str, shape: tuple[int, ...]) -> None:
-        super().__init__(shape, activation)
-        self.activation = activation
+        self.out_shape = shape
+        self.label = self.activation = activation
 
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
-        out = self._out(scratch)
+    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
+        x, out, _ = b.enter(self, x)
         if self.activation == "relu":
             return np.maximum(x, 0.0, out=out)
         return np.clip(x, 0.0, 6.0, out=out)
 
 
-class _MaxPool(_BufferedStep):
-    """Max pooling by tap-wise maximum — no im2col copy."""
+def _max_pool(
+    x: np.ndarray, out: np.ndarray, kernel: int, stride: int, oh: int, ow: int,
+    h_axis: int,
+) -> np.ndarray:
+    """Tap-wise maximum over a pre-padded ``x`` — no im2col copy.
+
+    ``h_axis`` is where the height sits (2 batch-major, 1 channel-major);
+    the width is the last axis in both layouts.
+    """
+    index = [slice(None)] * 4
+    first = True
+    for i in range(kernel):
+        index[h_axis] = slice(i, i + stride * (oh - 1) + 1, stride)
+        for j in range(kernel):
+            index[3] = slice(j, j + stride * (ow - 1) + 1, stride)
+            window = x[tuple(index)]
+            if first:
+                np.copyto(out, window)
+                first = False
+            else:
+                np.maximum(out, window, out=out)
+    return out
+
+
+class _MaxPool(_Step):
+    """Max pooling by tap-wise maximum, zero padding as the eager kernel."""
 
     def __init__(
         self,
@@ -337,78 +405,54 @@ class _MaxPool(_BufferedStep):
         in_shape: tuple[int, ...],
         out_shape: tuple[int, ...],
     ) -> None:
-        super().__init__(out_shape, f"maxpool{layer.kernel}x{layer.kernel}")
+        self.out_shape = out_shape
+        self.label = f"maxpool{layer.kernel}x{layer.kernel}"
         self.kernel = layer.kernel
         self.stride = layer.stride
         self.padding = layer.padding
         self.in_shape = in_shape
-        self._pads: dict[tuple[int, int], np.ndarray] = {}
 
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
-        n = x.shape[0]
-        out = self._out(scratch)
-        if self.padding:
-            pad = self._pads.get(scratch.key)
-            if pad is None:
-                c, h, w = self.in_shape
-                # zero padding, matching the eager kernel's constant pad
-                pad = np.zeros(
-                    (n, c, h + 2 * self.padding, w + 2 * self.padding),
-                    dtype=np.float32,
-                )
-                self._pads[scratch.key] = pad
-            p = self.padding
-            h, w = self.in_shape[1], self.in_shape[2]
-            pad[:, :, p : p + h, p : p + w] = x
-            x = pad
-        oh, ow = self.out_shape[1], self.out_shape[2]
-        first = True
-        for i in range(self.kernel):
-            rows = slice(i, i + self.stride * (oh - 1) + 1, self.stride)
-            for j in range(self.kernel):
-                cols_ = slice(j, j + self.stride * (ow - 1) + 1, self.stride)
-                window = x[:, :, rows, cols_]
-                if first:
-                    np.copyto(out, window)
-                    first = False
-                else:
-                    np.maximum(out, window, out=out)
-        return out
-
-    def release(self) -> None:
-        super().release()
-        self._pads.clear()
+    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
+        x, out, _ = b.enter(self, x)
+        return _max_pool(
+            x, out, self.kernel, self.stride, self.out_shape[1], self.out_shape[2], 2
+        )
 
 
-class _GlobalAvgPool(_BufferedStep):
+class _GlobalAvgPool(_Step):
+    label = "globalavgpool"
+
     def __init__(self, shape: tuple[int, ...]) -> None:
-        super().__init__((shape[0],), "globalavgpool")
+        self.out_shape = (shape[0],)
 
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
-        out = self._out(scratch)
+    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
+        x, out, _ = b.enter(self, x)
         return np.mean(x, axis=(2, 3), out=out)
 
 
 class _Flatten(_Step):
     label = "flatten"
+    out_dtype = None
 
     def __init__(self, shape: tuple[int, ...]) -> None:
         self.out_shape = (int(np.prod(shape)),)
 
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
         return x.reshape(x.shape[0], -1)
 
 
-class _LinearStep(_BufferedStep):
+class _LinearStep(_Step):
     """Linear with the transposed weight laid out once at compile time."""
 
+    label = "linear"
+
     def __init__(self, layer: Linear, shape: tuple[int, ...]) -> None:
-        super().__init__((layer.out_features,), "linear")
+        self.out_shape = (layer.out_features,)
         self.w_t = np.ascontiguousarray(layer.weight.T, dtype=np.float32)
         self.bias = np.ascontiguousarray(layer.bias, dtype=np.float32)
 
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
-        out = self._out(scratch)
+    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
+        x, out, _ = b.enter(self, x)
         np.matmul(x, self.w_t, out=out)
         out += self.bias
         return out
@@ -416,6 +460,8 @@ class _LinearStep(_BufferedStep):
 
 class _ResidualStep(_Step):
     """Residual: compiled body/shortcut sub-plans + in-place add+act."""
+
+    out_dtype = None  # the merge lands in the body's last buffer
 
     def __init__(
         self,
@@ -433,14 +479,14 @@ class _ResidualStep(_Step):
     def sub_plans(self) -> list[list["_Step"]]:
         return [self.body] + ([self.shortcut] if self.shortcut else [])
 
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
         identity = x
         if self.shortcut is not None:
             for step in self.shortcut:
-                identity = step.run(identity, scratch)
+                identity = step.run(identity, b)
         out = x
         for step in self.body:
-            out = step.run(out, scratch)
+            out = step.run(out, b)
         if np.may_share_memory(out, identity):  # defensive: plan buffers
             out = out + identity  # are distinct, but a view could alias
         else:
@@ -449,22 +495,18 @@ class _ResidualStep(_Step):
             np.maximum(out, 0.0, out=out)
         return out
 
-    def release(self) -> None:
-        for step in self.body:
-            step.release()
-        for step in self.shortcut or ():
-            step.release()
-
 
 class _EagerStep(_Step):
     """Fallback: run an unrecognized layer eagerly (no fusion)."""
+
+    out_dtype = None  # the layer allocates its own result
 
     def __init__(self, layer: Layer, shape: tuple[int, ...]) -> None:
         self.layer = layer
         self.out_shape = layer.output_shape(shape)
         self.label = f"eager:{layer.kind}"
 
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
         return self.layer.forward(x)
 
 
@@ -630,11 +672,12 @@ class CompiledModule(Layer):
 
     ``output_shape`` / ``flops`` / ``parameters`` delegate to the source
     module, so profiling arithmetic is unchanged; only ``forward`` runs
-    the optimized plan.  Compile once per (module, input shape); buffer
-    arenas are created lazily per ``(thread, batch size)`` and reused
-    across calls, so concurrent ``forward`` calls (serving worker
-    threads, the parallel backend's processes) are safe: each executing
-    thread owns a private scratch + output-buffer arena.
+    the optimized plan.  Compile once per (module, input shape).  The
+    plan holds weights only: the first ``forward`` at a batch size on a
+    thread *binds* it — lays its buffers out in that thread's arena —
+    and later calls reuse the binding, so concurrent ``forward`` calls
+    (serving worker threads, the parallel backend's processes) never
+    share a mutable buffer.
     """
 
     kind = "compiled"
@@ -645,16 +688,54 @@ class CompiledModule(Layer):
     def __init__(self, source: Layer, input_shape: tuple[int, ...]) -> None:
         self.source = source
         self.input_shape = tuple(int(s) for s in input_shape)
-        self.steps, self._out_shape = _build_steps(
+        #: per-sample shape of the plan's output
+        self.steps, self.out_shape = _build_steps(
             _flatten_layers(source), self.input_shape
         )
-        self._cols_elems = max(
-            (s.cols_elems for s in _iter_steps(self.steps)), default=0
+
+    def _bind(self, arena: _Arena, n: int) -> _Binding:
+        """Lay the plan out in ``arena`` for a batch of ``n``.
+
+        The shared gather and temp scratch sit at the base (sized by the
+        neediest step), then every step's output in plan order; pads
+        come from the arena's pool.
+        """
+        steps = list(_iter_steps(self.steps))
+        needs = [step.bind(n) for step in steps]
+        owners = [step for step in steps if step.out_dtype is not None]
+        specs = [
+            ((max((need[i] for need in needs), default=0),), np.float32)
+            for i in (0, 1)
+        ] + [
+            (_batch_shape(step.out_shape, n, step.out_dtype), step.out_dtype)
+            for step in owners
+        ]
+        sizes = (-(-_nbytes(*spec) // _ALIGN) * _ALIGN for spec in specs)
+        offsets = list(accumulate(sizes, initial=0))
+        arena.reserve(offsets[-1])
+        cols, tmp, *outs = (
+            arena.view(offset, *spec) for offset, spec in zip(offsets, specs)
         )
-        self._tmp_elems = max(
-            (s.tmp_elems for s in _iter_steps(self.steps)), default=0
-        )
-        self._scratch: dict[tuple[int, int], _Scratch] = {}
+        outs = dict(zip(owners, outs))
+        binding = _Binding(cols, tmp)
+        for step, (_, _, token) in zip(steps, needs):
+            interior = pad = None
+            if step.padding:
+                pad, interior = arena.pad(
+                    step.in_shape, n, step.padding, step.in_dtype
+                )
+            binding.bufs[step] = (interior, pad, outs.get(step), token)
+        return binding
+
+    def _binding(self, n: int) -> _Binding:
+        """This thread's binding for a batch of ``n``, bound on first use."""
+        arena = _thread_arena()
+        try:
+            return arena.bound[self][n]
+        except KeyError:
+            binding = self._bind(arena, n)  # may grow the arena: bound is reset
+            arena.bound.setdefault(self, {})[n] = binding
+            return binding
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if tuple(x.shape[1:]) != self.input_shape:
@@ -663,12 +744,7 @@ class CompiledModule(Layer):
                 f"got {tuple(x.shape[1:])}"
             )
         x = np.ascontiguousarray(x, dtype=np.float32)
-        n = x.shape[0]
-        key = (threading.get_ident(), n)
-        scratch = self._scratch.get(key)
-        if scratch is None:
-            scratch = _Scratch(key, n, self._cols_elems, self._tmp_elems)
-            self._scratch[key] = scratch
+        binding = self._binding(x.shape[0])
         # the tracer predicate is hoisted out of the step loop so the
         # disabled path pays one thread-local read per forward, not one
         # per plan step
@@ -678,11 +754,11 @@ class CompiledModule(Layer):
                 with tracer.span(
                     f"plan.{step.label}", cat="engine", track="engine"
                 ):
-                    x = step.run(x, scratch)
+                    x = step.run(x, binding)
         else:
             for step in self.steps:
-                x = step.run(x, scratch)
-        # plan buffers are rewritten by the next call — callers own a copy
+                x = step.run(x, binding)
+        # the arena is rewritten by the next call — callers own a copy
         return x.copy()
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -715,10 +791,9 @@ class CompiledModule(Layer):
         return walk(self.steps, "")
 
     def release_buffers(self) -> None:
-        """Free all per-batch arenas (they re-allocate on the next call)."""
-        self._scratch.clear()
-        for step in _iter_steps(self.steps):
-            step.release()
+        """Free the calling thread's arena and pad pool — every plan's,
+        since they share them (they re-allocate on the next call)."""
+        _thread_arena().release()
 
 
 def compile_module(

@@ -171,9 +171,10 @@ def conv2d_fused(
     The compiled engine's conv kernel: ``x`` is (N, C, Hp, Wp) with any
     padding already applied, ``w_mat`` is the pre-laid-out GEMM matrix
     (C_out, C*K*K) (batch-norm scale/shift folded in by the compiler),
-    ``out`` is a preallocated (N, C_out, out_h*out_w) buffer and ``cols``
-    a flat im2col scratch buffer reused across layers.  Bias addition and
-    activation clipping happen in place on the GEMM output.  Returns a
+    ``out`` is a preallocated buffer of N * C_out * out_h * out_w
+    elements (any contiguous shape) and ``cols`` a flat im2col scratch
+    buffer reused across layers.  Bias addition and activation clipping
+    happen in place on the GEMM output.  Returns a
     (N, C_out, out_h, out_w) view of ``out``.
     """
     n, c = x.shape[0], x.shape[1]
@@ -199,6 +200,7 @@ def conv2d_fused(
         cols_view = cols[: n * ckk * p].reshape(n, c, kernel, kernel, out_h, out_w)
         np.copyto(cols_view, windows)
         cols_view = cols_view.reshape(n, ckk, p)
+    out = out.reshape(n, -1, p)
     np.matmul(w_mat, cols_view, out=out)
     if bias is not None:
         out += bias[None, :, None]

@@ -56,12 +56,18 @@ GEMM's arithmetic cost; the wins are layout and fusion co-design:
 * **Int8 memory traffic** — activations, pad buffers and weights move
   4x fewer bytes between steps.
 
+* **Scheme by (shape, batch size)** — a conv picks its gather/GEMM
+  strategy when the plan binds to a batch size
+  (:func:`_conv_scheme`): Winograd's tile GEMMs have ``tiles * N``
+  columns, so it is bound only where the batch makes them fat enough
+  and the direct schemes serve batch 1.
+
 Implementation note: because the GEMM runs on BLAS, each quantized step
-keeps an integer-valued *float32 shadow* of its int8 weights.  The int8
-tensors are the deployment artifact (and what
-:func:`plan_param_bytes` / the repository's memory accounting count);
-the shadow is an emulation cost of this numpy substrate, not of int8
-inference in general.
+keeps an integer-valued *float32 shadow* of its int8 weights, laid out
+per scheme the first time the step binds to it.  The int8 tensors are
+the deployment artifact (and what :func:`plan_param_bytes` / the
+repository's memory accounting count); the shadows are an emulation
+cost of this numpy substrate, not of int8 inference in general.
 """
 
 from __future__ import annotations
@@ -70,14 +76,16 @@ import numpy as np
 
 from repro.dnn.compile import (
     CompiledModule,
+    _Arena,
+    _Binding,
     _FusedConv,
     _FusedDepthwise,
     _LinearStep,
     _MaxPool,
     _ResidualStep,
-    _Scratch,
     _Step,
     _iter_steps,
+    _max_pool,
 )
 
 __all__ = [
@@ -212,8 +220,8 @@ def _requant_params(
 class _QStep(_Step):
     """Base for quantized steps: int8 in/out, channel-major."""
 
-    #: True when this step's output is int8 (channel-major / (N, F))
-    quantized_output = True
+    out_dtype = np.int8
+    in_dtype = np.int8
     in_scale = 1.0
     out_scale = 1.0
 
@@ -224,31 +232,17 @@ class _QStep(_Step):
 class _QuantizeStep(_QStep):
     """Plan entry: fp32 (N, C, H, W) -> int8 (C, H, N, W)."""
 
+    label = "int8.quantize"
+
     def __init__(self, shape: tuple[int, ...], scale: float) -> None:
         self.out_shape = shape
         self.in_scale = self.out_scale = float(scale)
         self._inv = np.float32(1.0 / scale)
-        self.label = "int8.quantize"
         self.tmp_elems = int(np.prod(shape))
-        self._bufs: dict[tuple[int, int], np.ndarray] = {}
 
-    def _out(self, scratch: _Scratch) -> np.ndarray:
-        out = self._bufs.get(scratch.key)
-        if out is None:
-            shape = self.out_shape
-            if len(shape) == 3:
-                out = np.empty(
-                    (shape[0], shape[1], scratch.n, shape[2]), dtype=np.int8
-                )
-            else:
-                out = np.empty((scratch.n, *shape), dtype=np.int8)
-            self._bufs[scratch.key] = out
-        return out
-
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
-        out = self._out(scratch)
-        n = x.shape[0]
-        acc = scratch.tmp[: n * self.tmp_elems].reshape(out.shape)
+    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
+        x, out, _ = b.enter(self, x)
+        acc = b.tmp[: out.size].reshape(out.shape)
         src = x.transpose(1, 2, 0, 3) if len(self.out_shape) == 3 else x
         np.multiply(src, self._inv, out=acc)
         np.rint(acc, out=acc)
@@ -256,40 +250,35 @@ class _QuantizeStep(_QStep):
         np.copyto(out, acc, casting="unsafe")
         return out
 
-    def release(self) -> None:
-        self._bufs.clear()
-
 
 class _DequantizeStep(_QStep):
     """Plan exit: int8 (C, H, N, W) -> fp32 (N, C, H, W), one fused pass."""
 
-    quantized_output = False
+    label = "int8.dequantize"
+    out_dtype = np.float32
 
     def __init__(self, shape: tuple[int, ...], scale: float) -> None:
         self.out_shape = shape
         self.in_scale = self.out_scale = float(scale)
         self._scale = np.float32(scale)
-        self.label = "int8.dequantize"
-        self._bufs: dict[tuple[int, int], np.ndarray] = {}
 
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
-        out = self._bufs.get(scratch.key)
-        if out is None:
-            out = np.empty((scratch.n, *self.out_shape), dtype=np.float32)
-            self._bufs[scratch.key] = out
+    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
+        x, out, _ = b.enter(self, x)
         src = x.transpose(2, 0, 1, 3) if len(self.out_shape) == 3 else x
-        np.multiply(src, self._scale, out=out)
-        return out
-
-    def release(self) -> None:
-        self._bufs.clear()
+        return np.multiply(src, self._scale, out=out)
 
 
-def _conv_scheme(c: int, c_out: int, k: int, s: int, oh: int, ow: int) -> str:
-    """Pick the gather/GEMM strategy for an int8 conv, by shape alone.
+#: transform-GEMM columns (channels x tiles x batch) from which F(m, 3)
+#: beats the direct schemes — see the table in :func:`_conv_scheme`
+_WINO_MIN_COLS = {4: 4096, 2: 16384}
 
-    Deterministic so identical models always compile identical plans.
-    Measured on 1-core OpenBLAS (see PR notes):
+
+def _conv_scheme(
+    c: int, c_out: int, k: int, s: int, oh: int, ow: int, n: int
+) -> str:
+    """Pick the gather/GEMM strategy for an int8 conv from (shape, batch).
+
+    Deterministic, so a plan is a function of (model, input, batch size).
 
     * ``im2col`` — K*K-tap gather + one GEMM.  Wins when C_in is small
       (the gather is cheap and one well-blocked GEMM beats several) and
@@ -306,7 +295,33 @@ def _conv_scheme(c: int, c_out: int, k: int, s: int, oh: int, ow: int) -> str:
       FLOP reduction (4x / 2.25x fewer multiplies), the only lever on
       the square convs whose direct GEMM already runs at machine peak.
       Both tile transforms are expressed as single GEMMs over the tap
-      axis, so the whole conv is BLAS end to end.
+      axis, so the whole conv is BLAS end to end — r^2 = 36 / 16 tile
+      GEMMs ``(C_out, C) @ (C, T)`` between two transform GEMMs with
+      ``C * T`` columns, ``T = tiles per sample * n``.  Those go skinny
+      at small batches, so Winograd is bound only from 64 channels and
+      from ``_WINO_MIN_COLS`` transform columns up.
+
+    Where the thresholds come from: each ResNet-18 block (32 px input)
+    as an int8 plan, bound once with ``_WINO_MIN_COLS`` at 0 and once
+    out of reach (the 32-channel row with the channel floor lifted) —
+    time with Winograd on its stride-1 3x3 convs over time with
+    ``kw``/``im2col`` on them, per batch size (< 1: Winograd wins; min
+    of 21-31 interleaved forwards; 2-vCPU Xeon @ 2.1 GHz, numpy 2.4.6
+    on OpenBLAS 0.3.31 Haswell kernels, one BLAS thread)::
+
+        block   C    out    F(m,3)  C*T      n=1   2     4     8     16    32
+        w32 l1  32   32x32  4       2048 n   1.38  1.19  0.93  0.76  0.92  1.00
+        w32 l2  64   16x16  4       1024 n   1.36  1.16  0.80  0.82  0.88  0.75
+        w32 l3  128  8x8    4        512 n   1.43  1.22  1.01  0.85  0.76  0.73
+        w32 l4  256  4x4    2       1024 n   1.09  1.14  1.13  1.02  0.93  0.90
+        w64 l1  64   32x32  4       4096 n   0.89  0.71  0.76  0.75  0.78  0.84
+        w64 l2  128  16x16  4       2048 n   1.06  0.83  0.96  0.70  0.67  0.69
+        w64 l3  256  8x8    4       1024 n   1.34  1.22  1.00  0.88  0.60  0.71
+        w64 l4  512  4x4    2       2048 n   1.59  1.35  1.07  0.97  0.82  0.68
+
+    From 64 channels up F(4,3) first wins where ``C * T`` reaches 4096
+    and F(2,3) at 16384; the 32-channel row never settles below 1
+    (0.76-1.12 over three such runs at n >= 4), hence the channel floor.
     """
     if k == 1:
         return "direct"
@@ -316,13 +331,16 @@ def _conv_scheme(c: int, c_out: int, k: int, s: int, oh: int, ow: int) -> str:
         return "im2col"
     if 4 * c_out <= c and oh >= 8:
         return "tap"
-    if k == 3:
+    if k == 3 and min(c, c_out) >= 64:
+        m = 0
         if oh % 4 == 0 and ow % 4 == 0 and min(oh, ow) >= 8:
-            return "wino4"
+            m = 4
         # At tiny tile counts the r^2 transform GEMMs go skinny; F(2,3)
         # only pays off when both channel dims keep the GEMMs fat.
-        if oh % 2 == 0 and ow % 2 == 0 and min(oh, ow) >= 4 and min(c, c_out) >= 128:
-            return "wino2"
+        elif oh % 2 == 0 and ow % 2 == 0 and min(oh, ow) >= 4 and min(c, c_out) >= 128:
+            m = 2
+        if m and min(c, c_out) * (oh // m) * (ow // m) * n >= _WINO_MIN_COLS[m]:
+            return f"wino{m}"
     return "kw"
 
 
@@ -381,207 +399,21 @@ _WINO_G = {
 class _QuantConv(_QStep):
     """int8 conv (+ folded BN bias) + fused requant/activation clip.
 
-    Collapsed sgemm(s) over the whole batch; the gather/GEMM strategy
-    is chosen per shape by :func:`_conv_scheme`.  For the gathered
-    schemes the last gathered row/plane is constant 1.0 and the
-    matching extra weight column carries ``(bias/s_out + half)/r``, so
-    bias add and ReLU rounding ride along with the (first) GEMM; the
-    gather-free ``tap`` scheme adds the bias in the requant pass.
-    """
+    Collapsed sgemm(s) over the whole batch.  The gather/GEMM strategy is
+    chosen by :func:`_conv_scheme` when the step binds to a batch size,
+    and the float32 GEMM operands of a scheme are laid out the first
+    time the step binds to it (``_laid``).  For the gathered schemes the
+    last gathered row/plane is constant 1.0 and the matching extra
+    weight column carries ``(bias/s_out + half)/r``, so bias add and ReLU
+    rounding ride along with the (first) GEMM; the gather-free ``tap``
+    scheme and Winograd add the bias in the requant pass.
 
-    def __init__(
-        self, src: _FusedConv, in_scale: float, out_scale: float, scheme: str
-    ) -> None:
-        c_out, kd = src.w_mat.shape
-        self.w_scales = weight_scales(src.w_mat, axis=0)
-        self.w8 = quantize_per_channel(src.w_mat, self.w_scales, axis=0)
-        self.in_scale = float(in_scale)
-        self.out_scale = float(out_scale)
-        r64 = self.w_scales * (self.in_scale / self.out_scale)
-        self.r = r64.astype(np.float32).reshape(-1, 1)
-        half, self.lo, self.hi = _requant_params(src.activation, self.out_scale)
-        self.rounded = half > 0.0  # +0.5 fold replaces the rint pass
-        bias = np.zeros(c_out) if src.bias is None else src.bias.astype(np.float64)
-        bias_col = ((bias / self.out_scale + half) / r64).astype(np.float32)
-        k, s = src.kernel, src.stride
-        c, h, w = src.in_shape
-        self.kernel, self.stride, self.padding = k, s, src.padding
-        self.in_shape = src.in_shape
-        self.out_shape = src.out_shape
-        self.kd = kd
-        self.label = f"int8.{src.label}"
-        oh, ow = self.out_shape[1], self.out_shape[2]
-        hp = h + 2 * self.padding
-        wp = w + 2 * self.padding
-        self.scheme = scheme
-        if self.scheme == "kw":
-            # per-height-tap weight slices: w_mat columns are (c, i, j)
-            # ordered; GEMM i needs the (c, j) block in c*K + j order.
-            w4 = self.w8.astype(np.float32).reshape(c_out, c, k, k)
-            first = w4[:, :, 0, :].reshape(c_out, c * k)
-            self.wf0 = np.ascontiguousarray(
-                np.concatenate([first, bias_col.reshape(-1, 1)], axis=1)
-            )
-            self.w_rest = [
-                np.ascontiguousarray(w4[:, :, i, :].reshape(c_out, c * k))
-                for i in range(1, k)
-            ]
-            self.cols_elems = (c * k + 1) * hp * ow
-            self.tmp_elems = 2 * c_out * oh * ow  # acc + GEMM partner
-        elif self.scheme == "tap":
-            w4 = self.w8.astype(np.float32).reshape(c_out, c, k, k)
-            self.w_taps = [
-                np.ascontiguousarray(w4[:, :, i, j])
-                for i in range(k)
-                for j in range(k)
-            ]
-            self.bias_add = ((bias / self.out_scale) + half).astype(
-                np.float32
-            ).reshape(-1, 1)
-            self.cols_elems = c * hp * wp
-            self.tmp_elems = 2 * c_out * oh * wp  # acc + GEMM partner
-        else:
-            wf = np.empty((c_out, kd + 1), dtype=np.float32)
-            wf[:, :kd] = self.w8
-            wf[:, kd] = bias_col
-            self.wf = wf
-            self.cols_elems = (kd + 1) * oh * ow
-            self.tmp_elems = c_out * oh * ow
-        self._bufs: dict[tuple[int, int], tuple] = {}
-
-    def param_nbytes(self) -> int:
-        # int8 weights + f32 per-channel scales + f32 bias column
-        return self.w8.nbytes + 2 * 4 * self.w8.shape[0]
-
-    def _buffers(self, scratch: _Scratch) -> tuple:
-        bufs = self._bufs.get(scratch.key)
-        if bufs is None:
-            n = scratch.n
-            c, h, w = self.in_shape
-            pad = None
-            if self.padding:
-                pad = np.zeros(
-                    (c, h + 2 * self.padding, n, w + 2 * self.padding),
-                    dtype=np.int8,
-                )
-            out = np.empty(
-                (self.out_shape[0], self.out_shape[1], n, self.out_shape[2]),
-                dtype=np.int8,
-            )
-            bufs = (pad, out)
-            self._bufs[scratch.key] = bufs
-        return bufs
-
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
-        pad, out = self._buffers(scratch)
-        if pad is not None:
-            p = self.padding
-            h, w = self.in_shape[1], self.in_shape[2]
-            pad[:, p : p + h, :, p : p + w] = x
-            x = pad
-        n = x.shape[2]
-        c = self.in_shape[0]
-        c_out = self.out_shape[0]
-        oh, ow = self.out_shape[1], self.out_shape[2]
-        np_out = oh * n * ow
-        k, s = self.kernel, self.stride
-        if self.scheme == "kw":
-            hp = x.shape[1]
-            ck = c * k
-            acc = scratch.tmp[: c_out * np_out].reshape(c_out, np_out)
-            colsw = scratch.cols[: (ck + 1) * hp * n * ow].reshape(
-                ck + 1, hp, n * ow
-            )
-            cw = colsw[:ck].reshape(c, k, hp, n, ow)
-            for j in range(k):
-                np.copyto(cw[:, j], x[:, :, :, j : j + ow])
-            colsw[ck].fill(1.0)
-            # K height taps = K strided views of the gathered buffer,
-            # one accumulated GEMM each; tap 0 carries bias + ones row.
-            a0 = colsw[:, :oh, :].reshape(ck + 1, np_out)
-            np.matmul(self.wf0, a0, out=acc)
-            part = scratch.tmp[c_out * np_out : 2 * c_out * np_out].reshape(
-                c_out, np_out
-            )
-            for i in range(1, k):
-                ai = colsw[:ck, i : i + oh, :].reshape(ck, np_out)
-                np.matmul(self.w_rest[i - 1], ai, out=part)
-                np.add(acc, part, out=acc)
-        elif self.scheme == "tap":
-            hp, wp = x.shape[1], x.shape[3]
-            tot = hp * n * wp
-            span = (oh * n - 1) * wp + ow  # flat cols covering the output
-            xf = scratch.cols[: c * tot].reshape(c, tot)
-            np.copyto(xf.reshape(x.shape), x)
-            acc = scratch.tmp[: c_out * span].reshape(c_out, span)
-            part = scratch.tmp[c_out * span : 2 * c_out * span].reshape(
-                c_out, span
-            )
-            # K*K shifted flat views of the SAME cache-resident buffer;
-            # off-image columns are overcomputed garbage, masked by the
-            # strided output extraction below.
-            np.matmul(self.w_taps[0], xf[:, :span], out=acc)
-            tap = 1
-            for i in range(k):
-                for j in range(k):
-                    if i == 0 and j == 0:
-                        continue
-                    off = i * n * wp + j
-                    np.matmul(self.w_taps[tap], xf[:, off : off + span], out=part)
-                    np.add(acc, part, out=acc)
-                    tap += 1
-            np.multiply(acc, self.r, out=acc)
-            np.add(acc, self.bias_add, out=acc)
-            if not self.rounded:
-                np.rint(acc, out=acc)
-            np.clip(acc, self.lo, self.hi, out=acc)
-            valid = np.lib.stride_tricks.as_strided(
-                acc,
-                shape=(c_out, oh, n, ow),
-                strides=(acc.strides[0], n * wp * 4, wp * 4, 4),
-            )
-            np.copyto(out, valid, casting="unsafe")
-            return out
-        else:
-            acc = scratch.tmp[: c_out * np_out].reshape(c_out, np_out)
-            cols = scratch.cols[: (self.kd + 1) * np_out].reshape(
-                self.kd + 1, np_out
-            )
-            if k == 1 and s == 1:
-                np.copyto(cols[: self.kd], x.reshape(c, np_out))
-            elif k == 1:
-                view = x[:, ::s, :, ::s][:, :oh, :, :ow]
-                np.copyto(cols[: self.kd].reshape(c, oh, n, ow), view)
-            else:
-                c3 = cols[: self.kd].reshape(c, k * k, oh, n, ow)
-                tap = 0
-                for i in range(k):
-                    rows = slice(i, i + s * (oh - 1) + 1, s)
-                    for j in range(k):
-                        cc = slice(j, j + s * (ow - 1) + 1, s)
-                        np.copyto(c3[:, tap], x[:, rows, :, cc])
-                        tap += 1
-            cols[self.kd].fill(1.0)
-            np.matmul(self.wf, cols, out=acc)
-        np.multiply(acc, self.r, out=acc)
-        if not self.rounded:
-            np.rint(acc, out=acc)
-        np.clip(acc, self.lo, self.hi, out=acc)
-        np.copyto(out.reshape(c_out, np_out), acc, casting="unsafe")
-        return out
-
-    def release(self) -> None:
-        self._bufs.clear()
-
-
-class _QuantWinoConv(_QStep):
-    """int8 3x3 stride-1 conv via Winograd F(m x m, 3 x 3), m in {2, 4}.
-
-    The square convs that dominate unpruned ResNet stages are compute
-    bound — their direct GEMM already runs at machine peak, so no data
-    layout can speed them up.  Winograd is the remaining lever: F(2,3)
-    does 2.25x and F(4,3) 4x fewer multiplies per output.  Everything
-    is staged as GEMMs so BLAS does all the work:
+    **Winograd F(m x m, 3 x 3), m in {2, 4}.**  The square convs that
+    dominate unpruned ResNet stages are compute bound — their direct
+    GEMM already runs at machine peak, so no data layout can speed them
+    up.  Winograd is the remaining lever: F(2,3) does 2.25x and F(4,3)
+    4x fewer multiplies per output.  Everything is staged as GEMMs so
+    BLAS does all the work:
 
     1. gather r^2 = (m+2)^2 shifted tile taps ``D (r^2, C*T)`` from the
        padded int8 input (T = tiles_h * N * tiles_w), casting once;
@@ -598,10 +430,8 @@ class _QuantWinoConv(_QStep):
     F(4,3); F(2,3) is exact on integer data).  Deterministic.
     """
 
-    def __init__(
-        self, src: _FusedConv, in_scale: float, out_scale: float, m: int
-    ) -> None:
-        c_out, kd = src.w_mat.shape
+    def __init__(self, src: _FusedConv, in_scale: float, out_scale: float) -> None:
+        c_out = src.w_mat.shape[0]
         self.w_scales = weight_scales(src.w_mat, axis=0)
         self.w8 = quantize_per_channel(src.w_mat, self.w_scales, axis=0)
         self.in_scale = float(in_scale)
@@ -609,90 +439,205 @@ class _QuantWinoConv(_QStep):
         r64 = self.w_scales * (self.in_scale / self.out_scale)
         self.r = r64.astype(np.float32).reshape(-1, 1)
         half, self.lo, self.hi = _requant_params(src.activation, self.out_scale)
-        self.rounded = half > 0.0
+        self.rounded = half > 0.0  # +0.5 fold replaces the rint pass
         bias = np.zeros(c_out) if src.bias is None else src.bias.astype(np.float64)
+        self.bias_col = ((bias / self.out_scale + half) / r64).astype(np.float32)
         self.bias_add = ((bias / self.out_scale) + half).astype(
             np.float32
         ).reshape(-1, 1)
-        c, h, w = src.in_shape
         self.kernel, self.stride, self.padding = src.kernel, src.stride, src.padding
         self.in_shape = src.in_shape
         self.out_shape = src.out_shape
         self.label = f"int8.{src.label}"
-        self.m = m
-        r = m + 2
-        self.rr = r * r
-        oh, ow = self.out_shape[1], self.out_shape[2]
-        self.th, self.tw = oh // m, ow // m
-        # Kronecker transform matrices: tile transforms become one GEMM
-        # over the flattened (r^2 | m^2) tap axis.
-        bt = _WINO_BT[m]
-        at = _WINO_AT[m]
-        g = _WINO_G[m]
-        self.b2 = np.kron(bt, bt).astype(np.float32)
-        self.a2 = np.kron(at, at).astype(np.float32)
-        w4 = self.w8.astype(np.float64).reshape(c_out, c, 3, 3)
-        u = np.einsum("ai,ocij,bj->aboc", g, w4, g).reshape(self.rr, c_out, c)
-        self.u_taps = [
-            np.ascontiguousarray(u[q].astype(np.float32)) for q in range(self.rr)
-        ]
-        t_spatial = self.th * self.tw
-        self.cols_elems = 2 * self.rr * c * t_spatial  # D + V
-        self.tmp_elems = (self.rr + m * m) * c_out * t_spatial  # M + Y
-        self._bufs: dict[tuple[int, int], tuple] = {}
+        #: scheme -> (cols elems, tmp elems, GEMM operands), per sample
+        self._laid: dict[str, tuple] = {}
 
     def param_nbytes(self) -> int:
+        # int8 weights + f32 per-channel scales + f32 bias column
         return self.w8.nbytes + 2 * 4 * self.w8.shape[0]
 
-    def _buffers(self, scratch: _Scratch) -> tuple:
-        bufs = self._bufs.get(scratch.key)
-        if bufs is None:
-            n = scratch.n
-            c, h, w = self.in_shape
-            pad = None
-            if self.padding:
-                pad = np.zeros(
-                    (c, h + 2 * self.padding, n, w + 2 * self.padding),
-                    dtype=np.int8,
-                )
-            out = np.empty(
-                (self.out_shape[0], self.out_shape[1], n, self.out_shape[2]),
-                dtype=np.int8,
-            )
-            bufs = (pad, out)
-            self._bufs[scratch.key] = bufs
-        return bufs
+    def scheme(self, n: int) -> str:
+        """The strategy this conv binds to for a batch of ``n``."""
+        return _conv_scheme(
+            self.in_shape[0], self.out_shape[0], self.kernel, self.stride,
+            self.out_shape[1], self.out_shape[2], n,
+        )
 
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
-        pad, out = self._buffers(scratch)
-        if pad is not None:
-            p = self.padding
-            h, w = self.in_shape[1], self.in_shape[2]
-            pad[:, p : p + h, :, p : p + w] = x
-            x = pad
+    def bind(self, n: int) -> tuple[int, int, object]:
+        scheme = self.scheme(n)
+        laid = self._laid.get(scheme)
+        if laid is None:
+            laid = self._laid[scheme] = self._lay_out(scheme)
+        cols, tmp, operands = laid
+        return n * cols, n * tmp, (scheme, operands)
+
+    def _lay_out(self, scheme: str) -> tuple:
+        """``(cols elems, tmp elems, GEMM operands)`` of ``scheme``, per sample."""
+        c_out, kd = self.w8.shape
+        c, h, w = self.in_shape
+        k = self.kernel
+        oh, ow = self.out_shape[1], self.out_shape[2]
+        hp, wp = h + 2 * self.padding, w + 2 * self.padding
+        if scheme == "kw":
+            # per-height-tap weight slices: w_mat columns are (c, i, j)
+            # ordered; GEMM i needs the (c, j) block in c*K + j order.
+            w4 = self.w8.astype(np.float32).reshape(c_out, c, k, k)
+            first = w4[:, :, 0, :].reshape(c_out, c * k)
+            wf0 = np.ascontiguousarray(
+                np.concatenate([first, self.bias_col.reshape(-1, 1)], axis=1)
+            )
+            w_rest = [
+                np.ascontiguousarray(w4[:, :, i, :].reshape(c_out, c * k))
+                for i in range(1, k)
+            ]
+            # tmp: acc + GEMM partner
+            return (c * k + 1) * hp * ow, 2 * c_out * oh * ow, (wf0, w_rest)
+        if scheme == "tap":
+            w4 = self.w8.astype(np.float32).reshape(c_out, c, k, k)
+            w_taps = [
+                np.ascontiguousarray(w4[:, :, i, j])
+                for i in range(k)
+                for j in range(k)
+            ]
+            return c * hp * wp, 2 * c_out * oh * wp, w_taps
+        if scheme.startswith("wino"):
+            m = int(scheme[4:])
+            rr = (m + 2) ** 2
+            # Kronecker transform matrices: tile transforms become one
+            # GEMM over the flattened (r^2 | m^2) tap axis.
+            bt, at, g = _WINO_BT[m], _WINO_AT[m], _WINO_G[m]
+            b2 = np.kron(bt, bt).astype(np.float32)
+            a2 = np.kron(at, at).astype(np.float32)
+            w4 = self.w8.astype(np.float64).reshape(c_out, c, 3, 3)
+            u = np.einsum("ai,ocij,bj->aboc", g, w4, g).reshape(rr, c_out, c)
+            u_taps = [np.ascontiguousarray(u[q].astype(np.float32)) for q in range(rr)]
+            tiles = (oh // m) * (ow // m)
+            # cols: D + V; tmp: M + Y
+            return 2 * rr * c * tiles, (rr + m * m) * c_out * tiles, (m, b2, a2, u_taps)
+        wf = np.empty((c_out, kd + 1), dtype=np.float32)
+        wf[:, :kd] = self.w8
+        wf[:, kd] = self.bias_col
+        return (kd + 1) * oh * ow, c_out * oh * ow, wf
+
+    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
+        x, out, (scheme, operands) = b.enter(self, x)
+        if scheme.startswith("wino"):
+            return self._run_wino(x, out, b, *operands)
         n = x.shape[2]
         c = self.in_shape[0]
         c_out = self.out_shape[0]
-        m, r, rr = self.m, self.m + 2, self.rr
-        th, tw = self.th, self.tw
+        oh, ow = self.out_shape[1], self.out_shape[2]
+        np_out = oh * n * ow
+        k, s = self.kernel, self.stride
+        if scheme == "kw":
+            wf0, w_rest = operands
+            hp = x.shape[1]
+            ck = c * k
+            acc = b.tmp[: c_out * np_out].reshape(c_out, np_out)
+            colsw = b.cols[: (ck + 1) * hp * n * ow].reshape(ck + 1, hp, n * ow)
+            cw = colsw[:ck].reshape(c, k, hp, n, ow)
+            for j in range(k):
+                np.copyto(cw[:, j], x[:, :, :, j : j + ow])
+            colsw[ck].fill(1.0)
+            # K height taps = K strided views of the gathered buffer,
+            # one accumulated GEMM each; tap 0 carries bias + ones row.
+            a0 = colsw[:, :oh, :].reshape(ck + 1, np_out)
+            np.matmul(wf0, a0, out=acc)
+            part = b.tmp[c_out * np_out : 2 * c_out * np_out].reshape(
+                c_out, np_out
+            )
+            for i in range(1, k):
+                ai = colsw[:ck, i : i + oh, :].reshape(ck, np_out)
+                np.matmul(w_rest[i - 1], ai, out=part)
+                np.add(acc, part, out=acc)
+        elif scheme == "tap":
+            hp, wp = x.shape[1], x.shape[3]
+            tot = hp * n * wp
+            span = (oh * n - 1) * wp + ow  # flat cols covering the output
+            xf = b.cols[: c * tot].reshape(c, tot)
+            np.copyto(xf.reshape(x.shape), x)
+            acc = b.tmp[: c_out * span].reshape(c_out, span)
+            part = b.tmp[c_out * span : 2 * c_out * span].reshape(c_out, span)
+            # K*K shifted flat views of the SAME cache-resident buffer;
+            # off-image columns are overcomputed garbage, masked by the
+            # strided output extraction below.
+            np.matmul(operands[0], xf[:, :span], out=acc)
+            tap = 1
+            for i in range(k):
+                for j in range(k):
+                    if i == 0 and j == 0:
+                        continue
+                    off = i * n * wp + j
+                    np.matmul(operands[tap], xf[:, off : off + span], out=part)
+                    np.add(acc, part, out=acc)
+                    tap += 1
+            np.multiply(acc, self.r, out=acc)
+            np.add(acc, self.bias_add, out=acc)
+            if not self.rounded:
+                np.rint(acc, out=acc)
+            np.clip(acc, self.lo, self.hi, out=acc)
+            valid = np.lib.stride_tricks.as_strided(
+                acc,
+                shape=(c_out, oh, n, ow),
+                strides=(acc.strides[0], n * wp * 4, wp * 4, 4),
+            )
+            np.copyto(out, valid, casting="unsafe")
+            return out
+        else:
+            kd = self.w8.shape[1]
+            acc = b.tmp[: c_out * np_out].reshape(c_out, np_out)
+            cols = b.cols[: (kd + 1) * np_out].reshape(kd + 1, np_out)
+            if k == 1 and s == 1:
+                np.copyto(cols[:kd], x.reshape(c, np_out))
+            elif k == 1:
+                view = x[:, ::s, :, ::s][:, :oh, :, :ow]
+                np.copyto(cols[:kd].reshape(c, oh, n, ow), view)
+            else:
+                c3 = cols[:kd].reshape(c, k * k, oh, n, ow)
+                tap = 0
+                for i in range(k):
+                    rows = slice(i, i + s * (oh - 1) + 1, s)
+                    for j in range(k):
+                        cc = slice(j, j + s * (ow - 1) + 1, s)
+                        np.copyto(c3[:, tap], x[:, rows, :, cc])
+                        tap += 1
+            cols[kd].fill(1.0)
+            np.matmul(operands, cols, out=acc)
+        np.multiply(acc, self.r, out=acc)
+        if not self.rounded:
+            np.rint(acc, out=acc)
+        np.clip(acc, self.lo, self.hi, out=acc)
+        np.copyto(out.reshape(c_out, np_out), acc, casting="unsafe")
+        return out
+
+    def _run_wino(
+        self, x: np.ndarray, out: np.ndarray, b: _Binding,
+        m: int, b2: np.ndarray, a2: np.ndarray, u_taps: list[np.ndarray],
+    ) -> np.ndarray:
+        n = x.shape[2]
+        c = self.in_shape[0]
+        c_out = self.out_shape[0]
+        r = m + 2
+        rr = r * r
+        th, tw = self.out_shape[1] // m, self.out_shape[2] // m
         t = th * n * tw
-        dv = scratch.cols[: 2 * rr * c * t].reshape(2, rr, c * t)
+        dv = b.cols[: 2 * rr * c * t].reshape(2, rr, c * t)
         d, v = dv[0], dv[1]
         dr = d.reshape(r, r, c, th, n, tw)
         # r^2 shifted tile taps; the strided int8 -> f32 copy is the
         # only gather in the whole conv.
-        for a in range(r):
-            for b in range(r):
-                np.copyto(dr[a, b], x[:, a : a + m * th : m, :, b : b + m * tw : m])
-        np.matmul(self.b2, d, out=v)  # input transform, one GEMM
+        for i in range(r):
+            for j in range(r):
+                np.copyto(dr[i, j], x[:, i : i + m * th : m, :, j : j + m * tw : m])
+        np.matmul(b2, d, out=v)  # input transform, one GEMM
         vv = v.reshape(rr, c, t)
-        mm = scratch.tmp[: rr * c_out * t].reshape(rr, c_out, t)
+        mm = b.tmp[: rr * c_out * t].reshape(rr, c_out, t)
         for q in range(rr):  # the 4x-fewer-FLOPs GEMMs
-            np.matmul(self.u_taps[q], vv[q], out=mm[q])
-        y = scratch.tmp[rr * c_out * t : (rr + m * m) * c_out * t].reshape(
+            np.matmul(u_taps[q], vv[q], out=mm[q])
+        y = b.tmp[rr * c_out * t : (rr + m * m) * c_out * t].reshape(
             m * m, c_out * t
         )
-        np.matmul(self.a2, mm.reshape(rr, c_out * t), out=y)  # output transform
+        np.matmul(a2, mm.reshape(rr, c_out * t), out=y)  # output transform
         yv = y.reshape(m * m, c_out, t)
         np.multiply(yv, self.r, out=yv)
         np.add(yv, self.bias_add, out=yv)
@@ -706,9 +651,6 @@ class _QuantWinoConv(_QStep):
             for j in range(m):
                 np.copyto(ov[:, :, i, :, :, j], y6[i, j], casting="unsafe")
         return out
-
-    def release(self) -> None:
-        self._bufs.clear()
 
 
 class _QuantDepthwise(_QStep):
@@ -749,41 +691,17 @@ class _QuantDepthwise(_QStep):
         p = self.out_shape[1] * self.out_shape[2]
         self.cols_elems = c * (kk + 1) * p
         self.tmp_elems = c * p
-        self._bufs: dict[tuple[int, int], tuple] = {}
 
     def param_nbytes(self) -> int:
         return self.w8.nbytes + 2 * 4 * self.w8.shape[0]
 
-    def _buffers(self, scratch: _Scratch) -> tuple:
-        bufs = self._bufs.get(scratch.key)
-        if bufs is None:
-            n = scratch.n
-            c, h, w = self.in_shape
-            pad = None
-            if self.padding:
-                pad = np.zeros(
-                    (c, h + 2 * self.padding, n, w + 2 * self.padding),
-                    dtype=np.int8,
-                )
-            out = np.empty(
-                (c, self.out_shape[1], n, self.out_shape[2]), dtype=np.int8
-            )
-            bufs = (pad, out)
-            self._bufs[scratch.key] = bufs
-        return bufs
-
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
-        pad, out = self._buffers(scratch)
-        if pad is not None:
-            p = self.padding
-            h, w = self.in_shape[1], self.in_shape[2]
-            pad[:, p : p + h, :, p : p + w] = x
-            x = pad
+    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
+        x, out, _ = b.enter(self, x)
         n = x.shape[2]
         c = self.in_shape[0]
         oh, ow = self.out_shape[1], self.out_shape[2]
         np_out = oh * n * ow
-        cols = scratch.cols[: c * (self.kk + 1) * np_out].reshape(
+        cols = b.cols[: c * (self.kk + 1) * np_out].reshape(
             c, self.kk + 1, np_out
         )
         k, s = self.kernel, self.stride
@@ -796,7 +714,7 @@ class _QuantDepthwise(_QStep):
                 np.copyto(c4[:, tap], x[:, rows, :, cc])
                 tap += 1
         cols[:, self.kk].fill(1.0)
-        acc = scratch.tmp[: c * np_out].reshape(c, 1, np_out)
+        acc = b.tmp[: c * np_out].reshape(c, 1, np_out)
         np.matmul(self.wf, cols, out=acc)
         np.multiply(acc, self.r, out=acc)
         if not self.rounded:
@@ -805,13 +723,12 @@ class _QuantDepthwise(_QStep):
         np.copyto(out.reshape(c, 1, np_out), acc, casting="unsafe")
         return out
 
-    def release(self) -> None:
-        self._bufs.clear()
-
 
 class _QuantMaxPool(_QStep):
     """Tap-wise int8 max — max commutes with the (positive) scale, so
-    the output keeps the input's scale and the pool is exact."""
+    the output keeps the input's scale and the pool is exact.  Zero
+    padding: int8 0 is exactly fp32 0.0 under a symmetric scale,
+    matching the eager kernel's pad."""
 
     def __init__(self, src: _MaxPool, scale: float) -> None:
         self.in_scale = self.out_scale = float(scale)
@@ -821,58 +738,19 @@ class _QuantMaxPool(_QStep):
         self.in_shape = src.in_shape
         self.out_shape = src.out_shape
         self.label = f"int8.{src.label}"
-        self._bufs: dict[tuple[int, int], tuple] = {}
 
-    def _buffers(self, scratch: _Scratch) -> tuple:
-        bufs = self._bufs.get(scratch.key)
-        if bufs is None:
-            n = scratch.n
-            c, h, w = self.in_shape
-            pad = None
-            if self.padding:
-                # zero padding: int8 0 is exactly fp32 0.0 under a
-                # symmetric scale, matching the eager kernel's pad
-                pad = np.zeros(
-                    (c, h + 2 * self.padding, n, w + 2 * self.padding),
-                    dtype=np.int8,
-                )
-            out = np.empty(
-                (c, self.out_shape[1], n, self.out_shape[2]), dtype=np.int8
-            )
-            bufs = (pad, out)
-            self._bufs[scratch.key] = bufs
-        return bufs
-
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
-        pad, out = self._buffers(scratch)
-        if pad is not None:
-            p = self.padding
-            h, w = self.in_shape[1], self.in_shape[2]
-            pad[:, p : p + h, :, p : p + w] = x
-            x = pad
-        oh, ow = self.out_shape[1], self.out_shape[2]
-        s = self.stride
-        first = True
-        for i in range(self.kernel):
-            rows = slice(i, i + s * (oh - 1) + 1, s)
-            for j in range(self.kernel):
-                cc = slice(j, j + s * (ow - 1) + 1, s)
-                window = x[:, rows, :, cc]
-                if first:
-                    np.copyto(out, window)
-                    first = False
-                else:
-                    np.maximum(out, window, out=out)
-        return out
-
-    def release(self) -> None:
-        self._bufs.clear()
+    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
+        x, out, _ = b.enter(self, x)
+        return _max_pool(
+            x, out, self.kernel, self.stride, self.out_shape[1], self.out_shape[2], 1
+        )
 
 
 class _QuantLinear(_QStep):
     """int8 linear: int8 (N, F) in, fp32 logits (N, out) out."""
 
-    quantized_output = False
+    label = "int8.linear"
+    out_dtype = np.float32
 
     def __init__(self, src: _LinearStep, in_scale: float) -> None:
         # src.w_t is (F, out); per-output-channel scales reduce over F
@@ -885,28 +763,20 @@ class _QuantLinear(_QStep):
         self.r = (self.w_scales * self.in_scale).astype(np.float32)
         self.bias = src.bias
         self.out_shape = src.out_shape
-        self.label = "int8.linear"
         self.cols_elems = src.w_t.shape[0]
-        self._bufs: dict[tuple[int, int], np.ndarray] = {}
 
     def param_nbytes(self) -> int:
         return self.w8.nbytes + 4 * self.w8.shape[0] + self.bias.nbytes
 
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
-        out = self._bufs.get(scratch.key)
-        if out is None:
-            out = np.empty((scratch.n, *self.out_shape), dtype=np.float32)
-            self._bufs[scratch.key] = out
+    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
+        x, out, _ = b.enter(self, x)
         n, f = x.shape
-        xf = scratch.cols[: n * f].reshape(n, f)
+        xf = b.cols[: n * f].reshape(n, f)
         np.copyto(xf, x)
         np.matmul(xf, self.wf, out=out)
         np.multiply(out, self.r, out=out)
         out += self.bias
         return out
-
-    def release(self) -> None:
-        self._bufs.clear()
 
 
 class _QuantResidual(_QStep):
@@ -942,26 +812,21 @@ class _QuantResidual(_QStep):
         self.rounded = half > 0.0
         self.label = f"int8.residual+{activation}" if activation else "int8.residual"
         self.tmp_elems = 2 * int(np.prod(out_shape))
-        self._bufs: dict[tuple[int, int], np.ndarray] = {}
 
     def sub_plans(self) -> list[list[_Step]]:
         return [self.body] + ([self.shortcut] if self.shortcut else [])
 
-    def run(self, x: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
         identity = x
         for step in self.shortcut or ():
-            identity = step.run(identity, scratch)
+            identity = step.run(identity, b)
         out8 = x
         for step in self.body:
-            out8 = step.run(out8, scratch)
-        out = self._bufs.get(scratch.key)
-        if out is None:
-            c, h, w = self.out_shape
-            out = np.empty((c, h, scratch.n, w), dtype=np.int8)
-            self._bufs[scratch.key] = out
+            out8 = step.run(out8, b)
+        x, out, _ = b.enter(self, x)
         elems = out.size
-        acc = scratch.tmp[:elems].reshape(out.shape)
-        idf = scratch.tmp[elems : 2 * elems].reshape(out.shape)
+        acc = b.tmp[:elems].reshape(out.shape)
+        idf = b.tmp[elems : 2 * elems].reshape(out.shape)
         np.multiply(out8, self.c_body, out=acc)
         np.multiply(identity, self.c_short, out=idf)
         np.add(acc, idf, out=acc)
@@ -973,35 +838,28 @@ class _QuantResidual(_QStep):
         np.copyto(out, acc, casting="unsafe")
         return out
 
-    def release(self) -> None:
-        self._bufs.clear()
-        for step in self.body:
-            step.release()
-        for step in self.shortcut or ():
-            step.release()
-
 
 # ----------------------------------------------------------------------
 # calibration + plan transform
 
 
 def _record_amax(
-    steps: list[_Step], x: np.ndarray, scratch: _Scratch, amax: dict[int, float]
+    steps: list[_Step], x: np.ndarray, binding: _Binding, amax: dict[int, float]
 ) -> np.ndarray:
     """Run fp32 ``steps`` on ``x``, recording each step's output amax."""
     for step in steps:
         if isinstance(step, _ResidualStep):
             identity = x
             if step.shortcut is not None:
-                identity = _record_amax(step.shortcut, x, scratch, amax)
-            out = _record_amax(step.body, x, scratch, amax)
+                identity = _record_amax(step.shortcut, x, binding, amax)
+            out = _record_amax(step.body, x, binding, amax)
             merged = out + identity
             if step.activation == "relu":
                 np.maximum(merged, 0.0, out=merged)
             amax[id(step)] = float(np.max(np.abs(merged)))
             x = merged
         else:
-            x = step.run(x, scratch)
+            x = step.run(x, binding)
             amax[id(step)] = float(np.max(np.abs(x)))
     return x
 
@@ -1033,20 +891,7 @@ def _quantize_chain(
     for step in steps:
         if isinstance(step, _FusedConv):
             s_out = _scale_from_amax(amax[id(step)])
-            scheme = _conv_scheme(
-                step.in_shape[0],
-                step.out_shape[0],
-                step.kernel,
-                step.stride,
-                step.out_shape[1],
-                step.out_shape[2],
-            )
-            if scheme in ("wino4", "wino2"):
-                out.append(
-                    _QuantWinoConv(step, scale, s_out, 4 if scheme == "wino4" else 2)
-                )
-            else:
-                out.append(_QuantConv(step, scale, s_out, scheme))
+            out.append(_QuantConv(step, scale, s_out))
             scale = s_out
         elif isinstance(step, _FusedDepthwise):
             s_out = _scale_from_amax(amax[id(step)])
@@ -1171,28 +1016,27 @@ class QuantizedModule(CompiledModule):
                 f"calibration batch shaped {calibration.shape} does not "
                 f"match input shape {self.input_shape}"
             )
-        scratch = _Scratch(
-            (-1, calibration.shape[0]),
-            calibration.shape[0],
-            self._cols_elems,
-            self._tmp_elems,
-        )
+        # the fp32 pass runs on a private arena that dies with it
+        binding = self._bind(_Arena(), calibration.shape[0])
         amax: dict[int, float] = {}
-        _record_amax(self.steps, calibration, scratch, amax)
-        for step in _iter_steps(self.steps):
-            step.release()
+        #: what the fp32 plan makes of the calibration batch — the batch
+        #: a plan fed by this one should calibrate on
+        self.calibration_output = np.array(
+            _record_amax(self.steps, calibration, binding, amax)
+        )
         self.input_scale = activation_scale(calibration)
         self.steps, self.quantized_steps = _quantize_plan(
             self.steps, self.input_shape, self.input_scale, amax
         )
-        self._cols_elems = max(
-            (s.cols_elems for s in _iter_steps(self.steps)), default=0
-        )
-        self._tmp_elems = max(
-            (s.tmp_elems for s in _iter_steps(self.steps)), default=0
-        )
-        self._scratch = {}
 
     def param_bytes(self) -> int:
         """Dtype-aware weight bytes of the deployed plan."""
         return plan_param_bytes(self)
+
+    def conv_schemes(self, n: int) -> list[str]:
+        """Scheme each int8 conv binds to at batch size ``n``, in plan order."""
+        return [
+            step.scheme(n)
+            for step in _iter_steps(self.steps)
+            if isinstance(step, _QuantConv)
+        ]

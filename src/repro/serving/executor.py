@@ -276,22 +276,26 @@ class BlockwiseRunner:
     ``modules`` maps ``block_id`` to the :mod:`repro.dnn.graph` module
     implementing the block; ``cacheable`` limits memoization to frozen
     (shared) blocks — fine-tuned suffixes always recompute.  The cache
-    is keyed by ``(input_key, precision, block-id prefix)``, so one
-    input tensor evaluated under several paths reuses the shared
-    trunk's activations — but only within one numeric format: fp32 and
+    is keyed by ``(input_key, batch size, precision, block-id prefix)``,
+    so one input tensor evaluated under several paths reuses the shared
+    trunk's activations — but only within one numeric format (fp32 and
     int8 executions of the same trunk produce different tensors and
-    must never serve each other.
+    must never serve each other) and never for an input with a
+    different number of samples under a reused key.
 
     The cache is a bounded LRU: a long-lived runtime would otherwise
     retain one activation tensor per ``(input_key, prefix)`` forever.
     ``cache_capacity=None`` removes the bound; evictions are counted in
     ``cache_evictions`` next to the hit/miss counters.
 
-    With ``compile_blocks=True`` each block is compiled into a fused
-    execution plan (:mod:`repro.dnn.compile`) the first time it runs on
-    a given input shape, and the plan serves subsequent calls.  Plans
-    snapshot block weights — call :meth:`clear_compiled` after mutating
-    the underlying modules (pruning, fine-tuning).
+    With ``compile_blocks=True`` a path's blocks are compiled into fused
+    execution plans (:mod:`repro.dnn.compile`) the first time the path
+    runs on a given input shape, and the plans serve subsequent calls.
+    An int8 block calibrates on what its predecessors make of the
+    calibration batch — the activation it will really see — so its plan
+    is keyed by the block-id prefix it was reached through as well.
+    Plans snapshot block weights — call :meth:`clear_compiled` after
+    mutating the underlying modules (pruning, fine-tuning).
 
     With ``parallel`` set to a :class:`repro.serving.parallel.
     ParallelBackend` over the same modules, every block forward is
@@ -316,12 +320,11 @@ class BlockwiseRunner:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
-    _cache: OrderedDict[tuple[int, str, tuple[str, ...]], np.ndarray] = field(
+    _cache: OrderedDict[tuple[int, int, str, tuple[str, ...]], np.ndarray] = field(
         default_factory=OrderedDict
     )
-    _compiled: dict[tuple[str, str | None, tuple[int, ...]], Layer] = field(
-        default_factory=dict
-    )
+    #: (block id, quantize, input shape, int8: block-id prefix) -> plan
+    _compiled: dict[tuple, Layer] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.cache_capacity is not None and self.cache_capacity < 1:
@@ -340,22 +343,41 @@ class BlockwiseRunner:
         """Numeric format this runner executes blocks at."""
         return self.quantize or "fp32"
 
-    def _forward(self, block_id: str, x: np.ndarray) -> np.ndarray:
+    def _forward(self, block_id: str, layer: Layer, x: np.ndarray) -> np.ndarray:
         if self.parallel is not None:
             return self.parallel.run_block(block_id, x)
-        module = self.modules[block_id]
-        if not self.compile_blocks:
-            return module(x)
-        key = (block_id, self.quantize, tuple(x.shape[1:]))
-        plan = self._compiled.get(key)
-        if plan is None:
-            from repro.dnn.compile import compile_module
+        return layer(x)
 
-            plan = compile_module(module, key[2], quantize=self.quantize)
-            self._compiled[key] = plan
-        return plan.forward(x)
+    def _plans(self, block_ids: list[str], shape: tuple[int, ...]) -> list[Layer]:
+        """The path's plans for inputs of ``shape``, compiled on first sight.
 
-    def _remember(self, key: tuple[int, str, tuple[str, ...]], x: np.ndarray) -> None:
+        A block compiled alone would calibrate its int8 activation scales
+        on noise at its own input shape; here each block gets the fp32
+        output of the plan before it (``calibration_output``), starting
+        from ``compile_module``'s default batch at the path input.
+        """
+        from repro.dnn.compile import compile_module
+
+        plans = []
+        calibration = None
+        for i, block_id in enumerate(block_ids):
+            prefix = tuple(block_ids[:i]) if self.quantize else ()
+            key = (block_id, self.quantize, shape, prefix)
+            plan = self._compiled.get(key)
+            if plan is None:
+                plan = self._compiled[key] = compile_module(
+                    self.modules[block_id],
+                    shape,
+                    quantize=self.quantize,
+                    calibration=calibration,
+                )
+            if self.quantize:
+                calibration = plan.calibration_output
+            shape = plan.out_shape
+            plans.append(plan)
+        return plans
+
+    def _remember(self, key: tuple, x: np.ndarray) -> None:
         self._cache[key] = x
         self._cache.move_to_end(key)
         if self.cache_capacity is not None and len(self._cache) > self.cache_capacity:
@@ -370,16 +392,22 @@ class BlockwiseRunner:
         # Cache entries are tagged with the executing precision: an fp32
         # and an int8 path sharing a trunk must never serve each other's
         # activations (they are numerically different tensors).
-        precision = self.precision
+        # ... and with the number of samples: a key reused for an input
+        # of another batch size is a miss, not that other input's tensor.
+        tag = (input_key, x.shape[0], self.precision)
+        if self.compile_blocks and self.parallel is None:
+            layers = self._plans(block_ids, tuple(x.shape[1:]))
+        else:
+            layers = [self.modules[block_id] for block_id in block_ids]
         # longest cached prefix of cacheable blocks
         start = 0
         for i in range(len(block_ids), 0, -1):
             prefix = tuple(block_ids[:i])
             if not all(bid in self.cacheable for bid in prefix):
                 continue
-            cached = self._cache.get((input_key, precision, prefix))
+            cached = self._cache.get((*tag, prefix))
             if cached is not None:
-                self._cache.move_to_end((input_key, precision, prefix))
+                self._cache.move_to_end((*tag, prefix))
                 x = cached
                 start = i
                 self.cache_hits += 1
@@ -392,12 +420,12 @@ class BlockwiseRunner:
                 with tracer.span(
                     f"block.{block_ids[i]}", cat="runner", track="blockwise"
                 ):
-                    x = self._forward(block_ids[i], x)
+                    x = self._forward(block_ids[i], layers[i], x)
             else:
-                x = self._forward(block_ids[i], x)
+                x = self._forward(block_ids[i], layers[i], x)
             prefix = tuple(block_ids[: i + 1])
             if all(bid in self.cacheable for bid in prefix):
-                self._remember((input_key, precision, prefix), x)
+                self._remember((*tag, prefix), x)
         return x
 
     def clear(self) -> None:

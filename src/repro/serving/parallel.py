@@ -454,9 +454,6 @@ class ParallelBackend:
         _LIVE_BACKENDS.add(self)
 
     def _start_pool(self, procs: int, start_method: str) -> None:
-        # plans snapshot per-call buffers lazily; publish them empty
-        for plan in self._local_plans.values():
-            plan.release_buffers()
         self._arena = WeightArena.publish(
             {
                 "modules": self.modules,

@@ -35,6 +35,7 @@ from repro.core.catalog import Catalog
 from repro.core.solution import Assignment, DOTSolution
 from repro.core.subproblem import BranchItem, _best_admission_for_item
 from repro.core.tree import build_vector_tree
+from repro.dnn.compile import CompiledModule, _Arena
 from repro.emulator.simulator import Simulator
 from repro.serving.metrics import ServingMetrics
 from repro.serving.queueing import DropReason, ServingQueue, ServingRequest
@@ -437,3 +438,20 @@ def allocate_both_ways(solver, problem):
         solver._allocate_groups(problem, plan, chosen),
         per_member_allocate_groups(solver, problem, plan, chosen),
     )
+
+
+def fresh_forward(plan: CompiledModule, x: np.ndarray) -> np.ndarray:
+    """``plan.forward(x)`` on brand-new memory.
+
+    The steady-state forward reuses one thread-local arena under every
+    plan and batch size, rebinding its views as the arena grows; this
+    binds the plan to a private arena (fresh block, fresh zeroed pads)
+    and runs the same steps once.  A stale view, two live buffers laid
+    over each other or a pad border another plan dirtied shows up as a
+    difference between the two.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    binding = plan._bind(_Arena(), x.shape[0])
+    for step in plan.steps:
+        x = step.run(x, binding)
+    return x.copy()

@@ -11,7 +11,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dnn.compile import CompiledModule, compile_module, fold_batch_norm
+from repro.dnn.compile import (
+    CompiledModule,
+    _Arena,
+    _thread_arena,
+    compile_module,
+    fold_batch_norm,
+)
 from repro.dnn.configs import TABLE_I_CONFIGS
 from repro.dnn.graph import Sequential
 from repro.dnn.layers import (
@@ -25,6 +31,7 @@ from repro.dnn.layers import (
 from repro.dnn.mobilenet import build_mobilenetv2
 from repro.dnn.pruning import prune_resnet
 from repro.dnn.resnet import build_resnet18
+from tests.oracles import fresh_forward
 
 PARITY_TOL = 1e-4
 
@@ -181,8 +188,12 @@ class TestInterface:
         compiled = compile_module(self._model())
         x = np.random.default_rng(7).standard_normal((2, 3, 16, 16), dtype=np.float32)
         first = compiled.forward(x)
+        arena = _thread_arena()
+        assert arena.nbytes > 0 and arena.pads
         compiled.release_buffers()
+        assert arena.nbytes == 0 and not arena.pads and not arena.bound
         np.testing.assert_array_equal(compiled.forward(x), first)
+        assert arena.nbytes > 0
 
     def test_compile_rejects_non_layer(self):
         with pytest.raises(TypeError):
@@ -247,9 +258,84 @@ class TestLinearWeightCache:
         )
 
 
+def _arena_plans():
+    """Three plans of different shapes and both precisions."""
+    wide = build_resnet18(num_classes=5, input_size=16, width=16, seed=0)
+    narrow = build_resnet18(num_classes=5, input_size=16, width=8, seed=1)
+    prune_resnet(narrow, {"layer2", "layer3"}, 0.5)
+    return [
+        compile_module(wide),
+        compile_module(wide, quantize="int8"),
+        compile_module(narrow, quantize="int8"),
+    ]
+
+
+class TestArena:
+    """One thread-local arena under every plan and batch size: the
+    steady-state forward must equal the same bound steps on brand-new
+    memory (``oracles.fresh_forward``), whatever ran in between."""
+
+    SIZES = (1, 8, 32, 1)  # growth, then a rebind at the first size
+
+    def test_interleaved_plans_match_fresh_memory(self):
+        plans = _arena_plans()
+        rng = np.random.default_rng(12)
+        plans[0].release_buffers()  # this thread's arena starts empty
+        for n in self.SIZES:
+            for plan in plans:
+                x = rng.standard_normal((n, *plan.input_shape), dtype=np.float32)
+                expected = fresh_forward(plan, x)
+                np.testing.assert_array_equal(plan.forward(x), expected)
+                # and again on the now-bound views
+                np.testing.assert_array_equal(plan.forward(x), expected)
+
+    def test_arena_holds_one_plans_worth(self):
+        plans = _arena_plans()
+        plans[0].release_buffers()
+        needs = []
+        for n in self.SIZES:
+            for plan in plans:
+                plan.forward(np.zeros((n, *plan.input_shape), dtype=np.float32))
+                alone = _Arena()
+                plan._bind(alone, n)
+                needs.append(alone.nbytes)
+        # counted from the arena, not from RSS: the block is the largest
+        # single need; only the pads of smaller shapes come on top
+        assert _thread_arena().nbytes <= 1.25 * max(needs)
+
+    def test_growth_rebinds_every_plan(self):
+        small, _, other = _arena_plans()
+        small.release_buffers()
+        arena = _thread_arena()
+        x1 = np.zeros((1, *small.input_shape), dtype=np.float32)
+        small.forward(x1)
+        other.forward(x1)
+        block = arena.block
+        assert set(arena.bound) == {small, other}
+        small.forward(np.zeros((32, *small.input_shape), dtype=np.float32))
+        # the block was replaced: no binding made on the old one survives
+        assert arena.block is not block
+        assert set(arena.bound) == {small} and set(arena.bound[small]) == {32}
+        views = [arena.bound[small][32].cols, arena.bound[small][32].tmp]
+        views += [buf[2] for buf in arena.bound[small][32].bufs.values()]
+        assert all(
+            np.shares_memory(view, arena.block)
+            for view in views
+            if view is not None and view.size  # fp32 plans need no temp
+        )
+
+    def test_same_geometry_steps_share_one_pad(self):
+        model = build_resnet18(num_classes=5, input_size=16, width=8, seed=0)
+        plan = compile_module(model)
+        arena = _Arena()
+        binding = plan._bind(arena, 4)
+        padded = [buf[1] for buf in binding.bufs.values() if buf[1] is not None]
+        assert len({id(pad) for pad in padded}) == len(arena.pads) < len(padded)
+
+
 class TestConcurrentForward:
     """Regression: a shared scratch made concurrent forwards corrupt
-    each other; buffers are now keyed per (thread, batch size)."""
+    each other; every thread now binds plans to an arena of its own."""
 
     def test_two_threads_same_batch_match_eager(self):
         import threading
@@ -279,14 +365,44 @@ class TestConcurrentForward:
         assert len(errors) == 24
         assert max(errors) < PARITY_TOL
 
-    def test_scratch_keyed_per_thread_and_batch(self):
-        model = build_resnet18(num_classes=5, input_size=16, width=8, seed=0)
-        compiled = compile_module(model)
-        x1 = np.zeros((1, *model.input_shape), dtype=np.float32)
-        x4 = np.zeros((4, *model.input_shape), dtype=np.float32)
-        compiled.forward(x1)
-        compiled.forward(x4)
+    def test_two_threads_interleaved_plans_match_fresh_memory(self):
+        import sys
         import threading
 
-        ident = threading.get_ident()
-        assert set(compiled._scratch) == {(ident, 1), (ident, 4)}
+        plans = _arena_plans()
+        rng = np.random.default_rng(13)
+        work = [
+            (plan, x, fresh_forward(plan, x))
+            for n in (1, 8, 1)
+            for plan in plans
+            for x in [rng.standard_normal((n, *plan.input_shape), dtype=np.float32)]
+        ]
+        arenas, mismatches = [], []
+        barrier = threading.Barrier(2)
+
+        def worker(order) -> None:
+            arenas.append(_thread_arena())
+            barrier.wait(timeout=30)
+            for _ in range(4):
+                for plan, x, expected in order:
+                    if not np.array_equal(plan.forward(x), expected):
+                        mismatches.append(plan.precision)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(order,))
+                for order in (work, work[::-1])
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not mismatches
+        # each thread bound the shared plans to an arena of its own
+        assert arenas[0] is not arenas[1] and _thread_arena() not in arenas
+        assert all(arena.nbytes > 0 for arena in arenas)

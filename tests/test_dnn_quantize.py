@@ -208,3 +208,116 @@ class TestEndToEndParity:
 
     def test_accuracy_drop_constant_is_conservative(self):
         assert 0.0 < INT8_ACCURACY_DROP <= 0.01
+
+
+# -- conv scheme by (shape, batch size) -------------------------------------
+
+
+class TestSchemeByBatch:
+    """A plan binds per batch size: Winograd's r^2 tile GEMMs only pay
+    once the batch makes them fat enough, and never below 64 channels."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return build_resnet18(num_classes=10, input_size=32, width=32, seed=0)
+
+    def _block_plans(self, model):
+        plans, shape = {}, model.input_shape
+        for name in ("stem", "layer1", "layer2", "layer3", "layer4"):
+            block = model.blocks[name]
+            plans[name] = compile_module(block, shape, quantize="int8")
+            shape = block.output_shape(shape)
+        return plans
+
+    def test_no_winograd_at_batch_1(self, model):
+        plan = compile_module(model, quantize="int8")
+        schemes = plan.conv_schemes(1)
+        assert len(schemes) == 20  # every conv of ResNet-18
+        assert not any(scheme.startswith("wino") for scheme in schemes)
+
+    def test_winograd_where_the_tile_gemms_are_fat(self, model):
+        plans = self._block_plans(model)
+        for n in (1, 2, 4, 8, 16, 32, 64):
+            # layer1 is 32 channels wide: below the 64-channel floor
+            assert not any(s.startswith("wino") for s in plans["layer1"].conv_schemes(n))
+        for name in ("layer2", "layer3"):
+            assert "wino4" in plans[name].conv_schemes(32)
+            assert "wino4" not in plans[name].conv_schemes(1)
+        # the choice is monotone in n: once fat enough, always fat enough
+        for plan in plans.values():
+            wino = [
+                sum(s.startswith("wino") for s in plan.conv_schemes(n))
+                for n in (1, 2, 4, 8, 16, 32)
+            ]
+            assert wino == sorted(wino)
+
+    def test_bound_scheme_is_the_reported_one(self, model):
+        from repro.dnn.compile import _Arena, _iter_steps
+        from repro.dnn.quantize import _QuantConv
+
+        plan = compile_module(model.blocks["layer1"], (32, 32, 32), quantize="int8")
+        wide = compile_module(
+            build_resnet18(num_classes=10, input_size=32, width=64, seed=0).blocks[
+                "layer1"
+            ],
+            (64, 32, 32),
+            quantize="int8",
+        )
+        for p, n in ((plan, 1), (plan, 8), (wide, 1), (wide, 8)):
+            binding = p._bind(_Arena(), n)
+            bound = [
+                binding.bufs[step][3][0]
+                for step in _iter_steps(p.steps)
+                if isinstance(step, _QuantConv)
+            ]
+            assert bound == p.conv_schemes(n)
+        # 64 channels at 32 x 32 already make 4096 transform columns
+        assert set(wide.conv_schemes(1)) == {"wino4"}
+
+    def test_sample_alone_and_inside_a_batch_agree(self, model):
+        """Batch 1 binds kw/im2col where batch 8 binds Winograd, whose
+        f32 tile transforms round differently: integer requant results
+        may differ by one step on a few activations, so logits agree to
+        2 % of their spread (measured: 0.3-0.6 %), not bit for bit."""
+        plan = compile_module(model, quantize="int8")
+        assert plan.conv_schemes(1) != plan.conv_schemes(8)
+        x = np.random.default_rng(5).standard_normal(
+            (8, *model.input_shape), dtype=np.float32
+        )
+        batched = plan.forward(x)
+        alone = np.concatenate([plan.forward(x[i : i + 1]) for i in range(8)])
+        np.testing.assert_array_equal(alone.argmax(axis=1), batched.argmax(axis=1))
+        assert float(np.abs(alone - batched).max()) <= 0.02 * float(np.ptp(batched))
+
+    def test_fp32_does_not_depend_on_the_batch(self, model):
+        """fp32 binds one scheme at every batch size: the conv stages are
+        per-sample GEMMs, bit-equal alone or batched; only the head's
+        (N, F) @ (F, classes) product is a different BLAS call at N = 1
+        (gemv) — as before this plan bound per batch size — so logits
+        agree to float32 rounding."""
+        x = np.random.default_rng(6).standard_normal(
+            (8, *model.input_shape), dtype=np.float32
+        )
+        shape = model.input_shape
+        for name in ("stem", "layer1", "layer2", "layer3", "layer4"):
+            plan = compile_module(model.blocks[name], shape)
+            batched = plan.forward(x)
+            for i in (0, 3, 7):
+                np.testing.assert_array_equal(
+                    plan.forward(x[i : i + 1]), batched[i : i + 1]
+                )
+            x, shape = batched, plan.out_shape
+        head = compile_module(model.blocks["head"], shape)
+        np.testing.assert_allclose(
+            np.concatenate([head.forward(x[i : i + 1]) for i in range(8)]),
+            head.forward(x),
+            rtol=1e-5,
+            atol=1e-5,
+        )
+
+    def test_scheme_shadows_are_not_artifact_bytes(self, model):
+        plan = compile_module(model, quantize="int8")
+        before = plan.param_bytes()
+        for n in (1, 32):  # lays out kw/im2col, then Winograd operands
+            plan.forward(np.zeros((n, *model.input_shape), dtype=np.float32))
+        assert plan.param_bytes() == before

@@ -12,8 +12,10 @@ from repro.cluster.executor import ClusterExecutor
 from repro.cluster.orchestrator import PlacementPlan, Segment
 from repro.core.catalog import Block, Path
 from repro.core.task import QualityLevel
+from repro.dnn.compile import compile_module
 from repro.dnn.graph import NamedModule
 from repro.dnn.layers import Linear, ReLU
+from repro.dnn.resnet import BLOCK_NAMES, build_resnet18
 from repro.serving.executor import (
     BatchExecutor,
     BlockwiseRunner,
@@ -396,7 +398,7 @@ class TestBlockwiseRunner:
             runner.run(path_a, x, input_key=key)
         assert runner.cache_evictions == 2
         # 1 and 2 left in insertion order; 3..5 remain resident
-        assert [key for key, _precision, _prefix in runner._cache] == [3, 4, 5]
+        assert [key for key, _n, _precision, _prefix in runner._cache] == [3, 4, 5]
 
     def test_precision_tagged_cache_never_crosses_formats(self):
         """Regression: fp32 and int8 runs sharing one activation store
@@ -422,12 +424,28 @@ class TestBlockwiseRunner:
             out_int8, isolated.run(path_a, x, input_key=9)
         )
         # both precisions resident under distinct keys
-        assert {(k, p) for k, p, _prefix in runner._cache} == {
+        assert {(k, p) for k, _n, p, _prefix in runner._cache} == {
             (9, "fp32"),
             (9, "int8"),
         }
         # and the quantized trunk output genuinely differs from fp32
         assert not np.allclose(out_int8, out_fp32, atol=1e-7)
+
+    def test_reused_key_with_another_batch_size_misses(self):
+        """Regression: the prefix key had no batch size, so an 8-sample
+        input under a key last used for one sample got that sample's
+        trunk activation — and one row of logits — back."""
+        runner, path_a, _, modules = self._runner()
+        rng = np.random.default_rng(0)
+        x1, x8 = rng.normal(size=(1, 4)), rng.normal(size=(8, 4))
+        runner.run(path_a, x1, input_key=7)
+        out = runner.run(path_a, x8, input_key=7)
+        assert runner.cache_hits == 0 and runner.cache_misses == 2
+        np.testing.assert_allclose(out, modules["a:g3"](modules["base:g1"](x8)))
+        # both inputs stay resident under the one key
+        runner.run(path_a, x1, input_key=7)
+        runner.run(path_a, x8, input_key=7)
+        assert runner.cache_hits == 2
 
     def test_quantize_validation(self):
         with pytest.raises(ValueError):
@@ -450,3 +468,57 @@ class TestBlockwiseRunner:
         # activation cache untouched: the next run still hits the trunk
         compiled.run(path_a, x, input_key=7)
         assert compiled.cache_hits == 1
+
+
+class TestInt8BlockCalibration:
+    """An int8 runner compiles block by block, but each block calibrates
+    on what the blocks before it make of the calibration batch."""
+
+    def _model_path(self, seed=0, dnn_id="m"):
+        model = build_resnet18(num_classes=10, input_size=16, width=16, seed=seed)
+        blocks = tuple(
+            Block(f"{dnn_id}:{name}", dnn_id, compute_time_s=0.001, memory_gb=0.01)
+            for name in BLOCK_NAMES
+        )
+        modules = {f"{dnn_id}:{name}": model.blocks[name] for name in BLOCK_NAMES}
+        return model, Path(dnn_id, dnn_id, 1, blocks, 0.9, QUALITY), modules
+
+    def test_runner_matches_the_whole_model_int8_plan(self):
+        """Regression: every block used to calibrate its activation scales
+        on N(0, 1) noise at its own input shape.  Chained, the scales are
+        the whole-model plan's, and the dequantize -> quantize round trip
+        at a block boundary is exact — so the logits, not only top-1,
+        are the whole-model plan's."""
+        model, path, modules = self._model_path()
+        x = np.random.default_rng(3).standard_normal(
+            (64, *model.input_shape), dtype=np.float32
+        )
+        whole = compile_module(model, quantize="int8").forward(x)
+        runner = BlockwiseRunner(modules=modules, quantize="int8")
+        out = runner.run(path, x, input_key=1)
+        np.testing.assert_array_equal(out.argmax(axis=1), whole.argmax(axis=1))
+        np.testing.assert_array_equal(out, whole)
+        # and two fresh runners agree bit for bit
+        again = BlockwiseRunner(modules=modules, quantize="int8")
+        np.testing.assert_array_equal(again.run(path, x, input_key=1), out)
+
+    def test_two_prefixes_give_one_block_two_calibrations(self):
+        model, path, modules = self._model_path()
+        _, other, other_modules = self._model_path(seed=1, dnn_id="o")
+        modules.update(other_modules)
+        # the other trunk, then this model's layer4 + head
+        grafted = Path(
+            "g", "g", 2, other.blocks[:4] + path.blocks[4:], 0.9, QUALITY
+        )
+        runner = BlockwiseRunner(modules=modules, quantize="int8")
+        x = np.zeros((1, *model.input_shape), dtype=np.float32)
+        runner.run(path, x, input_key=1)
+        runner.run(grafted, x, input_key=2)
+        layer4 = [plan for key, plan in runner._compiled.items() if key[0] == "m:layer4"]
+        assert len(layer4) == 2
+        assert layer4[0].input_scale != layer4[1].input_scale
+        # an fp32 runner calibrates nothing: one plan per (block, shape)
+        fp32 = BlockwiseRunner(modules=modules, compile_blocks=True)
+        fp32.run(path, x, input_key=1)
+        fp32.run(grafted, x, input_key=2)
+        assert len(fp32._compiled) == 10
