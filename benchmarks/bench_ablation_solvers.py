@@ -12,19 +12,18 @@ import time
 
 from benchmarks._report import emit
 from repro.analysis.report import format_table
-from repro.core.subproblem import BranchItem, solve_branch, solve_branch_convex
-from repro.core.tree import build_tree
+from repro.core.subproblem import solve_branch, solve_branch_convex
+from repro.core.tree import build_vector_tree
 from repro.workloads.largescale import RequestRate, large_scale_problem
 
 
 def _branch_items(problem):
-    tree = build_tree(problem)
+    """The first (least compute time) variant of every non-empty clique."""
+    radio_blocks = problem.budgets.radio_blocks
     return [
-        BranchItem(
-            task=c.task, path=c.vertices[0].path, bits_per_rb=c.vertices[0].bits_per_rb
-        )
-        for c in tree.cliques
-        if c.vertices
+        items[0]
+        for clique in build_vector_tree(problem).cliques
+        if (items := clique.items(radio_blocks))
     ]
 
 

@@ -1,23 +1,23 @@
-"""Control-plane scaling — solver runtime and parity from 20 to 10⁶ tasks.
+"""Control-plane scaling — solver runtime from 20 to 10⁶ tasks.
 
-Three measurements back the vectorized DOT control plane:
+Three measurements back the DOT control plane (all solver wall time,
+``time.perf_counter``):
 
-1. **Parity at paper scale.**  The vector engine must return the exact
-   solution of the scalar reference — same chosen paths, bit-identical
-   ``(z, r)`` — on the Table IV large-scale scenario at all three
-   request loads.  Any divergence fails the bench.  Both engines are
-   timed as the online controller runs them: re-solves of a live
-   catalog, median of ``PARITY_REPEATS`` alternating solves after one
-   untimed solve each.
+1. **Paper scale.**  The Table IV large-scale scenario at all three
+   request loads, timed as the online controller runs it: re-solves of
+   a live catalog, median of ``PAPER_REPEATS`` solves after one untimed
+   solve, with the build / select / allocate split.  (Parity with the
+   scalar reference is a tier-1 test against ``tests/oracles.py``, not a
+   bench row: there is one tree in ``src/``.)
 2. **Solve time vs population.**  Replicated large-scale instances
    (20 service classes × N replicas) are solved with the aggregation
-   layer up to 10⁶ modeled users, with the direct per-task vector
-   engine as reference where tractable and the scalar engine below
-   that.  Aggregated and direct solves are checked for admission
-   equivalence.
-3. **Warm-start churn.**  At 10⁴ tasks, a 1% arrival/departure churn is
-   re-solved with the clique cache versus from scratch; the speedup is
-   recorded.
+   layer up to 10⁶ modeled users, with the direct per-task solve as
+   reference where tractable.  Aggregated and direct solves are checked
+   for admission equivalence; a miss fails the bench.
+3. **Memo-warm churn.**  At 10⁴ tasks, a 1% arrival/departure churn is
+   re-solved with the caller's clique memo (``solve(problem, memo=)``)
+   versus from scratch; the speedup is recorded and the two solutions
+   must be bit-identical, or the bench fails.
 
 The whole bench runs under one :class:`repro.obs.ObsSession`: the solver
 spans (O(1) per solve) give every row its tree build / select / allocate
@@ -25,8 +25,8 @@ split and the report its ``phases`` block.
 
 Full mode writes ``BENCH_solver.json`` at the repo root (committed);
 ``--quick`` runs a reduced grid for CI smoke, writes
-``benchmarks/results/BENCH_solver_quick.json`` and exits nonzero on any
-parity failure.
+``benchmarks/results/BENCH_solver_quick.json`` and exits nonzero on an
+equivalence or memo-vs-cold failure.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from repro.analysis.report import format_table
 from repro.core.aggregate import AggregateSolver
 from repro.core.catalog import Catalog
 from repro.core.heuristic import OffloaDNNSolver
-from repro.core.incremental import WarmStartSolver
 from repro.core.problem import DOTProblem
+from repro.core.tree import build_vector_tree
 from repro.obs import ObsSession, current_tracer, use_tracer
 from repro.workloads.largescale import (
     RequestRate,
@@ -56,13 +56,12 @@ SEED = 0
 #: population sizes (modeled users = tasks) of the scaling curve
 FULL_USERS = [100, 1_000, 10_000, 100_000, 1_000_000]
 QUICK_USERS = [100, 1_000]
-#: largest population solved per-task with the vector/scalar engines
+#: largest population solved per task (without aggregation)
 DIRECT_CAP = 100_000
-SCALAR_CAP = 10_000
 #: admission-equivalence tolerance between aggregated and direct solves
 EQUIV_RTOL = 0.02
-#: timed solves per engine and rate in the paper-scale parity rows
-PARITY_REPEATS = 25
+#: timed solves per rate in the paper-scale rows
+PAPER_REPEATS = 25
 
 
 def _solution_key(solution):
@@ -90,38 +89,31 @@ def _traced(solve, problem):
     return solution, phases
 
 
-def paper_scale_parity() -> list[dict]:
-    """Bit-exact scalar-vs-vector parity on the Table IV scenario."""
+def paper_scale() -> list[dict]:
+    """Re-solve time and phase split on the Table IV scenario."""
     from repro.workloads.largescale import large_scale_problem
 
     rows = []
+    solve = OffloaDNNSolver().solve
     for rate in RequestRate:
         problem = large_scale_problem(rate, seed=SEED)
-        engines = {
-            name: OffloaDNNSolver(engine=name).solve for name in ("scalar", "vector")
-        }
-        first = {name: solve(problem) for name, solve in engines.items()}
-        totals = {name: [] for name in engines}
+        first = solve(problem)
+        totals: list[float] = []
         phases: dict[str, list[float]] = {}
-        for _ in range(PARITY_REPEATS):
-            for name, solve in engines.items():
-                solution, spans = _traced(solve, problem)
-                totals[name].append(solution.total_time_s)
-                if name == "vector":
-                    for key, seconds in spans.items():
-                        phases.setdefault(key, []).append(seconds)
+        for _ in range(PAPER_REPEATS):
+            solution, spans = _traced(solve, problem)
+            totals.append(solution.total_time_s)
+            for key, seconds in spans.items():
+                phases.setdefault(key, []).append(seconds)
         rows.append(
             {
                 "rate": rate.label,
                 "tasks": len(problem.tasks),
-                "bit_exact": _solution_key(first["scalar"])
-                == _solution_key(first["vector"]),
-                "scalar_total_s": statistics.median(totals["scalar"]),
-                "vector_total_s": statistics.median(totals["vector"]),
-                "vector_phases": {
+                "total_s": statistics.median(totals),
+                "phases": {
                     key: statistics.median(values) for key, values in phases.items()
                 },
-                "weighted_admission": first["vector"].weighted_admission_ratio,
+                "weighted_admission": first.weighted_admission_ratio,
             }
         )
     return rows
@@ -147,24 +139,18 @@ def scaling_curve(users_grid: list[int]) -> list[dict]:
             "weighted_admission": aggregated.weighted_admission_ratio,
             "admitted_tasks": aggregated.admitted_task_count,
             "aggregate_phases": aggregate_phases,
-            "direct_vector_s": None,
-            "direct_vector_phases": None,
-            "scalar_s": None,
+            "direct_s": None,
+            "direct_phases": None,
             "admission_equivalent": None,
         }
         if len(problem.tasks) <= DIRECT_CAP:
-            direct, row["direct_vector_phases"] = _traced(
-                OffloaDNNSolver(engine="vector").solve, problem
-            )
-            row["direct_vector_s"] = direct.total_time_s
+            direct, row["direct_phases"] = _traced(OffloaDNNSolver().solve, problem)
+            row["direct_s"] = direct.total_time_s
             ref = direct.weighted_admission_ratio
             delta = abs(aggregated.weighted_admission_ratio - ref)
             row["admission_equivalent"] = bool(
                 delta <= EQUIV_RTOL * max(1.0, abs(ref))
             )
-        if len(problem.tasks) <= SCALAR_CAP:
-            scalar = OffloaDNNSolver(engine="scalar").solve(problem)
-            row["scalar_s"] = scalar.total_time_s
         rows.append(row)
     return rows
 
@@ -200,9 +186,9 @@ def _deshared(problem: DOTProblem) -> DOTProblem:
     """Give every task its own path-tuple object.
 
     Replicated instances share candidate-path tuples by identity, which
-    lets ``build_vector_tree``'s clique memo collapse the cold build to
-    O(distinct classes).  De-sharing models a heterogeneous population
-    where that memo cannot hit, isolating the warm-start cache's value.
+    lets ``build_vector_tree``'s per-call replica memo collapse the cold
+    build to O(distinct classes).  De-sharing models a heterogeneous
+    population where it cannot hit, isolating the caller memo's value.
     """
     catalog = Catalog()
     catalog.paths_by_task = {
@@ -218,7 +204,7 @@ def _deshared(problem: DOTProblem) -> DOTProblem:
     )
 
 
-def warm_start_churn(
+def memo_warm_churn(
     users: int, churn_fraction: float = 0.01, heterogeneous: bool = False
 ) -> dict:
     problem = replicated_large_scale_problem(
@@ -226,24 +212,26 @@ def warm_start_churn(
     )
     if heterogeneous:
         problem = _deshared(problem)
-    warm = WarmStartSolver()
-    warm.solve(problem)  # populate the clique cache
+    solver = OffloaDNNSolver()
+    memo: dict = {}
+    solver.solve(problem, memo=memo)  # populate the clique memo
     churned, departed = _churned(problem, churn_fraction)
     for task_id in departed:
-        warm.forget(task_id)
+        memo.pop(task_id)
+    reused = build_vector_tree(churned, dict(memo)).cached_cliques
 
     start = time.perf_counter()
-    warm_solution = warm.solve(churned)
+    warm_solution = solver.solve(churned, memo=memo)
     warm_wall_s = time.perf_counter() - start
     start = time.perf_counter()
-    cold_solution = OffloaDNNSolver(engine="vector").solve(churned)
+    cold_solution = solver.solve(churned)
     cold_wall_s = time.perf_counter() - start
     return {
         "users": len(problem.tasks),
         "population": "heterogeneous" if heterogeneous else "replicated",
         "churned_tasks": len(departed),
-        "cliques_reused": warm.last_reused,
-        "cliques_rebuilt": warm.last_built,
+        "cliques_reused": reused,
+        "cliques_rebuilt": len(churned.tasks) - reused,
         "warm_resolve_s": warm_wall_s,
         "cold_resolve_s": cold_wall_s,
         "speedup": cold_wall_s / warm_wall_s if warm_wall_s > 0 else None,
@@ -254,17 +242,15 @@ def warm_start_churn(
 def run(quick: bool) -> dict:
     obs = ObsSession()
     with use_tracer(obs.wall):
-        parity = paper_scale_parity()
+        paper = paper_scale()
         scaling = scaling_curve(QUICK_USERS if quick else FULL_USERS)
         churn_users = 1_000 if quick else 10_000
         warm = [
-            warm_start_churn(churn_users, heterogeneous=False),
-            warm_start_churn(churn_users, heterogeneous=True),
+            memo_warm_churn(churn_users, heterogeneous=False),
+            memo_warm_churn(churn_users, heterogeneous=True),
         ]
-    parity_ok = (
-        all(r["bit_exact"] for r in parity)
-        and all(r["admission_equivalent"] is not False for r in scaling)
-        and all(w["bit_exact"] for w in warm)
+    parity_ok = all(r["admission_equivalent"] is not False for r in scaling) and all(
+        w["bit_exact"] for w in warm
     )
     report = {
         "bench": "bench_solver",
@@ -273,14 +259,13 @@ def run(quick: bool) -> dict:
             "seed": SEED,
             "users_grid": QUICK_USERS if quick else FULL_USERS,
             "direct_cap": DIRECT_CAP,
-            "scalar_cap": SCALAR_CAP,
             "equivalence_rtol": EQUIV_RTOL,
             "churn_fraction": 0.01,
-            "parity_repeats": PARITY_REPEATS,
+            "paper_repeats": PAPER_REPEATS,
         },
-        "paper_scale_parity": parity,
+        "paper_scale": paper,
         "scaling": scaling,
-        "warm_start": warm,
+        "memo_warm": warm,
         "parity_ok": parity_ok,
     }
     return attach_obs(report, obs)
@@ -301,42 +286,34 @@ def main() -> int:
 
     report = run(quick=args.quick)
 
-    parity_table = format_table(
-        ["rate", "tasks", "bit exact", "scalar ms", "vector ms"]
-        + ["build", "select", "allocate"],
+    paper_table = format_table(
+        ["rate", "tasks", "solve ms", "build", "select", "allocate"],
         [
-            [
-                r["rate"],
-                r["tasks"],
-                str(r["bit_exact"]),
-                f"{r['scalar_total_s'] * 1e3:.3f}",
-                f"{r['vector_total_s'] * 1e3:.3f}",
-            ]
+            [r["rate"], r["tasks"], f"{r['total_s'] * 1e3:.3f}"]
             + [
-                f"{r['vector_phases'][key] * 1e3:.3f}"
+                f"{r['phases'][key] * 1e3:.3f}"
                 for key in ("tree_build_s", "select_branch_s", "allocate_s")
             ]
-            for r in report["paper_scale_parity"]
+            for r in report["paper_scale"]
         ],
     )
     scale_table = format_table(
-        ["users", "groups", "aggregate s", "direct s", "scalar s", "w.adm"],
+        ["users", "groups", "aggregate s", "direct s", "w.adm"],
         [
             [
                 r["users"],
                 r["groups"],
                 _fmt_s(r["aggregate_total_s"]),
-                _fmt_s(r["direct_vector_s"]),
-                _fmt_s(r["scalar_s"]),
+                _fmt_s(r["direct_s"]),
                 f"{r['weighted_admission']:.2f}",
             ]
             for r in report["scaling"]
         ],
     )
     warm_lines = []
-    for warm in report["warm_start"]:
+    for warm in report["memo_warm"]:
         warm_lines.append(
-            f"warm-start churn @ {warm['users']} {warm['population']} tasks: "
+            f"memo-warm churn @ {warm['users']} {warm['population']} tasks: "
             f"{warm['warm_resolve_s']:.4f} s vs cold "
             f"{warm['cold_resolve_s']:.4f} s "
             f"({warm['speedup']:.1f}x, reused {warm['cliques_reused']} "
@@ -344,7 +321,7 @@ def main() -> int:
         )
     warm_line = "\n".join(warm_lines)
     name = "BENCH_solver_quick" if args.quick else "BENCH_solver"
-    emit(name, parity_table + "\n\n" + scale_table + "\n\n" + warm_line)
+    emit(name, paper_table + "\n\n" + scale_table + "\n\n" + warm_line)
 
     if args.quick:
         json_path = REPO_ROOT / "benchmarks" / "results" / f"{name}.json"

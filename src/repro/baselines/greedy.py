@@ -13,10 +13,10 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
+from repro.core.heuristic import allocate
 from repro.core.problem import DOTProblem
-from repro.core.solution import Assignment, DOTSolution
-from repro.core.subproblem import BranchItem, solve_branch
-from repro.core.tree import build_tree
+from repro.core.solution import DOTSolution
+from repro.core.tree import Branch, build_vector_tree
 
 __all__ = ["GreedyNoSharingSolver"]
 
@@ -31,45 +31,36 @@ class GreedyNoSharingSolver:
     clock: Callable[[], float] = time.perf_counter
 
     def solve(self, problem: DOTProblem) -> DOTSolution:
-        tree = build_tree(problem)
+        vtree = build_vector_tree(problem)
         start = self.clock()
-        solution = DOTSolution()
         remaining_memory = problem.budgets.memory_gb
-        placed = []
-        for clique in tree.cliques:
+        chosen: Branch = []
+        for clique in vtree.cliques:
             picked = None
-            for vertex in clique.vertices:
-                memory = sum(b.memory_gb for b in vertex.path.blocks)
+            for item in clique.items(problem.budgets.radio_blocks):
+                memory = item.path.memory_gb
                 if memory <= remaining_memory + 1e-12:
-                    picked = vertex
+                    picked = item
                     remaining_memory -= memory
                     break
-            if picked is None:
-                task = clique.task
-                solution.assignments[task.task_id] = Assignment(
-                    task=task, path=None, admission_ratio=0.0, radio_blocks=0
-                )
-            else:
-                placed.append(picked)
-        items = [
-            BranchItem(task=v.task, path=v.path, bits_per_rb=v.bits_per_rb)
-            for v in placed
-        ]
-        allocation = solve_branch(items, problem.budgets, self.admission_floor)
-        for vertex, z, r in zip(placed, allocation.admission, allocation.radio_blocks):
+            chosen.append((clique.task.task_id, picked))
+        solution = allocate(problem, chosen, self.admission_floor)
+        for task_id, assignment in list(solution.assignments.items()):
+            path = assignment.path
+            if path is None:
+                continue
             blocks = tuple(
                 replace(
                     b,
-                    block_id=f"dedicated:task{vertex.task.task_id}:{b.block_id}",
-                    dnn_id=f"dedicated:task{vertex.task.task_id}:{b.dnn_id}",
+                    block_id=f"dedicated:task{task_id}:{b.block_id}",
+                    dnn_id=f"dedicated:task{task_id}:{b.dnn_id}",
                 )
-                for b in vertex.path.blocks
+                for b in path.blocks
             )
-            path = replace(vertex.path, blocks=blocks)
-            solution.assignments[vertex.task.task_id] = Assignment(
-                task=vertex.task, path=path, admission_ratio=z, radio_blocks=r
+            solution.assignments[task_id] = replace(
+                assignment, path=replace(path, blocks=blocks)
             )
         solution.solve_time_s = self.clock() - start
-        solution.tree_build_time_s = tree.build_time_s
+        solution.tree_build_time_s = vtree.build_time_s
         solution.solver_name = self.name
         return solution

@@ -8,10 +8,10 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.heuristic import allocate
 from repro.core.problem import DOTProblem
-from repro.core.solution import Assignment, DOTSolution
-from repro.core.subproblem import BranchItem, solve_branch
-from repro.core.tree import BranchState, build_tree
+from repro.core.solution import DOTSolution
+from repro.core.tree import Branch, BranchState, build_vector_tree
 
 __all__ = ["RandomPathSolver"]
 
@@ -27,38 +27,25 @@ class RandomPathSolver:
     clock: Callable[[], float] = time.perf_counter
 
     def solve(self, problem: DOTProblem) -> DOTSolution:
-        tree = build_tree(problem)
+        vtree = build_vector_tree(problem)
         start = self.clock()
         rng = np.random.default_rng(self.seed)
+        budgets = problem.budgets
         state = BranchState()
-        placed = []
-        solution = DOTSolution()
-        for clique in tree.cliques:
+        chosen: Branch = []
+        for clique in vtree.cliques:
             fitting = [
-                v
-                for v in clique.vertices
-                if state.memory_gb + state.incremental_memory(v)
-                <= problem.budgets.memory_gb + 1e-12
+                item
+                for item in clique.items(budgets.radio_blocks)
+                if state.fits(item.path, budgets.memory_gb)
             ]
-            if not fitting:
-                task = clique.task
-                solution.assignments[task.task_id] = Assignment(
-                    task=task, path=None, admission_ratio=0.0, radio_blocks=0
-                )
-                continue
-            vertex = fitting[rng.integers(len(fitting))]
-            state = state.extend(vertex)
-            placed.append(vertex)
-        items = [
-            BranchItem(task=v.task, path=v.path, bits_per_rb=v.bits_per_rb)
-            for v in placed
-        ]
-        allocation = solve_branch(items, problem.budgets, self.admission_floor)
-        for vertex, z, r in zip(placed, allocation.admission, allocation.radio_blocks):
-            solution.assignments[vertex.task.task_id] = Assignment(
-                task=vertex.task, path=vertex.path, admission_ratio=z, radio_blocks=r
-            )
+            picked = None
+            if fitting:
+                picked = fitting[rng.integers(len(fitting))]
+                state = state.extend(picked.path)
+            chosen.append((clique.task.task_id, picked))
+        solution = allocate(problem, chosen, self.admission_floor)
         solution.solve_time_s = self.clock() - start
-        solution.tree_build_time_s = tree.build_time_s
+        solution.tree_build_time_s = vtree.build_time_s
         solution.solver_name = self.name
         return solution

@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scale.add_argument(
         "--no-aggregate", action="store_true",
-        help="solve per-task with the vector engine instead of aggregating",
+        help="solve per task instead of aggregating replicas into meta-tasks",
     )
     scale.add_argument("--seed", type=int, default=0)
     _add_trace_arg(scale)
@@ -270,7 +270,7 @@ def _cmd_solve_scale(args: argparse.Namespace) -> int:
     problem = replicated_large_scale_problem(rate, replicas, seed=args.seed)
     with scope:
         if args.no_aggregate:
-            solution = OffloaDNNSolver(engine="vector").solve(problem)
+            solution = OffloaDNNSolver().solve(problem)
         else:
             solver = AggregateSolver()
             solution = solver.solve(problem)

@@ -11,7 +11,7 @@ clique per device.
 *decision signature* and builds a meta-problem over one representative
 per group.  :class:`AggregateSolver` then
 
-1. runs the vectorized first-branch selection on the meta-problem
+1. runs the first-branch selection on the meta-problem
    (path/quality choice is per *group*, which is exact: every member
    would pick the same variant);
 2. replays the admission cascade over the group weights: each round
@@ -26,8 +26,8 @@ per group.  :class:`AggregateSolver` then
    an ``Assignment`` only on lookup, and sums fold over runs.
 
 The replay is feasibility-preserving by construction; it is *not*
-promised bit-identical to the per-task scalar solve when distinct
-groups share a priority level (the scalar cascade would interleave
+promised bit-identical to the per-task solve when distinct
+groups share a priority level (the per-task cascade would interleave
 their members by task id, the replay keeps groups contiguous).  The
 test suite checks feasibility and admission-equivalence instead.
 
@@ -50,12 +50,11 @@ from operator import attrgetter
 import numpy as np
 
 from repro.core.catalog import Catalog
-from repro.core.heuristic import OffloaDNNSolver
 from repro.core.problem import DOTProblem
 from repro.core.solution import Assignment, AssignmentRuns, DOTSolution, Run
-from repro.core.subproblem import BranchItem, _best_admission_for_item
+from repro.core.subproblem import _best_admission_for_item
 from repro.core.task import Task
-from repro.core.tree import build_vector_tree
+from repro.core.tree import Branch, build_vector_tree, first_branch
 from repro.obs.trace import current_tracer
 
 __all__ = ["TaskGroup", "AggregationPlan", "aggregate_problem", "AggregateSolver"]
@@ -144,8 +143,8 @@ def aggregate_problem(problem: DOTProblem) -> AggregationPlan:
     for g in np.lexsort((ids[first], -priority[first])).tolist():
         rep = tasks[first[g]]
         reps.append(rep)
-        # assign the shared tuple directly to keep its identity (the
-        # warm-start cache and re-aggregation key on it)
+        # assign the shared tuple directly to keep its identity (clique
+        # memos and re-aggregation key on it)
         meta_catalog.paths_by_task[rep.task_id] = paths_by_task[rep.task_id]
         groups[rep.task_id] = TaskGroup(
             representative=rep,
@@ -165,21 +164,16 @@ def aggregate_problem(problem: DOTProblem) -> AggregationPlan:
 class AggregateSolver:
     """OffloaDNN over meta-tasks, returned as per-task assignment runs.
 
-    Wraps a first-branch :class:`OffloaDNNSolver` (``explore_branches``
-    must be 1 and ``slice_margin_rbs`` 0 — branch exploration and margin
-    spreading are defined on per-task cascades, not weighted replays).
+    First branch in the paper's compute ordering only: branch exploration
+    and margin spreading are defined on per-task cascades, not weighted
+    replays.
     """
 
-    base: OffloaDNNSolver = field(default_factory=OffloaDNNSolver)
+    #: minimum admission ratio below which a task is rejected outright
+    admission_floor: float = 1e-6
     name: str = "OffloaDNN-aggregated"
     #: plan of the most recent solve, for inspection
     last_plan: AggregationPlan | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.base.explore_branches != 1:
-            raise ValueError("aggregation requires explore_branches == 1")
-        if self.base.slice_margin_rbs != 0:
-            raise ValueError("aggregation requires slice_margin_rbs == 0")
 
     def solve(self, problem: DOTProblem) -> DOTSolution:
         build_start = time.perf_counter()
@@ -192,11 +186,11 @@ class AggregateSolver:
         tracer = current_tracer()
         if tracer.enabled:
             with tracer.span("solver.select_branch", cat="solver", track="solver"):
-                chosen = self.base._select_branch_vector(plan.meta_problem, vtree)
+                chosen = first_branch(vtree, problem.budgets)
             with tracer.span("solver.allocate", cat="solver", track="solver"):
                 solution = self._allocate_groups(problem, plan, chosen)
         else:
-            chosen = self.base._select_branch_vector(plan.meta_problem, vtree)
+            chosen = first_branch(vtree, problem.budgets)
             solution = self._allocate_groups(problem, plan, chosen)
         solution.solve_time_s = time.perf_counter() - start
         solution.tree_build_time_s = build_time
@@ -204,26 +198,20 @@ class AggregateSolver:
         return solution
 
     def _allocate_groups(
-        self,
-        problem: DOTProblem,
-        plan: AggregationPlan,
-        chosen: list[tuple[int, object]],
+        self, problem: DOTProblem, plan: AggregationPlan, chosen: Branch
     ) -> DOTSolution:
         budgets = problem.budgets
-        floor_z = self.base.admission_floor
+        floor_z = self.admission_floor
         remaining_radio = float(budgets.radio_blocks)
         remaining_compute = float(budgets.compute_time_s)
         runs: list[Run] = []
-        for rep_id, vertex in chosen:
+        for rep_id, item in chosen:
             group = plan.groups[rep_id]
             members, rep = group.member_ids, group.representative
-            if vertex is None:
+            if item is None:
                 runs.append((Assignment(rep, None, 0.0, 0), members))
                 continue
-            item = BranchItem(
-                task=vertex.task, path=vertex.path, bits_per_rb=vertex.bits_per_rb
-            )
-            compute_per_z = vertex.task.request_rate * vertex.path.compute_time_s
+            compute_per_z = item.task.request_rate * item.path.compute_time_s
             index = 0
             while index < len(members):
                 z, r = _best_admission_for_item(
@@ -244,7 +232,7 @@ class AggregateSolver:
                     )
                 # the member the closed form was computed for always fits
                 run = max(1, run)
-                admitted = Assignment(rep, vertex.path, z, r)
+                admitted = Assignment(rep, item.path, z, r)
                 runs.append((admitted, members[index : index + run]))
                 remaining_radio = max(0.0, remaining_radio - run * radio_demand)
                 remaining_compute = max(

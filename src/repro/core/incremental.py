@@ -23,17 +23,12 @@ solvers that are not wired to a live platform.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
-from repro.core.catalog import Block, Catalog, Path
-from repro.core.heuristic import OffloaDNNSolver
+from repro.core.catalog import Block, Catalog
 from repro.core.problem import Budgets, DOTProblem
-from repro.core.solution import DOTSolution
-from repro.core.task import Task
-from repro.core.tree import VectorClique, VectorTree, build_cliques
 
-__all__ = ["discount_problem", "deployed_block_ids", "WarmStartSolver"]
+__all__ = ["discount_problem", "deployed_block_ids"]
 
 
 def deployed_block_ids(solution) -> frozenset[str]:
@@ -107,95 +102,3 @@ def discount_problem(
         radio=problem.radio,
         alpha=problem.alpha,
     )
-
-
-# ---------------------------------------------------------------------------
-# Warm start across arrival/departure churn
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class WarmStartSolver:
-    """Reuses surviving per-task cliques across churn re-solves.
-
-    A task's clique — its feasibility-filtered, sorted (path × quality)
-    variants — depends only on the task itself, its candidate paths and
-    its radio capacity ``B(σ_τ)``, not on the other tasks or the edge
-    budgets (the radio filter is applied per solve).  So when the active
-    set changes by a few arrivals/departures, only the *new* tasks need
-    clique construction — all of them in one batched
-    :func:`~repro.core.tree.build_cliques` call; everything else is
-    tree assembly plus the selection/allocation passes.
-
-    Entries are validated by task equality, path-tuple identity and the
-    task's bits-per-RB — a changed task definition or catalog rebuilds
-    its clique transparently.
-    """
-
-    base: OffloaDNNSolver = field(default_factory=OffloaDNNSolver)
-
-    def __post_init__(self) -> None:
-        if self.base.explore_branches != 1:
-            raise ValueError(
-                "warm start supports the first-branch rule only "
-                "(explore_branches == 1)"
-            )
-        self._entries: dict[int, VectorClique] = {}
-        #: churn statistics of the most recent solve
-        self.last_reused = 0
-        self.last_built = 0
-
-    @property
-    def name(self) -> str:
-        return self.base.name
-
-    @property
-    def cached_tasks(self) -> int:
-        return len(self._entries)
-
-    def solve(self, problem: DOTProblem) -> DOTSolution:
-        start = time.perf_counter()
-        cliques: list[VectorClique | None] = []
-        misses: list[tuple[Task, tuple[Path, ...], float]] = []
-        for task in problem.tasks_by_priority():
-            paths = problem.catalog.paths_for(task)
-            bits_per_rb = problem.radio.bits_per_rb(task)
-            clique = self._entries.get(task.task_id)
-            if (
-                clique is None
-                or clique.source_paths is not paths
-                or clique.bits_per_rb != bits_per_rb
-                or clique.task != task
-            ):
-                clique = None
-                misses.append((task, paths, bits_per_rb))
-            cliques.append(clique)
-        # every miss goes through one batched build
-        built = iter(build_cliques(misses))
-        for i, clique in enumerate(cliques):
-            if clique is None:
-                clique = cliques[i] = next(built)
-                self._entries[clique.task.task_id] = clique
-        reused = len(cliques) - len(misses)
-        self.last_reused, self.last_built = reused, len(misses)
-        vtree = VectorTree(
-            problem=problem,
-            cliques=cliques,
-            build_time_s=time.perf_counter() - start,
-            cached_cliques=reused,
-        )
-        return self.base.solve_from_vector_tree(problem, vtree)
-
-    def forget(self, task_id: int) -> None:
-        """Drop a departed task's clique."""
-        self._entries.pop(task_id, None)
-
-    def prune(self, active_task_ids) -> None:
-        """Keep only the given tasks' cliques (bulk departure)."""
-        keep = set(active_task_ids)
-        for task_id in list(self._entries):
-            if task_id not in keep:
-                del self._entries[task_id]
-
-    def clear(self) -> None:
-        self._entries.clear()

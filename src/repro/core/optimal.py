@@ -14,11 +14,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.core.objective import objective_value
+from repro.core.heuristic import best_branch
 from repro.core.problem import DOTProblem
-from repro.core.solution import Assignment, DOTSolution
-from repro.core.subproblem import BranchItem, solve_branch
-from repro.core.tree import BranchState, SolutionTree, Vertex, build_tree
+from repro.core.solution import DOTSolution
+from repro.core.tree import branches, build_vector_tree
 
 __all__ = ["OptimalSolver"]
 
@@ -38,103 +37,18 @@ class OptimalSolver:
     admission_floor: float = 1e-6
     name: str = "Optimum"
 
-    def solve(self, problem: DOTProblem, tree: SolutionTree | None = None) -> DOTSolution:
-        build_start = time.perf_counter()
-        prebuilt = tree is not None
-        tree = tree if tree is not None else build_tree(problem)
-        build_time = (
-            tree.build_time_s if prebuilt else time.perf_counter() - build_start
-        )
+    def solve(self, problem: DOTProblem) -> DOTSolution:
+        vtree = build_vector_tree(problem)
         start = time.perf_counter()
-        bound = tree.num_branches()
-        if self.allow_reject:
-            bound = 1
-            for clique in tree.cliques:
-                bound *= len(clique.vertices) + 1
+        bound = vtree.num_branches(self.allow_reject)
         if bound > self.max_branches:
             raise ValueError(
                 f"tree has ~{bound} branches, above the max_branches guard "
                 f"({self.max_branches}); use the OffloaDNN heuristic instead"
             )
-
-        best_solution: DOTSolution | None = None
-        best_cost = float("inf")
-        branches_explored = 0
-
-        cliques = tree.cliques
-        memory_budget = problem.budgets.memory_gb
-        prefix: list[Vertex | None] = []
-
-        def dfs(layer: int, state: BranchState) -> None:
-            nonlocal best_solution, best_cost, branches_explored
-            if layer == len(cliques):
-                branches_explored += 1
-                candidate = self._evaluate_leaf(problem, cliques, prefix)
-                cost = objective_value(problem, candidate)
-                if cost < best_cost - 1e-12:
-                    best_cost = cost
-                    best_solution = candidate
-                return
-            clique = cliques[layer]
-            descended = False
-            for vertex in clique.vertices:
-                extra = state.incremental_memory(vertex)
-                if state.memory_gb + extra > memory_budget + 1e-12:
-                    continue  # halt this branch (memory pruning)
-                descended = True
-                prefix.append(vertex)
-                dfs(layer + 1, state.extend(vertex))
-                prefix.pop()
-            # Skip the task when rejection is explicitly explored, or
-            # when no vertex fits the remaining memory (otherwise the
-            # whole subtree would dead-end and lower-priority tasks
-            # could never be placed).
-            if self.allow_reject or not descended:
-                prefix.append(None)
-                dfs(layer + 1, state)
-                prefix.pop()
-
-        dfs(0, BranchState())
-        if best_solution is None:
-            # every branch was memory-infeasible: reject everything
-            best_solution = DOTSolution(
-                assignments={
-                    t.task_id: Assignment(
-                        task=t, path=None, admission_ratio=0.0, radio_blocks=0
-                    )
-                    for t in problem.tasks
-                }
-            )
-        best_solution.solve_time_s = time.perf_counter() - start
-        best_solution.tree_build_time_s = build_time
-        best_solution.solver_name = self.name
-        best_solution.branches_explored = branches_explored  # type: ignore[attr-defined]
-        return best_solution
-
-    def _evaluate_leaf(
-        self,
-        problem: DOTProblem,
-        cliques,
-        prefix: list[Vertex | None],
-    ) -> DOTSolution:
-        placed = [v for v in prefix if v is not None]
-        items = [
-            BranchItem(task=v.task, path=v.path, bits_per_rb=v.bits_per_rb)
-            for v in placed
-        ]
-        allocation = solve_branch(items, problem.budgets, self.admission_floor)
-        solution = DOTSolution()
-        for vertex, z, r in zip(placed, allocation.admission, allocation.radio_blocks):
-            solution.assignments[vertex.task.task_id] = Assignment(
-                task=vertex.task,
-                path=vertex.path,
-                admission_ratio=z,
-                radio_blocks=r,
-            )
-        for clique, vertex in zip(cliques, prefix):
-            if vertex is None:
-                task = clique.task
-                solution.assignments[task.task_id] = Assignment(
-                    task=task, path=None, admission_ratio=0.0, radio_blocks=0
-                )
+        leaves = branches(vtree, problem.budgets, allow_reject=self.allow_reject)
+        solution = best_branch(problem, leaves, self.admission_floor)
+        solution.solve_time_s = time.perf_counter() - start
+        solution.tree_build_time_s = vtree.build_time_s
+        solution.solver_name = self.name
         return solution

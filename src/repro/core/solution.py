@@ -84,13 +84,16 @@ class DOTSolution:
 
     assignments: dict[int, Assignment] | AssignmentRuns = field(default_factory=dict)
     #: wall-clock seconds of selection + allocation, excluding tree
-    #: construction — uniform whether the solver built the tree itself
-    #: or was handed a pre-built one
+    #: construction
     solve_time_s: float = 0.0
     #: wall-clock seconds spent building the solution tree (0 for
     #: solvers that use none, e.g. SEM-O-RAN)
     tree_build_time_s: float = 0.0
     solver_name: str = ""
+    #: tree leaves allocated and compared by an enumerating solve
+    #: (``OptimalSolver``, ``explore_branches > 1``); 0 when the solver
+    #: walked a single branch and compared nothing
+    branches_explored: int = 0
 
     @property
     def total_time_s(self) -> float:

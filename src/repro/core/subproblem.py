@@ -165,9 +165,9 @@ def _best_admission_for_item(
     candidate counts where the admission bound can peak — the interval
     endpoints and the integers surrounding the crossings of the rate
     (1e), radio (1d) and compute (1c) bounds.  The scan applies the same
-    update rule as the full enumeration (see
-    :func:`_best_admission_for_item_reference`), so ties on ``z`` still
-    prefer the smaller ``r``.
+    update rule as the full enumeration (the parity oracle
+    ``admission_by_enumeration`` in ``tests/oracles.py``), so ties on ``z``
+    still prefer the smaller ``r``.
     """
     r_latency = item.min_latency_rbs()
     if r_latency > max_rbs:
@@ -187,43 +187,6 @@ def _best_admission_for_item(
     for r in _candidate_rbs(
         r_latency, r_upper, rate_bits, item.bits_per_rb, remaining_radio, z_compute
     ):
-        z_rate = min(1.0, r * item.bits_per_rb / rate_bits) if rate_bits > 0 else 1.0
-        z_radio = min(1.0, remaining_radio / r) if r > 0 else 1.0
-        z = min(z_rate, z_radio, z_compute)
-        if z > best_z + _SCAN_EPS:
-            best_z, best_r = z, r
-    if best_z <= 1e-9:
-        return 0.0, 0
-    return best_z, best_r
-
-
-def _best_admission_for_item_reference(
-    item: BranchItem,
-    remaining_radio: float,
-    remaining_compute: float,
-    max_rbs: int,
-) -> tuple[float, int]:
-    """The original O(R) enumeration, kept as the parity oracle.
-
-    The tests assert :func:`_best_admission_for_item` returns exactly
-    the same ``(z, r)`` pair across randomized items and pool states.
-    """
-    r_latency = item.min_latency_rbs()
-    if r_latency > max_rbs:
-        return 0.0, 0
-    rate_bits = item.task.request_rate * item.path.bits_per_image
-    compute_per_unit_z = item.task.request_rate * item.compute_time_s
-    z_compute = (
-        1.0
-        if compute_per_unit_z <= 0
-        else min(1.0, remaining_compute / compute_per_unit_z)
-    )
-    if z_compute <= 0:
-        return 0.0, 0
-
-    best_z, best_r = 0.0, 0
-    r_upper = min(max_rbs, max(r_latency, item.min_rate_rbs(1.0)))
-    for r in range(r_latency, r_upper + 1):
         z_rate = min(1.0, r * item.bits_per_rb / rate_bits) if rate_bits > 0 else 1.0
         z_radio = min(1.0, remaining_radio / r) if r > 0 else 1.0
         z = min(z_rate, z_radio, z_compute)

@@ -10,111 +10,65 @@ higher-priority tasks are free for lower-priority ones.
 
 Feasibility filtering during construction removes vertices that violate
 the accuracy constraint (1f) or whose inference compute time alone
-already exceeds the latency limit (1g) — plus vertices whose minimum RB
-demand can never fit the radio capacity.
+already exceeds the latency limit (1g); vertices whose minimum RB
+demand can never fit the radio capacity are masked per walk, so a
+clique does not depend on the budgets.
+
+This is the only tree: :func:`build_vector_tree` builds it (cliques as
+flat arrays, from the one batched :func:`build_cliques`), and two walks
+read it — :func:`first_branch`, the heuristic's single traversal, and
+:func:`branches`, the memory-pruned enumeration of every branch.  A
+vertex taken out of a clique is a :class:`~repro.core.subproblem.BranchItem`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.catalog import Path
-from repro.core.problem import DOTProblem
-from repro.core.subproblem import minimum_latency_rbs
+from repro.core.problem import Budgets, DOTProblem
+from repro.core.subproblem import BranchItem
 from repro.core.task import QualityLevel, Task
 from repro.obs.trace import current_tracer
 
 __all__ = [
-    "Vertex",
-    "Clique",
+    "Branch",
     "BranchState",
-    "SolutionTree",
-    "build_tree",
     "VectorClique",
     "VectorTree",
     "build_cliques",
     "build_vector_tree",
+    "first_branch",
+    "branches",
 ]
 
-
-@dataclass(frozen=True)
-class Vertex:
-    """One feasible (task, path) decision — a tree vertex ``v_j = π^j_τ``.
-
-    Static attributes (accuracy, compute time, bits to transmit) live on
-    the path; the dynamic attributes (cumulative memory, training cost)
-    belong to :class:`BranchState` since they depend on the traversal.
-    """
-
-    task: Task
-    path: Path
-    bits_per_rb: float
-
-    @property
-    def compute_time_s(self) -> float:
-        return self.path.compute_time_s
-
-    @property
-    def accuracy(self) -> float:
-        return self.path.effective_accuracy
-
-    def min_latency_rbs(self) -> int:
-        return minimum_latency_rbs(
-            self.path.bits_per_image,
-            self.bits_per_rb,
-            self.task.max_latency_s,
-            self.path.compute_time_s,
-        )
-
-    def sort_key(self) -> tuple[float, float, float, str]:
-        """Clique ordering: increasing inference compute time.
-
-        Ties break toward smaller memory, then fewer bits per image
-        (cheaper radio), then path id for determinism.
-        """
-        return (
-            self.path.compute_time_s,
-            self.path.memory_gb,
-            self.path.bits_per_image,
-            self.path.path_id,
-        )
-
-
-@dataclass
-class Clique:
-    """All feasible vertices of one layer, compute-time sorted."""
-
-    task: Task
-    vertices: list[Vertex]
-
-    def __post_init__(self) -> None:
-        self.vertices.sort(key=Vertex.sort_key)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
+#: one entry per tree layer, in priority order: the task id and its
+#: chosen vertex, or ``None`` when no variant of the task fits
+Branch = list[tuple[int, BranchItem | None]]
 
 
 @dataclass(frozen=True)
 class BranchState:
     """Dynamic attributes accumulated along a branch.
 
-    Immutable: :meth:`extend` returns a new state, which keeps the DFS
-    of the optimal solver trivially correct.
+    Immutable: :meth:`extend` returns a new state, which keeps the
+    depth-first enumeration (:func:`branches`) trivially correct.
     """
 
     used_block_ids: frozenset[str] = frozenset()
     memory_gb: float = 0.0
     training_cost_s: float = 0.0
 
-    def extend(self, vertex: Vertex) -> "BranchState":
-        """State after deploying ``vertex``'s blocks (new blocks only)."""
+    def extend(self, path: Path) -> "BranchState":
+        """State after deploying ``path``'s blocks (new blocks only)."""
         new_memory = self.memory_gb
         new_training = self.training_cost_s
         new_ids = set(self.used_block_ids)
-        for block in vertex.path.blocks:
+        for block in path.blocks:
             if block.block_id not in new_ids:
                 new_ids.add(block.block_id)
                 new_memory += block.memory_gb
@@ -125,53 +79,24 @@ class BranchState:
             training_cost_s=new_training,
         )
 
-    def incremental_memory(self, vertex: Vertex) -> float:
-        """Memory added by ``vertex`` beyond already-deployed blocks."""
+    def incremental_memory(self, path: Path) -> float:
+        """Memory added by ``path`` beyond already-deployed blocks."""
         return sum(
-            b.memory_gb
-            for b in vertex.path.blocks
-            if b.block_id not in self.used_block_ids
+            b.memory_gb for b in path.blocks if b.block_id not in self.used_block_ids
         )
 
-
-@dataclass
-class SolutionTree:
-    """Cliques in priority order, plus construction statistics."""
-
-    problem: DOTProblem
-    cliques: list[Clique]
-    #: vertices removed by the (1f)/(1g) feasibility filter, per task id
-    filtered_out: dict[int, int] = field(default_factory=dict)
-    #: wall-clock seconds spent constructing the tree (0 if hand-built)
-    build_time_s: float = 0.0
-
-    def num_branches(self) -> int:
-        """Branches in the complete tree (product of clique sizes)."""
-        total = 1
-        for clique in self.cliques:
-            total *= max(len(clique), 1)
-        return total
-
-    def tasks_without_options(self) -> list[Task]:
-        return [c.task for c in self.cliques if not c.vertices]
-
-
-def _vertex_feasible(vertex: Vertex, problem: DOTProblem) -> bool:
-    task = vertex.task
-    # (1f): accuracy requirement
-    if vertex.accuracy < task.min_accuracy - 1e-12:
-        return False
-    # (1g), compute part: processing alone must leave room for transmission
-    if vertex.compute_time_s >= task.max_latency_s:
-        return False
-    # the latency-driven RB demand must fit the radio capacity at all
-    if vertex.min_latency_rbs() > problem.budgets.radio_blocks:
-        return False
-    return True
+    def fits(self, path: Path, memory_gb: float) -> bool:
+        """Whether deploying ``path`` keeps the branch within ``memory_gb`` (1b)."""
+        return self.memory_gb + self.incremental_memory(path) <= memory_gb + 1e-12
 
 
 def _variant_path(path: Path, quality: QualityLevel) -> Path:
-    """The path re-expressed at ``quality`` (verbatim for its own)."""
+    """The path re-expressed at ``quality`` (verbatim for its own).
+
+    A clique holds one variant per quality level ``q ∈ Q_τ``: the quality
+    sets ``β(q)`` and scales the attainable accuracy — picking a lower
+    quality is the semantic-compression lever of the formulation.
+    """
     if quality == path.quality:
         return path
     return replace(path, path_id=f"{path.path_id}@{quality.name}", quality=quality)
@@ -183,54 +108,6 @@ def _variant_path_id(path: Path, quality: QualityLevel) -> str:
     return f"{path.path_id}@{quality.name}"
 
 
-def _expand_qualities(path: Path, task: Task) -> list[Path]:
-    """One path variant per quality level ``q ∈ Q_τ``.
-
-    The quality sets ``β(q)`` and scales the attainable accuracy —
-    picking a lower quality is the semantic-compression lever of the
-    formulation.  Tasks with a single quality keep the path verbatim.
-    """
-    return [_variant_path(path, quality) for quality in task.qualities]
-
-
-def build_tree(problem: DOTProblem) -> SolutionTree:
-    """Construct the feasibility-filtered, compute-time-sorted tree."""
-    start = time.perf_counter()
-    tracer = current_tracer()
-    cliques: list[Clique] = []
-    filtered: dict[int, int] = {}
-    for task in problem.tasks_by_priority():
-        bits_per_rb = problem.radio.bits_per_rb(task)
-        vertices = [
-            Vertex(task=task, path=variant, bits_per_rb=bits_per_rb)
-            for path in problem.catalog.paths_for(task)
-            for variant in _expand_qualities(path, task)
-        ]
-        feasible = [v for v in vertices if _vertex_feasible(v, problem)]
-        filtered[task.task_id] = len(vertices) - len(feasible)
-        cliques.append(Clique(task=task, vertices=feasible))
-    elapsed = time.perf_counter() - start
-    if tracer.enabled:
-        tracer.record(
-            "solver.tree_build",
-            start,
-            elapsed,
-            cat="solver",
-            track="solver",
-            args={"tasks": len(cliques), "engine": "scalar"},
-        )
-    return SolutionTree(
-        problem=problem,
-        cliques=cliques,
-        filtered_out=filtered,
-        build_time_s=elapsed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Vectorized tree construction (the 10⁴–10⁶-task control plane)
-# ---------------------------------------------------------------------------
-
 #: tasks flattened per batched pass: bounds the Python lists and numpy
 #: temporaries a 10⁵-task direct solve holds at once
 _CHUNK_TASKS = 2048
@@ -240,14 +117,14 @@ _CHUNK_TASKS = 2048
 class VectorClique:
     """One task's feasible (path × quality) variants as flat arrays.
 
-    Variants are stored in the scalar clique order — sorted by
-    ``(compute, memory, bits, path_id)`` — after the radio-independent
-    (1f)/(1g) feasibility filters.  The radio filter ``min_latency_rbs
-    ≤ R`` is applied per solve (a mask over ``min_latency_rbs``), which
-    keeps a clique reusable across budget changes: the warm-start cache
-    relies on that.  The arrays are views into the batch the clique was
-    built in (:func:`build_cliques`) and are shared read-only; blocks
-    and their costs are read off ``source_paths``, never copied.
+    Variants are stored in clique order — sorted by ``(compute, memory,
+    bits, path_id)`` — after the radio-independent (1f)/(1g) feasibility
+    filters.  The radio filter ``min_latency_rbs ≤ R`` is applied per
+    walk (:meth:`feasible`), which keeps a clique reusable across budget
+    changes: a caller's clique memo (:func:`build_vector_tree`) relies on
+    that.  The arrays are views into the batch the clique was built in
+    (:func:`build_cliques`) and are shared read-only; blocks and their
+    costs are read off ``source_paths``, never copied.
     """
 
     task: Task
@@ -281,6 +158,17 @@ class VectorClique:
             self.base_path(index), self.task.qualities[self.quality_pos[index]]
         )
 
+    def feasible(self, radio_blocks: int) -> list[int]:
+        """Variants whose latency-driven RB demand fits the radio capacity."""
+        return np.flatnonzero(self.min_latency_rbs <= radio_blocks).tolist()
+
+    def items(self, radio_blocks: int) -> list[BranchItem]:
+        """The :meth:`feasible` variants as decisions, in clique order."""
+        return [
+            BranchItem(self.task, self.variant_path(i), self.bits_per_rb)
+            for i in self.feasible(radio_blocks)
+        ]
+
 
 def build_cliques(
     specs: list[tuple[Task, tuple[Path, ...], float]]
@@ -290,10 +178,10 @@ def build_cliques(
     The one clique builder: every spec's (path × quality) variants are
     flattened into one set of arrays with a task column, filtered and
     sorted together (:func:`_build_chunk`), ``_CHUNK_TASKS`` specs at a
-    time.  It replicates the scalar pipeline exactly — same feasibility
-    comparisons, same float expressions for the latency RB demand, same
-    sort keys — so a materialized clique is vertex-for-vertex identical
-    to :func:`build_tree`'s, whatever batch it was built in.
+    time.  It replicates the per-task scalar pipeline exactly (kept as
+    ``tests/oracles.py::scalar_cliques``) — same feasibility comparisons,
+    same float expressions for the latency RB demand, same sort keys —
+    so a clique is the same whatever batch it was built in.
     """
     cliques: list[VectorClique] = []
     for lo in range(0, len(specs), _CHUNK_TASKS):
@@ -321,7 +209,7 @@ def _build_chunk(
     bits_per_rb = np.array([b for _, _, b in specs], dtype=f8)
 
     # variant layout: tasks outer, then paths, qualities inner (the
-    # scalar order, which the stable sort below preserves among ties)
+    # enumeration order, which the stable sort below preserves among ties)
     pair_task = np.repeat(np.arange(n_tasks), n_paths)
     pair_nq = n_q[pair_task]
     var_pair = np.repeat(np.arange(pair_task.size), pair_nq)
@@ -335,9 +223,10 @@ def _build_chunk(
     kept = np.flatnonzero(
         (acc >= (min_acc - 1e-12)[var_task]) & (comp < max_lat[var_task])
     )
-    # the scalar Vertex.sort_key per task (task ids are exact as floats);
-    # only variants tying on all three numeric keys fall through to the
-    # path-id comparison
+    # clique order per task: increasing compute time, ties toward smaller
+    # memory, then fewer bits per image (cheaper radio); task ids are
+    # exact as floats.  Only variants tying on all three numeric keys
+    # fall through to the path-id comparison (determinism)
     pair_k, quality_k = var_pair[kept], var_quality[kept]
     keys = np.array((q_bits[quality_k], pair_mem[pair_k], comp[kept], var_task[kept]))
     order = np.lexsort(keys)
@@ -385,64 +274,81 @@ def _build_chunk(
 
 @dataclass
 class VectorTree:
-    """Per-task vectorized cliques in priority order."""
+    """Per-task cliques in priority order, plus construction statistics."""
 
     problem: DOTProblem
     cliques: list[VectorClique]
+    #: wall-clock seconds spent constructing the tree
     build_time_s: float = 0.0
-    #: cliques served from a warm-start cache instead of being rebuilt
+    #: cliques read from the caller's memo instead of being rebuilt
     cached_cliques: int = 0
 
-    def materialize(self) -> SolutionTree:
-        """The equivalent legacy :class:`SolutionTree` (Vertex objects).
-
-        Applies the radio filter the scalar builder applies inline, so
-        clique contents and ``filtered_out`` counts match exactly.
-        """
+    def clique_sizes(self) -> list[int]:
+        """Vertices per layer under the problem's radio capacity."""
         radio_blocks = self.problem.budgets.radio_blocks
-        cliques: list[Clique] = []
-        filtered: dict[int, int] = {}
-        for vclique in self.cliques:
-            mask = vclique.min_latency_rbs <= radio_blocks
-            vertices = [
-                Vertex(
-                    task=vclique.task,
-                    path=vclique.variant_path(i),
-                    bits_per_rb=vclique.bits_per_rb,
-                )
-                for i in np.flatnonzero(mask)
-            ]
-            filtered[vclique.task.task_id] = vclique.filtered_static + int(
-                (~mask).sum()
-            )
-            cliques.append(Clique(task=vclique.task, vertices=vertices))
-        return SolutionTree(
-            problem=self.problem,
-            cliques=cliques,
-            filtered_out=filtered,
-            build_time_s=self.build_time_s,
-        )
+        return [len(clique.feasible(radio_blocks)) for clique in self.cliques]
+
+    @property
+    def filtered_out(self) -> dict[int, int]:
+        """Variants removed by the (1f)/(1g) and radio filters, per task id."""
+        return {
+            clique.task.task_id: clique.filtered_static + len(clique) - size
+            for clique, size in zip(self.cliques, self.clique_sizes())
+        }
+
+    def num_branches(self, allow_reject: bool = False) -> int:
+        """Branches in the complete tree (product of clique sizes)."""
+        total = 1
+        for size in self.clique_sizes():
+            total *= size + 1 if allow_reject else max(size, 1)
+        return total
+
+    def tasks_without_options(self) -> list[Task]:
+        return [c.task for c, size in zip(self.cliques, self.clique_sizes()) if not size]
 
 
-def build_vector_tree(problem: DOTProblem) -> VectorTree:
-    """Vectorized counterpart of :func:`build_tree`.
+def build_vector_tree(
+    problem: DOTProblem, memo: dict[int, VectorClique] | None = None
+) -> VectorTree:
+    """Construct the feasibility-filtered, compute-time-sorted tree.
 
     Clique contents depend only on the candidate-path tuple, the quality
     set, the accuracy/latency requirements and the per-RB capacity — not
-    on a task's identity, priority or rate — so replicated populations
-    (many tasks sharing one catalog entry by identity) contribute each
-    distinct clique once to the batched build (:func:`build_cliques`)
-    and share its arrays read-only.  The memo lives for this call only:
-    nothing is carried from one solve to the next.
+    on a task's identity, priority or rate, nor on the other tasks or the
+    edge budgets — so replicated populations (many tasks sharing one
+    catalog entry by identity) contribute each distinct clique once to
+    the batched build (:func:`build_cliques`) and share its arrays
+    read-only.  That replica memo lives for this call only.
+
+    What a caller wants carried from one solve to the next it hands in
+    as ``memo``, its own ``{task id: clique}`` dict: when the active set
+    changes by a few arrivals and departures only the new tasks need
+    clique construction.  An entry is used if it was built from the very
+    same path tuple (identity), the same bits per RB and an equal task;
+    anything else is a miss, built with the other misses and written
+    back over it, so the dict stays bounded by the task ids the caller
+    keeps in it (departures are the caller's ``memo.pop``).  The tree is
+    the same with and without a memo; ``cached_cliques`` counts the hits.
     """
     start = time.perf_counter()
     tracer = current_tracer()
     specs: list[tuple[Task, tuple[Path, ...], float]] = []
-    memo: dict[tuple, int] = {}
-    slots: list[tuple[Task, int]] = []
+    replicas: dict[tuple, int] = {}
+    cliques: list[VectorClique | None] = []
+    misses: list[tuple[int, Task, int]] = []
     for task in problem.tasks_by_priority():
         paths = problem.catalog.paths_for(task)
         bits_per_rb = problem.radio.bits_per_rb(task)
+        if memo is not None:
+            clique = memo.get(task.task_id)
+            if (
+                clique is not None
+                and clique.source_paths is paths
+                and clique.bits_per_rb == bits_per_rb
+                and clique.task == task
+            ):
+                cliques.append(clique)
+                continue
         # identity, not value, of the two tuples: replicas share both, and
         # the problem keeps them alive, so ids are unique for this call
         key = (
@@ -452,10 +358,11 @@ def build_vector_tree(problem: DOTProblem) -> VectorTree:
             task.max_latency_s,
             id(task.qualities),
         )
-        slot = memo.setdefault(key, len(specs))
+        slot = replicas.setdefault(key, len(specs))
         if slot == len(specs):
             specs.append((task, paths, bits_per_rb))
-        slots.append((task, slot))
+        misses.append((len(cliques), task, slot))
+        cliques.append(None)
     build_start = time.perf_counter()
     built = build_cliques(specs)
     if tracer.enabled:
@@ -466,15 +373,16 @@ def build_vector_tree(problem: DOTProblem) -> VectorTree:
             cat="solver",
             track="solver",
             args={
-                "tasks": len(slots),
+                "tasks": len(cliques),
                 "built": len(built),
                 "variants": sum(map(len, built)),
             },
         )
-    cliques = [
-        built[slot] if built[slot].task is task else replace(built[slot], task=task)
-        for task, slot in slots
-    ]
+    for layer, task, slot in misses:
+        clique = built[slot]
+        cliques[layer] = clique if clique.task is task else replace(clique, task=task)
+    if memo is not None:
+        memo.update((task.task_id, cliques[layer]) for layer, task, _ in misses)
     elapsed = time.perf_counter() - start
     if tracer.enabled:
         tracer.record(
@@ -483,6 +391,125 @@ def build_vector_tree(problem: DOTProblem) -> VectorTree:
             elapsed,
             cat="solver",
             track="solver",
-            args={"tasks": len(cliques), "built": len(built), "engine": "vector"},
+            args={"tasks": len(cliques), "built": len(built)},
         )
-    return VectorTree(problem=problem, cliques=cliques, build_time_s=elapsed)
+    return VectorTree(
+        problem=problem,
+        cliques=cliques,
+        build_time_s=elapsed,
+        cached_cliques=len(cliques) - len(misses),
+    )
+
+
+def first_branch(
+    vtree: VectorTree, budgets: Budgets, ordering: str = "compute"
+) -> Branch:
+    """The leftmost memory-feasible vertex of every layer (Sec. IV-B).
+
+    Per clique: drop radio-infeasible variants and pick the first
+    variant under ``ordering`` whose incremental memory — the blocks not
+    yet deployed, summed in path order — still fits; ``None`` marks a
+    task with no deployable path (rejected).  Under the paper's
+    ``"compute"`` ordering the first candidate almost always fits, so
+    memory is evaluated per *visited* candidate; only the ``"memory"``
+    ablation evaluates every candidate's increment.  Only the chosen
+    variant's ``Path`` is built, so a 10⁵-task solve allocates 10⁵ paths
+    instead of millions of vertices.  It is the first leaf of
+    :func:`branches`, without building the other vertices.
+    """
+    radio_blocks = budgets.radio_blocks
+    memory_limit = budgets.memory_gb + 1e-12
+    deployed: set[str] = set()
+    mem_used = 0.0
+
+    def fresh_blocks(clique: VectorClique, i: int) -> list:
+        return [b for b in clique.base_path(i).blocks if b.block_id not in deployed]
+
+    chosen: Branch = []
+    for clique in vtree.cliques:
+        candidates = clique.feasible(radio_blocks)
+        if ordering == "memory":
+            candidates.sort(
+                key=lambda i: (
+                    sum(b.memory_gb for b in fresh_blocks(clique, i)),
+                    clique.variant_path_id(i),
+                )
+            )
+        elif ordering == "accuracy":
+            candidates.sort(
+                key=lambda i: (-clique.accuracy[i], clique.variant_path_id(i))
+            )
+        item = None
+        for i in candidates:
+            fresh = fresh_blocks(clique, i)
+            if mem_used + sum(b.memory_gb for b in fresh) > memory_limit:
+                continue
+            # deploy: accumulate block by block, the float order of
+            # BranchState.extend (a block a path repeats is paid once)
+            for block in fresh:
+                if block.block_id not in deployed:
+                    deployed.add(block.block_id)
+                    mem_used += block.memory_gb
+            item = BranchItem(clique.task, clique.variant_path(i), clique.bits_per_rb)
+            break
+        chosen.append((clique.task.task_id, item))
+    return chosen
+
+
+def branches(
+    vtree: VectorTree,
+    budgets: Budgets,
+    ordering: str = "compute",
+    allow_reject: bool = False,
+) -> Iterator[Branch]:
+    """Every memory-feasible branch, leftmost first (lexicographic order).
+
+    A depth-first traversal that halts a branch as soon as its
+    cumulative memory exceeds ``M`` (the paper's pruning rule).  Cliques
+    are visited under ``ordering``: they are stored compute-time sorted,
+    so the paper's ordering is a no-op; the ablation orderings re-rank
+    against the current branch state.  The first leaf is exactly
+    :func:`first_branch`'s.  ``allow_reject`` adds an explicit "serve no
+    path" vertex at the end of every layer; without it a task is skipped
+    only when none of its vertices fits, so there is always a leaf.
+    """
+    layers = [
+        (clique.task.task_id, clique.items(budgets.radio_blocks))
+        for clique in vtree.cliques
+    ]
+    prefix: Branch = []
+
+    def ordered(items: list[BranchItem], state: BranchState) -> list[BranchItem]:
+        if ordering == "memory":
+            return sorted(
+                items,
+                key=lambda it: (state.incremental_memory(it.path), it.path.path_id),
+            )
+        if ordering == "accuracy":
+            return sorted(
+                items, key=lambda it: (-it.path.effective_accuracy, it.path.path_id)
+            )
+        return items
+
+    def descend(layer: int, state: BranchState) -> Iterator[Branch]:
+        if layer == len(layers):
+            yield list(prefix)
+            return
+        task_id, items = layers[layer]
+        descended = False
+        for item in ordered(items, state):
+            if not state.fits(item.path, budgets.memory_gb):
+                continue  # halt this branch (memory pruning)
+            descended = True
+            prefix.append((task_id, item))
+            yield from descend(layer + 1, state.extend(item.path))
+            prefix.pop()
+        # Skip the task when rejection is explicitly explored, or when no
+        # vertex fits the remaining memory (otherwise the whole subtree
+        # would dead-end and lower-priority tasks could never be placed).
+        if allow_reject or not descended:
+            prefix.append((task_id, None))
+            yield from descend(layer + 1, state)
+            prefix.pop()
+
+    return descend(0, BranchState())

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from repro.core.problem import Budgets, DOTProblem, RadioModel
 from repro.core.catalog import Catalog
 from repro.core.heuristic import OffloaDNNSolver
-from repro.core.incremental import WarmStartSolver
 from repro.core.solution import DOTSolution
 from repro.core.task import Task
 from repro.edge.vim import VirtualInfrastructureManager
@@ -55,15 +54,10 @@ class OffloaDNNController:
     solver: object = field(default_factory=OffloaDNNSolver)
     alpha: float = 0.5
     training_budget_s: float = 1000.0
-    #: reuse per-task tree cliques across admission rounds (only applies
-    #: when ``solver`` is a first-branch :class:`OffloaDNNSolver`;
-    #: silently falls back to cold solves otherwise)
-    warm_start: bool = False
     #: last DOT solution, for inspection
     last_solution: DOTSolution | None = None
     #: currently admitted tasks, for preemption decisions
     active_tasks: dict[int, Task] = field(default_factory=dict)
-    _warm_solver: WarmStartSolver | None = field(default=None, repr=False)
 
     def handle_admission_requests(
         self, tasks: tuple[Task, ...], catalog: Catalog
@@ -101,7 +95,7 @@ class OffloaDNNController:
             alpha=self.alpha,
         )
         # step 3: solve DOT
-        solution = self._resolve_solver().solve(problem)
+        solution = self.solver.solve(problem)
         self.last_solution = solution
         # steps 4-5: allocate slices, commit compute, deploy blocks
         tickets: dict[int, AdmissionTicket] = {}
@@ -155,27 +149,11 @@ class OffloaDNNController:
             )
         return tickets
 
-    def _resolve_solver(self):
-        """The configured solver, wrapped for warm starts when possible."""
-        if not self.warm_start:
-            return self.solver
-        if self._warm_solver is None:
-            if (
-                not isinstance(self.solver, OffloaDNNSolver)
-                or self.solver.explore_branches != 1
-            ):
-                self.warm_start = False
-                return self.solver
-            self._warm_solver = WarmStartSolver(base=self.solver)
-        return self._warm_solver
-
     def evict_task(self, task_id: int) -> None:
         """Tear down a task: release slice, compute and orphaned blocks."""
         self.slice_manager.release(task_id)
         self.vim.release_task(task_id)
         self.active_tasks.pop(task_id, None)
-        if self._warm_solver is not None:
-            self._warm_solver.forget(task_id)
 
     def admit_with_preemption(
         self,

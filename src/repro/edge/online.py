@@ -79,8 +79,6 @@ class OnlineStudy:
     bits_per_rb: float = 350_000.0
     request_rate: float = 5.0
     seed: int = 0
-    #: reuse tree cliques across admission rounds (see the controller)
-    warm_start: bool = False
 
     def __post_init__(self) -> None:
         if self.arrival_rate_per_s <= 0 or self.mean_lifetime_s <= 0:
@@ -112,7 +110,6 @@ class OnlineStudy:
             slice_manager=SliceManager(capacity_rbs=self.radio_blocks),
             radio=RadioModel(default_bits_per_rb=self.bits_per_rb),
             solver=solver or OffloaDNNSolver(),
-            warm_start=self.warm_start,
         )
         trace = OnlineTrace()
         # event queue: (time, sequence, kind, task_id)

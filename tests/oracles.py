@@ -21,6 +21,12 @@ the cluster dispatcher that re-derived routes, costs and hop records per
 request (:func:`per_request_cluster_dispatch`): the executors now cost a
 window per distinct (path, block sequence) group and build one hop record
 per batch, and must produce the same floats, stamps and draws.
+
+The solver's scalar ancestors live here too: the per-vertex tree
+(:func:`scalar_cliques`, :func:`scalar_first_branch`) that the batched
+``build_cliques`` / ``first_branch`` replaced, and the O(R) admission
+enumeration (:func:`admission_by_enumeration`) behind the closed-form
+candidate scan.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ import numpy as np
 from repro.cluster.qos import Hop
 from repro.core.catalog import Catalog
 from repro.core.solution import Assignment, DOTSolution
-from repro.core.subproblem import BranchItem, _best_admission_for_item
-from repro.core.tree import build_vector_tree
+from repro.core.subproblem import _SCAN_EPS, BranchItem, _best_admission_for_item
+from repro.core.tree import build_vector_tree, first_branch
 from repro.dnn.compile import CompiledModule, _Arena
 from repro.emulator.simulator import Simulator
 from repro.serving.metrics import ServingMetrics
@@ -381,7 +387,7 @@ def per_member_allocate_groups(self, problem, plan, chosen) -> DOTSolution:
     """``AggregateSolver._allocate_groups`` with one dict entry per member
     (patch it over the method to get a solve's expanded twin)."""
     budgets = problem.budgets
-    floor_z = self.base.admission_floor
+    floor_z = self.admission_floor
     remaining_radio = float(budgets.radio_blocks)
     remaining_compute = float(budgets.compute_time_s)
     tasks_by_id = {t.task_id: t for t in problem.tasks}
@@ -393,13 +399,12 @@ def per_member_allocate_groups(self, problem, plan, chosen) -> DOTSolution:
                 task=tasks_by_id[member_id], path=path, admission_ratio=z, radio_blocks=r
             )
 
-    for rep_id, vertex in chosen:
+    for rep_id, item in chosen:
         members = plan.groups[rep_id].member_ids
-        if vertex is None:
+        if item is None:
             assign(members, None, 0.0, 0)
             continue
-        item = BranchItem(task=vertex.task, path=vertex.path, bits_per_rb=vertex.bits_per_rb)
-        compute_per_z = vertex.task.request_rate * vertex.path.compute_time_s
+        compute_per_z = item.task.request_rate * item.path.compute_time_s
         index = 0
         while index < len(members):
             z, r = _best_admission_for_item(
@@ -415,7 +420,7 @@ def per_member_allocate_groups(self, problem, plan, chosen) -> DOTSolution:
             if compute_demand > 0:
                 run = min(run, math.floor(remaining_compute / compute_demand + 1e-9))
             run = max(1, run)
-            assign(members[index : index + run], vertex.path, z, r)
+            assign(members[index : index + run], item.path, z, r)
             remaining_radio = max(0.0, remaining_radio - run * radio_demand)
             remaining_compute = max(0.0, remaining_compute - run * compute_demand)
             index += run
@@ -429,15 +434,107 @@ def allocate_both_ways(solver, problem):
     from repro.core.aggregate import aggregate_problem
 
     plan = aggregate_problem(problem)
-    chosen = solver.base._select_branch_vector(
-        plan.meta_problem, build_vector_tree(plan.meta_problem)
-    )
+    chosen = first_branch(build_vector_tree(plan.meta_problem), problem.budgets)
     return (
         plan,
         chosen,
         solver._allocate_groups(problem, plan, chosen),
         per_member_allocate_groups(solver, problem, plan, chosen),
     )
+
+
+def scalar_cliques(problem) -> list[tuple[object, list[BranchItem], int]]:
+    """``(task, vertices, filtered out)`` per layer, one vertex object at a time.
+
+    The per-vertex tree build the batched ``build_cliques`` replaced: every
+    (path × quality) variant of a task, the three feasibility filters, the
+    clique sort key.
+    """
+    radio_blocks = problem.budgets.radio_blocks
+    cliques = []
+    for task in problem.tasks_by_priority():
+        bits_per_rb = problem.radio.bits_per_rb(task)
+        variants = [
+            path
+            if quality == path.quality
+            else replace(path, path_id=f"{path.path_id}@{quality.name}", quality=quality)
+            for path in problem.catalog.paths_for(task)
+            for quality in task.qualities
+        ]
+        vertices = [
+            vertex
+            for vertex in (BranchItem(task, path, bits_per_rb) for path in variants)
+            # (1f) accuracy; (1g) compute must leave room for transmission;
+            # the latency-driven RB demand must fit the radio capacity at all
+            if vertex.path.effective_accuracy >= task.min_accuracy - 1e-12
+            and vertex.compute_time_s < task.max_latency_s
+            and vertex.min_latency_rbs() <= radio_blocks
+        ]
+        vertices.sort(
+            key=lambda v: (
+                v.path.compute_time_s, v.path.memory_gb, v.path.bits_per_image, v.path.path_id
+            )
+        )
+        cliques.append((task, vertices, len(variants) - len(vertices)))
+    return cliques
+
+
+def scalar_first_branch(problem, ordering: str = "compute"):
+    """Leftmost memory-fitting vertex per layer of :func:`scalar_cliques`:
+    ``(task id, vertex or None)`` pairs, what ``first_branch`` must return."""
+    used: set[str] = set()
+    memory = 0.0
+
+    def extra(vertex) -> float:
+        return sum(b.memory_gb for b in vertex.path.blocks if b.block_id not in used)
+
+    chosen = []
+    for task, vertices, _ in scalar_cliques(problem):
+        if ordering == "memory":
+            vertices = sorted(vertices, key=lambda v: (extra(v), v.path.path_id))
+        elif ordering == "accuracy":
+            vertices = sorted(
+                vertices, key=lambda v: (-v.path.effective_accuracy, v.path.path_id)
+            )
+        fits = (v for v in vertices if memory + extra(v) <= problem.budgets.memory_gb + 1e-12)
+        picked = next(fits, None)
+        for block in picked.path.blocks if picked else ():
+            if block.block_id not in used:
+                used.add(block.block_id)
+                memory += block.memory_gb
+        chosen.append((task.task_id, picked))
+    return chosen
+
+
+def admission_by_enumeration(
+    item: BranchItem, remaining_radio: float, remaining_compute: float, max_rbs: int
+) -> tuple[float, int]:
+    """The original O(R) enumeration behind ``_best_admission_for_item``,
+    which must return exactly this ``(z, r)`` for any item and pool state."""
+    r_latency = item.min_latency_rbs()
+    if r_latency > max_rbs:
+        return 0.0, 0
+    rate_bits = item.task.request_rate * item.path.bits_per_image
+    compute_per_unit_z = item.task.request_rate * item.compute_time_s
+    z_compute = (
+        1.0
+        if compute_per_unit_z <= 0
+        else min(1.0, remaining_compute / compute_per_unit_z)
+    )
+    if z_compute <= 0:
+        return 0.0, 0
+
+    best_z, best_r = 0.0, 0
+    r_upper = min(max_rbs, max(r_latency, item.min_rate_rbs(1.0)))
+    for r in range(r_latency, r_upper + 1):
+        z_rate = min(1.0, r * item.bits_per_rb / rate_bits) if rate_bits > 0 else 1.0
+        z_radio = min(1.0, remaining_radio / r) if r > 0 else 1.0
+        z = min(z_rate, z_radio, z_compute)
+        if z > best_z + _SCAN_EPS:
+            best_z, best_r = z, r
+    if best_z <= 1e-9:
+        return 0.0, 0
+    return best_z, best_r
 
 
 def fresh_forward(plan: CompiledModule, x: np.ndarray) -> np.ndarray:

@@ -84,7 +84,7 @@ class TestAggregateSolver:
         substance: weighted admission and pool usage match the direct
         per-task vector solve to first order."""
         agg = AggregateSolver().solve(replicated)
-        direct = OffloaDNNSolver(engine="vector").solve(replicated)
+        direct = OffloaDNNSolver().solve(replicated)
         assert agg.weighted_admission_ratio == pytest.approx(
             direct.weighted_admission_ratio, rel=0.02, abs=0.05
         )
@@ -97,7 +97,7 @@ class TestAggregateSolver:
         """With one member per group the replay *is* the scalar cascade."""
         problem = replicated_large_scale_problem(RequestRate.MEDIUM, replicas=1)
         agg = AggregateSolver().solve(problem)
-        direct = OffloaDNNSolver(engine="vector").solve(problem)
+        direct = OffloaDNNSolver().solve(problem)
 
         def key(sol):
             return [
@@ -133,12 +133,6 @@ class TestAggregateSolver:
         solution = AggregateSolver().solve(empty)
         assert solution.admitted_task_count == 0
         assert check_constraints(empty, solution).feasible
-
-    def test_rejects_incompatible_base(self):
-        with pytest.raises(ValueError, match="explore_branches"):
-            AggregateSolver(base=OffloaDNNSolver(explore_branches=2))
-        with pytest.raises(ValueError, match="slice_margin_rbs"):
-            AggregateSolver(base=OffloaDNNSolver(slice_margin_rbs=1))
 
     def test_timing_fields_stamped(self, replicated):
         solution = AggregateSolver().solve(replicated)
@@ -236,7 +230,7 @@ class TestRunsMatchTheExpansion:
     )
     def test_groups_and_assignments(self, seed, copies, budget_scale, floor):
         problem = population_problem(seed, copies, budget_scale)
-        solver = AggregateSolver(base=OffloaDNNSolver(admission_floor=floor))
+        solver = AggregateSolver(admission_floor=floor)
         plan, _chosen, runs, twin = allocate_both_ways(solver, problem)
         assert [
             (rep_id, group.representative.task_id, group.member_ids)
@@ -255,7 +249,7 @@ class TestRunsMatchTheExpansion:
         for seed in range(12):
             for budget_scale, floor in ((0.0, 1e-6), (0.2, 0.3), (1.0, 0.95), (4.0, 1e-6)):
                 problem = population_problem(seed, 6, budget_scale)
-                solver = AggregateSolver(base=OffloaDNNSolver(admission_floor=floor))
+                solver = AggregateSolver(admission_floor=floor)
                 plan, chosen, runs, twin = allocate_both_ways(solver, problem)
                 assert_same_solution(problem, runs, twin)
                 seen |= shape(plan, chosen, runs)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.heuristic import OffloaDNNSolver
+from repro.core.heuristic import OffloaDNNSolver, allocate
 from repro.core.objective import check_constraints, objective_value
 from repro.core.optimal import OptimalSolver
+from repro.core.tree import branches, build_vector_tree, first_branch
 from repro.workloads.largescale import RequestRate, large_scale_problem
 from repro.workloads.smallscale import small_scale_problem
 
@@ -63,11 +64,25 @@ class TestExploreBranches:
             OffloaDNNSolver(explore_branches=0)
 
     def test_one_branch_equals_first_branch(self, tiny_problem):
-        first = OffloaDNNSolver(explore_branches=1).solve(tiny_problem)
-        multi = OffloaDNNSolver(explore_branches=1).solve(tiny_problem)
-        assert objective_value(tiny_problem, first) == pytest.approx(
-            objective_value(tiny_problem, multi)
-        )
+        """The first leaf ``branches`` yields is ``first_branch``'s — what lets
+        one generator serve ``explore_branches`` and ``OptimalSolver`` alike."""
+        from tests.test_core_vectorized import random_problem, solution_key
+
+        for problem in [tiny_problem] + [random_problem(seed) for seed in range(6)]:
+            tree = build_vector_tree(problem)
+            for ordering in ("compute", "memory", "accuracy"):
+                first = first_branch(tree, problem.budgets, ordering)
+                leaf = next(branches(tree, problem.budgets, ordering))
+                assert [
+                    (tid, item and item.path.path_id) for tid, item in leaf
+                ] == [(tid, item and item.path.path_id) for tid, item in first]
+                assert solution_key(allocate(problem, leaf)) == solution_key(
+                    allocate(problem, first)
+                )
+                solver = OffloaDNNSolver(ordering=ordering)
+                assert solution_key(solver.solve(problem)) == solution_key(
+                    allocate(problem, leaf)
+                )
 
     def test_more_branches_never_worse(self, tiny_problem):
         costs = []
@@ -83,6 +98,9 @@ class TestExploreBranches:
         assert objective_value(tiny_problem, exhaustive) == pytest.approx(
             objective_value(tiny_problem, optimal)
         )
+        # both counts come from the one generator's leaves
+        assert exhaustive.branches_explored == optimal.branches_explored == 8
+        assert OffloaDNNSolver().solve(tiny_problem).branches_explored == 0
 
     def test_feasible_on_scenarios(self):
         problem = small_scale_problem(3, seed=0)

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from dataclasses import replace
+
 from repro.core.heuristic import OffloaDNNSolver
 from repro.core.incremental import deployed_block_ids, discount_problem
 from repro.core.objective import check_constraints
 from repro.core.problem import Budgets, DOTProblem
+from repro.core.tree import build_vector_tree
 from tests.conftest import make_block, make_path, make_task
 from repro.core.catalog import Catalog
 from repro.core.problem import RadioModel
@@ -117,8 +120,8 @@ class TestDiscountProblem:
         assert incremental.budgets.memory_gb == 0.0
         assert incremental.budgets.compute_time_s == 0.0
         assert incremental.budgets.radio_blocks == 0
-        for engine in ("scalar", "vector"):
-            solution = OffloaDNNSolver(engine=engine).solve(incremental)
+        for explore in (1, 3):
+            solution = OffloaDNNSolver(explore_branches=explore).solve(incremental)
             assert solution.admitted_task_count == 0
             assert check_constraints(incremental, solution).feasible
 
@@ -167,23 +170,28 @@ def _solution_key(solution):
     ]
 
 
-class TestWarmStartSolver:
-    def test_matches_cold_solve_exactly(self):
-        from repro.core.incremental import WarmStartSolver
+def _hits(problem, memo) -> int:
+    """Cliques a solve of ``problem`` would read from ``memo`` (probes a copy)."""
+    return build_vector_tree(problem, dict(memo)).cached_cliques
 
+
+class TestWarmStartSolver:
+    """Warm starts: the caller's clique memo handed to ``solve(problem, memo=)``
+    (what the ``WarmStartSolver`` class used to keep to itself)."""
+
+    def test_matches_cold_solve_exactly(self):
         wave1, _ = _two_wave_problems()
-        warm = WarmStartSolver()
-        cold = OffloaDNNSolver().solve(wave1)
-        first = warm.solve(wave1)
-        second = warm.solve(wave1)
+        solver = OffloaDNNSolver()
+        memo: dict = {}
+        cold = solver.solve(wave1)
+        assert _hits(wave1, memo) == 0
+        first = solver.solve(wave1, memo=memo)
+        assert _hits(wave1, memo) == len(wave1.tasks) == len(memo)
+        second = solver.solve(wave1, memo=memo)
         assert _solution_key(first) == _solution_key(cold)
         assert _solution_key(second) == _solution_key(cold)
-        assert warm.last_reused == len(wave1.tasks)
-        assert warm.last_built == 0
 
     def test_churn_reuses_surviving_cliques(self):
-        from repro.core.incremental import WarmStartSolver
-
         shared = make_block("trunk", compute_time_s=0.004, memory_gb=2.0,
                             training_cost_s=100.0)
         quality = make_task(0).qualities[0]
@@ -209,84 +217,96 @@ class TestWarmStartSolver:
                 radio=RadioModel(default_bits_per_rb=350_000.0),
             ), paths_by_id
 
-        warm = WarmStartSolver()
+        memo: dict = {}
         problem1, paths1 = build([1, 2, 3])
-        warm.solve(problem1)
-        assert warm.last_built == 3
+        OffloaDNNSolver().solve(problem1, memo=memo)
+        assert sorted(memo) == [1, 2, 3]
 
         # task 3 departs, task 4 arrives; survivors keep their path tuples
         problem2, _ = build([1, 2, 4])
         problem2.catalog.paths_by_task[1] = paths1[1]
         problem2.catalog.paths_by_task[2] = paths1[2]
-        warm.forget(3)
-        solution = warm.solve(problem2)
-        assert warm.last_reused == 2
-        assert warm.last_built == 1
-        assert _solution_key(solution) == _solution_key(
-            OffloaDNNSolver().solve(problem2)
+        memo.pop(3)
+        survivors = {tid: memo[tid] for tid in (1, 2)}
+        tree = build_vector_tree(problem2, memo)
+        assert tree.cached_cliques == 2  # survivors hit, the arrival missed
+        assert all(memo[tid] is clique for tid, clique in survivors.items())
+        assert sorted(memo) == [1, 2, 4]
+        cold = OffloaDNNSolver().solve(problem2)
+        for explore in (1, 3):  # the old class refused branch exploration
+            solver = OffloaDNNSolver(explore_branches=explore)
+            assert _solution_key(solver.solve(problem2, memo=memo)) == _solution_key(
+                solver.solve(problem2)
+            )
+        assert _solution_key(OffloaDNNSolver().solve(problem2, memo=memo)) == (
+            _solution_key(cold)
         )
 
     def test_changed_task_definition_rebuilds(self):
-        from dataclasses import replace as dc_replace
-
-        from repro.core.incremental import WarmStartSolver
-
         wave1, _ = _two_wave_problems()
-        warm = WarmStartSolver()
-        warm.solve(wave1)
-        tighter = tuple(
-            dc_replace(t, max_latency_s=t.max_latency_s / 2) for t in wave1.tasks
+        memo: dict = {}
+        OffloaDNNSolver().solve(wave1, memo=memo)
+        changes = {
+            "max_latency_s": lambda t: t.max_latency_s / 2,
+            "min_accuracy": lambda t: t.min_accuracy + 0.1,
+        }
+        for name, change in changes.items():
+            tasks = tuple(replace(t, **{name: change(t)}) for t in wave1.tasks)
+            changed = replace(wave1, tasks=tasks)
+            assert _hits(changed, memo) == 0, name
+            solution = OffloaDNNSolver().solve(changed, memo=dict(memo))
+            assert _solution_key(solution) == _solution_key(
+                OffloaDNNSolver().solve(changed)
+            )
+        # a changed capacity per RB invalidates that task's entry only
+        rerated = replace(
+            wave1,
+            radio=RadioModel(
+                default_bits_per_rb=350_000.0,
+                per_task_bits_per_rb={wave1.tasks[0].task_id: 700_000.0},
+            ),
         )
-        changed = DOTProblem(
-            tasks=tighter,
-            catalog=wave1.catalog,
-            budgets=wave1.budgets,
-            radio=wave1.radio,
-            alpha=wave1.alpha,
-        )
-        solution = warm.solve(changed)
-        assert warm.last_built == len(wave1.tasks)
-        assert _solution_key(solution) == _solution_key(
-            OffloaDNNSolver().solve(changed)
-        )
+        assert _hits(rerated, memo) == len(wave1.tasks) - 1
+        stale = memo[wave1.tasks[0].task_id]
+        solution = OffloaDNNSolver().solve(rerated, memo=memo)
+        assert memo[wave1.tasks[0].task_id] is not stale  # overwritten, not added
+        assert len(memo) == len(wave1.tasks)
+        assert _solution_key(solution) == _solution_key(OffloaDNNSolver().solve(rerated))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_discounted_resolve_matches_cold(self, seed):
         """A block re-costed between re-solves (deployed blocks zeroed by
-        ``discount_problem``) must not be charged the memory the shared
-        registry first saw under its id."""
-        from repro.core.incremental import WarmStartSolver
+        ``discount_problem``, which rebuilds every path tuple) must not be
+        charged the memory an earlier solve saw under its id."""
         from tests.test_core_vectorized import random_problem, solution_key
 
         problem = random_problem(seed)
-        warm = WarmStartSolver()
-        first = warm.solve(problem)
+        solver = OffloaDNNSolver()
+        memo: dict = {}
+        first = solver.solve(problem, memo=memo)
         discounted = discount_problem(
             problem,
             deployed_block_ids(first),
             used_memory_gb=0.9 * problem.budgets.memory_gb,
         )
-        cold = OffloaDNNSolver().solve(discounted)
-        assert solution_key(warm.solve(discounted)) == solution_key(cold)
+        assert _hits(discounted, memo) == 0
+        cold = solver.solve(discounted)
+        assert solution_key(solver.solve(discounted, memo=memo)) == solution_key(cold)
         # seed 0 is the reported instance: the stale charge rejected all
         if seed == 0:
             assert cold.admitted_task_count > 0
         # and back: the undiscounted costs are not served stale either
-        assert solution_key(warm.solve(problem)) == solution_key(first)
-
-    def test_rejects_multi_branch_base(self):
-        from repro.core.incremental import WarmStartSolver
-
-        with pytest.raises(ValueError, match="first-branch"):
-            WarmStartSolver(base=OffloaDNNSolver(explore_branches=3))
+        assert solution_key(solver.solve(problem, memo=memo)) == solution_key(first)
+        assert len(memo) == len(problem.tasks)
 
     def test_prune_and_clear(self):
-        from repro.core.incremental import WarmStartSolver
-
+        """Departures are the caller's ``dict.pop`` / ``dict.clear``."""
         wave1, _ = _two_wave_problems()
-        warm = WarmStartSolver()
-        warm.solve(wave1)
-        warm.prune({1})
-        assert warm.cached_tasks == 1
-        warm.clear()
-        assert warm.cached_tasks == 0
+        memo: dict = {}
+        OffloaDNNSolver().solve(wave1, memo=memo)
+        keep = wave1.tasks[0].task_id
+        for task_id in [tid for tid in memo if tid != keep]:
+            memo.pop(task_id)
+        assert _hits(wave1, memo) == 1
+        memo.clear()
+        assert _hits(wave1, memo) == 0

@@ -15,7 +15,7 @@ from repro.core.heuristic import OffloaDNNSolver
 from repro.core.objective import check_constraints
 from repro.core.problem import Budgets, DOTProblem, RadioModel
 from repro.core.task import QualityLevel, Task
-from repro.core.tree import build_tree
+from repro.core.tree import build_vector_tree
 from tests.conftest import make_block, make_path
 
 
@@ -40,17 +40,17 @@ def _multi_quality_problem(min_accuracy: float, radio_blocks: int = 50) -> DOTPr
 class TestQualityExpansion:
     def test_tree_has_one_vertex_per_quality(self):
         problem = _multi_quality_problem(min_accuracy=0.5)
-        tree = build_tree(problem)
-        assert len(tree.cliques[0]) == 2
-        names = {v.path.quality.name for v in tree.cliques[0].vertices}
+        (clique,) = build_vector_tree(problem).cliques
+        assert len(clique) == 2
+        names = {v.path.quality.name for v in clique.items(problem.budgets.radio_blocks)}
         assert names == {"low", "high"}
 
     def test_accuracy_filter_prunes_compressed_variant(self):
         # 0.9 * 0.9 = 0.81 < 0.85, so the low quality is infeasible
         problem = _multi_quality_problem(min_accuracy=0.85)
-        tree = build_tree(problem)
-        assert len(tree.cliques[0]) == 1
-        assert tree.cliques[0].vertices[0].path.quality.name == "high"
+        (clique,) = build_vector_tree(problem).cliques
+        assert len(clique) == 1
+        assert clique.variant_path(0).quality.name == "high"
 
     def test_equal_compute_prefers_fewer_bits(self):
         """Both variants have the same compute time; the tie-break picks
@@ -67,8 +67,8 @@ class TestQualityExpansion:
         # the catalog path carries the low quality, so the expanded
         # high-quality variant is the renamed one
         problem = _multi_quality_problem(min_accuracy=0.5)
-        tree = build_tree(problem)
-        ids = sorted(v.path.path_id for v in tree.cliques[0].vertices)
+        (clique,) = build_vector_tree(problem).cliques
+        ids = sorted(clique.variant_path_id(i) for i in range(len(clique)))
         assert ids == ["p", "p@high"]
 
     def test_tight_radio_only_compressed_feasible(self):
@@ -81,7 +81,7 @@ class TestQualityExpansion:
         assert assignment.path.quality.name == "low"
 
     def test_single_quality_tasks_unchanged(self, tiny_problem):
-        tree = build_tree(tiny_problem)
+        tree = build_vector_tree(tiny_problem)
         for clique in tree.cliques:
-            for vertex in clique.vertices:
+            for vertex in clique.items(tiny_problem.budgets.radio_blocks):
                 assert "@" not in vertex.path.path_id

@@ -233,10 +233,8 @@ def test_closed_form_admission_matches_reference(
 ):
     """The O(1) candidate scan returns the exact (z, r) of the O(R)
     enumeration, for any item geometry and any pool state."""
-    from repro.core.subproblem import (
-        _best_admission_for_item,
-        _best_admission_for_item_reference,
-    )
+    from repro.core.subproblem import _best_admission_for_item
+    from tests.oracles import admission_by_enumeration
 
     item = _item(
         request_rate=rate,
@@ -246,16 +244,14 @@ def test_closed_form_admission_matches_reference(
         bits_per_rb=bpr,
     )
     fast = _best_admission_for_item(item, pool_radio, pool_compute, radio)
-    slow = _best_admission_for_item_reference(item, pool_radio, pool_compute, radio)
+    slow = admission_by_enumeration(item, pool_radio, pool_compute, radio)
     assert fast == slow
 
 
 def test_closed_form_matches_reference_on_cascade():
     """Sequential pool states of a real cascade hit the same (z, r)."""
-    from repro.core.subproblem import (
-        _best_admission_for_item,
-        _best_admission_for_item_reference,
-    )
+    from repro.core.subproblem import _best_admission_for_item
+    from tests.oracles import admission_by_enumeration
 
     items = [
         _item(task_id=i, priority=1.0 - 0.05 * i, request_rate=2.5 + 0.5 * i,
@@ -269,7 +265,7 @@ def test_closed_form_matches_reference_on_cascade():
         fast = _best_admission_for_item(
             item, remaining_radio, remaining_compute, budgets.radio_blocks
         )
-        slow = _best_admission_for_item_reference(
+        slow = admission_by_enumeration(
             item, remaining_radio, remaining_compute, budgets.radio_blocks
         )
         assert fast == slow

@@ -1,14 +1,17 @@
-"""Parity of the vectorized control plane with the scalar reference.
+"""Parity of the batched control plane with the scalar reference.
 
-The vector engine (``build_vector_tree`` + the numpy selection pass)
-must produce *bit-identical* solutions to the per-vertex scalar path —
-same chosen paths, same admission ratios, same RB counts — across
-orderings, branch exploration, slice margins and problem geometries.
+The one tree in ``src/`` (``build_vector_tree`` + ``first_branch`` /
+``branches``) must produce *bit-identical* solutions to the per-vertex
+scalar oracle (``tests/oracles.py``: ``scalar_cliques``,
+``scalar_first_branch``) — same chosen paths, same admission ratios,
+same RB counts — across orderings, branch exploration, slice margins
+and problem geometries.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -18,16 +21,17 @@ from hypothesis import strategies as st
 
 from repro.core import tree as tree_module
 from repro.core.catalog import Catalog
-from repro.core.heuristic import OffloaDNNSolver
-from repro.core.objective import check_constraints
+from repro.core.heuristic import OffloaDNNSolver, allocate
+from repro.core.objective import check_constraints, objective_value
 from repro.core.problem import Budgets, DOTProblem, RadioModel
 from repro.core.task import QualityLevel
-from repro.core.tree import build_cliques, build_tree, build_vector_tree
+from repro.core.tree import branches, build_cliques, build_vector_tree
 from tests.conftest import make_block, make_path, make_task
+from tests.oracles import scalar_cliques, scalar_first_branch
 
 
 def solution_key(solution):
-    """Everything that must match between engines, bit for bit."""
+    """Everything that must match between two solves, bit for bit."""
     return [
         (
             tid,
@@ -113,35 +117,65 @@ def random_problem(seed: int, num_tasks: int = 8) -> DOTProblem:
     )
 
 
+def scalar_solve(problem, ordering="compute", margin=0):
+    """The first-branch solution by the scalar oracle's tree and walk."""
+    return allocate(
+        problem, scalar_first_branch(problem, ordering), slice_margin_rbs=margin
+    )
+
+
+def _vertex_rows(vertices):
+    return [
+        (v.path.path_id, v.path.quality.name, v.compute_time_s, v.path.bits_per_image,
+         v.path.effective_accuracy, v.min_latency_rbs(), v.bits_per_rb)
+        for v in vertices
+    ]
+
+
+def _oracle_rows(problem):
+    """Per layer ``(task, vertex rows, filtered out)`` of the scalar oracle."""
+    return [
+        (task, _vertex_rows(vertices), dropped)
+        for task, vertices, dropped in scalar_cliques(problem)
+    ]
+
+
+def _tree_rows(tree):
+    """The same rows read off a ``VectorTree`` under its problem's radio capacity."""
+    radio_blocks = tree.problem.budgets.radio_blocks
+    return [
+        (clique.task, _vertex_rows(clique.items(radio_blocks)),
+         tree.filtered_out[clique.task.task_id])
+        for clique in tree.cliques
+    ]
+
+
 class TestVectorTreeMaterialize:
-    """materialize() must reproduce build_tree() exactly."""
+    """The tree's cliques, read as vertices, are the scalar oracle's."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_clique_contents_match(self, seed):
         problem = random_problem(seed)
-        scalar = build_tree(problem)
-        vector = build_vector_tree(problem).materialize()
-        assert len(scalar.cliques) == len(vector.cliques)
-        for sc, vc in zip(scalar.cliques, vector.cliques):
-            assert sc.task == vc.task
-            s_rows = [
-                (v.path.path_id, v.path.quality.name, v.compute_time_s,
-                 v.path.bits_per_image, v.accuracy)
-                for v in sc.vertices
-            ]
-            v_rows = [
-                (v.path.path_id, v.path.quality.name, v.compute_time_s,
-                 v.path.bits_per_image, v.accuracy)
-                for v in vc.vertices
-            ]
-            assert s_rows == v_rows
-        assert scalar.filtered_out == vector.filtered_out
+        tree = build_vector_tree(problem)
+        assert _tree_rows(tree) == _oracle_rows(problem)
+        sizes = [len(vertices) for _, vertices, _ in scalar_cliques(problem)]
+        assert tree.clique_sizes() == sizes
+        assert tree.tasks_without_options() == [
+            task for task, vertices, _ in scalar_cliques(problem) if not vertices
+        ]
 
     def test_build_time_stamped(self, tiny_problem):
-        scalar = build_tree(tiny_problem)
-        vtree = build_vector_tree(tiny_problem)
-        assert scalar.build_time_s > 0.0
-        assert vtree.build_time_s > 0.0
+        assert build_vector_tree(tiny_problem).build_time_s > 0.0
+
+
+def _positions(leaf, cliques):
+    """A branch as vertex positions in the scalar cliques (skip = clique size)."""
+    row = []
+    for (task_id, item), (task, vertices, _) in zip(leaf, cliques, strict=True):
+        assert task_id == task.task_id
+        ids = [v.path.path_id for v in vertices]
+        row.append(len(ids) if item is None else ids.index(item.path.path_id))
+    return row
 
 
 class TestEngineParity:
@@ -149,8 +183,8 @@ class TestEngineParity:
     @pytest.mark.parametrize("ordering", ["compute", "memory", "accuracy"])
     def test_randomized_parity(self, seed, ordering):
         problem = random_problem(seed)
-        scalar = OffloaDNNSolver(engine="scalar", ordering=ordering).solve(problem)
-        vector = OffloaDNNSolver(engine="vector", ordering=ordering).solve(problem)
+        scalar = scalar_solve(problem, ordering)
+        vector = OffloaDNNSolver(ordering=ordering).solve(problem)
         assert solution_key(scalar) == solution_key(vector)
         assert check_constraints(problem, vector).feasible
 
@@ -159,27 +193,39 @@ class TestEngineParity:
     @pytest.mark.parametrize("margin", [0, 2])
     def test_options_parity(self, seed, explore, margin):
         problem = random_problem(seed)
-        scalar = OffloaDNNSolver(
-            engine="scalar", explore_branches=explore, slice_margin_rbs=margin
+        solution = OffloaDNNSolver(
+            explore_branches=explore, slice_margin_rbs=margin
         ).solve(problem)
-        vector = OffloaDNNSolver(
-            engine="vector", explore_branches=explore, slice_margin_rbs=margin
-        ).solve(problem)
-        assert solution_key(scalar) == solution_key(vector)
-
-    def test_prebuilt_tree_bypasses_engine(self, tiny_problem):
-        tree = build_tree(tiny_problem)
-        from_tree = OffloaDNNSolver(engine="vector").solve(tiny_problem, tree=tree)
-        cold = OffloaDNNSolver(engine="scalar").solve(tiny_problem)
-        assert solution_key(from_tree) == solution_key(cold)
+        if explore == 1:
+            assert solution_key(solution) == solution_key(
+                scalar_solve(problem, margin=margin)
+            )
+            return
+        # the explored leaves, located in the scalar tree: they start at the
+        # scalar first branch, ascend lexicographically and fit the memory
+        cliques = scalar_cliques(problem)
+        leaves = list(islice(branches(build_vector_tree(problem), problem.budgets), explore))
+        assert solution.branches_explored == len(leaves) == explore
+        assert solution_key(allocate(problem, leaves[0], slice_margin_rbs=margin)) == (
+            solution_key(scalar_solve(problem, margin=margin))
+        )
+        rows = [_positions(leaf, cliques) for leaf in leaves]
+        assert rows == sorted(rows) and len(set(map(tuple, rows))) == explore
+        candidates = [allocate(problem, leaf, slice_margin_rbs=margin) for leaf in leaves]
+        for candidate in candidates:
+            assert candidate.total_memory_gb <= problem.budgets.memory_gb + 1e-9
+        best = min(candidates, key=lambda c: objective_value(problem, c))
+        assert objective_value(problem, solution) == pytest.approx(
+            objective_value(problem, best), abs=1e-12
+        )
 
     def test_paper_scale_parity(self):
         from repro.workloads.largescale import RequestRate, large_scale_problem
 
         for rate in RequestRate:
             problem = large_scale_problem(rate)
-            scalar = OffloaDNNSolver(engine="scalar").solve(problem)
-            vector = OffloaDNNSolver(engine="vector").solve(problem)
+            scalar = scalar_solve(problem)
+            vector = OffloaDNNSolver().solve(problem)
             assert solution_key(scalar) == solution_key(vector)
 
     def test_zero_headroom_parity(self):
@@ -194,30 +240,29 @@ class TestEngineParity:
             radio=problem.radio,
             alpha=problem.alpha,
         )
-        scalar = OffloaDNNSolver(engine="scalar").solve(empty)
-        vector = OffloaDNNSolver(engine="vector").solve(empty)
+        scalar = scalar_solve(empty)
+        vector = OffloaDNNSolver().solve(empty)
         assert solution_key(scalar) == solution_key(vector)
         assert vector.admitted_task_count == 0
 
 
 class TestTimingAccounting:
     def test_solve_time_excludes_build_uniformly(self, tiny_problem):
-        """Prebuilt or not, solve_time_s covers selection + allocation
+        """Memo-warm or cold, solve_time_s covers selection + allocation
         only; the build cost is reported separately."""
-        tree = build_tree(tiny_problem)
-        solver = OffloaDNNSolver(engine="scalar")
-        prebuilt = solver.solve(tiny_problem, tree=tree)
-        internal = solver.solve(tiny_problem)
-        assert prebuilt.tree_build_time_s == pytest.approx(tree.build_time_s)
-        assert internal.tree_build_time_s > 0.0
-        for sol in (prebuilt, internal):
+        solver = OffloaDNNSolver()
+        memo: dict = {}
+        cold = solver.solve(tiny_problem, memo=memo)
+        warm = solver.solve(tiny_problem, memo=memo)
+        for sol in (cold, warm):
+            assert sol.tree_build_time_s > 0.0
             assert sol.solve_time_s > 0.0
             assert sol.total_time_s == pytest.approx(
                 sol.tree_build_time_s + sol.solve_time_s
             )
 
     def test_vector_engine_stamps_build_time(self, tiny_problem):
-        solution = OffloaDNNSolver(engine="vector").solve(tiny_problem)
+        solution = OffloaDNNSolver().solve(tiny_problem)
         assert solution.tree_build_time_s > 0.0
         assert solution.solve_time_s > 0.0
 
@@ -336,35 +381,17 @@ def tie_heavy_problems(draw) -> DOTProblem:
     return problem
 
 
-def _clique_rows(tree):
-    return [
-        (
-            clique.task,
-            [
-                (v.path.path_id, v.path.quality.name, v.compute_time_s,
-                 v.path.bits_per_image, v.accuracy, v.min_latency_rbs())
-                for v in clique.vertices
-            ],
-        )
-        for clique in tree.cliques
-    ]
-
-
 class TestBatchedBuild:
     @settings(max_examples=150, deadline=None)
     @given(problem=tie_heavy_problems(), chunk=st.integers(1, 4))
     def test_equals_scalar_build(self, problem, chunk):
-        scalar = build_tree(problem)
         # the chunk boundary falls inside the task list
         with mock.patch.object(tree_module, "_CHUNK_TASKS", chunk):
-            vector = build_vector_tree(problem).materialize()
-        assert _clique_rows(scalar) == _clique_rows(vector)
-        assert scalar.filtered_out == vector.filtered_out
+            tree = build_vector_tree(problem)
+        assert _tree_rows(tree) == _oracle_rows(problem)
         for ordering in ("compute", "memory", "accuracy"):
-            assert solution_key(
-                OffloaDNNSolver(engine="scalar", ordering=ordering).solve(problem)
-            ) == solution_key(
-                OffloaDNNSolver(engine="vector", ordering=ordering).solve(problem)
+            assert solution_key(scalar_solve(problem, ordering)) == solution_key(
+                OffloaDNNSolver(ordering=ordering).solve(problem)
             )
 
     def test_path_id_breaks_full_ties(self):
@@ -382,11 +409,10 @@ class TestBatchedBuild:
                 memory_gb=8.0, radio_blocks=50,
             ),
         )
-        (clique,) = build_vector_tree(problem).cliques
+        tree = build_vector_tree(problem)
+        (clique,) = tree.cliques
         assert [clique.variant_path_id(i) for i in range(len(clique))] == ["a", "z"]
-        assert _clique_rows(build_tree(problem)) == _clique_rows(
-            build_vector_tree(problem).materialize()
-        )
+        assert _tree_rows(tree) == _oracle_rows(problem)
 
     def test_one_task_build_equals_its_clique_in_a_batch(self):
         problem = random_problem(11, num_tasks=50)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.heuristic import OffloaDNNSolver
 from repro.edge.online import OnlineStudy
 
 
@@ -74,14 +75,25 @@ class TestOnlineStudy:
             OnlineStudy(horizon_s=0.0)
 
     def test_warm_start_trace_identical(self):
-        """Warm-started churn produces the exact same trace as cold
-        solves — clique reuse is a performance lever, not a policy one."""
+        """A solver carrying a clique memo across admission rounds produces
+        the exact same trace as cold solves — clique reuse is a performance
+        lever, not a policy one."""
+
+        class MemoSolver:
+            def __init__(self) -> None:
+                self.base, self.memo, self.solves = OffloaDNNSolver(), {}, 0
+
+            def solve(self, problem):
+                self.solves += 1
+                return self.base.solve(problem, memo=self.memo)
+
         kwargs = dict(
             arrival_rate_per_s=1.0, mean_lifetime_s=30.0, horizon_s=45.0,
             seed=7,
         )
         cold = OnlineStudy(**kwargs).run()
-        warm = OnlineStudy(**kwargs, warm_start=True).run()
+        solver = MemoSolver()
+        warm = OnlineStudy(**kwargs).run(solver=solver)
         assert [
             (s.task_id, s.event, s.admitted, s.allocated_rbs,
              s.deployed_memory_gb)
@@ -93,6 +105,9 @@ class TestOnlineStudy:
         ]
         assert cold.admissions == warm.admissions
         assert cold.rejections == warm.rejections
+        # every arrival is a new task id with its own catalog, so every solve
+        # was a miss (why the controller itself carries no memo)
+        assert len(solver.memo) == solver.solves > 0
 
     def test_exhaustion_wave_recovers(self):
         """An overload burst saturates the pools (zero-headroom solves)

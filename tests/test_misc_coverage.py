@@ -10,7 +10,7 @@ from repro.core.problem import Budgets, DOTProblem, RadioModel
 from repro.core.objective import objective_breakdown
 from repro.core.subproblem import BranchAllocation, BranchItem, solve_branch
 from repro.core.task import QualityLevel
-from repro.core.tree import build_tree
+from repro.core.tree import build_vector_tree
 from repro.emulator.lte import HarqConfig
 from repro.emulator.scenario import EmulationScenario
 from repro.workloads.smallscale import small_scale_problem
@@ -61,8 +61,8 @@ class TestPerTaskRadioRates:
                 default_bits_per_rb=350_000.0, per_task_bits_per_rb={1: 999_000.0}
             ),
         )
-        tree = build_tree(problem)
-        assert tree.cliques[0].vertices[0].bits_per_rb == 999_000.0
+        (vertex,) = build_vector_tree(problem).cliques[0].items(50)
+        assert vertex.bits_per_rb == 999_000.0
 
 
 class TestTreeInspection:
@@ -74,11 +74,11 @@ class TestTreeInspection:
             tasks=(task,), catalog=catalog, budgets=Budgets(2.5, 1000.0, 8.0, 50),
             radio=RadioModel(default_bits_per_rb=350_000.0),
         )
-        tree = build_tree(problem)
+        tree = build_vector_tree(problem)
         assert tree.tasks_without_options() == [task]
 
     def test_clique_len(self, tiny_problem):
-        tree = build_tree(tiny_problem)
+        tree = build_vector_tree(tiny_problem)
         assert all(len(clique) == 2 for clique in tree.cliques)
 
 

@@ -13,7 +13,7 @@ import pytest
 from repro.core.heuristic import OffloaDNNSolver
 from repro.core.objective import check_constraints, objective_value
 from repro.core.optimal import OptimalSolver
-from repro.core.tree import build_tree
+from repro.core.tree import build_vector_tree
 from repro.workloads.smallscale import small_scale_problem
 
 
@@ -104,7 +104,7 @@ class TestSmallScaleAdmission:
 
     def test_tree_growth_is_exponential(self):
         sizes = [
-            build_tree(small_scale_problem(t, seed=0)).num_branches()
+            build_vector_tree(small_scale_problem(t, seed=0)).num_branches()
             for t in (1, 2, 3)
         ]
         assert sizes[1] > 5 * sizes[0]
