@@ -1,9 +1,10 @@
 """Shared reporting for the benchmark harness.
 
-Every bench regenerates one paper artifact (a table or figure) and both
-prints its rows and writes them under ``benchmarks/results/`` so the
-paper-vs-measured record in EXPERIMENTS.md can be refreshed from a
-single run.
+Every paper-figure bench regenerates one artifact (a table or figure)
+and both prints its rows and writes them under ``benchmarks/results/``
+(:func:`emit`) so the paper-vs-measured record in EXPERIMENTS.md can be
+refreshed from a single run.  The ``bench_*`` performance benches print
+their table and persist only a ``BENCH_*.json`` (:func:`write_json`).
 """
 
 from __future__ import annotations
@@ -14,6 +15,15 @@ import pathlib
 import platform
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+#: environment variables that control BLAS/OpenMP thread pools
+BLAS_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
 
 
 def emit(name: str, text: str) -> None:
@@ -45,8 +55,6 @@ def environment() -> dict:
     files are comparable across hosts and across PRs.
     """
     import numpy as np
-
-    from repro.serving.parallel import BLAS_THREAD_VARS
 
     try:
         affinity = len(os.sched_getaffinity(0))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 
-from benchmarks._report import emit, write_json
+from benchmarks._report import write_json
 from repro.analysis.report import format_table
 from repro.cluster import ClusterDeployment, default_topology
 from repro.core.heuristic import OffloaDNNSolver
@@ -188,11 +188,10 @@ def main() -> int:
         + f"\none-node parity with BatchExecutor: {report['one_node_parity']}"
         + f"\nbyte-identical 3-node traces: {report['deterministic_trace']}"
     )
-    name = "BENCH_cluster_quick" if args.quick else "BENCH_cluster"
-    emit(name, summary)
+    print("\n" + summary)
 
     if args.quick:
-        json_path = REPO_ROOT / "benchmarks" / "results" / f"{name}.json"
+        json_path = REPO_ROOT / "benchmarks" / "results" / "BENCH_cluster_quick.json"
     else:
         json_path = REPO_ROOT / "BENCH_cluster.json"
     write_json(report, json_path)

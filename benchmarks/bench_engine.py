@@ -21,8 +21,8 @@ them all — and the scheme every int8 conv binds to at batch 1, where
 Winograd's tile GEMMs are too skinny to pay.
 
 Results go to ``BENCH_engine.json`` at the repo root (machine-readable,
-committed, so later PRs can track the perf trajectory) and a text table
-under ``benchmarks/results/``.  ``--quick`` runs a small-shape subset
+committed, so later PRs can track the perf trajectory); the text table
+is printed.  ``--quick`` runs a small-shape subset
 for CI smoke: it asserts parity and the two counts and exits nonzero on
 divergence or crash, writing
 ``benchmarks/results/BENCH_engine_quick.json`` instead.
@@ -36,7 +36,7 @@ import time
 
 import numpy as np
 
-from benchmarks._report import emit, write_json
+from benchmarks._report import write_json
 from repro.analysis.report import format_table
 from repro.dnn.compile import _Arena, _thread_arena, compile_module
 from repro.dnn.configs import TABLE_I_CONFIGS
@@ -287,15 +287,13 @@ def main() -> int:
         f"{report['arena']['bytes'] / 1e6:.1f} MB   neediest single (plan, batch): "
         f"{report['arena']['largest_single_need_bytes'] / 1e6:.1f} MB"
     )
-    name = "BENCH_engine_quick" if args.quick else "BENCH_engine"
-    emit(
-        name,
-        table + "\n\n" + summary + "\n\nint8 quantized vs fp32 compiled:\n"
-        + int8_table + "\n\n" + int8_summary + "\n" + arena_summary,
+    print(
+        "\n" + table + "\n\n" + summary + "\n\nint8 quantized vs fp32 compiled:\n"
+        + int8_table + "\n\n" + int8_summary + "\n" + arena_summary
     )
 
     if args.quick:
-        json_path = REPO_ROOT / "benchmarks" / "results" / f"{name}.json"
+        json_path = REPO_ROOT / "benchmarks" / "results" / "BENCH_engine_quick.json"
     else:
         json_path = REPO_ROOT / "BENCH_engine.json"
     write_json(report, json_path)

@@ -36,7 +36,7 @@ import time
 
 import numpy as np
 
-from benchmarks._report import attach_obs, emit, write_json
+from benchmarks._report import attach_obs, write_json
 from repro.core.heuristic import OffloaDNNSolver
 from repro.obs import ObsSession, current_tracer, validate_chrome_trace
 from repro.serving.metrics import ServingMetrics
@@ -231,11 +231,10 @@ def main() -> int:
         f"{report['metrics_bit_identical']}\n"
         f"chrome trace validation problems: {len(report['trace_problems'])}"
     )
-    name = "BENCH_obs_quick" if args.quick else "BENCH_obs"
-    emit(name, summary)
+    print("\n" + summary)
 
     if args.quick:
-        json_path = REPO_ROOT / "benchmarks" / "results" / f"{name}.json"
+        json_path = REPO_ROOT / "benchmarks" / "results" / "BENCH_obs_quick.json"
     else:
         json_path = REPO_ROOT / "BENCH_obs.json"
     write_json(report, json_path)

@@ -28,7 +28,7 @@ import argparse
 import pathlib
 import time
 
-from benchmarks._report import emit, write_json
+from benchmarks._report import write_json
 from repro.analysis.report import format_table
 from repro.core.heuristic import OffloaDNNSolver
 from repro.serving import DropReason, ServingRuntime
@@ -243,20 +243,18 @@ def main() -> int:
         f"{clu['wall_s']:.3f} s (bit equal to the local executor: "
         f"{clu['bit_equal']})"
     )
-    name = "BENCH_serving_quick" if args.quick else "BENCH_serving"
-    emit(
-        name,
-        "Serving runtime: offered load vs throughput and deadline misses\n"
+    print(
+        "\nServing runtime: offered load vs throughput and deadline misses\n"
         + load_table
         + "\n\nShared-block prefix cache (2x load, 10 s)\n"
         + cache_table
         + "\n\nScale curve (Poisson arrivals)\n"
         + scale_table
         + "\n\n"
-        + lines,
+        + lines
     )
     if args.quick:
-        json_path = REPO_ROOT / "benchmarks" / "results" / f"{name}.json"
+        json_path = REPO_ROOT / "benchmarks" / "results" / "BENCH_serving_quick.json"
     else:
         json_path = REPO_ROOT / "BENCH_serving.json"
     write_json(report, json_path)

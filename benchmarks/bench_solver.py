@@ -37,7 +37,7 @@ import statistics
 import time
 from dataclasses import replace
 
-from benchmarks._report import attach_obs, emit, write_json
+from benchmarks._report import attach_obs, write_json
 from repro.analysis.report import format_table
 from repro.core.aggregate import AggregateSolver
 from repro.core.catalog import Catalog
@@ -320,11 +320,10 @@ def main() -> int:
             f"cliques, bit exact {warm['bit_exact']})"
         )
     warm_line = "\n".join(warm_lines)
-    name = "BENCH_solver_quick" if args.quick else "BENCH_solver"
-    emit(name, paper_table + "\n\n" + scale_table + "\n\n" + warm_line)
+    print("\n" + paper_table + "\n\n" + scale_table + "\n\n" + warm_line)
 
     if args.quick:
-        json_path = REPO_ROOT / "benchmarks" / "results" / f"{name}.json"
+        json_path = REPO_ROOT / "benchmarks" / "results" / "BENCH_solver_quick.json"
     else:
         json_path = REPO_ROOT / "BENCH_solver.json"
     write_json(report, json_path)

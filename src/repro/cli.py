@@ -446,6 +446,13 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    topology = None
+    if cluster_spec is not None:
+        try:
+            topology = _load_topology(cluster_spec)
+        except (ValueError, OSError) as exc:  # invalid JSON is a ValueError
+            print(f"error: topology {cluster_spec!r}: {exc}", file=sys.stderr)
+            return 2
     obs = None
     scope = contextlib.nullcontext()
     if args.trace is not None:
@@ -469,13 +476,11 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
             problem, config, solver=OffloaDNNSolver(slice_margin_rbs=args.slice_margin)
         )
     runtime.obs = obs
-    topology = None
-    if cluster_spec is not None:
+    if topology is not None:
         import dataclasses
 
         from repro.cluster import ClusterDeployment
 
-        topology = _load_topology(cluster_spec)
         if args.int8_activations:
             topology = dataclasses.replace(topology, int8_activations=True)
         runtime.cluster = ClusterDeployment.place(

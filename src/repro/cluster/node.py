@@ -89,10 +89,6 @@ class ClusterNode:
         return self.spec.node_id
 
     @property
-    def busy_until(self) -> float:
-        return max(self.pool.free_at)
-
-    @property
     def earliest_free_at(self) -> float:
         return min(self.pool.free_at)
 

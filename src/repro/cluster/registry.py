@@ -22,6 +22,20 @@ from repro.core.catalog import Catalog
 
 __all__ = ["ClusterTopology", "NodeRegistry", "default_topology"]
 
+#: the :class:`LinkSpec` fields ``nodes.json`` carries for a link or the
+#: default link, in the order :meth:`ClusterTopology.to_dict` writes them
+_LINK_KEYS = ("bandwidth_bps", "latency_s", "stall_rate", "stall_factor")
+
+
+def _entry(entry, where: str, required: tuple[str, ...] = ()) -> dict:
+    """One JSON object of ``nodes.json``, or a ``ValueError`` naming it."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be an object, got {type(entry).__name__}")
+    missing = [key for key in required if key not in entry]
+    if missing:
+        raise ValueError(f"{where} is missing {missing}")
+    return entry
+
 
 @dataclass(frozen=True)
 class ClusterTopology:
@@ -44,6 +58,17 @@ class ClusterTopology:
         ids = [spec.node_id for spec in self.nodes]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate node ids in topology: {ids}")
+        pairs = set()
+        for link in self.links:
+            for end in (link.src, link.dst):
+                if end not in ids:
+                    raise ValueError(
+                        f"link {link.src!r} -> {link.dst!r} names {end!r}, "
+                        f"which is not a node of the topology ({ids})"
+                    )
+            if (link.src, link.dst) in pairs:
+                raise ValueError(f"two links for {link.src!r} -> {link.dst!r}")
+            pairs.add((link.src, link.dst))
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> "ClusterTopology":
@@ -53,42 +78,48 @@ class ClusterTopology:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterTopology":
-        nodes = tuple(
-            NodeSpec(
-                node_id=entry["node_id"],
-                tier=entry.get("tier", "edge"),
-                cpu_scale=float(entry.get("cpu_scale", 1.0)),
-                memory_gb=float(entry.get("memory_gb", 8.0)),
-                num_workers=int(entry.get("num_workers", 1)),
-                resident_blocks=(
-                    frozenset(entry["resident_blocks"])
-                    if entry.get("resident_blocks") is not None
-                    else None
-                ),
-                failure_rate=float(entry.get("failure_rate", 0.0)),
+        data = _entry(data, "the topology document")
+        nodes = []
+        for i, entry in enumerate(data.get("nodes", [])):
+            entry = _entry(entry, f"nodes[{i}]", ("node_id",))
+            blocks = entry.get("resident_blocks")
+            if isinstance(blocks, str):
+                raise ValueError(
+                    f"nodes[{i}].resident_blocks must be a list of block ids, "
+                    f"got the string {blocks!r}"
+                )
+            nodes.append(
+                NodeSpec(
+                    node_id=entry["node_id"],
+                    tier=entry.get("tier", "edge"),
+                    cpu_scale=float(entry.get("cpu_scale", 1.0)),
+                    memory_gb=float(entry.get("memory_gb", 8.0)),
+                    num_workers=int(entry.get("num_workers", 1)),
+                    resident_blocks=None if blocks is None else frozenset(blocks),
+                    failure_rate=float(entry.get("failure_rate", 0.0)),
+                )
             )
-            for entry in data.get("nodes", [])
-        )
-        default = dict(data.get("default_link", {}))
+        default = _entry(data.get("default_link", {}), "default_link")
+        unknown = sorted(set(default) - set(_LINK_KEYS))
+        if unknown:
+            raise ValueError(f"default_link takes {_LINK_KEYS}, not {unknown}")
         default_link = LinkSpec(src="*", dst="*", **default)
-        links = tuple(
-            LinkSpec(
-                src=entry["src"],
-                dst=entry["dst"],
-                bandwidth_bps=float(
-                    entry.get("bandwidth_bps", default_link.bandwidth_bps)
-                ),
-                latency_s=float(entry.get("latency_s", default_link.latency_s)),
-                stall_rate=float(entry.get("stall_rate", default_link.stall_rate)),
-                stall_factor=float(
-                    entry.get("stall_factor", default_link.stall_factor)
-                ),
+        links = []
+        for i, entry in enumerate(data.get("links", [])):
+            entry = _entry(entry, f"links[{i}]", ("src", "dst"))
+            links.append(
+                LinkSpec(
+                    src=entry["src"],
+                    dst=entry["dst"],
+                    **{
+                        key: float(entry.get(key, getattr(default_link, key)))
+                        for key in _LINK_KEYS
+                    },
+                )
             )
-            for entry in data.get("links", [])
-        )
         return cls(
-            nodes=nodes,
-            links=links,
+            nodes=tuple(nodes),
+            links=tuple(links),
             default_link=default_link,
             fp16_activations=bool(data.get("fp16_activations", False)),
             int8_activations=bool(data.get("int8_activations", False)),
@@ -116,18 +147,12 @@ class ClusterTopology:
                 {
                     "src": link.src,
                     "dst": link.dst,
-                    "bandwidth_bps": link.bandwidth_bps,
-                    "latency_s": link.latency_s,
-                    "stall_rate": link.stall_rate,
-                    "stall_factor": link.stall_factor,
+                    **{key: getattr(link, key) for key in _LINK_KEYS},
                 }
                 for link in self.links
             ],
             "default_link": {
-                "bandwidth_bps": self.default_link.bandwidth_bps,
-                "latency_s": self.default_link.latency_s,
-                "stall_rate": self.default_link.stall_rate,
-                "stall_factor": self.default_link.stall_factor,
+                key: getattr(self.default_link, key) for key in _LINK_KEYS
             },
             "fp16_activations": self.fp16_activations,
             "int8_activations": self.int8_activations,
@@ -268,25 +293,6 @@ class NodeRegistry:
                     f"node {node.node_id!r} advertises {required:.2f} GB of "
                     f"resident blocks but has {node.spec.memory_gb:.2f} GB"
                 )
-
-    def advertisements(self, now: float = 0.0) -> list[dict]:
-        """What each node currently advertises (capacity, blocks, queue)."""
-        return [
-            {
-                "node_id": node.node_id,
-                "tier": node.spec.tier,
-                "cpu_scale": node.spec.cpu_scale,
-                "num_workers": node.spec.num_workers,
-                "resident_blocks": (
-                    sorted(node.spec.resident_blocks)
-                    if node.spec.resident_blocks is not None
-                    else "all"
-                ),
-                "queue_depth": node.busy_workers(now),
-                "busy_until": node.busy_until,
-            }
-            for node in self.ordered_nodes()
-        ]
 
     def reset(self) -> None:
         """Clear all serving-time state (called at the top of each run)."""

@@ -17,7 +17,7 @@ Layout (all integers little-endian)::
     4    8   dtype   numpy dtype.str, ascii, NUL-padded (logical dtype)
     12   1   ndim
     13   4n  shape   one u32 per dimension
-    +    4   scale   f32 quantization scale (only when bit 1 set; v2+)
+    +    4   scale   f32 quantization scale (only when bit 1 set)
     +    8   payload length in bytes (u64)
     +    …   payload (C-order)
 
@@ -27,21 +27,20 @@ shipped as float16 and restored to the logical dtype on decode — a 2×
 (|x − roundtrip| ≤ max(2⁻¹¹·|x|, 2⁻²⁴) for values in float16 range).
 Integer and bool payloads ignore the knob.
 
-**int8 + scale (version 2).**  With ``quantize_int8=True`` a floating
+**int8 + scale.**  With ``quantize_int8=True`` a floating
 payload is shipped as symmetric int8 (``round(x/scale)`` clipped to
 ±127, ``scale = amax/127``) plus one f32 scale in the header — a 4×
 saving over float32 at quantization precision.  An array that is
 *already* int8 (an activation produced by the quantized engine) is
 shipped verbatim with the caller's ``scale`` riding in the header:
-that round-trip is lossless, bit for bit.  The flag did not exist in
-version 1, so decoders reject v1 frames carrying it.
-
-Version 1 frames (no int8 flag, no scale field) still decode; frames
-produced by this codec carry ``WIRE_VERSION`` = 2.
+that round-trip is lossless, bit for bit.
 
 Error paths raise :class:`TruncatedFrameError` (buffer shorter than its
-own header/length claims) or :class:`VersionMismatchError` (peer speaks
-an unknown protocol revision); both subclass :class:`WireError`.
+own header/length claims), :class:`VersionMismatchError` (any revision
+but ``WIRE_VERSION``) or plain :class:`WireError` for a header the
+encoder never writes: reserved flag bits, fp16 and int8 together, a
+flag on a logical dtype it cannot apply to, an unreadable dtype tag.
+Both named errors subclass :class:`WireError`.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ import numpy as np
 
 __all__ = [
     "WIRE_VERSION",
-    "COMPAT_VERSIONS",
     "WireError",
     "TruncatedFrameError",
     "VersionMismatchError",
@@ -67,8 +65,6 @@ __all__ = [
 
 #: protocol revision; bump on any layout change
 WIRE_VERSION = 2
-#: revisions this codec decodes (v1 lacks the int8 flag + scale field)
-COMPAT_VERSIONS = (1, 2)
 
 _MAGIC = b"RC"
 _FLAG_FP16 = 0x01
@@ -219,12 +215,14 @@ def decode_frame_info(
     magic, version, flags, dtype_tag, ndim = _PREFIX.unpack_from(view, 0)
     if magic != _MAGIC:
         raise WireError(f"bad magic {magic!r}; not an activation frame")
-    if version not in COMPAT_VERSIONS:
+    if version != WIRE_VERSION:
         raise VersionMismatchError(
-            f"frame version {version}, this codec speaks {COMPAT_VERSIONS}"
+            f"frame version {version}, this codec speaks {WIRE_VERSION}"
         )
-    if version < 2 and flags & _FLAG_INT8:
-        raise WireError("int8 flag on a version-1 frame (flag added in v2)")
+    if flags & ~(_FLAG_FP16 | _FLAG_INT8):
+        raise WireError(f"reserved flag bits set in {flags:#04x}")
+    if flags == _FLAG_FP16 | _FLAG_INT8:
+        raise WireError("fp16 and int8 flags are mutually exclusive")
     offset = _PREFIX.size
     scale_size = _SCALE.size if flags & _FLAG_INT8 else 0
     if len(view) < offset + ndim * _DIM.size + scale_size + _PAYLOAD_LEN.size:
@@ -244,13 +242,21 @@ def decode_frame_info(
             f"payload of {payload_len} bytes announced, "
             f"{len(view) - offset} available"
         )
-    logical = np.dtype(dtype_tag.rstrip(b"\x00").decode("ascii"))
+    try:
+        logical = np.dtype(dtype_tag.rstrip(b"\x00").decode("ascii"))
+    except (TypeError, ValueError) as exc:
+        raise WireError(f"undecodable dtype tag {dtype_tag!r}") from exc
+    if logical.hasobject:
+        raise WireError(f"object dtype {logical} cannot travel in a frame")
+    wire_dtype = logical
     if flags & _FLAG_INT8:
+        if logical.kind != "f" and logical != np.int8:
+            raise WireError(f"int8 flag on a payload of logical dtype {logical}")
         wire_dtype = np.dtype(np.int8)
     elif flags & _FLAG_FP16:
+        if logical.kind != "f" or logical.itemsize <= 2:
+            raise WireError(f"fp16 flag on a payload of logical dtype {logical}")
         wire_dtype = np.dtype(np.float16)
-    else:
-        wire_dtype = logical
     elements = 1
     for dim in shape:
         elements *= dim

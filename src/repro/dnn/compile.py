@@ -36,8 +36,7 @@ Optimization passes
    thread-local pool keyed by geometry and shared by every conv/pool of
    that geometry.  Steady-state forwards allocate nothing but the final
    output copy, and concurrent ``forward`` calls from different threads
-   (or the worker processes of :mod:`repro.serving.parallel`) never
-   share mutable buffers.
+   never share mutable buffers.
 
 :class:`CompiledModule` is a drop-in :class:`~repro.dnn.layers.Layer`
 (same ``forward`` / ``output_shape`` / ``flops`` interface, delegated to
@@ -676,8 +675,7 @@ class CompiledModule(Layer):
     plan holds weights only: the first ``forward`` at a batch size on a
     thread *binds* it — lays its buffers out in that thread's arena —
     and later calls reuse the binding, so concurrent ``forward`` calls
-    (serving worker threads, the parallel backend's processes) never
-    share a mutable buffer.
+    from different threads never share a mutable buffer.
     """
 
     kind = "compiled"

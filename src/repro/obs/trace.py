@@ -31,9 +31,7 @@ steps) hoist the check::
 :func:`activate` set it.  Propagation into spawned workers is
 *explicit*: a worker thread inherits nothing and must call
 ``activate(tracer)`` itself (list appends are GIL-atomic, so threads
-may share one tracer).  Worker *processes* (the parallel backend)
-cannot share a span list at all — their work is visible as the
-round-trip span recorded on the parent side.
+may share one tracer).
 """
 
 from __future__ import annotations

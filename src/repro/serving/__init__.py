@@ -12,12 +12,10 @@ through the deployed DNN paths on the discrete-event simulator, with
 * :mod:`repro.serving.executor` — the worker pool and window ledger
   every executor books on, the batch executor whose shared-block
   prefix cache fuses requests across paths that share frozen blocks,
-  plus a tensor-level blockwise runner;
+  plus the tensor-level blockwise runner — the one real-execution
+  route: a block's module or its compiled fp32/int8 plan, in process;
 * :mod:`repro.serving.metrics` — per-task latency histograms
   (p50/p95/p99), deadline-miss rates and drop reasons;
-* :mod:`repro.serving.parallel` — a multi-core execution backend:
-  shared-memory weight arenas and a persistent process pool sharding
-  batches across workers;
 * :mod:`repro.serving.runtime` — the end-to-end loop on the emulator
   clock, reusing the LTE uplink for transfer time;
 * :mod:`repro.serving.waves` / :mod:`repro.serving.engine` — the
@@ -36,7 +34,6 @@ from repro.serving.engine import TaskWave, WavePlan
 from repro.serving.executor import BatchExecutor, BlockwiseRunner, WindowReport
 from repro.serving.pool import RequestPool
 from repro.serving.metrics import LatencyStats, ServingMetrics, TaskServingMetrics
-from repro.serving.parallel import ParallelBackend, WeightArena, shared_memory_available
 from repro.serving.queueing import (
     DropReason,
     ReadyQueues,
@@ -51,7 +48,6 @@ __all__ = [
     "BlockwiseRunner",
     "DropReason",
     "LatencyStats",
-    "ParallelBackend",
     "ReadyQueues",
     "RequestPool",
     "ServingConfig",
@@ -63,7 +59,5 @@ __all__ = [
     "TaskWave",
     "TokenBucket",
     "WavePlan",
-    "WeightArena",
     "WindowReport",
-    "shared_memory_available",
 ]

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -42,9 +42,6 @@ from repro.core.catalog import Path
 from repro.dnn.layers import Layer
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer, current_tracer
 from repro.serving.queueing import ServingRequest
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serving.parallel import ParallelBackend
 
 __all__ = ["WindowReport", "WorkerPool", "BatchExecutor", "BlockwiseRunner"]
 
@@ -297,13 +294,9 @@ class BlockwiseRunner:
     Plans snapshot block weights — call :meth:`clear_compiled` after
     mutating the underlying modules (pruning, fine-tuning).
 
-    With ``parallel`` set to a :class:`repro.serving.parallel.
-    ParallelBackend` over the same modules, every block forward is
-    delegated to the backend, which shards large batches across worker
-    processes.  Sharding is along the batch axis only — the runner
-    still memoizes prefix activations in-process, so the shared-trunk
-    cache semantics are unchanged (and the backend owns plan
-    compilation, so ``compile_blocks`` is ignored on that route).
+    Every block runs in the calling thread: a compiled plan binds to
+    that thread's buffer arena (:mod:`repro.dnn.compile`), so runners
+    on different threads share plans but never scratch memory.
     """
 
     modules: dict[str, Layer]
@@ -315,8 +308,6 @@ class BlockwiseRunner:
     #: ``compile_blocks``) — activations cached under this mode are
     #: precision-tagged so fp32 and int8 runs never share tensors
     quantize: str | None = None
-    #: optional multi-core execution backend (see repro.serving.parallel)
-    parallel: "ParallelBackend | None" = None
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
@@ -332,21 +323,12 @@ class BlockwiseRunner:
         if self.quantize is not None:
             if self.quantize != "int8":
                 raise ValueError(f"unsupported quantize mode: {self.quantize!r}")
-            if self.parallel is not None:
-                raise ValueError(
-                    "quantize is not supported with a parallel backend"
-                )
             self.compile_blocks = True
 
     @property
     def precision(self) -> str:
         """Numeric format this runner executes blocks at."""
         return self.quantize or "fp32"
-
-    def _forward(self, block_id: str, layer: Layer, x: np.ndarray) -> np.ndarray:
-        if self.parallel is not None:
-            return self.parallel.run_block(block_id, x)
-        return layer(x)
 
     def _plans(self, block_ids: list[str], shape: tuple[int, ...]) -> list[Layer]:
         """The path's plans for inputs of ``shape``, compiled on first sight.
@@ -395,7 +377,7 @@ class BlockwiseRunner:
         # ... and with the number of samples: a key reused for an input
         # of another batch size is a miss, not that other input's tensor.
         tag = (input_key, x.shape[0], self.precision)
-        if self.compile_blocks and self.parallel is None:
+        if self.compile_blocks:
             layers = self._plans(block_ids, tuple(x.shape[1:]))
         else:
             layers = [self.modules[block_id] for block_id in block_ids]
@@ -420,9 +402,9 @@ class BlockwiseRunner:
                 with tracer.span(
                     f"block.{block_ids[i]}", cat="runner", track="blockwise"
                 ):
-                    x = self._forward(block_ids[i], layers[i], x)
+                    x = layers[i](x)
             else:
-                x = self._forward(block_ids[i], layers[i], x)
+                x = layers[i](x)
             prefix = tuple(block_ids[: i + 1])
             if all(bid in self.cacheable for bid in prefix):
                 self._remember((*tag, prefix), x)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,7 +63,7 @@ def test_cluster_node_execute_and_clamped_utilization():
     assert node.execute(2.0, 0.0) == (1, 0.0, 2.0)
     assert node.execute(1.0, 0.0) == (0, 2.0, 3.0)
     assert node.busy_workers(1.0) == 2
-    assert node.busy_until == 3.0
+    assert max(node.pool.free_at) == 3.0
     # horizon at t=1: both workers saturated; tails never push past 1.0
     assert node.utilization(1.0) == 1.0
     # horizon at t=4: 5 busy worker-seconds over 8 available
@@ -103,6 +105,36 @@ def test_topology_rejects_duplicates_and_empty():
     spec = NodeSpec(node_id="n")
     with pytest.raises(ValueError):
         ClusterTopology(nodes=(spec, spec))
+    # a typo'd endpoint used to load: the link was never used and the
+    # default link carried its traffic
+    nodes = (NodeSpec(node_id="edge0"), NodeSpec(node_id="edge1"))
+    with pytest.raises(ValueError, match="'egde1'"):
+        ClusterTopology(nodes=nodes, links=(LinkSpec(src="edge0", dst="egde1"),))
+    link = LinkSpec(src="edge0", dst="edge1")
+    with pytest.raises(ValueError, match="two links for 'edge0' -> 'edge1'"):
+        ClusterTopology(
+            nodes=nodes, links=(link, LinkSpec(src="edge0", dst="edge1", latency_s=0.5))
+        )
+    # the reverse direction is its own link
+    ClusterTopology(nodes=nodes, links=(link, LinkSpec(src="edge1", dst="edge0")))
+    # malformed nodes.json documents: a ValueError naming the field, where
+    # AttributeError / KeyError / TypeError tracebacks used to escape (and
+    # a string of resident blocks became the set of its characters)
+    one = [{"node_id": "n"}]
+    for document, names in (
+        (one, "topology document"),
+        ({"nodes": [{"tier": "edge"}]}, r"nodes\[0\].*node_id"),
+        ({"nodes": ["n"]}, r"nodes\[0\]"),
+        ({"nodes": [{"node_id": "n", "resident_blocks": "trunk"}]},
+         r"nodes\[0\]\.resident_blocks"),
+        ({"nodes": one, "default_link": {"latency": 0.5}}, "default_link.*latency"),
+        ({"nodes": one, "default_link": {"src": "n", "dst": "n"}},
+         "default_link.*dst.*src"),
+        ({"nodes": one, "default_link": [0.5]}, "default_link"),
+        ({"nodes": one, "links": [{"src": "n"}]}, r"links\[0\].*dst"),
+    ):
+        with pytest.raises(ValueError, match=names):
+            ClusterTopology.from_dict(document)
 
 
 def test_registry_eligibility_and_least_loaded():
@@ -490,6 +522,25 @@ def test_cli_rejects_workers_with_a_cluster(capsys):
         assert "--workers" in captured.err and "topology" in captured.err
         assert captured.out == ""
     assert main(["serve-sim", "--workers", "2", "--duration", "1"]) == 0
+
+
+def test_cli_reports_an_unloadable_topology(tmp_path, capsys):
+    from repro.cli import main
+
+    typo = default_topology(2).to_dict()
+    typo["links"] = [{"src": "edge0", "dst": "egde1", "latency_s": 0.5}]
+    (tmp_path / "typo.json").write_text(json.dumps(typo))
+    (tmp_path / "broken.json").write_text("{\"nodes\": [")
+    for name, message in (
+        ("typo.json", "'egde1'"),
+        ("missing.json", "No such file"),
+        ("broken.json", "Expecting value"),
+    ):
+        for argv in (["serve-sim", "--cluster"], ["serve-cluster"]):
+            assert main(argv + [str(tmp_path / name), "--duration", "1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and message in captured.err
+            assert captured.out == ""
 
 
 def test_cli_serve_sim_cluster_topology_file(tmp_path, capsys):

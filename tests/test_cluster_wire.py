@@ -142,6 +142,58 @@ def test_bad_magic_rejected():
         decode_frame(bytes(frame))
 
 
+def _frame(array: np.ndarray, flags: int = 0, version: int = WIRE_VERSION,
+           tag: bytes | None = None) -> bytes:
+    """Hand-build a frame the encoder would not: any flags, version, dtype tag."""
+    payload = np.ascontiguousarray(array).tobytes()
+    tag = array.dtype.str.encode("ascii") if tag is None else tag
+    parts = [wire._PREFIX.pack(wire._MAGIC, version, flags, tag, array.ndim)]
+    parts.extend(wire._DIM.pack(dim) for dim in array.shape)
+    if flags & wire._FLAG_INT8:
+        parts.append(wire._SCALE.pack(0.5))
+    parts.append(wire._PAYLOAD_LEN.pack(len(payload)))
+    parts.append(payload)
+    return b"".join(parts)
+
+
+_F32 = np.linspace(-2, 2, 12, dtype=np.float32).reshape(3, 4)
+_I8 = np.arange(4, dtype=np.int8)
+
+
+@pytest.mark.parametrize(
+    "frame, error, match",
+    [
+        # a peer one revision behind (v1 had no int8 flag, no scale field)
+        (_frame(_F32, version=1), VersionMismatchError, "version 1"),
+        (_frame(_F32, 0x80), WireError, "reserved flag"),
+        (_frame(_F32, 0x04 | wire._FLAG_FP16), WireError, "reserved flag"),
+        # the exclusive pair used to decode as int8, silently
+        (_frame(_I8, wire._FLAG_FP16 | wire._FLAG_INT8, tag=b"<f4"),
+         WireError, "mutually exclusive"),
+        # scaled-and-truncated integers / halves cast to integers
+        (_frame(_I8, wire._FLAG_INT8, tag=b"<i4"), WireError, "int8 flag"),
+        (_frame(_I8, wire._FLAG_INT8, tag=b"|u1"), WireError, "int8 flag"),
+        (_frame(_F32.astype(np.float16), wire._FLAG_FP16, tag=b"<i4"),
+         WireError, "fp16 flag"),
+        (_frame(_F32.astype(np.float16), wire._FLAG_FP16), WireError, "fp16 flag"),
+        (_frame(_F32, tag=b"garbage!"), WireError, "dtype tag"),
+        (_frame(_F32, tag=b"\xff\xfe"), WireError, "dtype tag"),
+        (_frame(np.zeros(2, dtype=np.int64), tag=b"|O"), WireError, "object"),
+    ],
+    ids=[
+        "v1", "reserved-0x80", "reserved-next-to-fp16",
+        "fp16-and-int8", "int8-flag-on-int32", "int8-flag-on-uint8",
+        "fp16-flag-on-int32", "fp16-flag-on-float16", "garbage-dtype-tag",
+        "non-ascii-dtype-tag", "object-dtype-tag",
+    ],
+)
+def test_decoder_rejects_frames_the_encoder_never_writes(frame, error, match):
+    with pytest.raises(error, match=match) as raised:
+        decode_frame(frame)
+    # the named error, not a subclass standing in for it
+    assert type(raised.value) is error
+
+
 def test_inconsistent_payload_length_rejected():
     array = np.zeros((2, 2), dtype=np.float32)
     frame = bytearray(encode_frame(array))
@@ -167,7 +219,7 @@ def test_decoded_tensor_is_decoupled_from_buffer():
     np.testing.assert_array_equal(decoded, array)
 
 
-# -- int8 + scale frames (wire version 2) ----------------------------------
+# -- int8 + scale frames ---------------------------------------------------
 
 
 @given(
@@ -254,35 +306,6 @@ def test_fp16_and_int8_mutually_exclusive():
 def test_int8_quantize_rejects_integer_payloads():
     with pytest.raises(WireError):
         encode_frame(np.zeros(3, dtype=np.int32), quantize_int8=True)
-
-
-def _v1_frame(array: np.ndarray, flags: int = 0) -> bytes:
-    """Hand-build a version-1 frame (no scale field ever)."""
-    payload = np.ascontiguousarray(array).tobytes()
-    parts = [
-        wire._PREFIX.pack(
-            wire._MAGIC, 1, flags, array.dtype.str.encode("ascii"), array.ndim
-        )
-    ]
-    parts.extend(wire._DIM.pack(dim) for dim in array.shape)
-    parts.append(wire._PAYLOAD_LEN.pack(len(payload)))
-    parts.append(payload)
-    return b"".join(parts)
-
-
-def test_version1_frames_still_decode():
-    array = np.linspace(-2, 2, 12, dtype=np.float32).reshape(3, 4)
-    decoded, consumed, info = decode_frame_info(_v1_frame(array))
-    assert consumed == len(_v1_frame(array))
-    assert info.version == 1
-    assert not info.int8
-    np.testing.assert_array_equal(decoded, array)
-
-
-def test_int8_flag_on_version1_frame_rejected():
-    array = np.zeros((2, 2), dtype=np.int8)
-    with pytest.raises(WireError):
-        decode_frame(_v1_frame(array, flags=wire._FLAG_INT8))
 
 
 def test_encoded_frames_carry_current_version():

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.cluster import ClusterDeployment, ClusterTopology, NodeRegistry, NodeSpec
 from repro.cluster.executor import ClusterExecutor
 from repro.cluster.orchestrator import PlacementPlan, Segment
@@ -468,6 +474,19 @@ class TestBlockwiseRunner:
         # activation cache untouched: the next run still hits the trunk
         compiled.run(path_a, x, input_key=7)
         assert compiled.cache_hits == 1
+
+
+def test_serving_is_one_in_process_route():
+    """No process pool behind the runner: nothing to select, nothing loaded."""
+    with pytest.raises(TypeError):
+        BlockwiseRunner(modules={}, parallel=None)
+    probe = "import sys, repro.serving; sys.exit('multiprocessing' in sys.modules)"
+    src = pathlib.Path(repro.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert done.returncode == 0
 
 
 class TestInt8BlockCalibration:
