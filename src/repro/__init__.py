@@ -12,9 +12,10 @@ Public API tour:
 * the SEM-O-RAN baseline: :mod:`repro.baselines`
 * the edge platform and controller: :mod:`repro.edge`
 * the radio substrate: :mod:`repro.radio`
-* the Colosseum-substitute emulator: :mod:`repro.emulator`
+* the Colosseum substitute's simulator and LTE cell: :mod:`repro.emulator`
 * the serving runtime executing admitted streams: :mod:`repro.serving`
-  (``ServingRuntime``, ``TokenBucket``, ``ServingMetrics``)
+  (``ServingRuntime``, ``TokenBucket``, ``ServingMetrics``; Fig. 11 is
+  its ``fig11_runtime`` configuration)
 * the multi-node serving fabric: :mod:`repro.cluster`
   (``ClusterOrchestrator``, ``NodeSpec``, ``StreamRouter``)
 * tracing/metrics/trace export: :mod:`repro.obs`

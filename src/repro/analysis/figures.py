@@ -27,7 +27,7 @@ from repro.dnn.training import (
     TrainingMemoryModel,
     pruned_accuracy_drop,
 )
-from repro.emulator.scenario import run_small_scale_emulation
+from repro.serving import fig11_runtime, latency_series
 from repro.workloads.largescale import RequestRate, large_scale_problem
 from repro.workloads.smallscale import small_scale_problem
 
@@ -317,21 +317,22 @@ def headline_comparison(seed: int = 0) -> dict[str, float]:
 def fig11_emulation_latency(
     num_tasks: int = 5, duration_s: float = 20.0, seed: int = 0
 ) -> dict[str, object]:
-    """Per-task end-to-end latency series from the emulator run."""
-    problem, result = run_small_scale_emulation(
-        num_tasks=num_tasks, duration_s=duration_s, seed=seed
-    )
+    """Per-task end-to-end latency series from the Fig. 11 serving run."""
+    runtime = fig11_runtime(num_tasks, duration_s, seed)
+    metrics = runtime.run()
     series: dict[int, dict[str, object]] = {}
-    for task in problem.tasks:
-        times, latencies = result.timeline.series(task.task_id, window=3)
-        series[task.task_id] = {
+    for task_id, (times, latencies) in latency_series(runtime.last_requests).items():
+        series[task_id] = {
             "times_s": times,
             "latency_s": latencies,
-            "limit_s": task.max_latency_s,
-            "mean_latency_s": result.timeline.mean_latency(task.task_id),
+            "limit_s": runtime.problem.task(task_id).max_latency_s,
+            "mean_latency_s": metrics.tasks[task_id].latency.mean_s,
         }
     return {
         "series": series,
-        "within_limits": result.all_within_limits(problem),
-        "events": result.events_processed,
+        "within_limits": all(
+            bool((entry["latency_s"] <= entry["limit_s"]).all())
+            for entry in series.values()
+        ),
+        "events": runtime.simulator.events_processed,
     }

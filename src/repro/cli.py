@@ -17,6 +17,7 @@ prints the same rows/series the paper reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from collections.abc import Sequence
 
@@ -32,6 +33,18 @@ def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
         "loadable Chrome trace-event JSON there (bare --trace just "
         "prints the flamegraph summary)",
     )
+
+
+def _start_trace(trace_arg: str | None):
+    """``(session, scope)`` of a ``--trace`` run: inside the scope the
+    solver's phases land on the session's wall tracer; ``(None, no-op)``
+    without the flag."""
+    if trace_arg is None:
+        return None, contextlib.nullcontext()
+    from repro.obs import ObsSession, use_tracer
+
+    obs = ObsSession()
+    return obs, use_tracer(obs.wall)
 
 
 def _finish_trace(obs, trace_arg: str) -> None:
@@ -252,19 +265,11 @@ def _cmd_solve_large(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve_scale(args: argparse.Namespace) -> int:
-    import contextlib
-
     from repro.core.aggregate import AggregateSolver
     from repro.core.heuristic import OffloaDNNSolver
     from repro.workloads.largescale import RequestRate, replicated_large_scale_problem
 
-    obs = None
-    scope = contextlib.nullcontext()
-    if args.trace is not None:
-        from repro.obs import ObsSession, use_tracer
-
-        obs = ObsSession()
-        scope = use_tracer(obs.wall)
+    obs, scope = _start_trace(args.trace)
     rate = RequestRate[args.rate.upper()]
     replicas = max(1, -(-args.users // 20))
     problem = replicated_large_scale_problem(rate, replicas, seed=args.seed)
@@ -300,28 +305,32 @@ def _cmd_solve_scale(args: argparse.Namespace) -> int:
 
 
 def _cmd_emulate(args: argparse.Namespace) -> int:
-    from repro.emulator.scenario import run_small_scale_emulation
+    from repro.serving import fig11_runtime, latency_series
 
-    obs = None
-    if args.trace is not None:
-        from repro.obs import ObsSession
-
-        obs = ObsSession()
-    problem, result = run_small_scale_emulation(
-        num_tasks=args.tasks, duration_s=args.duration, seed=args.seed, obs=obs
-    )
+    obs, scope = _start_trace(args.trace)
+    with scope:
+        runtime = fig11_runtime(args.tasks, args.duration, args.seed)
+    runtime.obs = obs
+    metrics = runtime.run()
     rows = []
-    for task in problem.tasks:
-        mean = result.timeline.mean_latency(task.task_id)
-        peak = result.timeline.max_latency(task.task_id)
+    for task in runtime.problem.tasks:
+        latency = metrics.tasks[task.task_id].latency
         rows.append(
-            [task.task_id, mean * 1e3, peak * 1e3, task.max_latency_s * 1e3]
+            [task.task_id, latency.mean_s * 1e3, latency.max_s * 1e3,
+             task.max_latency_s * 1e3, latency.count]
         )
-    print(format_table(["task", "mean ms", "max ms", "limit ms"], rows, precision=1))
-    verdict = result.all_within_limits(problem)
+    print(
+        format_table(
+            ["task", "mean ms", "max ms", "limit ms", "samples"], rows, precision=1
+        )
+    )
+    # the Fig. 11 criterion: the smoothed (window 3) trace stays under L_τ
+    verdict = all(
+        bool((smoothed <= runtime.problem.task(task_id).max_latency_s).all())
+        for task_id, (_, smoothed) in latency_series(runtime.last_requests).items()
+    )
     print(f"all within latency targets: {verdict}")
     if obs is not None:
-        result.statistics(problem, registry=obs.registry)
         _finish_trace(obs, args.trace)
     return 0 if verdict else 1
 
@@ -436,8 +445,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     from repro.serving import ServingConfig, ServingRuntime
     from repro.workloads.smallscale import serving_small_scale_problem
 
-    import contextlib
-
     cluster_spec = getattr(args, "cluster", None) or getattr(args, "nodes", None)
     if cluster_spec is not None and args.workers is not None:
         print(
@@ -453,13 +460,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         except (ValueError, OSError) as exc:  # invalid JSON is a ValueError
             print(f"error: topology {cluster_spec!r}: {exc}", file=sys.stderr)
             return 2
-    obs = None
-    scope = contextlib.nullcontext()
-    if args.trace is not None:
-        from repro.obs import ObsSession, use_tracer
-
-        obs = ObsSession()
-        scope = use_tracer(obs.wall)
+    obs, scope = _start_trace(args.trace)
     problem = serving_small_scale_problem(args.tasks, seed=args.seed)
     config = ServingConfig(
         duration_s=args.duration,
@@ -583,7 +584,11 @@ def _cmd_solve_file(args: argparse.Namespace) -> int:
     from repro.core.objective import objective_value
     from repro.core.serialize import dump_solution, load_problem
 
-    problem = load_problem(args.input)
+    try:
+        problem = load_problem(args.input)
+    except (ValueError, OSError) as exc:  # invalid JSON is a ValueError
+        print(f"error: problem {args.input!r}: {exc}", file=sys.stderr)
+        return 2
     solution = OffloaDNNSolver().solve(problem)
     rows = [
         [

@@ -8,19 +8,17 @@ fault-injection studies.  A :class:`ClusterNode` wraps one spec with
 the mutable serving-time state: a
 :class:`~repro.serving.executor.WorkerPool` (the pool the single-node
 :class:`~repro.serving.executor.BatchExecutor` books on too) and
-clamped busy-time accounting reused from the emulator's
-:class:`~repro.emulator.nodes.BusyTracker` so per-node utilization
-gauges never report > 1.0.
+clamped busy-time accounting (:class:`BusyTracker`) so per-node
+utilization gauges never report > 1.0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.emulator.nodes import BusyTracker
 from repro.serving.executor import WorkerPool
 
-__all__ = ["NodeSpec", "ClusterNode"]
+__all__ = ["BusyTracker", "NodeSpec", "ClusterNode"]
 
 #: recognised node tiers, in placement preference order
 TIERS = ("edge", "cloud")
@@ -64,6 +62,45 @@ class NodeSpec:
         if self.resident_blocks is None:
             return True
         return all(bid in self.resident_blocks for bid in block_ids)
+
+
+@dataclass
+class BusyTracker:
+    """Merged busy-interval accounting, clamped to a query window.
+
+    Service intervals on a FIFO resource are non-overlapping and start
+    in nondecreasing order, so adjacent intervals coalesce into few
+    contiguous busy periods.  ``within(duration_s)`` counts only the
+    busy time inside ``[0, duration_s]`` — the fix for utilization
+    reporting > 1.0 when the last service extends past the measured run
+    horizon.
+    """
+
+    #: merged (start, finish) busy periods, ascending and disjoint
+    periods: list[tuple[float, float]] = field(default_factory=list)
+    total_s: float = 0.0
+
+    def add(self, start: float, finish: float) -> None:
+        if finish < start:
+            raise ValueError("finish must be >= start")
+        self.total_s += finish - start
+        if self.periods:
+            last_start, last_finish = self.periods[-1]
+            if start <= last_finish + 1e-12:  # contiguous service: coalesce
+                self.periods[-1] = (last_start, max(last_finish, finish))
+                return
+        self.periods.append((start, finish))
+
+    def within(self, duration_s: float) -> float:
+        """Busy seconds that fall inside the window ``[0, duration_s]``."""
+        return sum(
+            max(0.0, min(finish, duration_s) - min(start, duration_s))
+            for start, finish in self.periods
+        )
+
+    def clear(self) -> None:
+        self.periods.clear()
+        self.total_s = 0.0
 
 
 @dataclass
@@ -117,9 +154,10 @@ class ClusterNode:
     def utilization(self, duration_s: float) -> float:
         """Mean worker busy fraction over ``[0, duration_s]``, clamped.
 
-        Uses the same clamped-window accounting as
-        :meth:`repro.emulator.nodes.EdgeServer.utilization`, so service
-        tails past the horizon never push the gauge above 1.0.
+        Busy time is clamped to the window: a service tail past the
+        horizon only contributes the part inside ``[0, duration_s]``, so
+        the gauge never exceeds 1.0 by construction (the ``min`` stays
+        as a float-safety belt).
         """
         if duration_s <= 0:
             raise ValueError("duration must be positive")

@@ -8,8 +8,8 @@ request's own track: one ``request`` parent with ``hop.*`` children, so
 a cross-node request reads as a single trace in Perfetto exactly like a
 single-node one.
 
-Per-node gauges reuse the clamped busy-window accounting of
-:class:`repro.emulator.nodes.BusyTracker` (via
+Per-node gauges read the clamped busy-window accounting of
+:class:`repro.cluster.node.BusyTracker` (via
 :meth:`repro.cluster.node.ClusterNode.utilization`), so a service tail
 crossing the sampling instant never reports utilization above 1.0.
 """

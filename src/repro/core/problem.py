@@ -37,14 +37,15 @@ class Budgets:
     radio_blocks: int
 
     def __post_init__(self) -> None:
-        if self.compute_time_s < 0:
-            raise ValueError("compute budget must be >= 0")
-        if self.training_budget_s <= 0:
-            raise ValueError("training budget must be positive")
-        if self.memory_gb < 0:
-            raise ValueError("memory budget must be >= 0")
-        if self.radio_blocks < 0:
-            raise ValueError("radio budget must be >= 0")
+        inf = float("inf")  # chained comparisons also reject NaN
+        if not 0 <= self.compute_time_s < inf:
+            raise ValueError("compute budget must be finite and >= 0")
+        if not 0 < self.training_budget_s < inf:
+            raise ValueError("training budget must be finite and positive")
+        if not 0 <= self.memory_gb < inf:
+            raise ValueError("memory budget must be finite and >= 0")
+        if not 0 <= self.radio_blocks < inf:
+            raise ValueError("radio budget must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,16 @@ Lets experiments be persisted, diffed and replayed: a problem instance
 round-trip through plain JSON-compatible dictionaries.
 
 The format is versioned; loaders reject unknown versions rather than
-guessing.
+guessing, and a malformed document (a non-object where an object
+belongs, a missing key, a non-numeric or non-finite number) is a
+``ValueError`` naming the field — never a solve on garbage.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from numbers import Real
 from typing import Any
 
 from repro.core.catalog import Block, Catalog, Path
@@ -38,6 +42,24 @@ FORMAT_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
+def _field(data: Any, key: str, what: str, kind: type = float) -> Any:
+    """``data[key]`` as a ``kind`` (``float``: any finite number; ``object``:
+    anything, the key just has to be there)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"{what} is missing {key!r}")
+    value = data[key]
+    if kind is float:  # numpy scalars pass; JSON true/false do not
+        ok = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        expected = "a finite number" if kind is float else f"a JSON {kind.__name__}"
+        raise ValueError(f"{what}[{key!r}] must be {expected}, got {value!r}")
+    return value
+
+
 def _quality_to_dict(quality: QualityLevel) -> dict[str, Any]:
     return {
         "name": quality.name,
@@ -46,11 +68,11 @@ def _quality_to_dict(quality: QualityLevel) -> dict[str, Any]:
     }
 
 
-def _quality_from_dict(data: dict[str, Any]) -> QualityLevel:
+def _quality_from_dict(data: dict[str, Any], what: str) -> QualityLevel:
     return QualityLevel(
-        name=data["name"],
-        bits_per_image=data["bits_per_image"],
-        accuracy_factor=data["accuracy_factor"],
+        name=_field(data, "name", what, str),
+        bits_per_image=_field(data, "bits_per_image", what),
+        accuracy_factor=_field(data, "accuracy_factor", what),
     )
 
 
@@ -68,17 +90,20 @@ def _task_to_dict(task: Task) -> dict[str, Any]:
     }
 
 
-def _task_from_dict(data: dict[str, Any]) -> Task:
+def _task_from_dict(data: dict[str, Any], what: str) -> Task:
     return Task(
-        task_id=data["task_id"],
-        name=data["name"],
-        method=data["method"],
-        priority=data["priority"],
-        request_rate=data["request_rate"],
-        min_accuracy=data["min_accuracy"],
-        max_latency_s=data["max_latency_s"],
-        sinr_db=data.get("sinr_db", 20.0),
-        qualities=tuple(_quality_from_dict(q) for q in data["qualities"]),
+        task_id=_field(data, "task_id", what),
+        name=_field(data, "name", what, str),
+        method=_field(data, "method", what, str),
+        priority=_field(data, "priority", what),
+        request_rate=_field(data, "request_rate", what),
+        min_accuracy=_field(data, "min_accuracy", what),
+        max_latency_s=_field(data, "max_latency_s", what),
+        sinr_db=_field(data, "sinr_db", what) if "sinr_db" in data else 20.0,
+        qualities=tuple(
+            _quality_from_dict(q, f"{what}.qualities[{i}]")
+            for i, q in enumerate(_field(data, "qualities", what, list))
+        ),
     )
 
 
@@ -92,13 +117,13 @@ def _block_to_dict(block: Block) -> dict[str, Any]:
     }
 
 
-def _block_from_dict(data: dict[str, Any]) -> Block:
+def _block_from_dict(data: dict[str, Any], what: str) -> Block:
     return Block(
-        block_id=data["block_id"],
-        dnn_id=data["dnn_id"],
-        compute_time_s=data["compute_time_s"],
-        memory_gb=data["memory_gb"],
-        training_cost_s=data["training_cost_s"],
+        block_id=_field(data, "block_id", what, str),
+        dnn_id=_field(data, "dnn_id", what, str),
+        compute_time_s=_field(data, "compute_time_s", what),
+        memory_gb=_field(data, "memory_gb", what),
+        training_cost_s=_field(data, "training_cost_s", what),
     )
 
 
@@ -113,14 +138,17 @@ def _path_to_dict(path: Path) -> dict[str, Any]:
     }
 
 
-def _path_from_dict(data: dict[str, Any], blocks: dict[str, Block]) -> Path:
+def _path_from_dict(data: dict[str, Any], blocks: dict[str, Block], what: str) -> Path:
     return Path(
-        path_id=data["path_id"],
-        dnn_id=data["dnn_id"],
-        task_id=data["task_id"],
-        accuracy=data["accuracy"],
-        quality=_quality_from_dict(data["quality"]),
-        blocks=tuple(blocks[bid] for bid in data["block_ids"]),
+        path_id=_field(data, "path_id", what, str),
+        dnn_id=_field(data, "dnn_id", what, str),
+        task_id=_field(data, "task_id", what),
+        accuracy=_field(data, "accuracy", what),
+        quality=_quality_from_dict(_field(data, "quality", what, dict), f"{what}.quality"),
+        blocks=tuple(
+            _field(blocks, str(bid), f"blocks (as named by {what})", Block)
+            for bid in _field(data, "block_ids", what, list)
+        ),
     )
 
 
@@ -158,6 +186,8 @@ def problem_to_dict(problem: DOTProblem) -> dict[str, Any]:
 
 
 def _check_version(data: dict[str, Any]) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"document must be a JSON object, got {type(data).__name__}")
     version = data.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(
@@ -169,26 +199,36 @@ def _check_version(data: dict[str, Any]) -> None:
 def problem_from_dict(data: dict[str, Any]) -> DOTProblem:
     """Decode a problem previously encoded by :func:`problem_to_dict`."""
     _check_version(data)
-    blocks = {b["block_id"]: _block_from_dict(b) for b in data["blocks"]}
+    blocks = {}
+    for i, entry in enumerate(_field(data, "blocks", "problem", list)):
+        block = _block_from_dict(entry, f"blocks[{i}]")
+        blocks[block.block_id] = block
     catalog = Catalog()
-    for path_data in data["paths"]:
-        catalog.add_path(_path_from_dict(path_data, blocks))
+    for i, entry in enumerate(_field(data, "paths", "problem", list)):
+        catalog.add_path(_path_from_dict(entry, blocks, f"paths[{i}]"))
+    budgets = _field(data, "budgets", "problem", dict)
+    radio = _field(data, "radio", "problem", dict)
+    per_task = _field(radio, "per_task_bits_per_rb", "radio", dict)
     return DOTProblem(
-        tasks=tuple(_task_from_dict(t) for t in data["tasks"]),
+        tasks=tuple(
+            _task_from_dict(t, f"tasks[{i}]")
+            for i, t in enumerate(_field(data, "tasks", "problem", list))
+        ),
         catalog=catalog,
         budgets=Budgets(
-            compute_time_s=data["budgets"]["compute_time_s"],
-            training_budget_s=data["budgets"]["training_budget_s"],
-            memory_gb=data["budgets"]["memory_gb"],
-            radio_blocks=data["budgets"]["radio_blocks"],
+            compute_time_s=_field(budgets, "compute_time_s", "budgets"),
+            training_budget_s=_field(budgets, "training_budget_s", "budgets"),
+            memory_gb=_field(budgets, "memory_gb", "budgets"),
+            radio_blocks=_field(budgets, "radio_blocks", "budgets"),
         ),
         radio=RadioModel(
-            default_bits_per_rb=data["radio"]["default_bits_per_rb"],
+            default_bits_per_rb=_field(radio, "default_bits_per_rb", "radio"),
             per_task_bits_per_rb={
-                int(k): v for k, v in data["radio"]["per_task_bits_per_rb"].items()
+                int(k): _field(per_task, k, "radio.per_task_bits_per_rb")
+                for k in per_task
             },
         ),
-        alpha=data["alpha"],
+        alpha=_field(data, "alpha", "problem"),
     )
 
 
@@ -241,24 +281,25 @@ def solution_from_dict(data: dict[str, Any], problem: DOTProblem) -> DOTSolution
         # absent in pre-scaling dumps, where solve_time_s was end-to-end
         tree_build_time_s=data.get("tree_build_time_s", 0.0),
     )
-    for entry in data["assignments"]:
-        task = problem.task(entry["task_id"])
-        path_id = entry["path_id"]
+    for i, entry in enumerate(_field(data, "assignments", "solution", list)):
+        what = f"assignments[{i}]"
+        task = problem.task(_field(entry, "task_id", what))
+        path_id = _field(entry, "path_id", what, object)
         path: Path | None = None
         if path_id is not None:
-            base_id = path_id.split("@")[0]
+            base_id = str(path_id).split("@")[0]
             if base_id not in paths_by_id:
                 raise KeyError(f"solution references unknown path {path_id!r}")
             path = paths_by_id[base_id]
-            if entry["quality"] is not None:
-                quality = _quality_from_dict(entry["quality"])
+            if _field(entry, "quality", what, object) is not None:
+                quality = _quality_from_dict(entry["quality"], f"{what}.quality")
                 if quality != path.quality:
                     path = replace(path, path_id=path_id, quality=quality)
         solution.assignments[task.task_id] = Assignment(
             task=task,
             path=path,
-            admission_ratio=entry["admission_ratio"],
-            radio_blocks=entry["radio_blocks"],
+            admission_ratio=_field(entry, "admission_ratio", what),
+            radio_blocks=_field(entry, "radio_blocks", what),
         )
     return solution
 

@@ -32,8 +32,8 @@ class QualityLevel:
     accuracy_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.bits_per_image < 0:
-            raise ValueError("bits_per_image must be >= 0")
+        if not 0 <= self.bits_per_image < float("inf"):
+            raise ValueError("bits_per_image must be finite and >= 0")
         if not 0.0 < self.accuracy_factor <= 1.0:
             raise ValueError("accuracy_factor must be in (0, 1]")
 
@@ -66,12 +66,12 @@ class Task:
     def __post_init__(self) -> None:
         if not 0.0 <= self.priority <= 1.0:
             raise ValueError(f"priority must be in [0, 1], got {self.priority}")
-        if self.request_rate <= 0:
-            raise ValueError("request_rate must be positive")
+        if not 0 < self.request_rate < float("inf"):
+            raise ValueError("request_rate must be finite and positive")
         if not 0.0 <= self.min_accuracy <= 1.0:
             raise ValueError("min_accuracy must be in [0, 1]")
-        if self.max_latency_s <= 0:
-            raise ValueError("max_latency_s must be positive")
+        if not 0 < self.max_latency_s < float("inf"):
+            raise ValueError("max_latency_s must be finite and positive")
         if not self.qualities:
             raise ValueError("a task needs at least one quality level")
 

@@ -9,8 +9,8 @@ Steps:
 4. it allocates the radio slices and commits the computing resources;
 5. it deploys the selected DNN blocks through the VIM;
 6. it notifies the devices of the admitted task rates;
-7. devices transmit task inputs and receive results (the emulator's
-   role; see :mod:`repro.emulator`).
+7. devices transmit task inputs and receive results (the serving
+   runtime's role; see :mod:`repro.serving`).
 """
 
 from __future__ import annotations

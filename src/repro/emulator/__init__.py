@@ -1,34 +1,19 @@
-"""Discrete-event network emulator — the Colosseum substitute.
+"""Discrete-event simulator and LTE cell — the Colosseum substitute.
 
 The paper validates OffloaDNN on the Colosseum hardware-in-the-loop
 emulator (Sec. V-B): an SRN hosts the vRAN base station, the computing
 platform and the controller, while 5 SRNs act as UEs offloading tasks
 over an emulated 20 MHz LTE cell (100 RBs, 0 dB path loss).
 
-This package reproduces the experiment in software: a discrete-event
-simulator drives UE frame generation at the admitted rates, TTI-granular
-uplink transmission over the allocated slices, a FIFO GPU queue
-executing the selected DNN paths, and the downlink of results —
-producing the Fig. 11 end-to-end-latency-versus-time series.
+This package holds the two substrates that experiment runs on in
+software: the discrete-event :class:`Simulator` and the TTI-granular
+:class:`LteCell` uplink (per-task slices, optional block fading and
+HARQ).  The request-level loop on top of them — devices, admission
+gate, queues, GPU, latency records — is :mod:`repro.serving`; the
+Fig. 11 run is :func:`repro.serving.fig11_runtime`.
 """
 
 from repro.emulator.simulator import Simulator, Event
 from repro.emulator.lte import LteCell, TTI_S
-from repro.emulator.nodes import UserEquipment, EdgeServer, FrameRecord
-from repro.emulator.scenario import EmulationScenario, EmulationResult, run_small_scale_emulation
-from repro.emulator.metrics import LatencyTimeline, moving_average
 
-__all__ = [
-    "Simulator",
-    "Event",
-    "LteCell",
-    "TTI_S",
-    "UserEquipment",
-    "EdgeServer",
-    "FrameRecord",
-    "EmulationScenario",
-    "EmulationResult",
-    "run_small_scale_emulation",
-    "LatencyTimeline",
-    "moving_average",
-]
+__all__ = ["Simulator", "Event", "LteCell", "TTI_S"]

@@ -340,6 +340,8 @@ def load_records(path: str | pathlib.Path) -> list[Tracer]:
             if not line.strip():
                 continue
             obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError(f"trace line is not a JSON object: {line[:40]!r}")
             tracer_for(obj.get("domain", "wall")).records.append(
                 SpanRecord(
                     name=obj["name"],

@@ -1,9 +1,9 @@
 """Metrics registry: counters, gauges, histograms, and a DES sampler.
 
-The registry is the time-series face of the post-hoc summaries that
-already exist (:class:`repro.serving.metrics.ServingMetrics`,
-:class:`repro.emulator.metrics.TaskStatistics`): those dataclasses are
-now *derived from* registry instruments fed with the same samples, so
+The registry is the time-series face of the post-hoc summaries
+(:class:`repro.serving.metrics.ServingMetrics` and its per-task
+:class:`~repro.serving.metrics.TaskServingMetrics`): those dataclasses
+are *derived from* registry instruments fed with the same samples, so
 their numbers are bit-identical with and without a shared registry —
 but when a run attaches one, every counter, gauge series and histogram
 survives the run and can be exported next to the trace.

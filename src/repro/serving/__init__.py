@@ -15,7 +15,8 @@ through the deployed DNN paths on the discrete-event simulator, with
   plus the tensor-level blockwise runner — the one real-execution
   route: a block's module or its compiled fp32/int8 plan, in process;
 * :mod:`repro.serving.metrics` — per-task latency histograms
-  (p50/p95/p99), deadline-miss rates and drop reasons;
+  (p50/p95/p99), deadline-miss rates, drop reasons and the Fig. 11
+  smoothed latency traces;
 * :mod:`repro.serving.runtime` — the end-to-end loop on the emulator
   clock, reusing the LTE uplink for transfer time;
 * :mod:`repro.serving.waves` / :mod:`repro.serving.engine` — the
@@ -26,21 +27,28 @@ through the deployed DNN paths on the discrete-event simulator, with
   ``tests/oracles.py``.
 
 Entry points: ``ServingRuntime.from_problem(problem).run()`` or the
-``repro serve-sim`` CLI command.
+``repro serve-sim`` CLI command; ``fig11_runtime()`` (``repro emulate``)
+is the paper's Sec. V-B validation run as one configuration of it.
 """
 
 from repro.serving.admission import AdmissionGate, TokenBucket
 from repro.serving.engine import TaskWave, WavePlan
 from repro.serving.executor import BatchExecutor, BlockwiseRunner, WindowReport
 from repro.serving.pool import RequestPool
-from repro.serving.metrics import LatencyStats, ServingMetrics, TaskServingMetrics
+from repro.serving.metrics import (
+    LatencyStats,
+    ServingMetrics,
+    TaskServingMetrics,
+    latency_series,
+    moving_average,
+)
 from repro.serving.queueing import (
     DropReason,
     ReadyQueues,
     ServingQueue,
     ServingRequest,
 )
-from repro.serving.runtime import ServingConfig, ServingRuntime
+from repro.serving.runtime import ServingConfig, ServingRuntime, fig11_runtime
 
 __all__ = [
     "AdmissionGate",
@@ -60,4 +68,7 @@ __all__ = [
     "TokenBucket",
     "WavePlan",
     "WindowReport",
+    "fig11_runtime",
+    "latency_series",
+    "moving_average",
 ]

@@ -14,7 +14,8 @@ waves:
    (:func:`repro.serving.waves.wave_admissions`) — requests the gate
    sheds are *counted*, never materialized;
 3. uplink deliveries of the admitted subset replay the slice FIFO as
-   an array scan (:func:`repro.serving.waves.fifo_deliveries`);
+   an array scan (:func:`repro.serving.waves.fifo_deliveries`; frame by
+   frame through :meth:`LteCell.enqueue_frame` when the cell fades);
 4. the dispatcher's tick grid is laid out before the run exactly as the
    DES will accumulate it, and every admitted delivery is assigned the
    tick that enqueues it (the *tick index*); the tick itself — one DES
@@ -203,10 +204,11 @@ class WavePlan:
         gate's buckets are fast-forwarded to their end-of-run state so
         observability probes and ``served_fraction`` stay meaningful.
         """
-        if cell.fading is not None or cell.harq is not None:
+        if cell.harq is not None:
             raise ValueError(
-                "the wave engine models a plain FIFO uplink; fading/HARQ "
-                "cells cannot be served"
+                "the wave engine cannot serve a HARQ cell: the cell's one "
+                "retransmission Generator is shared across tasks, so a "
+                "per-wave replay would draw in a different order than the DES"
             )
         arrivals_per_task = []
         for task, _path in served_tasks:
@@ -231,18 +233,27 @@ class WavePlan:
             n_admitted = len(admitted_idx)
             bucket.fast_forward(len(arrivals), n_admitted)
             admitted_arrivals = arrivals[admitted_idx]
-            airtime = cell.transmission_duration(
-                task.task_id, path.bits_per_image, now=0.0
-            )
+            bits = path.bits_per_image
+            if cell.fading is None:
+                airtime = cell.transmission_duration(task.task_id, bits, now=0.0)
+                deliveries = waves.fifo_deliveries(admitted_arrivals, airtime)
+            else:
+                # airtime follows the fading block — a pure function of
+                # (task, time), so replaying the slice FIFO frame by frame
+                # in wave order gives the DES's floats
+                frames = admitted_arrivals.tolist()
+                deliveries = np.array(
+                    [cell.enqueue_frame(task.task_id, bits, now) for now in frames]
+                )
             wave = TaskWave(
                 task_id=task.task_id,
                 path=path,
                 arrivals=arrivals,
                 ids=ids,
                 admitted_idx=admitted_idx,
-                deliveries=waves.fifo_deliveries(admitted_arrivals, airtime),
+                deliveries=deliveries,
                 deadlines=admitted_arrivals + task.max_latency_s,
-                bits=path.bits_per_image,
+                bits=bits,
             )
             task_waves.append(wave)
             gated[task.task_id] = wave.gated

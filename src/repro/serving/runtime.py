@@ -33,7 +33,7 @@ from repro.core.solution import DOTSolution
 from repro.edge.controller import AdmissionTicket, OffloaDNNController
 from repro.edge.resources import Gpu
 from repro.edge.vim import VirtualInfrastructureManager
-from repro.emulator.lte import LteCell
+from repro.emulator.lte import TTI_S, BlockFading, LteCell
 from repro.emulator.simulator import Simulator
 from repro.obs.session import ObsSession
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -44,8 +44,9 @@ from repro.serving.executor import BatchExecutor
 from repro.serving.metrics import ServingMetrics, TaskServingMetrics
 from repro.serving.pool import RequestPool
 from repro.serving.queueing import ReadyQueues, ServingQueue, ServingRequest
+from repro.workloads.smallscale import SMALL_SCALE, small_scale_problem
 
-__all__ = ["ServingConfig", "ServingRuntime"]
+__all__ = ["ServingConfig", "ServingRuntime", "fig11_runtime"]
 
 
 def _record_request_spans(
@@ -109,7 +110,9 @@ class ServingConfig:
     #: marginal batch cost factor (see :mod:`repro.serving.executor`)
     batch_efficiency: float = 0.5
     prefix_cache: bool = True
-    #: cap on requests fused into one window (None = drain everything)
+    #: per-tick drain cap: at most this many requests leave the queues per
+    #: dispatcher tick, as one job (None = drain everything; 1 = one frame
+    #: per job, the Fig. 11 regime)
     max_batch: int | None = None
     #: Poisson arrivals if True, deterministic spacing otherwise
     poisson: bool = False
@@ -158,6 +161,8 @@ class ServingRuntime:
     #: ClusterDeployment`): when set, windows execute across the
     #: deployment's placed segments instead of the local worker pool
     cluster: object | None = None
+    #: optional slow fading on the run's uplink cell
+    fading: BlockFading | None = None
 
     # run state (rebuilt by every run() call)
     simulator: Simulator = field(init=False, repr=False)
@@ -227,6 +232,27 @@ class ServingRuntime:
         return run.metrics()
 
 
+def fig11_runtime(
+    num_tasks: int = 5, duration_s: float = 20.0, seed: int = 0
+) -> ServingRuntime:
+    """The Sec. V-B experiment (Fig. 11) as a runtime configuration.
+
+    Colosseum dedicates the whole 20 MHz cell (100 RBs) to the
+    experiment, so the radio budget is widened relative to the numerical
+    small-scale scenario.  One frame per job on one FIFO GPU, one
+    dispatcher tick per TTI: no frame batches, and a delivered frame
+    waits at most a subframe for the GPU queue to see it.
+    """
+    problem = small_scale_problem(
+        num_tasks, params=dc_replace(SMALL_SCALE, radio_blocks=100), seed=seed
+    )
+    config = ServingConfig(
+        duration_s=duration_s, batch_window_s=TTI_S, max_batch=1, num_workers=1,
+        seed=seed,
+    )
+    return ServingRuntime.from_problem(problem, config)
+
+
 class _Run:
     """One run's data plane: push → tick → drain window → complete.
 
@@ -246,7 +272,7 @@ class _Run:
         if runtime.obs is not None:
             runtime.obs.bind_virtual_clock(lambda: sim.now)
             self.tracer = runtime.obs.virtual
-        self.cell = LteCell(slice_manager=runtime.slice_manager)
+        self.cell = LteCell(slice_manager=runtime.slice_manager, fading=runtime.fading)
         self.cell.reset()
         self.record_hop_spans = None
         # both executors book on the same window ledger

@@ -71,6 +71,33 @@ def make_path(
     )
 
 
+def make_request(
+    task_id: int, request_id: int, created_at: float, completed_at: float,
+    deadline_s: float = 1.0,
+):
+    """A finished (or, with a NaN completion, unfinished) serving record."""
+    from repro.serving import ServingRequest
+
+    return ServingRequest(
+        task_id=task_id, request_id=request_id, path=None, created_at=created_at,
+        deadline_at=created_at + deadline_s, bits=0.0, completed_at=completed_at,
+    )
+
+
+def serve_frame_per_job(problem, duration_s, slice_margin_rbs=0, fading=None, **config):
+    """``problem`` admitted and served in the Fig. 11 regime: one frame per
+    job, a dispatcher tick per TTI.  Returns ``(runtime, its metrics)``."""
+    from repro.core.heuristic import OffloaDNNSolver
+    from repro.emulator.lte import TTI_S
+    from repro.serving import ServingConfig, ServingRuntime
+
+    config = ServingConfig(duration_s=duration_s, batch_window_s=TTI_S, max_batch=1, **config)
+    solver = OffloaDNNSolver(slice_margin_rbs=slice_margin_rbs)
+    runtime = ServingRuntime.from_problem(problem, config, solver=solver)
+    runtime.fading = fading
+    return runtime, runtime.run()
+
+
 @pytest.fixture()
 def tiny_problem(quality: QualityLevel) -> DOTProblem:
     """Three tasks, two candidate paths each, one shared block."""

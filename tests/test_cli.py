@@ -2,9 +2,31 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+GONE = object()
+#: (where in an exported problem, or in its "solution", to put what; what the error names)
+BAD_DOCUMENTS = [
+    (("tasks", 0, "max_latency_s"), float("nan"), "tasks[0]['max_latency_s'] must be a finite number"),
+    (("budgets", "memory_gb"), float("inf"), "budgets['memory_gb'] must be a finite number"),
+    (("tasks", 1, "request_rate"), "5", "tasks[1]['request_rate'] must be a finite number"),
+    (("tasks",), GONE, "problem is missing 'tasks'"),
+    (("tasks", 1, "max_latency_s"), GONE, "tasks[1] is missing 'max_latency_s'"),
+    ((), [1], "document must be a JSON object, got list"),
+    (("tasks", 0), 3, "tasks[0] must be a JSON object, got int"),
+    (("blocks", 2), "b", "blocks[2] must be a JSON object, got str"),
+    (("paths", 0), None, "paths[0] must be a JSON object, got NoneType"),
+    (("paths", 0, "block_ids", 0), "nope", "blocks (as named by paths[0]) is missing 'nope'"),
+    (("solution",), [1], "document must be a JSON object, got list"),
+    (("solution", "assignments", 0, "admission_ratio"), "1", "assignments[0]['admission_ratio'] must be"),
+    (("solution", "assignments", 1, "radio_blocks"), GONE, "assignments[1] is missing 'radio_blocks'"),
+    (("solution", "assignments", 0), 7, "assignments[0] must be a JSON object, got int"),
+]
 
 
 class TestParser:
@@ -113,6 +135,39 @@ class TestCommands:
         main(["export-problem", str(problem_file), "--tasks", "1"])
         assert main(["solve-file", str(problem_file)]) == 0
 
+    @pytest.mark.parametrize(
+        "path, value, message", BAD_DOCUMENTS,
+        ids=[".".join(map(str, row[0])) or "document" for row in BAD_DOCUMENTS],
+    )
+    def test_bad_documents_are_one_line_errors(self, path, value, message, capsys, tmp_path):
+        from repro.core.serialize import load_problem, load_solution
+
+        problem_file, solution_file = tmp_path / "p.json", tmp_path / "s.json"
+        main(["export-problem", str(problem_file), "--tasks", "2"])
+        main(["solve-file", str(problem_file), "--solution-out", str(solution_file)])
+        capsys.readouterr()
+        target = solution_file if path[:1] == ("solution",) else problem_file
+        *parents, last = path[target is solution_file:] or [None]
+        document = node = json.loads(target.read_text())
+        for key in parents:
+            node = node[key]
+        if last is None:
+            document = value
+        elif value is GONE:
+            del node[last]
+        else:
+            node[last] = value
+        target.write_text(json.dumps(document))
+        if target is solution_file:
+            with pytest.raises(ValueError) as raised:
+                load_solution(str(target), load_problem(str(problem_file)))
+            assert message in str(raised.value)
+        else:  # the NaN-latency document used to solve and exit 0
+            assert main(["solve-file", str(target)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and message in captured.err
+            assert captured.err.startswith("error: problem ") and captured.err.count("\n") == 1
+
 
 class TestTraceCommands:
     def test_serve_sim_trace_roundtrip(self, capsys, tmp_path):
@@ -133,7 +188,7 @@ class TestTraceCommands:
                      "--trace"]) == 0
         out = capsys.readouterr().out
         assert "[virtual clock]" in out
-        assert "frame" in out
+        assert "request" in out and "uplink" in out
         assert not list(tmp_path.iterdir())  # nothing written
 
     def test_trace_summary_rejects_invalid_file(self, capsys, tmp_path):
@@ -141,3 +196,6 @@ class TestTraceCommands:
         bad.write_text('{"traceEvents": "nope"}')
         assert main(["trace-summary", str(bad)]) == 1
         assert "invalid chrome trace" in capsys.readouterr().err
+        bad.write_text("[1, 2]")  # a top-level list used to be an AttributeError
+        assert main(["trace-summary", str(bad)]) == 1
+        assert "not a JSON object" in capsys.readouterr().err

@@ -1,18 +1,28 @@
-"""Unit tests for the discrete-event emulator."""
+"""Unit tests for the DES substrates and the one-frame-per-job regime.
+
+The simulator and the LTE cell are tested directly; what used to be the
+emulator's own device / GPU / timeline classes is the serving runtime in
+its Fig. 11 configuration, driven here on hand-built one-task deployments.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.task import QualityLevel
+from repro.core.catalog import Catalog
+from repro.core.problem import Budgets, DOTProblem, RadioModel
 from repro.emulator.lte import TTI_S, LteCell
-from repro.emulator.metrics import LatencyTimeline, moving_average
-from repro.emulator.nodes import EdgeServer, FrameRecord, UserEquipment
 from repro.emulator.simulator import Simulator
-from repro.edge.controller import AdmissionTicket
 from repro.radio.slicing import SliceManager
-from tests.conftest import make_block, make_path, make_task
+from repro.serving import TaskServingMetrics, latency_series, moving_average
+from tests.conftest import (
+    make_block,
+    make_path,
+    make_request,
+    make_task,
+    serve_frame_per_job,
+)
 
 
 class TestSimulator:
@@ -150,81 +160,63 @@ class TestMovingAverage:
 class TestLatencyTimeline:
     def _records(self):
         return [
-            FrameRecord(task_id=1, frame_id=0, created_at=0.0, completed_at=0.2),
-            FrameRecord(task_id=1, frame_id=1, created_at=0.2, completed_at=0.5),
-            FrameRecord(task_id=2, frame_id=0, created_at=0.0, completed_at=0.1),
+            make_request(1, 1, 0.2, 0.5),
+            make_request(1, 0, 0.0, 0.2),
+            make_request(2, 2, 0.0, 0.1),
+            make_request(1, 3, 0.4, float("nan")),  # never completed
         ]
 
     def test_grouping_and_series(self):
-        timeline = LatencyTimeline.from_records(self._records())
-        times, latencies = timeline.series(1, window=1)
+        series = latency_series(self._records(), window=1)
+        assert set(series) == {1, 2}  # a task that completed nothing: no entry
+        times, latencies = series[1]  # in completion order
         np.testing.assert_allclose(times, [0.2, 0.5])
         np.testing.assert_allclose(latencies, [0.2, 0.3])
 
     def test_max_and_mean(self):
-        timeline = LatencyTimeline.from_records(self._records())
-        assert timeline.max_latency(1) == pytest.approx(0.3)
-        assert timeline.mean_latency(1) == pytest.approx(0.25)
-        assert np.isnan(timeline.max_latency(99))
+        stats = TaskServingMetrics.from_requests(1, self._records()[:2])
+        assert stats.latency.max_s == pytest.approx(0.3)
+        assert stats.latency.mean_s == pytest.approx(0.25)
+        assert np.isnan(TaskServingMetrics.from_requests(99, []).latency.max_s)
 
     def test_violation_fraction(self):
-        timeline = LatencyTimeline.from_records(self._records())
-        assert timeline.violation_fraction(1, limit_s=0.25, window=1) == pytest.approx(0.5)
-        assert timeline.violation_fraction(1, limit_s=1.0, window=1) == 0.0
+        _, smoothed = latency_series(self._records(), window=1)[1]
+        assert (smoothed > 0.25).mean() == pytest.approx(0.5)
+        assert not (smoothed > 1.0).any()
+
+
+def _served(rate=5.0, compute_s=0.01, min_accuracy=0.7, duration_s=2.0):
+    """One task (5 req/s on a rate-matched 5-RB slice: 0.2 s of airtime),
+    one FIFO GPU, one frame per job, no result-return time — run."""
+    task = make_task(1, request_rate=rate, max_latency_s=5.0, min_accuracy=min_accuracy)
+    catalog = Catalog()
+    catalog.add_path(make_path(task, "p", (make_block("b", compute_time_s=compute_s),)))
+    problem = DOTProblem(
+        tasks=(task,), catalog=catalog, budgets=Budgets(2.5, 1000.0, 8.0, 100),
+        radio=RadioModel(default_bits_per_rb=350_000.0),
+    )
+    return serve_frame_per_job(problem, duration_s, result_return_s=0.0)[0]
 
 
 class TestNodes:
-    def _setup(self, rate: float = 5.0, rbs: int = 5):
-        sim = Simulator()
-        mgr = SliceManager(capacity_rbs=100)
-        mgr.allocate(1, rbs, 350_000.0)
-        cell = LteCell(slice_manager=mgr)
-        server = EdgeServer(simulator=sim, compute_jitter=0.0, result_return_s=0.0)
-        quality = QualityLevel("full", 350_000.0)
-        task = make_task(1, request_rate=rate, quality=quality)
-        path = make_path(task, "p", (make_block("b", compute_time_s=0.01),))
-        ticket = AdmissionTicket(
-            task_id=1, admitted=True, admission_ratio=1.0,
-            granted_rate=rate, radio_blocks=rbs, path_id="p",
-        )
-        ue = UserEquipment(simulator=sim, cell=cell, server=server, ticket=ticket, path=path)
-        return sim, server, ue
-
     def test_frame_count_matches_rate(self):
-        sim, server, ue = self._setup(rate=5.0)
-        ue.start(until=2.0)
-        sim.run()
-        # frames at t = 0, 0.2, ..., 2.0 -> 11 frames
-        assert ue.frames_sent == 11
-        assert len(server.completed) == 11
+        # frames at t = 0, 0.2, ..., 2.0 -> 11 frames, all served
+        assert sum(r.completed for r in _served(rate=5.0).last_requests) == 11
 
     def test_latency_composition(self):
-        sim, server, ue = self._setup(rate=1.0, rbs=5)
-        ue.start(until=0.0)  # single frame
-        sim.run()
-        record = server.completed[0]
-        # 0.2 s uplink + 0.01 s compute
-        assert record.end_to_end_latency == pytest.approx(0.21, abs=1e-6)
+        (request,) = _served(duration_s=0.1).last_requests  # a single frame
+        # 0.2 s uplink + at most one TTI to the next tick + 0.01 s compute
+        assert request.uplink_done_at == pytest.approx(0.2)
+        assert 0.21 - 1e-9 <= request.latency_s <= 0.21 + TTI_S + 1e-9
 
     def test_rejected_ticket_sends_nothing(self):
-        sim, server, ue = self._setup()
-        ue.ticket = AdmissionTicket(
-            task_id=1, admitted=False, admission_ratio=0.0,
-            granted_rate=0.0, radio_blocks=0, path_id=None,
-        )
-        ue.start(until=2.0)
-        sim.run()
-        assert ue.frames_sent == 0
+        runtime = _served(min_accuracy=0.95)  # above the only path's 0.9
+        assert not runtime.tickets[1].admitted
+        assert runtime.last_requests == []
 
     def test_server_fifo_queueing(self):
-        sim = Simulator()
-        server = EdgeServer(simulator=sim, compute_jitter=0.0, result_return_s=0.0)
-        quality = QualityLevel("full", 350_000.0)
-        task = make_task(1, quality=quality)
-        path = make_path(task, "p", (make_block("b", compute_time_s=0.1),))
-        r1 = FrameRecord(task_id=1, frame_id=0, created_at=0.0)
-        r2 = FrameRecord(task_id=1, frame_id=1, created_at=0.0)
-        server.submit(r1, path)
-        server.submit(r2, path)
-        sim.run()
-        assert r2.compute_done_at == pytest.approx(r1.compute_done_at + 0.1)
+        # 0.3 s of compute per frame against a delivery every 0.2 s: the
+        # one worker is the bottleneck and serves strictly back to back
+        done = [r.completed_at for r in _served(compute_s=0.3, duration_s=1.0).last_requests]
+        assert len(done) == 6
+        np.testing.assert_allclose(np.diff(done), 0.3)

@@ -1,94 +1,68 @@
-"""Unit tests for the emulation statistics extensions."""
+"""Per-task statistics and busy-time accounting of a request-level run."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.emulator.metrics import TaskStatistics
-from repro.emulator.nodes import EdgeServer, FrameRecord
-from repro.emulator.scenario import run_small_scale_emulation
-from repro.emulator.simulator import Simulator
+from repro.cluster.node import BusyTracker, ClusterNode, NodeSpec
+from repro.serving import TaskServingMetrics, fig11_runtime
+from tests.conftest import make_request
 
 
 class TestTaskStatistics:
-    def _records(self):
-        return [
-            FrameRecord(task_id=1, frame_id=0, created_at=0.0,
-                        uplink_done_at=0.2, compute_done_at=0.25, completed_at=0.25),
-            FrameRecord(task_id=1, frame_id=1, created_at=1.0,
-                        uplink_done_at=1.2, compute_done_at=1.3, completed_at=1.3),
-        ]
+    """``TaskServingMetrics`` is the one per-task statistics type."""
+
+    def _stats(self, deadline_s=0.5):
+        records = [make_request(1, 0, 0.0, 0.25, deadline_s), make_request(1, 1, 1.0, 1.3, deadline_s)]
+        return TaskServingMetrics.from_requests(1, records)
 
     def test_decomposition(self):
-        stats = TaskStatistics.from_records(1, self._records(), duration_s=2.0,
-                                            deadline_s=0.5)
-        assert stats.frames == 2
-        assert stats.mean_uplink_s == pytest.approx(0.2)
-        assert stats.mean_compute_s == pytest.approx(0.075)
-        assert stats.mean_latency_s == pytest.approx((0.25 + 0.3) / 2)
-        assert stats.goodput_fps == pytest.approx(1.0)
+        stats = self._stats()
+        assert stats.offered == stats.admitted == stats.completed == 2
+        assert stats.latency.mean_s == pytest.approx((0.25 + 0.3) / 2)
+        assert stats.served_fraction == 1.0
 
     def test_deadline_misses(self):
-        stats = TaskStatistics.from_records(1, self._records(), duration_s=2.0,
-                                            deadline_s=0.27)
-        assert stats.deadline_miss_fraction == pytest.approx(0.5)
+        assert self._stats(deadline_s=0.27).deadline_miss_rate == pytest.approx(0.5)
 
     def test_empty_records(self):
-        stats = TaskStatistics.from_records(1, [], duration_s=2.0, deadline_s=0.5)
-        assert stats.frames == 0
-        assert np.isnan(stats.mean_latency_s)
-        assert stats.goodput_fps == 0.0
+        stats = TaskServingMetrics.from_requests(1, [])
+        assert stats.completed == 0
+        assert np.isnan(stats.latency.mean_s) and np.isnan(stats.deadline_miss_rate)
 
     def test_p95_at_least_mean(self):
-        stats = TaskStatistics.from_records(1, self._records(), duration_s=2.0,
-                                            deadline_s=0.5)
-        assert stats.p95_latency_s >= stats.mean_latency_s
+        assert self._stats().latency.p95_s >= self._stats().latency.mean_s
 
 
 class TestServerUtilization:
-    def test_busy_time_accumulates(self):
-        from repro.core.task import QualityLevel
-        from tests.conftest import make_block, make_path, make_task
+    """Clamped busy-time accounting (``BusyTracker`` under ``ClusterNode``)."""
 
-        sim = Simulator()
-        server = EdgeServer(simulator=sim, compute_jitter=0.0, result_return_s=0.0)
-        task = make_task(1, quality=QualityLevel("q", 1000.0))
-        path = make_path(task, "p", (make_block("b", compute_time_s=0.1),))
-        for i in range(3):
-            server.submit(FrameRecord(task_id=1, frame_id=i, created_at=0.0), path)
-        sim.run()
-        assert server.busy_time_s == pytest.approx(0.3)
-        assert server.utilization(1.0) == pytest.approx(0.3)
+    def test_busy_time_accumulates(self):
+        node = ClusterNode(NodeSpec("gpu"))
+        for _ in range(3):
+            node.execute(0.1, now=0.0)
+        assert node.busy_time_s == pytest.approx(0.3)
+        assert node.utilization(1.0) == pytest.approx(0.3)
 
     def test_utilization_capped_at_one(self):
-        sim = Simulator()
-        server = EdgeServer(simulator=sim)
-        server.busy.add(0.0, 10.0)
-        assert server.utilization(5.0) == 1.0
+        node = ClusterNode(NodeSpec("gpu"))
+        node.busy[0].add(0.0, 10.0)
+        assert node.utilization(5.0) == 1.0
 
     def test_utilization_clamps_service_past_horizon(self):
         """Regression: a service tail past the run horizon used to push
         utilization above 1.0; busy time is now clamped to the window."""
-        from repro.core.task import QualityLevel
-        from tests.conftest import make_block, make_path, make_task
-
-        sim = Simulator()
-        server = EdgeServer(simulator=sim, compute_jitter=0.0, result_return_s=0.0)
-        task = make_task(1, quality=QualityLevel("q", 1000.0))
-        path = make_path(task, "p", (make_block("b", compute_time_s=2.0),))
-        for i in range(3):  # 6 s of service submitted at t=0
-            server.submit(FrameRecord(task_id=1, frame_id=i, created_at=0.0), path)
-        sim.run()
-        assert server.busy_time_s == pytest.approx(6.0)
+        node = ClusterNode(NodeSpec("gpu"))
+        for _ in range(3):  # 6 s of service submitted at t=0
+            node.execute(2.0, now=0.0)
+        assert node.busy_time_s == pytest.approx(6.0)
         # a 1 s horizon sees exactly 1 s of busy GPU, not 6 s
-        assert server.utilization(1.0) == pytest.approx(1.0)
-        assert server.busy.within(1.0) == pytest.approx(1.0)
-        assert server.utilization(8.0) == pytest.approx(0.75)
+        assert node.utilization(1.0) == pytest.approx(1.0)
+        assert node.busy[0].within(1.0) == pytest.approx(1.0)
+        assert node.utilization(8.0) == pytest.approx(0.75)
 
     def test_busy_tracker_windows_and_gaps(self):
-        from repro.emulator.nodes import BusyTracker
-
         tracker = BusyTracker()
         tracker.add(0.0, 1.0)
         tracker.add(1.0, 2.0)  # contiguous: coalesces
@@ -101,21 +75,19 @@ class TestServerUtilization:
         assert tracker.within(100.0) == pytest.approx(4.0)
 
     def test_invalid_duration(self):
-        server = EdgeServer(simulator=Simulator())
         with pytest.raises(ValueError):
-            server.utilization(0.0)
+            ClusterNode(NodeSpec("gpu")).utilization(0.0)
 
 
 class TestEmulationStatistics:
     def test_full_run_statistics(self):
-        problem, result = run_small_scale_emulation(num_tasks=3, duration_s=8.0)
-        stats = result.statistics(problem)
-        assert set(stats) == {1, 2, 3}
-        for task in problem.tasks:
-            entry = stats[task.task_id]
-            assert entry.frames > 30  # ~5 req/s for 8 s
-            assert entry.deadline_miss_fraction == 0.0
-            # transmission dominates in this scenario
-            assert entry.mean_uplink_s > entry.mean_compute_s
-            assert entry.goodput_fps == pytest.approx(5.0, rel=0.15)
-        assert 0.0 < result.gpu_utilization < 0.5
+        runtime = fig11_runtime(num_tasks=3, duration_s=8.0)
+        metrics = runtime.run()
+        assert set(metrics.tasks) == {1, 2, 3}
+        for stats in metrics.tasks.values():
+            assert stats.completed > 30  # ~5 req/s for 8 s
+            assert stats.deadline_misses == 0
+            assert stats.completed / 8.0 == pytest.approx(5.0, rel=0.15)
+        for r in runtime.last_requests:  # transmission dominates here
+            assert r.uplink_done_at - r.created_at > r.completed_at - r.started_at
+        assert 0.0 < runtime.executor.utilization(metrics.duration_s) < 0.5

@@ -11,8 +11,7 @@ from repro.core.objective import objective_breakdown
 from repro.core.subproblem import BranchAllocation, BranchItem, solve_branch
 from repro.core.task import QualityLevel
 from repro.core.tree import build_vector_tree
-from repro.emulator.lte import HarqConfig
-from repro.emulator.scenario import EmulationScenario
+from repro.emulator.lte import HarqConfig, LteCell
 from repro.workloads.smallscale import small_scale_problem
 from tests.conftest import make_block, make_path, make_task
 
@@ -95,50 +94,29 @@ class TestObjectiveBreakdownResource:
 
 class TestHarqEndToEnd:
     def test_harq_inflates_scenario_latency(self):
-        """A full emulation with 10% TTI errors: mean latency rises by
-        roughly the expected HARQ overhead (~11% on the airtime)."""
-        problem = small_scale_problem(2, seed=0)
+        """10% TTI errors on an admitted deployment's slices: mean uplink +
+        compute latency rises by roughly the expected HARQ overhead (~11%
+        of the airtime).  The wave engine refuses a HARQ cell, so frames
+        are replayed on the cell itself at the granted rates."""
         from repro.core.heuristic import OffloaDNNSolver
-        from repro.edge.controller import OffloaDNNController
-        from repro.edge.resources import Gpu
-        from repro.edge.vim import VirtualInfrastructureManager
-        from repro.emulator.lte import LteCell
-        from repro.radio.slicing import SliceManager
+        from repro.serving import ServingRuntime
+
+        runtime = ServingRuntime.from_problem(
+            small_scale_problem(2, seed=0), solver=OffloaDNNSolver(slice_margin_rbs=1)
+        )
 
         def run(harq):
-            scenario = EmulationScenario(problem=problem, duration_s=5.0,
-                                         compute_jitter=0.0, seed=0)
-            # monkey-wire HARQ by running the scenario manually
-            budgets = problem.budgets
-            vim = VirtualInfrastructureManager(
-                gpus=(Gpu(0, vram_gb=budgets.memory_gb,
-                          compute_share=budgets.compute_time_s),)
-            )
-            mgr = SliceManager(capacity_rbs=budgets.radio_blocks)
-            controller = OffloaDNNController(
-                vim=vim, slice_manager=mgr, radio=problem.radio,
-                solver=OffloaDNNSolver(slice_margin_rbs=1),
-            )
-            tickets = controller.handle_admission_requests(
-                problem.tasks, problem.catalog
-            )
-            from repro.emulator.nodes import EdgeServer, UserEquipment
-            from repro.emulator.simulator import Simulator
-            from repro.emulator.metrics import LatencyTimeline
-
-            sim = Simulator()
-            cell = LteCell(slice_manager=mgr, harq=harq)
-            server = EdgeServer(simulator=sim, compute_jitter=0.0)
-            for task in problem.tasks:
-                assignment = controller.last_solution.assignment(task)
-                ue = UserEquipment(simulator=sim, cell=cell, server=server,
-                                   ticket=tickets[task.task_id],
-                                   path=assignment.path)
-                ue.start(until=5.0)
-            sim.run()
-            timeline = LatencyTimeline.from_records(server.completed)
-            del scenario
-            return np.mean([timeline.mean_latency(t.task_id) for t in problem.tasks])
+            cell = LteCell(slice_manager=runtime.slice_manager, harq=harq)
+            latencies = []
+            for task in runtime.problem.tasks:
+                path = runtime.solution.assignment(task).path
+                rate = runtime.tickets[task.task_id].granted_rate
+                for created in np.arange(0.0, 5.0, 1.0 / rate):
+                    delivered = cell.enqueue_frame(
+                        task.task_id, path.bits_per_image, float(created)
+                    )
+                    latencies.append(delivered - created + path.compute_time_s)
+            return np.mean(latencies)
 
         clean = run(None)
         noisy = run(HarqConfig(tti_error_rate=0.1, seed=1))

@@ -20,8 +20,9 @@ import math
 import pytest
 
 from repro.core.heuristic import OffloaDNNSolver
-from repro.emulator.scenario import run_small_scale_emulation
 from repro.obs import ObsSession, jsonl_lines, use_tracer, validate_chrome_trace
+from repro.obs.metrics import MetricsRegistry
+from repro.serving import TaskServingMetrics, fig11_runtime
 from repro.serving.runtime import ServingConfig, ServingRuntime
 from repro.workloads.smallscale import serving_small_scale_problem
 
@@ -101,41 +102,39 @@ class TestServingMetricsParity:
         assert all(t1 <= t2 for (t1, _), (t2, _) in zip(series, series[1:]))
 
 
+_PHASES = ("uplink", "queue", "batch", "execute", "complete")
+
+
+def _request_tracks(obs: ObsSession) -> dict[str, dict[str, object]]:
+    """Per request track: its spans by name, the children checked to tile
+    the parent ``request`` span exactly, in order."""
+    tracks: dict[str, dict[str, object]] = {}
+    for record in obs.virtual.records:
+        if record.phase == "X" and record.track.startswith("task"):
+            tracks.setdefault(record.track, {})[record.name] = record
+    tracks = {track: spans for track, spans in tracks.items() if "request" in spans}
+    for track, spans in tracks.items():
+        parent = spans["request"]
+        assert set(spans) == {"request", *_PHASES}
+        cursor = parent.ts
+        for name in _PHASES:
+            child = spans[name]
+            assert child.ts == pytest.approx(cursor, abs=1e-9), (track, name)
+            assert child.dur >= 0.0
+            cursor = child.ts + child.dur
+        assert cursor == pytest.approx(parent.ts + parent.dur, abs=1e-9)
+        # ... so their durations sum to the end-to-end latency
+        assert sum(spans[n].dur for n in _PHASES) == pytest.approx(parent.dur, abs=1e-9)
+    return tracks
+
+
 class TestRequestSpanAccounting:
     """Acceptance: spans of one request nest and sum to its latency."""
-
-    def _request_tracks(self, obs: ObsSession) -> dict[str, dict[str, object]]:
-        tracks: dict[str, dict[str, object]] = {}
-        for record in obs.virtual.records:
-            if record.phase != "X" or not record.track.startswith("task"):
-                continue
-            tracks.setdefault(record.track, {})[record.name] = record
-        return {
-            track: spans for track, spans in tracks.items() if "request" in spans
-        }
 
     def test_children_partition_and_sum_to_latency(self):
         obs = ObsSession()
         metrics = _runtime(obs).run()
-        tracks = self._request_tracks(obs)
-        assert metrics.completed > 0
-        assert len(tracks) == metrics.completed
-        children = ("uplink", "queue", "batch", "execute", "complete")
-        for track, spans in tracks.items():
-            parent = spans["request"]
-            assert set(spans) == {"request", *children}
-            # children tile the parent interval exactly, in order
-            cursor = parent.ts
-            for name in children:
-                child = spans[name]
-                assert child.ts == pytest.approx(cursor, abs=1e-9), (track, name)
-                assert child.dur >= 0.0
-                cursor = child.ts + child.dur
-            assert cursor == pytest.approx(parent.ts + parent.dur, abs=1e-9)
-            # ... so their durations sum to the end-to-end latency
-            assert sum(spans[n].dur for n in children) == pytest.approx(
-                parent.dur, abs=1e-9
-            )
+        assert len(_request_tracks(obs)) == metrics.completed > 0
 
     def test_chrome_export_of_run_validates(self, tmp_path):
         obs = ObsSession()
@@ -152,68 +151,43 @@ class TestRequestSpanAccounting:
         assert request_spans and all(e["pid"] == 2 for e in request_spans)
 
 
+def _observed_fig11() -> tuple[ObsSession, ServingRuntime]:
+    """The Fig. 11 configuration (2 tasks, 3 s) run under a session."""
+    obs = ObsSession()
+    with use_tracer(obs.wall):
+        runtime = fig11_runtime(num_tasks=2, duration_s=3.0)
+    runtime.obs = obs
+    runtime.run()
+    return obs, runtime
+
+
 class TestEmulatorObservability:
     def test_frame_spans_partition_lifetime(self):
-        obs = ObsSession()
-        problem, result = run_small_scale_emulation(
-            num_tasks=2, duration_s=3.0, obs=obs
-        )
-        frames: dict[str, dict[str, object]] = {}
-        for record in obs.virtual.records:
-            if record.phase == "X" and ".frame" in record.track:
-                frames.setdefault(record.track, {})[record.name] = record
-        assert frames
-        stages = ("uplink", "gpu_queue", "gpu_execute", "return")
-        for track, spans in frames.items():
-            parent = spans["frame"]
-            assert set(spans) == {"frame", *stages}
-            cursor = parent.ts
-            for name in stages:
-                assert spans[name].ts == pytest.approx(cursor, abs=1e-9)
-                cursor = spans[name].ts + spans[name].dur
-            assert cursor == pytest.approx(parent.ts + parent.dur, abs=1e-9)
+        obs, runtime = _observed_fig11()
+        frames = _request_tracks(obs)
+        assert len(frames) == len(runtime.last_requests) > 0
+        # one frame per job: a frame never waits for a batch to fill
+        assert all(spans["batch"].dur == 0.0 for spans in frames.values())
 
     def test_emulator_trace_deterministic(self):
-        lines = []
-        for _ in range(2):
-            obs = ObsSession()
-            run_small_scale_emulation(num_tasks=2, duration_s=3.0, obs=obs)
-            lines.append(jsonl_lines([obs.virtual]))
+        lines = [jsonl_lines([_observed_fig11()[0].virtual]) for _ in range(2)]
         assert lines[0] == lines[1]
         assert len(lines[0]) > 10
 
     def test_task_statistics_bit_identical_with_registry(self):
-        obs = ObsSession()
-        problem, result = run_small_scale_emulation(
-            num_tasks=2, duration_s=3.0, obs=obs
-        )
-        plain = result.statistics(problem)
-        instrumented = result.statistics(problem, registry=obs.registry)
-        assert set(plain) == set(instrumented)
-        for task_id in plain:
-            for name in (
-                "frames",
-                "mean_latency_s",
-                "p95_latency_s",
-                "max_latency_s",
-                "mean_uplink_s",
-                "mean_compute_s",
-                "goodput_fps",
-                "deadline_miss_fraction",
-            ):
-                assert _float_identical(
-                    float(getattr(plain[task_id], name)),
-                    float(getattr(instrumented[task_id], name)),
-                ), f"task{task_id}.{name}"
-        # and the instruments survive in the session registry
-        stats = instrumented[next(iter(instrumented))]
-        if stats.frames:
-            histogram = obs.registry.histogram(f"emu.task{stats.task_id}.latency_s")
-            assert histogram.count == stats.frames
+        obs, runtime = _observed_fig11()
+        for task_id in runtime.tickets:
+            records = [r for r in runtime.last_requests if r.task_id == task_id]
+            plain = TaskServingMetrics.from_requests(task_id, records)
+            shared = TaskServingMetrics.from_requests(task_id, records, MetricsRegistry())
+            assert repr(plain) == repr(shared)
+            # and the run left the same numbers in the session registry
+            histogram = obs.registry.histogram(f"task{task_id}.latency_s")
+            assert histogram.count == plain.completed == len(records)
+            assert histogram.mean == plain.latency.mean_s
 
     def test_solver_spans_on_wall_tracer(self):
-        obs = ObsSession()
-        run_small_scale_emulation(num_tasks=2, duration_s=3.0, obs=obs)
+        obs, _ = _observed_fig11()
         names = {r.name for r in obs.wall.records}
         assert "solver.tree_build" in names
         assert "solver.select_branch" in names

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterDeployment, default_topology
 from repro.core.heuristic import OffloaDNNSolver
-from repro.emulator.lte import LteCell
+from repro.emulator.lte import BlockFading, LteCell
 from repro.emulator.simulator import Simulator
 from repro.obs import ObsSession, jsonl_lines
 from repro.serving import runtime as runtime_module
@@ -171,14 +171,37 @@ def test_engines_agree_on_registry_instruments(problem):
     assert snapshots[0] == snapshots[1]
 
 
-def test_wave_engine_refuses_faded_cells(problem):
-    from repro.emulator.lte import BlockFading, LteCell
-    from repro.serving.engine import WavePlan
+def test_wave_engine_refuses_harq_cells(problem):
+    from repro.emulator.lte import HarqConfig
 
     runtime = _runtime(problem, duration_s=1.0)
-    cell = LteCell(slice_manager=runtime.slice_manager, fading=BlockFading())
-    with pytest.raises(ValueError, match="fading"):
+    cell = LteCell(slice_manager=runtime.slice_manager, harq=HarqConfig())
+    with pytest.raises(ValueError, match="HARQ.*Generator"):
         WavePlan.build([], runtime.config, None, cell)
+
+
+@pytest.mark.parametrize("poisson", [False, True])
+@pytest.mark.parametrize("slice_margin_rbs", [0, 2])
+def test_engines_bit_identical_on_faded_cell(problem, poisson, slice_margin_rbs):
+    # a faded cell replays LteCell.enqueue_frame per admitted arrival.  Margin
+    # 2 rides the fades out; rate-matched slices drift into deadline drops.
+    # Nothing is shed at the gate, so even the trace bytes are the oracle's.
+    results = []
+    for serve in (ServingRuntime.run, scalar_run):
+        runtime = ServingRuntime.from_problem(
+            problem,
+            ServingConfig(duration_s=4.0, poisson=poisson, seed=5),
+            solver=OffloaDNNSolver(slice_margin_rbs=slice_margin_rbs),
+        )
+        runtime.fading = BlockFading(sigma_db=0.4, seed=2)
+        runtime.obs = ObsSession()
+        metrics = _metrics_key(serve(runtime))
+        results.append((metrics, _served_key(runtime), jsonl_lines([runtime.obs.virtual])))
+    assert results[0] == results[1]
+    served = [row for row in results[0][1] if row[0] == 2]
+    assert len({round(row[4] - row[2], 9) for row in served}) > 1  # airtime fades
+    if slice_margin_rbs == 0:  # ... and the drift ended in named drops
+        assert any(row[9] == DropReason.DEADLINE.value for row in served)
 
 
 # -- determinism under pooling and event recycling (satellite S4) ----------
