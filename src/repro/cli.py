@@ -503,6 +503,13 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         f"deadline-miss rate {metrics.deadline_miss_rate:.3f}  "
         f"windows {metrics.windows}"
     )
+    print("admission promise (constraint (1g): uplink + compute of the solved "
+          "path and slice) against delivered")
+    print(
+        format_table(
+            list(runtime.PROMISE_HEADER), runtime.promise_rows(metrics), precision=1
+        )
+    )
     print(
         f"simulated compute {metrics.total_compute_s:.4f} s"
         + (

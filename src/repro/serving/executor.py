@@ -1,9 +1,11 @@
 """Worker-pool path executor with shared-block prefix caching.
 
-The executor drains one *batching window* of requests at a time and
-charges simulated GPU time for it on a :class:`WorkerPool`; the cluster
-executor books per node on the same pool, fused-batch costing and
-window log (:class:`WindowLedger`).  Costs are grounded in the profiled
+The executor drains one *batching window* of requests at a time, cuts it
+into jobs that fit their members' deadlines (one job per worker at
+most, see :meth:`BatchExecutor.cut`) and charges simulated GPU time for
+each on a :class:`WorkerPool`; the cluster executor books per node on
+the same pool, fused-batch costing and window log
+(:class:`WindowLedger`).  Costs are grounded in the profiled
 per-block compute times ``c(s)`` the DOT solver already consumes, with
 a sub-linear batching model: a block processing a batch of ``n``
 requests costs
@@ -16,11 +18,13 @@ requests costs
 **Shared-block prefix cache.**  Paths that OffloaDNN couples through
 shared frozen blocks traverse identical block *prefixes* before
 diverging into their fine-tuned suffixes.  With the cache enabled the
-window's requests are merged along a prefix trie: every trie node is
+requests of one job are merged along a prefix trie: every trie node is
 one fused batch through one block, so a frozen trunk shared by k paths
 runs once over the union batch instead of k times over the split
 batches.  Because the batch cost is sub-linear, merging is a strict
-win whenever two same-window requests share a prefix block.  Disabled,
+win in GPU time whenever two same-job requests share a prefix block —
+and a loss in latency once the fused job outlasts its tightest member's
+slack, which is where the window is cut.  Disabled,
 each path's batch pays its full block sequence independently — exactly
 the dedicated-DNN (SEM-O-RAN-style) serving discipline.
 
@@ -34,7 +38,8 @@ from __future__ import annotations
 
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable
+from operator import attrgetter
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -126,15 +131,38 @@ class WorkerPool:
             raise ValueError("num_workers must be >= 1")
         self.free_at = [0.0] * num_workers
 
-    def claim(self, cost_s: float, ready_at: float) -> tuple[int, float, float]:
-        """Book ``cost_s`` of work ready at ``ready_at``: (worker, start, finish)."""
+    def claim(
+        self, cost_s: float, ready_at: float, worker: int | None = None
+    ) -> tuple[int, float, float]:
+        """Book ``cost_s`` of work ready at ``ready_at``: (worker, start, finish).
+
+        On ``worker`` if one is named (see :meth:`slots`), else on the
+        earliest-free worker, lowest index on ties.
+        """
         free_at = self.free_at
-        # earliest-free worker, lowest index on ties
-        worker = free_at.index(min(free_at))
+        if worker is None:
+            worker = free_at.index(min(free_at))
         start = max(ready_at, free_at[worker])
         finish = start + cost_s
         free_at[worker] = finish
         return worker, start, finish
+
+    def slots(self, now: float) -> Iterator[tuple[int, float]]:
+        """``(worker, start)`` of the jobs ready at ``now``, soonest first.
+
+        The idle workers by index, then the busy ones as they free (lowest
+        index on ties).  Lazy: a window of two jobs looks no further than
+        the second idle worker.
+        """
+        busy = []
+        for worker, free_at in enumerate(self.free_at):
+            if free_at <= now:
+                yield worker, now
+            else:
+                busy.append((free_at, worker))
+        busy.sort()
+        for free_at, worker in busy:
+            yield worker, free_at
 
     def busy_workers(self, now: float) -> int:
         """Workers still executing at virtual time ``now`` (sampler probe)."""
@@ -145,15 +173,19 @@ class WorkerPool:
 class WindowLedger:
     """What every executor shares: cost knobs, fused batches, the window log.
 
-    :class:`BatchExecutor` closes a window over one fused batch on its own
-    pool; the cluster executor over one fused batch per node (at the
-    node's CPU scale) plus the later hops.
+    :class:`BatchExecutor` closes a window over the jobs it cut it into,
+    each a fused batch on a worker of its own pool; the cluster executor
+    over one fused batch per node (at the node's CPU scale) plus the
+    later hops.
     """
 
     #: marginal cost of one extra request in a batch, in [0, 1]
     batch_efficiency: float = 0.5
     prefix_cache: bool = True
-    #: DES-clock tracer recording one span per executed window
+    #: what a finished request still spends on the downlink: the part of
+    #: its deadline no job may use
+    result_return_s: float = 0.0
+    #: DES-clock tracer recording one span per executed job
     tracer: Tracer | NullTracer = NULL_TRACER
     windows: list[WindowReport] = field(default_factory=list)
     total_compute_s: float = 0.0
@@ -187,7 +219,7 @@ class WindowLedger:
             request.compute_time_s = share
         return worker, start, finish, cost, unmerged, merges
 
-    def _close_window(
+    def _log_window(
         self,
         requests: int,
         compute_s: float,
@@ -195,10 +227,8 @@ class WindowLedger:
         merges: int,
         started_at: float,
         finished_at: float,
-        track: str,
-        span_s: float,
     ) -> WindowReport:
-        """Log one executed window: report, run totals, ``window`` span."""
+        """Log one executed window: its report and the run totals."""
         report = WindowReport(
             requests=requests,
             compute_s=compute_s,
@@ -212,47 +242,250 @@ class WindowLedger:
         if self.prefix_cache:
             self.compute_saved_s += report.saved_s
             self.prefix_merges += merges
+        return report
+
+    def _window_span(
+        self,
+        track: str,
+        started_at: float,
+        span_s: float,
+        requests: int,
+        merges: int,
+        saved_s: float,
+    ) -> None:
+        """One ``window`` span: a stretch of ``track`` spent on a fused batch."""
+        self.tracer.record(
+            "window",
+            started_at,
+            span_s,
+            cat="executor",
+            track=track,
+            args={"requests": requests, "merges": merges, "saved_s": saved_s},
+        )
+
+    def _close_window(
+        self,
+        requests: int,
+        compute_s: float,
+        unshared_s: float,
+        merges: int,
+        started_at: float,
+        finished_at: float,
+        track: str,
+        span_s: float,
+    ) -> WindowReport:
+        """Log a window that is one span on one track."""
+        report = self._log_window(
+            requests, compute_s, unshared_s, merges, started_at, finished_at
+        )
         if self.tracer.enabled:
-            self.tracer.record(
-                "window",
-                started_at,
-                span_s,
-                cat="executor",
-                track=track,
-                args={
-                    "requests": requests,
-                    "merges": report.prefix_merges,
-                    "saved_s": report.saved_s,
-                },
+            self._window_span(
+                track, started_at, span_s, requests, report.prefix_merges,
+                report.saved_s,
             )
         return report
+
+
+class _JobCost:
+    """What one job costs, and (memoised) the jobs one request larger."""
+
+    __slots__ = ("cost", "unshared", "merges", "groups", "grown")
+
+    def __init__(self, cost: float, unshared: float, merges: int, groups: tuple):
+        #: what the job is charged (``unshared`` with the prefix cache off)
+        self.cost = cost
+        self.unshared = unshared
+        self.merges = merges
+        #: the job's signature, see :class:`_JobCosts`
+        self.groups = groups
+        #: id(path) -> the job holding one more request on that path
+        self.grown: dict[int, _JobCost] = {}
+
+
+class _JobCosts:
+    """One run's memo of job costs, walked a request at a time.
+
+    Cutting a window asks "what would this job cost with one more request
+    on path p" for every request, and a run sees the same few path mixes
+    over and over.  So the answers form a graph: a node per path-count
+    signature ``(path index, requests, path index, requests, …)`` in
+    index order (:class:`_JobCost`), an edge per added path, entered at
+    :attr:`empty`.  A hit is one dict lookup on the node the job already
+    holds; a miss costs the signature by :func:`_window_costs`.
+    """
+
+    #: signatures held before the memo starts over
+    LIMIT = 8192
+
+    def __init__(self, batch_efficiency: float, prefix_cache: bool) -> None:
+        self.batch_efficiency = batch_efficiency
+        self.prefix_cache = prefix_cache
+        #: distinct paths in first-seen order (held, so their ids stay theirs)
+        self.paths: list[Path] = []
+        self._index: dict[int, int] = {}
+        self._by_groups: dict[tuple, _JobCost] = {}
+        self.empty = _JobCost(0.0, 0.0, 0, ())
+
+    def of(self, groups, signature: tuple = ()) -> _JobCost:
+        """The costs of one job, ``groups`` as :func:`_window_costs` takes it."""
+        merged, unmerged, merges = _window_costs(groups, self.batch_efficiency)
+        return _JobCost(
+            merged if self.prefix_cache else unmerged, unmerged, merges, signature
+        )
+
+    def grow(self, job: _JobCost, path: Path) -> _JobCost:
+        """``job`` plus one request on ``path`` (the miss behind ``job.grown``)."""
+        paths = self.paths
+        index = self._index.get(id(path))
+        if index is None:
+            index = self._index[id(path)] = len(paths)
+            paths.append(path)
+        groups = job.groups
+        at = 0
+        while at < len(groups) and groups[at] < index:
+            at += 2
+        if at < len(groups) and groups[at] == index:
+            groups = (*groups[: at + 1], groups[at + 1] + 1, *groups[at + 2 :])
+        else:
+            groups = (*groups[:at], index, 1, *groups[at:])
+        grown = self._by_groups.get(groups)
+        if grown is None:
+            if len(self._by_groups) >= self.LIMIT:
+                # start over; jobs being built keep the nodes they hold
+                self._by_groups = {}
+                self.empty = _JobCost(0.0, 0.0, 0, ())
+            grown = self._by_groups[groups] = self.of(
+                [
+                    (paths[i].path_id, paths[i].blocks, n)
+                    for i, n in zip(groups[::2], groups[1::2])
+                ],
+                groups,
+            )
+        job.grown[id(path)] = grown
+        return grown
+
+
+@dataclass(slots=True)
+class Job:
+    """One fused batch of a window, to run on one worker."""
+
+    #: window order in a window left whole, EDF order in a cut one
+    members: list[ServingRequest]
+    costs: _JobCost
+    #: the worker the job was cut for (None: the earliest-free one)
+    worker: int | None = None
+    #: what the tightest (first) member's deadline leaves for computing
+    #: once that worker is free
+    slack_s: float = float("inf")
+
+
+_deadline_at = attrgetter("deadline_at")
 
 
 @dataclass
 class BatchExecutor(WindowLedger):
     """Pool of GPU workers executing batching windows.
 
-    Each window runs as one fused job on one :class:`WorkerPool` worker;
-    several windows can be in flight on different workers.
+    A window is cut into jobs (:meth:`cut`), at most one per worker; each
+    job is one fused batch on its own :class:`WorkerPool` worker, and a
+    request finishes with its job, not with its window.  Several windows
+    can be in flight on different workers.
     """
 
     num_workers: int = 1
     pool: WorkerPool = field(init=False, repr=False)
+    #: the run's job-cost memo
+    _memo: _JobCosts = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
         self.pool = WorkerPool(self.num_workers)
+        self._memo = _JobCosts(self.batch_efficiency, self.prefix_cache)
+
+    def cut(self, requests: list[ServingRequest], now: float) -> list[Job]:
+        """Cut one window into jobs, each for a worker of its own.
+
+        Workers are taken as :meth:`WorkerPool.slots` hands them out: the
+        idle ones, then the busy ones as they free.  The window is walked
+        in EDF order and every family of paths (those that share their
+        first block, so the prefix trie fuses them at all) is cut into
+        consecutive jobs: a request joins its family's open job while the
+        fused cost still fits the slack of the job's tightest — its first —
+        member, ``deadline_at − job start − result_return_s``, and opens
+        the next job otherwise.  Once every worker has a job, a request
+        joins its family's open job fit or not, and a family without one
+        the job opened last (the latest deadlines).  On one worker, and
+        for a window of one, the window is one job on the earliest-free
+        worker, costed in window order as it always was.
+        """
+        if self.num_workers < 2 or len(requests) < 2:
+            return [Job(requests, self._memo.of(_path_groups(requests)))]
+        empty = self._memo.empty
+        grow = self._memo.grow
+        slots = self.pool.slots(now)
+        result_return_s = self.result_return_s
+        jobs: list[Job] = []
+        open_jobs: dict[str, Job] = {}
+        for request in sorted(requests, key=_deadline_at):
+            path = request.path
+            family = path.blocks[0].block_id
+            job = open_jobs.get(family)
+            if job is not None:
+                costs = job.costs
+                costs = costs.grown.get(id(path)) or grow(costs, path)
+                if costs.cost <= job.slack_s:
+                    job.members.append(request)
+                    job.costs = costs
+                    continue
+            slot = next(slots, None)
+            if slot is not None:
+                worker, start = slot
+                job = open_jobs[family] = Job(
+                    [request],
+                    empty.grown.get(id(path)) or grow(empty, path),
+                    worker,
+                    request.deadline_at - (start + result_return_s),
+                )
+                jobs.append(job)
+                continue
+            if job is None:
+                job = open_jobs[family] = jobs[-1]
+                costs = job.costs
+                costs = costs.grown.get(id(path)) or grow(costs, path)
+            job.members.append(request)
+            job.costs = costs
+        return jobs
 
     def dispatch(self, requests: list[ServingRequest], now: float) -> WindowReport:
         """Execute one window; stamps the requests and returns the report."""
         if not requests:
             raise ValueError("cannot dispatch an empty window")
-        worker, start, finish, cost, unmerged, merges = self._run_fused(
-            requests, self.pool.claim, now, _path_groups(requests)
-        )
-        return self._close_window(
-            len(requests), cost, unmerged, merges, start, finish,
-            f"worker{worker}", cost,
+        claim = self.pool.claim
+        trace = self.tracer.enabled
+        compute = unshared = 0.0
+        merges = 0
+        started_at, finished_at = float("inf"), now
+        for job in self.cut(requests, now):
+            costs = job.costs
+            cost = costs.cost
+            worker, start, finish = claim(cost, now, job.worker)
+            share = cost / len(job.members)
+            for request in job.members:
+                request.started_at = start
+                request.compute_time_s = share
+                request.service_done_at = finish
+            started_at = min(started_at, start)
+            finished_at = max(finished_at, finish)
+            compute += cost
+            unshared += costs.unshared
+            merges += costs.merges
+            if trace:
+                self._window_span(
+                    f"worker{worker}", start, cost, len(job.members),
+                    costs.merges if self.prefix_cache else 0, costs.unshared - cost,
+                )
+        return self._log_window(
+            len(requests), compute, unshared, merges, started_at, finished_at
         )
 
     def busy_workers(self, now: float) -> int:

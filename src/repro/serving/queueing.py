@@ -73,8 +73,8 @@ class ServingRequest:
     #: simulated GPU time attributed to this request's window share
     compute_time_s: float = 0.0
     drop_reason: DropReason | None = None
-    #: when the last segment finished (cluster runs; NaN on one node,
-    #: where every request in a window finishes with the window)
+    #: when the request's job finished (cluster runs: its last segment);
+    #: the result is back ``result_return_s`` later
     service_done_at: float = float("nan")
     #: per-hop journey through the cluster fabric (None on one node)
     hops: list | None = None

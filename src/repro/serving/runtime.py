@@ -13,8 +13,9 @@ Takes an :class:`~repro.edge.controller.OffloaDNNController` deployment
 4. on arrival they enter the task's bounded, deadline-aware
    :class:`~repro.serving.queueing.ServingQueue`;
 5. a periodic dispatcher drains the queues into batching windows which
-   the :class:`~repro.serving.executor.BatchExecutor` fuses along
-   shared frozen-block prefixes and runs on its worker pool;
+   the :class:`~repro.serving.executor.BatchExecutor` cuts into jobs
+   that fit their members' deadlines, fuses each along shared
+   frozen-block prefixes and runs on a worker of its pool;
 6. completions (and every drop, with its reason) land in
    :class:`~repro.serving.metrics.ServingMetrics`.
 
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 from functools import partial
 
 from repro.core.heuristic import OffloaDNNSolver
+from repro.core.objective import end_to_end_latency
 from repro.core.problem import DOTProblem
 from repro.core.solution import DOTSolution
 from repro.edge.controller import AdmissionTicket, OffloaDNNController
@@ -111,8 +113,8 @@ class ServingConfig:
     batch_efficiency: float = 0.5
     prefix_cache: bool = True
     #: per-tick drain cap: at most this many requests leave the queues per
-    #: dispatcher tick, as one job (None = drain everything; 1 = one frame
-    #: per job, the Fig. 11 regime)
+    #: dispatcher tick; the executor cuts them into jobs (None = drain
+    #: everything; 1 = one frame per job, the Fig. 11 regime)
     max_batch: int | None = None
     #: Poisson arrivals if True, deterministic spacing otherwise
     poisson: bool = False
@@ -215,6 +217,37 @@ class ServingRuntime:
         """Same deployment, different run knobs (e.g. prefix_cache=False)."""
         return dc_replace(self, config=dc_replace(self.config, **changes))
 
+    PROMISE_HEADER = ["task", "L ms", "promised ms", "p95 ms", "on time %"]
+
+    def promise_rows(self, metrics: ServingMetrics) -> list[list]:
+        """Per admitted task: what the solver promised against what ran.
+
+        ``promised`` is constraint (1g)'s left-hand side for the solved
+        path and slice, ``end_to_end_latency``: uplink at the slice's rate
+        plus the path's compute time, no queueing, no batching.  Delivered
+        p95 and the on-time share of completed requests come from
+        ``metrics`` (``-`` for a task that completed nothing).
+        """
+        rows = []
+        for task in self.problem.tasks:
+            if not self.tickets[task.task_id].admitted:
+                continue
+            assignment = self.solution.assignment(task)
+            promised = end_to_end_latency(
+                assignment.path, assignment.radio_blocks,
+                self.problem.radio.bits_per_rb(task),
+            )
+            served = metrics.tasks[task.task_id]
+            if served.completed:
+                p95 = served.latency.p95_s * 1e3
+                on_time = 100.0 * (1.0 - served.deadline_miss_rate)
+            else:
+                p95 = on_time = "-"
+            rows.append(
+                [task.task_id, task.max_latency_s * 1e3, promised * 1e3, p95, on_time]
+            )
+        return rows
+
     def run(self) -> ServingMetrics:
         """Execute one seeded serving simulation and summarize it."""
         # the wave engine never hands event objects to callers, so the
@@ -279,6 +312,7 @@ class _Run:
         ledger = dict(
             batch_efficiency=cfg.batch_efficiency,
             prefix_cache=cfg.prefix_cache,
+            result_return_s=cfg.result_return_s,
             tracer=self.tracer,
         )
         if runtime.cluster is not None:
@@ -391,24 +425,33 @@ class _Run:
                 )
         if window:
             report = self.executor.dispatch(window, now)
-            completed_at = report.finished_at + self.cfg.result_return_s
+            # one event per window, when its last job (or segment) returns
             self.sim.schedule_at(
-                completed_at, partial(self.complete, window, completed_at)
+                report.finished_at + self.cfg.result_return_s,
+                partial(self.complete, window),
             )
         self.work_end = now
 
-    def complete(self, batch: list[ServingRequest], at: float) -> None:
-        """Stamp one window's completions (and their spans)."""
+    def complete(self, batch: list[ServingRequest]) -> None:
+        """Stamp one window's completions (and their spans).
+
+        A request completes when *its* job (cluster: its last segment)
+        is done and the result is back, which for all but the window's
+        last finisher is before this event fires.
+        """
         result_return_s = self.cfg.result_return_s
+        # one float per job, not per request: the records of a run outlive it
+        returned_at: dict[float, float] = {}
         for request in batch:
             if request.dropped:
                 # lost mid-execution (cluster: remote_error
                 # or transfer_timeout); never completes
                 continue
             done = request.service_done_at
-            # cluster segments finish per task; single-node
-            # windows finish together (done is NaN there)
-            request.completed_at = done + result_return_s if done == done else at
+            at = returned_at.get(done)
+            if at is None:
+                at = returned_at[done] = done + result_return_s
+            request.completed_at = at
         self.outstanding -= len(batch)
         if self.tracer.enabled:
             for request in batch:

@@ -14,6 +14,22 @@ from repro.core.problem import Budgets, DOTProblem, RadioModel
 from repro.core.task import QualityLevel, Task
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--runslow", action="store_true", default=False,
+        help="also run tests marked slow (bigger instances of tier-1 gates)",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--runslow"):
+        return
+    skip_slow = pytest.mark.skip(reason="slow: run with --runslow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip_slow)
+
+
 @pytest.fixture(scope="session")
 def quality() -> QualityLevel:
     return QualityLevel(name="full", bits_per_image=350_000.0)

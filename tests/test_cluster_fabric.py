@@ -217,16 +217,16 @@ def test_one_node_cluster_matches_batch_executor_exactly():
         assert clu.latency.p95_s == pytest.approx(base_task.latency.p95_s, abs=0)
 
 
-@pytest.mark.parametrize("prefix_cache", [True, False])
-def test_one_node_cluster_books_the_same_ledger_as_batch_executor(prefix_cache):
-    # the shared pool and ledger's contract: on a stream of mixed-path
-    # windows a one-node fabric logs the same WindowReport sequence and
-    # stamps every request like the plain executor
+def _local_and_one_node_logs(num_workers: int, prefix_cache: bool):
+    """(window reports, stamps of completed requests) of the local executor
+    and of a one-node fabric with the same pool, on mixed-path windows."""
     runtime = _runtime().with_config(
-        poisson=True, batch_window_s=0.1, num_workers=2, prefix_cache=prefix_cache
+        poisson=True, batch_window_s=0.1, num_workers=num_workers,
+        prefix_cache=prefix_cache,
     )
     logs = []
-    for cluster in (None, _deploy(runtime, default_topology(1, num_workers=2))):
+    topology = default_topology(1, num_workers=num_workers)
+    for cluster in (None, _deploy(runtime, topology)):
         runtime.cluster = cluster
         runtime.run()
         stamps = [
@@ -236,10 +236,42 @@ def test_one_node_cluster_books_the_same_ledger_as_batch_executor(prefix_cache):
             if r.completed
         ]
         logs.append((runtime.executor.windows, stamps))
-    windows, stamps = logs[0]
+    return logs
+
+
+@pytest.mark.parametrize("prefix_cache", [True, False])
+def test_one_node_cluster_books_the_same_ledger_as_batch_executor(prefix_cache):
+    # the shared pool and ledger's contract: with one worker there is
+    # nothing to cut a window over, so on a stream of mixed-path windows a
+    # one-node fabric logs the same WindowReport sequence and stamps every
+    # request like the plain executor, to the last bit
+    local, fabric = _local_and_one_node_logs(1, prefix_cache)
+    windows, stamps = local
     assert max(w.requests for w in windows) >= 3 and len(stamps) >= 25
     assert prefix_cache == any(w.prefix_merges for w in windows)
-    assert logs[1] == logs[0]
+    assert fabric == local
+
+
+@pytest.mark.parametrize("prefix_cache", [True, False])
+def test_local_executor_cuts_windows_a_one_node_cluster_runs_fused(prefix_cache):
+    # two workers: the fabric still books each window as one fused job on
+    # one of them; the local executor cuts it over both, charges no less
+    # GPU time for it and returns no request later
+    (windows, stamps), (fused_windows, fused_stamps) = _local_and_one_node_logs(
+        2, prefix_cache
+    )
+    assert [w.requests for w in windows] == [w.requests for w in fused_windows]
+    pairs = list(zip(windows, fused_windows))
+    assert all(cut.compute_s >= fused.compute_s - 1e-12 for cut, fused in pairs)
+    assert all(cut.finished_at <= fused.finished_at for cut, fused in pairs)
+    assert any(cut.finished_at < fused.finished_at for cut, fused in pairs)
+    assert [s[:2] for s in stamps] == [s[:2] for s in fused_stamps]
+    assert all(cut[4] <= fused[4] for cut, fused in zip(stamps, fused_stamps))
+    # members of one window (same dispatch instant) no longer finish together
+    finishes: dict[float, set[float]] = {}
+    for _request_id, dispatched_at, _started, _share, completed_at in stamps:
+        finishes.setdefault(dispatched_at, set()).add(completed_at)
+    assert max(map(len, finishes.values())) >= 2
 
 
 def test_multi_node_serves_same_admitted_set_as_single_node():
@@ -488,7 +520,7 @@ def test_faulty_run_is_identical_through_the_per_request_dispatcher(
 
 
 def test_single_node_runtime_unaffected_by_new_fields():
-    """Non-cluster runs keep NaN service_done_at and no hops."""
+    """Non-cluster runs record no hops and no net drops."""
     runtime = _runtime(duration_s=1.0)
     metrics = runtime.run()
     assert metrics.completed > 0

@@ -102,6 +102,40 @@ class TestServingMetricsParity:
         assert all(t1 <= t2 for (t1, _), (t2, _) in zip(series, series[1:]))
 
 
+class TestWindowSpans:
+    """A window cut into jobs is one ``window`` span per job, each on the
+    track of the worker that ran it."""
+
+    def test_job_spans_tile_their_workers(self):
+        obs = ObsSession()
+        runtime = _runtime(obs).with_config(
+            num_workers=3, batch_window_s=0.05, poisson=True, duration_s=4.0
+        )
+        metrics = runtime.run()
+        spans = [r for r in obs.virtual.records if r.name == "window"]
+        # some window was cut, and nothing but workers ran jobs
+        assert len(spans) > metrics.windows > 10
+        by_worker: dict[str, list] = {}
+        for span in spans:
+            by_worker.setdefault(span.track, []).append(span)
+        assert set(by_worker) <= {f"worker{n}" for n in range(3)}
+        assert len(by_worker) > 1
+        # a worker runs one job at a time (one span of the whole window's
+        # cost on one track would show it more than 100 % busy)
+        for track in by_worker.values():
+            track.sort(key=lambda span: span.ts)
+            for earlier, later in zip(track, track[1:]):
+                assert earlier.ts + earlier.dur <= later.ts + 1e-9
+        assert sum(span.dur for span in spans) == pytest.approx(
+            metrics.total_compute_s, rel=1e-9
+        )
+        assert sum(span.args["requests"] for span in spans) == metrics.completed
+        assert sum(span.args["merges"] for span in spans) == metrics.prefix_merges
+        assert sum(span.args["saved_s"] for span in spans) == pytest.approx(
+            metrics.compute_saved_s, rel=1e-9
+        )
+
+
 _PHASES = ("uplink", "queue", "batch", "execute", "complete")
 
 

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -25,6 +25,7 @@ from repro.dnn.resnet import BLOCK_NAMES, build_resnet18
 from repro.serving.executor import (
     BatchExecutor,
     BlockwiseRunner,
+    WindowReport,
     _path_groups,
     _window_costs,
 )
@@ -279,6 +280,195 @@ class TestBatchExecutor:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             BatchExecutor(**kwargs)
+
+
+@st.composite
+def windows(draw):
+    """A random window, executor and pool state: (executor, requests, now)."""
+    # two families of paths (a path's family is its first block): heads of
+    # varying depth on one of two trunks, some paths repeated as requests
+    trunks = [
+        [Block(f"{family}:g{i}", family, compute_time_s=c, memory_gb=0.1)
+         for i, c in enumerate(costs)]
+        for family, costs in (("base", (0.010, 0.008)), ("other", (0.007,)))
+    ]
+    heads = draw(st.lists(
+        st.tuples(
+            st.integers(0, 1), st.integers(1, 2),
+            st.sampled_from((0.002, 0.004, 0.0061)),
+        ),
+        min_size=1, max_size=5,
+    ))
+    paths = [
+        Path(
+            f"p{i}", "d", i,
+            tuple(trunks[family][:depth])
+            + (Block(f"h{i}", "d", compute_time_s=head, memory_gb=0.1),),
+            accuracy=0.9, quality=QUALITY,
+        )
+        for i, (family, depth, head) in enumerate(heads)
+    ]
+    now = draw(st.sampled_from((0.0, 1.0, 2.5)))
+    requests = [
+        ServingRequest(
+            task_id=path.task_id, request_id=i, path=path, created_at=now - 0.05,
+            deadline_at=now + draw(st.sampled_from((0.02, 0.035, 0.05, 0.08, 0.3))),
+            bits=1.0,
+        )
+        for i, path in enumerate(
+            draw(st.lists(st.sampled_from(paths), min_size=1, max_size=16))
+        )
+    ]
+    executor = BatchExecutor(
+        num_workers=draw(st.integers(1, 6)),
+        batch_efficiency=draw(st.sampled_from((0.0, 0.3, 0.5, 1.0))),
+        prefix_cache=draw(st.booleans()),
+        result_return_s=draw(st.sampled_from((0.0, 0.002))),
+    )
+    executor.pool.free_at = [
+        now + draw(st.sampled_from((-1.0, 0.0, 0.004, 0.5)))
+        for _ in range(executor.num_workers)
+    ]
+    return executor, requests, now
+
+
+def _families(members) -> set[str]:
+    return {r.path.blocks[0].block_id for r in members}
+
+
+class TestWindowCut:
+    """The dispatch rule: a window is cut into jobs over the workers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(window=windows())
+    def test_cut_invariants(self, window):
+        executor, requests, now = window
+        efficiency = executor.batch_efficiency
+        free_at = executor.pool.free_at
+        jobs = executor.cut(requests, now)
+        # a partition of the window, at most one job per worker
+        assert sorted(r.request_id for job in jobs for r in job.members) == [
+            r.request_id for r in requests
+        ]
+        assert 1 <= len(jobs) <= executor.num_workers
+        # every job is charged what the trie charges its members ...
+        for job in jobs:
+            merged, unmerged, merges = _window_costs(
+                _path_groups(job.members), efficiency
+            )
+            charged = merged if executor.prefix_cache else unmerged
+            assert job.costs.cost == pytest.approx(charged, rel=1e-12)
+            assert job.costs.unshared == pytest.approx(unmerged, rel=1e-12)
+            assert job.costs.merges == merges
+        # ... so cutting costs GPU time, but never more than not batching
+        whole, whole_unmerged, _ = _window_costs(_path_groups(requests), efficiency)
+        total = sum(job.costs.cost for job in jobs)
+        assert (whole if executor.prefix_cache else whole_unmerged) <= total + 1e-12
+        assert total <= sum(r.path.compute_time_s for r in requests) + 1e-12
+        if executor.num_workers == 1 or len(requests) == 1:
+            # nothing to cut, or to cut over: the window as it came, for
+            # the earliest-free worker, floats and all
+            (job,) = jobs
+            assert job.members is requests and job.worker is None
+            assert (job.costs.cost, job.costs.unshared) == (
+                whole if executor.prefix_cache else whole_unmerged, whole_unmerged
+            )
+            return
+        # workers are taken soonest start first: idle ones, then as they free
+        starts = [max(now, free_at[job.worker]) for job in jobs]
+        assert len({job.worker for job in jobs}) == len(jobs)
+        assert starts == sorted(starts)
+        untaken = set(range(executor.num_workers)) - {job.worker for job in jobs}
+        assert all(max(now, free_at[w]) >= starts[-1] for w in untaken)
+        # EDF inside a job, and a family's jobs are consecutive in EDF order
+        last_deadline: dict[str, float] = {}
+        for job in jobs:
+            deadlines = [r.deadline_at for r in job.members]
+            assert deadlines == sorted(deadlines)
+            family = job.members[0].path.blocks[0].block_id
+            assert last_deadline.get(family, 0.0) <= deadlines[0]
+            last_deadline[family] = max(
+                r.deadline_at for r in job.members if _families([r]) == {family}
+            )
+        workers_ran_out = len(jobs) == executor.num_workers
+        event(f"jobs={min(len(jobs), 3)} ran_out={workers_ran_out} "
+              f"mixed={len(_families(jobs[-1].members)) > 1} "
+              f"queued={starts[-1] > now}")
+        # strangers (no shared first block, nothing for the trie to fuse)
+        # meet only in the job opened last, once every worker is taken
+        assert all(len(_families(job.members)) == 1 for job in jobs[:-1])
+        assert workers_ran_out or len(_families(jobs[-1].members)) == 1
+        # a job fits its tightest member's slack on the worker it was cut
+        # for, unless no worker was left to open the next job on
+        for job, start in zip(jobs, starts):
+            slack = job.members[0].deadline_at - (start + executor.result_return_s)
+            assert job.slack_s == slack
+            if len(job.members) > 1 and not workers_ran_out:
+                assert job.costs.cost <= slack
+
+    def test_cost_memo_is_bounded_and_starts_over(self, monkeypatch):
+        from repro.serving.executor import _JobCosts
+
+        monkeypatch.setattr(_JobCosts, "LIMIT", 8)
+        executor = BatchExecutor(num_workers=2)
+        paths = (PATH_A, PATH_B, PATH_C)
+        for size in range(2, 12):
+            reqs = [request(paths[i % 3], i) for i in range(size)]
+            for r in reqs:
+                r.deadline_at = 10.0
+            jobs = executor.cut(reqs, now=0.0)
+            assert len(executor._memo._by_groups) <= 8
+            for job in jobs:
+                merged, unmerged, merges = _window_costs(
+                    _path_groups(job.members), executor.batch_efficiency
+                )
+                assert job.costs.cost == pytest.approx(merged, rel=1e-12)
+                assert (job.costs.merges, len(job.members)) == (
+                    merges, sum(job.costs.groups[1::2])
+                )
+
+    @settings(max_examples=200, deadline=None)
+    @given(window=windows())
+    def test_dispatch_books_every_job_on_its_own_worker(self, window):
+        executor, requests, now = window
+        free_before = list(executor.pool.free_at)
+        report = executor.dispatch(requests, now)
+        assert report.requests == len(requests)
+        assert report.compute_s == pytest.approx(
+            sum(r.compute_time_s for r in requests), rel=1e-9
+        )
+        assert report.started_at == min(r.started_at for r in requests)
+        assert report.finished_at == max(r.service_done_at for r in requests)
+        taken = [
+            w for w, (before, after) in
+            enumerate(zip(free_before, executor.pool.free_at)) if after != before
+        ]
+        if executor.num_workers == 1 or len(requests) == 1:
+            # one job on the earliest-free worker: the old rule
+            whole, unmerged, merges = _window_costs(
+                _path_groups(requests), executor.batch_efficiency
+            )
+            cost = whole if executor.prefix_cache else unmerged
+            start = max(now, min(free_before))
+            assert taken == [free_before.index(min(free_before))]
+            assert report == WindowReport(
+                requests=len(requests), compute_s=cost, unshared_compute_s=unmerged,
+                prefix_merges=merges if executor.prefix_cache else 0,
+                started_at=start, finished_at=start + cost,
+            )
+            assert all(
+                (r.started_at, r.service_done_at, r.compute_time_s)
+                == (start, start + cost, cost / len(requests))
+                for r in requests
+            )
+            return
+        # cut: a job starts when its worker is free and holds it to its finish
+        assert {max(now, free_before[w]) for w in taken} == {
+            r.started_at for r in requests
+        }
+        assert {executor.pool.free_at[w] for w in taken} == {
+            r.service_done_at for r in requests
+        }
 
 
 class TestBlockwiseRunner:

@@ -109,6 +109,30 @@ class TestRuntime:
         )
         assert drops > 0
 
+    def test_promise_rows_set_1g_beside_delivered(self, runtime):
+        from repro.core.objective import end_to_end_latency
+
+        metrics = runtime.with_config(duration_s=3.0, seed=3).run()
+        rows = runtime.promise_rows(metrics)
+        admitted = [
+            t for t in runtime.problem.tasks if runtime.tickets[t.task_id].admitted
+        ]
+        assert [row[0] for row in rows] == [t.task_id for t in admitted]
+        assert len(rows[0]) == len(runtime.PROMISE_HEADER)
+        for task, (_tid, limit_ms, promised_ms, p95_ms, on_time) in zip(admitted, rows):
+            assignment = runtime.solution.assignment(task)
+            assert promised_ms == pytest.approx(1e3 * end_to_end_latency(
+                assignment.path, assignment.radio_blocks,
+                runtime.problem.radio.bits_per_rb(task),
+            ))
+            # (1g): what was promised is within the task's target
+            assert promised_ms <= limit_ms == task.max_latency_s * 1e3
+            served = metrics.tasks[task.task_id]
+            assert p95_ms == pytest.approx(served.latency.p95_s * 1e3)
+            assert on_time == pytest.approx(
+                100.0 * (served.completed - served.deadline_misses) / served.completed
+            )
+
     def test_fifo_policy_runs(self, runtime):
         metrics = runtime.with_config(queue_policy="fifo", **CONFIG).run()
         assert metrics.completed > 0
@@ -179,6 +203,7 @@ class TestServeSimCli:
         assert "p95 ms" in out
         assert "deadline-miss rate" in out
         assert "prefix cache saved" in out
+        assert "promised ms" in out and "on time %" in out
 
     def test_no_cache_flag(self, capsys):
         assert main(["serve-sim", "--tasks", "2", "--duration", "2",
