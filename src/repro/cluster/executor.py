@@ -14,7 +14,8 @@ driven through the :class:`~repro.cluster.orchestrator.PlacementPlan`:
    wire frame (batch on the leading axis) over the simulated link; link
    occupancy is FIFO and deterministic.
 3. **Later hops** — per-task batches queue on their segment's node
-   pool and execute at that node's CPU scale.
+   pool and execute at that node's CPU scale, costed by the same
+   function as hop 0 over the segment's blocks.
 
 Every stage a batch passes — queueing, executing, streaming, retrying —
 is one immutable :class:`~repro.cluster.qos.Hop`, built once and listed
@@ -38,10 +39,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cluster.node import ClusterNode
 from repro.cluster.orchestrator import ClusterOrchestrator, PlacementPlan, Segment
 from repro.cluster.qos import Hop, QosMonitor
 from repro.cluster.registry import ClusterTopology, NodeRegistry
-from repro.serving.executor import WindowLedger, WindowReport
+from repro.serving.executor import WindowLedger, WindowReport, _fused_cost
 from repro.serving.queueing import DropReason, ServingRequest
 
 __all__ = ["ClusterDeployment", "ClusterExecutor"]
@@ -90,7 +92,6 @@ class ClusterExecutor(WindowLedger):
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         self.qos = QosMonitor(registry=self.deployment.registry)
         self._rng = np.random.default_rng(self.seed * 9176 + 13)
 
@@ -162,6 +163,22 @@ class ClusterExecutor(WindowLedger):
                     args={"request": request.request_id},
                 )
 
+    def _run_fused(
+        self, node: ClusterNode, groups: list[tuple], ready_at: float
+    ) -> tuple[float, float, float, float, int]:
+        """Cost one co-located batch at ``node``'s CPU scale and book it there.
+
+        Every hop goes through here: ``groups`` is the batch as
+        :func:`~repro.serving.executor._window_costs` takes it — the first
+        segments co-placed on the node at hop 0, one task's segment later.
+        Returns ``(start, finish, cost, unshared cost, merges)``.
+        """
+        cost, unshared, merges = _fused_cost(
+            groups, self.prefix_cache, node.spec.cpu_scale
+        )
+        _worker, start, finish = node.execute(cost, ready_at)
+        return start, finish, cost, unshared, merges
+
     # -- the window pipeline ----------------------------------------------
 
     def dispatch(self, requests: list[ServingRequest], now: float) -> WindowReport:
@@ -199,9 +216,13 @@ class ClusterExecutor(WindowLedger):
                 (groups[tid][0].path.path_id, routes[tid][0].blocks, len(groups[tid]))
                 for tid in task_ids
             ]
-            _worker, start, finish, cost, unmerged, node_merges = self._run_fused(
-                batch, node.execute, now + delay, segments, node.spec.cpu_scale
+            start, finish, cost, unmerged, node_merges = self._run_fused(
+                node, segments, now + delay
             )
+            share = cost / len(batch)
+            for request in batch:
+                request.started_at = start
+                request.compute_time_s = share
             compute += cost
             unshared += unmerged
             merges += node_merges
@@ -222,7 +243,7 @@ class ClusterExecutor(WindowLedger):
             segments = routes[task_id]
             hops = list(first_hops)
             spent = batch[0].compute_time_s
-            scale = 1.0 + (len(batch) - 1) * self.batch_efficiency
+            path_id = batch[0].path.path_id
             dropped = None
             for index in range(1, len(segments)):
                 segment = segments[index]
@@ -242,12 +263,11 @@ class ClusterExecutor(WindowLedger):
                 if exec_node is None:
                     dropped = DropReason.REMOTE_ERROR, ready
                     break
-                cost = exec_node.scaled_cost(
-                    sum(block.compute_time_s * scale for block in segment.blocks)
+                start, finish, cost, unmerged, _merges = self._run_fused(
+                    exec_node, [(path_id, segment.blocks, len(batch))], ready
                 )
-                _worker, start, finish = exec_node.execute(cost, ready)
                 compute += cost
-                unshared += cost
+                unshared += unmerged
                 spent += cost / len(batch)
                 if start > ready:
                     hops.append(Hop("queue", exec_node.node_id, ready, start))
@@ -267,10 +287,15 @@ class ClusterExecutor(WindowLedger):
 
         if window_start is None:
             window_start = now
-        return self._close_window(
-            len(requests), compute, unshared, merges, window_start, window_end,
-            "cluster", window_end - window_start,
+        report = self._log_window(
+            len(requests), compute, unshared, merges, window_start, window_end
         )
+        if self.tracer.enabled:
+            self._window_span(
+                "cluster", window_start, window_end - window_start, len(requests),
+                report.prefix_merges, report.saved_s,
+            )
+        return report
 
     def busy_workers(self, now: float) -> int:
         """Workers mid-segment across all nodes (sampler probe)."""

@@ -15,7 +15,15 @@ from functools import cached_property
 
 from repro.core.task import QualityLevel, Task
 
-__all__ = ["Block", "Path", "Catalog"]
+__all__ = ["DEFAULT_BATCH_MARGINAL", "Block", "Path", "Catalog"]
+
+#: What a block is charged per extra sample of a fused batch when nobody
+#: measured it: the engine-wide fit of ``t(n) = t(1)·(1 + (n − 1)·m)``
+#: (least squares on the relative error) over the fp32 and int8 rows of the
+#: committed ``BENCH_engine.json`` (Table I configs, width 64, n = 8 and 32;
+#: host clock, numpy wall; fp32 alone fits 0.99, int8 0.65).  Re-derive it
+#: with ``python -m benchmarks.bench_engine --fit-default``.
+DEFAULT_BATCH_MARGINAL = 0.76
 
 
 @dataclass(frozen=True)
@@ -37,6 +45,10 @@ class Block:
     #: training / fine-tuning cost ``ct(s)`` in device-seconds
     #: (0 for pretrained blocks inherited from the base DNN)
     training_cost_s: float = 0.0
+    #: the batch law, measured where ``c(s)`` is: a fused batch of ``n``
+    #: samples costs ``c(s) · (1 + (n − 1) · batch_marginal)`` — 0 would be
+    #: perfect amortization, 1 serial cost, and a block may measure above 1
+    batch_marginal: float = DEFAULT_BATCH_MARGINAL
 
     def __post_init__(self) -> None:
         if self.compute_time_s < 0:
@@ -45,6 +57,8 @@ class Block:
             raise ValueError("memory_gb must be >= 0")
         if self.training_cost_s < 0:
             raise ValueError("training_cost_s must be >= 0")
+        if not 0 <= self.batch_marginal < float("inf"):  # NaN fails too
+            raise ValueError("batch_marginal must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import math
 from numbers import Real
 from typing import Any
 
-from repro.core.catalog import Block, Catalog, Path
+from repro.core.catalog import DEFAULT_BATCH_MARGINAL, Block, Catalog, Path
 from repro.core.problem import Budgets, DOTProblem, RadioModel
 from repro.core.solution import Assignment, DOTSolution
 from repro.core.task import QualityLevel, Task
@@ -114,16 +114,26 @@ def _block_to_dict(block: Block) -> dict[str, Any]:
         "compute_time_s": block.compute_time_s,
         "memory_gb": block.memory_gb,
         "training_cost_s": block.training_cost_s,
+        "batch_marginal": block.batch_marginal,
     }
 
 
 def _block_from_dict(data: dict[str, Any], what: str) -> Block:
+    # absent in dumps written before blocks carried their batch law
+    marginal = (
+        _field(data, "batch_marginal", what)
+        if "batch_marginal" in data
+        else DEFAULT_BATCH_MARGINAL
+    )
+    if marginal < 0:
+        raise ValueError(f"{what}['batch_marginal'] must be >= 0, got {marginal!r}")
     return Block(
         block_id=_field(data, "block_id", what, str),
         dnn_id=_field(data, "dnn_id", what, str),
         compute_time_s=_field(data, "compute_time_s", what),
         memory_gb=_field(data, "memory_gb", what),
         training_cost_s=_field(data, "training_cost_s", what),
+        batch_marginal=marginal,
     )
 
 

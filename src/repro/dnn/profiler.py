@@ -13,14 +13,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
+from repro.core.catalog import DEFAULT_BATCH_MARGINAL
 from repro.dnn.layers import BYTES_PER_PARAM
 from repro.dnn.resnet import BLOCK_NAMES, ResNet18
 
-__all__ = ["BlockProfile", "ModelProfile", "profile_model", "time_forward"]
+__all__ = [
+    "BlockProfile",
+    "ModelProfile",
+    "fit_batch_marginal",
+    "profile_model",
+    "time_forward",
+]
 
 
 @dataclass(frozen=True)
@@ -41,6 +48,10 @@ class BlockProfile:
     activation_bytes: int
     #: numeric format the block was profiled at ("fp32" or "int8")
     precision: str = "fp32"
+    #: the block's batch law (:class:`repro.core.catalog.Block`), fitted to
+    #: its own timings at larger batches; the engine-wide default when the
+    #: profile timed batch 1 only
+    batch_marginal: float = DEFAULT_BATCH_MARGINAL
 
     @property
     def memory_bytes(self) -> int:
@@ -106,6 +117,24 @@ def time_forward(
     return float(np.median(samples))
 
 
+def fit_batch_marginal(timings: Iterable[tuple[float, int, float]]) -> float:
+    """The marginal ``m`` of ``t(n) = t(1) · (1 + (n − 1) · m)``.
+
+    ``timings`` are ``(t(1), n, t(n))`` measurements — one block's at a
+    few batch sizes, or a whole bench's for the engine-wide default.
+    Least squares on the *relative* error of the predicted ``t(n)``, so a
+    long batch-32 time does not outvote a batch-8 one; never below 0.
+    """
+    num = den = 0.0
+    for t1, n, tn in timings:
+        scaled = (n - 1) * t1 / tn
+        num += scaled * (1.0 - t1 / tn)
+        den += scaled * scaled
+    if den == 0.0:  # no timings, or none measurable
+        return DEFAULT_BATCH_MARGINAL
+    return max(0.0, num / den)
+
+
 def profile_model(
     model: ResNet18,
     repeats: int = 5,
@@ -113,11 +142,16 @@ def profile_model(
     compiled: bool = False,
     quantize: str | None = None,
     clock: Callable[[], float] = time.perf_counter,
+    batch_sizes: tuple[int, ...] = (),
 ) -> ModelProfile:
     """Profile each layer-block of ``model`` on a dummy tensor.
 
     Timing uses batch size 1 (per-inference cost, as consumed by the DOT
     compute constraint which scales cost by the task request rate).
+    ``batch_sizes`` (e.g. ``(8, 32)``) additionally times every block —
+    the same forward, the same plan — on that many samples and fits the
+    block's batch law to them (:func:`fit_batch_marginal`); left empty,
+    no more work is done and the blocks carry the engine-wide default.
 
     With ``compiled=True`` each block is compiled into a fused execution
     plan (:mod:`repro.dnn.compile`) and the plan's forward is timed —
@@ -155,6 +189,17 @@ def profile_model(
                 act_elem_bytes = 1  # int8 activations
                 precision = plan.precision
         elapsed = time_forward(timed, x, repeats=repeats, warmup=warmup, clock=clock)
+        marginal = fit_batch_marginal(
+            (
+                elapsed,
+                n,
+                time_forward(
+                    timed, np.repeat(x, n, axis=0), repeats=repeats, warmup=warmup,
+                    clock=clock,
+                ),
+            )
+            for n in batch_sizes
+        )
         profiles.append(
             BlockProfile(
                 name=name,
@@ -164,6 +209,7 @@ def profile_model(
                 param_bytes=param_bytes,
                 activation_bytes=block.activation_size(shape) * act_elem_bytes,
                 precision=precision,
+                batch_marginal=marginal,
             )
         )
         x = block(x)

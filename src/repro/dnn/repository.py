@@ -48,6 +48,9 @@ BLOCK_GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("g4", ("layer4", "head")),
 )
 
+#: Batch sizes (beyond 1) every block is timed at for its batch law.
+_LAW_BATCH_SIZES: tuple[int, ...] = (8,)
+
 
 @dataclass(frozen=True)
 class GroupCost:
@@ -58,6 +61,9 @@ class GroupCost:
     memory_gb: float
     training_cost_s: float
     shared: bool
+    #: the group's batch law: its members' marginals weighted by their
+    #: compute, so the group is charged what its members would be
+    batch_marginal: float
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,21 @@ class ProfiledConfig:
     @property
     def total_memory_gb(self) -> float:
         return sum(g.memory_gb for g in self.groups)
+
+    @property
+    def batch_marginal(self) -> float:
+        """The whole path's batch law (its groups' fused in sequence)."""
+        return _fused_marginal(self.groups)
+
+
+def _fused_marginal(parts) -> float:
+    """One law for ``parts`` run back to back: ``Σ c·m / Σ c``.
+
+    Exact, since each part's law is linear in the batch size.
+    """
+    return sum(part.compute_time_s * part.batch_marginal for part in parts) / sum(
+        part.compute_time_s for part in parts
+    )
 
 
 def _group_shared(config: BlockConfig, members: tuple[str, ...]) -> bool:
@@ -124,7 +145,11 @@ def _profile_config(
         num_classes=num_classes, input_size=input_size, width=width, seed=seed
     )
     profile: ModelProfile = profile_model(
-        model, repeats=repeats, compiled=compiled, quantize=quantize
+        model,
+        repeats=repeats,
+        compiled=compiled,
+        quantize=quantize,
+        batch_sizes=_LAW_BATCH_SIZES,
     )
     groups: list[GroupCost] = []
     for group_name, members in BLOCK_GROUPS:
@@ -134,8 +159,9 @@ def _profile_config(
         # measurement (the base model); per-config wall-clock noise
         # would otherwise make the catalog inconsistent.
         source = base_profile if shared else profile
-        compute = sum(source.block(m).compute_time_s for m in members)
-        memory = sum(source.block(m).memory_bytes for m in members) / 1e9
+        measured = [source.block(m) for m in members]
+        compute = sum(block.compute_time_s for block in measured)
+        memory = sum(block.memory_bytes for block in measured) / 1e9
         if shared:
             training = 0.0
         else:
@@ -155,6 +181,7 @@ def _profile_config(
                 memory_gb=memory,
                 training_cost_s=training,
                 shared=shared,
+                batch_marginal=_fused_marginal(measured),
             )
         )
     curve = LearningCurveModel.for_config(config, num_classes=num_classes + 1)
@@ -186,6 +213,9 @@ def profile_table_i(
 ) -> dict[str, ProfiledConfig]:
     """Profile every Table I configuration (the scenario cost basis).
 
+    Every block is timed at batch 1 for ``c(s)`` and at
+    ``_LAW_BATCH_SIZES`` for its batch law, per precision.
+
     ``compiled=True`` times fused execution plans instead of eager
     forwards (see :func:`repro.dnn.profiler.profile_model`), producing
     the compute-cost catalog an engine-optimized deployment would feed
@@ -203,7 +233,9 @@ def profile_table_i(
     base_model = build_resnet18(
         num_classes=num_classes, input_size=input_size, width=width, seed=seed
     )
-    base_profile = profile_model(base_model, repeats=repeats, compiled=compiled)
+    base_profile = profile_model(
+        base_model, repeats=repeats, compiled=compiled, batch_sizes=_LAW_BATCH_SIZES
+    )
     profiled = {
         name: _profile_config(
             cfg,
@@ -219,7 +251,9 @@ def profile_table_i(
         for name, cfg in configs.items()
     }
     if include_int8:
-        base_int8 = profile_model(base_model, repeats=repeats, quantize="int8")
+        base_int8 = profile_model(
+            base_model, repeats=repeats, quantize="int8", batch_sizes=_LAW_BATCH_SIZES
+        )
         for name, cfg in configs.items():
             profiled[f"{name}-int8"] = _profile_config(
                 cfg,
@@ -275,6 +309,7 @@ def build_task_paths(
                     compute_time_s=group.compute_time_s * compute_scale,
                     memory_gb=group.memory_gb * memory_scale,
                     training_cost_s=group.training_cost_s,
+                    batch_marginal=group.batch_marginal,
                 )
             )
         accuracy = min(1.0, max(0.0, pc.accuracy + accuracy_offset))

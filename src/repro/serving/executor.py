@@ -4,16 +4,16 @@ The executor drains one *batching window* of requests at a time, cuts it
 into jobs that fit their members' deadlines (one job per worker at
 most, see :meth:`BatchExecutor.cut`) and charges simulated GPU time for
 each on a :class:`WorkerPool`; the cluster executor books per node on
-the same pool, fused-batch costing and window log
-(:class:`WindowLedger`).  Costs are grounded in the profiled
-per-block compute times ``c(s)`` the DOT solver already consumes, with
-a sub-linear batching model: a block processing a batch of ``n``
-requests costs
+the same pool, fused-batch costing (:func:`_window_costs`) and window
+log (:class:`WindowLedger`).  Costs are grounded in what the profiler
+measured per block and the DOT solver already consumes: ``c(s)`` for
+one sample and the block's batch law for more — a block processing a
+batch of ``n`` requests costs
 
-    ``c(s) · (1 + (n − 1) · batch_efficiency)``
+    ``c(s) · (1 + (n − 1) · batch_marginal(s))``
 
-(``batch_efficiency = 1`` degenerates to per-request serial cost,
-``0`` to perfect amortization).
+with ``batch_marginal`` a datum of the block
+(:class:`repro.core.catalog.Block`), not an option of the run.
 
 **Shared-block prefix cache.**  Paths that OffloaDNN couples through
 shared frozen blocks traverse identical block *prefixes* before
@@ -21,9 +21,11 @@ diverging into their fine-tuned suffixes.  With the cache enabled the
 requests of one job are merged along a prefix trie: every trie node is
 one fused batch through one block, so a frozen trunk shared by k paths
 runs once over the union batch instead of k times over the split
-batches.  Because the batch cost is sub-linear, merging is a strict
-win in GPU time whenever two same-job requests share a prefix block —
-and a loss in latency once the fused job outlasts its tightest member's
+batches.  While a block's marginal is below 1 (the engine's int8 plans,
+most fp32 ones) merging two same-job requests that share it saves GPU
+time; a block that measures above 1 (CONFIG A in fp32) costs *more*
+fused, and the window report says so (a negative ``saved_s``).  Either
+way fusing costs latency once the job outlasts its tightest member's
 slack, which is where the window is cut.  Disabled,
 each path's batch pays its full block sequence independently — exactly
 the dedicated-DNN (SEM-O-RAN-style) serving discipline.
@@ -39,7 +41,7 @@ from __future__ import annotations
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -82,7 +84,7 @@ def _path_groups(requests: list[ServingRequest]) -> list[tuple]:
     ]
 
 
-def _window_costs(groups, batch_efficiency: float) -> tuple[float, float, int]:
+def _window_costs(groups) -> tuple[float, float, int]:
     """(merged cost, unmerged cost, merge count) for one window.
 
     ``groups`` partitions the window into ``(path id, blocks, count)``
@@ -92,8 +94,21 @@ def _window_costs(groups, batch_efficiency: float) -> tuple[float, float, int]:
     prefix trie over the block-id sequences, once per group; the unmerged
     cost batches per (path, block sequence) only.  Sums run in first-seen
     order, so the floats are those of a request-by-request walk.
+
+    The one place the batch law is applied: a trie node, and an unmerged
+    batch, is charged by the block it runs.
     """
-    # trie node: [block compute, requests, first path id, fused?, children]
+
+    def charge(block, n: int) -> float:
+        return block.compute_time_s * (1.0 + (n - 1) * block.batch_marginal)
+
+    if len(groups) == 1:
+        # one run (most windows of a sparse deployment, every later cluster
+        # hop): its trie is its block sequence, with nothing to merge
+        ((_path_id, blocks, n),) = groups
+        cost = sum(charge(block, n) for block in blocks)
+        return cost, cost, 0
+    # trie node: [block, requests, first path id, fused?, children]
     nodes: list[list] = []
     root: dict[str, list] = {}
     # (path id, the sequence's last trie level) -> [blocks, requests]
@@ -103,7 +118,7 @@ def _window_costs(groups, batch_efficiency: float) -> tuple[float, float, int]:
         for block in blocks:
             node = children.get(block.block_id)
             if node is None:
-                node = [block.compute_time_s, n, path_id, False, {}]
+                node = [block, n, path_id, False, {}]
                 children[block.block_id] = node
                 nodes.append(node)
             else:
@@ -114,13 +129,25 @@ def _window_costs(groups, batch_efficiency: float) -> tuple[float, float, int]:
         tally = by_path.setdefault((path_id, id(children)), [blocks, 0])
         tally[1] += n
 
-    merged = sum(node[0] * (1.0 + (node[1] - 1) * batch_efficiency) for node in nodes)
+    merged = sum(charge(node[0], node[1]) for node in nodes)
     unmerged = sum(
-        block.compute_time_s * (1.0 + (n - 1) * batch_efficiency)
-        for blocks, n in by_path.values()
-        for block in blocks
+        charge(block, n) for blocks, n in by_path.values() for block in blocks
     )
     return merged, unmerged, sum(node[3] for node in nodes)
+
+
+def _fused_cost(
+    groups, prefix_cache: bool, cpu_scale: float = 1.0
+) -> tuple[float, float, int]:
+    """``(charged, unshared, merges)`` of one fused batch on one CPU.
+
+    ``groups`` is the batch as :func:`_window_costs` takes it; the charge
+    is the unshared cost with the prefix cache off.
+    """
+    merged, unmerged, merges = _window_costs(groups)
+    unmerged = unmerged / cpu_scale
+    cost = merged / cpu_scale if prefix_cache else unmerged
+    return cost, unmerged, merges
 
 
 class WorkerPool:
@@ -171,53 +198,21 @@ class WorkerPool:
 
 @dataclass(kw_only=True)
 class WindowLedger:
-    """What every executor shares: cost knobs, fused batches, the window log.
+    """What both executors share: the prefix-cache switch and the window log.
 
     :class:`BatchExecutor` closes a window over the jobs it cut it into,
-    each a fused batch on a worker of its own pool; the cluster executor
-    over one fused batch per node (at the node's CPU scale) plus the
-    later hops.
+    each a fused batch (:func:`_fused_cost`) on a worker of its own pool;
+    the cluster executor over one fused batch per node and hop, at the
+    node's CPU scale.
     """
 
-    #: marginal cost of one extra request in a batch, in [0, 1]
-    batch_efficiency: float = 0.5
     prefix_cache: bool = True
-    #: what a finished request still spends on the downlink: the part of
-    #: its deadline no job may use
-    result_return_s: float = 0.0
     #: DES-clock tracer recording one span per executed job
     tracer: Tracer | NullTracer = NULL_TRACER
     windows: list[WindowReport] = field(default_factory=list)
     total_compute_s: float = 0.0
     compute_saved_s: float = 0.0
     prefix_merges: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.batch_efficiency <= 1.0:
-            raise ValueError("batch_efficiency must be in [0, 1]")
-
-    def _run_fused(
-        self,
-        batch: list[ServingRequest],
-        execute: Callable[[float, float], tuple[int, float, float]],
-        ready_at: float,
-        groups,
-        cpu_scale: float = 1.0,
-    ) -> tuple[int, float, float, float, float, int]:
-        """Cost one co-located batch, book it through ``execute``, stamp it.
-
-        ``groups`` is the batch as :func:`_window_costs` takes it.
-        Returns ``(worker, start, finish, cost, unshared cost, merges)``.
-        """
-        merged, unmerged, merges = _window_costs(groups, self.batch_efficiency)
-        unmerged = unmerged / cpu_scale
-        cost = merged / cpu_scale if self.prefix_cache else unmerged
-        worker, start, finish = execute(cost, ready_at)
-        share = cost / len(batch)
-        for request in batch:
-            request.started_at = start
-            request.compute_time_s = share
-        return worker, start, finish, cost, unmerged, merges
 
     def _log_window(
         self,
@@ -263,28 +258,6 @@ class WindowLedger:
             args={"requests": requests, "merges": merges, "saved_s": saved_s},
         )
 
-    def _close_window(
-        self,
-        requests: int,
-        compute_s: float,
-        unshared_s: float,
-        merges: int,
-        started_at: float,
-        finished_at: float,
-        track: str,
-        span_s: float,
-    ) -> WindowReport:
-        """Log a window that is one span on one track."""
-        report = self._log_window(
-            requests, compute_s, unshared_s, merges, started_at, finished_at
-        )
-        if self.tracer.enabled:
-            self._window_span(
-                track, started_at, span_s, requests, report.prefix_merges,
-                report.saved_s,
-            )
-        return report
-
 
 class _JobCost:
     """What one job costs, and (memoised) the jobs one request larger."""
@@ -317,8 +290,7 @@ class _JobCosts:
     #: signatures held before the memo starts over
     LIMIT = 8192
 
-    def __init__(self, batch_efficiency: float, prefix_cache: bool) -> None:
-        self.batch_efficiency = batch_efficiency
+    def __init__(self, prefix_cache: bool) -> None:
         self.prefix_cache = prefix_cache
         #: distinct paths in first-seen order (held, so their ids stay theirs)
         self.paths: list[Path] = []
@@ -328,10 +300,7 @@ class _JobCosts:
 
     def of(self, groups, signature: tuple = ()) -> _JobCost:
         """The costs of one job, ``groups`` as :func:`_window_costs` takes it."""
-        merged, unmerged, merges = _window_costs(groups, self.batch_efficiency)
-        return _JobCost(
-            merged if self.prefix_cache else unmerged, unmerged, merges, signature
-        )
+        return _JobCost(*_fused_cost(groups, self.prefix_cache), signature)
 
     def grow(self, job: _JobCost, path: Path) -> _JobCost:
         """``job`` plus one request on ``path`` (the miss behind ``job.grown``)."""
@@ -393,14 +362,16 @@ class BatchExecutor(WindowLedger):
     """
 
     num_workers: int = 1
+    #: what a finished request still spends on the downlink: the part of
+    #: its deadline no job may use
+    result_return_s: float = 0.0
     pool: WorkerPool = field(init=False, repr=False)
     #: the run's job-cost memo
     _memo: _JobCosts = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         self.pool = WorkerPool(self.num_workers)
-        self._memo = _JobCosts(self.batch_efficiency, self.prefix_cache)
+        self._memo = _JobCosts(self.prefix_cache)
 
     def cut(self, requests: list[ServingRequest], now: float) -> list[Job]:
         """Cut one window into jobs, each for a worker of its own.

@@ -109,8 +109,6 @@ class ServingConfig:
     queue_policy: str = "edf"
     queue_depth: int = 32
     num_workers: int = 1
-    #: marginal batch cost factor (see :mod:`repro.serving.executor`)
-    batch_efficiency: float = 0.5
     prefix_cache: bool = True
     #: per-tick drain cap: at most this many requests leave the queues per
     #: dispatcher tick; the executor cuts them into jobs (None = drain
@@ -309,12 +307,7 @@ class _Run:
         self.cell.reset()
         self.record_hop_spans = None
         # both executors book on the same window ledger
-        ledger = dict(
-            batch_efficiency=cfg.batch_efficiency,
-            prefix_cache=cfg.prefix_cache,
-            result_return_s=cfg.result_return_s,
-            tracer=self.tracer,
-        )
+        ledger = dict(prefix_cache=cfg.prefix_cache, tracer=self.tracer)
         if runtime.cluster is not None:
             # lazy import: repro.cluster imports from repro.serving
             from repro.cluster.executor import ClusterExecutor
@@ -326,7 +319,11 @@ class _Run:
                 deployment=runtime.cluster, seed=cfg.seed, **ledger
             )
         else:
-            self.executor = BatchExecutor(num_workers=cfg.num_workers, **ledger)
+            self.executor = BatchExecutor(
+                num_workers=cfg.num_workers,
+                result_return_s=cfg.result_return_s,
+                **ledger,
+            )
         runtime.executor = self.executor
         # The ticket grants z_τ·λ_τ requests/s; devices offer
         # λ_τ·load_factor.  The bucket meters the granted *rate* against

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.catalog import Block, Catalog, Path
+from repro.core.catalog import DEFAULT_BATCH_MARGINAL, Block, Catalog, Path
 from repro.core.task import QualityLevel, Task
 from repro.dnn.configs import STAGE_NAMES, TABLE_I_CONFIGS, BlockConfig
 
@@ -155,6 +155,10 @@ class CostBasis:
     int8_memory_factor: float = 0.30
     #: top-1 accuracy cost of post-training int8 quantization
     int8_accuracy_drop: float = 0.005
+    #: batch law of every fp32 block and of every int8 one
+    #: (:class:`repro.core.catalog.Block`); the profiler measures one each
+    batch_marginal: float = DEFAULT_BATCH_MARGINAL
+    int8_batch_marginal: float = DEFAULT_BATCH_MARGINAL
 
     def group_compute(self, group: str, pruned: bool, int8: bool = False) -> float:
         base = self.compute_s[group]
@@ -171,6 +175,9 @@ class CostBasis:
         if int8:
             base *= self.int8_memory_factor
         return base
+
+    def group_marginal(self, int8: bool = False) -> float:
+        return self.int8_batch_marginal if int8 else self.batch_marginal
 
 
 def cost_basis_from_profiler(
@@ -190,7 +197,8 @@ def cost_basis_from_profiler(
 
     ``include_int8=True`` additionally profiles the int8 engine and
     replaces the default int8 compute/memory factors with measured
-    ratios (quantized vs fp32 CONFIG A).
+    ratios (quantized vs fp32 CONFIG A).  The batch law of each precision
+    is CONFIG A's, measured the same way.
     """
     from repro.dnn.repository import BLOCK_GROUPS, profile_table_i
 
@@ -234,6 +242,7 @@ def cost_basis_from_profiler(
         training_cost_s=training,
         pruned_compute_factor=float(np.mean(pruned_compute)) if pruned_compute else 0.2,
         pruned_memory_factor=float(np.mean(pruned_memory)) if pruned_memory else 0.12,
+        batch_marginal=full.batch_marginal,
     )
     if include_int8:
         full_int8 = profiled["CONFIG A-int8"]
@@ -248,6 +257,7 @@ def cost_basis_from_profiler(
             int8_accuracy_drop=max(
                 0.0, full.accuracy - full_int8.accuracy
             ),
+            int8_batch_marginal=full_int8.batch_marginal,
         )
     return basis
 
@@ -355,6 +365,7 @@ class ScenarioCatalogBuilder:
                         )
                         * family.memory_scale,
                         training_cost_s=0.0,
+                        batch_marginal=self.basis.group_marginal(int8),
                     )
         for task in tasks:
             for family in self.families:
@@ -419,6 +430,7 @@ class ScenarioCatalogBuilder:
                     * family.memory_scale
                     * method.memory_scale,
                     training_cost_s=per_group_training,
+                    batch_marginal=self.basis.group_marginal(int8),
                 )
             )
         accuracy = (

@@ -177,7 +177,7 @@ def full_scan_push_due(plan, now: float, pool, push, collect) -> None:
             push(request)
 
 
-def per_request_window_costs(requests, batch_efficiency: float, blocks_for=None):
+def per_request_window_costs(requests, blocks_for=None):
     """``_window_costs`` by the old rule: one trie walk per request.
 
     A prefix tuple per request × block, a set of path ids per node.
@@ -189,8 +189,8 @@ def per_request_window_costs(requests, batch_efficiency: float, blocks_for=None)
     if blocks_for is None:
         blocks_for = lambda request: request.path.blocks  # noqa: E731
 
-    def batch_cost(block_compute_s: float, n: int) -> float:
-        return block_compute_s * (1.0 + (n - 1) * batch_efficiency)
+    def batch_cost(block, n: int) -> float:
+        return block.compute_time_s * (1.0 + (n - 1) * block.batch_marginal)
 
     trie: dict[tuple[str, ...], list] = {}
     by_path: dict[tuple, tuple[tuple, int]] = {}
@@ -199,20 +199,20 @@ def per_request_window_costs(requests, batch_efficiency: float, blocks_for=None)
         prefix: tuple[str, ...] = ()
         for block in blocks:
             prefix = prefix + (block.block_id,)
-            node = trie.setdefault(prefix, [block.compute_time_s, 0, set()])
+            node = trie.setdefault(prefix, [block, 0, set()])
             node[1] += 1
             node[2].add(request.path.path_id)
         key = (request.path.path_id, prefix)
         known = by_path.get(key)
         by_path[key] = (blocks, (known[1] if known else 0) + 1)
 
-    merged = sum(batch_cost(c, n) for c, n, _paths in trie.values())
+    merged = sum(batch_cost(block, n) for block, n, _paths in trie.values())
     unmerged = sum(
-        batch_cost(block.compute_time_s, n)
+        batch_cost(block, n)
         for blocks, n in by_path.values()
         for block in blocks
     )
-    merges = sum(1 for _c, _n, paths in trie.values() if len(paths) > 1)
+    merges = sum(1 for _block, _n, paths in trie.values() if len(paths) > 1)
     return merged, unmerged, merges
 
 
@@ -256,7 +256,7 @@ def per_request_cluster_dispatch(self, requests, now: float):
         segment_of = {tid: resolved[tid][2][0] for tid in by_node[node_id]}
         ready = now + max(resolved[tid][1] for tid in by_node[node_id])
         merged, unmerged, node_merges = per_request_window_costs(
-            batch, self.batch_efficiency, lambda r: segment_of[r.task_id].blocks
+            batch, lambda r: segment_of[r.task_id].blocks
         )
         unmerged = unmerged / node.spec.cpu_scale
         cost = merged / node.spec.cpu_scale if self.prefix_cache else unmerged
@@ -304,8 +304,7 @@ def per_request_cluster_dispatch(self, requests, now: float):
                 break
             cost = exec_node.scaled_cost(
                 sum(
-                    b.compute_time_s
-                    * (1.0 + (len(batch) - 1) * self.batch_efficiency)
+                    b.compute_time_s * (1.0 + (len(batch) - 1) * b.batch_marginal)
                     for b in segment.blocks
                 )
             )
@@ -330,10 +329,15 @@ def per_request_cluster_dispatch(self, requests, now: float):
 
     if window_start is None:
         window_start = now
-    return self._close_window(
-        len(requests), compute, unshared, merges, window_start, window_end,
-        "cluster", window_end - window_start,
+    report = self._log_window(
+        len(requests), compute, unshared, merges, window_start, window_end
     )
+    if self.tracer.enabled:
+        self._window_span(
+            "cluster", window_start, window_end - window_start, len(requests),
+            report.prefix_merges, report.saved_s,
+        )
+    return report
 
 
 def replicated_serving_problem(k: int):
@@ -359,6 +363,31 @@ def replicated_serving_problem(k: int):
         radio_blocks=base.budgets.radio_blocks * k,
     )
     return replace(base, tasks=tuple(tasks), catalog=catalog, budgets=budgets)
+
+
+def with_batch_marginal(problem, batch_marginal: float):
+    """``problem`` with every block's batch law set to ``batch_marginal``.
+
+    Tasks that share a path tuple (replicas) still share the rebuilt one,
+    and a block shared by several paths stays one block.
+    """
+    blocks: dict[str, object] = {}
+
+    def relawed(block):
+        return blocks.setdefault(
+            block.block_id, replace(block, batch_marginal=batch_marginal)
+        )
+
+    rebuilt: dict[int, tuple] = {}
+    catalog = Catalog()
+    for task_id, paths in problem.catalog.paths_by_task.items():
+        if id(paths) not in rebuilt:
+            rebuilt[id(paths)] = tuple(
+                replace(path, blocks=tuple(relawed(b) for b in path.blocks))
+                for path in paths
+            )
+        catalog.paths_by_task[task_id] = rebuilt[id(paths)]
+    return replace(problem, catalog=catalog)
 
 
 def tuple_signature_groups(problem) -> list[tuple[int, tuple[int, ...]]]:

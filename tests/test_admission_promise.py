@@ -4,15 +4,16 @@ The solver admits a task because its path and slice meet constraint (1g)
 on paper.  This gate serves the harness's capacity-scaled deployment
 (``benchmarks/e2e/workloads.py``: the five-task serving scenario × k,
 k workers, 2 ms windows, load 1.0, ``slice_margin_rbs=10``) and holds the
-dispatcher to that promise: whatever the batch law charges, and whether
+dispatcher to that promise: whatever batch law the blocks carry (0.5,
+the engine-wide default, serial), and whether
 arrivals are spread (Poisson) or land on the same instants
 (deterministic: k replicas of a task fire together), at least 99 % of
 every admitted task's completed requests are on time, and no request is
 late that reached the dispatcher with its own compute time of slack.
 
 Before windows were cut into jobs (one fused job per window on one
-worker) the same runs read: k = 20 Poisson task 1 0.974 on time (0.953 at
-``batch_efficiency`` 1.0); k = 5 deterministic task 2 0.0 (tasks 1–4 at
+worker) the same runs read: k = 20 Poisson task 1 0.974 on time (0.953
+under a batch law of 1.0); k = 5 deterministic task 2 0.0 (tasks 1–4 at
 1.0); k = 20 and k = 100 deterministic every task 0.0.
 """
 
@@ -20,10 +21,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.catalog import DEFAULT_BATCH_MARGINAL
 from repro.core.heuristic import OffloaDNNSolver
 from repro.serving import ServingConfig, ServingRuntime
 from repro.serving.queueing import DropReason
-from tests.oracles import replicated_serving_problem
+from tests.oracles import replicated_serving_problem, with_batch_marginal
 
 BASE_TASKS = 5
 #: deadline drops at the queue (decided before dispatch) when the gate was
@@ -32,7 +34,7 @@ DEADLINE_DROPS = {(20, True): 63, (5, False): 0, (20, False): 0,
                   (100, True): 366, (100, False): 0}
 
 
-@pytest.mark.parametrize("batch_efficiency", [0.5, 1.0])
+@pytest.mark.parametrize("batch_marginal", [0.5, DEFAULT_BATCH_MARGINAL, 1.0])
 @pytest.mark.parametrize(
     "k, poisson",
     [
@@ -43,13 +45,13 @@ DEADLINE_DROPS = {(20, True): 63, (5, False): 0, (20, False): 0,
         pytest.param(100, False, marks=pytest.mark.slow),
     ],
 )
-def test_admitted_tasks_are_served_on_time(k, poisson, batch_efficiency):
+def test_admitted_tasks_are_served_on_time(k, poisson, batch_marginal):
     config = ServingConfig(
         duration_s=30.0, batch_window_s=0.002, num_workers=k, poisson=poisson,
-        batch_efficiency=batch_efficiency, seed=3,
+        seed=3,
     )
     runtime = ServingRuntime.from_problem(
-        replicated_serving_problem(k), config,
+        with_batch_marginal(replicated_serving_problem(k), batch_marginal), config,
         solver=OffloaDNNSolver(slice_margin_rbs=10),
     )
     assert all(ticket.admitted for ticket in runtime.tickets.values())

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import json
+from dataclasses import replace
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core.catalog import DEFAULT_BATCH_MARGINAL, Catalog
 from repro.core.heuristic import OffloaDNNSolver
 from repro.core.objective import objective_value
 from repro.core.serialize import (
@@ -81,6 +87,54 @@ class TestProblemRoundTrip:
         assert objective_value(problem, a) == pytest.approx(
             objective_value(restored, b)
         )
+
+
+class TestBlockBatchLaw:
+    """The block's batch law (``batch_marginal``) in problem documents."""
+
+    @given(
+        laws=st.lists(
+            st.floats(min_value=0.0, max_value=4.0, allow_nan=False), min_size=1,
+            max_size=4,
+        )
+    )
+    def test_round_trip_through_json(self, laws):
+        problem = small_scale_problem(2)
+        path = problem.catalog.paths_for(1)[0]
+        blocks = tuple(
+            replace(block, batch_marginal=laws[i % len(laws)])
+            for i, block in enumerate(path.blocks)
+        )
+        problem = replace(
+            problem, tasks=problem.tasks[:1],
+            catalog=Catalog({1: (replace(path, blocks=blocks),)}),
+        )
+        restored = problem_from_dict(json.loads(json.dumps(problem_to_dict(problem))))
+        assert restored.catalog.paths_for(1)[0].blocks == blocks
+
+    def test_a_document_without_the_key_loads_with_the_default(self, tiny_problem):
+        # written before blocks carried their law
+        data = problem_to_dict(tiny_problem)
+        for block in data["blocks"]:
+            del block["batch_marginal"]
+        restored = problem_from_dict(data)
+        assert {
+            b.batch_marginal for b in restored.catalog.all_blocks().values()
+        } == {DEFAULT_BATCH_MARGINAL}
+
+    @pytest.mark.parametrize(
+        "value, complaint",
+        [
+            (-0.25, r"blocks\[1\]\['batch_marginal'\] must be >= 0, got -0.25"),
+            (float("inf"), r"blocks\[1\]\['batch_marginal'\] must be a finite number"),
+            ("0.7", r"blocks\[1\]\['batch_marginal'\] must be a finite number"),
+        ],
+    )
+    def test_malformed_law_is_rejected_by_name(self, tiny_problem, value, complaint):
+        data = problem_to_dict(tiny_problem)
+        data["blocks"][1]["batch_marginal"] = value
+        with pytest.raises(ValueError, match=complaint):
+            problem_from_dict(data)
 
 
 class TestSolutionRoundTrip:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.catalog import Block, Catalog, Path
@@ -75,6 +77,11 @@ class TestBlock:
             Block("b", "d", compute_time_s=0.1, memory_gb=-1.0)
         with pytest.raises(ValueError):
             Block("b", "d", compute_time_s=0.1, memory_gb=0.1, training_cost_s=-1.0)
+        for marginal in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="batch_marginal"):
+                Block("b", "d", compute_time_s=0.1, memory_gb=0.1, batch_marginal=marginal)
+        # worse than serial is a measurement, not an error
+        assert Block("b", "d", 0.1, 0.1, batch_marginal=1.3).batch_marginal == 1.3
 
 
 class TestPath:
@@ -87,8 +94,6 @@ class TestPath:
     def test_block_sums_are_per_instance(self):
         """The sums are kept on the frozen instance; a re-blocked copy
         (``dataclasses.replace``) computes its own."""
-        from dataclasses import replace
-
         task = make_task(1)
         blocks = (
             make_block("a", compute_time_s=0.1, memory_gb=0.3),
@@ -160,6 +165,13 @@ class TestCatalog:
         catalog.add_path(make_path(task, "p1", (make_block("s", memory_gb=0.9),)))
         with pytest.raises(ValueError, match="inconsistent"):
             catalog.all_blocks()
+        # one block id, two batch laws: the window trie could charge either
+        one_law = make_block("t")
+        catalog = Catalog()
+        catalog.add_path(make_path(task, "p0", (one_law,)))
+        catalog.add_path(make_path(task, "p1", (replace(one_law, batch_marginal=1.1),)))
+        with pytest.raises(ValueError, match="block_id 't' bound to inconsistent"):
+            catalog.validate((task,))
 
     def test_validate_requires_paths_for_all_tasks(self):
         t1, t2 = make_task(1), make_task(2)

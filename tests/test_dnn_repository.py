@@ -65,6 +65,7 @@ class TestProfileTableI:
         c_g1 = profiled["CONFIG C"].groups[0]
         assert b_g1.compute_time_s == c_g1.compute_time_s
         assert b_g1.memory_gb == c_g1.memory_gb
+        assert b_g1.batch_marginal == c_g1.batch_marginal
 
     def test_pruned_configs_cost_less_memory(self, profiled):
         full = profiled["CONFIG A"].total_memory_gb
@@ -170,6 +171,26 @@ class TestInt8Variants:
         }
         assert all(b.startswith("base:int8:") for b in int8_shared)
         assert not int8_shared & fp32_shared  # never cross-precision
+
+    def test_blocks_are_charged_their_own_measured_batch_law(self, with_int8, quality):
+        """Profile → group → block → window cost: a fused batch of one path
+        costs what its configuration measured, in its own precision."""
+        from repro.serving.executor import _window_costs
+
+        paths = build_task_paths(_task(1, quality), with_int8, quality)
+        laws = set()
+        for path, pc in zip(paths, with_int8.values()):
+            assert [b.batch_marginal for b in path.blocks] == [
+                g.batch_marginal for g in pc.groups
+            ]
+            assert all(g.batch_marginal >= 0.0 for g in pc.groups)
+            fused, _, _ = _window_costs([(path.path_id, path.blocks, 8)])
+            assert fused == pytest.approx(
+                pc.total_compute_time_s * (1.0 + 7 * pc.batch_marginal)
+            )
+            laws.add((pc.precision, pc.batch_marginal))
+        # measured per configuration and precision, not one constant
+        assert len(laws) > len(with_int8) // 2
 
     def test_exact_int8_weight_byte_math(self):
         """Pin the conv byte math: fp32 fused conv stores 4*(o*c*k*k)

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,25 +35,35 @@ from tests.oracles import per_request_window_costs
 
 QUALITY = QualityLevel(name="full", bits_per_image=350_000.0)
 
+# the arithmetic below is written for a batch law of 0.5 on every block
+HALF = {"batch_marginal": 0.5}
 TRUNK = (
-    Block("base:g1", "base", compute_time_s=0.010, memory_gb=0.2),
-    Block("base:g2", "base", compute_time_s=0.008, memory_gb=0.2),
+    Block("base:g1", "base", compute_time_s=0.010, memory_gb=0.2, **HALF),
+    Block("base:g2", "base", compute_time_s=0.008, memory_gb=0.2, **HALF),
 )
-HEAD_A = Block("a:g3", "a", compute_time_s=0.004, memory_gb=0.1)
-HEAD_B = Block("b:g3", "b", compute_time_s=0.006, memory_gb=0.1)
+HEAD_A = Block("a:g3", "a", compute_time_s=0.004, memory_gb=0.1, **HALF)
+HEAD_B = Block("b:g3", "b", compute_time_s=0.006, memory_gb=0.1, **HALF)
 PATH_A = Path("a", "a", 1, TRUNK + (HEAD_A,), accuracy=0.9, quality=QUALITY)
 PATH_B = Path("b", "b", 2, TRUNK + (HEAD_B,), accuracy=0.8, quality=QUALITY)
 #: same head block cost but no shared trunk (cloned block ids)
 PATH_C = Path(
     "c", "c", 3,
     (
-        Block("c:g1", "c", compute_time_s=0.010, memory_gb=0.2),
-        Block("c:g2", "c", compute_time_s=0.008, memory_gb=0.2),
-        Block("c:g3", "c", compute_time_s=0.004, memory_gb=0.1),
+        Block("c:g1", "c", compute_time_s=0.010, memory_gb=0.2, **HALF),
+        Block("c:g2", "c", compute_time_s=0.008, memory_gb=0.2, **HALF),
+        Block("c:g3", "c", compute_time_s=0.004, memory_gb=0.1, **HALF),
     ),
     accuracy=0.9,
     quality=QUALITY,
 )
+
+
+def with_law(path: Path, batch_marginal: float) -> Path:
+    """``path`` over the same blocks under another batch law."""
+    return replace(
+        path,
+        blocks=tuple(replace(b, batch_marginal=batch_marginal) for b in path.blocks),
+    )
 
 
 def request(path: Path, request_id: int = 0) -> ServingRequest:
@@ -68,14 +79,14 @@ def request(path: Path, request_id: int = 0) -> ServingRequest:
 
 class TestWindowCosts:
     def test_single_request_no_discount(self):
-        merged, unmerged, merges = _window_costs(_path_groups([request(PATH_A)]), 0.5)
+        merged, unmerged, merges = _window_costs(_path_groups([request(PATH_A)]))
         assert merged == pytest.approx(PATH_A.compute_time_s)
         assert unmerged == pytest.approx(PATH_A.compute_time_s)
         assert merges == 0
 
     def test_same_path_batching_sublinear(self):
         reqs = [request(PATH_A, i) for i in range(3)]
-        merged, unmerged, merges = _window_costs(_path_groups(reqs), 0.5)
+        merged, unmerged, merges = _window_costs(_path_groups(reqs))
         # batch of 3 through every block: c · (1 + 2·0.5) = 2c
         assert merged == pytest.approx(2 * PATH_A.compute_time_s)
         assert unmerged == pytest.approx(merged)  # same path: nothing to merge
@@ -83,7 +94,7 @@ class TestWindowCosts:
 
     def test_shared_prefix_fused_once(self):
         reqs = [request(PATH_A, 0), request(PATH_B, 1)]
-        merged, unmerged, merges = _window_costs(_path_groups(reqs), 0.5)
+        merged, unmerged, merges = _window_costs(_path_groups(reqs))
         trunk = sum(b.compute_time_s for b in TRUNK)
         heads = HEAD_A.compute_time_s + HEAD_B.compute_time_s
         # trunk runs once over the union batch of 2, heads separately
@@ -94,13 +105,14 @@ class TestWindowCosts:
 
     def test_disjoint_paths_gain_nothing(self):
         reqs = [request(PATH_A, 0), request(PATH_C, 1)]
-        merged, unmerged, merges = _window_costs(_path_groups(reqs), 0.5)
+        merged, unmerged, merges = _window_costs(_path_groups(reqs))
         assert merged == pytest.approx(unmerged)
         assert merges == 0
 
     def test_efficiency_one_is_serial(self):
-        reqs = [request(PATH_A, 0), request(PATH_A, 1), request(PATH_B, 2)]
-        _, unmerged, _ = _window_costs(_path_groups(reqs), 1.0)
+        path_a, path_b = with_law(PATH_A, 1.0), with_law(PATH_B, 1.0)
+        reqs = [request(path_a, 0), request(path_a, 1), request(path_b, 2)]
+        _, unmerged, _ = _window_costs(_path_groups(reqs))
         assert unmerged == pytest.approx(
             2 * PATH_A.compute_time_s + PATH_B.compute_time_s
         )
@@ -111,21 +123,21 @@ class TestWindowCosts:
         reuses ``_window_costs``) can never fuse an fp32 batch with an
         int8 one — the block-id sequences differ from the first hop."""
         trunk_q = (
-            Block("base:int8:g1", "base:int8", compute_time_s=0.005, memory_gb=0.05),
-            Block("base:int8:g2", "base:int8", compute_time_s=0.004, memory_gb=0.05),
+            Block("base:int8:g1", "base:int8", 0.005, 0.05, batch_marginal=0.63),
+            Block("base:int8:g2", "base:int8", 0.004, 0.05, batch_marginal=0.63),
         )
-        head_q = Block("a:int8:g3", "a:int8", compute_time_s=0.002, memory_gb=0.02)
+        head_q = Block("a:int8:g3", "a:int8", 0.002, 0.02, batch_marginal=0.63)
         path_q = Path(
             "a-int8", "a:int8", 1, trunk_q + (head_q,),
             accuracy=0.895, quality=QUALITY,
         )
         reqs = [request(PATH_A, 0), request(path_q, 1)]
-        merged, unmerged, merges = _window_costs(_path_groups(reqs), 0.5)
+        merged, unmerged, merges = _window_costs(_path_groups(reqs))
         assert merges == 0
         assert merged == pytest.approx(unmerged)
         # sanity: the same shape with a *shared* trunk does merge
         _, _, fp32_merges = _window_costs(
-            _path_groups([request(PATH_A, 0), request(PATH_B, 1)]), 0.5
+            _path_groups([request(PATH_A, 0), request(PATH_B, 1)])
         )
         assert fp32_merges > 0
 
@@ -150,7 +162,6 @@ class TestWindowCosts:
             )
             executor = ClusterExecutor(
                 deployment=ClusterDeployment(registry=registry, plan=plan),
-                batch_efficiency=0.5,
                 prefix_cache=prefix_cache,
             )
             reqs = [request(PATH_A, i) for i in range(3)]
@@ -177,10 +188,14 @@ class TestWindowCosts:
     def test_grouped_costing_equals_per_request_trie(self, data):
         # shuffled windows over paths that share prefixes, share ids across
         # different block sequences (per-node segments) and repeat as equal
-        # but distinct tuples: same floats as the request-by-request walk
+        # but distinct tuples, every block under a law of its own: same
+        # floats as the request-by-request walk
         pool = [
-            Block(f"s{i}", "d", compute_time_s=c, memory_gb=0.1)
-            for i, c in enumerate((0.010, 0.008, 0.004, 0.006, 0.0031, 0.0007))
+            Block(f"s{i}", "d", compute_time_s=c, memory_gb=0.1, batch_marginal=m)
+            for i, (c, m) in enumerate(
+                ((0.010, 0.5), (0.008, 0.88), (0.004, 0.0), (0.006, 1.2),
+                 (0.0031, 0.63), (0.0007, 1.0))
+            )
         ]
         sequences = data.draw(
             st.lists(
@@ -201,24 +216,21 @@ class TestWindowCosts:
         ]
         # the cluster costs per-node segments: any cut of each path's blocks
         cuts = {id(path): data.draw(st.integers(1, len(path.blocks))) for path in paths}
-        efficiency = data.draw(st.sampled_from((0.0, 0.3, 0.5, 1.0)))
-        assert _window_costs(_path_groups(reqs), efficiency) == (
-            per_request_window_costs(reqs, efficiency)
-        )
+        assert _window_costs(_path_groups(reqs)) == per_request_window_costs(reqs)
         segment_groups = [
             (path_id, blocks[: cuts[id(path)]], n)
             for (path_id, blocks, n), path in zip(
                 _path_groups(reqs), {id(r.path): r.path for r in reqs}.values()
             )
         ]
-        assert _window_costs(segment_groups, efficiency) == per_request_window_costs(
-            reqs, efficiency, lambda r: r.path.blocks[: cuts[id(r.path)]]
+        assert _window_costs(segment_groups) == per_request_window_costs(
+            reqs, lambda r: r.path.blocks[: cuts[id(r.path)]]
         )
 
 
 class TestBatchExecutor:
     def test_dispatch_stamps_requests(self):
-        executor = BatchExecutor(batch_efficiency=0.5)
+        executor = BatchExecutor()
         reqs = [request(PATH_A, 0), request(PATH_B, 1)]
         report = executor.dispatch(reqs, now=1.0)
         assert report.started_at == pytest.approx(1.0)
@@ -270,13 +282,25 @@ class TestBatchExecutor:
         assert executor.compute_saved_s == pytest.approx(report.saved_s)
         assert executor.total_compute_s == pytest.approx(report.compute_s)
 
+    def test_fusing_a_superlinear_block_is_reported_as_a_loss(self):
+        # a block that measures worse than serial (CONFIG A in fp32) costs
+        # more fused than split: the saving is negative and booked as such
+        path_a, path_b = with_law(PATH_A, 1.2), with_law(PATH_B, 1.2)
+        executor = BatchExecutor()
+        report = executor.dispatch([request(path_a, 0), request(path_b, 1)], 0.0)
+        trunk = sum(b.compute_time_s for b in TRUNK)
+        assert report.compute_s == pytest.approx(
+            2.2 * trunk + HEAD_A.compute_time_s + HEAD_B.compute_time_s
+        )
+        assert report.saved_s == pytest.approx(-0.2 * trunk)
+        assert report.prefix_merges == 2
+        assert executor.compute_saved_s == report.saved_s < 0.0
+
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             BatchExecutor().dispatch([], 0.0)
 
-    @pytest.mark.parametrize(
-        "kwargs", [{"num_workers": 0}, {"batch_efficiency": 1.5}]
-    )
+    @pytest.mark.parametrize("kwargs", [{"num_workers": 0}])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             BatchExecutor(**kwargs)
@@ -286,16 +310,19 @@ class TestBatchExecutor:
 def windows(draw):
     """A random window, executor and pool state: (executor, requests, now)."""
     # two families of paths (a path's family is its first block): heads of
-    # varying depth on one of two trunks, some paths repeated as requests
+    # varying depth on one of two trunks, some paths repeated as requests;
+    # every block under a batch law of its own, worse than serial included
+    laws = st.sampled_from((0.0, 0.3, 0.5, 1.0, 1.2))
     trunks = [
-        [Block(f"{family}:g{i}", family, compute_time_s=c, memory_gb=0.1)
+        [Block(f"{family}:g{i}", family, compute_time_s=c, memory_gb=0.1,
+               batch_marginal=draw(laws))
          for i, c in enumerate(costs)]
         for family, costs in (("base", (0.010, 0.008)), ("other", (0.007,)))
     ]
     heads = draw(st.lists(
         st.tuples(
             st.integers(0, 1), st.integers(1, 2),
-            st.sampled_from((0.002, 0.004, 0.0061)),
+            st.sampled_from((0.002, 0.004, 0.0061)), laws,
         ),
         min_size=1, max_size=5,
     ))
@@ -303,10 +330,11 @@ def windows(draw):
         Path(
             f"p{i}", "d", i,
             tuple(trunks[family][:depth])
-            + (Block(f"h{i}", "d", compute_time_s=head, memory_gb=0.1),),
+            + (Block(f"h{i}", "d", compute_time_s=head, memory_gb=0.1,
+                     batch_marginal=law),),
             accuracy=0.9, quality=QUALITY,
         )
-        for i, (family, depth, head) in enumerate(heads)
+        for i, (family, depth, head, law) in enumerate(heads)
     ]
     now = draw(st.sampled_from((0.0, 1.0, 2.5)))
     requests = [
@@ -321,7 +349,6 @@ def windows(draw):
     ]
     executor = BatchExecutor(
         num_workers=draw(st.integers(1, 6)),
-        batch_efficiency=draw(st.sampled_from((0.0, 0.3, 0.5, 1.0))),
         prefix_cache=draw(st.booleans()),
         result_return_s=draw(st.sampled_from((0.0, 0.002))),
     )
@@ -343,7 +370,6 @@ class TestWindowCut:
     @given(window=windows())
     def test_cut_invariants(self, window):
         executor, requests, now = window
-        efficiency = executor.batch_efficiency
         free_at = executor.pool.free_at
         jobs = executor.cut(requests, now)
         # a partition of the window, at most one job per worker
@@ -353,18 +379,18 @@ class TestWindowCut:
         assert 1 <= len(jobs) <= executor.num_workers
         # every job is charged what the trie charges its members ...
         for job in jobs:
-            merged, unmerged, merges = _window_costs(
-                _path_groups(job.members), efficiency
-            )
+            merged, unmerged, merges = _window_costs(_path_groups(job.members))
             charged = merged if executor.prefix_cache else unmerged
             assert job.costs.cost == pytest.approx(charged, rel=1e-12)
             assert job.costs.unshared == pytest.approx(unmerged, rel=1e-12)
             assert job.costs.merges == merges
-        # ... so cutting costs GPU time, but never more than not batching
-        whole, whole_unmerged, _ = _window_costs(_path_groups(requests), efficiency)
-        total = sum(job.costs.cost for job in jobs)
-        assert (whole if executor.prefix_cache else whole_unmerged) <= total + 1e-12
-        assert total <= sum(r.path.compute_time_s for r in requests) + 1e-12
+        # ... so, while no block is worse than serial, cutting costs GPU
+        # time, but never more than not batching
+        whole, whole_unmerged, _ = _window_costs(_path_groups(requests))
+        if all(b.batch_marginal <= 1.0 for r in requests for b in r.path.blocks):
+            total = sum(job.costs.cost for job in jobs)
+            assert (whole if executor.prefix_cache else whole_unmerged) <= total + 1e-12
+            assert total <= sum(r.path.compute_time_s for r in requests) + 1e-12
         if executor.num_workers == 1 or len(requests) == 1:
             # nothing to cut, or to cut over: the window as it came, for
             # the earliest-free worker, floats and all
@@ -419,9 +445,7 @@ class TestWindowCut:
             jobs = executor.cut(reqs, now=0.0)
             assert len(executor._memo._by_groups) <= 8
             for job in jobs:
-                merged, unmerged, merges = _window_costs(
-                    _path_groups(job.members), executor.batch_efficiency
-                )
+                merged, unmerged, merges = _window_costs(_path_groups(job.members))
                 assert job.costs.cost == pytest.approx(merged, rel=1e-12)
                 assert (job.costs.merges, len(job.members)) == (
                     merges, sum(job.costs.groups[1::2])
@@ -445,9 +469,7 @@ class TestWindowCut:
         ]
         if executor.num_workers == 1 or len(requests) == 1:
             # one job on the earliest-free worker: the old rule
-            whole, unmerged, merges = _window_costs(
-                _path_groups(requests), executor.batch_efficiency
-            )
+            whole, unmerged, merges = _window_costs(_path_groups(requests))
             cost = whole if executor.prefix_cache else unmerged
             start = max(now, min(free_before))
             assert taken == [free_before.index(min(free_before))]

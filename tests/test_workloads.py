@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.catalog import DEFAULT_BATCH_MARGINAL
 from repro.core.task import QualityLevel
 from repro.workloads.generator import (
     GROUP_NAMES,
@@ -53,6 +54,9 @@ class TestCostBasis:
         assert basis.pruned_compute_factor > 0
         assert 0 < basis.pruned_memory_factor < 1
         assert len(basis.accuracy) == 10
+        # the fp32 batch law was measured; nobody profiled int8
+        assert basis.batch_marginal != DEFAULT_BATCH_MARGINAL
+        assert basis.int8_batch_marginal == DEFAULT_BATCH_MARGINAL
 
 
 class TestScenarioCatalogBuilder:
@@ -135,6 +139,19 @@ class TestQuantizedVariants:
         int8_shared = {b.block_id for b in int8.blocks if ":base" in b.block_id}
         assert int8_shared and not fp32_shared & int8_shared
         assert all(":base:int8:" in b for b in int8_shared)
+
+    def test_blocks_carry_the_batch_law_of_their_precision(self, quality):
+        builder = ScenarioCatalogBuilder(
+            basis=CostBasis(batch_marginal=0.88, int8_batch_marginal=0.63),
+            quantized_variants=True,
+        )
+        for path in builder.build((make_task(1), make_task(2)), quality).paths_for(2):
+            law = 0.63 if path.path_id.endswith("-int8") else 0.88
+            assert all(block.batch_marginal == law for block in path.blocks)
+        default = ScenarioCatalogBuilder().build((make_task(1),), quality)
+        assert {
+            b.batch_marginal for b in default.all_blocks().values()
+        } == {DEFAULT_BATCH_MARGINAL}
 
     def test_solver_chooses_int8_under_tight_memory(self, quality):
         """Acceptance: under a tightened memory budget the DOT solver
