@@ -27,11 +27,15 @@ relative error per precision and batch size is fatal above
 to the committed ``BENCH_engine.json`` rows, the value of
 ``repro.core.catalog.DEFAULT_BATCH_MARGINAL``.
 
-Two counts ride along (no clock): the bytes the thread's buffer arena
+Three counts ride along (no clock): the bytes the thread's buffer arena
 and pad pool own after every plan and batch size of the run went through
 them, against the neediest single (plan, batch size) — one arena serves
-them all — and the scheme every int8 conv binds to at batch 1, where
-Winograd's tile GEMMs are too skinny to pay.
+them all; what the runner's prefix cache holds resident
+(``BlockwiseRunner.cache_bytes``) after sixteen inputs per batch size
+went through five paths sharing ``stem..layer3`` — an entry at the one
+branch point per input, not one per trunk block; and the scheme every
+int8 conv binds to at batch 1, where Winograd's tile GEMMs are too
+skinny to pay.
 
 Results go to ``BENCH_engine.json`` at the repo root (machine-readable,
 committed, so later PRs can track the perf trajectory); the text table
@@ -59,7 +63,7 @@ from repro.core.task import QualityLevel
 from repro.dnn.mobilenet import build_mobilenetv2
 from repro.dnn.profiler import fit_batch_marginal, profile_model
 from repro.dnn.pruning import prune_resnet
-from repro.dnn.resnet import build_resnet18
+from repro.dnn.resnet import BLOCK_NAMES, build_resnet18
 from repro.serving.executor import BatchExecutor, BlockwiseRunner
 from repro.serving.queueing import ServingRequest
 
@@ -303,6 +307,77 @@ def run_batch_law(quick: bool) -> dict:
     }
 
 
+def shared_trunk_runners(width: int, input_size: int):
+    """``({precision: runner}, paths, input shape)``: five ResNet-18s
+    sharing the frozen ``stem..layer3`` of one base model, each with its
+    own ``layer4`` + ``head`` — the deployment the served-work benchmark's
+    ``execute_real`` runs (64 cache entries per runner), every path
+    already run once at each precision."""
+    trunk = BLOCK_NAMES[:4]
+    base = build_resnet18(num_classes=10, input_size=input_size, width=width, seed=SEED)
+    modules = {f"base:{name}": base.blocks[name] for name in trunk}
+    paths = []
+    for i in range(5):
+        donor = build_resnet18(
+            num_classes=10, input_size=input_size, width=width, seed=SEED + i + 1
+        )
+        ids = [f"base:{name}" for name in trunk]
+        for name in BLOCK_NAMES[4:]:
+            modules[f"p{i}:{name}"] = donor.blocks[name]
+            ids.append(f"p{i}:{name}")
+        paths.append(
+            Path(
+                f"p{i}", "shared", i + 1,
+                tuple(Block(bid, "shared", 1e-3, 1e-3) for bid in ids),
+                accuracy=1.0, quality=QualityLevel(name="full", bits_per_image=1.0),
+            )
+        )
+    runners = {}
+    x = np.zeros((1, *base.input_shape), dtype=np.float32)
+    for quantize in (None, "int8"):
+        runner = BlockwiseRunner(
+            modules=modules, cacheable=frozenset(f"base:{name}" for name in trunk),
+            cache_capacity=64, compile_blocks=True, quantize=quantize,
+        )
+        for path in paths:
+            runner.run(path, x, input_key=-1)
+        runner.clear()
+        runner.cache_hits = runner.cache_misses = 0
+        runners[runner.precision] = runner
+    return runners, paths, base.input_shape
+
+
+def run_prefix_cache(quick: bool) -> dict:
+    """What the prefix cache holds after sixteen frames per batch size."""
+    batches = [1, 8] if quick else [1, 8, 32]
+    inputs = 16
+    rng = np.random.default_rng(SEED + 3)
+    runners, paths, shape = shared_trunk_runners(*((8, 16) if quick else (32, 32)))
+    for key in range(inputs * len(batches)):
+        n = batches[key % len(batches)]
+        x = rng.standard_normal((n, *shape), dtype=np.float32)
+        for runner in runners.values():
+            for path in paths:
+                runner.run(path, x, input_key=key)
+    return {
+        "settings": {
+            "seed": SEED + 3, "inputs_per_batch": inputs, "batches": batches,
+            "paths": len(paths),
+        },
+        "results": [
+            {
+                "precision": precision,
+                "entries": len(runner._cache),
+                "cache_bytes": runner.cache_bytes,
+                "hits": runner.cache_hits,
+                "misses": runner.cache_misses,
+                "evictions": runner.cache_evictions,
+            }
+            for precision, runner in runners.items()
+        ],
+    }
+
+
 def fit_default(report: dict) -> float:
     """The engine-wide batch marginal of a full run's fp32 and int8 rows."""
     rows = report["int8"]["results"]
@@ -364,6 +439,7 @@ def run(quick: bool) -> dict:
             "bytes": arena_bytes,
             "largest_single_need_bytes": need,
         },
+        "prefix_cache": run_prefix_cache(quick),
     }
 
 
@@ -450,11 +526,20 @@ def main() -> int:
         f"{report['arena']['bytes'] / 1e6:.1f} MB   neediest single (plan, batch): "
         f"{report['arena']['largest_single_need_bytes'] / 1e6:.1f} MB"
     )
+    cache = report["prefix_cache"]
+    cache_summary = (
+        f"prefix cache after {cache['settings']['inputs_per_batch']} inputs per "
+        f"batch size, {cache['settings']['paths']} paths: "
+    ) + "   ".join(
+        f"{r['precision']} {r['cache_bytes'] / 1e6:.1f} MB in {r['entries']} entries "
+        f"({r['hits']} hits / {r['misses']} misses)"
+        for r in cache["results"]
+    )
     print(
         "\n" + table + "\n\n" + summary + "\n\nint8 quantized vs fp32 compiled:\n"
         + int8_table + "\n\n" + int8_summary
         + "\n\nper-block batch law vs BlockwiseRunner:\n" + law_table + "\n\n"
-        + law_summary + "\n" + arena_summary
+        + law_summary + "\n" + arena_summary + "\n" + cache_summary
     )
 
     if args.quick:

@@ -73,12 +73,14 @@ def main() -> None:
         cacheable=frozenset({"trunk"}),
     )
     x = rng.normal(size=(1, 8))
+    # the key is our word that both calls carry the same tensor; without
+    # one (input_key=None, the default) a run touches no cache
     out_a = runner.run(path_a, x, input_key=42)
     out_b = runner.run(path_b, x, input_key=42)
     print(
         f"\nblockwise runner: outputs {out_a.shape} and {out_b.shape}, "
         f"trunk computed once ({runner.cache_hits} cache hit, "
-        f"{runner.cache_misses} miss)"
+        f"{runner.cache_misses} miss, {runner.cache_bytes} bytes resident)"
     )
 
 

@@ -99,6 +99,9 @@ def fold_batch_norm(
 
 #: arena offsets are cache-line multiples
 _ALIGN = 64
+#: most bytes of im2col scratch an fp32 conv binds: it gathers and
+#: multiplies its batch in chunks that fit (its GEMMs are per sample)
+_COLS_CAP = 4 << 20
 
 
 def _batch_shape(shape: tuple, n, dtype) -> tuple:
@@ -144,6 +147,8 @@ class _Arena:
     def reserve(self, nbytes: int) -> None:
         if nbytes > self.block.nbytes:
             self.bound.clear()
+            # the old block is freed before its successor is allocated
+            self.block = np.empty(0, dtype=np.uint8)
             block = np.empty(nbytes + _ALIGN, dtype=np.uint8)
             skew = -block.ctypes.data % _ALIGN
             self.block = block[skew : skew + nbytes]
@@ -270,20 +275,28 @@ class _FusedConv(_Step):
         else:
             self.cols_elems = c * kernel * kernel * oh * ow
 
+    def bind(self, n: int) -> tuple[int, int, object]:
+        # the gather scratch holds a chunk of the batch, not the batch
+        per_sample = _nbytes((self.cols_elems,), np.float32)
+        chunk = max(1, min(n, _COLS_CAP // max(1, per_sample)))
+        return chunk * self.cols_elems, 0, chunk
+
     def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
-        x, out, _ = b.enter(self, x)
-        return ops.conv2d_fused(
-            x,
-            self.w_mat,
-            self.bias,
-            self.kernel,
-            self.stride,
-            self.out_shape[1],
-            self.out_shape[2],
-            out=out,
-            cols=b.cols,
-            activation=self.activation,
-        )
+        x, out, chunk = b.enter(self, x)
+        for i in range(0, x.shape[0], chunk):
+            ops.conv2d_fused(
+                x[i : i + chunk],
+                self.w_mat,
+                self.bias,
+                self.kernel,
+                self.stride,
+                self.out_shape[1],
+                self.out_shape[2],
+                out=out[i : i + chunk],
+                cols=b.cols,
+                activation=self.activation,
+            )
+        return out
 
 
 class _FusedDepthwise(_Step):

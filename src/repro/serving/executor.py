@@ -484,10 +484,21 @@ class BlockwiseRunner:
     must never serve each other) and never for an input with a
     different number of samples under a reused key.
 
+    ``input_key`` names the input: calls with one key (and batch size)
+    are taken to carry the same tensor.  ``None``, the default, names
+    nothing: the run neither reads nor fills the cache or its counters.
+
+    An activation is kept only where a second path can pick it up: at
+    the end of the path's cacheable prefix and wherever another path the
+    runner has run leaves it (their longest common prefix).  Paths are
+    learned as they run, so a newly seen path may miss once at a branch
+    point nothing had a reason to store before.
+
     The cache is a bounded LRU: a long-lived runtime would otherwise
     retain one activation tensor per ``(input_key, prefix)`` forever.
     ``cache_capacity=None`` removes the bound; evictions are counted in
-    ``cache_evictions`` next to the hit/miss counters.
+    ``cache_evictions`` next to the hit/miss counters, and
+    ``cache_bytes`` is what the resident entries hold.
 
     With ``compile_blocks=True`` a path's blocks are compiled into fused
     execution plans (:mod:`repro.dnn.compile`) the first time the path
@@ -520,6 +531,9 @@ class BlockwiseRunner:
     )
     #: (block id, quantize, input shape, int8: block-id prefix) -> plan
     _compiled: dict[tuple, Layer] = field(default_factory=dict)
+    #: block ids of every path run -> where other known paths leave it
+    #: (lengths of their longest common prefixes)
+    _branches: dict[tuple[str, ...], set[int]] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         if self.cache_capacity is not None and self.cache_capacity < 1:
@@ -534,7 +548,9 @@ class BlockwiseRunner:
         """Numeric format this runner executes blocks at."""
         return self.quantize or "fp32"
 
-    def _plans(self, block_ids: list[str], shape: tuple[int, ...]) -> list[Layer]:
+    def _plans(
+        self, block_ids: tuple[str, ...], shape: tuple[int, ...]
+    ) -> list[Layer]:
         """The path's plans for inputs of ``shape``, compiled on first sight.
 
         A block compiled alone would calibrate its int8 activation scales
@@ -547,7 +563,7 @@ class BlockwiseRunner:
         plans = []
         calibration = None
         for i, block_id in enumerate(block_ids):
-            prefix = tuple(block_ids[:i]) if self.quantize else ()
+            prefix = block_ids[:i] if self.quantize else ()
             key = (block_id, self.quantize, shape, prefix)
             plan = self._compiled.get(key)
             if plan is None:
@@ -563,6 +579,26 @@ class BlockwiseRunner:
             plans.append(plan)
         return plans
 
+    @property
+    def cache_bytes(self) -> int:
+        """Bytes the resident cache entries hold."""
+        return sum(x.nbytes for x in self._cache.values())
+
+    def _branch_points(self, block_ids: tuple[str, ...]) -> set[int]:
+        """Prefix lengths at which another known path leaves this one."""
+        points = self._branches.get(block_ids)
+        if points is None:
+            points = set()
+            for other, theirs in self._branches.items():
+                common = next(
+                    (i for i, (a, b) in enumerate(zip(block_ids, other)) if a != b),
+                    min(len(block_ids), len(other)),
+                )
+                points.add(common)
+                theirs.add(common)
+            self._branches[block_ids] = points
+        return points
+
     def _remember(self, key: tuple, x: np.ndarray) -> None:
         self._cache[key] = x
         self._cache.move_to_end(key)
@@ -570,11 +606,13 @@ class BlockwiseRunner:
             self._cache.popitem(last=False)
             self.cache_evictions += 1
 
-    def run(self, path: Path, x: np.ndarray, input_key: int = 0) -> np.ndarray:
+    def run(
+        self, path: Path, x: np.ndarray, input_key: int | None = None
+    ) -> np.ndarray:
         missing = [b.block_id for b in path.blocks if b.block_id not in self.modules]
         if missing:
             raise KeyError(f"no modules bound for blocks {missing}")
-        block_ids = [b.block_id for b in path.blocks]
+        block_ids = tuple(b.block_id for b in path.blocks)
         # Cache entries are tagged with the executing precision: an fp32
         # and an int8 path sharing a trunk must never serve each other's
         # activations (they are numerically different tensors).
@@ -585,20 +623,27 @@ class BlockwiseRunner:
             layers = self._plans(block_ids, tuple(x.shape[1:]))
         else:
             layers = [self.modules[block_id] for block_id in block_ids]
-        # longest cached prefix of cacheable blocks
+        # prefix lengths that may hold an entry, longest first: the end of
+        # the cacheable prefix and wherever another known path leaves it
+        keep: list[int] = []
+        if input_key is not None:
+            depth = next(
+                (i for i, bid in enumerate(block_ids) if bid not in self.cacheable),
+                len(block_ids),
+            )
+            points = self._branch_points(block_ids) | {depth}
+            keep = sorted((p for p in points if 0 < p <= depth), reverse=True)
         start = 0
-        for i in range(len(block_ids), 0, -1):
-            prefix = tuple(block_ids[:i])
-            if not all(bid in self.cacheable for bid in prefix):
-                continue
-            cached = self._cache.get((*tag, prefix))
+        for i in keep:
+            key = (*tag, block_ids[:i])
+            cached = self._cache.get(key)
             if cached is not None:
-                self._cache.move_to_end((*tag, prefix))
+                self._cache.move_to_end(key)
                 x = cached
                 start = i
                 self.cache_hits += 1
                 break
-        if start == 0:
+        if start == 0 and input_key is not None:
             self.cache_misses += 1
         tracer = current_tracer()
         for i in range(start, len(block_ids)):
@@ -609,12 +654,12 @@ class BlockwiseRunner:
                     x = layers[i](x)
             else:
                 x = layers[i](x)
-            prefix = tuple(block_ids[: i + 1])
-            if all(bid in self.cacheable for bid in prefix):
-                self._remember((*tag, prefix), x)
+            if i + 1 in keep:
+                self._remember((*tag, block_ids[: i + 1]), x)
         return x
 
     def clear(self) -> None:
+        """Drop the cached activations (not what was learned about paths)."""
         self._cache.clear()
 
     def clear_compiled(self) -> None:

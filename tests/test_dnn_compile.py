@@ -8,10 +8,15 @@ arithmetic, stable across repeated calls on reused buffers.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.dnn import compile as compile_mod
+from repro.dnn import ops
 from repro.dnn.compile import (
+    _ALIGN,
     CompiledModule,
     _Arena,
     _thread_arena,
@@ -258,6 +263,59 @@ class TestLinearWeightCache:
         )
 
 
+class TestChunkedConv:
+    """An fp32 conv gathers and multiplies its batch through an im2col
+    scratch of at most ``_COLS_CAP`` bytes, a chunk of samples at a time;
+    the GEMMs are per sample either way, so every output bit is the
+    whole-batch kernel's."""
+
+    SHAPE = (4, 9, 9)
+
+    @pytest.mark.parametrize(
+        "kernel, stride, padding", [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)]
+    )
+    # scratch cap in samples: the module's, 3 (divides neither 8 nor 32),
+    # and less than one sample needs (chunks of one)
+    @pytest.mark.parametrize("cap_samples", [None, 3.5, 0.5])
+    def test_chunks_equal_the_whole_batch_kernel(
+        self, monkeypatch, kernel, stride, padding, cap_samples
+    ):
+        rng = np.random.default_rng(21)
+        conv = Conv2d(4, 6, kernel, stride, padding, bias=True, rng=rng)
+        conv.bias = rng.normal(size=6).astype(np.float32)
+        plan = compile_module(Sequential(conv, ReLU()), self.SHAPE)
+        (step,) = plan.steps
+        need = 4 * step.cols_elems  # bytes of one sample's columns
+        if cap_samples is not None:
+            monkeypatch.setattr(compile_mod, "_COLS_CAP", int(cap_samples * need))
+        for n in (1, 3, 8, 32):
+            x = rng.standard_normal((n, *self.SHAPE), dtype=np.float32)
+            padded = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
+            whole = ops.conv2d_fused(
+                padded, step.w_mat, step.bias, kernel, stride, *step.out_shape[1:],
+                out=np.empty((n, *step.out_shape), dtype=np.float32),
+                cols=np.empty(n * step.cols_elems, dtype=np.float32),
+                activation="relu",
+            )
+            binding = plan._bind(_Arena(), n)
+            chunk = binding.bufs[step][3]
+            if cap_samples is not None and need:
+                assert chunk == min(n, max(1, int(cap_samples)))
+            assert binding.cols.nbytes == (chunk * need if need else 0)
+            np.testing.assert_array_equal(fresh_forward(plan, x), whole)
+            np.testing.assert_array_equal(plan.forward(x), whole)
+
+    def test_scratch_is_sized_by_the_cap_not_the_batch(self):
+        """ResNet-18 w32 ``layer1`` at n = 32 used to bind 36 MB of columns."""
+        model = build_resnet18(num_classes=10, input_size=32, width=32, seed=0)
+        plan = compile_module(model.blocks["layer1"], (32, 32, 32))
+        one_sample = 4 * 32 * 9 * 32 * 32
+        for n in (1, 8, 32):
+            cols = plan._bind(_Arena(), n).cols.nbytes
+            assert cols == min(n, compile_mod._COLS_CAP // one_sample) * one_sample
+            assert cols <= compile_mod._COLS_CAP
+
+
 def _arena_plans():
     """Three plans of different shapes and both precisions."""
     wide = build_resnet18(num_classes=5, input_size=16, width=16, seed=0)
@@ -323,6 +381,22 @@ class TestArena:
             for view in views
             if view is not None and view.size  # fp32 plans need no temp
         )
+
+    def test_growth_frees_the_old_block_first(self):
+        """Regression: ``reserve`` allocated the larger block while the
+        arena still held the old one, so a grow peaked at old + new."""
+        old, new = 8 << 20, 12 << 20
+        tracemalloc.start()
+        try:
+            arena = _Arena()
+            arena.reserve(old)
+            tracemalloc.reset_peak()
+            arena.reserve(new)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert arena.block.nbytes == new
+        assert new <= peak <= new + _ALIGN + 4096  # not old + new
 
     def test_same_geometry_steps_share_one_pad(self):
         model = build_resnet18(num_classes=5, input_size=16, width=8, seed=0)

@@ -688,6 +688,134 @@ class TestBlockwiseRunner:
         assert compiled.cache_hits == 1
 
 
+    def test_default_key_names_no_input(self):
+        """Regression: ``input_key`` defaulted to 0, so a second, different
+        input of the same batch size run without a key got the first
+        one's trunk activation — and so the first one's output — back."""
+        runner, path_a, _, modules = self._runner()
+        rng = np.random.default_rng(0)
+        x1, x2 = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
+        out1, out2 = runner.run(path_a, x1), runner.run(path_a, x2)
+        np.testing.assert_array_equal(out2, modules["a:g3"](modules["base:g1"](x2)))
+        assert not np.array_equal(out1, out2)
+        # no key: the cache is neither read nor filled nor counted
+        counters = (runner.cache_hits, runner.cache_misses, runner.cache_evictions)
+        assert counters == (0, 0, 0) and not runner._cache and runner.cache_bytes == 0
+        # ... not even when an explicit key made the trunk resident
+        runner.run(path_a, x1, input_key=0)
+        np.testing.assert_array_equal(runner.run(path_a, x2), out2)
+        assert (runner.cache_hits, runner.cache_misses, len(runner._cache)) == (0, 1, 1)
+        np.testing.assert_array_equal(runner.run(path_a, x1, input_key=0), out1)
+        assert runner.cache_hits == 1
+
+    def test_cache_bytes_counts_resident_entries(self):
+        runner, path_a, _, _ = self._runner()
+        runner.cache_capacity = 2
+        x = np.random.default_rng(0).normal(size=(3, 4))
+        for key in (1, 2, 3):
+            runner.run(path_a, x, input_key=key)
+        # two resident (3, 8) float64 trunk outputs, the third evicted
+        assert runner.cache_bytes == 2 * 3 * 8 * 8
+        runner.clear()
+        assert runner.cache_bytes == 0
+
+
+class TestBranchPointCache:
+    """An activation is stored only where a second path can pick it up:
+    at the end of a path's cacheable prefix and where a known path leaves
+    it.  Three paths over the four-block trunk ``stem..layer3``: ``early``
+    leaves it after block 2, ``late`` and ``twin`` after block 4."""
+
+    TRUNK = BLOCK_NAMES[:4]
+
+    def _deployment(self, **runner_kwargs):
+        models = {
+            owner: build_resnet18(num_classes=10, input_size=16, width=8, seed=seed)
+            for seed, owner in enumerate(("base", "early", "late", "twin"))
+        }
+        modules = {
+            f"{owner}:{name}": model.blocks[name]
+            for owner, model in models.items()
+            for name in BLOCK_NAMES
+        }
+
+        def path(owner, shared):
+            ids = [
+                f"{'base' if i < shared else owner}:{name}"
+                for i, name in enumerate(BLOCK_NAMES)
+            ]
+            blocks = tuple(Block(bid, owner, 0.001, 0.01) for bid in ids)
+            return Path(owner, owner, 1, blocks, 0.9, QUALITY)
+
+        paths = {"early": path("early", 2), "late": path("late", 4), "twin": path("twin", 4)}
+        cacheable = frozenset(f"base:{name}" for name in self.TRUNK)
+        runner = BlockwiseRunner(modules=modules, cacheable=cacheable, **runner_kwargs)
+        plain = BlockwiseRunner(modules=modules, **runner_kwargs)  # caches nothing
+        x = np.random.default_rng(5).standard_normal(
+            (2, *models["base"].input_shape), dtype=np.float32
+        )
+        return runner, plain, paths, x
+
+    @staticmethod
+    def _stored(runner):
+        """``(input key, prefix length)`` of every resident entry, in LRU order."""
+        return [(key, len(prefix)) for key, _n, _precision, prefix in runner._cache]
+
+    @pytest.mark.parametrize("quantize", [None, "int8"])
+    def test_only_branch_points_and_deepest_prefixes_are_stored(self, quantize):
+        runner, plain, paths, x = self._deployment(compile_blocks=True, quantize=quantize)
+        outs = {name: plain.run(path, x) for name, path in paths.items()}
+        assert not plain._cache
+
+        def run(name, key):
+            np.testing.assert_array_equal(runner.run(paths[name], x, input_key=key), outs[name])
+
+        # alone, a path keeps its whole cacheable prefix and nothing else
+        run("late", 1)
+        assert self._stored(runner) == [(1, 4)]
+        # a newly seen path misses once where nobody had a reason to store ...
+        run("early", 1)
+        assert (runner.cache_hits, runner.cache_misses) == (0, 2)
+        assert self._stored(runner) == [(1, 4), (1, 2)]
+        # ... and from then on the branch point is kept: block 2 and block 4
+        run("late", 2)
+        assert self._stored(runner)[2:] == [(2, 2), (2, 4)]
+        run("early", 2)  # partial sharing: picks the trunk up at block 2
+        run("twin", 2)  # first sight, and block 4 is already resident
+        assert (runner.cache_hits, runner.cache_misses) == (2, 3)
+        # every path seen: a fresh input stores the two branch points once
+        for name in ("twin", "early", "late"):
+            run(name, 3)
+        assert sorted(self._stored(runner)) == [
+            (1, 2), (1, 4), (2, 2), (2, 4), (3, 2), (3, 4)
+        ]
+        assert (runner.cache_hits, runner.cache_misses) == (4, 4)
+        assert runner.cache_bytes == sum(a.nbytes for a in runner._cache.values()) > 0
+
+    def test_capacity_counts_entries_and_evicts_oldest_first(self):
+        runner, _, paths, x = self._deployment(cache_capacity=3)
+        runner.run(paths["early"], x, input_key=0)
+        runner.clear()  # drops the entry, not the path
+        assert not runner._cache and runner.cache_bytes == 0
+        for key in (1, 2):
+            runner.run(paths["late"], x, input_key=key)
+        # two entries per run (blocks 2 and 4) although early never ran since
+        assert self._stored(runner) == [(1, 4), (2, 2), (2, 4)]
+        assert runner.cache_evictions == 1
+        runner.run(paths["early"], x, input_key=1)  # (1, 2) is gone: a miss
+        assert (runner.cache_hits, runner.cache_misses) == (0, 4)
+        assert self._stored(runner) == [(2, 2), (2, 4), (1, 2)]
+
+    def test_uncacheable_block_ends_the_prefix(self):
+        """A branch point past the first fine-tuned block is not stored."""
+        runner, _, paths, x = self._deployment()
+        runner.cacheable = frozenset({"base:stem"})
+        for name in ("late", "twin"):  # they part after block 4
+            runner.run(paths[name], x, input_key=1)
+        assert self._stored(runner) == [(1, 1)]
+        assert (runner.cache_hits, runner.cache_misses) == (1, 1)
+
+
 def test_serving_is_one_in_process_route():
     """No process pool behind the runner: nothing to select, nothing loaded."""
     with pytest.raises(TypeError):
