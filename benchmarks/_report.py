@@ -79,14 +79,3 @@ def write_json(report: dict, path: pathlib.Path) -> None:
     path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\nwrote {path}")
 
-
-def attach_obs(report: dict, obs) -> dict:
-    """Embed an :class:`repro.obs.ObsSession`'s phase breakdown.
-
-    Benches that run under a session call this before :func:`write_json`
-    so the committed ``BENCH_*.json`` carries where the time went
-    (per-phase span totals) next to the headline numbers.
-    """
-    report["phases"] = obs.phase_breakdown()
-    report["span_count"] = obs.span_count
-    return report

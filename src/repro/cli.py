@@ -122,59 +122,42 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["fig2", "fig3", "fig6", "fig7", "fig9", "fig10", "fig11", "headline"],
     )
 
-    def _add_serve_args(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument(
-            "--tasks", type=int, default=5, help="number of tasks (1..5)"
-        )
-        parser.add_argument("--duration", type=float, default=10.0, help="seconds")
-        parser.add_argument(
-            "--load", type=float, default=1.0, help="offered-load multiplier on λ"
-        )
-        parser.add_argument("--policy", choices=["fifo", "edf"], default="edf")
-        parser.add_argument(
-            "--window", type=float, default=0.005, help="batch window (s)"
-        )
-        parser.add_argument(
-            "--workers", type=int, default=None,
-            help="executor workers (default 1; single-node only — cluster "
-            "nodes take their worker counts from the topology)",
-        )
-        parser.add_argument(
-            "--slice-margin", type=int, default=2,
-            help="extra RBs per admitted slice (uplink headroom for batching)",
-        )
-        parser.add_argument(
-            "--no-prefix-cache", action="store_true",
-            help="disable shared-block prefix fusion in the executor",
-        )
-        parser.add_argument(
-            "--int8-activations", action="store_true",
-            help="ship cluster-hop activations as int8+scale wire frames "
-            "(4x fewer payload bytes than fp32; multi-node only)",
-        )
-        parser.add_argument("--poisson", action="store_true", help="Poisson arrivals")
-        parser.add_argument("--seed", type=int, default=0)
-        _add_trace_arg(parser)
-
     serve = sub.add_parser(
         "serve-sim", help="run the serving runtime on the small-scale scenario"
     )
-    _add_serve_args(serve)
+    serve.add_argument("--tasks", type=int, default=5, help="number of tasks (1..5)")
+    serve.add_argument("--duration", type=float, default=10.0, help="seconds")
+    serve.add_argument(
+        "--load", type=float, default=1.0, help="offered-load multiplier on λ"
+    )
+    serve.add_argument("--policy", choices=["fifo", "edf"], default="edf")
+    serve.add_argument("--window", type=float, default=0.005, help="batch window (s)")
+    serve.add_argument(
+        "--workers", type=int, default=None,
+        help="executor workers (default 1; single-node only — cluster "
+        "nodes take their worker counts from the topology)",
+    )
+    serve.add_argument(
+        "--slice-margin", type=int, default=2,
+        help="extra RBs per admitted slice (uplink headroom for batching)",
+    )
+    serve.add_argument(
+        "--no-prefix-cache", action="store_true",
+        help="disable shared-block prefix fusion in the executor",
+    )
+    serve.add_argument(
+        "--int8-activations", action="store_true",
+        help="ship cluster-hop activations as int8+scale wire frames "
+        "(4x fewer payload bytes than fp32; multi-node only)",
+    )
+    serve.add_argument("--poisson", action="store_true", help="Poisson arrivals")
+    serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
         "--cluster", default=None, metavar="NODES",
         help="serve across a multi-node fabric: a nodes.json topology "
         "file or an integer edge-node count",
     )
-
-    serve_cluster = sub.add_parser(
-        "serve-cluster",
-        help="serve the small-scale scenario across a multi-node fabric",
-    )
-    serve_cluster.add_argument(
-        "nodes",
-        help="nodes.json topology file or an integer edge-node count",
-    )
-    _add_serve_args(serve_cluster)
+    _add_trace_arg(serve)
 
     trace_summary = sub.add_parser(
         "trace-summary", help="validate and summarize a recorded trace file"
@@ -445,8 +428,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     from repro.serving import ServingConfig, ServingRuntime
     from repro.workloads.smallscale import serving_small_scale_problem
 
-    cluster_spec = getattr(args, "cluster", None) or getattr(args, "nodes", None)
-    if cluster_spec is not None and args.workers is not None:
+    if args.cluster is not None and args.workers is not None:
         print(
             "error: --workers has no effect with a cluster; set num_workers "
             "per node in the topology (nodes.json)",
@@ -454,11 +436,11 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         )
         return 2
     topology = None
-    if cluster_spec is not None:
+    if args.cluster is not None:
         try:
-            topology = _load_topology(cluster_spec)
+            topology = _load_topology(args.cluster)
         except (ValueError, OSError) as exc:  # invalid JSON is a ValueError
-            print(f"error: topology {cluster_spec!r}: {exc}", file=sys.stderr)
+            print(f"error: topology {args.cluster!r}: {exc}", file=sys.stderr)
             return 2
     obs, scope = _start_trace(args.trace)
     problem = serving_small_scale_problem(args.tasks, seed=args.seed)
@@ -639,7 +621,6 @@ _COMMANDS = {
     "profile": _cmd_profile,
     "reproduce": _cmd_reproduce,
     "serve-sim": _cmd_serve_sim,
-    "serve-cluster": _cmd_serve_sim,
     "trace-summary": _cmd_trace_summary,
     "sweep": _cmd_sweep,
     "export-problem": _cmd_export_problem,

@@ -15,7 +15,7 @@ from functools import cached_property
 
 from repro.core.task import QualityLevel, Task
 
-__all__ = ["DEFAULT_BATCH_MARGINAL", "Block", "Path", "Catalog"]
+__all__ = ["DEFAULT_BATCH_MARGINAL", "INT8_ACCURACY_DROP", "Block", "Path", "Catalog"]
 
 #: What a block is charged per extra sample of a fused batch when nobody
 #: measured it: the engine-wide fit of ``t(n) = t(1)·(1 + (n − 1)·m)``
@@ -24,6 +24,14 @@ __all__ = ["DEFAULT_BATCH_MARGINAL", "Block", "Path", "Catalog"]
 #: host clock, numpy wall; fp32 alone fits 0.99, int8 0.65).  Re-derive it
 #: with ``python -m benchmarks.bench_engine --fit-default``.
 DEFAULT_BATCH_MARGINAL = 0.76
+
+#: Top-1 accuracy an int8 variant is charged below its fp32 twin when
+#: nobody measured it: post-training symmetric quantization on these
+#: depths loses well under a point, and the catalog prices it
+#: conservatively.  Read by the profiled catalog
+#: (``repro.dnn.repository``) and the scenario cost basis
+#: (``repro.workloads.generator.CostBasis``).
+INT8_ACCURACY_DROP = 0.005
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,6 @@ from repro.dnn.compile import (
 
 __all__ = [
     "QMAX",
-    "INT8_ACCURACY_DROP",
     "weight_scales",
     "quantize_per_channel",
     "dequantize_per_channel",
@@ -107,11 +106,6 @@ QMAX = 127
 
 #: clip ceiling that truncates to exactly QMAX after the +0.5 fold
 _HI = np.float32(127.49997)
-
-#: documented top-1 accuracy penalty charged to int8 catalog variants
-#: (post-training symmetric quantization on these depths loses well
-#: under a point; the catalog prices it conservatively)
-INT8_ACCURACY_DROP = 0.005
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.catalog import Block, Path
+from repro.core.catalog import INT8_ACCURACY_DROP, Block, Path
 from repro.core.task import QualityLevel, Task
 from repro.dnn.configs import BlockConfig, TABLE_I_CONFIGS
 from repro.dnn.profiler import ModelProfile, profile_model
@@ -189,8 +189,6 @@ def _profile_config(
     if config.pruned:
         accuracy = max(0.0, accuracy - pruned_accuracy_drop(config, full_model))
     if quantize == "int8":
-        from repro.dnn.quantize import INT8_ACCURACY_DROP
-
         accuracy = max(0.0, accuracy - INT8_ACCURACY_DROP)
     return ProfiledConfig(
         config=config,

@@ -120,8 +120,6 @@ class ServingConfig:
     load_factor: float = 1.0
     #: downlink result-return time (tiny payload)
     result_return_s: float = 0.002
-    #: token-bucket burst in requests
-    admission_burst: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -141,8 +139,6 @@ class ServingConfig:
             raise ValueError("num_workers must be >= 1")
         if self.result_return_s < 0.0:
             raise ValueError("result_return_s must be >= 0")
-        if self.admission_burst < 1.0:
-            raise ValueError("admission_burst must be >= 1 request")
 
 
 @dataclass
@@ -334,8 +330,7 @@ class _Run:
                 tid: min(1.0, ticket.admission_ratio / cfg.load_factor)
                 for tid, ticket in runtime.tickets.items()
                 if ticket.admitted
-            },
-            burst=cfg.admission_burst,
+            }
         )
         self.queues: dict[int, ServingQueue] = {}
         self.served_tasks = []

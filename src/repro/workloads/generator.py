@@ -24,7 +24,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.catalog import DEFAULT_BATCH_MARGINAL, Block, Catalog, Path
+from repro.core.catalog import (
+    DEFAULT_BATCH_MARGINAL,
+    INT8_ACCURACY_DROP,
+    Block,
+    Catalog,
+    Path,
+)
 from repro.core.task import QualityLevel, Task
 from repro.dnn.configs import STAGE_NAMES, TABLE_I_CONFIGS, BlockConfig
 
@@ -154,7 +160,7 @@ class CostBasis:
     #: int8 activation buffers; runtime overhead keeps it above 0.25)
     int8_memory_factor: float = 0.30
     #: top-1 accuracy cost of post-training int8 quantization
-    int8_accuracy_drop: float = 0.005
+    int8_accuracy_drop: float = INT8_ACCURACY_DROP
     #: batch law of every fp32 block and of every int8 one
     #: (:class:`repro.core.catalog.Block`); the profiler measures one each
     batch_marginal: float = DEFAULT_BATCH_MARGINAL

@@ -534,7 +534,7 @@ def test_single_node_runtime_unaffected_by_new_fields():
 def test_cli_serve_cluster(capsys):
     from repro.cli import main
 
-    assert main(["serve-cluster", "2", "--duration", "1"]) == 0
+    assert main(["serve-sim", "--cluster", "2", "--duration", "1"]) == 0
     out = capsys.readouterr().out
     assert "cluster: 2 nodes" in out
     assert "edge0" in out and "edge1" in out
@@ -544,15 +544,11 @@ def test_cli_rejects_workers_with_a_cluster(capsys):
     from repro.cli import main
 
     # node worker counts come from the topology, so --workers must be
-    # refused, not silently ignored, on both cluster spellings
-    for argv in (
-        ["serve-cluster", "2", "--workers", "4"],
-        ["serve-sim", "--cluster", "2", "--workers", "4"],
-    ):
-        assert main(argv + ["--duration", "1"]) == 2
-        captured = capsys.readouterr()
-        assert "--workers" in captured.err and "topology" in captured.err
-        assert captured.out == ""
+    # refused, not silently ignored
+    assert main(["serve-sim", "--cluster", "2", "--workers", "4", "--duration", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "--workers" in captured.err and "topology" in captured.err
+    assert captured.out == ""
     assert main(["serve-sim", "--workers", "2", "--duration", "1"]) == 0
 
 
@@ -568,11 +564,11 @@ def test_cli_reports_an_unloadable_topology(tmp_path, capsys):
         ("missing.json", "No such file"),
         ("broken.json", "Expecting value"),
     ):
-        for argv in (["serve-sim", "--cluster"], ["serve-cluster"]):
-            assert main(argv + [str(tmp_path / name), "--duration", "1"]) == 2
-            captured = capsys.readouterr()
-            assert captured.err.startswith("error: ") and message in captured.err
-            assert captured.out == ""
+        argv = ["serve-sim", "--cluster", str(tmp_path / name), "--duration", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
 
 
 def test_cli_serve_sim_cluster_topology_file(tmp_path, capsys):

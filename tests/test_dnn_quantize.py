@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.catalog import INT8_ACCURACY_DROP
 from repro.dnn.compile import compile_module
 from repro.dnn.configs import TABLE_I_CONFIGS
 from repro.dnn.pruning import prune_resnet
 from repro.dnn.quantize import (
-    INT8_ACCURACY_DROP,
     QMAX,
     QuantizedModule,
     activation_scale,

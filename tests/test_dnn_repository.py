@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.catalog import Catalog
+from repro.core.catalog import INT8_ACCURACY_DROP, Catalog
 from repro.core.task import QualityLevel, Task
 from repro.dnn.repository import (
     BLOCK_GROUPS,
@@ -154,7 +154,7 @@ class TestInt8Variants:
             # total m(s) lands well under half the fp32 footprint
             assert pc.total_memory_gb < 0.5 * fp32.total_memory_gb
             # quantization costs the documented accuracy drop
-            assert pc.accuracy == pytest.approx(fp32.accuracy - 0.005)
+            assert pc.accuracy == pytest.approx(fp32.accuracy - INT8_ACCURACY_DROP)
 
     def test_int8_shared_blocks_live_in_own_namespace(self, with_int8, quality):
         paths = {

@@ -156,7 +156,6 @@ class TestRuntime:
             {"result_return_s": -0.001},
             {"queue_depth": 0},
             {"num_workers": 0},
-            {"admission_burst": 0.5},
             {"queue_policy": "lifo"},
         ):
             (name,) = bad

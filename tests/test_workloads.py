@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.catalog import DEFAULT_BATCH_MARGINAL
+from repro.core.catalog import DEFAULT_BATCH_MARGINAL, INT8_ACCURACY_DROP
 from repro.core.task import QualityLevel
 from repro.workloads.generator import (
     GROUP_NAMES,
@@ -134,7 +134,7 @@ class TestQuantizedVariants:
             b.memory_gb for b in fp32.blocks
         )
         assert int8.compute_time_s < fp32.compute_time_s
-        assert int8.accuracy == pytest.approx(fp32.accuracy - 0.005)
+        assert int8.accuracy == pytest.approx(fp32.accuracy - INT8_ACCURACY_DROP)
         fp32_shared = {b.block_id for b in fp32.blocks if ":base" in b.block_id}
         int8_shared = {b.block_id for b in int8.blocks if ":base" in b.block_id}
         assert int8_shared and not fp32_shared & int8_shared
