@@ -28,9 +28,9 @@ to the committed ``BENCH_engine.json`` rows, the value of
 ``repro.core.catalog.DEFAULT_BATCH_MARGINAL``.
 
 Three counts ride along (no clock): the bytes the thread's buffer arena
-and pad pool own after every plan and batch size of the run went through
-them, against the neediest single (plan, batch size) — one arena serves
-them all; what the runner's prefix cache holds resident
+owns after every plan and batch size of the run went through it, which
+must equal the neediest single (plan, batch size) — one arena serves
+them all, pads included; what the runner's prefix cache holds resident
 (``BlockwiseRunner.cache_bytes``) after sixteen inputs per batch size
 went through five paths sharing ``stem..layer3`` — an entry at the one
 branch point per input, not one per trunk block; and the scheme every
@@ -39,9 +39,10 @@ skinny to pay.
 
 Results go to ``BENCH_engine.json`` at the repo root (machine-readable,
 committed, so later PRs can track the perf trajectory); the text table
-is printed.  ``--quick`` runs a small-shape subset
-for CI smoke: it asserts parity and the two counts and exits nonzero on
-divergence or crash, writing
+is printed.  Every run exits nonzero on a parity, determinism or
+batch-law failure, or when the arena is not exactly that need.
+``--quick`` runs a small-shape subset for CI smoke, also fails when an
+int8 conv binds Winograd at batch 1, and writes
 ``benchmarks/results/BENCH_engine_quick.json`` instead.
 """
 
@@ -72,11 +73,6 @@ PARITY_TOL = 1e-4
 #: quantization is lossy; gate on top-1 agreement with fp32 instead of
 #: element-wise closeness (measured worst config: 0.88)
 INT8_AGREEMENT_TOL = 0.75
-#: the arena may own this much more than the neediest single (plan,
-#: batch size): its block is exactly that need, the slack is the pool's
-#: pads of the other geometries (asserted by --quick, whose plans share
-#: most of theirs; the full run's 13 models do not)
-ARENA_SLACK = 1.25
 #: per-block batch law vs the measured runner, mean relative error per
 #: (precision, batch size): fatal above the first, the full run aims at
 #: the second
@@ -97,7 +93,7 @@ def _median_time(fn, x: np.ndarray, repeats: int, warmup: int = 1) -> float:
 
 
 def _single_need(plan, n: int) -> int:
-    """Arena + pad bytes ``plan`` alone needs at batch size ``n``."""
+    """Arena bytes ``plan`` alone needs at batch size ``n``."""
     alone = _Arena()
     plan._bind(alone, n)
     return alone.nbytes
@@ -171,6 +167,9 @@ def run_int8(quick: bool) -> dict:
         probe = rng.standard_normal((probe_n, *model.input_shape), dtype=np.float32)
         ref_top1 = np.argmax(compiled.forward(probe), axis=1)
         q_out = quantized.forward(probe)
+        need = max(
+            need, _single_need(compiled, probe_n), _single_need(quantized, probe_n)
+        )
         agreement = float(np.mean(np.argmax(q_out, axis=1) == ref_top1))
         bit_identical = bool(np.array_equal(q_out, quantized.forward(probe)))
         agreement_by_config[label] = agreement
@@ -522,7 +521,7 @@ def main() -> int:
         f"{key} {value:.3f}" for key, value in law["mape"].items()
     ) + f"   (fatal > {LAW_MAPE_FATAL}, target <= {LAW_MAPE_TARGET})"
     arena_summary = (
-        f"arena + pad pool after every plan: "
+        f"arena after every plan: "
         f"{report['arena']['bytes'] / 1e6:.1f} MB   neediest single (plan, batch): "
         f"{report['arena']['largest_single_need_bytes'] / 1e6:.1f} MB"
     )
@@ -586,10 +585,11 @@ def main() -> int:
         print(f"INT8 SCHEME FAILURE: Winograd bound at batch 1: {wino}")
         return 1
     arena = report["arena"]
-    if args.quick and arena["bytes"] > ARENA_SLACK * arena["largest_single_need_bytes"]:
+    # pads live in the block, which grows to exactly the largest need
+    if arena["bytes"] != arena["largest_single_need_bytes"]:
         print(
-            f"ARENA FAILURE: {arena['bytes']} bytes owned > {ARENA_SLACK} x "
-            f"largest single need {arena['largest_single_need_bytes']}"
+            f"ARENA FAILURE: {arena['bytes']} bytes owned != largest single "
+            f"need {arena['largest_single_need_bytes']}"
         )
         return 1
     return 0

@@ -21,14 +21,16 @@ wire`):
 
 from __future__ import annotations
 
-import asyncio
 import math
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable
+from typing import TYPE_CHECKING, Awaitable, Callable
 
 import numpy as np
 
 from repro.cluster import wire
+
+if TYPE_CHECKING:  # asyncio is imported when a socket opens, not with the package
+    import asyncio
 
 __all__ = [
     "LinkSpec",
@@ -249,6 +251,7 @@ async def serve_tensors(
     Returns the started server; the bound port is
     ``server.sockets[0].getsockname()[1]`` when ``port=0``.
     """
+    import asyncio
 
     async def on_connection(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -274,6 +277,8 @@ async def send_tensor(
     tensor: np.ndarray, host: str, port: int, fp16: bool = False
 ) -> np.ndarray:
     """Ship one tensor to a :func:`serve_tensors` host; returns the reply."""
+    import asyncio
+
     reader, writer = await asyncio.open_connection(host, port)
     try:
         _write_frame(writer, tensor, fp16)

@@ -157,7 +157,8 @@ def forward(layer: Layer, x: np.ndarray) -> tuple[np.ndarray, _Cache]:
     if isinstance(layer, GlobalAvgPool):
         return x.mean(axis=(2, 3)), _Cache("gap", (x.shape,))
     if isinstance(layer, Flatten):
-        return x.reshape(x.shape[0], -1), _Cache("flatten", (x.shape,))
+        flat = x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
+        return flat, _Cache("flatten", (x.shape,))
     if isinstance(layer, Linear):
         return ops.linear(x, layer.weight, layer.bias), _Cache("linear", (x,))
     raise TypeError(f"no training-mode forward for layer {type(layer)!r}")

@@ -26,17 +26,19 @@ Optimization passes
 4. **Buffer arena** — a plan owns weights, never buffers.  The first
    ``forward`` at a batch size on a thread *binds* the plan: all
    activation shapes are known from the compiled input shape, so the
-   shared im2col/temp scratch and every step's output are laid out at
-   fixed offsets of that thread's one grow-only arena, in plan order.
-   Nothing is live across forwards (``forward`` returns a copy), so the
-   arena is shared by every plan and batch size the thread runs and is
-   as large as the neediest of them, not their sum; when it has to grow
-   every binding is dropped and rebuilt on the new block.  Only pad
-   buffers persist — their zero borders are written once — in a
-   thread-local pool keyed by geometry and shared by every conv/pool of
-   that geometry.  Steady-state forwards allocate nothing but the final
-   output copy, and concurrent ``forward`` calls from different threads
-   never share mutable buffers.
+   shared im2col/temp scratch and every step's output and pad buffer get
+   fixed offsets of that thread's one grow-only arena.  The scratch sits
+   at the base; the buffers behind it are packed by lifetime, so two
+   that are never live at once share bytes and a binding is as large as
+   what its plan holds live at once.  Nothing is live across forwards
+   (``forward`` returns a copy), so the arena is shared by every plan and
+   batch size the thread runs and is as large as the neediest of them,
+   not their sum; when it has to grow every binding is dropped and
+   rebuilt on the new block.  A pad buffer is zeroed each time its step
+   runs, since whatever ran in between may have written there.
+   Steady-state forwards allocate nothing but the final output copy, and
+   concurrent ``forward`` calls from different threads never share
+   mutable buffers.
 
 :class:`CompiledModule` is a drop-in :class:`~repro.dnn.layers.Layer`
 (same ``forward`` / ``output_shape`` / ``flops`` interface, delegated to
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 import threading
 import weakref
-from itertools import accumulate
 
 import numpy as np
 
@@ -119,30 +120,30 @@ def _nbytes(shape: tuple[int, ...], dtype) -> int:
     return int(np.prod(shape)) * np.dtype(dtype).itemsize
 
 
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // _ALIGN) * _ALIGN
+
+
 class _Arena:
-    """One thread's plan memory: a grow-only block, a pad pool, the bound views.
+    """One thread's plan memory: a grow-only block and the bound views.
 
     Nothing a plan writes is live across forwards (``forward`` returns a
-    copy), so every plan and batch size a thread runs lays its scratch
-    and step outputs out at offsets of the same ``block``, which is as
-    large as the neediest of them.  Pad buffers cannot live there — their
-    zero borders must survive whatever runs in between — so they come
-    from ``pads``, one per (dtype, per-sample shape, batch, padding)
-    shared by every conv/pool with that geometry: each rewrites the whole
-    interior before reading.  ``bound`` maps plan -> batch size ->
-    :class:`_Binding`; replacing the block drops every binding, so no
-    view of the old block survives to keep it alive or be written to.
+    copy), so every plan and batch size a thread runs lays its scratch,
+    step outputs and pad buffers out at offsets of the same ``block``,
+    which is exactly as large as the neediest of them.  ``bound`` maps
+    plan -> batch size -> :class:`_Binding`; replacing the block drops
+    every binding, so no view of the old block survives to keep it alive
+    or be written to.
     """
 
     def __init__(self) -> None:
         self.block = np.empty(0, dtype=np.uint8)
-        self.pads: dict[tuple, np.ndarray] = {}
         self.bound: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @property
     def nbytes(self) -> int:
-        """Bytes this arena owns: the block plus the pad pool."""
-        return self.block.nbytes + sum(pad.nbytes for pad in self.pads.values())
+        """Bytes this arena owns: its block."""
+        return self.block.nbytes
 
     def reserve(self, nbytes: int) -> None:
         if nbytes > self.block.nbytes:
@@ -157,23 +158,24 @@ class _Arena:
         end = offset + _nbytes(shape, dtype)
         return self.block[offset:end].view(dtype).reshape(shape)
 
-    def pad(
-        self, shape: tuple[int, ...], n: int, p: int, dtype
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(zero-bordered buffer, its interior)`` for a batch of ``shape``."""
-        c, h, w = shape
-        key = (dtype, shape, n, p)
-        buf = self.pads.get(key)
-        if buf is None:
-            buf = self.pads[key] = np.zeros(
-                _batch_shape((c, h + 2 * p, w + 2 * p), n, dtype), dtype=dtype
-            )
-        # the interior's index, laid out as the buffer's shape is
-        inner = (slice(None), slice(p, p + h), slice(p, p + w))
-        return buf, buf[_batch_shape(inner, slice(None), dtype)]
-
     def release(self) -> None:
         self.__init__()
+
+
+def _pad_shape(step: "_Step", n: int) -> tuple[int, ...]:
+    """Whole-batch shape of ``step``'s padded input buffer."""
+    c, h, w = step.in_shape
+    p = step.padding
+    return _batch_shape((c, h + 2 * p, w + 2 * p), n, step.in_dtype)
+
+
+def _interior(pad: np.ndarray, step: "_Step") -> np.ndarray:
+    """The view of ``step``'s pad buffer its input is copied into."""
+    _, h, w = step.in_shape
+    p = step.padding
+    inner = (slice(None), slice(p, p + h), slice(p, p + w))
+    # the index laid out as the buffer's shape is
+    return pad[_batch_shape(inner, slice(None), step.in_dtype)]
 
 
 _THREAD = threading.local()
@@ -191,7 +193,9 @@ class _Binding:
 
     ``cols`` / ``tmp`` are the flat float32 gather and elementwise
     scratch every step of the plan shares; ``bufs`` maps each step to
-    ``(pad interior, pad, output, token)``.
+    ``(pad interior, pad, output, token)``.  A pad shares its bytes with
+    buffers live at other times and with other plans' bindings, so it is
+    zeroed on every entry.
     """
 
     __slots__ = ("cols", "tmp", "bufs")
@@ -205,6 +209,11 @@ class _Binding:
         """``(x inside its zero border, output buffer, token)`` for ``step``."""
         interior, pad, out, token = self.bufs[step]
         if pad is not None:
+            # one memset: the border's side columns are runs of `padding`
+            # elements, so filling the border alone cost 0.8-1.3x this for
+            # fp32 pads of up to 32 channels and 1.4-21x for every other
+            # ResNet-18 w32 pad (n = 1 / 8 / 32)
+            pad.fill(0)
             interior[...] = x
             x = pad
         return x, out, token
@@ -450,7 +459,8 @@ class _Flatten(_Step):
         self.out_shape = (int(np.prod(shape)),)
 
     def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
-        return x.reshape(x.shape[0], -1)
+        # by the per-sample size: numpy cannot infer -1 for an empty batch
+        return x.reshape(x.shape[0], *self.out_shape)
 
 
 class _LinearStep(_Step):
@@ -679,6 +689,80 @@ def _iter_steps(steps: list[_Step]):
                 yield from _iter_steps(plan)
 
 
+def _walk(steps: list[_Step], src, spans: dict, tick: int) -> tuple[object, int]:
+    """Follow ``steps`` in execution order from the buffer ``src`` their
+    input is in (``None``: memory the plan does not own), one tick per
+    step run or residual merge, recording in ``spans`` each buffer's
+    ``[tick written, last tick read]``.  Returns the buffer the chain's
+    output is in and the chain's last tick.
+
+    A residual runs its shortcut, then its body, then the merge, which
+    reads both branch outputs; the fp32 merge writes in place into the
+    body's last buffer.  A step that binds no output hands on its input
+    as a view (``_Flatten``) or in memory of its own (``_EagerStep``):
+    either way the input is taken to stay live with the result.
+    """
+    for step in steps:
+        if getattr(step, "sub_plans", None) is not None:
+            identity = src
+            if step.shortcut:
+                identity, tick = _walk(step.shortcut, src, spans, tick)
+            out, tick = _walk(step.body, src, spans, tick)
+            reads = (identity, out)
+        else:
+            out = src
+            reads = (src,)
+        tick += 1
+        for key in reads:
+            if key is not None:
+                spans[key][1] = tick
+        if step.padding:
+            spans[step, "pad"] = [tick, tick]
+        if step.out_dtype is not None:
+            out = (step, "out")
+            spans[out] = [tick, tick]
+        src = out
+    return src, tick
+
+
+def _lifetimes(steps: list[_Step]) -> dict[tuple, list[int]]:
+    """``{(step, "out" | "pad"): [first tick, last tick]}`` of a plan's
+    buffers; the plan's output stays live after its last step, until
+    ``forward`` has copied it out."""
+    spans: dict[tuple, list[int]] = {}
+    out, tick = _walk(steps, None, spans, 0)
+    if out is not None:
+        spans[out][1] = tick + 1
+    return spans
+
+
+def _pack(buffers: list[tuple[int, int, int]]) -> list[int]:
+    """First-fit offsets for ``(nbytes, first tick, last tick)`` buffers.
+
+    In order of first use (the larger first on a tie), each goes to the
+    lowest offset clear of every buffer already placed whose lifetime
+    meets its own, so buffers that are never live at once share bytes.
+    """
+    offsets = [0] * len(buffers)
+    placed: list[int] = []
+    order = sorted(range(len(buffers)), key=lambda i: (buffers[i][1], -buffers[i][0]))
+    for i in order:
+        size, first, last = buffers[i]
+        live = sorted(
+            (offsets[j], offsets[j] + buffers[j][0])
+            for j in placed
+            if buffers[j][1] <= last and first <= buffers[j][2]
+        )
+        offset = 0
+        for start, end in live:
+            if offset + size <= start:
+                break
+            offset = max(offset, end)
+        offsets[i] = offset
+        placed.append(i)
+    return offsets
+
+
 class CompiledModule(Layer):
     """A fused, buffer-reusing execution plan — a drop-in ``Layer``.
 
@@ -708,34 +792,41 @@ class CompiledModule(Layer):
         """Lay the plan out in ``arena`` for a batch of ``n``.
 
         The shared gather and temp scratch sit at the base (sized by the
-        neediest step), then every step's output in plan order; pads
-        come from the arena's pool.
+        neediest step).  Behind them every step output and pad buffer is
+        packed by its lifetime in the plan's data flow (:func:`_lifetimes`,
+        :func:`_pack`), so the binding is as large as what the plan holds
+        live at once.
         """
         steps = list(_iter_steps(self.steps))
         needs = [step.bind(n) for step in steps]
-        owners = [step for step in steps if step.out_dtype is not None]
-        specs = [
+        scratch = [
             ((max((need[i] for need in needs), default=0),), np.float32)
             for i in (0, 1)
-        ] + [
-            (_batch_shape(step.out_shape, n, step.out_dtype), step.out_dtype)
-            for step in owners
         ]
-        sizes = (-(-_nbytes(*spec) // _ALIGN) * _ALIGN for spec in specs)
-        offsets = list(accumulate(sizes, initial=0))
-        arena.reserve(offsets[-1])
-        cols, tmp, *outs = (
-            arena.view(offset, *spec) for offset, spec in zip(offsets, specs)
+        spans = _lifetimes(self.steps)
+        specs = [
+            (_batch_shape(step.out_shape, n, step.out_dtype), step.out_dtype)
+            if role == "out"
+            else (_pad_shape(step, n), step.in_dtype)
+            for step, role in spans
+        ]
+        cols_bytes, tmp_bytes = (_aligned(_nbytes(*spec)) for spec in scratch)
+        base = cols_bytes + tmp_bytes
+        sizes = [_aligned(_nbytes(*spec)) for spec in specs]
+        packed = _pack([(size, *span) for size, span in zip(sizes, spans.values())])
+        offsets = [base + offset for offset in packed]
+        arena.reserve(max((o + s for o, s in zip(offsets, sizes)), default=base))
+        binding = _Binding(
+            arena.view(0, *scratch[0]), arena.view(cols_bytes, *scratch[1])
         )
-        outs = dict(zip(owners, outs))
-        binding = _Binding(cols, tmp)
+        views = {
+            key: arena.view(offset, *spec)
+            for key, offset, spec in zip(spans, offsets, specs)
+        }
         for step, (_, _, token) in zip(steps, needs):
-            interior = pad = None
-            if step.padding:
-                pad, interior = arena.pad(
-                    step.in_shape, n, step.padding, step.in_dtype
-                )
-            binding.bufs[step] = (interior, pad, outs.get(step), token)
+            pad = views.get((step, "pad"))
+            interior = None if pad is None else _interior(pad, step)
+            binding.bufs[step] = (interior, pad, views.get((step, "out")), token)
         return binding
 
     def _binding(self, n: int) -> _Binding:
@@ -802,8 +893,8 @@ class CompiledModule(Layer):
         return walk(self.steps, "")
 
     def release_buffers(self) -> None:
-        """Free the calling thread's arena and pad pool — every plan's,
-        since they share them (they re-allocate on the next call)."""
+        """Free the calling thread's arena — every plan's, since they
+        share it (it is re-allocated on the next call)."""
         _thread_arena().release()
 
 

@@ -243,7 +243,8 @@ class Flatten(Layer):
     kind = "flatten"
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(x.shape[0], -1)
+        # by the per-sample size: numpy cannot infer -1 for an empty batch
+        return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return (int(np.prod(input_shape)),)

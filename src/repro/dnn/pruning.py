@@ -9,9 +9,10 @@ through a residual addition — must be pruned *together*.
 
 This module reproduces that idea:
 
-1. build a channel *dependency graph* (a :mod:`networkx` graph whose
-   nodes are (tensor, axis) slots and whose edges couple slots that share
-   a channel space),
+1. build a channel *dependency graph* whose nodes are (tensor, axis)
+   slots and whose edges couple slots that share a channel space (a
+   union-find forest over slot labels: only its connected components
+   are ever read),
 2. derive *pruning groups* from its connected components,
 3. rank channels in each group by aggregated L2 magnitude and remove the
    lowest-magnitude fraction, slicing every coupled tensor consistently
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from repro.dnn.graph import NamedModule, Residual
@@ -107,35 +107,55 @@ def _stage_residuals(stage: NamedModule) -> list[Residual]:
 
 
 class _GraphBuilder:
-    """Accumulates channel slots and coupling edges."""
+    """Accumulates channel slots and coupling edges.
+
+    The edges go into a union-find forest (``parent``) over slot labels;
+    ``members`` keeps the slots in creation order.
+    """
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
+        self.parent: dict[str, str] = {}
+        self.frozen: set[str] = set()
         self.members: dict[str, list[tuple[object, str]]] = {}
         self._next = 0
 
     def slot(self, layer: object, role: str) -> str:
         label = f"s{self._next}:{role}"
         self._next += 1
-        self.graph.add_node(label)
+        self.parent[label] = label
         self.members[label] = [(layer, role)]
         return label
 
+    def root(self, label: str) -> str:
+        while self.parent[label] != label:
+            # path halving: point at the grandparent on the way up
+            self.parent[label] = self.parent[self.parent[label]]
+            label = self.parent[label]
+        return label
+
     def tie(self, a: str, b: str) -> None:
-        self.graph.add_edge(a, b)
+        self.parent[self.root(a)] = self.root(b)
 
     def freeze(self, label: str) -> None:
-        self.graph.nodes[label]["frozen"] = True
+        self.frozen.add(label)
+
+    def components(self) -> list[list[str]]:
+        """Connected components, each in slot-creation order, ordered by
+        their smallest label."""
+        groups: dict[str, list[str]] = {}
+        for label in self.members:
+            groups.setdefault(self.root(label), []).append(label)
+        return sorted(groups.values(), key=min)
 
 
 def build_dependency_graph(
     model: ResNet18, prunable: set[str]
-) -> tuple[nx.Graph, dict[str, list[tuple[object, str]]]]:
+) -> tuple[_GraphBuilder, dict[str, list[tuple[object, str]]]]:
     """Build the channel dependency graph of the prunable stages.
 
     Returns the graph and a mapping node-label -> (layer, role) members.
     Connected components are pruning groups; components containing a
-    ``frozen`` node may not be pruned.
+    node in ``graph.frozen`` may not be pruned.
     """
     builder = _GraphBuilder()
     stage_names = [n for n in BLOCK_NAMES if n.startswith("layer")]
@@ -214,26 +234,23 @@ def build_dependency_graph(
         else:
             builder.freeze(prev_out)
 
-    return builder.graph, builder.members
+    return builder, builder.members
 
 
 def collect_groups(
-    graph: nx.Graph, slot_members: dict[str, list[tuple[object, str]]]
+    graph: _GraphBuilder, slot_members: dict[str, list[tuple[object, str]]]
 ) -> list[PruningGroup]:
     """Turn connected components of the dependency graph into groups.
 
-    Components containing a frozen node are skipped.
+    Members come in slot-creation order, so ``PruningGroup.importance``
+    sums them in the same order in every process.  Components containing
+    a frozen node are skipped.
     """
     groups: list[PruningGroup] = []
-    for index, component in enumerate(sorted(nx.connected_components(graph), key=min)):
-        members: list[tuple[object, str]] = []
-        frozen = False
-        for label in component:
-            if graph.nodes[label].get("frozen"):
-                frozen = True
-            members.extend(slot_members[label])
-        if frozen:
+    for index, component in enumerate(graph.components()):
+        if graph.frozen.intersection(component):
             continue
+        members = [member for label in component for member in slot_members[label]]
         sizes = set()
         for layer, role in members:
             if isinstance(layer, Conv2d):

@@ -27,12 +27,19 @@ The solver's scalar ancestors live here too: the per-vertex tree
 ``build_cliques`` / ``first_branch`` replaced, and the O(R) admission
 enumeration (:func:`admission_by_enumeration`) behind the closed-form
 candidate scan.
+
+The DNN side has two: :func:`fresh_forward` runs a compiled plan with
+every buffer in memory of its own (no arena, no lifetime packing), and
+:func:`bfs_pruning_groups` finds pruning groups by breadth-first search
+where the product uses a union-find.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 
@@ -41,7 +48,16 @@ from repro.core.catalog import Catalog
 from repro.core.solution import Assignment, DOTSolution
 from repro.core.subproblem import _SCAN_EPS, BranchItem, _best_admission_for_item
 from repro.core.tree import build_vector_tree, first_branch
-from repro.dnn.compile import CompiledModule, _Arena
+from repro.dnn import pruning
+from repro.dnn.compile import (
+    CompiledModule,
+    _batch_shape,
+    _Binding,
+    _interior,
+    _iter_steps,
+    _pad_shape,
+)
+from repro.dnn.layers import BatchNorm2d, Conv2d
 from repro.emulator.simulator import Simulator
 from repro.serving.metrics import ServingMetrics
 from repro.serving.queueing import DropReason, ServingQueue, ServingRequest
@@ -566,18 +582,96 @@ def admission_by_enumeration(
     return best_z, best_r
 
 
-def fresh_forward(plan: CompiledModule, x: np.ndarray) -> np.ndarray:
-    """``plan.forward(x)`` on brand-new memory.
+def bfs_pruning_groups(model, prunable: set[str]) -> list[tuple[str, int, list]]:
+    """``collect_groups(*build_dependency_graph(model, prunable))`` as
+    ``(name, size, members)``, with components found by breadth-first
+    search over the graph's edges instead of the product's union-find.
 
-    The steady-state forward reuses one thread-local arena under every
-    plan and batch size, rebinding its views as the arena grows; this
-    binds the plan to a private arena (fresh block, fresh zeroed pads)
-    and runs the same steps once.  A stale view, two live buffers laid
-    over each other or a pad border another plan dirtied shows up as a
-    difference between the two.
+    The ties ``build_dependency_graph`` makes are recorded as an edge
+    list; every slot not yet reached starts a search, in creation order.
+    A component's members are in slot-creation order, components are
+    ordered by their smallest label and numbered before frozen ones are
+    skipped, as ``sorted(networkx.connected_components(g), key=min)``
+    numbered them.
+    """
+    edges: list[tuple[str, str]] = []
+    tie = pruning._GraphBuilder.tie
+
+    def recording_tie(builder, a: str, b: str) -> None:
+        edges.append((a, b))
+        tie(builder, a, b)
+
+    with patch.object(pruning._GraphBuilder, "tie", recording_tie):
+        graph, slot_members = pruning.build_dependency_graph(model, prunable)
+    adjacency: dict[str, list[str]] = {label: [] for label in slot_members}
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    created = {label: i for i, label in enumerate(slot_members)}
+    seen: set[str] = set()
+    components = []
+    for start in slot_members:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, component = deque([start]), []
+        while queue:
+            label = queue.popleft()
+            component.append(label)
+            for other in adjacency[label]:
+                if other not in seen:
+                    seen.add(other)
+                    queue.append(other)
+        components.append(sorted(component, key=created.__getitem__))
+
+    def channels(layer, role: str) -> int:
+        if isinstance(layer, Conv2d):
+            return layer.out_channels if role == "out" else layer.in_channels
+        if isinstance(layer, BatchNorm2d):
+            return layer.channels
+        return layer.in_features
+
+    groups = []
+    for index, component in enumerate(sorted(components, key=min)):
+        if any(label in graph.frozen for label in component):
+            continue
+        members = [m for label in component for m in slot_members[label]]
+        (size,) = {channels(*member) for member in members}
+        groups.append((f"group{index}", size, members))
+    return groups
+
+
+def fresh_forward(plan: CompiledModule, x: np.ndarray) -> np.ndarray:
+    """``plan.forward(x)`` on memory nothing else touches.
+
+    The steady-state forward packs a plan's step outputs and pad buffers
+    by lifetime into one thread-local arena that every plan and batch
+    size shares, rebinding its views as the arena grows.  This gives
+    every step output and every pad an array of its own, freshly zeroed,
+    with no packing and no arena, and runs the same steps once.  A stale
+    view, two live buffers laid over each other or a pad border another
+    buffer or plan dirtied shows up as a difference between the two.
     """
     x = np.ascontiguousarray(x, dtype=np.float32)
-    binding = plan._bind(_Arena(), x.shape[0])
+    n = x.shape[0]
+    steps = list(_iter_steps(plan.steps))
+    needs = [step.bind(n) for step in steps]
+    binding = _Binding(
+        *(
+            np.zeros(max((need[i] for need in needs), default=0), np.float32)
+            for i in (0, 1)
+        )
+    )
+    for step, (_, _, token) in zip(steps, needs):
+        interior = pad = out = None
+        if step.out_dtype is not None:
+            out = np.zeros(
+                _batch_shape(step.out_shape, n, step.out_dtype), step.out_dtype
+            )
+        if step.padding:
+            pad = np.zeros(_pad_shape(step, n), step.in_dtype)
+            interior = _interior(pad, step)
+        binding.bufs[step] = (interior, pad, out, token)
     for step in plan.steps:
         x = step.run(x, binding)
     return x.copy()

@@ -13,12 +13,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.dnn import autograd, ops
 from repro.dnn import compile as compile_mod
-from repro.dnn import ops
 from repro.dnn.compile import (
     _ALIGN,
     CompiledModule,
     _Arena,
+    _lifetimes,
     _thread_arena,
     compile_module,
     fold_batch_norm,
@@ -29,6 +30,7 @@ from repro.dnn.layers import (
     BatchNorm2d,
     Conv2d,
     DepthwiseConv2d,
+    Flatten,
     Linear,
     ReLU,
     ReLU6,
@@ -194,11 +196,28 @@ class TestInterface:
         x = np.random.default_rng(7).standard_normal((2, 3, 16, 16), dtype=np.float32)
         first = compiled.forward(x)
         arena = _thread_arena()
-        assert arena.nbytes > 0 and arena.pads
+        assert arena.nbytes > 0 and arena.bound
         compiled.release_buffers()
-        assert arena.nbytes == 0 and not arena.pads and not arena.bound
+        assert arena.nbytes == 0 and not arena.bound
         np.testing.assert_array_equal(compiled.forward(x), first)
         assert arena.nbytes > 0
+
+    @pytest.mark.parametrize("engine", ["eager", "fp32", "int8"])
+    def test_empty_batch_gives_empty_logits(self, engine):
+        """Regression: every flatten reshaped by ``(n, -1)``, which numpy
+        rejects for n = 0, so ResNet-18 raised in all three engines."""
+        model = build_resnet18(num_classes=7, input_size=16, width=8, seed=0)
+        x = np.zeros((0, *model.input_shape), dtype=np.float32)
+        if engine == "eager":
+            out = model.forward(x)
+        else:
+            quantize = "int8" if engine == "int8" else None
+            out = compile_module(model, quantize=quantize).forward(x)
+        assert out.shape == (0, 7)
+
+    def test_autograd_flatten_takes_an_empty_batch(self):
+        out, _ = autograd.forward(Flatten(), np.zeros((0, 4, 2, 2), dtype=np.float32))
+        assert out.shape == (0, 16)
 
     def test_compile_rejects_non_layer(self):
         with pytest.raises(TypeError):
@@ -357,9 +376,9 @@ class TestArena:
                 alone = _Arena()
                 plan._bind(alone, n)
                 needs.append(alone.nbytes)
-        # counted from the arena, not from RSS: the block is the largest
-        # single need; only the pads of smaller shapes come on top
-        assert _thread_arena().nbytes <= 1.25 * max(needs)
+        # counted from the arena, not from RSS: pads live in the block,
+        # which is exactly the largest single need
+        assert _thread_arena().nbytes == max(needs)
 
     def test_growth_rebinds_every_plan(self):
         small, _, other = _arena_plans()
@@ -398,13 +417,57 @@ class TestArena:
         assert arena.block.nbytes == new
         assert new <= peak <= new + _ALIGN + 4096  # not old + new
 
-    def test_same_geometry_steps_share_one_pad(self):
-        model = build_resnet18(num_classes=5, input_size=16, width=8, seed=0)
-        plan = compile_module(model)
-        arena = _Arena()
-        binding = plan._bind(arena, 4)
-        padded = [buf[1] for buf in binding.bufs.values() if buf[1] is not None]
-        assert len({id(pad) for pad in padded}) == len(arena.pads) < len(padded)
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_pad_borders_survive_another_plan(self, index):
+        """Plan A, a plan of another geometry over the same block, then A
+        again: both of A's outputs bit-equal to fresh memory's.  The other
+        plan leaves data where A's pad borders lie, so this fails when
+        ``_Binding.enter`` skips the zero."""
+        plans = _arena_plans()
+        plan, other = plans[index], plans[2]
+        plan.release_buffers()
+        rng = np.random.default_rng(14)
+        n = 8
+        xs = [rng.standard_normal((n, *p.input_shape), dtype=np.float32) for p in plans]
+        expected = fresh_forward(plan, xs[index])
+        other.forward(xs[2])  # the block is sized before A binds to it
+        np.testing.assert_array_equal(plan.forward(xs[index]), expected)
+        other.forward(xs[2])
+        pads = [
+            (interior, pad)
+            for interior, pad, _, _ in _thread_arena().bound[plan][n].bufs.values()
+            if pad is not None
+        ]
+        # the other plan wrote where a border lies
+        assert any(np.count_nonzero(p) > np.count_nonzero(i) for i, p in pads)
+        np.testing.assert_array_equal(plan.forward(xs[index]), expected)
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_buffers_live_at_once_share_no_bytes(self, n):
+        """Walk each binding's lifetimes: no two buffers live at the same
+        tick, and neither scratch with any buffer, share a byte (fails
+        when every buffer is placed at the base), while buffers that are
+        never live together do share the block."""
+        mobilenet = build_mobilenetv2(
+            num_classes=5, input_size=16, width_multiplier=0.25, seed=0
+        )
+        for plan in _arena_plans() + [compile_module(mobilenet)]:
+            arena = _Arena()
+            binding = plan._bind(arena, n)
+            spans = _lifetimes(plan.steps)
+            views = {
+                (step, role): binding.bufs[step][1 if role == "pad" else 2]
+                for step, role in spans
+            }
+            keys = list(spans)
+            for i, a in enumerate(keys):
+                assert not np.shares_memory(views[a], binding.cols)
+                assert not np.shares_memory(views[a], binding.tmp)
+                for b in keys[i + 1 :]:
+                    if spans[a][0] <= spans[b][1] and spans[b][0] <= spans[a][1]:
+                        assert not np.shares_memory(views[a], views[b]), (a, b)
+            unpacked = sum(view.nbytes for view in views.values())
+            assert arena.nbytes < binding.cols.nbytes + binding.tmp.nbytes + unpacked
 
 
 class TestConcurrentForward:

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dnn.configs import TABLE_I_CONFIGS
 from repro.dnn.pruning import (
     build_dependency_graph,
     collect_groups,
@@ -15,6 +21,7 @@ from repro.dnn.pruning import (
     pruned_channels,
 )
 from repro.dnn.resnet import build_resnet18
+from tests.oracles import bfs_pruning_groups
 
 
 def _model(width: int = 8, seed: int = 0):
@@ -44,6 +51,42 @@ class TestDependencyGraph:
         graph, members = build_dependency_graph(model, {"layer3", "layer4"})
         groups = collect_groups(graph, members)  # raises on inconsistency
         assert groups
+
+    @pytest.mark.parametrize(
+        "prunable",
+        sorted({cfg.prunable_blocks for cfg in TABLE_I_CONFIGS.values()}),
+    )
+    def test_groups_match_breadth_first_components(self, prunable):
+        model = _model()
+        graph, members = build_dependency_graph(model, set(prunable))
+        groups = [(g.name, g.size, g.members) for g in collect_groups(graph, members)]
+        assert groups == bfs_pruning_groups(model, set(prunable))
+
+    def test_members_do_not_depend_on_the_hash_seed(self):
+        """Regression: ``collect_groups`` iterated a set of slot labels,
+        so member order — and the float64 order ``importance`` sums in —
+        changed with ``PYTHONHASHSEED`` (w8 {layer3, layer4}: seeds 1 and
+        2 gave different member lists)."""
+        script = (
+            "from repro.dnn.pruning import build_dependency_graph, collect_groups\n"
+            "from repro.dnn.resnet import BLOCK_NAMES, build_resnet18\n"
+            "m = build_resnet18(num_classes=10, input_size=16, width=8, seed=0)\n"
+            "pos = {id(l): i for i, l in enumerate(\n"
+            "    l for b in BLOCK_NAMES for l in m.blocks[b].iter_layers())}\n"
+            "for g in collect_groups(*build_dependency_graph(m, {'layer3', 'layer4'})):\n"
+            "    print(g.name, [(pos[id(l)], r) for l, r in g.members],\n"
+            "          [x.hex() for x in g.importance()])\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_frozen_input_group_excluded(self):
         """Pruning only layer3 must not touch layer3's output channels

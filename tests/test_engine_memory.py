@@ -1,15 +1,19 @@
-"""Engine memory budget: what the ``execute_real`` deployment owns.
+"""Memory budgets: what the ``execute_real`` deployment owns, and what
+``import repro`` loads.
 
 Five paths sharing ``stem..layer3`` of ResNet-18 w32, fp32 and int8
 runners, batch sizes 1 / 8 / 32, sixteen inputs per size — the shape of
 the served-work benchmark's ``execute_real`` workload — under
 tracemalloc: bytes owned (weights, int8 plans and their float32 shadows,
-the thread arena and pad pool, prefix-cache entries, outputs), not RSS,
-so the reading holds across Python builds and allocators.
+the thread arena, prefix-cache entries, outputs), not RSS, so the
+reading holds across Python builds and allocators.
 """
 
 from __future__ import annotations
 
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,12 +25,16 @@ MB = 1 << 20
 
 
 def test_execute_real_deployment_stays_inside_its_memory_budget():
-    """Traced peak 308.1 MB (cache entries 41.0 MB, arena + pads 48.2 MB);
-    the parent of PR 24 read 632.8 MB here (352.0 MB and 68.3 MB): it
-    cached all four trunk blocks of every input although the paths only
-    part after ``layer3`` — 64 entries were its last 16 inputs, the
-    batch-32 ones — and bound a whole-batch im2col scratch.  The ceiling
-    is 10 % above the reading."""
+    """Traced peak 285.8 MB (cache entries 41.0 MB, arena 25.9 MB).
+    Before the arena packed buffers by lifetime it read 308.1 MB here
+    (arena + pad pool 48.2 MB): every step output had a region of its
+    own and every (dtype, shape, batch, padding) a pad of its own.
+    Before the branch-point prefix cache it read 632.8 MB (352.0 MB and
+    68.3 MB): it cached all four trunk blocks of every input although the
+    paths only part after ``layer3`` — 64 entries were its last 16
+    inputs, the batch-32 ones — and bound a whole-batch im2col scratch.
+    The ceilings are +10 % over the packed arena's first measurement
+    (25.9 MB, 287.5 MB)."""
     _thread_arena().release()  # whatever earlier tests bound is not this test's
     rng = np.random.default_rng(0)
     tracemalloc.start()
@@ -45,5 +53,20 @@ def test_execute_real_deployment_stays_inside_its_memory_budget():
     print(f"peak {peak / MB:.1f} MB, cache {cache / MB:.1f} MB, arena {arena / MB:.1f} MB")
     # one layer3 activation (128 x 8 x 8 floats a sample) per input and runner
     assert cache == 2 * 16 * (1 + 8 + 32) * 4 * 128 * 8 * 8
-    assert arena <= 50 * MB
-    assert peak <= 340 * MB
+    assert arena <= 28 * MB
+    assert peak <= 317 * MB
+
+
+def test_import_loads_neither_networkx_nor_asyncio():
+    """``import repro`` read 51.6 MB RSS with both, 31.0 MB without:
+    networkx served one connected-components call in pruning, asyncio
+    only the TCP transport, which imports it when a socket opens."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    script = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import repro; "
+        "print(sorted(m for m in ('networkx', 'asyncio') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
