@@ -7,15 +7,16 @@ Drop-in replacement for the single-node
 driven through the :class:`~repro.cluster.orchestrator.PlacementPlan`:
 
 1. **Hop 0** — requests whose first segments are co-placed on one node
-   execute as a single fused batch through the shared-prefix trie (the
-   same sub-linear cost model and trie as the single-node executor, so
-   a one-node cluster reproduces ``BatchExecutor`` timing exactly).
-2. **Streaming** — each task batch's boundary activation travels as one
-   wire frame (batch on the leading axis) over the simulated link; link
-   occupancy is FIFO and deterministic.
-3. **Later hops** — per-task batches queue on their segment's node
-   pool and execute at that node's CPU scale, costed by the same
-   function as hop 0 over the segment's blocks.
+   are cut into jobs over its workers and booked there by the
+   single-node executor's rule and loop (:func:`~repro.serving.executor.
+   cut_window`), fused through the same trie at the node's CPU scale:
+   a one-node cluster reproduces ``BatchExecutor`` at any worker count.
+2. **Streaming** — each (task, job) sub-batch's boundary activation
+   travels as one wire frame (batch on the leading axis) once its job
+   is done; link occupancy is FIFO and deterministic.
+3. **Later hops** — the sub-batches, in (task id, job) order, queue on
+   their segment's node pool and execute at that node's CPU scale,
+   costed by the node's memo like hop 0, over the segment's blocks.
 
 Every stage a batch passes — queueing, executing, streaming, retrying —
 is one immutable :class:`~repro.cluster.qos.Hop`, built once and listed
@@ -35,7 +36,7 @@ the same tick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,8 +44,11 @@ from repro.cluster.node import ClusterNode
 from repro.cluster.orchestrator import ClusterOrchestrator, PlacementPlan, Segment
 from repro.cluster.qos import Hop, QosMonitor
 from repro.cluster.registry import ClusterTopology, NodeRegistry
-from repro.serving.executor import WindowLedger, WindowReport, _fused_cost
-from repro.serving.queueing import DropReason, ServingRequest
+from repro.core.catalog import Path
+from repro.serving.executor import (
+    WindowLedger, WindowReport, _book_jobs, _JobCosts, cut_window,
+)
+from repro.serving.queueing import UNSET, DropReason, ServingRequest
 
 __all__ = ["ClusterDeployment", "ClusterExecutor"]
 
@@ -90,10 +94,21 @@ class ClusterExecutor(WindowLedger):
     seed: int = 0
     qos: QosMonitor = field(init=False)
     _rng: np.random.Generator = field(init=False, repr=False)
+    #: task id -> what its path runs on each hop: the path, or its segments
+    _units: dict[int, tuple[Path, ...]] = field(init=False, repr=False)
+    #: node id -> the node's job-cost memo, at its CPU scale
+    _memos: dict[str, _JobCosts] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.qos = QosMonitor(registry=self.deployment.registry)
         self._rng = np.random.default_rng(self.seed * 9176 + 13)
+        units = self._units = {}
+        self._memos = {
+            node_id: _JobCosts(
+                self.prefix_cache, node.spec.cpu_scale, lambda r: units[r.task_id][0]
+            )
+            for node_id, node in self.deployment.registry.nodes.items()
+        }
 
     # -- node/link helpers -------------------------------------------------
 
@@ -154,6 +169,7 @@ class ClusterExecutor(WindowLedger):
     ) -> None:
         for request in batch:
             request.drop_reason = reason
+            request.service_done_at = UNSET  # never finishes service
             if self.tracer.enabled:
                 self.tracer.event_at(
                     f"drop.{reason.value}",
@@ -164,20 +180,14 @@ class ClusterExecutor(WindowLedger):
                 )
 
     def _run_fused(
-        self, node: ClusterNode, groups: list[tuple], ready_at: float
-    ) -> tuple[float, float, float, float, int]:
-        """Cost one co-located batch at ``node``'s CPU scale and book it there.
-
-        Every hop goes through here: ``groups`` is the batch as
-        :func:`~repro.serving.executor._window_costs` takes it — the first
-        segments co-placed on the node at hop 0, one task's segment later.
-        Returns ``(start, finish, cost, unshared cost, merges)``.
-        """
-        cost, unshared, merges = _fused_cost(
-            groups, self.prefix_cache, node.spec.cpu_scale
-        )
-        _worker, start, finish = node.execute(cost, ready_at)
-        return start, finish, cost, unshared, merges
+        self, node: ClusterNode, unit: Path, n: int, ready_at: float
+    ) -> tuple:
+        """Cost a later-hop batch of ``n`` requests on ``unit`` (one task's
+        segment) by ``node``'s memo and book it there: ``(start, finish,
+        cost, unshared)``."""
+        costs = self._memos[node.node_id].batch(unit, n)
+        _worker, start, finish = node.execute(costs.cost, ready_at)
+        return start, finish, costs.cost, costs.unshared
 
     # -- the window pipeline ----------------------------------------------
 
@@ -186,70 +196,70 @@ class ClusterExecutor(WindowLedger):
         if not requests:
             raise ValueError("cannot dispatch an empty window")
         routes = self.deployment.plan.segments_by_task
+        units = self._units
         groups: dict[int, list[ServingRequest]] = {}
         for request in requests:
             groups.setdefault(request.task_id, []).append(request)
 
-        # resolve hop-0 nodes first (failure draws in task order), then
-        # fuse co-placed first segments into one batch per node
-        window_start = None
+        # resolve hop-0 nodes first (failure draws in task order), then cut
+        # each node's group into jobs as the single-node executor cuts a window
         window_end = now
         compute = unshared = 0.0
         merges = 0
         by_node: dict[str, list] = {}  # node id -> [node, retry delay, task ids]
         for task_id in sorted(groups):
-            node, delay = self._resolve_node(routes[task_id][0])
+            first = routes[task_id][0]
+            node, delay = self._resolve_node(first)
             if node is None:
                 self._drop_batch(groups[task_id], DropReason.REMOTE_ERROR, now + delay)
                 window_end = max(window_end, now + delay)
                 continue
+            if task_id not in units:
+                path, route = groups[task_id][0].path, routes[task_id]
+                units[task_id] = (path,) if len(route) == 1 else tuple(
+                    replace(path, blocks=segment.blocks) for segment in route
+                )
             placed = by_node.setdefault(node.node_id, [node, delay, []])
             placed[1] = max(placed[1], delay)
             placed[2].append(task_id)
 
-        # task -> [node its batch leaves hop 0 on, when, the hops so far]
-        journeys: dict[int, tuple] = {}
+        starts = []
+        batches = []  # (task id, job order, hop-0 node id, its members of the job)
         for node_id in sorted(by_node):
             node, delay, task_ids = by_node[node_id]
-            batch = [r for tid in task_ids for r in groups[tid]]
-            segments = [
-                (groups[tid][0].path.path_id, routes[tid][0].blocks, len(groups[tid]))
-                for tid in task_ids
-            ]
-            start, finish, cost, unmerged, node_merges = self._run_fused(
-                node, segments, now + delay
-            )
-            share = cost / len(batch)
-            for request in batch:
-                request.started_at = start
-                request.compute_time_s = share
+            ready = now + delay
+            window = [r for tid in task_ids for r in groups[tid]]
+            memo = self._memos[node_id]
+            jobs = cut_window(node.pool, memo, window, ready, self.result_return_s)
+            cost, unmerged, fused, start, _ = _book_jobs(jobs, node.execute, ready)
             compute += cost
             unshared += unmerged
-            merges += node_merges
-            window_start = start if window_start is None else min(window_start, start)
-            # one record per hop, shared by every request that took it
-            first_hops = [
-                Hop("queue", node_id, now, start),
-                Hop("exec", node_id, start, finish),
-            ]
-            for tid in task_ids:
-                journeys[tid] = (node_id, finish, first_hops)
+            merges += fused
+            starts.append(start)
+            if len(jobs) == 1:  # left whole: each task's batch goes on as it came
+                batches += [(tid, 0, node_id, groups[tid]) for tid in task_ids]
+                continue
+            for order, job in enumerate(jobs):
+                by_task: dict[int, list[ServingRequest]] = {}
+                for request in job.members:
+                    by_task.setdefault(request.task_id, []).append(request)
+                batches += [(tid, order, node_id, b) for tid, b in by_task.items()]
+        batches.sort()  # (task id, job order) is unique: nothing further is compared
 
-        # later hops: per-task batches stream and execute independently
+        # later hops: the sub-batches stream and execute independently, each
+        # once its own job is done
         timeout = self.deployment.transfer_timeout_s
-        for task_id in sorted(journeys):
-            prev_node_id, at, first_hops = journeys[task_id]
-            batch = groups[task_id]
+        for task_id, _order, where, batch in batches:  # where: the batch's node
             segments = routes[task_id]
-            hops = list(first_hops)
+            start, at = batch[0].started_at, batch[0].service_done_at
+            hops = [Hop("queue", where, now, start), Hop("exec", where, start, at)]
             spent = batch[0].compute_time_s
-            path_id = batch[0].path.path_id
             dropped = None
             for index in range(1, len(segments)):
                 segment = segments[index]
                 # batch travels as one frame: batch axis on the payload
                 delivery, legs = self._transfer(
-                    prev_node_id,
+                    where,
                     segment.node_id,
                     segments[index - 1].egress_bits * len(batch),
                     at,
@@ -263,8 +273,8 @@ class ClusterExecutor(WindowLedger):
                 if exec_node is None:
                     dropped = DropReason.REMOTE_ERROR, ready
                     break
-                start, finish, cost, unmerged, _merges = self._run_fused(
-                    exec_node, [(path_id, segment.blocks, len(batch))], ready
+                start, finish, cost, unmerged = self._run_fused(
+                    exec_node, units[task_id][index], len(batch), ready
                 )
                 compute += cost
                 unshared += unmerged
@@ -272,7 +282,7 @@ class ClusterExecutor(WindowLedger):
                 if start > ready:
                     hops.append(Hop("queue", exec_node.node_id, ready, start))
                 hops.append(Hop("exec", exec_node.node_id, start, finish))
-                prev_node_id = exec_node.node_id
+                where = exec_node.node_id
                 at = finish
             if dropped is not None:
                 reason, at = dropped
@@ -285,8 +295,7 @@ class ClusterExecutor(WindowLedger):
                     request.service_done_at = at
             self.qos.observe_hops(hops)
 
-        if window_start is None:
-            window_start = now
+        window_start = min(starts, default=now)
         report = self._log_window(
             len(requests), compute, unshared, merges, window_start, window_end
         )

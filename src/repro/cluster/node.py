@@ -136,12 +136,15 @@ class ClusterNode:
         """Execution time of ``compute_s`` profiled seconds on this CPU."""
         return compute_s / self.spec.cpu_scale
 
-    def execute(self, compute_s: float, now: float) -> tuple[int, float, float]:
+    def execute(
+        self, compute_s: float, now: float, worker: int | None = None
+    ) -> tuple[int, float, float]:
         """Queue ``compute_s`` of (already scaled) work on the node's pool.
 
-        Returns ``(worker, start, finish)``, like the pool's ``claim``.
+        On ``worker`` if one is named, else on the earliest-free worker;
+        returns ``(worker, start, finish)``, like the pool's ``claim``.
         """
-        worker, start, finish = self.pool.claim(compute_s, now)
+        worker, start, finish = self.pool.claim(compute_s, now, worker)
         self.busy[worker].add(start, finish)
         self.segments_executed += 1
         return worker, start, finish

@@ -13,8 +13,9 @@ benchmarks sweep.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.cluster.node import ClusterNode, NodeSpec
 from repro.cluster.stream import LinkSpec, StreamRouter
@@ -25,16 +26,62 @@ __all__ = ["ClusterTopology", "NodeRegistry", "default_topology"]
 #: the :class:`LinkSpec` fields ``nodes.json`` carries for a link or the
 #: default link, in the order :meth:`ClusterTopology.to_dict` writes them
 _LINK_KEYS = ("bandwidth_bps", "latency_s", "stall_rate", "stall_factor")
+#: what a ``nodes.json`` node entry may hold: the :class:`NodeSpec` fields
+_NODE_KEYS = tuple(spec_field.name for spec_field in fields(NodeSpec))
 
 
-def _entry(entry, where: str, required: tuple[str, ...] = ()) -> dict:
-    """One JSON object of ``nodes.json``, or a ``ValueError`` naming it."""
+def _entry(entry, where: str, keys: tuple[str, ...], required=()) -> dict:
+    """One JSON object of ``nodes.json``, or a ``ValueError`` naming it.
+
+    The object may hold only ``keys`` and must hold ``required``.
+    """
     if not isinstance(entry, dict):
         raise ValueError(f"{where} must be an object, got {type(entry).__name__}")
+    unknown = sorted(map(str, set(entry) - set(keys)))
+    if unknown:
+        raise ValueError(f"{where} takes {keys}, not {unknown}")
     missing = [key for key in required if key not in entry]
     if missing:
         raise ValueError(f"{where} is missing {missing}")
     return entry
+
+
+def _list(data: dict, key: str) -> list:
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _field(entry: dict, key: str, where: str, default, kind):
+    """``entry[key]`` (or ``default``) if it is of ``kind``, else a ``ValueError``.
+
+    ``kind`` is ``str``, ``bool``, ``int`` (not a bool) or ``float`` (a
+    finite JSON number, returned as a float).
+    """
+    value = entry.get(key, default)
+    if kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if ok and math.isfinite(value):
+            return float(value)
+        name = "a finite number"
+    elif kind is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        name = "an integer"
+    else:
+        if isinstance(value, kind):
+            return value
+        name = {str: "a string", bool: "true or false"}[kind]
+    raise ValueError(f"{where}.{key} must be {name}, got {value!r}")
+
+
+def _spec(make, where: str, **values):
+    """``make(**values)``, its own ``ValueError`` prefixed with ``where``."""
+    try:
+        return make(**values)
+    except ValueError as error:
+        raise ValueError(f"{where}: {error}") from None
 
 
 @dataclass(frozen=True)
@@ -78,41 +125,65 @@ class ClusterTopology:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterTopology":
-        data = _entry(data, "the topology document")
+        """The topology a ``nodes.json`` document describes.
+
+        Every field is type-checked by name and an unknown key is an
+        error, so a malformed document raises a ``ValueError`` naming
+        what is wrong instead of loading as something else.
+        """
+        keys = tuple(topology_field.name for topology_field in fields(cls))
+        data = _entry(data, "the topology document", keys, ("nodes",))
         nodes = []
-        for i, entry in enumerate(data.get("nodes", [])):
-            entry = _entry(entry, f"nodes[{i}]", ("node_id",))
+        for i, entry in enumerate(_list(data, "nodes")):
+            where = f"nodes[{i}]"
+            entry = _entry(entry, where, _NODE_KEYS, ("node_id",))
             blocks = entry.get("resident_blocks")
-            if isinstance(blocks, str):
+            if blocks is not None and (
+                not isinstance(blocks, list)
+                or not all(isinstance(block, str) for block in blocks)
+            ):
                 raise ValueError(
-                    f"nodes[{i}].resident_blocks must be a list of block ids, "
-                    f"got the string {blocks!r}"
+                    f"{where}.resident_blocks must be a list of block ids or "
+                    f"null, got {blocks!r}"
                 )
             nodes.append(
-                NodeSpec(
-                    node_id=entry["node_id"],
-                    tier=entry.get("tier", "edge"),
-                    cpu_scale=float(entry.get("cpu_scale", 1.0)),
-                    memory_gb=float(entry.get("memory_gb", 8.0)),
-                    num_workers=int(entry.get("num_workers", 1)),
+                _spec(
+                    NodeSpec,
+                    where,
+                    node_id=_field(entry, "node_id", where, None, str),
+                    tier=_field(entry, "tier", where, "edge", str),
+                    cpu_scale=_field(entry, "cpu_scale", where, 1.0, float),
+                    memory_gb=_field(entry, "memory_gb", where, 8.0, float),
+                    num_workers=_field(entry, "num_workers", where, 1, int),
                     resident_blocks=None if blocks is None else frozenset(blocks),
-                    failure_rate=float(entry.get("failure_rate", 0.0)),
+                    failure_rate=_field(entry, "failure_rate", where, 0.0, float),
                 )
             )
-        default = _entry(data.get("default_link", {}), "default_link")
-        unknown = sorted(set(default) - set(_LINK_KEYS))
-        if unknown:
-            raise ValueError(f"default_link takes {_LINK_KEYS}, not {unknown}")
-        default_link = LinkSpec(src="*", dst="*", **default)
+        default = _entry(data.get("default_link", {}), "default_link", _LINK_KEYS)
+        default_link = _spec(
+            LinkSpec,
+            "default_link",
+            src="*",
+            dst="*",
+            **{
+                key: _field(default, key, "default_link", getattr(LinkSpec, key), float)
+                for key in _LINK_KEYS
+            },
+        )
         links = []
-        for i, entry in enumerate(data.get("links", [])):
-            entry = _entry(entry, f"links[{i}]", ("src", "dst"))
+        for i, entry in enumerate(_list(data, "links")):
+            where = f"links[{i}]"
+            entry = _entry(entry, where, ("src", "dst", *_LINK_KEYS), ("src", "dst"))
             links.append(
-                LinkSpec(
-                    src=entry["src"],
-                    dst=entry["dst"],
+                _spec(
+                    LinkSpec,
+                    where,
+                    src=_field(entry, "src", where, None, str),
+                    dst=_field(entry, "dst", where, None, str),
                     **{
-                        key: float(entry.get(key, getattr(default_link, key)))
+                        key: _field(
+                            entry, key, where, getattr(default_link, key), float
+                        )
                         for key in _LINK_KEYS
                     },
                 )
@@ -121,8 +192,8 @@ class ClusterTopology:
             nodes=tuple(nodes),
             links=tuple(links),
             default_link=default_link,
-            fp16_activations=bool(data.get("fp16_activations", False)),
-            int8_activations=bool(data.get("int8_activations", False)),
+            fp16_activations=_field(data, "fp16_activations", "topology", False, bool),
+            int8_activations=_field(data, "int8_activations", "topology", False, bool),
         )
 
     def to_dict(self) -> dict:

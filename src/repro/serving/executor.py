@@ -2,12 +2,11 @@
 
 The executor drains one *batching window* of requests at a time, cuts it
 into jobs that fit their members' deadlines (one job per worker at
-most, see :meth:`BatchExecutor.cut`) and charges simulated GPU time for
-each on a :class:`WorkerPool`; the cluster executor books per node on
-the same pool, fused-batch costing (:func:`_window_costs`) and window
-log (:class:`WindowLedger`).  Costs are grounded in what the profiler
-measured per block and the DOT solver already consumes: ``c(s)`` for
-one sample and the block's batch law for more — a block processing a
+most, :func:`cut_window`) and books each on a :class:`WorkerPool`
+(:func:`_book_jobs`); each cluster node cuts and books its share of a
+window by the same two on its own pool.  Costs are grounded in what
+the profiler measured per block and the DOT solver already consumes:
+``c(s)`` for one sample and the block's batch law for more — a block processing a
 batch of ``n`` requests costs
 
     ``c(s) · (1 + (n − 1) · batch_marginal(s))``
@@ -38,8 +37,9 @@ several coupled paths computes the shared trunk once.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 from typing import Iterator
 
@@ -53,7 +53,7 @@ from repro.serving.queueing import ServingRequest
 __all__ = ["WindowReport", "WorkerPool", "BatchExecutor", "BlockwiseRunner"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowReport:
     """Accounting for one executed batching window."""
 
@@ -70,18 +70,6 @@ class WindowReport:
     @property
     def saved_s(self) -> float:
         return self.unshared_compute_s - self.compute_s
-
-
-def _path_groups(requests: list[ServingRequest]) -> list[tuple]:
-    """``(path id, blocks, count)`` per distinct path, in first-seen order."""
-    # by identity (the requests keep their paths alive): hashing a frozen
-    # path would hash every block of it
-    paths = [request.path for request in requests]
-    by_id = {id(path): path for path in paths}
-    return [
-        (by_id[key].path_id, by_id[key].blocks, n)
-        for key, n in Counter(map(id, paths)).items()
-    ]
 
 
 def _window_costs(groups) -> tuple[float, float, int]:
@@ -136,20 +124,6 @@ def _window_costs(groups) -> tuple[float, float, int]:
     return merged, unmerged, sum(node[3] for node in nodes)
 
 
-def _fused_cost(
-    groups, prefix_cache: bool, cpu_scale: float = 1.0
-) -> tuple[float, float, int]:
-    """``(charged, unshared, merges)`` of one fused batch on one CPU.
-
-    ``groups`` is the batch as :func:`_window_costs` takes it; the charge
-    is the unshared cost with the prefix cache off.
-    """
-    merged, unmerged, merges = _window_costs(groups)
-    unmerged = unmerged / cpu_scale
-    cost = merged / cpu_scale if prefix_cache else unmerged
-    return cost, unmerged, merges
-
-
 class WorkerPool:
     """Per-worker free times: the one place a job is assigned to a worker."""
 
@@ -198,15 +172,16 @@ class WorkerPool:
 
 @dataclass(kw_only=True)
 class WindowLedger:
-    """What both executors share: the prefix-cache switch and the window log.
-
-    :class:`BatchExecutor` closes a window over the jobs it cut it into,
-    each a fused batch (:func:`_fused_cost`) on a worker of its own pool;
-    the cluster executor over one fused batch per node and hop, at the
-    node's CPU scale.
+    """What both executors share: the prefix-cache switch, the cut's
+    deadline margin and the window log.  A window closes over the jobs it
+    was cut into, each a fused batch on a worker of a pool: the
+    executor's own, or each cluster node's it reached, hop by hop.
     """
 
     prefix_cache: bool = True
+    #: what a finished request still spends on the downlink: the part of
+    #: its deadline no job may use
+    result_return_s: float = 0.0
     #: DES-clock tracer recording one span per executed job
     tracer: Tracer | NullTracer = NULL_TRACER
     windows: list[WindowReport] = field(default_factory=list)
@@ -284,31 +259,74 @@ class _JobCosts:
     signature ``(path index, requests, path index, requests, …)`` in
     index order (:class:`_JobCost`), an edge per added path, entered at
     :attr:`empty`.  A hit is one dict lookup on the node the job already
-    holds; a miss costs the signature by :func:`_window_costs`.
+    holds; a miss costs the signature by :func:`_window_costs`, on one CPU
+    (``cpu_scale``), reading a request as ``unit(request)`` (its path).
+    A job left whole (:meth:`window`) is the node of its signature in
+    window order, a batch on one path (:meth:`batch`) the node of its one
+    group.
     """
 
     #: signatures held before the memo starts over
     LIMIT = 8192
 
-    def __init__(self, prefix_cache: bool) -> None:
+    def __init__(
+        self, prefix_cache: bool, cpu_scale: float = 1.0, unit=attrgetter("path")
+    ) -> None:
         self.prefix_cache = prefix_cache
-        #: distinct paths in first-seen order (held, so their ids stay theirs)
+        self.cpu_scale = cpu_scale
+        self.unit = unit
+        #: distinct units in first-seen order (held, so their ids stay theirs)
         self.paths: list[Path] = []
         self._index: dict[int, int] = {}
         self._by_groups: dict[tuple, _JobCost] = {}
         self.empty = _JobCost(0.0, 0.0, 0, ())
 
-    def of(self, groups, signature: tuple = ()) -> _JobCost:
-        """The costs of one job, ``groups`` as :func:`_window_costs` takes it."""
-        return _JobCost(*_fused_cost(groups, self.prefix_cache), signature)
+    def _costs(self, signature: tuple) -> _JobCost:
+        """The node of ``signature``, its groups costed in signature order."""
+        costs = self._by_groups.get(signature)
+        if costs is None:
+            if len(self._by_groups) >= self.LIMIT:
+                # start over; jobs being built keep the nodes they hold
+                self._by_groups = {}
+                self.empty = _JobCost(0.0, 0.0, 0, ())
+            paths = self.paths
+            merged, unmerged, merges = _window_costs(
+                [
+                    (paths[i].path_id, paths[i].blocks, n)
+                    for i, n in zip(signature[::2], signature[1::2])
+                ]
+            )
+            unmerged = unmerged / self.cpu_scale
+            cost = merged / self.cpu_scale if self.prefix_cache else unmerged
+            costs = self._by_groups[signature] = _JobCost(
+                cost, unmerged, merges, signature
+            )
+        return costs
+
+    def _index_of(self, path: Path) -> int:
+        # by identity (the memo holds the path): hashing a frozen path
+        # would hash every block of it
+        index = self._index.get(id(path))
+        if index is None:
+            index = self._index[id(path)] = len(self.paths)
+            self.paths.append(path)
+        return index
+
+    def batch(self, unit: Path, requests: int) -> _JobCost:
+        """One job of ``requests`` requests, all on ``unit``."""
+        return self._costs((self._index_of(unit), requests))
+
+    def window(self, requests: list[ServingRequest]) -> _JobCost:
+        """``requests`` as one job, their paths costed in first-seen order."""
+        counts: dict[int, int] = {}
+        for path in map(self.unit, requests):
+            index = self._index_of(path)
+            counts[index] = counts.get(index, 0) + 1
+        return self._costs(tuple(chain.from_iterable(counts.items())))
 
     def grow(self, job: _JobCost, path: Path) -> _JobCost:
         """``job`` plus one request on ``path`` (the miss behind ``job.grown``)."""
-        paths = self.paths
-        index = self._index.get(id(path))
-        if index is None:
-            index = self._index[id(path)] = len(paths)
-            paths.append(path)
+        index = self._index_of(path)
         groups = job.groups
         at = 0
         while at < len(groups) and groups[at] < index:
@@ -317,20 +335,7 @@ class _JobCosts:
             groups = (*groups[: at + 1], groups[at + 1] + 1, *groups[at + 2 :])
         else:
             groups = (*groups[:at], index, 1, *groups[at:])
-        grown = self._by_groups.get(groups)
-        if grown is None:
-            if len(self._by_groups) >= self.LIMIT:
-                # start over; jobs being built keep the nodes they hold
-                self._by_groups = {}
-                self.empty = _JobCost(0.0, 0.0, 0, ())
-            grown = self._by_groups[groups] = self.of(
-                [
-                    (paths[i].path_id, paths[i].blocks, n)
-                    for i, n in zip(groups[::2], groups[1::2])
-                ],
-                groups,
-            )
-        job.grown[id(path)] = grown
+        grown = job.grown[id(path)] = self._costs(groups)
         return grown
 
 
@@ -341,7 +346,7 @@ class Job:
     #: window order in a window left whole, EDF order in a cut one
     members: list[ServingRequest]
     costs: _JobCost
-    #: the worker the job was cut for (None: the earliest-free one)
+    #: the worker the job was cut for (None: the earliest-free one), then ran on
     worker: int | None = None
     #: what the tightest (first) member's deadline leaves for computing
     #: once that worker is free
@@ -349,6 +354,85 @@ class Job:
 
 
 _deadline_at = attrgetter("deadline_at")
+
+
+def cut_window(
+    pool: WorkerPool, memo: _JobCosts, requests, now: float, result_return_s: float
+) -> list[Job]:
+    """Cut one window ready at ``now`` into jobs, each for a worker of ``pool``.
+
+    Workers are taken as :meth:`WorkerPool.slots` hands them out (idle,
+    then as they free).  The window is walked in EDF order and every
+    family of units (same first block: what the trie can fuse at all) is
+    cut into consecutive jobs: a request joins its family's open job
+    while the fused cost (``memo``) still fits the slack of the job's
+    tightest — first — member, ``deadline_at − job start −
+    result_return_s``, and opens the next job otherwise.  Once every
+    worker has a job, a request joins its family's open job fit or not,
+    and a family without one the job opened last (the latest deadlines).
+    On one worker, and for a window of one, the window is one job on the
+    earliest-free worker, costed in window order as it always was.
+    """
+    if len(pool.free_at) < 2 or len(requests) < 2:
+        return [Job(requests, memo.window(requests))]
+    empty = memo.empty
+    grow = memo.grow
+    slots = pool.slots(now)
+    jobs: list[Job] = []
+    open_jobs: dict[str, Job] = {}
+    ordered = sorted(requests, key=_deadline_at)
+    for request, path in zip(ordered, map(memo.unit, ordered)):
+        family = path.blocks[0].block_id
+        job = open_jobs.get(family)
+        if job is not None:
+            costs = job.costs
+            costs = costs.grown.get(id(path)) or grow(costs, path)
+            if costs.cost <= job.slack_s:
+                job.members.append(request)
+                job.costs = costs
+                continue
+        slot = next(slots, None)
+        if slot is not None:
+            worker, start = slot
+            job = open_jobs[family] = Job(
+                [request],
+                empty.grown.get(id(path)) or grow(empty, path),
+                worker,
+                request.deadline_at - (start + result_return_s),
+            )
+            jobs.append(job)
+            continue
+        if job is None:
+            job = open_jobs[family] = jobs[-1]
+            costs = job.costs
+            costs = costs.grown.get(id(path)) or grow(costs, path)
+        job.members.append(request)
+        job.costs = costs
+    return jobs
+
+
+def _book_jobs(jobs: list[Job], claim, now: float) -> tuple:
+    """Book jobs ready at ``now`` by ``claim`` (a pool's, or a node's ``execute``),
+    stamping each member with its job's start, finish and cost share:
+    ``(compute, unshared, merges, first start, last finish)``."""
+    compute = unshared = 0.0
+    merges = 0
+    started_at, finished_at = float("inf"), now
+    for job in jobs:
+        costs = job.costs
+        cost = costs.cost
+        job.worker, start, finish = claim(cost, now, job.worker)
+        share = cost / len(job.members)
+        for request in job.members:
+            request.started_at = start
+            request.compute_time_s = share
+            request.service_done_at = finish
+        started_at = min(started_at, start)
+        finished_at = max(finished_at, finish)
+        compute += cost
+        unshared += costs.unshared
+        merges += costs.merges
+    return compute, unshared, merges, started_at, finished_at
 
 
 @dataclass
@@ -362,9 +446,6 @@ class BatchExecutor(WindowLedger):
     """
 
     num_workers: int = 1
-    #: what a finished request still spends on the downlink: the part of
-    #: its deadline no job may use
-    result_return_s: float = 0.0
     pool: WorkerPool = field(init=False, repr=False)
     #: the run's job-cost memo
     _memo: _JobCosts = field(init=False, repr=False)
@@ -374,86 +455,24 @@ class BatchExecutor(WindowLedger):
         self._memo = _JobCosts(self.prefix_cache)
 
     def cut(self, requests: list[ServingRequest], now: float) -> list[Job]:
-        """Cut one window into jobs, each for a worker of its own.
-
-        Workers are taken as :meth:`WorkerPool.slots` hands them out: the
-        idle ones, then the busy ones as they free.  The window is walked
-        in EDF order and every family of paths (those that share their
-        first block, so the prefix trie fuses them at all) is cut into
-        consecutive jobs: a request joins its family's open job while the
-        fused cost still fits the slack of the job's tightest — its first —
-        member, ``deadline_at − job start − result_return_s``, and opens
-        the next job otherwise.  Once every worker has a job, a request
-        joins its family's open job fit or not, and a family without one
-        the job opened last (the latest deadlines).  On one worker, and
-        for a window of one, the window is one job on the earliest-free
-        worker, costed in window order as it always was.
-        """
-        if self.num_workers < 2 or len(requests) < 2:
-            return [Job(requests, self._memo.of(_path_groups(requests)))]
-        empty = self._memo.empty
-        grow = self._memo.grow
-        slots = self.pool.slots(now)
-        result_return_s = self.result_return_s
-        jobs: list[Job] = []
-        open_jobs: dict[str, Job] = {}
-        for request in sorted(requests, key=_deadline_at):
-            path = request.path
-            family = path.blocks[0].block_id
-            job = open_jobs.get(family)
-            if job is not None:
-                costs = job.costs
-                costs = costs.grown.get(id(path)) or grow(costs, path)
-                if costs.cost <= job.slack_s:
-                    job.members.append(request)
-                    job.costs = costs
-                    continue
-            slot = next(slots, None)
-            if slot is not None:
-                worker, start = slot
-                job = open_jobs[family] = Job(
-                    [request],
-                    empty.grown.get(id(path)) or grow(empty, path),
-                    worker,
-                    request.deadline_at - (start + result_return_s),
-                )
-                jobs.append(job)
-                continue
-            if job is None:
-                job = open_jobs[family] = jobs[-1]
-                costs = job.costs
-                costs = costs.grown.get(id(path)) or grow(costs, path)
-            job.members.append(request)
-            job.costs = costs
-        return jobs
+        """:func:`cut_window` on this executor's pool."""
+        return cut_window(self.pool, self._memo, requests, now, self.result_return_s)
 
     def dispatch(self, requests: list[ServingRequest], now: float) -> WindowReport:
         """Execute one window; stamps the requests and returns the report."""
         if not requests:
             raise ValueError("cannot dispatch an empty window")
-        claim = self.pool.claim
-        trace = self.tracer.enabled
-        compute = unshared = 0.0
-        merges = 0
-        started_at, finished_at = float("inf"), now
-        for job in self.cut(requests, now):
-            costs = job.costs
-            cost = costs.cost
-            worker, start, finish = claim(cost, now, job.worker)
-            share = cost / len(job.members)
-            for request in job.members:
-                request.started_at = start
-                request.compute_time_s = share
-                request.service_done_at = finish
-            started_at = min(started_at, start)
-            finished_at = max(finished_at, finish)
-            compute += cost
-            unshared += costs.unshared
-            merges += costs.merges
-            if trace:
+        jobs = cut_window(self.pool, self._memo, requests, now, self.result_return_s)
+        compute, unshared, merges, started_at, finished_at = _book_jobs(
+            jobs, self.pool.claim, now
+        )
+        if self.tracer.enabled:
+            for job in jobs:
+                costs = job.costs
                 self._window_span(
-                    f"worker{worker}", start, cost, len(job.members),
-                    costs.merges if self.prefix_cache else 0, costs.unshared - cost,
+                    f"worker{job.worker}", job.members[0].started_at, costs.cost,
+                    len(job.members), costs.merges if self.prefix_cache else 0,
+                    costs.unshared - costs.cost,
                 )
         return self._log_window(
             len(requests), compute, unshared, merges, started_at, finished_at

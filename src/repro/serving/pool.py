@@ -18,11 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.catalog import Path
-from repro.serving.queueing import ServingRequest
+from repro.serving.queueing import UNSET, ServingRequest
 
 __all__ = ["RequestPool"]
-
-_NAN = float("nan")
 
 
 @dataclass
@@ -61,13 +59,13 @@ class RequestPool:
             request.created_at = created_at
             request.deadline_at = deadline_at
             request.bits = bits
-            request.uplink_done_at = _NAN
-            request.dispatched_at = _NAN
-            request.started_at = _NAN
-            request.completed_at = _NAN
+            request.uplink_done_at = UNSET
+            request.dispatched_at = UNSET
+            request.started_at = UNSET
+            request.completed_at = UNSET
             request.compute_time_s = 0.0
             request.drop_reason = None
-            request.service_done_at = _NAN
+            request.service_done_at = UNSET
             request.hops = None
         else:
             request = ServingRequest(

@@ -31,6 +31,10 @@ __all__ = ["DropReason", "ServingRequest", "ServingQueue", "ReadyQueues"]
 #: return when nothing expired (shared: callers only size or iterate it)
 _NONE_EXPIRED: tuple = ()
 
+#: the stamp of an event a request has not had (one object: a record left
+#: unstamped, recycled or reset compares equal to another inside a tuple)
+UNSET = float("nan")
+
 
 class DropReason(enum.Enum):
     """Why a request left the pipeline without being served."""
@@ -65,17 +69,17 @@ class ServingRequest:
     deadline_at: float
     #: uplink payload β(q) in bits
     bits: float
-    uplink_done_at: float = float("nan")
+    uplink_done_at: float = UNSET
     #: when the dispatcher pulled the request out of its queue
-    dispatched_at: float = float("nan")
-    started_at: float = float("nan")
-    completed_at: float = float("nan")
+    dispatched_at: float = UNSET
+    started_at: float = UNSET
+    completed_at: float = UNSET
     #: simulated GPU time attributed to this request's window share
     compute_time_s: float = 0.0
     drop_reason: DropReason | None = None
     #: when the request's job finished (cluster runs: its last segment);
     #: the result is back ``result_return_s`` later
-    service_done_at: float = float("nan")
+    service_done_at: float = UNSET
     #: per-hop journey through the cluster fabric (None on one node)
     hops: list | None = None
 

@@ -303,7 +303,11 @@ class _Run:
         self.cell.reset()
         self.record_hop_spans = None
         # both executors book on the same window ledger
-        ledger = dict(prefix_cache=cfg.prefix_cache, tracer=self.tracer)
+        ledger = dict(
+            prefix_cache=cfg.prefix_cache,
+            result_return_s=cfg.result_return_s,
+            tracer=self.tracer,
+        )
         if runtime.cluster is not None:
             # lazy import: repro.cluster imports from repro.serving
             from repro.cluster.executor import ClusterExecutor
@@ -315,11 +319,7 @@ class _Run:
                 deployment=runtime.cluster, seed=cfg.seed, **ledger
             )
         else:
-            self.executor = BatchExecutor(
-                num_workers=cfg.num_workers,
-                result_return_s=cfg.result_return_s,
-                **ledger,
-            )
+            self.executor = BatchExecutor(num_workers=cfg.num_workers, **ledger)
         runtime.executor = self.executor
         # The ticket grants z_τ·λ_τ requests/s; devices offer
         # λ_τ·load_factor.  The bucket meters the granted *rate* against

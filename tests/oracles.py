@@ -16,9 +16,11 @@ Both scans were replaced by indexes that only touch tasks with work
 they were, so tests can drive the same runs through them and demand the
 same windows, drops, metrics and trace bytes.
 
-So do the per-request window trie (:func:`per_request_window_costs`) and
-the cluster dispatcher that re-derived routes, costs and hop records per
-request (:func:`per_request_cluster_dispatch`): the executors now cost a
+So do the per-request window trie (:func:`per_request_window_costs`), a
+window's path groups as the executors built them before the job-cost
+memo (:func:`path_groups`), and the cluster dispatcher that re-derived
+routes, costs and hop records per request
+(:func:`per_request_cluster_dispatch`): the executors now cost a
 window per distinct (path, block sequence) group and build one hop record
 per batch, and must produce the same floats, stamps and draws.
 
@@ -37,7 +39,7 @@ where the product uses a union-find.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -191,6 +193,18 @@ def full_scan_push_due(plan, now: float, pool, push, collect) -> None:
             cursors[position] = i + 1
             collect(wave.task_id, request)
             push(request)
+
+
+def path_groups(requests) -> list[tuple]:
+    """``(path id, blocks, count)`` per distinct path, in first-seen order:
+    a window as ``_window_costs`` takes it, the way the executors built it
+    before jobs were costed through the memo (``_JobCosts.window``)."""
+    paths = [request.path for request in requests]
+    by_id = {id(path): path for path in paths}
+    return [
+        (by_id[key].path_id, by_id[key].blocks, n)
+        for key, n in Counter(map(id, paths)).items()
+    ]
 
 
 def per_request_window_costs(requests, blocks_for=None):

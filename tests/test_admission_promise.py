@@ -10,6 +10,8 @@ arrivals are spread (Poisson) or land on the same instants
 (deterministic: k replicas of a task fire together), at least 99 % of
 every admitted task's completed requests are on time, and no request is
 late that reached the dispatcher with its own compute time of slack.
+The same holds with the deployment on a one-node cluster fabric of k
+workers: its hop-0 groups are cut by the same rule.
 
 Before windows were cut into jobs (one fused job per window on one
 worker) the same runs read: k = 20 Poisson task 1 0.974 on time (0.953
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import ClusterDeployment, default_topology
 from repro.core.catalog import DEFAULT_BATCH_MARGINAL
 from repro.core.heuristic import OffloaDNNSolver
 from repro.serving import ServingConfig, ServingRuntime
@@ -46,14 +49,37 @@ DEADLINE_DROPS = {(20, True): 63, (5, False): 0, (20, False): 0,
     ],
 )
 def test_admitted_tasks_are_served_on_time(k, poisson, batch_marginal):
+    problem = with_batch_marginal(replicated_serving_problem(k), batch_marginal)
+    _assert_promise_kept(_runtime(k, poisson, problem), k, poisson)
+
+
+def test_admitted_tasks_are_served_on_time_on_a_one_node_fabric():
+    # the promise is the dispatcher's, not the executor class's: the same
+    # deployment on one fabric node of k workers.  When the fabric booked
+    # each node's hop-0 group as one fused job it read 0.965 / 0.989 /
+    # 0.992 / 0.993 / 0.993 on time with 202 late (the local executor: 6)
+    k = 20
+    runtime = _runtime(k, True, replicated_serving_problem(k))
+    runtime.cluster = ClusterDeployment.place(
+        runtime.problem, runtime.solution, runtime.tickets,
+        default_topology(1, num_workers=k),
+    )
+    _assert_promise_kept(runtime, k, True)
+
+
+def _runtime(k: int, poisson: bool, problem) -> ServingRuntime:
+    """The harness's capacity-scaled deployment: k workers, 2 ms windows."""
     config = ServingConfig(
         duration_s=30.0, batch_window_s=0.002, num_workers=k, poisson=poisson,
         seed=3,
     )
-    runtime = ServingRuntime.from_problem(
-        with_batch_marginal(replicated_serving_problem(k), batch_marginal), config,
-        solver=OffloaDNNSolver(slice_margin_rbs=10),
+    return ServingRuntime.from_problem(
+        problem, config, solver=OffloaDNNSolver(slice_margin_rbs=10)
     )
+
+
+def _assert_promise_kept(runtime: ServingRuntime, k: int, poisson: bool) -> None:
+    config = runtime.config
     assert all(ticket.admitted for ticket in runtime.tickets.values())
     metrics = runtime.run()
 

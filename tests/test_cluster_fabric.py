@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import (
@@ -20,10 +21,13 @@ from repro.cluster import (
     default_topology,
 )
 from repro.cluster.executor import ClusterExecutor
+from repro.cluster.orchestrator import PlacementPlan, Segment
+from repro.core.catalog import Block, Path
 from repro.core.heuristic import OffloaDNNSolver
+from repro.core.task import QualityLevel
 from repro.obs import ObsSession, jsonl_lines
 from repro.serving import ServingConfig, ServingRuntime
-from repro.serving.queueing import DropReason
+from repro.serving.queueing import DropReason, ServingRequest
 from repro.workloads.smallscale import serving_small_scale_problem
 from tests.oracles import per_request_cluster_dispatch, replicated_serving_problem
 
@@ -137,6 +141,122 @@ def test_topology_rejects_duplicates_and_empty():
             ClusterTopology.from_dict(document)
 
 
+def test_topology_document_fields_are_type_checked():
+    # each of these used to load as something else: 2.7 workers as 2, true
+    # as 1, the string "false" as True, an unknown key as the default (one
+    # worker), a numeric id or block list as given; or to escape as a bare
+    # TypeError, or to name the wrong thing
+    def with_node(**fields):
+        document = default_topology(1).to_dict()
+        document["nodes"][0].update(fields)
+        return document
+
+    base = default_topology(1).to_dict()
+    for document, names in (
+        (with_node(num_workers=2.7), r"nodes\[0\]\.num_workers must be an integer"),
+        (with_node(num_workers=True), r"nodes\[0\]\.num_workers must be an integer"),
+        (with_node(cpu_workers=4), r"nodes\[0\] takes .*'cpu_workers'"),
+        (with_node(node_id=5), r"nodes\[0\]\.node_id must be a string"),
+        (with_node(resident_blocks=[1, 2]), r"nodes\[0\]\.resident_blocks"),
+        (with_node(cpu_scale=float("nan")), r"nodes\[0\]\.cpu_scale must be a finite"),
+        (with_node(tier="fog"), r"nodes\[0\]: tier"),
+        ({**base, "fp16_activations": "false"}, "fp16_activations must be true or false"),
+        ({**base, "default_link": {"bandwidth_bps": "1e9"}},
+         r"default_link\.bandwidth_bps must be a finite number"),
+        ({**base, "default_link": {"stall_rate": 1.5}}, "default_link: stall_rate"),
+        ({**base, "nodes": {"edge0": {}}}, "nodes must be a list, got dict"),
+        ({**base, "links": [{"src": "edge0", "dst": "edge0", "latency": 1}]},
+         r"links\[0\] takes .*'latency'"),
+        ({**base, "links": [{"src": "edge0", "dst": 0}]}, r"links\[0\]\.dst must be a string"),
+        ({**base, "int8_activation": True}, "topology document takes .*'int8_activation'"),
+        ({"links": []}, r"topology document is missing \['nodes'\]"),
+    ):
+        with pytest.raises(ValueError, match=names):
+            ClusterTopology.from_dict(document)
+
+
+#: what a fuzzed ``nodes.json`` error message must name
+_FIELD = r"nodes|links|default_link|topology|_activations"
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+_PLAUSIBLE = st.sampled_from(
+    (None, True, False, 0, 1, 2, 4, 0.25, 0.5, 1.5, 100.0, 1e9, "edge", "cloud",
+     "edge0", "edge1", "cloud0", [], ["base:g1"], {})
+)
+_LINK = ("bandwidth_bps", "latency_s", "stall_rate", "stall_factor")
+#: (where, key) of one edit: every field a document may hold, and a typo
+#: or a misplaced key in each place
+_EDITS = (
+    [("node", key) for key in ("node_id", "tier", "cpu_scale", "memory_gb",
+                               "num_workers", "resident_blocks", "failure_rate",
+                               "cpu_workers")]
+    + [("link", key) for key in ("src", "dst", *_LINK, "latency")]
+    + [("default_link", key) for key in (*_LINK, "src")]
+    + [("document", key) for key in ("nodes", "links", "default_link",
+                                     "fp16_activations", "int8_activations",
+                                     "int8_activation")]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    cloud=st.booleans(),
+    edits=st.lists(
+        st.tuples(st.sampled_from(_EDITS), st.none() | _PLAUSIBLE | _JSON, st.integers(0, 3)),
+        min_size=1, max_size=3,
+    ),
+)
+def test_topology_document_loads_as_written_or_names_the_field(cloud, edits):
+    # any edit of a valid nodes.json either raises a ValueError naming where
+    # the document is wrong or loads into exactly what it says: every value
+    # it holds reads back from the topology, which round-trips unchanged
+    document = default_topology(2, cloud=cloud).to_dict()
+    for (where, key), value, index in edits:
+        if where == "document":
+            target = document
+        elif where == "default_link":
+            target = document.get("default_link")
+        else:
+            entries = document.get("nodes" if where == "node" else "links")
+            target = entries[index % len(entries)] if isinstance(entries, list) and entries else None
+        if not isinstance(target, dict):
+            continue
+        if value is None and key in target and index % 2:
+            del target[key]
+        else:
+            target[key] = value
+    try:
+        topology = ClusterTopology.from_dict(json.loads(json.dumps(document)))
+    except ValueError as error:
+        event("rejected")
+        assert re.search(_FIELD, str(error)), error
+        return
+    event("loaded")
+    assert ClusterTopology.from_dict(topology.to_dict()) == topology
+    written = topology.to_dict()
+
+    def read_back(held: dict, loaded: dict) -> None:
+        for key, value in held.items():
+            if key == "resident_blocks" and value is not None:
+                value = sorted(set(value))
+            got = loaded[key]
+            # equal, and a bool only where the document held one (1 == True)
+            assert got == value and isinstance(got, bool) == isinstance(value, bool), (
+                key, value, got
+            )
+
+    for key in ("fp16_activations", "int8_activations"):
+        if key in document:
+            assert written[key] is document[key]
+    read_back(document.get("default_link", {}), written["default_link"])
+    for kind in ("nodes", "links"):
+        for held, loaded in zip(document.get(kind, []), written[kind], strict=True):
+            read_back(held, loaded)
+
+
 def test_registry_eligibility_and_least_loaded():
     registry = NodeRegistry()
     registry.register(NodeSpec(node_id="a", resident_blocks=frozenset({"b1", "b2"})))
@@ -241,37 +361,79 @@ def _local_and_one_node_logs(num_workers: int, prefix_cache: bool):
 
 @pytest.mark.parametrize("prefix_cache", [True, False])
 def test_one_node_cluster_books_the_same_ledger_as_batch_executor(prefix_cache):
-    # the shared pool and ledger's contract: with one worker there is
-    # nothing to cut a window over, so on a stream of mixed-path windows a
-    # one-node fabric logs the same WindowReport sequence and stamps every
-    # request like the plain executor, to the last bit
-    local, fabric = _local_and_one_node_logs(1, prefix_cache)
-    windows, stamps = local
-    assert max(w.requests for w in windows) >= 3 and len(stamps) >= 25
-    assert prefix_cache == any(w.prefix_merges for w in windows)
-    assert fabric == local
+    # one dispatch rule: a one-node fabric cuts its hop-0 group with the
+    # local executor's cut and books it through the same loop, so on a
+    # stream of mixed-path windows it logs the same WindowReport sequence
+    # and stamps every request like the plain executor, to the last bit,
+    # at any worker count
+    for num_workers in (1, 2, 3):
+        local, fabric = _local_and_one_node_logs(num_workers, prefix_cache)
+        windows, stamps = local
+        assert max(w.requests for w in windows) >= 3 and len(stamps) >= 25
+        assert prefix_cache == any(w.prefix_merges for w in windows)
+        assert fabric == local
+        # with more than one worker, windows are cut: members of one window
+        # (same dispatch instant) do not all finish together
+        finishes: dict[float, set[float]] = {}
+        for _request_id, dispatched_at, _started, _share, completed_at in stamps:
+            finishes.setdefault(dispatched_at, set()).add(completed_at)
+        assert (max(map(len, finishes.values())) >= 2) == (num_workers > 1)
 
 
-@pytest.mark.parametrize("prefix_cache", [True, False])
-def test_local_executor_cuts_windows_a_one_node_cluster_runs_fused(prefix_cache):
-    # two workers: the fabric still books each window as one fused job on
-    # one of them; the local executor cuts it over both, charges no less
-    # GPU time for it and returns no request later
-    (windows, stamps), (fused_windows, fused_stamps) = _local_and_one_node_logs(
-        2, prefix_cache
+def test_a_node_cuts_its_hop_zero_group_over_its_workers():
+    # two nodes of two workers: task 1's trunk on n0, its head on n1.  Four
+    # requests that cannot share one job within their slack are cut onto
+    # both of n0's workers; each job's requests stream to n1 when their own
+    # job is done, not when the slower one is
+    trunk = (
+        Block("base:g1", "base", compute_time_s=0.010, memory_gb=0.2, batch_marginal=0.5),
+        Block("base:g2", "base", compute_time_s=0.008, memory_gb=0.2, batch_marginal=0.5),
     )
-    assert [w.requests for w in windows] == [w.requests for w in fused_windows]
-    pairs = list(zip(windows, fused_windows))
-    assert all(cut.compute_s >= fused.compute_s - 1e-12 for cut, fused in pairs)
-    assert all(cut.finished_at <= fused.finished_at for cut, fused in pairs)
-    assert any(cut.finished_at < fused.finished_at for cut, fused in pairs)
-    assert [s[:2] for s in stamps] == [s[:2] for s in fused_stamps]
-    assert all(cut[4] <= fused[4] for cut, fused in zip(stamps, fused_stamps))
-    # members of one window (same dispatch instant) no longer finish together
-    finishes: dict[float, set[float]] = {}
-    for _request_id, dispatched_at, _started, _share, completed_at in stamps:
-        finishes.setdefault(dispatched_at, set()).add(completed_at)
-    assert max(map(len, finishes.values())) >= 2
+    head = Block("a:g3", "a", compute_time_s=0.004, memory_gb=0.1, batch_marginal=0.5)
+    path = Path("a", "a", 1, trunk + (head,), accuracy=0.9, quality=QualityLevel("full", 1.0))
+    plan = PlacementPlan(
+        segments_by_task={
+            1: (Segment("n0", trunk, egress_bits=64_000.0), Segment("n1", (head,))),
+        }
+    )
+    registry = NodeRegistry.from_topology(
+        ClusterTopology(
+            nodes=(
+                NodeSpec(node_id="n0", num_workers=2),
+                NodeSpec(node_id="n1", num_workers=2),
+            )
+        )
+    )
+    executor = ClusterExecutor(
+        deployment=ClusterDeployment(registry=registry, plan=plan),
+        result_return_s=0.002,
+    )
+    # one request's trunk fits its slack, two fused do not
+    deadline = sum(b.compute_time_s for b in trunk) + 0.004
+    requests = [
+        ServingRequest(
+            task_id=1, request_id=i, path=path, created_at=0.0,
+            deadline_at=deadline, bits=1.0,
+        )
+        for i in range(4)
+    ]
+    report = executor.dispatch(requests, now=0.0)
+
+    hop0_done = {r.request_id: r.hops[1].end_s for r in requests}
+    assert len(set(hop0_done.values())) == 2
+    assert {h.where for r in requests for h in r.hops if h.kind == "exec"} == {"n0", "n1"}
+    assert registry.node("n0").busy_workers(0.0) == 2
+    for r in requests:
+        queue, exec0, transfer = r.hops[:3]
+        assert (queue.kind, exec0.kind, transfer.kind) == ("queue", "exec", "transfer")
+        assert exec0.end_s == hop0_done[r.request_id] and transfer.start_s == exec0.end_s
+        assert r.service_done_at == r.hops[-1].end_s
+    # the sub-batch of the early job finishes the path first
+    early = min(hop0_done, key=hop0_done.get)
+    late = max(hop0_done, key=hop0_done.get)
+    assert requests[early].service_done_at < requests[late].service_done_at
+    assert report.finished_at == max(r.service_done_at for r in requests)
+    assert report.started_at == 0.0
 
 
 def test_multi_node_serves_same_admitted_set_as_single_node():

@@ -27,11 +27,10 @@ from repro.serving.executor import (
     BatchExecutor,
     BlockwiseRunner,
     WindowReport,
-    _path_groups,
     _window_costs,
 )
 from repro.serving.queueing import ServingRequest
-from tests.oracles import per_request_window_costs
+from tests.oracles import path_groups, per_request_window_costs
 
 QUALITY = QualityLevel(name="full", bits_per_image=350_000.0)
 
@@ -79,14 +78,14 @@ def request(path: Path, request_id: int = 0) -> ServingRequest:
 
 class TestWindowCosts:
     def test_single_request_no_discount(self):
-        merged, unmerged, merges = _window_costs(_path_groups([request(PATH_A)]))
+        merged, unmerged, merges = _window_costs(path_groups([request(PATH_A)]))
         assert merged == pytest.approx(PATH_A.compute_time_s)
         assert unmerged == pytest.approx(PATH_A.compute_time_s)
         assert merges == 0
 
     def test_same_path_batching_sublinear(self):
         reqs = [request(PATH_A, i) for i in range(3)]
-        merged, unmerged, merges = _window_costs(_path_groups(reqs))
+        merged, unmerged, merges = _window_costs(path_groups(reqs))
         # batch of 3 through every block: c · (1 + 2·0.5) = 2c
         assert merged == pytest.approx(2 * PATH_A.compute_time_s)
         assert unmerged == pytest.approx(merged)  # same path: nothing to merge
@@ -94,7 +93,7 @@ class TestWindowCosts:
 
     def test_shared_prefix_fused_once(self):
         reqs = [request(PATH_A, 0), request(PATH_B, 1)]
-        merged, unmerged, merges = _window_costs(_path_groups(reqs))
+        merged, unmerged, merges = _window_costs(path_groups(reqs))
         trunk = sum(b.compute_time_s for b in TRUNK)
         heads = HEAD_A.compute_time_s + HEAD_B.compute_time_s
         # trunk runs once over the union batch of 2, heads separately
@@ -105,14 +104,14 @@ class TestWindowCosts:
 
     def test_disjoint_paths_gain_nothing(self):
         reqs = [request(PATH_A, 0), request(PATH_C, 1)]
-        merged, unmerged, merges = _window_costs(_path_groups(reqs))
+        merged, unmerged, merges = _window_costs(path_groups(reqs))
         assert merged == pytest.approx(unmerged)
         assert merges == 0
 
     def test_efficiency_one_is_serial(self):
         path_a, path_b = with_law(PATH_A, 1.0), with_law(PATH_B, 1.0)
         reqs = [request(path_a, 0), request(path_a, 1), request(path_b, 2)]
-        _, unmerged, _ = _window_costs(_path_groups(reqs))
+        _, unmerged, _ = _window_costs(path_groups(reqs))
         assert unmerged == pytest.approx(
             2 * PATH_A.compute_time_s + PATH_B.compute_time_s
         )
@@ -132,12 +131,12 @@ class TestWindowCosts:
             accuracy=0.895, quality=QUALITY,
         )
         reqs = [request(PATH_A, 0), request(path_q, 1)]
-        merged, unmerged, merges = _window_costs(_path_groups(reqs))
+        merged, unmerged, merges = _window_costs(path_groups(reqs))
         assert merges == 0
         assert merged == pytest.approx(unmerged)
         # sanity: the same shape with a *shared* trunk does merge
         _, _, fp32_merges = _window_costs(
-            _path_groups([request(PATH_A, 0), request(PATH_B, 1)])
+            path_groups([request(PATH_A, 0), request(PATH_B, 1)])
         )
         assert fp32_merges > 0
 
@@ -216,11 +215,11 @@ class TestWindowCosts:
         ]
         # the cluster costs per-node segments: any cut of each path's blocks
         cuts = {id(path): data.draw(st.integers(1, len(path.blocks))) for path in paths}
-        assert _window_costs(_path_groups(reqs)) == per_request_window_costs(reqs)
+        assert _window_costs(path_groups(reqs)) == per_request_window_costs(reqs)
         segment_groups = [
             (path_id, blocks[: cuts[id(path)]], n)
             for (path_id, blocks, n), path in zip(
-                _path_groups(reqs), {id(r.path): r.path for r in reqs}.values()
+                path_groups(reqs), {id(r.path): r.path for r in reqs}.values()
             )
         ]
         assert _window_costs(segment_groups) == per_request_window_costs(
@@ -379,14 +378,14 @@ class TestWindowCut:
         assert 1 <= len(jobs) <= executor.num_workers
         # every job is charged what the trie charges its members ...
         for job in jobs:
-            merged, unmerged, merges = _window_costs(_path_groups(job.members))
+            merged, unmerged, merges = _window_costs(path_groups(job.members))
             charged = merged if executor.prefix_cache else unmerged
             assert job.costs.cost == pytest.approx(charged, rel=1e-12)
             assert job.costs.unshared == pytest.approx(unmerged, rel=1e-12)
             assert job.costs.merges == merges
         # ... so, while no block is worse than serial, cutting costs GPU
         # time, but never more than not batching
-        whole, whole_unmerged, _ = _window_costs(_path_groups(requests))
+        whole, whole_unmerged, _ = _window_costs(path_groups(requests))
         if all(b.batch_marginal <= 1.0 for r in requests for b in r.path.blocks):
             total = sum(job.costs.cost for job in jobs)
             assert (whole if executor.prefix_cache else whole_unmerged) <= total + 1e-12
@@ -445,7 +444,7 @@ class TestWindowCut:
             jobs = executor.cut(reqs, now=0.0)
             assert len(executor._memo._by_groups) <= 8
             for job in jobs:
-                merged, unmerged, merges = _window_costs(_path_groups(job.members))
+                merged, unmerged, merges = _window_costs(path_groups(job.members))
                 assert job.costs.cost == pytest.approx(merged, rel=1e-12)
                 assert (job.costs.merges, len(job.members)) == (
                     merges, sum(job.costs.groups[1::2])
@@ -469,7 +468,7 @@ class TestWindowCut:
         ]
         if executor.num_workers == 1 or len(requests) == 1:
             # one job on the earliest-free worker: the old rule
-            whole, unmerged, merges = _window_costs(_path_groups(requests))
+            whole, unmerged, merges = _window_costs(path_groups(requests))
             cost = whole if executor.prefix_cache else unmerged
             start = max(now, min(free_before))
             assert taken == [free_before.index(min(free_before))]
