@@ -93,7 +93,7 @@ def fig3_pruning_effects(
     """Inference compute time and class accuracy, with/without pruning.
 
     The compute time is the *measured* wall clock of a dummy-tensor
-    forward pass through the configuration's model (the paper's
+    forward pass through the configuration's compiled plans (the paper's
     procedure); the accuracy comes from the 100-epoch fine-tuning point
     of the learning-curve model minus the pruning drop.
     """

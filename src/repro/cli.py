@@ -108,12 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--classes", type=int, default=60)
     profile.add_argument("--repeats", type=int, default=5)
     profile.add_argument(
-        "--compiled", action="store_true",
-        help="time fused execution plans instead of eager forwards",
-    )
-    profile.add_argument(
         "--int8", action="store_true",
-        help="time the int8-quantized compiled plan (implies --compiled)",
+        help="time the int8-quantized plan instead of the fp32 one",
     )
 
     reproduce = sub.add_parser("reproduce", help="regenerate a paper artifact")
@@ -332,15 +328,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             num_classes=args.classes, input_size=args.input_size, width_multiplier=1.0
         )
     quantize = "int8" if args.int8 else None
-    profile = profile_model(
-        model, repeats=args.repeats, compiled=args.compiled, quantize=quantize
-    )
+    profile = profile_model(model, repeats=args.repeats, quantize=quantize)
     rows = [
         [b.name, b.compute_time_s * 1e3, b.params, b.flops / 1e6, b.memory_bytes / 1e6]
         for b in profile.blocks
     ]
-    mode = " (int8 plan)" if args.int8 else (" (compiled)" if args.compiled else "")
-    print(f"{args.arch} @ {args.input_size}px, {args.classes} classes{mode}")
+    print(
+        f"{args.arch} @ {args.input_size}px, {args.classes} classes"
+        f" ({quantize or 'fp32'} plan)"
+    )
     print(
         format_table(
             ["block", "time ms", "params", "MFLOPs", "mem MB"], rows, precision=2

@@ -43,7 +43,8 @@ Optimization passes
 :class:`CompiledModule` is a drop-in :class:`~repro.dnn.layers.Layer`
 (same ``forward`` / ``output_shape`` / ``flops`` interface, delegated to
 the source module), so the profiler, repository and
-``serving.BlockwiseRunner`` can opt in via a flag.
+``serving.BlockwiseRunner`` run it where the module stood.
+:func:`compile_module` is the one way to build a plan.
 
 The plan snapshots the module's weights: mutate the source (pruning,
 fine-tuning) and you must re-compile.  Inputs are cast to float32; the

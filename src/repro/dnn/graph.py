@@ -37,27 +37,6 @@ class Module(Layer):
             params.extend(child.parameters())
         return params
 
-    def compile(
-        self,
-        input_shape: tuple[int, ...],
-        quantize: str | None = None,
-        calibration=None,
-    ):
-        """Compile this module into a fused execution plan.
-
-        Returns a :class:`repro.dnn.compile.CompiledModule` — a drop-in
-        ``Layer`` whose forward runs BN-folded, fused, buffer-reusing
-        kernels.  The plan snapshots current weights; re-compile after
-        pruning or fine-tuning.  ``quantize="int8"`` emits an int8
-        :class:`repro.dnn.quantize.QuantizedModule` instead (optionally
-        calibrated on ``calibration``).
-        """
-        from repro.dnn.compile import compile_module
-
-        return compile_module(
-            self, input_shape, quantize=quantize, calibration=calibration
-        )
-
 
 class Sequential(Module):
     """Run layers one after another."""

@@ -2,9 +2,10 @@
 
 The paper derives ``c(s)`` (inference compute time) and ``mu(s)``
 (memory) for every DNN block "experimentally".  This module performs the
-same measurement on the numpy engine: each layer-block is timed on a
-dummy input tensor (the paper's "standard procedure to estimate DNN model
-inference compute time in a system", Fig. 3 caption), and its memory
+same measurement on the numpy engine: each layer-block's compiled plan —
+what the deployment runs — is timed on a dummy input tensor (the paper's
+"standard procedure to estimate DNN model inference compute time in a
+system", Fig. 3 caption), and its memory
 footprint is computed from the parameter tensors plus the peak
 intermediate activation.
 """
@@ -139,52 +140,57 @@ def profile_model(
     model: ResNet18,
     repeats: int = 5,
     warmup: int = 1,
-    compiled: bool = False,
+    compiled: bool = True,
     quantize: str | None = None,
     clock: Callable[[], float] = time.perf_counter,
     batch_sizes: tuple[int, ...] = (),
 ) -> ModelProfile:
     """Profile each layer-block of ``model`` on a dummy tensor.
 
+    Each block is compiled into the execution plan the serving runtime
+    runs (:func:`repro.dnn.compile.compile_module`) and the plan's
+    forward is timed; the dummy activation is carried from plan to plan.
+    FLOPs figures stay analytic.  ``compiled`` only accepts ``True``:
+    there is no eager inference mode.
+
     Timing uses batch size 1 (per-inference cost, as consumed by the DOT
     compute constraint which scales cost by the task request rate).
     ``batch_sizes`` (e.g. ``(8, 32)``) additionally times every block —
-    the same forward, the same plan — on that many samples and fits the
-    block's batch law to them (:func:`fit_batch_marginal`); left empty,
-    no more work is done and the blocks carry the engine-wide default.
+    the same plan — on that many samples and fits the block's batch law
+    to them (:func:`fit_batch_marginal`); left empty, no more work is
+    done and the blocks carry the engine-wide default.
 
-    With ``compiled=True`` each block is compiled into a fused execution
-    plan (:mod:`repro.dnn.compile`) and the plan's forward is timed —
-    the cost the serving runtime sees when it opts into compiled blocks.
-    FLOPs figures stay analytic (identical either way); the eager block
-    still propagates the activation so downstream shapes match.
-
-    ``quantize="int8"`` (implies ``compiled``) times the int8 plan and
-    reports the *dtype-aware* memory footprint: ``param_bytes`` are the
-    deployed int8 weights + f32 scale/bias vectors (4x smaller than
-    fp32), and ``activation_bytes`` count 1 byte per element for blocks
-    whose plan actually quantized (int8 activations dominate the
-    buffers).  Blocks with no quantizable prefix keep fp32 accounting.
+    ``quantize="int8"`` times the int8 plan, each block calibrated on
+    what the plan before it makes of the calibration batch — as
+    ``serving.BlockwiseRunner`` compiles a path — and reports the
+    *dtype-aware* memory footprint: ``param_bytes`` are the deployed
+    int8 weights + f32 scale/bias vectors (4x smaller than fp32), and
+    ``activation_bytes`` count 1 byte per element for blocks whose plan
+    actually quantized (int8 activations dominate the buffers).  Blocks
+    with no quantizable prefix keep fp32 accounting.
     """
-    if quantize is not None:
-        compiled = True
-    dummy = np.zeros((1, *model.input_shape), dtype=np.float32)
+    if not compiled:
+        raise ValueError(
+            f"profile_model(compiled={compiled!r}): compiled plans are the only "
+            "inference route"
+        )
+    from repro.dnn.compile import compile_module
+
     profiles: list[BlockProfile] = []
-    x = dummy
+    x = np.zeros((1, *model.input_shape), dtype=np.float32)
     shape: tuple[int, ...] = model.input_shape
+    calibration = None
     for name in BLOCK_NAMES:
         block = model.blocks[name]
-        timed = block.forward
+        plan = compile_module(block, shape, quantize=quantize, calibration=calibration)
+        timed = plan.forward
         params = block.param_count()
         param_bytes = params * BYTES_PER_PARAM
         act_elem_bytes = BYTES_PER_PARAM
         precision = "fp32"
-        if compiled:
-            from repro.dnn.compile import compile_module
-
-            plan = compile_module(block, shape, quantize=quantize)
-            timed = plan.forward
-            if quantize is not None and getattr(plan, "quantized_steps", 0) > 0:
+        if quantize is not None:
+            calibration = plan.calibration_output
+            if plan.quantized_steps > 0:
                 param_bytes = plan.param_bytes()
                 act_elem_bytes = 1  # int8 activations
                 precision = plan.precision
@@ -212,6 +218,6 @@ def profile_model(
                 batch_marginal=marginal,
             )
         )
-        x = block(x)
-        shape = block.output_shape(shape)
+        x = timed(x)
+        shape = plan.out_shape
     return ModelProfile(blocks=tuple(profiles), input_shape=model.input_shape)

@@ -135,7 +135,6 @@ def _profile_config(
     fine_tune_epochs: int,
     repeats: int,
     base_profile: ModelProfile,
-    compiled: bool = False,
     quantize: str | None = None,
 ) -> ProfiledConfig:
     model = _build_config_model(config, num_classes, input_size, width, seed)
@@ -147,7 +146,6 @@ def _profile_config(
     profile: ModelProfile = profile_model(
         model,
         repeats=repeats,
-        compiled=compiled,
         quantize=quantize,
         batch_sizes=_LAW_BATCH_SIZES,
     )
@@ -206,18 +204,13 @@ def profile_table_i(
     fine_tune_epochs: int = 100,
     repeats: int = 3,
     configs: dict[str, BlockConfig] | None = None,
-    compiled: bool = False,
     include_int8: bool = False,
 ) -> dict[str, ProfiledConfig]:
     """Profile every Table I configuration (the scenario cost basis).
 
-    Every block is timed at batch 1 for ``c(s)`` and at
-    ``_LAW_BATCH_SIZES`` for its batch law, per precision.
-
-    ``compiled=True`` times fused execution plans instead of eager
-    forwards (see :func:`repro.dnn.profiler.profile_model`), producing
-    the compute-cost catalog an engine-optimized deployment would feed
-    to the DOT solver.
+    Every block is timed as the compiled plan the deployment runs
+    (:func:`repro.dnn.profiler.profile_model`), at batch 1 for ``c(s)``
+    and at ``_LAW_BATCH_SIZES`` for its batch law, per precision.
 
     ``include_int8=True`` additionally registers an int8-quantized
     variant of every configuration under ``"<name>-int8"`` — same
@@ -232,7 +225,7 @@ def profile_table_i(
         num_classes=num_classes, input_size=input_size, width=width, seed=seed
     )
     base_profile = profile_model(
-        base_model, repeats=repeats, compiled=compiled, batch_sizes=_LAW_BATCH_SIZES
+        base_model, repeats=repeats, batch_sizes=_LAW_BATCH_SIZES
     )
     profiled = {
         name: _profile_config(
@@ -244,7 +237,6 @@ def profile_table_i(
             fine_tune_epochs,
             repeats,
             base_profile,
-            compiled=compiled,
         )
         for name, cfg in configs.items()
     }
@@ -262,7 +254,6 @@ def profile_table_i(
                 fine_tune_epochs,
                 repeats,
                 base_int8,
-                compiled=True,
                 quantize="int8",
             )
     return profiled

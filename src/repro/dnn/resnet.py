@@ -121,19 +121,6 @@ class BlockwiseModel:
     def flops(self) -> int:
         return self._as_sequential.flops(self.input_shape)
 
-    def compile(self, quantize: str | None = None, calibration=None):
-        """Compile the full model into a fused execution plan.
-
-        Returns a :class:`repro.dnn.compile.CompiledModule` over the
-        whole block sequence at this model's ``input_shape``.  The plan
-        snapshots current weights; re-compile after pruning/fine-tuning.
-        ``quantize="int8"`` emits an int8
-        :class:`repro.dnn.quantize.QuantizedModule` instead.
-        """
-        from repro.dnn.compile import compile_module
-
-        return compile_module(self, quantize=quantize, calibration=calibration)
-
 
 #: Backwards-compatible alias: ResNet-18 was the first architecture
 #: built on this container.

@@ -13,7 +13,7 @@ through the deployed DNN paths on the discrete-event simulator, with
   every executor books on, the batch executor whose shared-block
   prefix cache fuses requests across paths that share frozen blocks,
   plus the tensor-level blockwise runner — the one real-execution
-  route: a block's module or its compiled fp32/int8 plan, in process;
+  route: a block's compiled fp32/int8 plan, in process;
 * :mod:`repro.serving.metrics` — per-task latency histograms
   (p50/p95/p99), deadline-miss rates, drop reasons and the Fig. 11
   smoothed latency traces;

@@ -30,7 +30,7 @@ each path's batch pays its full block sequence independently — exactly
 the dedicated-DNN (SEM-O-RAN-style) serving discipline.
 
 :class:`BlockwiseRunner` is the tensor-level counterpart: it executes
-real numpy modules (:mod:`repro.dnn.graph`) block by block, memoizing
+the compiled plans of real numpy modules block by block, memoizing
 activations at frozen-prefix boundaries so one input evaluated under
 several coupled paths computes the shared trunk once.
 """
@@ -519,14 +519,15 @@ class BlockwiseRunner:
     ``cache_evictions`` next to the hit/miss counters, and
     ``cache_bytes`` is what the resident entries hold.
 
-    With ``compile_blocks=True`` a path's blocks are compiled into fused
-    execution plans (:mod:`repro.dnn.compile`) the first time the path
-    runs on a given input shape, and the plans serve subsequent calls.
-    An int8 block calibrates on what its predecessors make of the
-    calibration batch — the activation it will really see — so its plan
-    is keyed by the block-id prefix it was reached through as well.
-    Plans snapshot block weights — call :meth:`clear_compiled` after
-    mutating the underlying modules (pruning, fine-tuning).
+    A path's blocks are compiled into fused execution plans
+    (:mod:`repro.dnn.compile`) the first time the path runs on a given
+    input shape, and the plans serve subsequent calls; there is no eager
+    mode (``compile_blocks`` only accepts ``True``).  An int8 block
+    calibrates on what its predecessors make of the calibration batch —
+    the activation it will really see — so its plan is keyed by the
+    block-id prefix it was reached through as well.  Plans snapshot
+    block weights — call :meth:`clear_compiled` after mutating the
+    underlying modules (pruning, fine-tuning).
 
     Every block runs in the calling thread: a compiled plan binds to
     that thread's buffer arena (:mod:`repro.dnn.compile`), so runners
@@ -537,10 +538,10 @@ class BlockwiseRunner:
     cacheable: frozenset[str] = frozenset()
     #: max cached activations; None = unbounded
     cache_capacity: int | None = 256
-    compile_blocks: bool = False
-    #: execute blocks as int8 quantized plans (``"int8"``; implies
-    #: ``compile_blocks``) — activations cached under this mode are
-    #: precision-tagged so fp32 and int8 runs never share tensors
+    compile_blocks: bool = True
+    #: execute blocks as int8 quantized plans (``"int8"``) — activations
+    #: cached under this mode are precision-tagged so fp32 and int8 runs
+    #: never share tensors
     quantize: str | None = None
     cache_hits: int = 0
     cache_misses: int = 0
@@ -557,10 +558,13 @@ class BlockwiseRunner:
     def __post_init__(self) -> None:
         if self.cache_capacity is not None and self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1 or None")
-        if self.quantize is not None:
-            if self.quantize != "int8":
-                raise ValueError(f"unsupported quantize mode: {self.quantize!r}")
-            self.compile_blocks = True
+        if not self.compile_blocks:
+            raise ValueError(
+                f"BlockwiseRunner(compile_blocks={self.compile_blocks!r}): "
+                "compiled plans are the only inference route"
+            )
+        if self.quantize not in (None, "int8"):
+            raise ValueError(f"unsupported quantize mode: {self.quantize!r}")
 
     @property
     def precision(self) -> str:
@@ -638,10 +642,7 @@ class BlockwiseRunner:
         # ... and with the number of samples: a key reused for an input
         # of another batch size is a miss, not that other input's tensor.
         tag = (input_key, x.shape[0], self.precision)
-        if self.compile_blocks:
-            layers = self._plans(block_ids, tuple(x.shape[1:]))
-        else:
-            layers = [self.modules[block_id] for block_id in block_ids]
+        layers = self._plans(block_ids, tuple(x.shape[1:]))
         # prefix lengths that may hold an entry, longest first: the end of
         # the cacheable prefix and wherever another known path leaves it
         keep: list[int] = []

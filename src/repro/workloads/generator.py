@@ -213,7 +213,6 @@ def cost_basis_from_profiler(
         input_size=input_size,
         repeats=repeats,
         seed=seed,
-        compiled=include_int8,
         include_int8=include_int8,
     )
     full = profiled["CONFIG A"]

@@ -76,6 +76,7 @@ class TestCommands:
         assert main(["profile", "--arch", "resnet18", "--input-size", "16",
                      "--repeats", "1", "--classes", "10"]) == 0
         out = capsys.readouterr().out
+        assert "(fp32 plan)" in out
         assert "layer4" in out
         assert "total:" in out
 
@@ -83,6 +84,16 @@ class TestCommands:
         assert main(["profile", "--arch", "mobilenetv2", "--input-size", "16",
                      "--repeats", "1", "--classes", "10"]) == 0
         assert "mobilenetv2" in capsys.readouterr().out
+
+    def test_profile_times_plans_only(self, capsys):
+        """There is no eager mode to select: ``--compiled`` is gone and the
+        header names the plan that was timed."""
+        with pytest.raises(SystemExit) as exited:
+            main(["profile", "--compiled"])
+        assert exited.value.code == 2
+        assert main(["profile", "--input-size", "16", "--repeats", "1",
+                     "--classes", "10", "--int8"]) == 0
+        assert "(int8 plan)" in capsys.readouterr().out
 
     def test_reproduce_headline(self, capsys):
         assert main(["reproduce", "headline"]) == 0

@@ -229,14 +229,15 @@ class TestInterface:
 
     def test_module_compile_hook(self):
         seq = Sequential(Conv2d(3, 4, kernel=3, stride=1, padding=1), ReLU())
-        compiled = seq.compile((3, 8, 8))
+        compiled = compile_module(seq, (3, 8, 8))
         x = np.random.default_rng(8).standard_normal((1, 3, 8, 8), dtype=np.float32)
         assert float(np.abs(compiled.forward(x) - seq.forward(x)).max()) < PARITY_TOL
 
     def test_blockwise_model_compile_hook(self):
         model = self._model()
-        compiled = model.compile()
+        compiled = compile_module(model)
         assert compiled.input_shape == tuple(model.input_shape)
+        assert not hasattr(model, "compile")  # compile_module is the one entry
 
 
 class TestFoldBatchNorm:

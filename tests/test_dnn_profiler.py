@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,52 @@ class TestProfileModel:
         ) or params["layer4"] > max(
             params[n] for n in BLOCK_NAMES if n != "layer4"
         )
+
+
+class TestOneEngine:
+    def test_there_is_no_eager_mode(self):
+        model = build_resnet18(num_classes=10, input_size=16, width=8, seed=0)
+        with pytest.raises(ValueError, match="compiled=False"):
+            profile_model(model, compiled=False)
+
+    def test_int8_blocks_calibrate_as_the_runner_compiles_them(self, monkeypatch):
+        """Regression: the profiler calibrated every int8 block alone on
+        noise at its own input shape, so it timed plans the runner never
+        runs.  Both hand each block the fp32 output of the plan before it.
+        Called the way the served-work benchmark calls them."""
+        from repro.core.catalog import Block, Path
+        from repro.core.task import QualityLevel
+        from repro.dnn import compile as engine
+        from repro.serving import BlockwiseRunner
+
+        model = build_resnet18(num_classes=10, input_size=16, width=8, seed=0)
+        seen = []
+        compile_module = engine.compile_module
+
+        def spy(module, input_shape=None, quantize=None, calibration=None):
+            seen.append(calibration)
+            return compile_module(module, input_shape, quantize, calibration)
+
+        monkeypatch.setattr(engine, "compile_module", spy)
+        profile_model(
+            model, repeats=1, warmup=0, compiled=True, quantize="int8",
+            clock=time.perf_counter,
+        )
+        profiled = seen.copy()
+        seen.clear()
+        path = Path(
+            "m", "m", 1, tuple(Block(name, "m", 1e-3, 1e-3) for name in BLOCK_NAMES),
+            0.9, QualityLevel(name="full", bits_per_image=1.0),
+        )
+        runner = BlockwiseRunner(
+            modules=dict(model.blocks), compile_blocks=True, quantize="int8"
+        )
+        runner.run(path, np.zeros((1, *model.input_shape), dtype=np.float32))
+        assert [c is None for c in profiled] == [c is None for c in seen] == [
+            i == 0 for i in range(len(BLOCK_NAMES))
+        ]
+        for ours, theirs in zip(profiled[1:], seen[1:]):
+            np.testing.assert_array_equal(ours, theirs)
 
 
 class TestTimeForward:

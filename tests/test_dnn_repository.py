@@ -14,8 +14,13 @@ from repro.dnn.repository import (
 
 
 @pytest.fixture(scope="module")
-def profiled():
-    return profile_table_i(width=8, input_size=16, repeats=1)
+def with_int8():
+    return profile_table_i(width=8, input_size=16, repeats=1, include_int8=True)
+
+
+@pytest.fixture(scope="module")
+def profiled(with_int8):
+    return {name: pc for name, pc in with_int8.items() if pc.precision == "fp32"}
 
 
 @pytest.fixture(scope="module")
@@ -133,12 +138,6 @@ class TestBuildTaskPaths:
 class TestInt8Variants:
     """Quantized Table I variants: precision-aware profiling + sharing."""
 
-    @pytest.fixture(scope="class")
-    def with_int8(self):
-        return profile_table_i(
-            width=8, input_size=16, repeats=1, include_int8=True
-        )
-
     def test_int8_doubles_the_catalog(self, with_int8):
         assert len(with_int8) == 20
         assert sum(1 for pc in with_int8.values() if pc.precision == "int8") == 10
@@ -191,6 +190,40 @@ class TestInt8Variants:
             laws.add((pc.precision, pc.batch_marginal))
         # measured per configuration and precision, not one constant
         assert len(laws) > len(with_int8) // 2
+
+    def test_every_timed_block_is_a_compiled_plan(self, monkeypatch):
+        """Regression: with no flags, the mixed catalog timed fp32 blocks
+        as eager forwards and int8 blocks as compiled plans, so int8 read
+        0.35-0.49x fp32 where the engine runs it at 1.44-1.49x — the
+        precision trade-off backwards."""
+        from repro.dnn import profiler
+        from repro.dnn.compile import CompiledModule
+        from repro.dnn.configs import TABLE_I_CONFIGS
+        from repro.dnn.graph import Sequential
+
+        timed, eager = [], []
+        time_forward, forward = profiler.time_forward, Sequential.forward
+
+        def spy_time_forward(fn, x, **kwargs):
+            timed.append(fn.__self__)
+            return time_forward(fn, x, **kwargs)
+
+        def spy_forward(module, x):
+            eager.append(module)
+            return forward(module, x)
+
+        monkeypatch.setattr(profiler, "time_forward", spy_time_forward)
+        monkeypatch.setattr(Sequential, "forward", spy_forward)
+        configs = {name: TABLE_I_CONFIGS[name] for name in ("CONFIG A", "CONFIG C-pruned")}
+        profiled = profile_table_i(
+            width=8, input_size=16, repeats=1, configs=configs, include_int8=True
+        )
+        assert len(profiled) == 4
+        # base + 2 configs per precision, 6 blocks, batch 1 and the law's batch
+        assert len(timed) == 2 * 3 * 6 * 2
+        assert all(isinstance(plan, CompiledModule) for plan in timed)
+        assert {plan.precision for plan in timed} == {"fp32", "int8"}
+        assert not eager
 
     def test_exact_int8_weight_byte_math(self):
         """Pin the conv byte math: fp32 fused conv stores 4*(o*c*k*k)

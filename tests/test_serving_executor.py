@@ -493,6 +493,15 @@ class TestWindowCut:
 
 
 class TestBlockwiseRunner:
+    """The runner runs compiled plans; the eager module composition is
+    the oracle their outputs are compared against."""
+
+    @staticmethod
+    def _eager(modules, path, x):
+        for block in path.blocks:
+            x = modules[block.block_id](x)
+        return x
+
     def _runner(self):
         trunk = NamedModule(
             "t", Linear(4, 8, rng=np.random.default_rng(1)), ReLU()
@@ -517,8 +526,10 @@ class TestBlockwiseRunner:
     def test_matches_direct_execution(self):
         runner, path_a, _, modules = self._runner()
         x = np.random.default_rng(0).normal(size=(1, 4))
-        expected = modules["a:g3"](modules["base:g1"](x))
-        np.testing.assert_allclose(runner.run(path_a, x, input_key=1), expected)
+        np.testing.assert_allclose(
+            runner.run(path_a, x, input_key=1), self._eager(modules, path_a, x),
+            atol=1e-5,
+        )
 
     def test_shared_trunk_cached_across_paths(self):
         runner, path_a, path_b, modules = self._runner()
@@ -526,7 +537,7 @@ class TestBlockwiseRunner:
         out_a = runner.run(path_a, x, input_key=7)
         out_b = runner.run(path_b, x, input_key=7)
         assert runner.cache_hits == 1 and runner.cache_misses == 1
-        np.testing.assert_allclose(out_b, modules["b:g3"](modules["base:g1"](x)))
+        np.testing.assert_allclose(out_b, self._eager(modules, path_b, x), atol=1e-5)
         assert out_a.shape == (1, 3) and out_b.shape == (1, 2)
 
     def test_distinct_inputs_do_not_share(self):
@@ -590,22 +601,21 @@ class TestBlockwiseRunner:
 
     def test_compiled_blocks_match_eager(self):
         runner, path_a, path_b, modules = self._runner()
-        compiled = BlockwiseRunner(
-            modules=modules,
-            cacheable=frozenset({"base:g1"}),
-            compile_blocks=True,
-        )
         x = np.random.default_rng(0).normal(size=(2, 4)).astype(np.float32)
         for path in (path_a, path_b):
             np.testing.assert_allclose(
-                compiled.run(path, x, input_key=5),
                 runner.run(path, x, input_key=5),
+                self._eager(modules, path, x),
                 atol=1e-5,
             )
         # one plan per (block, shape): trunk + both heads
-        assert len(compiled._compiled) == 3
-        compiled.clear_compiled()
-        assert not compiled._compiled
+        assert len(runner._compiled) == 3
+        runner.clear_compiled()
+        assert not runner._compiled
+
+    def test_there_is_no_eager_mode(self):
+        with pytest.raises(ValueError, match="compile_blocks=False"):
+            BlockwiseRunner(modules={}, compile_blocks=False)
 
     def test_eviction_order_is_oldest_first(self):
         runner, path_a, _, _ = self._runner()
@@ -658,7 +668,7 @@ class TestBlockwiseRunner:
         runner.run(path_a, x1, input_key=7)
         out = runner.run(path_a, x8, input_key=7)
         assert runner.cache_hits == 0 and runner.cache_misses == 2
-        np.testing.assert_allclose(out, modules["a:g3"](modules["base:g1"](x8)))
+        np.testing.assert_allclose(out, self._eager(modules, path_a, x8), atol=1e-5)
         # both inputs stay resident under the one key
         runner.run(path_a, x1, input_key=7)
         runner.run(path_a, x8, input_key=7)
@@ -671,20 +681,15 @@ class TestBlockwiseRunner:
         assert runner.compile_blocks and runner.precision == "int8"
 
     def test_clear_compiled_keeps_cached_activations(self):
-        runner, path_a, _, modules = self._runner()
-        compiled = BlockwiseRunner(
-            modules=modules,
-            cacheable=frozenset({"base:g1"}),
-            compile_blocks=True,
-        )
+        runner, path_a, _, _ = self._runner()
         x = np.random.default_rng(0).normal(size=(1, 4)).astype(np.float32)
-        compiled.run(path_a, x, input_key=7)
-        assert compiled._compiled and compiled._cache
-        compiled.clear_compiled()
-        assert not compiled._compiled
+        runner.run(path_a, x, input_key=7)
+        assert runner._compiled and runner._cache
+        runner.clear_compiled()
+        assert not runner._compiled
         # activation cache untouched: the next run still hits the trunk
-        compiled.run(path_a, x, input_key=7)
-        assert compiled.cache_hits == 1
+        runner.run(path_a, x, input_key=7)
+        assert runner.cache_hits == 1
 
 
     def test_default_key_names_no_input(self):
@@ -695,7 +700,7 @@ class TestBlockwiseRunner:
         rng = np.random.default_rng(0)
         x1, x2 = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
         out1, out2 = runner.run(path_a, x1), runner.run(path_a, x2)
-        np.testing.assert_array_equal(out2, modules["a:g3"](modules["base:g1"](x2)))
+        np.testing.assert_allclose(out2, self._eager(modules, path_a, x2), atol=1e-5)
         assert not np.array_equal(out1, out2)
         # no key: the cache is neither read nor filled nor counted
         counters = (runner.cache_hits, runner.cache_misses, runner.cache_evictions)
@@ -713,8 +718,8 @@ class TestBlockwiseRunner:
         x = np.random.default_rng(0).normal(size=(3, 4))
         for key in (1, 2, 3):
             runner.run(path_a, x, input_key=key)
-        # two resident (3, 8) float64 trunk outputs, the third evicted
-        assert runner.cache_bytes == 2 * 3 * 8 * 8
+        # two resident (3, 8) float32 trunk outputs, the third evicted
+        assert runner.cache_bytes == 2 * 3 * 8 * 4
         runner.clear()
         assert runner.cache_bytes == 0
 
@@ -762,7 +767,7 @@ class TestBranchPointCache:
 
     @pytest.mark.parametrize("quantize", [None, "int8"])
     def test_only_branch_points_and_deepest_prefixes_are_stored(self, quantize):
-        runner, plain, paths, x = self._deployment(compile_blocks=True, quantize=quantize)
+        runner, plain, paths, x = self._deployment(quantize=quantize)
         outs = {name: plain.run(path, x) for name, path in paths.items()}
         assert not plain._cache
 
@@ -876,7 +881,7 @@ class TestInt8BlockCalibration:
         assert len(layer4) == 2
         assert layer4[0].input_scale != layer4[1].input_scale
         # an fp32 runner calibrates nothing: one plan per (block, shape)
-        fp32 = BlockwiseRunner(modules=modules, compile_blocks=True)
+        fp32 = BlockwiseRunner(modules=modules)
         fp32.run(path, x, input_key=1)
         fp32.run(grafted, x, input_key=2)
         assert len(fp32._compiled) == 10
