@@ -1,23 +1,35 @@
 """Discrete-event simulation core.
 
-A minimal, deterministic event loop: events are (time, sequence)
-ordered in a heap; callbacks schedule further events.  Determinism
-matters because the emulation benches assert reproducible latency
-traces.
+A minimal, deterministic event loop: events are ordered in a heap;
+callbacks schedule further events.  Determinism matters because the
+emulation benches assert reproducible latency traces.
 
-The heap holds plain ``(time, sequence, event)`` tuples: sequence
-numbers are unique, so comparisons resolve on the first two float/int
-fields and never fall through to the event object.  That keeps the hot
-``heappush``/``heappop`` path free of dataclass rich comparisons, which
-matters once the serving data plane pushes 10⁵–10⁶ events per run.
+The heap holds plain ``(time, scheduled_at, sequence, event)`` tuples:
+sequence numbers are unique, so comparisons resolve on the first three
+float/int fields and never fall through to the event object.  That
+keeps the hot ``heappush``/``heappop`` path free of dataclass rich
+comparisons, which matters once the serving data plane pushes 10⁵–10⁶
+events per run.
+
+**Same-instant order.**  Events due at the same instant fire in the
+order they were scheduled: by the virtual time they were scheduled at
+(``scheduled_at``), then by schedule call.  :meth:`Simulator.schedule`
+and :meth:`Simulator.schedule_at` stamp ``scheduled_at = now``, which is
+plain schedule-call order.  :meth:`Simulator.schedule_as_of` stamps an
+earlier-armed instant instead: an event chain that skips its own idle
+steps (the serving dispatcher sleeping through empty windows) schedules
+its next step at the instant the skipped chain would have armed it, so
+the step keeps the place among same-instant events it would have had.
+:meth:`Simulator.schedule_at` fires at exactly ``time`` (not
+``now + (time - now)``, a different float for some pairs).
 
 Cancelled events are purged lazily: :meth:`Event.cancel` notifies the
 owning simulator, and once more than half the heap is dead the queue is
 compacted in one filter + heapify pass.  Workloads that churn timers
 (deadline guards, sampler reschedules) therefore keep the heap bounded
 by the *live* event count instead of growing with every cancellation.
-Because events are totally ordered by ``(time, sequence)``, compaction
-never changes the pop order of the surviving events.
+Because heap entries are totally ordered, compaction never changes the
+pop order of the surviving events.
 
 With ``recycle_events=True`` the simulator keeps a freelist of fired
 :class:`Event` objects and reuses them for subsequent ``schedule``
@@ -40,9 +52,9 @@ def _noop() -> None:  # pragma: no cover - placeholder for pooled slots
     raise RuntimeError("recycled event fired without a callback")
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class Event:
-    """One scheduled callback; ordering is (time, sequence)."""
+    """One scheduled callback (the heap entry holding it sets its order)."""
 
     time: float
     sequence: int
@@ -64,7 +76,7 @@ class Simulator:
     """Event loop with virtual time."""
 
     def __init__(self, recycle_events: bool = False) -> None:
-        self._queue: list[tuple[float, int, Event]] = []
+        self._queue: list[tuple[float, float, int, Event]] = []
         self._sequence = 0
         self._cancelled = 0
         self.now = 0.0
@@ -76,7 +88,23 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError("delay must be >= 0")
-        time = self.now + delay
+        return self.schedule_as_of(self.now, self.now + delay, callback)
+
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
+        """Schedule ``callback`` at exactly ``time`` (now, if ``time`` is past)."""
+        return self.schedule_as_of(self.now, max(time, self.now), callback)
+
+    def schedule_as_of(
+        self, scheduled_at: float, time: float, callback: Callable[[], None]
+    ) -> Event:
+        """Schedule ``callback`` at ``time`` as if it had been scheduled at
+        virtual time ``scheduled_at``.
+
+        Among events due at ``time`` it fires after every event scheduled
+        at an earlier virtual time and before every event scheduled at a
+        later one; events stamped with the same ``scheduled_at`` keep
+        schedule-call order.
+        """
         sequence = self._sequence
         self._sequence += 1
         if self._freelist:
@@ -90,25 +118,21 @@ class Simulator:
             event = Event(
                 time=time, sequence=sequence, callback=callback, _owner=self
             )
-        heapq.heappush(self._queue, (time, sequence, event))
+        heapq.heappush(self._queue, (time, scheduled_at, sequence, event))
         return event
-
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at absolute virtual time ``time``."""
-        return self.schedule(max(0.0, time - self.now), callback)
 
     def _note_cancelled(self) -> None:
         """A queued event died; compact once the heap is mostly dead."""
         self._cancelled += 1
         if self._cancelled * 2 > len(self._queue):
             self._queue = [
-                entry for entry in self._queue if not entry[2].cancelled
+                entry for entry in self._queue if not entry[3].cancelled
             ]
             heapq.heapify(self._queue)
             self._cancelled = 0
 
     def _pop(self) -> Event:
-        event = heapq.heappop(self._queue)[2]
+        event = heapq.heappop(self._queue)[3]
         if event.cancelled:
             self._cancelled -= 1
         event._owner = None

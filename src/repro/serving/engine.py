@@ -18,10 +18,11 @@ waves:
    frame through :meth:`LteCell.enqueue_frame` when the cell fades);
 4. the dispatcher's tick grid is laid out before the run exactly as the
    DES will accumulate it, and every admitted delivery is assigned the
-   tick that enqueues it (the *tick index*); the tick itself — one DES
-   event per batching window, not one per request — materializes its
-   slice of the index from a freelist pool and pushes it into the
-   serving queues.  A tick with nothing due is one compare.
+   tick that enqueues it (the *tick index*); the tick itself — at most
+   one DES event per batching window, not one per request —
+   materializes its slice of the index from a freelist pool and pushes
+   it into the serving queues.  :meth:`WavePlan.next_due` names the next tick with
+   something due, so a dispatcher with empty queues sleeps until it.
 
 **Bit-exactness.**  The engine reproduces the scalar reference's
 results exactly (served set, drop reasons, metrics) on any workload
@@ -143,6 +144,10 @@ class WavePlan:
     _starts: list[int] = field(init=False, repr=False)
     #: instants of the ticks with something due, then ``inf``
     _times: list[float] = field(init=False, repr=False)
+    #: per entry of ``_times``: the grid instant one window before it
+    #: (``0.0`` for the first tick, armed at setup), where the DES
+    #: schedules that tick when it steps every window
+    _armed: list[float] = field(init=False, repr=False)
     _cursor: int = field(init=False, repr=False, default=0)
     #: what every record of a wave shares, by wave position
     _static: list[tuple] = field(init=False, repr=False)
@@ -153,6 +158,7 @@ class WavePlan:
         delivered = np.concatenate([w.deliveries for w in tasks] or [np.empty(0)])
         if len(delivered) == 0:
             self._starts, self._times = [0], [float("inf")]
+            self._armed = [float("inf")]
             return
         # the DES reaches tick k by k + 1 float additions of the window
         # (first tick at 0 + w, each next at now + w); cumsum accumulates
@@ -189,6 +195,8 @@ class WavePlan:
         first = np.flatnonzero(np.diff(tick, prepend=-1))
         self._starts = first.tolist() + [len(tick)]
         self._times = grid[tick[first]].tolist() + [float("inf")]
+        armed = np.concatenate(([0.0], grid))[tick[first]]
+        self._armed = armed.tolist() + [float("inf")]
 
     @classmethod
     def build(
@@ -267,6 +275,15 @@ class WavePlan:
             total_admitted=total_admitted,
         )
 
+    def next_due(self) -> tuple[float, float]:
+        """``(instant, armed at)`` of the next tick with something due.
+
+        ``instant`` is a tick-grid value (``inf`` once every delivery is
+        out); ``armed at`` is the grid instant a window before it, where
+        a dispatcher stepping every window would have scheduled it.
+        """
+        return self._times[self._cursor], self._armed[self._cursor]
+
     def push_due(
         self,
         now: float,
@@ -281,7 +298,7 @@ class WavePlan:
         tie-break); the tick only slices its rows.  ``push`` runs the
         runtime's queue-insert (backpressure, tracing); ``collect`` files
         the record for metrics.  A tick with nothing due costs the one
-        compare against the next non-empty tick's instant.
+        compare against the next non-empty tick's instant (:meth:`next_due`).
         """
         due_at = self._times[self._cursor]
         if now < due_at:

@@ -213,6 +213,18 @@ class ReadyQueues:
             heapq.heappush(self._heap, position)
         return self._ordered[position].push(request)
 
+    def holds_work(self) -> bool:
+        """Whether any serving queue holds a request.
+
+        Only indexed queues can; one stays indexed but empty when
+        ``max_batch`` closed a window on its last request.
+        """
+        ordered = self._ordered
+        for position in self._heap:
+            if ordered[position]:
+                return True
+        return False
+
     def drain(
         self, now: float, max_batch: int | None = None
     ) -> tuple[list[ServingRequest], Sequence[ServingRequest]]:

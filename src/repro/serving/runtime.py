@@ -15,7 +15,10 @@ Takes an :class:`~repro.edge.controller.OffloaDNNController` deployment
 5. a periodic dispatcher drains the queues into batching windows which
    the :class:`~repro.serving.executor.BatchExecutor` cuts into jobs
    that fit their members' deadlines, fuses each along shared
-   frozen-block prefixes and runs on a worker of its pool;
+   frozen-block prefixes and runs on a worker of its pool.  It ticks on
+   a grid of ``batch_window_s`` steps, but only on the ticks that can
+   do something: with every queue empty it sleeps to the next tick a
+   delivery is due at (:meth:`_Run.tick`);
 6. completions (and every drop, with its reason) land in
    :class:`~repro.serving.metrics.ServingMetrics`.
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import partial
+from math import inf
 
 from repro.core.heuristic import OffloaDNNSolver
 from repro.core.objective import end_to_end_latency
@@ -395,11 +399,27 @@ class _Run:
                 )
 
     def tick(self) -> None:
-        """One dispatcher tick: enqueue what is due, drain one window."""
+        """One dispatcher tick: enqueue what is due, drain one window.
+
+        The next tick is one window later, unless every serving queue is
+        empty and a delivery is still to come: then every tick before the
+        plan's next due instant would find nothing to do, and the
+        dispatcher sleeps until that instant, a grid value it reaches
+        bit for bit.  It takes the place among same-instant events the
+        window-by-window tick would have had (scheduled one window
+        before).  Once no delivery is left it steps every window again,
+        so the run's tail, ``work_end`` and the duration stay as they were.
+        """
         now = self.sim.now
-        self.plan.push_due(now, self.runtime.pool, self.push, self.collect)
+        plan = self.plan
+        plan.push_due(now, self.runtime.pool, self.push, self.collect)
         self.drain_window(now)
-        if self.live():
+        if not self.live():
+            return
+        due, armed_at = plan.next_due()
+        if due != inf and not self.ready.holds_work():
+            self.sim.schedule_as_of(armed_at, due, self.tick)
+        else:
             self.sim.schedule(self.cfg.batch_window_s, self.tick)
 
     def drain_window(self, now: float) -> None:

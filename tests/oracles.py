@@ -14,7 +14,10 @@ Both scans were replaced by indexes that only touch tasks with work
 (:class:`repro.serving.queueing.ReadyQueues`, the tick index of
 :class:`repro.serving.engine.WavePlan`).  The scans live on here, as
 they were, so tests can drive the same runs through them and demand the
-same windows, drops, metrics and trace bytes.
+same windows, drops, metrics and trace bytes.  And the dispatcher used
+to tick every window, due or not; :func:`every_window_tick` is that
+rule, against which the tick that sleeps through idle windows must give
+the same records, trace bytes and gauge series.
 
 So do the per-request window trie (:func:`per_request_window_costs`), a
 window's path groups as the executors built them before the job-cost
@@ -128,6 +131,16 @@ def scalar_run(runtime: ServingRuntime) -> ServingMetrics:
     return run.metrics()
 
 
+def every_window_tick(run: _Run) -> None:
+    """``_Run.tick`` by the old rule (patch it over the method): the next
+    tick is always one window later, whether or not anything is due."""
+    now = run.sim.now
+    run.plan.push_due(now, run.runtime.pool, run.push, run.collect)
+    run.drain_window(now)
+    if run.live():
+        run.sim.schedule(run.cfg.batch_window_s, run.tick)
+
+
 class FullScanQueues:
     """``ReadyQueues`` by the old rule: visit every queue, every window."""
 
@@ -137,6 +150,9 @@ class FullScanQueues:
 
     def push(self, request: ServingRequest) -> ServingRequest | None:
         return self._queues[request.task_id].push(request)
+
+    def holds_work(self) -> bool:
+        return any(len(queue) for _task_id, queue in self._ordered)
 
     def drain(self, now: float, max_batch: int | None = None):
         window: list[ServingRequest] = []
@@ -193,6 +209,17 @@ def full_scan_push_due(plan, now: float, pool, push, collect) -> None:
             cursors[position] = i + 1
             collect(wave.task_id, request)
             push(request)
+
+
+def full_scan_next_due(plan) -> tuple[float, float]:
+    """``WavePlan.next_due`` under :func:`full_scan_push_due` (patch both).
+
+    The scan settles on-tick ties from the ticks it has seen fire and
+    never moves the plan's cursor, so it names no next due tick: the
+    runtime ticks every window under it, as it did when the scan was
+    the product.
+    """
+    return math.inf, math.inf
 
 
 def path_groups(requests) -> list[tuple]:

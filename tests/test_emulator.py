@@ -104,6 +104,36 @@ class TestSimulator:
         with pytest.raises(ValueError):
             sim.schedule(-1.0, lambda: None)
 
+    def test_schedule_at_fires_at_exactly_the_given_time(self):
+        # the relative delay does not round-trip: 0.4 + (1.7 - 0.4) is
+        # 1.6999999999999997, and the sleeping dispatcher must land on
+        # its tick grid bit for bit
+        assert 0.4 + (1.7 - 0.4) != 1.7
+        sim = Simulator()
+        sim.run_until(0.4)
+        fired = []
+        sim.schedule_at(1.7, lambda: fired.append(sim.now))
+        sim.schedule_at(0.1, lambda: fired.append(sim.now))  # past: fires now
+        sim.run()
+        assert fired == [0.4, 1.7]
+
+    @pytest.mark.parametrize("recycle", [False, True])
+    def test_schedule_as_of_keeps_the_place_of_the_step_it_replaces(self, recycle):
+        # a chain that skipped its idle steps arms its step for 2.0 as of
+        # 1.0: among events due at 2.0 it fires after those scheduled
+        # before 1.0, and before those scheduled at 1.0 (by later calls)
+        # or after it, as a step scheduled at 1.0 would have
+        sim = Simulator(recycle_events=recycle)
+        log = []
+        sim.schedule_as_of(1.0, 2.0, lambda: log.append("step"))
+        for at in (1.5, 1.0, 0.5):
+            sim.schedule_at(
+                at, lambda at=at: sim.schedule_at(2.0, lambda: log.append(at))
+            )
+        sim.schedule_at(2.0, lambda: log.append(0.0))
+        sim.run()
+        assert log == [0.0, 0.5, "step", 1.0, 1.5]
+
 
 class TestLteCell:
     def _cell(self, rbs: int = 5) -> LteCell:

@@ -64,3 +64,9 @@ class TestFig11:
     def test_events_processed_positive(self, emulation):
         runtime, _ = emulation
         assert runtime.simulator.events_processed > 100
+
+    def test_dispatcher_sleeps_through_idle_ticks(self, emulation):
+        # 505 frames, one completion event each; a tick every 1 ms TTI,
+        # due or not, made it 20 730 events
+        runtime, _ = emulation
+        assert runtime.simulator.events_processed <= 1500

@@ -33,6 +33,7 @@ from repro.serving.runtime import ServingConfig, ServingRuntime
 from repro.workloads.smallscale import serving_small_scale_problem
 from tests.oracles import (
     FullScanQueues,
+    full_scan_next_due,
     full_scan_push_due,
     replicated_serving_problem,
     scalar_run,
@@ -341,6 +342,7 @@ def test_sparse_many_task_run_matches_scalar_and_full_scan(
     # both driven by the old scans: same bytes, engine and oracle
     monkeypatch.setattr(runtime_module, "ReadyQueues", FullScanQueues)
     monkeypatch.setattr(WavePlan, "push_due", full_scan_push_due)
+    monkeypatch.setattr(WavePlan, "next_due", full_scan_next_due)
     assert _traced_run(sparse_problem, **kw) == (metrics, served, trace)
     assert _traced_run(sparse_problem, scalar_run, **kw)[2] == ref_trace
 

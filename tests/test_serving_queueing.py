@@ -209,6 +209,7 @@ class TestReadyQueuesMatchFullScan:
                 assert [(r.request_id, r.drop_reason) for r in expired] == [
                     (r.request_id, r.drop_reason) for r in ref_expired
                 ]
+            assert index.holds_work() == reference.holds_work()
         for tid in queues:
             assert _queue_contents(queues[tid]) == _queue_contents(ref_queues[tid])
 
@@ -224,3 +225,17 @@ class TestReadyQueuesMatchFullScan:
         window, _ = index.drain(0.0, max_batch=5)
         assert [(r.task_id, r.request_id) for r in window] == [(1, 2), (2, 0)]
         assert index.drain(0.0) == ([], ())
+
+    def test_a_queue_indexed_but_emptied_holds_no_work(self):
+        # max_batch closes the window on the queue's last request: the
+        # queue stays indexed until the next drain, but holds nothing
+        queues = {tid: ServingQueue(task_id=tid, policy="edf") for tid in (1, 2)}
+        index = ReadyQueues(queues)
+        assert not index.holds_work()
+        request = make_request(0, deadline_at=9.0)
+        request.task_id = 2
+        index.push(request)
+        assert index.holds_work()
+        window, _ = index.drain(0.0, max_batch=1)
+        assert [r.request_id for r in window] == [0]
+        assert not index.holds_work()
