@@ -25,6 +25,7 @@ trace smoke test.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 from collections.abc import Iterable, Sequence
 
@@ -165,6 +166,21 @@ def write_chrome_trace(
     pathlib.Path(path).write_text(json.dumps(trace, separators=(",", ":")) + "\n")
 
 
+def _finite(value) -> bool:
+    """Whether a parsed JSON value is a finite number (not a bool, not an
+    integer past float range)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+#: what each optional field of a span must be, when present
+_SPAN_FIELDS = {"cat": str, "args": (dict, type(None))}
+
+
 def validate_chrome_trace(trace: dict) -> list[str]:
     """Schema check; returns a list of problems (empty = valid)."""
     problems: list[str] = []
@@ -181,17 +197,35 @@ def validate_chrome_trace(trace: dict) -> list[str]:
             for key in missing:
                 problems.append(f"event {i}: missing {key!r}")
             continue
+        bad = [
+            key for key in ("pid", "tid")
+            if isinstance(event[key], bool) or not isinstance(event[key], (int, str))
+        ]
+        bad += [key for key in ("ph", "name") if not isinstance(event[key], str)]
+        bad += [
+            key for key, kind in _SPAN_FIELDS.items()
+            if key in event and not isinstance(event[key], kind)
+        ]
+        if bad:
+            for key in bad:
+                problems.append(f"event {i}: bad {key} {event[key]!r}")
+            continue
         ph = event.get("ph")
         if ph == "M":
+            args = event.get("args")
+            if event["name"] == "thread_name" and not (
+                isinstance(args, dict) and isinstance(args.get("name"), str)
+            ):
+                problems.append(f"event {i}: thread_name without a string args.name")
             continue
         ts = event.get("ts")
-        if not isinstance(ts, (int, float)) or ts < 0:
+        if not _finite(ts) or ts < 0:
             problems.append(f"event {i}: bad ts {ts!r}")
             continue
+        dur = event.get("dur", 0.0)
+        if not _finite(dur) or dur < 0 or (ph == "X" and "dur" not in event):
+            problems.append(f"event {i}: bad dur {event.get('dur')!r}")
         if ph == "X":
-            dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                problems.append(f"event {i}: bad dur {dur!r}")
             track = (event["pid"], event["tid"])
             if ts < last_ts.get(track, float("-inf")):
                 problems.append(f"event {i}: ts not monotonic on track {track}")
@@ -284,8 +318,29 @@ def phase_breakdown(tracers: Iterable[Tracer]) -> dict:
     return dict(sorted(phases.items(), key=lambda kv: -kv[1]["total_s"]))
 
 
+_REQUIRED = object()
+
+
+def _field(obj: dict, key: str, kind, where: str, default=_REQUIRED):
+    """``obj[key]`` checked against ``kind`` (``float``: a finite number),
+    or ``default`` when absent."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}: missing {key!r}")
+        return default
+    value = obj[key]
+    if not (_finite(value) if kind is float else isinstance(value, kind)):
+        raise ValueError(f"{where}: bad {key} {value!r}")
+    return value
+
+
 def load_records(path: str | pathlib.Path) -> list[Tracer]:
-    """Load a trace file (Chrome JSON or JSONL) back into tracers."""
+    """Load a trace file (Chrome JSON or JSONL) back into tracers.
+
+    Malformed input raises :class:`ValueError` naming the trace line
+    (JSONL) or the event (Chrome) at fault: a loaded span always has a
+    string name and finite numeric ``ts`` / ``dur``.
+    """
     text = pathlib.Path(path).read_text()
     tracers: dict[str, Tracer] = {}
 
@@ -316,10 +371,10 @@ def load_records(path: str | pathlib.Path) -> list[Tracer]:
         pid_domains.update({pid: name for name, pid in _DOMAIN_PIDS.items()})
         track_names: dict[tuple[int, int], str] = {}
         for event in trace["traceEvents"]:
-            if event.get("ph") == "M" and event.get("name") == "thread_name":
+            if event["ph"] == "M" and event["name"] == "thread_name":
                 track_names[(event["pid"], event["tid"])] = event["args"]["name"]
         for event in trace["traceEvents"]:
-            ph = event.get("ph")
+            ph = event["ph"]
             if ph not in ("X", "i"):
                 continue
             domain = pid_domains.get(event["pid"], f"pid{event['pid']}")
@@ -336,21 +391,25 @@ def load_records(path: str | pathlib.Path) -> list[Tracer]:
                 )
             )
     else:
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
+            where = f"trace line {number}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as error:
+                raise ValueError(f"{where}: not JSON ({error.msg})") from None
             if not isinstance(obj, dict):
-                raise ValueError(f"trace line is not a JSON object: {line[:40]!r}")
-            tracer_for(obj.get("domain", "wall")).records.append(
+                raise ValueError(f"{where}: not a JSON object: {line[:40]!r}")
+            tracer_for(_field(obj, "domain", str, where, "wall")).records.append(
                 SpanRecord(
-                    name=obj["name"],
-                    ts=obj["ts"],
-                    dur=obj.get("dur", 0.0),
-                    cat=obj.get("cat", ""),
-                    track=obj.get("track", "main"),
-                    phase=obj.get("ph", "X"),
-                    args=obj.get("args"),
+                    name=_field(obj, "name", str, where),
+                    ts=_field(obj, "ts", float, where),
+                    dur=_field(obj, "dur", float, where, 0.0),
+                    cat=_field(obj, "cat", str, where, ""),
+                    track=_field(obj, "track", str, where, "main"),
+                    phase=_field(obj, "ph", str, where, "X"),
+                    args=_field(obj, "args", (dict, type(None)), where, None),
                 )
             )
     return [tracers[d] for d in sorted(tracers)]

@@ -22,7 +22,12 @@ waves:
    one DES event per batching window, not one per request —
    materializes its slice of the index from a freelist pool and pushes
    it into the serving queues.  :meth:`WavePlan.next_due` names the next tick with
-   something due, so a dispatcher with empty queues sleeps until it.
+   something due, so a dispatcher with empty queues sleeps until it;
+5. the pool's records, in the order the ticks acquired them, are the
+   index's rows: once the run ends, the index's columns
+   (:meth:`WavePlan.record_columns`) are the run's record columns, from
+   which the runtime orders ``last_requests`` by id and builds every
+   task's metrics, with no per-request bookkeeping while it runs.
 
 **Bit-exactness.**  The engine reproduces the scalar reference's
 results exactly (served set, drop reasons, metrics) on any workload
@@ -140,7 +145,7 @@ class WavePlan:
     # (tick that enqueues it, wave position, in-wave position) into five
     # parallel arrays — wave position, request id, created, deadline,
     # delivered; tick ``_times[k]`` owns rows ``_starts[k]:_starts[k + 1]``
-    _rows: tuple[np.ndarray, ...] = field(init=False, repr=False, default=())
+    _rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _starts: list[int] = field(init=False, repr=False)
     #: instants of the ticks with something due, then ``inf``
     _times: list[float] = field(init=False, repr=False)
@@ -159,6 +164,10 @@ class WavePlan:
         if len(delivered) == 0:
             self._starts, self._times = [0], [float("inf")]
             self._armed = [float("inf")]
+            self._rows = (
+                np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64),
+                delivered, delivered, delivered,
+            )
             return
         # the DES reaches tick k by k + 1 float additions of the window
         # (first tick at 0 + w, each next at now + w); cumsum accumulates
@@ -289,16 +298,17 @@ class WavePlan:
         now: float,
         pool: RequestPool,
         push: Callable[[ServingRequest], None],
-        collect: Callable[[int, ServingRequest], None],
     ) -> None:
         """Materialize and enqueue every request the tick at ``now`` owns.
 
         Which tick a delivery joins was settled when the index was built
         (strictly before the tick, or on it and winning the scalar
         tie-break); the tick only slices its rows.  ``push`` runs the
-        runtime's queue-insert (backpressure, tracing); ``collect`` files
-        the record for metrics.  A tick with nothing due costs the one
-        compare against the next non-empty tick's instant (:meth:`next_due`).
+        runtime's queue-insert (backpressure, tracing).  Records are
+        acquired from ``pool`` in row order, so once every tick has run
+        the pool's records line up with :meth:`record_columns`.  A tick
+        with nothing due costs the one compare against the next non-empty
+        tick's instant (:meth:`next_due`).
         """
         due_at = self._times[self._cursor]
         if now < due_at:
@@ -319,7 +329,6 @@ class WavePlan:
                 task_id, request_id, path, created_at, deadline_at, bits
             )
             request.uplink_done_at = delivered_at
-            collect(task_id, request)
             push(request)
 
     def emit_shed_traces(self, tracer) -> None:
@@ -343,19 +352,7 @@ class WavePlan:
                     args={"request": int(wave.ids[i])},
                 )
 
-    def records_in_creation_order(
-        self, per_task: dict[int, list[ServingRequest]]
-    ) -> list[ServingRequest]:
-        """Merge per-task record lists into global creation order."""
-        merged: list[ServingRequest] = []
-        for records in per_task.values():
-            merged.extend(records)
-        if not merged:
-            return merged
-        ids = np.fromiter(
-            (r.request_id for r in merged), dtype=np.int64, count=len(merged)
-        )
-        order = np.argsort(ids, kind="stable")
-        out = np.empty(len(merged), dtype=object)
-        out[:] = merged
-        return list(out[order])
+    def record_columns(self) -> tuple[np.ndarray, ...]:
+        """Wave position, request id, created and deadline instants of
+        every row of the index, in row order (plain arrays)."""
+        return tuple(np.asarray(column) for column in self._rows[:4])

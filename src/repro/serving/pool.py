@@ -41,6 +41,10 @@ class RequestPool:
         """Reclaim every record (start of a new run)."""
         self._used = 0
 
+    def records(self) -> list[ServingRequest]:
+        """The records handed out since the last reset, in acquisition order."""
+        return self._items[: self._used]
+
     def acquire(
         self,
         task_id: int,

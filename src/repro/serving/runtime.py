@@ -20,7 +20,10 @@ Takes an :class:`~repro.edge.controller.OffloaDNNController` deployment
    do something: with every queue empty it sleeps to the next tick a
    delivery is due at (:meth:`_Run.tick`);
 6. completions (and every drop, with its reason) land in
-   :class:`~repro.serving.metrics.ServingMetrics`.
+   :class:`~repro.serving.metrics.ServingMetrics`, built once the run
+   ends from the request pool's records in row order (one column of
+   completion instants read off them), the tick index's columns and the
+   drop counts the run tallied where its drops happened.
 
 Everything is seeded and event-ordered, so two runs with the same
 configuration produce bit-identical metrics.
@@ -28,9 +31,13 @@ configuration produce bit-identical metrics.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import partial
 from math import inf
+from operator import attrgetter
+
+import numpy as np
 
 from repro.core.heuristic import OffloaDNNSolver
 from repro.core.objective import end_to_end_latency
@@ -47,9 +54,9 @@ from repro.radio.slicing import SliceManager
 from repro.serving.admission import AdmissionGate
 from repro.serving.engine import WavePlan
 from repro.serving.executor import BatchExecutor
-from repro.serving.metrics import ServingMetrics, TaskServingMetrics
+from repro.serving.metrics import ServingMetrics, task_metrics
 from repro.serving.pool import RequestPool
-from repro.serving.queueing import ReadyQueues, ServingQueue, ServingRequest
+from repro.serving.queueing import DropReason, ReadyQueues, ServingQueue, ServingRequest
 from repro.workloads.smallscale import SMALL_SCALE, small_scale_problem
 
 __all__ = ["ServingConfig", "ServingRuntime", "fig11_runtime"]
@@ -248,6 +255,8 @@ class ServingRuntime:
 
     def run(self) -> ServingMetrics:
         """Execute one seeded serving simulation and summarize it."""
+        # the pool recycles the last run's records: let their list go now
+        self.last_requests = []
         # the wave engine never hands event objects to callers, so the
         # simulator may recycle them through its freelist
         sim = Simulator(recycle_events=True)
@@ -259,8 +268,19 @@ class ServingRuntime:
         # quiet or empty deployments: still advance the clock to the
         # configured horizon (Simulator.run_until works on an empty queue)
         sim.run_until(self.config.duration_s)
-        self.last_requests = run.plan.records_in_creation_order(run.records)
-        return run.metrics()
+        # the run's record: the pool's records in the tick index's row
+        # order, which is the order push_due acquired them in (each
+        # temporary goes once used: this is where a run's memory peaks)
+        records = self.pool.records()
+        position, ids, created, deadline = run.plan.record_columns()
+        completed = np.fromiter(
+            map(attrgetter("completed_at"), records), float, len(records)
+        )
+        in_rows = np.fromiter(records, dtype=object, count=len(records))
+        del records
+        self.last_requests = in_rows[np.argsort(ids)].tolist()
+        del in_rows
+        return run.metrics(run.task_of(position), created, deadline, completed)
 
 
 def fig11_runtime(
@@ -293,6 +313,13 @@ class _Run:
     one-event-per-request reference in ``tests/oracles.py`` drives its
     own arrival events into :meth:`push` and :meth:`drain_window`, so
     its parity with :meth:`tick` is a property of the arrival side alone.
+
+    The run keeps no per-request bookkeeping for its summary: each drop
+    is counted in :attr:`drops` where it happens (a queue-full victim in
+    :meth:`push`, an expiry in :meth:`drain_window`, a batch the cluster
+    lost mid-execution in :meth:`complete`), and :meth:`metrics` reads
+    everything else off the record columns it is handed once the run
+    ends.
     """
 
     def __init__(self, runtime: ServingRuntime, sim: Simulator) -> None:
@@ -352,10 +379,8 @@ class _Run:
         # queue selection is its own stage: the index hands each window
         # the non-empty queues in task-id order without scanning the rest
         self.ready = ReadyQueues(self.queues)
-        #: materialized request records per task, in delivery order
-        self.records: dict[int, list[ServingRequest]] = {
-            task.task_id: [] for task in runtime.problem.tasks
-        }
+        #: dropped records per (task id, drop reason), tallied where they drop
+        self.drops: Counter[tuple[int, DropReason]] = Counter()
         #: empty until :meth:`start_waves` (never, for an empty deployment)
         self.plan = WavePlan(tasks=[], gated={}, batch_window_s=cfg.batch_window_s)
         #: admitted requests not yet completed or dropped; the dispatcher
@@ -381,14 +406,12 @@ class _Run:
         """Whether the dispatcher (and the sampler) must keep ticking."""
         return self.sim.now < self.cfg.duration_s or self.outstanding > 0
 
-    def collect(self, task_id: int, request: ServingRequest) -> None:
-        self.records[task_id].append(request)
-
     def push(self, request: ServingRequest) -> None:
         """Queue insert at the request's uplink delivery; may evict."""
         victim = self.ready.push(request)
         if victim is not None:
             self.outstanding -= 1
+            self.drops[victim.task_id, DropReason.QUEUE_FULL] += 1
             if self.tracer.enabled:
                 self.tracer.event_at(
                     "drop.queue_full",
@@ -412,7 +435,7 @@ class _Run:
         """
         now = self.sim.now
         plan = self.plan
-        plan.push_due(now, self.runtime.pool, self.push, self.collect)
+        plan.push_due(now, self.runtime.pool, self.push)
         self.drain_window(now)
         if not self.live():
             return
@@ -426,6 +449,8 @@ class _Run:
         """One batching window: pop, dispatch, schedule completion."""
         window, expired = self.ready.drain(now, self.cfg.max_batch)
         self.outstanding -= len(expired)
+        for victim in expired:
+            self.drops[victim.task_id, DropReason.DEADLINE] += 1
         if self.tracer.enabled:
             for victim in expired:
                 self.tracer.event_at(
@@ -458,6 +483,7 @@ class _Run:
             if request.dropped:
                 # lost mid-execution (cluster: remote_error
                 # or transfer_timeout); never completes
+                self.drops[request.task_id, request.drop_reason] += 1
                 continue
             done = request.service_done_at
             at = returned_at.get(done)
@@ -500,12 +526,28 @@ class _Run:
             executor.qos.add_probes(sampler, lambda: sim.now)
         sampler.attach(sim, while_fn=self.live)
 
-    def metrics(self) -> ServingMetrics:
-        """Summarize the finished run from its per-task request records."""
+    def task_of(self, position: np.ndarray) -> np.ndarray:
+        """Each row's index in the problem's task list, from its wave position."""
+        index = {task.task_id: i for i, task in enumerate(self.runtime.problem.tasks)}
+        served = [index[task.task_id] for task, _path in self.served_tasks]
+        return np.asarray(served, dtype=np.intp)[position]
+
+    def metrics(
+        self,
+        task_of: np.ndarray,
+        created: np.ndarray,
+        deadline: np.ndarray,
+        completed: np.ndarray,
+    ) -> ServingMetrics:
+        """Summarize the finished run from its record columns.
+
+        Row ``i`` is a materialized request of the problem's
+        ``task_of[i]``-th task, with its created, deadline and completion
+        instants (NaN unless it completed); each task's rows are in
+        creation order.  Drops come from the run's tallies and
+        admission-shed offers, never materialized, from the plan's counts.
+        """
         executor = self.executor
-        # the wave engine materializes only admitted requests;
-        # admission-shed offers reach the metrics as counts
-        gated = self.plan.gated
         metrics = ServingMetrics(
             duration_s=max(self.cfg.duration_s, self.work_end),
             total_compute_s=executor.total_compute_s,
@@ -514,9 +556,14 @@ class _Run:
             prefix_merges=executor.prefix_merges,
         )
         obs = self.runtime.obs
-        registry = obs.registry if obs is not None else None
-        for task_id, reqs in self.records.items():
-            metrics.tasks[task_id] = TaskServingMetrics.from_requests(
-                task_id, reqs, registry=registry, gated=gated.get(task_id, 0)
-            )
+        metrics.tasks = task_metrics(
+            [task.task_id for task in self.runtime.problem.tasks],
+            task_of,
+            created,
+            deadline,
+            completed,
+            self.drops,
+            self.plan.gated,
+            registry=obs.registry if obs is not None else None,
+        )
         return metrics

@@ -31,8 +31,9 @@ chain:
   request numbering: the DES interleaves per-task emit chains by
   ``(time, schedule sequence)``, which for simultaneous arrivals
   resolves to comparing when each chain's previous event fired, and
-  ultimately to task scheduling order.  A stable lexsort over
-  ``(time, previous arrival, task position)`` reproduces it.
+  ultimately to task scheduling order.  One argsort by time settles
+  every arrival but the simultaneous ones; only those tie runs are
+  ordered by ``(previous arrival, task position)``.
 """
 
 from __future__ import annotations
@@ -169,11 +170,14 @@ def merge_arrival_order(
     compare by when their emit events were *scheduled* — the previous
     arrival instant of each chain — and, when those tie as well (same
     accumulated grid), by the order the chains were seeded at ``t = 0``,
-    i.e. task position.  A stable lexsort over ``(time, previous
-    arrival, task position)`` reproduces that order for every arrival
+    i.e. task position.  That is the order of a stable lexsort over
+    ``(time, previous arrival, task position)`` for every arrival
     process the runtime generates (exact deeper-level ties require
     identical accumulated grids, which the fallback to task position
-    resolves identically).
+    resolves identically).  One argsort by time alone already gives it
+    wherever times differ, so only the runs of equal times are lexsorted,
+    with the arrival's place in the concatenation as the last key (at
+    most the ``t = 0`` starts, on Poisson waves).
 
     Returns one int64 array per task mapping each arrival to its global
     request id.
@@ -181,16 +185,22 @@ def merge_arrival_order(
     if not arrivals_per_task:
         return []
     times = np.concatenate(arrivals_per_task)
-    prev = np.concatenate(
-        [
-            np.concatenate(([-np.inf], a[:-1]))
-            for a in arrivals_per_task
-        ]
-    )
-    pos = np.concatenate(
-        [np.full(len(a), i, dtype=np.int64) for i, a in enumerate(arrivals_per_task)]
-    )
-    order = np.lexsort((pos, prev, times))
+    order = np.argsort(times)
+    ranked = times[order]
+    # the members of every tie run: both ends of each tied pair
+    tied = ranked[1:] == ranked[:-1]
+    in_run = np.zeros(len(times), dtype=bool)
+    in_run[1:] = tied
+    in_run[:-1] |= tied
+    runs = np.flatnonzero(in_run)
+    members = order[runs]
+    starts = np.cumsum([0] + [len(a) for a in arrivals_per_task])
+    position = np.searchsorted(starts, members, "right") - 1
+    previous = times[members - 1]
+    previous[members == starts[position]] = -np.inf  # a wave's first
+    # the sort left equal times in no particular order: the arrival's
+    # place in the concatenation is the lexsort's last key
+    order[runs] = members[np.lexsort((members, position, previous, ranked[runs]))]
     ids = np.empty(len(times), dtype=np.int64)
     ids[order] = np.arange(len(times), dtype=np.int64)
     out = []

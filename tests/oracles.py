@@ -19,6 +19,15 @@ to tick every window, due or not; :func:`every_window_tick` is that
 rule, against which the tick that sleeps through idle windows must give
 the same records, trace bytes and gauge series.
 
+A run's bookends had their own per-task and per-record forms: the
+summary was :func:`per_task_metrics` once per task (a registry and a
+histogram each, three array conversions of the samples), the creation
+order was :func:`records_in_creation_order` over per-task record lists,
+and the global numbering a three-key lexsort over every offered arrival
+(:func:`lexsort_arrival_order`).  ``repro.serving.metrics.task_metrics``,
+the run's id argsort and ``waves.merge_arrival_order`` must give the
+same summaries, registry instruments, record order and ids.
+
 So do the per-request window trie (:func:`per_request_window_costs`), a
 window's path groups as the executors built them before the job-cost
 memo (:func:`path_groups`), and the cluster dispatcher that re-derived
@@ -64,7 +73,8 @@ from repro.dnn.compile import (
 )
 from repro.dnn.layers import BatchNorm2d, Conv2d
 from repro.emulator.simulator import Simulator
-from repro.serving.metrics import ServingMetrics
+from repro.obs.metrics import MetricsRegistry
+from repro.serving.metrics import LatencyStats, ServingMetrics, TaskServingMetrics
 from repro.serving.queueing import DropReason, ServingQueue, ServingRequest
 from repro.serving.runtime import ServingRuntime, _Run
 from repro.workloads.smallscale import serving_small_scale_problem
@@ -94,9 +104,9 @@ def scalar_run(runtime: ServingRuntime) -> ServingMetrics:
             bits=path.bits_per_image,
         )
         records.append(request)
-        run.collect(task.task_id, request)
         if not gate.allow(task.task_id):
             request.drop_reason = DropReason.ADMISSION
+            run.drops[task.task_id, DropReason.ADMISSION] += 1
             if tracer.enabled:
                 tracer.event_at(
                     "drop.admission",
@@ -128,14 +138,20 @@ def scalar_run(runtime: ServingRuntime) -> ServingMetrics:
     sim.run()
     sim.run_until(cfg.duration_s)
     runtime.last_requests = records
-    return run.metrics()
+    index = {task.task_id: i for i, task in enumerate(runtime.problem.tasks)}
+    return run.metrics(
+        np.array([index[r.task_id] for r in records], dtype=np.intp),
+        np.array([r.created_at for r in records], dtype=float),
+        np.array([r.deadline_at for r in records], dtype=float),
+        np.array([r.completed_at for r in records], dtype=float),
+    )
 
 
 def every_window_tick(run: _Run) -> None:
     """``_Run.tick`` by the old rule (patch it over the method): the next
     tick is always one window later, whether or not anything is due."""
     now = run.sim.now
-    run.plan.push_due(now, run.runtime.pool, run.push, run.collect)
+    run.plan.push_due(now, run.runtime.pool, run.push)
     run.drain_window(now)
     if run.live():
         run.sim.schedule(run.cfg.batch_window_s, run.tick)
@@ -170,7 +186,7 @@ class FullScanQueues:
         return window, all_expired
 
 
-def full_scan_push_due(plan, now: float, pool, push, collect) -> None:
+def full_scan_push_due(plan, now: float, pool, push) -> None:
     """``WavePlan.push_due`` by the old rule: walk every wave, every tick.
 
     No tick index: the scan keeps its own record of the ticks fired and
@@ -207,7 +223,6 @@ def full_scan_push_due(plan, now: float, pool, push, collect) -> None:
             )
             request.uplink_done_at = float(wave.deliveries[i])
             cursors[position] = i + 1
-            collect(wave.task_id, request)
             push(request)
 
 
@@ -220,6 +235,90 @@ def full_scan_next_due(plan) -> tuple[float, float]:
     the product.
     """
     return math.inf, math.inf
+
+
+def per_task_metrics(
+    task_id: int,
+    requests: list[ServingRequest],
+    registry: MetricsRegistry | None = None,
+    gated: int = 0,
+) -> TaskServingMetrics:
+    """``TaskServingMetrics.from_requests`` as it was: feed a registry's
+    instruments from one task's records, then read the summary back out
+    of them (``LatencyStats.from_histogram``: ``np.percentile``, mean and
+    max, each over the histogram's sample list)."""
+    registry = registry if registry is not None else MetricsRegistry()
+    prefix = f"task{task_id}."
+    offered = registry.counter(prefix + "offered")
+    completed = registry.counter(prefix + "completed")
+    misses = registry.counter(prefix + "deadline_misses")
+    drop_counters = {
+        reason: registry.counter(prefix + f"drops.{reason.value}")
+        for reason in DropReason
+    }
+    latency = registry.histogram(prefix + "latency_s")
+    done = late = 0
+    dropped = {DropReason.ADMISSION: gated}
+    observe = latency.samples.append
+    for request in requests:
+        reason = request.drop_reason
+        if reason is not None:
+            dropped[reason] = dropped.get(reason, 0) + 1
+        elif request.completed_at == request.completed_at:  # not NaN
+            done += 1
+            observe(request.completed_at - request.created_at)
+            if request.completed_at > request.deadline_at + 1e-12:
+                late += 1
+    offered.inc(gated + len(requests))
+    completed.inc(done)
+    misses.inc(late)
+    for reason, count in dropped.items():
+        drop_counters[reason].inc(count)
+    return TaskServingMetrics(
+        task_id=task_id,
+        offered=int(offered.value),
+        admitted=int(offered.value - drop_counters[DropReason.ADMISSION].value),
+        completed=int(completed.value),
+        deadline_misses=int(misses.value),
+        drops={reason: int(c.value) for reason, c in drop_counters.items()},
+        latency=LatencyStats.from_histogram(latency),
+    )
+
+
+def records_in_creation_order(
+    per_task: dict[int, list[ServingRequest]],
+) -> list[ServingRequest]:
+    """Per-task record lists merged into global creation order, through
+    an object array (what ``run()`` did with the lists ``collect`` filed)."""
+    merged: list[ServingRequest] = []
+    for records in per_task.values():
+        merged.extend(records)
+    if not merged:
+        return merged
+    ids = np.fromiter((r.request_id for r in merged), dtype=np.int64, count=len(merged))
+    order = np.argsort(ids, kind="stable")
+    out = np.empty(len(merged), dtype=object)
+    out[:] = merged
+    return list(out[order])
+
+
+def lexsort_arrival_order(arrivals_per_task: list[np.ndarray]) -> list[np.ndarray]:
+    """``waves.merge_arrival_order`` by one stable lexsort over ``(time,
+    previous arrival, task position)`` of every offered arrival."""
+    if not arrivals_per_task:
+        return []
+    times = np.concatenate(arrivals_per_task)
+    prev = np.concatenate(
+        [np.concatenate(([-np.inf], a[:-1])) for a in arrivals_per_task]
+    )
+    pos = np.concatenate(
+        [np.full(len(a), i, dtype=np.int64) for i, a in enumerate(arrivals_per_task)]
+    )
+    order = np.lexsort((pos, prev, times))
+    ids = np.empty(len(times), dtype=np.int64)
+    ids[order] = np.arange(len(times), dtype=np.int64)
+    bounds = np.cumsum([len(a) for a in arrivals_per_task])[:-1]
+    return np.split(ids, bounds)
 
 
 def path_groups(requests) -> list[tuple]:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.obs.export import (
     chrome_trace,
@@ -150,6 +153,87 @@ class TestRoundTrips:
         path.write_text(json.dumps({"traceEvents": "nope"}))
         with pytest.raises(ValueError, match="invalid chrome trace"):
             load_records(path)
+
+
+class TestLoaderRejectsMalformedInput:
+    """A trace that does not load is a ``ValueError`` naming its line or
+    event, never a ``KeyError`` or a span with a non-numeric timestamp."""
+
+    @staticmethod
+    def _load(tmp_path, text: str):
+        path = tmp_path / "trace.txt"
+        path.write_text(text)
+        return load_records(path)
+
+    def test_jsonl_line_without_name(self, tmp_path):
+        text = '{"name": "a", "ts": 1.0}\n{"ts": 2.0}\n'
+        with pytest.raises(ValueError, match="trace line 2: missing 'name'"):
+            self._load(tmp_path, text)
+
+    def test_jsonl_non_numeric_ts(self, tmp_path):
+        with pytest.raises(ValueError, match="trace line 1: bad ts 'x'"):
+            self._load(tmp_path, '{"name": "a", "ts": "x"}')
+
+    def test_chrome_thread_name_without_args(self, tmp_path):
+        events = [
+            {"ph": "X", "name": "a", "pid": 1, "tid": 1, "ts": 0.0, "dur": 1.0},
+            {"ph": "M", "name": "thread_name", "pid": 1, "tid": 1},
+        ]
+        with pytest.raises(ValueError, match="event 1: thread_name without"):
+            self._load(tmp_path, json.dumps({"traceEvents": events}))
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=4)
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+#: objects shaped like spans and events: the loader's keys, any values
+_SPANS = st.dictionaries(
+    st.sampled_from(
+        ["name", "ts", "dur", "cat", "track", "ph", "args", "domain", "pid", "tid"]
+    ),
+    st.sampled_from(["X", "i", "M", "thread_name", 0, 1, 2.5, {"name": "t"}]) | _VALUES,
+    max_size=10,
+)
+_LINES = st.lists(
+    _SPANS.map(json.dumps)
+    | _VALUES.map(json.dumps)
+    | st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12),
+    max_size=5,
+).map("\n".join)
+_CHROME = st.lists(_SPANS | _VALUES, max_size=5).map(
+    lambda events: json.dumps({"traceEvents": events})
+)
+
+
+@settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=_LINES | _CHROME)
+def test_any_trace_loads_to_numeric_spans_or_a_value_error(tmp_path, text):
+    path = tmp_path / "fuzz.txt"
+    path.write_text(text)
+    try:
+        tracers = load_records(path)
+    except ValueError:
+        return
+    for tracer in tracers:
+        assert isinstance(tracer, Tracer) and isinstance(tracer.domain, str)
+        for record in tracer.records:
+            assert isinstance(record.name, str)
+            for value in (record.ts, record.dur):
+                assert isinstance(value, (int, float)) and not isinstance(value, bool)
+                assert math.isfinite(value)
 
 
 class TestSummaries:

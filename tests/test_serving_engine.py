@@ -451,7 +451,6 @@ def test_due_index_matches_full_scan_under_exact_ties(specs, window):
                 lambda r: log.append(
                     (now, r.task_id, r.request_id, r.created_at, r.deadline_at, r.uplink_done_at)
                 ),
-                lambda task_id, r: log.append((now, task_id, r.request_id)),
             )
         assert pool.in_use == sum(wave.admitted for wave in plan.tasks)
         logs.append(log)
@@ -463,7 +462,7 @@ def test_push_due_refuses_a_tick_off_its_grid():
     # that skips past a tick with deliveries must fail, not serve them late
     plan = _grid_plan([(1, 1, 4, 1)], window=1)
     with pytest.raises(RuntimeError, match="skipped the tick"):
-        plan.push_due(3.0, RequestPool(), lambda r: None, lambda task_id, r: None)
+        plan.push_due(3.0, RequestPool(), lambda r: None)
 
 
 class _CountedSlices(np.ndarray):
