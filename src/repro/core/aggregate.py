@@ -19,7 +19,9 @@ per group.  :class:`AggregateSolver` then
    closed-form subproblem and assigns it to as many remaining members
    as the pools allow in one subtraction.  A pool-bound member yields a
    run of one, so the replay degrades to the per-task cascade exactly
-   where it matters and stays O(#groups) everywhere else;
+   where it matters and stays O(#groups) everywhere else.  Once the
+   radio pool is spent (``subproblem._radio_spent``) a round takes the
+   scan's known result ``(0.0, 0)`` without running it;
 3. returns the rounds as runs ``(assignment, member ids)``, ids ascending:
    :class:`~repro.core.solution.AssignmentRuns` reads like the expanded
    dict (same keys, order, values, one shared ``Path`` per run), builds
@@ -52,7 +54,7 @@ import numpy as np
 from repro.core.catalog import Catalog
 from repro.core.problem import DOTProblem
 from repro.core.solution import Assignment, AssignmentRuns, DOTSolution, Run
-from repro.core.subproblem import _best_admission_for_item
+from repro.core.subproblem import _best_admission_for_item, _radio_spent
 from repro.core.task import Task
 from repro.core.tree import Branch, build_vector_tree, first_branch
 from repro.obs.trace import current_tracer
@@ -214,9 +216,12 @@ class AggregateSolver:
             compute_per_z = item.task.request_rate * item.path.compute_time_s
             index = 0
             while index < len(members):
-                z, r = _best_admission_for_item(
-                    item, remaining_radio, remaining_compute, budgets.radio_blocks
-                )
+                if _radio_spent(remaining_radio):
+                    z, r = 0.0, 0
+                else:
+                    z, r = _best_admission_for_item(
+                        item, remaining_radio, remaining_compute, budgets.radio_blocks
+                    )
                 if z < floor_z:
                     break
                 radio_demand = z * r

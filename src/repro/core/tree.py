@@ -401,6 +401,26 @@ def build_vector_tree(
     )
 
 
+def _clique_heads(cliques: list[VectorClique], radio_blocks: int) -> list[int]:
+    """Per clique, its first variant that fits the radio capacity, or -1.
+
+    One array pass over the cliques' ``min_latency_rbs`` arrays: they
+    are concatenated, the radio filter is one comparison, and each
+    clique's head is a ``searchsorted`` of its start among the
+    survivors' positions.
+    """
+    if not cliques:
+        return []
+    demands = [clique.min_latency_rbs for clique in cliques]
+    sizes = np.fromiter(map(len, demands), np.int64, len(demands))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    fits = np.flatnonzero(np.concatenate(demands) <= radio_blocks)
+    # the first survivor at or after each start; ends[-1] past the last one
+    first = np.append(fits, ends[-1])[np.searchsorted(fits, starts)]
+    return np.where(first < ends, first - starts, -1).tolist()
+
+
 def first_branch(
     vtree: VectorTree, budgets: Budgets, ordering: str = "compute"
 ) -> Branch:
@@ -410,48 +430,76 @@ def first_branch(
     variant under ``ordering`` whose incremental memory — the blocks not
     yet deployed, summed in path order — still fits; ``None`` marks a
     task with no deployable path (rejected).  Under the paper's
-    ``"compute"`` ordering the first candidate almost always fits, so
-    memory is evaluated per *visited* candidate; only the ``"memory"``
-    ablation evaluates every candidate's increment.  Only the chosen
-    variant's ``Path`` is built, so a 10⁵-task solve allocates 10⁵ paths
-    instead of millions of vertices.  It is the first leaf of
-    :func:`branches`, without building the other vertices.
+    ``"compute"`` ordering that first candidate is the clique's *head*,
+    its first radio-feasible variant, and :func:`_clique_heads` finds
+    every layer's head in one array pass; only a head that misses (1b)
+    memory sends its clique through the :meth:`~VectorClique.feasible`
+    scan.  The ``"memory"`` and ``"accuracy"`` ablations re-rank every
+    clique's radio-feasible variants.  A base path whose blocks are all
+    deployed is remembered: a later candidate on it skips the block loop
+    and compares ``mem_used + 0`` with the limit, as the loop would.
+    Only the chosen variant's ``Path`` is built, so a 10⁵-task solve
+    allocates 10⁵ paths instead of millions of vertices.  It is the
+    first leaf of :func:`branches`, without building the other vertices.
     """
     radio_blocks = budgets.radio_blocks
     memory_limit = budgets.memory_gb + 1e-12
     deployed: set[str] = set()
+    #: ids of base paths whose blocks are all deployed
+    settled: set[int] = set()
     mem_used = 0.0
 
-    def fresh_blocks(clique: VectorClique, i: int) -> list:
-        return [b for b in clique.base_path(i).blocks if b.block_id not in deployed]
+    def fresh_blocks(path: Path) -> list:
+        return [b for b in path.blocks if b.block_id not in deployed]
 
+    def deploys(clique: VectorClique, i: int) -> bool:
+        """Deploy variant ``i`` if its increment fits the memory left."""
+        nonlocal mem_used
+        path = clique.base_path(i)
+        if id(path) in settled:
+            # the comparison an empty increment gets below
+            return not mem_used + 0 > memory_limit
+        fresh = fresh_blocks(path)
+        if mem_used + sum(b.memory_gb for b in fresh) > memory_limit:
+            return False
+        # accumulate block by block, the float order of
+        # BranchState.extend (a block a path repeats is paid once)
+        for block in fresh:
+            if block.block_id not in deployed:
+                deployed.add(block.block_id)
+                mem_used += block.memory_gb
+        settled.add(id(path))
+        return True
+
+    if ordering == "compute":
+        heads = _clique_heads(vtree.cliques, radio_blocks)
+    else:
+        heads = [None] * len(vtree.cliques)
     chosen: Branch = []
-    for clique in vtree.cliques:
-        candidates = clique.feasible(radio_blocks)
-        if ordering == "memory":
-            candidates.sort(
-                key=lambda i: (
-                    sum(b.memory_gb for b in fresh_blocks(clique, i)),
-                    clique.variant_path_id(i),
+    for clique, head in zip(vtree.cliques, heads):
+        if head is None:
+            # an ablation ordering: re-rank every radio-feasible variant
+            candidates = clique.feasible(radio_blocks)
+            if ordering == "memory":
+                candidates.sort(
+                    key=lambda i: (
+                        sum(b.memory_gb for b in fresh_blocks(clique.base_path(i))),
+                        clique.variant_path_id(i),
+                    )
                 )
-            )
-        elif ordering == "accuracy":
-            candidates.sort(
-                key=lambda i: (-clique.accuracy[i], clique.variant_path_id(i))
-            )
+            elif ordering == "accuracy":
+                candidates.sort(
+                    key=lambda i: (-clique.accuracy[i], clique.variant_path_id(i))
+                )
+            pick = next((i for i in candidates if deploys(clique, i)), -1)
+        elif head < 0 or deploys(clique, head):
+            pick = head
+        else:
+            rest = clique.feasible(radio_blocks)[1:]
+            pick = next((i for i in rest if deploys(clique, i)), -1)
         item = None
-        for i in candidates:
-            fresh = fresh_blocks(clique, i)
-            if mem_used + sum(b.memory_gb for b in fresh) > memory_limit:
-                continue
-            # deploy: accumulate block by block, the float order of
-            # BranchState.extend (a block a path repeats is paid once)
-            for block in fresh:
-                if block.block_id not in deployed:
-                    deployed.add(block.block_id)
-                    mem_used += block.memory_gb
-            item = BranchItem(clique.task, clique.variant_path(i), clique.bits_per_rb)
-            break
+        if pick >= 0:
+            item = BranchItem(clique.task, clique.variant_path(pick), clique.bits_per_rb)
         chosen.append((clique.task.task_id, item))
     return chosen
 

@@ -38,9 +38,10 @@ per batch, and must produce the same floats, stamps and draws.
 
 The solver's scalar ancestors live here too: the per-vertex tree
 (:func:`scalar_cliques`, :func:`scalar_first_branch`) that the batched
-``build_cliques`` / ``first_branch`` replaced, and the O(R) admission
+``build_cliques`` / ``first_branch`` replaced, the O(R) admission
 enumeration (:func:`admission_by_enumeration`) behind the closed-form
-candidate scan.
+candidate scan, and the water-fill that scanned every item after the
+radio pool was spent (:func:`per_item_solve_branch`).
 
 The DNN side has two: :func:`fresh_forward` runs a compiled plan with
 every buffer in memory of its own (no arena, no lifetime packing), and
@@ -60,7 +61,12 @@ import numpy as np
 from repro.cluster.qos import Hop
 from repro.core.catalog import Catalog
 from repro.core.solution import Assignment, DOTSolution
-from repro.core.subproblem import _SCAN_EPS, BranchItem, _best_admission_for_item
+from repro.core.subproblem import (
+    _SCAN_EPS,
+    BranchAllocation,
+    BranchItem,
+    _best_admission_for_item,
+)
 from repro.core.tree import build_vector_tree, first_branch
 from repro.dnn import pruning
 from repro.dnn.compile import (
@@ -689,6 +695,28 @@ def scalar_first_branch(problem, ordering: str = "compute"):
                 memory += block.memory_gb
         chosen.append((task.task_id, picked))
     return chosen
+
+
+def per_item_solve_branch(items, budgets, admission_floor: float = 1e-6) -> BranchAllocation:
+    """The water-fill with one closed-form scan per item, also after the
+    radio pool is spent: ``solve_branch`` must return exactly this."""
+    remaining_radio = float(budgets.radio_blocks)
+    remaining_compute = float(budgets.compute_time_s)
+    admission: list[float] = []
+    rbs: list[int] = []
+    for item in items:
+        z, r = _best_admission_for_item(
+            item, remaining_radio, remaining_compute, budgets.radio_blocks
+        )
+        if z < admission_floor:
+            admission.append(0.0)
+            rbs.append(0)
+            continue
+        admission.append(z)
+        rbs.append(r)
+        remaining_radio -= z * r
+        remaining_compute -= z * item.task.request_rate * item.compute_time_s
+    return BranchAllocation(admission=admission, radio_blocks=rbs)
 
 
 def admission_by_enumeration(

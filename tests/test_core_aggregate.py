@@ -226,7 +226,7 @@ class TestRunsMatchTheExpansion:
         seed=st.integers(0, 10_000),
         copies=st.integers(1, 9),
         budget_scale=st.sampled_from([0.0, 0.2, 1.0, 4.0]),
-        floor=st.sampled_from([1e-6, 0.3, 0.95]),
+        floor=st.sampled_from([0.0, 1e-6, 0.3, 0.95]),
     )
     def test_groups_and_assignments(self, seed, copies, budget_scale, floor):
         problem = population_problem(seed, copies, budget_scale)

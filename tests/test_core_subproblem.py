@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -307,3 +308,186 @@ class TestZeroBitsPath:
         alloc = solve_branch_convex(items, budgets, alpha=0.5)
         assert alloc.admission == [0.0]
         assert alloc.radio_blocks == [0]
+
+
+# ---------------------------------------------------------------------------
+# The water-fill stops once the radio pool is spent
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def cascades(draw):
+    """Items on sampled grids, where pools run to exactly 0: z = 1 on
+    r = 5 of 10 RBs, zero-compute and zero-bit items, compute bound first."""
+    items = [
+        _item(
+            task_id=i + 1,
+            priority=1.0 - 0.01 * i,
+            request_rate=draw(st.sampled_from([0.5, 2.0, 5.0, 10.0])),
+            max_latency_s=draw(st.sampled_from([0.3, 0.6, 1.0])),
+            compute_time_s=draw(st.sampled_from([0.0, 0.01, 0.05])),
+            bits_per_image=draw(st.sampled_from([0.0, 175_000.0, 350_000.0])),
+            bits_per_rb=draw(st.sampled_from([350_000.0, 700_000.0])),
+        )
+        for i in range(draw(st.integers(0, 12)))
+    ]
+    budgets = _budgets(
+        radio=draw(st.sampled_from([0, 1, 5, 10, 20, 50])),
+        compute=draw(st.sampled_from([0.0, 0.1, 0.5, 2.5])),
+    )
+    return items, budgets
+
+
+def _bits(allocation):
+    """An allocation as exact floats and counts."""
+    return [float(z).hex() for z in allocation.admission], allocation.radio_blocks
+
+
+def _branch_problem(items, budgets):
+    """A problem holding the items' tasks, and a branch over them with a
+    path-less task every third layer."""
+    from repro.core.catalog import Catalog
+    from repro.core.problem import DOTProblem
+
+    chosen = [
+        (item.task.task_id, None if item.task.task_id % 3 == 0 else item)
+        for item in items
+    ]
+    catalog = Catalog()
+    for item in items:
+        catalog.add_path(item.path)
+    tasks = tuple(item.task for item in items)
+    return DOTProblem(tasks=tasks, catalog=catalog, budgets=budgets), chosen
+
+
+def _solution_bits(solution):
+    return [
+        (tid, a.path.path_id if a.path else None, a.admission_ratio.hex(), a.radio_blocks)
+        for tid, a in solution.assignments.items()
+    ]
+
+
+class TestRadioSpentStop:
+    @settings(max_examples=300, deadline=None)
+    @given(cascade=cascades(), floor=st.sampled_from([0.0, 1e-6]))
+    def test_equals_the_per_item_water_fill(self, cascade, floor):
+        from unittest import mock
+
+        from repro.core import heuristic
+        from tests.oracles import per_item_solve_branch
+
+        items, budgets = cascade
+        assert _bits(solve_branch(items, budgets, floor)) == _bits(
+            per_item_solve_branch(items, budgets, floor)
+        )
+        if not items:
+            return
+        problem, chosen = _branch_problem(items, budgets)
+        for margin in (0, 2):
+            got = heuristic.allocate(problem, chosen, floor, margin)
+            with mock.patch.object(heuristic, "solve_branch", per_item_solve_branch):
+                want = heuristic.allocate(problem, chosen, floor, margin)
+            assert _solution_bits(got) == _solution_bits(want)
+
+    def test_the_corners_are_reached(self):
+        """The stop fires on a pool spent to exactly 0.0 mid-branch (with
+        both floors), and a compute-bound cascade that leaves radio over
+        scans every item, zero-compute ones included."""
+        from unittest import mock
+
+        from repro.core import subproblem
+        from tests.oracles import per_item_solve_branch
+
+        fill = [_item(task_id=i, request_rate=5.0) for i in range(1, 6)]
+        assert [it.min_latency_rbs() for it in fill] == [4] * 5
+        compute_first = [
+            _item(task_id=1, request_rate=10.0, compute_time_s=0.05),
+            *(_item(task_id=i, compute_time_s=0.0, bits_per_image=0.0) for i in (2, 3)),
+        ]
+        cases = [
+            # z = 1 on r = 5 twice drains 10 RBs to exactly 0.0
+            (fill, _budgets(radio=10), 1e-6, 2),
+            (fill, _budgets(radio=10), 0.0, 2),
+            # compute binds at item 1; the zero-compute items still fit
+            (compute_first, _budgets(radio=50, compute=0.25), 1e-6, None),
+            (fill, _budgets(radio=0), 1e-6, 0),
+        ]
+        for items, budgets, floor, spent_at in cases:
+            spy = mock.patch.object(
+                subproblem, "_best_admission_for_item",
+                wraps=subproblem._best_admission_for_item,
+            )
+            with spy as scans:
+                got = solve_branch(items, budgets, floor)
+            assert _bits(got) == _bits(per_item_solve_branch(items, budgets, floor))
+            assert scans.call_count == (len(items) if spent_at is None else spent_at)
+        assert _bits(solve_branch(compute_first, _budgets(radio=50, compute=0.25))) == (
+            [(0.5).hex(), (1.0).hex(), (1.0).hex()], [5, 1, 1]
+        )
+
+    def test_a_population_solve_scans_the_admitted_only(self):
+        """On a 10⁴-task direct solve the water-fill scans at most one item
+        past the admitted ones, and the walk, whose heads all fit, never
+        runs a clique's feasible() scan."""
+        from unittest import mock
+
+        from repro.core import subproblem
+        from repro.core.catalog import Catalog
+        from repro.core.heuristic import OffloaDNNSolver
+        from repro.core.tree import VectorClique
+        from repro.workloads.largescale import (
+            RequestRate,
+            replicated_large_scale_problem,
+        )
+
+        shared = replicated_large_scale_problem(RequestRate.MEDIUM, 500)
+        catalog = Catalog()
+        for task_id, paths in shared.catalog.paths_by_task.items():
+            catalog.paths_by_task[task_id] = paths[::-1]  # de-shared tuples
+        problem = replace(shared, catalog=catalog)
+        assert len(problem.tasks) == 10_000
+        scans = mock.patch.object(
+            subproblem, "_best_admission_for_item",
+            wraps=subproblem._best_admission_for_item,
+        )
+        walks = mock.patch.object(
+            VectorClique, "feasible", autospec=True, side_effect=VectorClique.feasible
+        )
+        with scans as scanned, walks as walked:
+            solution = OffloaDNNSolver().solve(problem)
+        admitted = solution.admitted_task_count
+        assert 0 < admitted < len(problem.tasks)
+        assert scanned.call_count <= admitted + 1
+        assert walked.call_count == 0
+
+    def test_the_water_fill_span_says_where_the_pool_ran_out(self):
+        """A traced population solve names the position of the stop and
+        the admitted count; a branch the pool outlasts exports ``null``."""
+        import json
+
+        from repro.core.heuristic import OffloaDNNSolver
+        from repro.obs import Tracer, jsonl_lines, use_tracer
+        from repro.workloads.largescale import (
+            RequestRate,
+            replicated_large_scale_problem,
+        )
+
+        def water_fill_args(problem):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                solution = OffloaDNNSolver().solve(problem)
+            (line,) = [
+                json.loads(line) for line in jsonl_lines([tracer])
+                if json.loads(line)["name"] == "solver.water_fill"
+            ]
+            return line["args"], solution
+
+        population = replicated_large_scale_problem(RequestRate.MEDIUM, 50)
+        args, solution = water_fill_args(population)
+        # 20 tasks x 5 RBs fill the 100-RB pool; the other 980 are not scanned
+        assert args == {"items": 1000, "admitted": 20, "radio_spent_at": 20}
+        assert solution.admitted_task_count == 20
+        roomy = replace(population, budgets=replace(population.budgets, radio_blocks=10**6))
+        args, solution = water_fill_args(roomy)
+        assert args["radio_spent_at"] is None
+        assert args["admitted"] == solution.admitted_task_count > 20

@@ -25,7 +25,7 @@ from repro.core.heuristic import OffloaDNNSolver, allocate
 from repro.core.objective import check_constraints, objective_value
 from repro.core.problem import Budgets, DOTProblem, RadioModel
 from repro.core.task import QualityLevel
-from repro.core.tree import branches, build_cliques, build_vector_tree
+from repro.core.tree import VectorClique, branches, build_cliques, build_vector_tree, first_branch
 from tests.conftest import make_block, make_path, make_task
 from tests.oracles import scalar_cliques, scalar_first_branch
 
@@ -115,6 +115,51 @@ def random_problem(seed: int, num_tasks: int = 8) -> DOTProblem:
         ),
         alpha=0.5,
     )
+
+
+def with_budgets(problem: DOTProblem, **changes) -> DOTProblem:
+    return replace(problem, budgets=replace(problem.budgets, **changes))
+
+
+def replicated(problem: DOTProblem, copies: int, deshare: bool) -> DOTProblem:
+    """``copies`` replicas of every task, sharing its path tuple by identity
+    or, with ``deshare``, each holding a reversed copy of its own."""
+    tasks, catalog = [], Catalog()
+    for copy in range(copies):
+        for task in problem.tasks:
+            task_id = task.task_id + copy * len(problem.tasks)
+            tasks.append(replace(task, task_id=task_id))
+            paths = problem.catalog.paths_by_task[task.task_id]
+            catalog.paths_by_task[task_id] = paths[::-1] if deshare else paths
+    return replace(problem, tasks=tuple(tasks), catalog=catalog)
+
+
+#: problems where the head pass of ``first_branch`` is not the whole walk
+WALK_GEOMETRIES = {
+    # heads miss (1b): the per-clique feasible() scan runs
+    "tight_memory": lambda seed: with_budgets(
+        random_problem(seed), memory_gb=random_problem(seed).budgets.memory_gb * 0.2
+    ),
+    # whole cliques lose every variant to the radio filter: no head
+    "starved_radio": lambda seed: with_budgets(random_problem(seed), radio_blocks=2),
+    # replicas share one demand array; memory runs out part-way
+    "replicated": lambda seed: with_budgets(
+        replicated(random_problem(seed, 5), 4, deshare=False), memory_gb=2.0
+    ),
+    "deshared": lambda seed: with_budgets(
+        replicated(random_problem(seed, 5), 4, deshare=True), memory_gb=2.0
+    ),
+}
+
+
+def branch_key(branch):
+    """A walked branch as ids and radio constants."""
+    return [
+        (tid, None if item is None else (
+            item.task.task_id, item.path.path_id, item.path.quality.name, item.bits_per_rb
+        ))
+        for tid, item in branch
+    ]
 
 
 def scalar_solve(problem, ordering="compute", margin=0):
@@ -227,6 +272,77 @@ class TestEngineParity:
             scalar = scalar_solve(problem)
             vector = OffloaDNNSolver().solve(problem)
             assert solution_key(scalar) == solution_key(vector)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("ordering", ["compute", "memory", "accuracy"])
+    @pytest.mark.parametrize("geometry", sorted(WALK_GEOMETRIES))
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_walk_parity_where_the_fallback_runs(self, seed, ordering, geometry, warm):
+        problem = WALK_GEOMETRIES[geometry](seed)
+        memo = {} if warm else None
+        tree = build_vector_tree(problem, memo)
+        if warm:
+            tree = build_vector_tree(problem, memo)
+            assert tree.cached_cliques == len(tree.cliques)
+        walked = first_branch(tree, problem.budgets, ordering)
+        oracle = scalar_first_branch(problem, ordering)
+        assert branch_key(walked) == branch_key(oracle)
+        assert solution_key(allocate(problem, walked)) == solution_key(
+            allocate(problem, oracle)
+        )
+
+    def test_the_fallback_corners_are_reached(self):
+        """The parity above is not vacuous: under the compute ordering its
+        geometries send heads through the feasible() scan, leave layers
+        without a head and share demand arrays between layers."""
+        seen = set()
+        for geometry, build in WALK_GEOMETRIES.items():
+            for seed in range(6):
+                problem = build(seed)
+                tree = build_vector_tree(problem)
+                heads = tree_module._clique_heads(tree.cliques, problem.budgets.radio_blocks)
+                spy = mock.patch.object(
+                    VectorClique, "feasible", autospec=True,
+                    side_effect=VectorClique.feasible,
+                )
+                with spy as scans:
+                    first_branch(tree, problem.budgets)
+                if scans.call_count:
+                    seen.add(f"{geometry}: head misses memory")
+                if any(h < 0 and len(c) for h, c in zip(heads, tree.cliques)):
+                    seen.add(f"{geometry}: no head")
+                if len({id(c.min_latency_rbs) for c in tree.cliques}) < len(tree.cliques):
+                    seen.add(f"{geometry}: shared demand")
+        assert seen >= {
+            "tight_memory: head misses memory",
+            "starved_radio: no head",
+            "replicated: head misses memory",
+            "replicated: shared demand",
+            "deshared: head misses memory",
+        }
+
+    def test_a_settled_path_still_compares_its_zero_increment(self):
+        """Deployed block by block, task 2's path ends 1 ulp above the limit
+        its summed increment fitted; its replica, whose increment is 0, must
+        still be compared and rejected (``mem_used + 0 > limit``)."""
+        tasks = [make_task(1, priority=0.9), make_task(2, priority=0.8)]
+        tasks.append(replace(tasks[1], task_id=3, priority=0.7))
+        catalog = Catalog()
+        catalog.add_path(make_path(tasks[0], "c", (make_block("c", memory_gb=0.728),)))
+        blocks = (make_block("a", memory_gb=1.324), make_block("b", memory_gb=0.184))
+        catalog.add_path(make_path(tasks[1], "ab", blocks))
+        catalog.paths_by_task[3] = catalog.paths_by_task[2]
+        problem = DOTProblem(
+            tasks=tuple(tasks),
+            catalog=catalog,
+            budgets=Budgets(
+                compute_time_s=10.0, training_budget_s=1000.0,
+                memory_gb=2.2359999999989997, radio_blocks=100,
+            ),
+        )
+        walked = first_branch(build_vector_tree(problem), problem.budgets)
+        assert [item and item.path.path_id for _, item in walked] == ["c", "ab", None]
+        assert branch_key(walked) == branch_key(scalar_first_branch(problem))
 
     def test_zero_headroom_parity(self):
         problem = random_problem(3)
