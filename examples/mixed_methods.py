@@ -6,25 +6,15 @@ Recreates the Fig. 4 walkthrough's task mix: an object-detection task
 0.5 mAP, Max latency: 0.3 s") admitted alongside classification tasks.
 Detection paths carry the detection head's extra compute/memory and
 their accuracy lives on the mAP scale; the backbone trunk remains
-shareable across methods (low-level features transfer).
-
-Also demonstrates the detection substrate itself: decoding head outputs
-into boxes and scoring them with real mean average precision.
+shareable across methods (low-level features transfer).  The detection
+costs are the declared constants of ``METHOD_PROFILES["detection"]``.
 
 Run:  python examples/mixed_methods.py
 """
 
-import numpy as np
-
 from repro.core import OffloaDNNSolver, check_constraints
 from repro.core.problem import Budgets, DOTProblem, RadioModel
 from repro.core.task import QualityLevel, Task
-from repro.dnn.detection import (
-    Detection,
-    decode_predictions,
-    make_detection_dataset,
-    mean_average_precision,
-)
 from repro.workloads.generator import METHOD_PROFILES, ScenarioCatalogBuilder
 
 
@@ -66,42 +56,6 @@ def main() -> None:
         )
     print(f"  feasible: {check_constraints(problem, solution).feasible}, "
           f"memory {solution.total_memory_gb:.2f} GB (trunk shared across methods)")
-
-    print("\nDetection substrate demo (synthetic rectangles):")
-    dataset = make_detection_dataset(num_images=4, image_size=32, num_classes=3,
-                                     seed=1)
-    # oracle predictions with mild box noise, to exercise the mAP chain
-    rng = np.random.default_rng(0)
-    predictions = []
-    for annotations in dataset.annotations:
-        preds = []
-        for obj in annotations:
-            from dataclasses import replace
-
-            jitter = rng.uniform(-1.5, 1.5, size=4)
-            box = replace(
-                obj.box,
-                x_min=max(0.0, obj.box.x_min + jitter[0]),
-                y_min=max(0.0, obj.box.y_min + jitter[1]),
-                x_max=min(32.0, obj.box.x_max + jitter[2]),
-                y_max=min(32.0, obj.box.y_max + jitter[3]),
-            )
-            preds.append(Detection(box=box, label=obj.label,
-                                   score=float(rng.uniform(0.6, 0.99))))
-        predictions.append(preds)
-    map_score = mean_average_precision(predictions, dataset.annotations,
-                                       num_classes=3)
-    print(f"  noisy oracle detector: mAP@0.5 = {map_score:.3f} "
-          f"over {sum(len(a) for a in dataset.annotations)} objects")
-
-    raw = np.zeros((1, 5 + 3, 4, 4), dtype=np.float32)
-    raw[0, 0, 1, 2] = 8.0  # one confident cell
-    raw[0, 5 + 1, 1, 2] = 4.0  # class 1
-    decoded = decode_predictions(raw, image_size=32)
-    det = decoded[0][0]
-    print(f"  decoded head output: class {det.label}, score {det.score:.2f}, "
-          f"box ({det.box.x_min:.0f},{det.box.y_min:.0f})-"
-          f"({det.box.x_max:.0f},{det.box.y_max:.0f})")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """repro.cluster — multi-node serving fabric.
 
 Node roles and registry, placement of solved DOT allocations onto
-nodes, a deterministic activation wire protocol with simulated and real
-(asyncio TCP) transports, a cluster-wide batching executor, and per-hop
-QoS monitoring through :mod:`repro.obs`.
+nodes, a deterministic activation wire protocol over simulated links,
+a cluster-wide batching executor, and per-hop QoS monitoring through
+:mod:`repro.obs`.
 """
 
 from repro.cluster.executor import ClusterDeployment, ClusterExecutor

@@ -1,43 +1,28 @@
-"""Activation streams: simulated links and a real asyncio transport.
+"""Activation streams over simulated links.
 
-The :class:`StreamRouter` moves encoded activation frames between
-nodes.  Two carriers implement the same framing (:mod:`repro.cluster.
-wire`):
-
-* :class:`SimulatedLink` — the default.  DES-timed and deterministic:
-  a transfer occupies the link FIFO for ``latency + bytes·8/bandwidth``
-  seconds, with an optional seeded stall process for fault-injection
-  (a stalled transfer takes ``stall_factor×`` longer, which is how the
-  runtime's ``transfer_timeout`` drop reason gets exercised).  Nothing
-  here touches a socket; virtual time comes from the caller.
-
-* asyncio TCP (:func:`serve_tensors` / :func:`send_tensor`) — a real
-  transport speaking the identical length-prefixed frames, for running
-  a segment host out-of-process.  The serving simulation never uses it
-  (the DES cannot wait on real sockets), but the codec and framing are
-  shared, so bytes measured on a simulated link are exactly the bytes
-  a TCP hop would carry.
+The :class:`StreamRouter` moves activation frames, encoded by
+:mod:`repro.cluster.wire`, between nodes over simulated links
+(:class:`SimulatedLink`).  A link is DES-timed and deterministic: a
+transfer occupies the link FIFO for ``latency + bytes·8/bandwidth``
+seconds, with an optional seeded stall process for fault-injection (a
+stalled transfer takes ``stall_factor×`` longer, which is how the
+runtime's ``transfer_timeout`` drop reason gets exercised).  Nothing here touches
+a socket; virtual time comes from the caller.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Awaitable, Callable
 
 import numpy as np
 
 from repro.cluster import wire
 
-if TYPE_CHECKING:  # asyncio is imported when a socket opens, not with the package
-    import asyncio
-
 __all__ = [
     "LinkSpec",
     "SimulatedLink",
     "StreamRouter",
-    "serve_tensors",
-    "send_tensor",
 ]
 
 
@@ -219,74 +204,3 @@ class StreamRouter:
     def reset(self) -> None:
         for link in self.links.values():
             link.reset()
-
-
-# -- real asyncio transport ------------------------------------------------
-
-_LEN = 8  # u64 length prefix, little-endian
-
-
-async def _read_frame(reader: asyncio.StreamReader) -> np.ndarray:
-    header = await reader.readexactly(_LEN)
-    length = int.from_bytes(header, "little")
-    payload = await reader.readexactly(length)
-    tensor, _consumed = wire.decode_frame(payload)
-    return tensor
-
-
-def _write_frame(writer: asyncio.StreamWriter, tensor: np.ndarray, fp16: bool) -> None:
-    frame = wire.encode_frame(tensor, downcast_fp16=fp16)
-    writer.write(len(frame).to_bytes(_LEN, "little") + frame)
-
-
-async def serve_tensors(
-    handler: Callable[[np.ndarray], np.ndarray | Awaitable[np.ndarray]],
-    host: str = "127.0.0.1",
-    port: int = 0,
-    fp16: bool = False,
-) -> asyncio.AbstractServer:
-    """Serve activation frames over TCP: each request tensor is passed
-    to ``handler`` (sync or async) and the result streamed back.
-
-    Returns the started server; the bound port is
-    ``server.sockets[0].getsockname()[1]`` when ``port=0``.
-    """
-    import asyncio
-
-    async def on_connection(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    tensor = await _read_frame(reader)
-                except asyncio.IncompleteReadError:
-                    break
-                result = handler(tensor)
-                if asyncio.iscoroutine(result):
-                    result = await result
-                _write_frame(writer, result, fp16)
-                await writer.drain()
-        finally:
-            writer.close()
-
-    return await asyncio.start_server(on_connection, host, port)
-
-
-async def send_tensor(
-    tensor: np.ndarray, host: str, port: int, fp16: bool = False
-) -> np.ndarray:
-    """Ship one tensor to a :func:`serve_tensors` host; returns the reply."""
-    import asyncio
-
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        _write_frame(writer, tensor, fp16)
-        await writer.drain()
-        return await _read_frame(reader)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown race
-            pass

@@ -6,14 +6,17 @@ round-trip through plain JSON-compatible dictionaries.
 
 The format is versioned; loaders reject unknown versions rather than
 guessing, and a malformed document (a non-object where an object
-belongs, a missing key, a non-numeric or non-finite number) is a
-``ValueError`` naming the field — never a solve on garbage.
+belongs, a missing key, a non-numeric or non-finite number, a repeated
+block or assignment, a path for a task the problem does not have) is a
+``ValueError`` naming the field — never a solve on garbage.  A solution
+naming an unknown task or path is a ``KeyError`` naming the entry.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import re
+import sys
 from numbers import Real
 from typing import Any
 
@@ -42,16 +45,27 @@ FORMAT_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
-def _field(data: Any, key: str, what: str, kind: type = float) -> Any:
+_REQUIRED = object()
+_FLOAT_MAX = sys.float_info.max  # NaN and infinities fail ``abs(x) <= _FLOAT_MAX`` too
+
+
+def _field(
+    data: Any, key: str, what: str, kind: type = float, default: Any = _REQUIRED
+) -> Any:
     """``data[key]`` as a ``kind`` (``float``: any finite number; ``object``:
-    anything, the key just has to be there)."""
+    anything, the key just has to be there, unless a ``default`` stands in
+    for it)."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
     if key not in data:
+        if default is not _REQUIRED:
+            return default
         raise ValueError(f"{what} is missing {key!r}")
     value = data[key]
-    if kind is float:  # numpy scalars pass; JSON true/false do not
-        ok = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    if kind is float:
+        # numpy scalars pass; JSON true/false and ints past float range do not
+        finite = isinstance(value, Real) and abs(value) <= _FLOAT_MAX
+        ok = finite and not isinstance(value, bool)
     else:
         ok = isinstance(value, kind)
     if not ok:
@@ -99,7 +113,7 @@ def _task_from_dict(data: dict[str, Any], what: str) -> Task:
         request_rate=_field(data, "request_rate", what),
         min_accuracy=_field(data, "min_accuracy", what),
         max_latency_s=_field(data, "max_latency_s", what),
-        sinr_db=_field(data, "sinr_db", what) if "sinr_db" in data else 20.0,
+        sinr_db=_field(data, "sinr_db", what, default=20.0),
         qualities=tuple(
             _quality_from_dict(q, f"{what}.qualities[{i}]")
             for i, q in enumerate(_field(data, "qualities", what, list))
@@ -120,11 +134,7 @@ def _block_to_dict(block: Block) -> dict[str, Any]:
 
 def _block_from_dict(data: dict[str, Any], what: str) -> Block:
     # absent in dumps written before blocks carried their batch law
-    marginal = (
-        _field(data, "batch_marginal", what)
-        if "batch_marginal" in data
-        else DEFAULT_BATCH_MARGINAL
-    )
+    marginal = _field(data, "batch_marginal", what, default=DEFAULT_BATCH_MARGINAL)
     if marginal < 0:
         raise ValueError(f"{what}['batch_marginal'] must be >= 0, got {marginal!r}")
     return Block(
@@ -195,6 +205,13 @@ def problem_to_dict(problem: DOTProblem) -> dict[str, Any]:
     }
 
 
+def _task_key(key: str) -> int:
+    """A ``per_task_bits_per_rb`` key: a task id as ``str(int)`` writes it."""
+    if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+        raise ValueError(f"radio.per_task_bits_per_rb key {key!r} is not a task id")
+    return int(key)
+
+
 def _check_version(data: dict[str, Any]) -> None:
     if not isinstance(data, dict):
         raise ValueError(f"document must be a JSON object, got {type(data).__name__}")
@@ -209,21 +226,28 @@ def _check_version(data: dict[str, Any]) -> None:
 def problem_from_dict(data: dict[str, Any]) -> DOTProblem:
     """Decode a problem previously encoded by :func:`problem_to_dict`."""
     _check_version(data)
-    blocks = {}
+    blocks: dict[str, Block] = {}
     for i, entry in enumerate(_field(data, "blocks", "problem", list)):
         block = _block_from_dict(entry, f"blocks[{i}]")
+        if block.block_id in blocks:
+            raise ValueError(f"blocks[{i}] repeats block_id {block.block_id!r}")
         blocks[block.block_id] = block
+    tasks = tuple(
+        _task_from_dict(t, f"tasks[{i}]")
+        for i, t in enumerate(_field(data, "tasks", "problem", list))
+    )
+    task_ids = {task.task_id for task in tasks}
     catalog = Catalog()
     for i, entry in enumerate(_field(data, "paths", "problem", list)):
-        catalog.add_path(_path_from_dict(entry, blocks, f"paths[{i}]"))
+        path = _path_from_dict(entry, blocks, f"paths[{i}]")
+        if path.task_id not in task_ids:
+            raise ValueError(f"paths[{i}] names task {path.task_id!r}, not in tasks")
+        catalog.add_path(path)
     budgets = _field(data, "budgets", "problem", dict)
     radio = _field(data, "radio", "problem", dict)
     per_task = _field(radio, "per_task_bits_per_rb", "radio", dict)
     return DOTProblem(
-        tasks=tuple(
-            _task_from_dict(t, f"tasks[{i}]")
-            for i, t in enumerate(_field(data, "tasks", "problem", list))
-        ),
+        tasks=tasks,
         catalog=catalog,
         budgets=Budgets(
             compute_time_s=_field(budgets, "compute_time_s", "budgets"),
@@ -234,7 +258,7 @@ def problem_from_dict(data: dict[str, Any]) -> DOTProblem:
         radio=RadioModel(
             default_bits_per_rb=_field(radio, "default_bits_per_rb", "radio"),
             per_task_bits_per_rb={
-                int(k): _field(per_task, k, "radio.per_task_bits_per_rb")
+                _task_key(k): _field(per_task, k, "radio.per_task_bits_per_rb")
                 for k in per_task
             },
         ),
@@ -286,25 +310,35 @@ def solution_from_dict(data: dict[str, Any], problem: DOTProblem) -> DOTSolution
         for p in paths
     }
     solution = DOTSolution(
-        solver_name=data.get("solver_name", ""),
-        solve_time_s=data.get("solve_time_s", 0.0),
+        solver_name=_field(data, "solver_name", "solution", str, default=""),
+        solve_time_s=_field(data, "solve_time_s", "solution", default=0.0),
         # absent in pre-scaling dumps, where solve_time_s was end-to-end
-        tree_build_time_s=data.get("tree_build_time_s", 0.0),
+        tree_build_time_s=_field(data, "tree_build_time_s", "solution", default=0.0),
     )
     for i, entry in enumerate(_field(data, "assignments", "solution", list)):
         what = f"assignments[{i}]"
-        task = problem.task(_field(entry, "task_id", what))
+        task_id = _field(entry, "task_id", what)
+        try:
+            task = problem.task(task_id)
+        except KeyError:
+            raise KeyError(f"{what} names unknown task {task_id!r}") from None
+        if task.task_id in solution.assignments:
+            raise ValueError(f"{what} repeats task {task_id!r}")
         path_id = _field(entry, "path_id", what, object)
+        quality = _field(entry, "quality", what, object, default=None)
+        if (path_id is None) != (quality is None):
+            raise ValueError(f"{what} must give both a path_id and a quality, or neither")
         path: Path | None = None
         if path_id is not None:
             base_id = str(path_id).split("@")[0]
             if base_id not in paths_by_id:
-                raise KeyError(f"solution references unknown path {path_id!r}")
+                raise KeyError(f"{what} references unknown path {path_id!r}")
             path = paths_by_id[base_id]
-            if _field(entry, "quality", what, object) is not None:
-                quality = _quality_from_dict(entry["quality"], f"{what}.quality")
-                if quality != path.quality:
-                    path = replace(path, path_id=path_id, quality=quality)
+            quality = _quality_from_dict(quality, f"{what}.quality")
+            if quality != path.quality:
+                path = replace(path, path_id=f"{base_id}@{quality.name}", quality=quality)
+            if path.path_id != path_id:
+                raise ValueError(f"{what} path_id {path_id!r} does not fit its quality")
         solution.assignments[task.task_id] = Assignment(
             task=task,
             path=path,

@@ -13,12 +13,7 @@ scratch on numpy:
 * :mod:`repro.dnn.mobilenet` -- MobileNetV2 on the same block partition
 * :mod:`repro.dnn.pruning` -- DepGraph-style structured channel pruning
 * :mod:`repro.dnn.profiler` -- wall clock / FLOPs / memory measurement
-* :mod:`repro.dnn.autograd` -- exact reverse-mode differentiation
-* :mod:`repro.dnn.finetune` -- real gradient fine-tuning of config suffixes
 * :mod:`repro.dnn.training` -- fine-tuning surrogate for CONFIG A..E
-* :mod:`repro.dnn.detection` -- detection head, NMS, mAP (the paper's
-  "obj. detection" method with 0.5 mAP requirements)
-* :mod:`repro.dnn.detection_train` -- detection-head training
 * :mod:`repro.dnn.datasets` -- the Table II base dataset (synthetic)
 * :mod:`repro.dnn.configs` -- the Table I block configurations
 * :mod:`repro.dnn.repository` -- profiled block/path repository for DOT
@@ -27,7 +22,6 @@ scratch on numpy:
 
 from repro.dnn.compile import CompiledModule, compile_module
 from repro.dnn.configs import BlockConfig, TABLE_I_CONFIGS
-from repro.dnn.finetune import FineTuner
 from repro.dnn.mobilenet import build_mobilenetv2
 from repro.dnn.profiler import BlockProfile, ModelProfile, profile_model
 from repro.dnn.pruning import prune_module
@@ -47,7 +41,6 @@ __all__ = [
     "BlockConfig",
     "TABLE_I_CONFIGS",
     "prune_module",
-    "FineTuner",
     "save_weights",
     "load_weights",
 ]

@@ -2,7 +2,7 @@
 
 The eager engine (:mod:`repro.dnn.layers` / :mod:`repro.dnn.graph`) runs
 ``Conv2d -> BatchNorm2d -> ReLU`` as three separate passes, each
-allocating a fresh intermediate tensor — fine for training and autograd,
+allocating a fresh intermediate tensor — fine as a parity oracle,
 wasteful for the inference loops the profiler, the serving runtime and
 the emulation benchmarks hammer.  This module is the standard CPU-engine
 answer: :func:`compile_module` walks a ``Sequential`` / ``Residual`` /

@@ -8,13 +8,9 @@ the same class structure and *controllable separability*, which is what
 the Fig. 2 / Fig. 3 experiments actually exercise (accuracy orderings
 across training configurations, not absolute ImageNet numbers).
 
-Two granularities are offered:
-
-* :class:`FeatureDataset` — Gaussian class clusters in the ResNet
-  feature space (512-d), used to train the classifier head with real
-  numpy SGD;
-* :class:`ImageDataset` — per-class template images plus noise, used for
-  end-to-end forward-pass tests of full models.
+:class:`FeatureDataset` holds Gaussian class clusters in the ResNet
+feature space (512-d), used to train the classifier head with real
+numpy SGD.
 """
 
 from __future__ import annotations
@@ -29,9 +25,7 @@ __all__ = [
     "BASE_NUM_CLASSES",
     "NEW_TASK_CLASSES",
     "FeatureDataset",
-    "ImageDataset",
     "make_feature_dataset",
-    "make_image_dataset",
 ]
 
 
@@ -129,33 +123,3 @@ def make_feature_dataset(
         prototypes=prototypes.astype(np.float32),
     )
 
-
-@dataclass(frozen=True)
-class ImageDataset:
-    """Per-class template images plus additive noise."""
-
-    images: np.ndarray  # (N, C, H, W)
-    labels: np.ndarray  # (N,)
-    num_classes: int
-
-
-def make_image_dataset(
-    num_classes: int = 10,
-    samples_per_class: int = 4,
-    image_size: int = 32,
-    noise_std: float = 0.3,
-    seed: int = 0,
-) -> ImageDataset:
-    """Generate template-plus-noise images for end-to-end tests."""
-    if num_classes < 1:
-        raise ValueError("need at least one class")
-    rng = np.random.default_rng(seed)
-    templates = rng.normal(0.0, 1.0, (num_classes, 3, image_size, image_size))
-    labels = np.repeat(np.arange(num_classes), samples_per_class)
-    noise = rng.normal(0.0, noise_std, (len(labels), 3, image_size, image_size))
-    images = templates[labels] + noise
-    return ImageDataset(
-        images=images.astype(np.float32),
-        labels=labels.astype(np.int64),
-        num_classes=num_classes,
-    )

@@ -78,9 +78,9 @@ class MethodProfile:
     metric: str = "top-1"
 
 
-#: Built-in method profiles.  Detection costs are grounded on the
-#: substrate: repro.dnn.detection's head adds ~15-20% backbone compute
-#: and the mAP of a detector trails its backbone's top-1 substantially.
+#: Built-in method profiles.  The detection entries are declared hand
+#: constants (a head adding ~20% compute, an mAP that trails the
+#: backbone's top-1); nothing in the repo measures them yet.
 METHOD_PROFILES: dict[str, MethodProfile] = {
     "classification": MethodProfile(method="classification"),
     "detection": MethodProfile(

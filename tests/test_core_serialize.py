@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 from dataclasses import replace
+from numbers import Real
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.catalog import DEFAULT_BATCH_MARGINAL, Catalog
 from repro.core.heuristic import OffloaDNNSolver
 from repro.core.objective import objective_value
+from repro.core.problem import Budgets, DOTProblem, RadioModel
 from repro.core.serialize import (
     FORMAT_VERSION,
     dump_problem,
@@ -23,7 +27,9 @@ from repro.core.serialize import (
     solution_from_dict,
     solution_to_dict,
 )
+from repro.core.task import QualityLevel, Task
 from repro.workloads.smallscale import small_scale_problem
+from tests.conftest import make_block, make_path
 
 
 class TestProblemRoundTrip:
@@ -280,3 +286,209 @@ class TestRunBackedSolution:
         assert counted.task(count).task_id == count
         with pytest.raises(KeyError):
             counted.task(count + 1)
+
+
+def _documents() -> tuple[dict, dict]:
+    """A small problem document that uses every optional field, and a
+    solution document with a quality-expanded path and a rejected task."""
+    full = QualityLevel("full", 350_000.0)
+    low = QualityLevel("low", 100_000.0, accuracy_factor=0.9)
+    tasks = (
+        Task(task_id=1, name="a", method="classification", priority=0.9,
+             request_rate=5.0, min_accuracy=0.5, max_latency_s=0.4,
+             qualities=(full, low)),
+        Task(task_id=2, name="b", method="detection", priority=0.5,
+             request_rate=2.0, min_accuracy=0.5, max_latency_s=0.3,
+             qualities=(full,), sinr_db=12.0),
+    )
+    trunk = replace(make_block("trunk", compute_time_s=0.004), batch_marginal=0.5)
+    catalog = Catalog()
+    for task in tasks:
+        head = make_block(f"head{task.task_id}", training_cost_s=40.0)
+        catalog.add_path(make_path(task, f"t{task.task_id}", (trunk, head)))
+    rich = make_block("head1-rich", compute_time_s=0.01, training_cost_s=90.0)
+    catalog.add_path(make_path(tasks[0], "t1-rich", (trunk, rich), accuracy=0.95))
+    problem = DOTProblem(
+        tasks=tasks, catalog=catalog, budgets=Budgets(2.5, 1000.0, 8.0, 50),
+        radio=RadioModel(per_task_bits_per_rb={2: 200_000.0}),
+    )
+    solution = OffloaDNNSolver().solve(problem)
+    document = solution_to_dict(solution)
+    document["assignments"] = [
+        {"task_id": 1, "path_id": "t1@low", "quality": {
+            "name": "low", "bits_per_image": 100_000.0, "accuracy_factor": 0.9,
+        }, "admission_ratio": 0.5, "radio_blocks": 3},
+        {"task_id": 2, "path_id": None, "quality": None,
+         "admission_ratio": 0.0, "radio_blocks": 0},
+    ]
+    return problem_to_dict(problem), document
+
+
+_PROBLEM, _SOLUTION = _documents()
+
+
+def _append_block_copy(problem, solution):
+    problem["blocks"].append(dict(problem["blocks"][0], compute_time_s=9.0))
+
+
+def _path_for_no_task(problem, solution):
+    # task 1 keeps its other path, so the catalog still covers every task
+    problem["paths"][1]["task_id"] = 999
+
+
+def _radio_key_not_an_id(problem, solution):
+    # int("02") is 2: a second entry for task 2 beside "2" would vanish
+    problem["radio"]["per_task_bits_per_rb"] = {"02": 1.0}
+
+
+def _repeat_assignment(problem, solution):
+    solution["assignments"][1] = dict(solution["assignments"][0])
+
+
+def _text_solve_time(problem, solution):
+    solution["solve_time_s"] = "abc"
+
+
+def _text_build_time(problem, solution):
+    solution["tree_build_time_s"] = "abc"
+
+
+def _quality_on_a_rejection(problem, solution):
+    solution["assignments"][1]["quality"] = solution["assignments"][0]["quality"]
+
+
+def _path_id_off_its_quality(problem, solution):
+    # "t1@low" at t1's own quality used to load as t1
+    solution["assignments"][0]["quality"] = problem["paths"][0]["quality"]
+
+
+def _assignment_for_no_task(problem, solution):
+    solution["assignments"][0]["task_id"] = 999
+
+
+_MALFORMED = [
+    (_append_block_copy, ValueError, r"blocks\[4\] repeats block_id 'trunk'"),
+    (_path_for_no_task, ValueError, r"paths\[1\] names task 999, not in tasks"),
+    (_radio_key_not_an_id, ValueError, r"per_task_bits_per_rb key '02' is not a task id"),
+    (_repeat_assignment, ValueError, r"assignments\[1\] repeats task 1"),
+    (_text_solve_time, ValueError, r"solution\['solve_time_s'\] must be a finite"),
+    (_text_build_time, ValueError, r"solution\['tree_build_time_s'\] must be a finite"),
+    (_quality_on_a_rejection, ValueError, r"assignments\[1\] must give both"),
+    (_path_id_off_its_quality, ValueError, r"path_id 't1@low' does not fit its quality"),
+    (_assignment_for_no_task, KeyError, r"assignments\[0\] names unknown task 999"),
+]
+
+
+class TestMalformedDocuments:
+    """Each document here loaded (or raised an unnamed ``KeyError``)
+    before the loaders checked it."""
+
+    @pytest.mark.parametrize(
+        "mutate, error, message", _MALFORMED,
+        ids=[mutate.__name__.lstrip("_") for mutate, _, _ in _MALFORMED],
+    )
+    def test_is_an_error_naming_the_entry(self, mutate, error, message):
+        problem, solution = copy.deepcopy(_PROBLEM), copy.deepcopy(_SOLUTION)
+        mutate(problem, solution)
+        with pytest.raises(error, match=message):
+            solution_from_dict(solution, problem_from_dict(problem))
+
+    def test_the_unmutated_documents_load(self):
+        problem = problem_from_dict(copy.deepcopy(_PROBLEM))
+        solution = solution_from_dict(copy.deepcopy(_SOLUTION), problem)
+        assert problem_to_dict(problem) == _PROBLEM
+        assert solution_to_dict(solution) == _SOLUTION
+
+
+def _positions(node, at=()):
+    """``(place, value)`` for every place in a JSON document a value sits,
+    the root included."""
+    yield at, node
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield from _positions(child, at + (key,))
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+#: the documents' own pieces: ids, task ids, blocks and qualities, so a
+#: replacement can repeat or cross-reference an entry
+_PIECES = st.sampled_from(
+    [value for document in (_PROBLEM, _SOLUTION) for _, value in _positions(document)]
+).map(copy.deepcopy)
+_EDITS = st.tuples(
+    st.sampled_from(
+        [("problem", at) for at, _ in _positions(_PROBLEM)]
+        + [("solution", at) for at, _ in _positions(_SOLUTION)]
+    ),
+    _JSON | _PIECES,
+)
+
+
+def _replaced(document, at, value):
+    if not at:
+        return value
+    document = copy.deepcopy(document)
+    node = document
+    for key in at[:-1]:
+        node = node[key]
+    node[at[-1]] = value
+    return document
+
+
+def _canonical(problem_doc, solution_doc):
+    """The documents as the loaders read them: blocks by id (only those a
+    path names), paths and assignments in task order (the order within a
+    task is kept)."""
+    named = {bid for path in problem_doc["paths"] for bid in path["block_ids"]}
+    problem_doc = dict(
+        problem_doc,
+        blocks={
+            block["block_id"]: block
+            for block in problem_doc["blocks"] if block["block_id"] in named
+        },
+        paths=sorted(problem_doc["paths"], key=lambda path: path["task_id"]),
+    )
+    assignments = sorted(solution_doc["assignments"], key=lambda a: a["task_id"])
+    return problem_doc, dict(solution_doc, assignments=assignments)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edit=_EDITS)
+def test_a_field_replaced_by_any_json_loads_faithfully_or_is_a_named_error(edit):
+    """Replace one field of a valid problem or solution document by any
+    JSON value: the loaders return objects that write the documents back
+    (up to :func:`_canonical`), or raise ``ValueError`` / ``KeyError`` —
+    never ``TypeError``, ``AttributeError`` or a silently different
+    object."""
+    (which, at), value = edit
+    problem_doc, solution_doc = _PROBLEM, _SOLUTION
+    if which == "problem":
+        problem_doc = _replaced(_PROBLEM, at, value)
+    else:
+        solution_doc = _replaced(_SOLUTION, at, value)
+    try:
+        problem = problem_from_dict(problem_doc)
+        solution = solution_from_dict(solution_doc, problem)
+    except (ValueError, KeyError):
+        return
+    written = _canonical(problem_to_dict(problem), solution_to_dict(solution))
+    assert written == _canonical(problem_doc, solution_doc)
+    task_ids = {task.task_id for task in problem.tasks}
+    assert set(problem.catalog.paths_by_task) <= task_ids
+    assert isinstance(solution.solver_name, str)
+    assert _is_number(solution.solve_time_s) and _is_number(solution.tree_build_time_s)

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.dnn import autograd, ops
+from repro.dnn import ops
 from repro.dnn import compile as compile_mod
 from repro.dnn.compile import (
     _ALIGN,
@@ -30,7 +30,6 @@ from repro.dnn.layers import (
     BatchNorm2d,
     Conv2d,
     DepthwiseConv2d,
-    Flatten,
     Linear,
     ReLU,
     ReLU6,
@@ -214,10 +213,6 @@ class TestInterface:
             quantize = "int8" if engine == "int8" else None
             out = compile_module(model, quantize=quantize).forward(x)
         assert out.shape == (0, 7)
-
-    def test_autograd_flatten_takes_an_empty_batch(self):
-        out, _ = autograd.forward(Flatten(), np.zeros((0, 4, 2, 2), dtype=np.float32))
-        assert out.shape == (0, 16)
 
     def test_compile_rejects_non_layer(self):
         with pytest.raises(TypeError):

@@ -10,7 +10,6 @@ from repro.dnn.datasets import (
     NEW_TASK_CLASSES,
     TABLE_II_GROUPS,
     make_feature_dataset,
-    make_image_dataset,
 )
 
 
@@ -86,20 +85,3 @@ class TestFeatureDataset:
                 prototypes=np.zeros((2, 2)),
             )
 
-
-class TestImageDataset:
-    def test_shapes(self):
-        data = make_image_dataset(num_classes=3, samples_per_class=2, image_size=8)
-        assert data.images.shape == (6, 3, 8, 8)
-        assert data.labels.shape == (6,)
-
-    def test_same_class_images_correlated(self):
-        data = make_image_dataset(num_classes=2, samples_per_class=4, noise_std=0.1, seed=0)
-        imgs = data.images
-        same = np.corrcoef(imgs[0].ravel(), imgs[1].ravel())[0, 1]
-        diff = np.corrcoef(imgs[0].ravel(), imgs[-1].ravel())[0, 1]
-        assert same > diff
-
-    def test_invalid_classes_raise(self):
-        with pytest.raises(ValueError):
-            make_image_dataset(num_classes=0)

@@ -60,7 +60,7 @@ def test_execute_real_deployment_stays_inside_its_memory_budget():
 def test_import_loads_neither_networkx_nor_asyncio():
     """``import repro`` read 51.6 MB RSS with both, 31.0 MB without:
     networkx served one connected-components call in pruning, asyncio
-    only the TCP transport, which imports it when a socket opens."""
+    only a TCP transport that is no longer part of the package."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     script = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import repro; "
