@@ -14,8 +14,8 @@ Public API tour:
 * the radio substrate: :mod:`repro.radio`
 * the Colosseum substitute's simulator and LTE cell: :mod:`repro.emulator`
 * the serving runtime executing admitted streams: :mod:`repro.serving`
-  (``ServingRuntime``, ``TokenBucket``, ``ServingMetrics``; Fig. 11 is
-  its ``fig11_runtime`` configuration)
+  (``ServingRuntime``, ``ServingConfig``, ``ServingMetrics``; Fig. 11
+  is its ``fig11_runtime`` configuration)
 * the multi-node serving fabric: :mod:`repro.cluster`
   (``ClusterOrchestrator``, ``NodeSpec``, ``StreamRouter``)
 * tracing/metrics/trace export: :mod:`repro.obs`
@@ -50,7 +50,7 @@ from repro.core import (
 from repro.baselines import SemORANSolver
 from repro.cluster import ClusterOrchestrator, NodeSpec, StreamRouter
 from repro.obs import ObsSession, use_tracer
-from repro.serving import ServingConfig, ServingMetrics, ServingRuntime, TokenBucket
+from repro.serving import ServingConfig, ServingMetrics, ServingRuntime
 from repro.workloads import (
     RequestRate,
     large_scale_problem,
@@ -80,7 +80,6 @@ __all__ = [
     "ServingRuntime",
     "StreamRouter",
     "Task",
-    "TokenBucket",
     "RequestRate",
     "check_constraints",
     "objective_value",

@@ -438,18 +438,22 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         except (ValueError, OSError) as exc:  # invalid JSON is a ValueError
             print(f"error: topology {args.cluster!r}: {exc}", file=sys.stderr)
             return 2
+    try:
+        config = ServingConfig(
+            duration_s=args.duration,
+            batch_window_s=args.window,
+            queue_policy=args.policy,
+            num_workers=1 if args.workers is None else args.workers,
+            prefix_cache=not args.no_prefix_cache,
+            poisson=args.poisson,
+            load_factor=args.load,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     obs, scope = _start_trace(args.trace)
     problem = serving_small_scale_problem(args.tasks, seed=args.seed)
-    config = ServingConfig(
-        duration_s=args.duration,
-        batch_window_s=args.window,
-        queue_policy=args.policy,
-        num_workers=1 if args.workers is None else args.workers,
-        prefix_cache=not args.no_prefix_cache,
-        poisson=args.poisson,
-        load_factor=args.load,
-        seed=args.seed,
-    )
     with scope:
         runtime = ServingRuntime.from_problem(
             problem, config, solver=OffloaDNNSolver(slice_margin_rbs=args.slice_margin)

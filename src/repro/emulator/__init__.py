@@ -7,13 +7,13 @@ over an emulated 20 MHz LTE cell (100 RBs, 0 dB path loss).
 
 This package holds the two substrates that experiment runs on in
 software: the discrete-event :class:`Simulator` and the TTI-granular
-:class:`LteCell` uplink (per-task slices, optional block fading and
-HARQ).  The request-level loop on top of them — devices, admission
-gate, queues, GPU, latency records — is :mod:`repro.serving`; the
-Fig. 11 run is :func:`repro.serving.fig11_runtime`.
+:class:`LteCell` uplink (per-task slices, optional block fading).  The
+request-level loop on top of them — devices, admission, queues, GPU,
+latency records — is :mod:`repro.serving`; the Fig. 11 run is
+:func:`repro.serving.fig11_runtime`.
 """
 
-from repro.emulator.simulator import Simulator, Event
+from repro.emulator.simulator import Simulator
 from repro.emulator.lte import LteCell, TTI_S
 
-__all__ = ["Simulator", "Event", "LteCell", "TTI_S"]
+__all__ = ["Simulator", "LteCell", "TTI_S"]

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.radio.slicing import Slice, SliceManager
 
-__all__ = ["TTI_S", "BlockFading", "HarqConfig", "LteCell"]
+__all__ = ["TTI_S", "BlockFading", "LteCell"]
 
 #: LTE subframe (transmission time interval) in seconds.
 TTI_S = 0.001
@@ -52,48 +52,6 @@ class BlockFading:
         return float(10.0 ** (-attenuation_db / 10.0))
 
 
-@dataclass(frozen=True)
-class HarqConfig:
-    """Hybrid-ARQ retransmission model.
-
-    Each TTI of a frame's transmission fails independently with
-    ``tti_error_rate`` (the post-adaptation BLER; LTE link adaptation
-    targets ~10%); failed TTIs are retransmitted up to
-    ``max_retransmissions`` times each, inflating the airtime.  TTIs
-    still failing after the retransmission budget are passed up anyway
-    (residual errors are a higher-layer concern here).
-    """
-
-    tti_error_rate: float = 0.1
-    max_retransmissions: int = 4
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.tti_error_rate < 1.0:
-            raise ValueError("tti_error_rate must be in [0, 1)")
-        if self.max_retransmissions < 0:
-            raise ValueError("max_retransmissions must be >= 0")
-
-    def transmissions_for(self, subframes: int, rng: np.random.Generator) -> int:
-        """Total TTIs consumed to deliver ``subframes`` TTIs of data."""
-        total = 0
-        for _ in range(subframes):
-            attempts = 1
-            while (
-                attempts <= self.max_retransmissions
-                and rng.uniform() < self.tti_error_rate
-            ):
-                attempts += 1
-            total += attempts
-        return total
-
-    def expected_overhead(self) -> float:
-        """Expected airtime inflation factor (>= 1)."""
-        p = self.tti_error_rate
-        expected = sum(p**k for k in range(self.max_retransmissions + 1))
-        return expected
-
-
 @dataclass
 class LteCell:
     """Uplink of an LTE cell with per-task dedicated slices."""
@@ -101,15 +59,8 @@ class LteCell:
     slice_manager: SliceManager
     #: optional slow-fading process modulating per-slice throughput
     fading: BlockFading | None = None
-    #: optional HARQ retransmission model (None = error-free TTIs)
-    harq: HarqConfig | None = None
     #: virtual time at which each slice is next free (FIFO per slice)
     _slice_busy_until: dict[int, float] = field(default_factory=dict)
-    _harq_rng: np.random.Generator | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.harq is not None:
-            self._harq_rng = np.random.default_rng(self.harq.seed)
 
     def transmission_duration(self, task_id: int, bits: float, now: float = 0.0) -> float:
         """Airtime of one frame on the task's slice, TTI-granular."""
@@ -120,9 +71,6 @@ class LteCell:
         if throughput <= 0:
             return float("inf")
         subframes = max(1, math.ceil(bits / (throughput * TTI_S) - 1e-12))
-        if self.harq is not None:
-            assert self._harq_rng is not None
-            subframes = self.harq.transmissions_for(subframes, self._harq_rng)
         return subframes * TTI_S
 
     def enqueue_frame(self, task_id: int, bits: float, now: float) -> float:

@@ -14,7 +14,7 @@ one sample per request) so percentiles use exactly the
 there is no bucketing error to reconcile.
 
 :class:`DesSampler` is the periodic half: probes (queue depths,
-token-bucket credit, pool busyness, cache hit rates) are sampled on the
+outstanding requests, pool busyness, cache hit rates) are sampled on the
 DES virtual clock, so the resulting gauge series are deterministic
 across runs and cheap — sampling costs one event per period, not one
 per request.

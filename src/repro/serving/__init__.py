@@ -4,8 +4,6 @@ Where :mod:`repro.edge` *decides* (which tasks, which paths, which
 slices), this package *serves*: it drives per-task request streams
 through the deployed DNN paths on the discrete-event simulator, with
 
-* :mod:`repro.serving.admission` — token buckets enforcing the solved
-  admission ratios ``z_τ``;
 * :mod:`repro.serving.queueing` — bounded, deadline-aware per-slice
   queues (FIFO or EDF) with drop accounting, and the ready-queue index
   that lets a dispatcher tick visit only the non-empty ones;
@@ -20,8 +18,9 @@ through the deployed DNN paths on the discrete-event simulator, with
 * :mod:`repro.serving.runtime` — the end-to-end loop on the emulator
   clock, reusing the LTE uplink for transfer time;
 * :mod:`repro.serving.waves` / :mod:`repro.serving.engine` — the
-  arrival side: whole arrival waves precomputed with numpy,
-  closed-form token-bucket admission, pooled request records
+  arrival side: whole arrival waves precomputed with numpy, the
+  admission gate enforcing the solved ratios ``z_τ`` in closed form
+  over each wave, pooled request records
   (:mod:`repro.serving.pool`), one DES event per batching window —
   bit-identical to the one-event-per-request reference kept in
   ``tests/oracles.py``.
@@ -31,7 +30,6 @@ Entry points: ``ServingRuntime.from_problem(problem).run()`` or the
 is the paper's Sec. V-B validation run as one configuration of it.
 """
 
-from repro.serving.admission import AdmissionGate, TokenBucket
 from repro.serving.engine import TaskWave, WavePlan
 from repro.serving.executor import BatchExecutor, BlockwiseRunner, WindowReport
 from repro.serving.pool import RequestPool
@@ -51,7 +49,6 @@ from repro.serving.queueing import (
 from repro.serving.runtime import ServingConfig, ServingRuntime, fig11_runtime
 
 __all__ = [
-    "AdmissionGate",
     "BatchExecutor",
     "BlockwiseRunner",
     "DropReason",
@@ -65,7 +62,6 @@ __all__ = [
     "ServingRuntime",
     "TaskServingMetrics",
     "TaskWave",
-    "TokenBucket",
     "WavePlan",
     "WindowReport",
     "fig11_runtime",

@@ -2,17 +2,17 @@
 
 A one-event-per-request DES (the *scalar* reference, kept as
 ``tests/oracles.py::scalar_run``) costs one event plus one closure per
-*offered* request — three heap operations, an allocation, and a
-token-bucket call each.  The wave engine replaces all per-request
+*offered* request — three heap operations, an allocation, and an
+admission call each.  The wave engine replaces all per-request
 control flow up to the serving queue with numpy over whole arrival
 waves:
 
 1. each task's arrival instants are pre-drawn as one array
    (:func:`repro.serving.waves.arrival_times`, bit-identical to the
    scalar emit chain);
-2. token-bucket admission is evaluated in closed form over the wave
-   (:func:`repro.serving.waves.wave_admissions`) — requests the gate
-   sheds are *counted*, never materialized;
+2. admission is evaluated in closed form over the wave at the task's
+   ratio (:func:`repro.serving.waves.wave_admissions`) — requests the
+   gate sheds are *counted*, never materialized;
 3. uplink deliveries of the admitted subset replay the slice FIFO as
    an array scan (:func:`repro.serving.waves.fifo_deliveries`; frame by
    frame through :meth:`LteCell.enqueue_frame` when the cell fades);
@@ -44,7 +44,7 @@ so the tie is settled when the index is built, not when the tick fires.
 What the engine deliberately does **not** reproduce is per-request
 observability *between* windows: admission-shed trace events are
 emitted in bulk (same payloads, per-task order) and sampled gauge
-series see queue/bucket state at window granularity.  Registry
+series see queue state at window granularity.  Registry
 counters, histograms, spans of served requests, and every
 ``ServingMetrics`` number remain bit-identical.
 """
@@ -74,7 +74,7 @@ class TaskWave:
     arrivals: np.ndarray
     #: global request ids, one per arrival (scalar numbering)
     ids: np.ndarray
-    #: indices into ``arrivals`` the token bucket admitted
+    #: indices into ``arrivals`` the admission gate admitted
     admitted_idx: np.ndarray
     #: uplink delivery instant per admitted request (slice FIFO)
     deliveries: np.ndarray
@@ -212,21 +212,15 @@ class WavePlan:
         cls,
         served_tasks: list[tuple],
         config,
-        gate,
+        ratios: dict[int, float],
         cell,
     ) -> "WavePlan":
         """Precompute every task's wave for one run.
 
-        ``served_tasks`` is the runtime's ``(task, path)`` list; the
-        gate's buckets are fast-forwarded to their end-of-run state so
-        observability probes and ``served_fraction`` stay meaningful.
+        ``served_tasks`` is the runtime's ``(task, path)`` list and
+        ``ratios`` the admission ratio each served task's offered
+        stream is metered at.
         """
-        if cell.harq is not None:
-            raise ValueError(
-                "the wave engine cannot serve a HARQ cell: the cell's one "
-                "retransmission Generator is shared across tasks, so a "
-                "per-wave replay would draw in a different order than the DES"
-            )
         arrivals_per_task = []
         for task, _path in served_tasks:
             rng = np.random.default_rng(config.seed * 7919 + task.task_id)
@@ -244,11 +238,9 @@ class WavePlan:
         for (task, path), arrivals, ids in zip(
             served_tasks, arrivals_per_task, ids_per_task
         ):
-            bucket = gate.bucket(task.task_id)
-            mask, counts = waves.wave_admissions(bucket.ratio, len(arrivals))
+            mask, _counts = waves.wave_admissions(ratios[task.task_id], len(arrivals))
             admitted_idx = np.nonzero(mask)[0]
             n_admitted = len(admitted_idx)
-            bucket.fast_forward(len(arrivals), n_admitted)
             admitted_arrivals = arrivals[admitted_idx]
             bits = path.bits_per_image
             if cell.fading is None:

@@ -126,7 +126,7 @@ class TaskServingMetrics:
     task_id: int
     #: requests generated by the devices (the offered load)
     offered: int
-    #: requests past the token bucket (≈ ``z_τ`` · offered)
+    #: requests past the admission gate (≈ ``z_τ`` · offered)
     admitted: int
     #: served to completion (includes late completions)
     completed: int

@@ -39,7 +39,7 @@ UNSET = float("nan")
 class DropReason(enum.Enum):
     """Why a request left the pipeline without being served."""
 
-    #: gated by the token bucket (the solved ``z_τ`` says: shed it)
+    #: shed by the admission gate (the solved ``z_τ`` says: shed it)
     ADMISSION = "admission"
     #: the task's serving queue was full (backpressure)
     QUEUE_FULL = "queue_full"

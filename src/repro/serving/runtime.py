@@ -6,8 +6,9 @@ Takes an :class:`~repro.edge.controller.OffloaDNNController` deployment
 
 1. devices generate requests at the offered rate ``λ_τ`` (optionally
    scaled by ``load_factor`` to study overload);
-2. the per-task :class:`~repro.serving.admission.TokenBucket` sheds
-   everything beyond the solved admission ratio ``z_τ``;
+2. each task's admission gate sheds everything beyond the solved
+   admission ratio ``z_τ``, in closed form over the task's whole
+   arrival wave (:func:`~repro.serving.waves.wave_admissions`);
 3. surviving requests ride the task's radio slice through
    :class:`~repro.emulator.lte.LteCell` (TTI-granular, FIFO per slice);
 4. on arrival they enter the task's bounded, deadline-aware
@@ -51,7 +52,6 @@ from repro.emulator.simulator import Simulator
 from repro.obs.session import ObsSession
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.radio.slicing import SliceManager
-from repro.serving.admission import AdmissionGate
 from repro.serving.engine import WavePlan
 from repro.serving.executor import BatchExecutor
 from repro.serving.metrics import ServingMetrics, task_metrics
@@ -134,12 +134,9 @@ class ServingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.batch_window_s <= 0:
-            raise ValueError("batch_window_s must be positive")
-        if self.load_factor <= 0:
-            raise ValueError("load_factor must be positive")
+        for name in ("duration_s", "batch_window_s", "load_factor"):
+            if not 0.0 < getattr(self, name) < inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.max_batch is not None and self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.queue_policy not in ("fifo", "edf"):
@@ -148,8 +145,8 @@ class ServingConfig:
             raise ValueError("queue_depth must be >= 1")
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if self.result_return_s < 0.0:
-            raise ValueError("result_return_s must be >= 0")
+        if not 0.0 <= self.result_return_s < inf:
+            raise ValueError("result_return_s must be finite and >= 0")
 
 
 @dataclass
@@ -257,9 +254,7 @@ class ServingRuntime:
         """Execute one seeded serving simulation and summarize it."""
         # the pool recycles the last run's records: let their list go now
         self.last_requests = []
-        # the wave engine never hands event objects to callers, so the
-        # simulator may recycle them through its freelist
-        sim = Simulator(recycle_events=True)
+        sim = Simulator()
         run = _Run(self, sim)
         if run.served_tasks:
             run.start_waves()
@@ -353,16 +348,14 @@ class _Run:
             self.executor = BatchExecutor(num_workers=cfg.num_workers, **ledger)
         runtime.executor = self.executor
         # The ticket grants z_τ·λ_τ requests/s; devices offer
-        # λ_τ·load_factor.  The bucket meters the granted *rate* against
+        # λ_τ·load_factor.  The gate meters the granted *rate* against
         # the offered stream, so overload sheds at the gate instead of
         # melting the uplink: effective ratio = min(1, z / load_factor).
-        self.gate = AdmissionGate.from_ratios(
-            {
-                tid: min(1.0, ticket.admission_ratio / cfg.load_factor)
-                for tid, ticket in runtime.tickets.items()
-                if ticket.admitted
-            }
-        )
+        self.ratios: dict[int, float] = {
+            tid: min(1.0, ticket.admission_ratio / cfg.load_factor)
+            for tid, ticket in runtime.tickets.items()
+            if ticket.admitted
+        }
         self.queues: dict[int, ServingQueue] = {}
         self.served_tasks = []
         for task in runtime.problem.tasks:
@@ -393,7 +386,7 @@ class _Run:
 
     def start_waves(self) -> None:
         """Precompute the arrival waves and schedule the first tick."""
-        self.plan = WavePlan.build(self.served_tasks, self.cfg, self.gate, self.cell)
+        self.plan = WavePlan.build(self.served_tasks, self.cfg, self.ratios, self.cell)
         self.runtime.pool.reset()
         # every admitted request is in flight from the start; queue_full,
         # deadline and completion decrements drain the count
@@ -502,20 +495,14 @@ class _Run:
                     )
 
     def attach_probes(self) -> None:
-        """Sampled gauges of an observed run: queues, gate, executor."""
+        """Sampled gauges of an observed run: queues, executor."""
         obs = self.runtime.obs
         if obs is None:
             return
         sim, executor = self.sim, self.executor
         sampler = obs.sampler()
-        for task, _path in self.served_tasks:
-            tid = task.task_id
-            queue = self.queues[tid]
+        for tid, queue in self.queues.items():
             sampler.add_probe(f"queue.depth.task{tid}", lambda q=queue: len(q))
-            bucket = self.gate.bucket(tid)
-            sampler.add_probe(
-                f"admission.credit.task{tid}", lambda b=bucket: b.credit
-            )
         sampler.add_probe("serving.outstanding", lambda: self.outstanding)
         sampler.add_probe(
             "executor.busy_workers", lambda: executor.busy_workers(sim.now)

@@ -2,9 +2,9 @@
 
 A scalar data plane (the reference kept in ``tests/oracles.py``)
 generates one DES event per offered request (an ``emit`` closure that
-draws the next inter-arrival gap, meters the token bucket, and enqueues
-the uplink frame).  That is perfectly fine at paper scale — a few
-hundred requests — and hopeless at 10⁵–10⁶.
+draws the next inter-arrival gap, meters a per-request token bucket,
+and enqueues the uplink frame).  That is perfectly fine at paper
+scale — a few hundred requests — and hopeless at 10⁵–10⁶.
 
 This module computes the same quantities as whole numpy arrays, one
 *wave* per task, with **bit-identical** results to the scalar event
@@ -17,12 +17,15 @@ chain:
   ``Generator`` — numpy fills arrays from the identical bitstream a
   sequence of scalar draws would consume, so the values match float for
   float.
-* :func:`wave_admissions` evaluates the token bucket over a whole wave
-  in closed form.  The bucket's documented admission law — request
-  ``k`` is admitted iff ``⌊k·z⌋`` increments — is evaluated with the
-  exact float expression the scalar :class:`~repro.serving.admission.
-  TokenBucket` uses, including its clamp to one admission per offered
-  request, so decisions *and* credit levels agree bit-for-bit.
+* :func:`wave_admissions` is the admission gate, in closed form over a
+  whole wave.  The admission law — request ``k`` is admitted iff
+  ``⌊k·z⌋`` increments — is evaluated with the exact float expression
+  the per-request bucket in ``tests/oracles.py`` uses, including its
+  clamp to one admission per offered request, so the decisions and
+  admitted counts agree bit for bit.  Over any ``n`` offered requests
+  the admitted count is within one of ``n·z`` (exact for ``z ∈ {0,
+  1}``), and no clock is involved, so the decisions do not depend on
+  arrival jitter.
 * :func:`fifo_deliveries` replays the per-slice FIFO uplink (``start =
   max(arrival, busy); finish = fl(start + airtime)``).  When the slice
   never queues (the common case at solved operating points) the whole
@@ -43,12 +46,11 @@ import numpy as np
 __all__ = [
     "arrival_times",
     "wave_admissions",
-    "admission_credits",
     "fifo_deliveries",
     "merge_arrival_order",
 ]
 
-#: the token bucket's admission epsilon (see ``repro.serving.admission``)
+#: tolerance absorbing float error in the admission target ``k·z``
 ADMIT_EPS = 1e-12
 
 
@@ -93,18 +95,18 @@ def arrival_times(
 
 
 def wave_admissions(ratio: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Token-bucket decisions for ``n`` offered requests, in closed form.
+    """Admission decisions for ``n`` offered requests, in closed form.
 
     Returns ``(mask, admitted)`` where ``mask[k]`` is the admit/shed
     decision for offered request ``k`` (0-indexed) and ``admitted[k]``
     the running admitted count *after* request ``k``.
 
-    The scalar bucket admits request ``k`` (1-indexed) iff
-    ``⌊fl(k·z) + ε⌋`` exceeds the admitted count so far, which can grow
-    by at most one per request.  The closed form is therefore the
-    clamped running minimum ``a_k = min_{j≤k}(target_j + (k − j))`` —
-    an exact integer computation once the float targets are fixed, so
-    the decisions and bucket levels match the scalar loop bit for bit.
+    Request ``k`` (1-indexed) is admitted iff ``⌊fl(k·z) + ε⌋`` exceeds
+    the admitted count so far, which can grow by at most one per
+    request.  The closed form is therefore the clamped running minimum
+    ``a_k = min_{j≤k}(target_j + (k − j))`` — an exact integer
+    computation once the float targets are fixed, so the decisions and
+    counts match a per-request loop bit for bit.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError("ratio must be in [0, 1]")
@@ -120,20 +122,6 @@ def wave_admissions(ratio: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     admitted = (np.minimum.accumulate(target - k) + k).astype(np.int64)
     mask = np.diff(admitted, prepend=np.int64(0)) > 0
     return mask, admitted
-
-
-def admission_credits(
-    ratio: float, admitted: np.ndarray, burst: float
-) -> np.ndarray:
-    """Bucket credit after each offered request (float-exact).
-
-    ``admitted`` is the running admitted count from
-    :func:`wave_admissions`; the credit level after offered request
-    ``k`` is ``min(fl(k·z) − a_k, burst)``, exactly the expression the
-    scalar bucket maintains.
-    """
-    k = np.arange(1, len(admitted) + 1, dtype=np.float64)
-    return np.minimum(k * ratio - admitted, burst)
 
 
 def fifo_deliveries(arrivals: np.ndarray, airtime_s: float) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Reference implementations the serving data plane is checked against.
 
 :func:`scalar_run` is the one-event-per-request DES the wave engine
-replaced: every offered request is an emit event, a token-bucket call
-and (if admitted) an arrive event at its uplink delivery, and the
-dispatcher is its own event chain.  Only that arrival side lives here;
+replaced: every offered request is an emit event, a call to its task's
+:class:`TokenBucket` (the per-request admission gate that
+``waves.wave_admissions`` evaluates in closed form) and (if admitted)
+an arrive event at its uplink delivery, and the dispatcher is its own
+event chain.  Only that arrival side lives here;
 queue insert, window drain, completion and metrics are the runtime's
 own (``repro.serving.runtime._Run``), so a disagreement can only come
 from the arrival side.
@@ -86,6 +88,32 @@ from repro.serving.runtime import ServingRuntime, _Run
 from repro.workloads.smallscale import serving_small_scale_problem
 
 
+class TokenBucket:
+    """One task's admission gate, one offered request at a time.
+
+    Every offered request deposits ``ratio`` tokens and serving one costs
+    a full token: request ``k`` is admitted iff ``⌊k·z + ε⌋`` exceeds the
+    admitted count so far (at most one admission per offered request).
+    """
+
+    #: tolerance absorbing float error in the target ``k·z``
+    EPS = 1e-12
+
+    def __init__(self, ratio: float) -> None:
+        if not 0.0 <= ratio <= 1.0:
+            raise ValueError("ratio must be in [0, 1]")
+        self.ratio = ratio
+        self.offered = 0
+        self.admitted = 0
+
+    def allow(self) -> bool:
+        """Meter one offered request; True if it may be served."""
+        self.offered += 1
+        admitted = math.floor(self.offered * self.ratio + self.EPS) > self.admitted
+        self.admitted += admitted
+        return admitted
+
+
 def scalar_run(runtime: ServingRuntime) -> ServingMetrics:
     """``runtime.run()`` by the old rule: one DES event per offered request.
 
@@ -96,7 +124,8 @@ def scalar_run(runtime: ServingRuntime) -> ServingMetrics:
     """
     sim = Simulator()
     run = _Run(runtime, sim)
-    cfg, tracer, gate, cell = run.cfg, run.tracer, run.gate, run.cell
+    cfg, tracer, cell = run.cfg, run.tracer, run.cell
+    gate = {task_id: TokenBucket(ratio) for task_id, ratio in run.ratios.items()}
     records: list[ServingRequest] = []
 
     def emit(task, path, rng) -> None:
@@ -110,7 +139,7 @@ def scalar_run(runtime: ServingRuntime) -> ServingMetrics:
             bits=path.bits_per_image,
         )
         records.append(request)
-        if not gate.allow(task.task_id):
+        if not gate[task.task_id].allow():
             request.drop_reason = DropReason.ADMISSION
             run.drops[task.task_id, DropReason.ADMISSION] += 1
             if tracer.enabled:

@@ -72,6 +72,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "all within latency targets: True" in out
 
+    def test_serve_sim_rejects_non_finite_window(self, capsys):
+        # an infinite window used to "run": nothing completed, an infinite
+        # duration, a zero table and exit 0
+        assert main(["serve-sim", "--tasks", "1", "--window", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: batch_window_s ")
+        assert captured.err.count("\n") == 1
+
     def test_profile_resnet(self, capsys):
         assert main(["profile", "--arch", "resnet18", "--input-size", "16",
                      "--repeats", "1", "--classes", "10"]) == 0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.catalog import Catalog
@@ -11,8 +10,6 @@ from repro.core.objective import objective_breakdown
 from repro.core.subproblem import BranchAllocation, BranchItem, solve_branch
 from repro.core.task import QualityLevel
 from repro.core.tree import build_vector_tree
-from repro.emulator.lte import HarqConfig, LteCell
-from repro.workloads.smallscale import small_scale_problem
 from tests.conftest import make_block, make_path, make_task
 
 
@@ -90,35 +87,3 @@ class TestObjectiveBreakdownResource:
         assert breakdown.resource == pytest.approx(
             breakdown.training + breakdown.radio + breakdown.inference
         )
-
-
-class TestHarqEndToEnd:
-    def test_harq_inflates_scenario_latency(self):
-        """10% TTI errors on an admitted deployment's slices: mean uplink +
-        compute latency rises by roughly the expected HARQ overhead (~11%
-        of the airtime).  The wave engine refuses a HARQ cell, so frames
-        are replayed on the cell itself at the granted rates."""
-        from repro.core.heuristic import OffloaDNNSolver
-        from repro.serving import ServingRuntime
-
-        runtime = ServingRuntime.from_problem(
-            small_scale_problem(2, seed=0), solver=OffloaDNNSolver(slice_margin_rbs=1)
-        )
-
-        def run(harq):
-            cell = LteCell(slice_manager=runtime.slice_manager, harq=harq)
-            latencies = []
-            for task in runtime.problem.tasks:
-                path = runtime.solution.assignment(task).path
-                rate = runtime.tickets[task.task_id].granted_rate
-                for created in np.arange(0.0, 5.0, 1.0 / rate):
-                    delivered = cell.enqueue_frame(
-                        task.task_id, path.bits_per_image, float(created)
-                    )
-                    latencies.append(delivered - created + path.compute_time_s)
-            return np.mean(latencies)
-
-        clean = run(None)
-        noisy = run(HarqConfig(tti_error_rate=0.1, seed=1))
-        assert noisy > clean
-        assert noisy < 1.5 * clean  # bounded inflation, no runaway queue

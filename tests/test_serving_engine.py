@@ -7,7 +7,7 @@ reasons, same metrics to the last float.  These tests pin that
 contract on the paper's small-scale scenario (deterministic
 and Poisson arrivals, several loads and seeds, both queue policies,
 tight queues, a one-node cluster) plus the engine's own mechanics:
-request pooling, event recycling, rerun-determinism of traces at
+request pooling, same-instant event order, rerun-determinism of traces at
 10⁴ requests, and the dispatcher's ready-queue index and tick index
 against the full per-tick scans they replaced (``tests/oracles.py``).
 """
@@ -172,15 +172,6 @@ def test_engines_agree_on_registry_instruments(problem):
     assert snapshots[0] == snapshots[1]
 
 
-def test_wave_engine_refuses_harq_cells(problem):
-    from repro.emulator.lte import HarqConfig
-
-    runtime = _runtime(problem, duration_s=1.0)
-    cell = LteCell(slice_manager=runtime.slice_manager, harq=HarqConfig())
-    with pytest.raises(ValueError, match="HARQ.*Generator"):
-        WavePlan.build([], runtime.config, None, cell)
-
-
 @pytest.mark.parametrize("poisson", [False, True])
 @pytest.mark.parametrize("slice_margin_rbs", [0, 2])
 def test_engines_bit_identical_on_faded_cell(problem, poisson, slice_margin_rbs):
@@ -205,12 +196,12 @@ def test_engines_bit_identical_on_faded_cell(problem, poisson, slice_margin_rbs)
         assert any(row[9] == DropReason.DEADLINE.value for row in served)
 
 
-# -- determinism under pooling and event recycling (satellite S4) ----------
+# -- determinism under pooling --------------------------------------------
 
 
 def test_trace_jsonl_byte_identical_across_reruns_at_1e4(problem):
     # ~10⁴ offered requests with admission shedding, queue pressure and
-    # recycled events/records: the virtual-domain trace must not move
+    # recycled records: the virtual-domain trace must not move
     lines = []
     for _ in range(2):
         obs = ObsSession()
@@ -239,20 +230,18 @@ def test_same_runtime_rerun_is_bit_stable(problem):
     assert runtime.pool.in_use <= len(runtime.pool)
 
 
-def test_simulator_recycling_keeps_event_order():
-    # same-timestamp events fire in insertion order even when the heap
-    # entries are recycled objects from the freelist
-    for recycle in (False, True):
-        sim = Simulator(recycle_events=recycle)
-        fired: list[str] = []
-        for round_id in range(3):
-            for k in range(4):
-                sim.schedule_at(
-                    float(round_id),
-                    lambda r=round_id, k=k: fired.append(f"{r}:{k}"),
-                )
-        sim.run()
-        assert fired == [f"{r}:{k}" for r in range(3) for k in range(4)]
+def test_simulator_keeps_same_instant_event_order():
+    # same-timestamp events fire in insertion order, round after round
+    sim = Simulator()
+    fired: list[str] = []
+    for round_id in range(3):
+        for k in range(4):
+            sim.schedule_at(
+                float(round_id),
+                lambda r=round_id, k=k: fired.append(f"{r}:{k}"),
+            )
+    sim.run()
+    assert fired == [f"{r}:{k}" for r in range(3) for k in range(4)]
 
 
 def test_request_pool_resets_every_field(problem):

@@ -13,7 +13,6 @@ from repro.serving import (
     ServingConfig,
     ServingMetrics,
     ServingRuntime,
-    TokenBucket,
 )
 from repro.workloads.smallscale import serving_small_scale_problem
 
@@ -162,6 +161,18 @@ class TestRuntime:
             with pytest.raises(ValueError, match=name):
                 ServingConfig(**bad)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name", ["duration_s", "batch_window_s", "load_factor", "result_return_s"]
+    )
+    def test_config_rejects_non_finite(self, name, value):
+        # each used to construct: an infinite window or result return ran
+        # to 0 completed (or never returned), a NaN return completed
+        # nothing, and a NaN / infinite horizon or load failed deep in
+        # numpy without naming the field
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ServingConfig(**{name: value})
+
 
 class TestMetricsShape:
     def test_summary_rows_cover_tasks(self, runtime):
@@ -179,10 +190,8 @@ class TestMetricsShape:
 class TestPublicApi:
     def test_top_level_exports(self):
         assert repro.ServingRuntime is ServingRuntime
-        assert repro.TokenBucket is TokenBucket
         assert repro.ServingMetrics is ServingMetrics
         assert "ServingRuntime" in repro.__all__
-        assert "TokenBucket" in repro.__all__
         assert "ServingMetrics" in repro.__all__
 
 

@@ -2,8 +2,10 @@
 
 The vector engine's correctness argument rests on four primitives each
 reproducing its scalar counterpart float for float; this module pins
-every one of them, including a hypothesis sweep of the token-bucket
-closed form against the scalar bucket (random rates, bursts, seeds).
+every one of them, including a hypothesis sweep of the closed-form
+admission gate against the per-request bucket in ``tests/oracles.py``
+(random ratios and stream lengths), and the admission law's own
+properties on the closed form.
 """
 
 from __future__ import annotations
@@ -13,14 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serving.admission import TokenBucket
 from repro.serving.waves import (
-    admission_credits,
     arrival_times,
     fifo_deliveries,
     merge_arrival_order,
     wave_admissions,
 )
+from tests.oracles import TokenBucket
 
 
 # -- arrival_times ---------------------------------------------------------
@@ -59,7 +60,44 @@ def test_arrivals_always_include_time_zero():
     assert arrival_times(0.01, 1.0, False, np.random.default_rng(0)).tolist() == [0.0]
 
 
-# -- wave_admissions vs the scalar TokenBucket (satellite: hypothesis) -----
+# -- wave_admissions: the admission law ------------------------------------
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.25, 0.37, 0.5, 0.61, 0.73, 0.9])
+@pytest.mark.parametrize("n", [2000, 2003, 2997])
+def test_admitted_fraction_within_two_percent(ratio, n):
+    _mask, admitted = wave_admissions(ratio, n)
+    assert admitted[-1] / n == pytest.approx(ratio, abs=0.02)
+
+
+@pytest.mark.parametrize("n", [1, 10, 999])
+def test_zero_ratio_exact(n):
+    mask, admitted = wave_admissions(0.0, n)
+    assert not mask.any() and admitted[-1] == 0
+
+
+@pytest.mark.parametrize("n", [1, 10, 999])
+def test_full_ratio_exact(n):
+    mask, admitted = wave_admissions(1.0, n)
+    assert mask.all() and admitted[-1] == n
+
+
+def test_admitted_count_within_one_of_expectation():
+    """Every prefix tracks ``k·z`` to within one, not just in the limit."""
+    _mask, admitted = wave_admissions(0.3, 199)
+    k = np.arange(1, 200)
+    assert np.all(np.abs(admitted - k * 0.3) <= 1.0)
+
+
+def test_low_discrepancy_pattern():
+    mask, _admitted = wave_admissions(0.5, 6)
+    assert mask.tolist() == [False, True, False, True, False, True]
+
+
+@pytest.mark.parametrize("ratio", [-0.1, 1.1])
+def test_ratio_outside_unit_interval_rejected(ratio):
+    with pytest.raises(ValueError, match="ratio"):
+        wave_admissions(ratio, 10)
 
 
 @given(
@@ -67,43 +105,18 @@ def test_arrivals_always_include_time_zero():
         st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
         st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0]),
     ),
-    burst=st.floats(min_value=1.0, max_value=8.0, allow_nan=False),
     n=st.integers(min_value=0, max_value=400),
 )
 @settings(max_examples=200, deadline=None)
-def test_wave_admissions_match_scalar_bucket(ratio, burst, n):
-    bucket = TokenBucket(ratio=ratio, burst=burst)
-    decisions = []
-    credits = []
+def test_wave_admissions_match_scalar_bucket(ratio, n):
+    bucket = TokenBucket(ratio)
+    decisions, counts = [], []
     for _ in range(n):
         decisions.append(bucket.allow())
-        credits.append(bucket.credit)
+        counts.append(bucket.admitted)
     mask, admitted = wave_admissions(ratio, n)
     assert mask.tolist() == decisions
-    assert int(admitted[-1]) == bucket.admitted if n else bucket.admitted == 0
-    # credit levels are float-exact, not just close
-    assert admission_credits(ratio, admitted, burst).tolist() == credits
-
-
-def test_fast_forward_reaches_scalar_state():
-    bucket = TokenBucket(ratio=0.4, burst=2.0)
-    for _ in range(137):
-        bucket.allow()
-    jumped = TokenBucket(ratio=0.4, burst=2.0)
-    jumped.fast_forward(137, bucket.admitted)
-    assert jumped.offered == bucket.offered
-    assert jumped.admitted == bucket.admitted
-    assert jumped.credit == bucket.credit
-    # and the *next* decision agrees too
-    assert jumped.allow() == bucket.allow()
-
-
-def test_fast_forward_rejects_impossible_counts():
-    bucket = TokenBucket(ratio=0.5, burst=1.0)
-    with pytest.raises(ValueError):
-        bucket.fast_forward(3, 5)
-    with pytest.raises(ValueError):
-        bucket.fast_forward(-1, 0)
+    assert admitted.tolist() == counts
 
 
 # -- fifo_deliveries -------------------------------------------------------
