@@ -163,17 +163,22 @@ class StreamRouter:
         """
         if src == dst:
             return now, False, 0
+        nbytes = self.frame_nbytes(payload_bits)
+        delivery, stalled = self.link(src, dst).transfer(nbytes, now, rng)
+        return delivery, stalled, nbytes
+
+    def frame_nbytes(self, payload_bits: float) -> int:
+        """Encoded size of one activation frame of ``payload_bits``: wire
+        header plus payload, with the router's fp16 / int8 knob applied."""
         payload_bytes = math.ceil(payload_bits / 8.0)
         if self.int8_activations:
             payload_bytes = (payload_bytes + 3) // 4
         elif self.fp16_activations:
             payload_bytes = (payload_bytes + 1) // 2
-        nbytes = (
+        return (
             wire.header_nbytes(ndim=4, quantize_int8=self.int8_activations)
             + payload_bytes
         )
-        delivery, stalled = self.link(src, dst).transfer(nbytes, now, rng)
-        return delivery, stalled, nbytes
 
     def send_tensor(
         self,

@@ -63,6 +63,19 @@ from repro.serving.queueing import ServingRequest
 
 __all__ = ["TaskWave", "WavePlan"]
 
+#: one row of the tick index: a materialized request's wave position, id
+#: and created / deadline / uplink-delivery instants, packed so that a tick
+#: reads its rows with one slice
+ROW = np.dtype(
+    [
+        ("position", np.int32),
+        ("id", np.int64),
+        ("created", np.float64),
+        ("deadline", np.float64),
+        ("delivered", np.float64),
+    ]
+)
+
 
 @dataclass
 class TaskWave:
@@ -142,10 +155,11 @@ class WavePlan:
     total_offered: int = 0
     total_admitted: int = 0
     # tick index: every admitted delivery of every wave, sorted once by
-    # (tick that enqueues it, wave position, in-wave position) into five
-    # parallel arrays — wave position, request id, created, deadline,
-    # delivered; tick ``_times[k]`` owns rows ``_starts[k]:_starts[k + 1]``
-    _rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    # (tick that enqueues it, wave position, in-wave position) into one
+    # packed array of ``ROW`` records — wave position, request id, created,
+    # deadline, delivered; tick ``_times[k]`` owns rows
+    # ``_starts[k]:_starts[k + 1]``, one slice
+    _rows: np.ndarray = field(init=False, repr=False)
     _starts: list[int] = field(init=False, repr=False)
     #: instants of the ticks with something due, then ``inf``
     _times: list[float] = field(init=False, repr=False)
@@ -164,10 +178,7 @@ class WavePlan:
         if len(delivered) == 0:
             self._starts, self._times = [0], [float("inf")]
             self._armed = [float("inf")]
-            self._rows = (
-                np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64),
-                delivered, delivered, delivered,
-            )
+            self._rows = np.empty(0, dtype=ROW)
             return
         # the DES reaches tick k by k + 1 float additions of the window
         # (first tick at 0 + w, each next at now + w); cumsum accumulates
@@ -192,14 +203,16 @@ class WavePlan:
                 tick[row] = on
         # stable over a wave-ordered concatenation = (tick, wave, in-wave)
         order = np.argsort(tick, kind="stable")
-        columns = (
-            np.repeat(np.arange(len(tasks), dtype=np.int32), np.diff(offsets)),
-            np.concatenate([w.ids[w.admitted_idx] for w in tasks]),
-            np.concatenate([w.arrivals[w.admitted_idx] for w in tasks]),
-            np.concatenate([w.deadlines for w in tasks]),
-            delivered,
-        )
-        self._rows = tuple(column[order] for column in columns)
+        rows = self._rows = np.empty(len(order), dtype=ROW)
+        rows["position"] = np.repeat(
+            np.arange(len(tasks), dtype=np.int32), np.diff(offsets)
+        )[order]
+        rows["id"] = np.concatenate([w.ids[w.admitted_idx] for w in tasks])[order]
+        rows["created"] = np.concatenate(
+            [w.arrivals[w.admitted_idx] for w in tasks]
+        )[order]
+        rows["deadline"] = np.concatenate([w.deadlines for w in tasks])[order]
+        rows["delivered"] = delivered[order]
         tick = tick[order]
         first = np.flatnonzero(np.diff(tick, prepend=-1))
         self._starts = first.tolist() + [len(tick)]
@@ -313,8 +326,8 @@ class WavePlan:
         lo, hi = self._starts[self._cursor], self._starts[self._cursor + 1]
         self._cursor += 1
         static = self._static
-        for position, request_id, created_at, deadline_at, delivered_at in zip(
-            *[column[lo:hi].tolist() for column in self._rows]
+        for position, request_id, created_at, deadline_at, delivered_at in (
+            self._rows[lo:hi].tolist()
         ):
             task_id, path, bits = static[position]
             request = pool.acquire(
@@ -346,5 +359,7 @@ class WavePlan:
 
     def record_columns(self) -> tuple[np.ndarray, ...]:
         """Wave position, request id, created and deadline instants of
-        every row of the index, in row order (plain arrays)."""
-        return tuple(np.asarray(column) for column in self._rows[:4])
+        every row of the index, in row order (plain-array views of the
+        packed rows, not copies)."""
+        rows = np.asarray(self._rows)
+        return tuple(rows[name] for name in ROW.names[:4])

@@ -41,7 +41,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -53,9 +53,13 @@ from repro.serving.queueing import ServingRequest
 __all__ = ["WindowReport", "WorkerPool", "BatchExecutor", "BlockwiseRunner"]
 
 
-@dataclass(frozen=True, slots=True)
-class WindowReport:
-    """Accounting for one executed batching window."""
+class WindowReport(NamedTuple):
+    """Accounting for one executed batching window.
+
+    A named tuple: a run logs one per window, and a tuple of numbers is
+    cheap to build and leaves the cyclic collector's view once it has
+    survived a collection.
+    """
 
     requests: int
     #: simulated GPU seconds charged for the window
@@ -200,12 +204,12 @@ class WindowLedger:
     ) -> WindowReport:
         """Log one executed window: its report and the run totals."""
         report = WindowReport(
-            requests=requests,
-            compute_s=compute_s,
-            unshared_compute_s=unshared_s,
-            prefix_merges=merges if self.prefix_cache else 0,
-            started_at=started_at,
-            finished_at=finished_at,
+            requests,
+            compute_s,
+            unshared_s,
+            merges if self.prefix_cache else 0,
+            started_at,
+            finished_at,
         )
         self.windows.append(report)
         self.total_compute_s += compute_s
@@ -318,6 +322,9 @@ class _JobCosts:
 
     def window(self, requests: list[ServingRequest]) -> _JobCost:
         """``requests`` as one job, their paths costed in first-seen order."""
+        if len(requests) == 1:  # the empty job's edge: one dict lookup on a hit
+            path = self.unit(requests[0])
+            return self.empty.grown.get(id(path)) or self.grow(self.empty, path)
         counts: dict[int, int] = {}
         for path in map(self.unit, requests):
             index = self._index_of(path)

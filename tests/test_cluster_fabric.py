@@ -681,6 +681,103 @@ def test_faulty_run_is_identical_through_the_per_request_dispatcher(
     assert outcomes[0] == outcomes[1]
 
 
+@pytest.mark.parametrize("seed", [1, 4])
+def test_mixed_fault_run_is_identical_through_the_per_request_dispatcher(seed):
+    # nodes that cannot fail beside nodes that can, steady links beside
+    # stalling ones: the compiled routes use a node and a link as placed
+    # (no draw) and hand the rest to the helpers, including a later hop
+    # that streams from a retry node the route did not place there (one
+    # worker per node: the oracle books a hop-0 group as one job)
+    topology = ClusterTopology(
+        nodes=(
+            NodeSpec("n0"),
+            NodeSpec("n1", cpu_scale=1.5, failure_rate=0.4),
+            NodeSpec("n2", cpu_scale=2.0),
+            NodeSpec("n3", failure_rate=0.3),
+        ),
+        links=(
+            LinkSpec("n1", "n2", stall_rate=0.4, stall_factor=200.0),
+            LinkSpec("n3", "n2", stall_rate=0.3, stall_factor=200.0),
+        ),
+        default_link=LinkSpec(src="*", dst="*", bandwidth_bps=5e8),
+    )
+    config = ServingConfig(duration_s=3.0, seed=seed, poisson=True)
+    outcomes = []
+    for dispatch in (ClusterExecutor.dispatch, per_request_cluster_dispatch):
+        runtime = ServingRuntime.from_problem(
+            replicated_serving_problem(4), config,
+            solver=OffloaDNNSolver(slice_margin_rbs=10),
+        )
+        runtime.cluster = _deploy(runtime, topology)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ClusterExecutor, "dispatch", dispatch)
+            metrics = runtime.run()
+        qos = runtime.executor.qos
+        outcomes.append(
+            (
+                repr(metrics),
+                [
+                    (r.request_id, r.started_at, r.completed_at, r.compute_time_s,
+                     r.drop_reason, r.service_done_at, repr(r.hops))
+                    for r in runtime.last_requests
+                ],
+                runtime.executor.windows,
+                (qos.hop_counts, qos.bytes_streamed, qos.node_rows(3.0), qos.link_rows()),
+            )
+        )
+    nodes = runtime.cluster.registry.nodes
+    assert nodes["n1"].dispatch_failures and nodes["n3"].dispatch_failures
+    links = runtime.cluster.registry.router.links
+    assert links["n1", "n2"].stalls + links["n3", "n2"].stalls > 0
+    # some transfer left a node its route did not place the segment before
+    placed = {
+        (a.node_id, b.node_id)
+        for segments in runtime.cluster.plan.segments_by_task.values()
+        for a, b in zip(segments, segments[1:])
+    }
+    assert any(link.transfers for pair, link in links.items() if pair not in placed)
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize(
+    "knob, value",
+    [
+        ("transfer_timeout_s", 0.0),
+        ("transfer_timeout_s", -0.05),
+        ("transfer_timeout_s", float("nan")),
+        ("retry_penalty_s", -1.0),
+        ("retry_penalty_s", float("nan")),
+        ("retry_penalty_s", float("inf")),
+    ],
+)
+def test_deployment_refuses_timings_that_run_time_backwards(knob, value):
+    # a negative retry penalty starts execution before its dispatch, a
+    # negative timeout books hops of negative duration, and a NaN timeout
+    # silently loses every stalled transfer
+    runtime = _runtime()
+    with pytest.raises(ValueError, match=knob):
+        _deploy(runtime, default_topology(3), **{knob: value})
+    deployment = _deploy(runtime, default_topology(3))
+    with pytest.raises(ValueError, match=knob):
+        ClusterDeployment(deployment.registry, deployment.plan, **{knob: value})
+
+
+def test_deployment_waits_out_stalls_with_an_infinite_timeout():
+    runtime = _runtime()
+    topology = ClusterTopology(
+        nodes=(NodeSpec(node_id="a"), NodeSpec(node_id="b")),
+        default_link=LinkSpec(src="*", dst="*", stall_rate=0.5, stall_factor=20.0),
+    )
+    runtime.cluster = _deploy(runtime, topology, transfer_timeout_s=float("inf"))
+    metrics = runtime.run()
+    assert runtime.cluster.registry.router.links["a", "b"].stalls > 0
+    assert runtime.executor.qos.hop_counts.get("retry", 0) == 0
+    timeouts = [t.drops[DropReason.TRANSFER_TIMEOUT] for t in metrics.tasks.values()]
+    assert not any(timeouts)
+    for request in runtime.last_requests:
+        assert all(hop.end_s >= hop.start_s for hop in request.hops or ())
+
+
 def test_single_node_runtime_unaffected_by_new_fields():
     """Non-cluster runs record no hops and no net drops."""
     runtime = _runtime(duration_s=1.0)

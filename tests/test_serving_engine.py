@@ -196,6 +196,44 @@ def test_engines_bit_identical_on_faded_cell(problem, poisson, slice_margin_rbs)
         assert any(row[9] == DropReason.DEADLINE.value for row in served)
 
 
+@pytest.mark.parametrize(
+    "case", ["poisson", "deterministic", "shallow queues", "faded cell", "three nodes"]
+)
+def test_edf_and_fifo_queues_serve_identical_runs(case):
+    # each queue holds one task, whose requests reach it in arrival order
+    # (one FIFO uplink slice) with deadline created + L_τ: the EDF heap pops
+    # in FIFO order, and on a full queue its victim is always the newcomer,
+    # which is the one FIFO turns away.  100 tasks at 3x load through a
+    # throttled dispatcher (serve_overload's shape, 2 s)
+    kw = dict(
+        duration_s=2.0, load_factor=3.0, max_batch=4, batch_window_s=0.01,
+        queue_depth=2 if case == "shallow queues" else 8, seed=3,
+        poisson=case != "deterministic",
+    )
+    results = []
+    for policy in ("edf", "fifo"):
+        runtime = _runtime(replicated_serving_problem(20), queue_policy=policy, **kw)
+        if case == "faded cell":
+            runtime.fading = BlockFading(sigma_db=0.4, seed=2)
+        if case == "three nodes":
+            runtime.cluster = ClusterDeployment.place(
+                runtime.problem, runtime.solution, runtime.tickets, default_topology(3)
+            )
+        runtime.obs = ObsSession()
+        metrics = _metrics_key(runtime.run())
+        hops = [repr(r.hops) for r in runtime.last_requests]
+        results.append(
+            (metrics, _served_key(runtime), hops, jsonl_lines([runtime.obs.virtual]))
+        )
+    assert results[0] == results[1]
+    # the queues held backlogs (what an order could act on), and the
+    # shallow ones overflowed
+    drops = {row[9] for row in results[0][1]}
+    assert DropReason.DEADLINE.value in drops
+    if case == "shallow queues":
+        assert DropReason.QUEUE_FULL.value in drops
+
+
 # -- determinism under pooling --------------------------------------------
 
 
@@ -352,7 +390,7 @@ def _capture_plans(monkeypatch) -> list[WavePlan]:
 def _tick_of(plan: WavePlan, request_id: int) -> float:
     """Instant of the tick the index assigned a request to."""
     instants = np.repeat(plan._times[:-1], np.diff(plan._starts))
-    (row,) = np.flatnonzero(plan._rows[1] == request_id)
+    (row,) = np.flatnonzero(plan._rows["id"] == request_id)
     return float(instants[row])
 
 
@@ -455,7 +493,7 @@ def test_push_due_refuses_a_tick_off_its_grid():
 
 
 class _CountedSlices(np.ndarray):
-    """An index column that counts how often it is sliced."""
+    """The packed tick index, counting how often it is sliced."""
 
     def __getitem__(self, key):
         self.slices[0] += 1
@@ -464,10 +502,12 @@ class _CountedSlices(np.ndarray):
 
 def test_dispatcher_cost_follows_requests_not_tasks(sparse_problem, monkeypatch):
     # no wall clock: a reintroduced per-tick scan over 200 tasks makes
-    # ~10^5 queue pops here, and per-tick searches or per-wave slices of
-    # the deliveries show up in the three counts below
+    # ~10^5 queue pops here, and per-tick searches, per-wave slices of
+    # the deliveries or per-column slices of the index show up in the
+    # counts below
     counts = {"pops": 0, "searches": 0, "ticks": 0, "acquired": 0}
     slices = [0]
+    tick_slices = [0]  # the slices taken inside ticks
     pop_ready, acquire = ServingQueue.pop_ready, RequestPool.acquire
     searchsorted, push_due = np.searchsorted, WavePlan.push_due
     built: list[tuple[WavePlan, int]] = []
@@ -486,15 +526,13 @@ def test_dispatcher_cost_follows_requests_not_tasks(sparse_problem, monkeypatch)
 
     def counted_tick(self, *args):
         if not counts["ticks"]:
-            columns = []
-            for column in self._rows:
-                column = column.view(_CountedSlices)
-                column.slices = slices
-                columns.append(column)
-            self._rows = tuple(columns)
+            self._rows = self._rows.view(_CountedSlices)
+            self._rows.slices = slices
             built.append((self, counts["searches"]))
         counts["ticks"] += 1
-        return push_due(self, *args)
+        before = slices[0]
+        push_due(self, *args)
+        tick_slices[0] += slices[0] - before
 
     monkeypatch.setattr(ServingQueue, "pop_ready", counted_pop)
     monkeypatch.setattr(np, "searchsorted", counted_search)
@@ -509,9 +547,10 @@ def test_dispatcher_cost_follows_requests_not_tasks(sparse_problem, monkeypatch)
     assert admitted > 1500 and counts["ticks"] * len(metrics.tasks) > 50 * admitted
     assert counts["pops"] <= 2 * admitted + metrics.windows
     ((plan, searches_by_first_tick),) = built
-    # everything is looked up before the first tick; a tick slices its rows
+    # everything is looked up before the first tick; a tick with something
+    # due takes one slice of the packed rows, an empty one none
     assert searches_by_first_tick >= 1
     assert counts["searches"] == searches_by_first_tick
     busy_ticks = len(plan._times) - 1
-    assert busy_ticks <= admitted and slices[0] <= len(plan._rows) * busy_ticks
+    assert busy_ticks <= admitted and 0 < tick_slices[0] <= busy_ticks
     assert counts["acquired"] == admitted
