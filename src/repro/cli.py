@@ -26,6 +26,38 @@ from repro.analysis.report import format_series, format_table
 __all__ = ["main", "build_parser"]
 
 
+def _bounded_int(low: int, high: int | None = None):
+    """An argparse ``type=`` for an integer in ``[low, high]``: anything
+    else ends in argparse's one-line ``error:`` and exit 2."""
+    span = f">= {low}" if high is None else f"in {low}..{high}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """An argparse ``type=`` for a finite float above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
+#: the small-scale scenario has tasks 1..5
+_TASKS = _bounded_int(1, 5)
+
+
 def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", nargs="?", const="", default=None, metavar="OUT.json",
@@ -63,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     small = sub.add_parser("solve-small", help="solve the Table IV small-scale scenario")
-    small.add_argument("--tasks", type=int, default=5, help="number of tasks (1..5)")
+    small.add_argument("--tasks", type=_TASKS, default=5, help="number of tasks (1..5)")
     small.add_argument(
         "--optimal", action="store_true", help="also solve with the exhaustive optimum"
     )
@@ -81,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve a replicated large-scale instance (10^4-10^6 users)",
     )
     scale.add_argument(
-        "--users", type=int, default=10_000,
+        "--users", type=_bounded_int(1), default=10_000,
         help="modeled users (rounded up to a multiple of 20 tasks)",
     )
     scale.add_argument(
@@ -95,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_arg(scale)
 
     emulate = sub.add_parser("emulate", help="run the Fig. 11 emulation")
-    emulate.add_argument("--tasks", type=int, default=5)
-    emulate.add_argument("--duration", type=float, default=20.0, help="seconds")
+    emulate.add_argument("--tasks", type=_TASKS, default=5)
+    emulate.add_argument("--duration", type=_positive_float, default=20.0, help="seconds")
     emulate.add_argument("--seed", type=int, default=0)
     _add_trace_arg(emulate)
 
@@ -121,12 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve-sim", help="run the serving runtime on the small-scale scenario"
     )
-    serve.add_argument("--tasks", type=int, default=5, help="number of tasks (1..5)")
+    serve.add_argument("--tasks", type=_TASKS, default=5, help="number of tasks (1..5)")
     serve.add_argument("--duration", type=float, default=10.0, help="seconds")
     serve.add_argument(
         "--load", type=float, default=1.0, help="offered-load multiplier on λ"
     )
-    serve.add_argument("--policy", choices=["fifo", "edf"], default="edf")
     serve.add_argument("--window", type=float, default=0.005, help="batch window (s)")
     serve.add_argument(
         "--workers", type=int, default=None,
@@ -134,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         "nodes take their worker counts from the topology)",
     )
     serve.add_argument(
-        "--slice-margin", type=int, default=2,
+        "--slice-margin", type=_bounded_int(0), default=2,
         help="extra RBs per admitted slice (uplink headroom for batching)",
     )
     serve.add_argument(
@@ -175,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument(
         "--scenario", choices=["small", "large"], default="small"
     )
-    export.add_argument("--tasks", type=int, default=5, help="small-scenario size")
+    export.add_argument("--tasks", type=_TASKS, default=5, help="small-scenario size")
     export.add_argument(
         "--rate", choices=["low", "medium", "high"], default="medium"
     )
@@ -250,7 +281,7 @@ def _cmd_solve_scale(args: argparse.Namespace) -> int:
 
     obs, scope = _start_trace(args.trace)
     rate = RequestRate[args.rate.upper()]
-    replicas = max(1, -(-args.users // 20))
+    replicas = -(-args.users // 20)
     problem = replicated_large_scale_problem(rate, replicas, seed=args.seed)
     with scope:
         if args.no_aggregate:
@@ -442,7 +473,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         config = ServingConfig(
             duration_s=args.duration,
             batch_window_s=args.window,
-            queue_policy=args.policy,
             num_workers=1 if args.workers is None else args.workers,
             prefix_cache=not args.no_prefix_cache,
             poisson=args.poisson,
@@ -472,8 +502,8 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     metrics = runtime.run()
     print(
         f"serving {args.tasks} tasks for {args.duration:g} s "
-        f"at {args.load:g}x offered load ({config.queue_policy}, "
-        f"prefix cache {'on' if config.prefix_cache else 'off'})"
+        f"at {args.load:g}x offered load "
+        f"(prefix cache {'on' if config.prefix_cache else 'off'})"
     )
     print(
         format_table(

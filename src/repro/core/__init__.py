@@ -12,9 +12,7 @@
   the branch -> solution assembly every tree-walking solver shares
 * :mod:`repro.core.optimal` -- exhaustive branch enumeration (the optimum)
 * :mod:`repro.core.aggregate` -- task aggregation for 10⁴–10⁶-user populations
-* :mod:`repro.core.incremental` -- the discounted (incremental) DOT instance
 * :mod:`repro.core.serialize` -- JSON round trip of problems and solutions
-* :mod:`repro.core.nphard` -- knapsack reduction behind Proposition 1
 
 The pipeline is a chain of plain stage functions every solver composes:
 ``build_vector_tree(problem, memo=None)`` -> ``first_branch`` or
@@ -28,7 +26,6 @@ from repro.core.solution import Assignment, DOTSolution
 from repro.core.objective import objective_value, check_constraints
 from repro.core.heuristic import OffloaDNNSolver, allocate
 from repro.core.optimal import OptimalSolver
-from repro.core.incremental import discount_problem
 from repro.core.aggregate import AggregateSolver, AggregationPlan, aggregate_problem
 from repro.core.tree import VectorTree, branches, build_vector_tree, first_branch
 from repro.core.serialize import dump_problem, dump_solution, load_problem, load_solution
@@ -55,7 +52,6 @@ __all__ = [
     "first_branch",
     "branches",
     "allocate",
-    "discount_problem",
     "dump_problem",
     "dump_solution",
     "load_problem",

@@ -53,8 +53,8 @@ class RadioModel:
     """Maps a task's channel state to the RB capacity ``B(σ_τ)``.
 
     The default reproduces Table IV: every RB carries 0.35 Mbps
-    regardless of SINR.  :mod:`repro.radio.phy` provides an SINR-driven
-    alternative built on a CQI/MCS table.
+    regardless of SINR.  ``per_task_bits_per_rb`` overrides it per task
+    (a field of the problem JSON format, :mod:`repro.core.serialize`).
     """
 
     default_bits_per_rb: float = 350_000.0

@@ -17,7 +17,6 @@ scratch on numpy:
 * :mod:`repro.dnn.datasets` -- the Table II base dataset (synthetic)
 * :mod:`repro.dnn.configs` -- the Table I block configurations
 * :mod:`repro.dnn.repository` -- profiled block/path repository for DOT
-* :mod:`repro.dnn.weights` -- weight persistence and block transplanting
 """
 
 from repro.dnn.compile import CompiledModule, compile_module
@@ -26,7 +25,6 @@ from repro.dnn.mobilenet import build_mobilenetv2
 from repro.dnn.profiler import BlockProfile, ModelProfile, profile_model
 from repro.dnn.pruning import prune_module
 from repro.dnn.resnet import BlockwiseModel, ResNet18, build_resnet18
-from repro.dnn.weights import load_weights, save_weights
 
 __all__ = [
     "build_resnet18",
@@ -41,6 +39,4 @@ __all__ = [
     "BlockConfig",
     "TABLE_I_CONFIGS",
     "prune_module",
-    "save_weights",
-    "load_weights",
 ]

@@ -1,21 +1,11 @@
-"""Radio-access substrate: channel, PHY abstraction and RB slicing.
+"""Radio-access substrate: RB slicing.
 
-Models the vRAN side of Fig. 4: SINR-dependent per-RB capacity
-``B(σ)``, radio network slices per task, and the slice manager the
-OffloaDNN controller drives (step 4 of the workflow).
+Models the vRAN side of Fig. 4: one radio network slice per admitted
+task, and the slice manager the OffloaDNN controller drives (step 4 of
+the workflow).  Every RB carries the flat Table IV rate ``B(σ)``
+(:class:`repro.core.problem.RadioModel`).
 """
 
-from repro.radio.channel import ChannelModel, path_loss_db, snr_db
-from repro.radio.phy import MCS_TABLE, bits_per_rb_from_sinr, spectral_efficiency
 from repro.radio.slicing import Slice, SliceManager
 
-__all__ = [
-    "ChannelModel",
-    "path_loss_db",
-    "snr_db",
-    "MCS_TABLE",
-    "bits_per_rb_from_sinr",
-    "spectral_efficiency",
-    "Slice",
-    "SliceManager",
-]
+__all__ = ["Slice", "SliceManager"]

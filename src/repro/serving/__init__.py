@@ -5,7 +5,7 @@ slices), this package *serves*: it drives per-task request streams
 through the deployed DNN paths on the discrete-event simulator, with
 
 * :mod:`repro.serving.queueing` — bounded, deadline-aware per-slice
-  queues (FIFO or EDF) with drop accounting, and the ready-queue index
+  FIFO queues with drop accounting, and the ready-queue index
   that lets a dispatcher tick visit only the non-empty ones;
 * :mod:`repro.serving.executor` — the worker pool and window ledger
   every executor books on, the batch executor whose shared-block

@@ -7,11 +7,10 @@ are deadline-aware: a request that can no longer meet its latency
 target ``L_τ`` is dropped at dispatch time rather than wasting GPU
 time (the preemptive-dropping regime of deadline-constrained serving).
 
-Two disciplines are provided:
-
-* ``fifo`` — arrival order, the paper's Colosseum behaviour;
-* ``edf``  — earliest deadline first, the classical optimal single-
-  machine policy for feasible deadline sets.
+A queue serves in arrival order.  A task's requests share one slice
+and one latency target, so they reach the queue in deadline order
+too: arrival order is earliest-deadline-first order, and a full
+queue's latest deadline is always the newcomer's.
 """
 
 from __future__ import annotations
@@ -103,47 +102,25 @@ class ServingRequest:
 
 @dataclass
 class ServingQueue:
-    """Bounded, deadline-aware queue for one task's slice."""
+    """Bounded, deadline-aware FIFO queue for one task's slice."""
 
     task_id: int
-    policy: str = "fifo"
     max_depth: int = 32
     _fifo: deque[ServingRequest] = field(default_factory=deque)
-    _heap: list[tuple[float, int, ServingRequest]] = field(default_factory=list)
-    _sequence: int = 0
 
     def __post_init__(self) -> None:
-        if self.policy not in ("fifo", "edf"):
-            raise ValueError(f"unknown queue policy {self.policy!r}")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
 
     def __len__(self) -> int:
-        return len(self._fifo) + len(self._heap)
+        return len(self._fifo)
 
     def push(self, request: ServingRequest) -> ServingRequest | None:
-        """Enqueue; returns the request dropped by backpressure, if any.
-
-        FIFO rejects the newcomer when full.  EDF keeps the most urgent
-        ``max_depth`` requests, so the victim is whichever of (queue ∪
-        newcomer) has the latest deadline.
-        """
-        if self.policy == "fifo":
-            if len(self._fifo) >= self.max_depth:
-                request.drop_reason = DropReason.QUEUE_FULL
-                return request
-            self._fifo.append(request)
-            return None
-        heapq.heappush(self._heap, (request.deadline_at, self._sequence, request))
-        self._sequence += 1
-        if len(self._heap) > self.max_depth:
-            # nlargest(1) over a heap is O(n); depth is small and bounded
-            victim_key = max(self._heap)
-            self._heap.remove(victim_key)
-            heapq.heapify(self._heap)
-            victim = victim_key[2]
-            victim.drop_reason = DropReason.QUEUE_FULL
-            return victim
+        """Enqueue; returns the newcomer when the queue is full."""
+        if len(self._fifo) >= self.max_depth:
+            request.drop_reason = DropReason.QUEUE_FULL
+            return request
+        self._fifo.append(request)
         return None
 
     def pop_ready(
@@ -154,25 +131,18 @@ class ServingQueue:
         A request is expired when even zero queueing cannot meet its
         deadline: ``now + Σc(s) > deadline``.
         """
+        fifo = self._fifo
         expired: list[ServingRequest] | None = None
-        while True:
-            request = self._pop()
-            if request is not None and (
-                now + request.path.compute_time_s > request.deadline_at + 1e-12
-            ):
+        while fifo:
+            request = fifo.popleft()
+            if now + request.path.compute_time_s > request.deadline_at + 1e-12:
                 request.drop_reason = DropReason.DEADLINE
                 if expired is None:
                     expired = []
                 expired.append(request)
                 continue
             return request, expired or _NONE_EXPIRED
-
-    def _pop(self) -> ServingRequest | None:
-        if self.policy == "fifo":
-            return self._fifo.popleft() if self._fifo else None
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[2]
+        return None, expired or _NONE_EXPIRED
 
 
 class ReadyQueues:

@@ -117,7 +117,6 @@ class ServingConfig:
     duration_s: float = 10.0
     #: dispatcher period — requests arriving within one window batch
     batch_window_s: float = 0.005
-    queue_policy: str = "edf"
     queue_depth: int = 32
     num_workers: int = 1
     prefix_cache: bool = True
@@ -139,8 +138,6 @@ class ServingConfig:
                 raise ValueError(f"{name} must be finite and positive")
         if self.max_batch is not None and self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.queue_policy not in ("fifo", "edf"):
-            raise ValueError(f"unknown queue_policy {self.queue_policy!r}")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         if self.num_workers < 1:
@@ -303,7 +300,7 @@ class _Run:
     """One run's data plane: push → tick → drain window → complete.
 
     Everything downstream of the arrival side (queue insert and
-    backpressure, EDF/FIFO pops, deadline drops, prefix fusion,
+    backpressure, FIFO pops, deadline drops, prefix fusion,
     completion timing, metrics) exists once, here.  The
     one-event-per-request reference in ``tests/oracles.py`` drives its
     own arrival events into :meth:`push` and :meth:`drain_window`, so
@@ -365,9 +362,7 @@ class _Run:
             assert assignment.path is not None
             self.served_tasks.append((task, assignment.path))
             self.queues[task.task_id] = ServingQueue(
-                task_id=task.task_id,
-                policy=cfg.queue_policy,
-                max_depth=cfg.queue_depth,
+                task_id=task.task_id, max_depth=cfg.queue_depth
             )
         # queue selection is its own stage: the index hands each window
         # the non-empty queues in task-id order without scanning the rest

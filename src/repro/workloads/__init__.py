@@ -14,7 +14,6 @@ from repro.workloads.smallscale import (
     SMALL_SCALE,
 )
 from repro.workloads.largescale import large_scale_problem, LARGE_SCALE, RequestRate
-from repro.workloads.heterogeneous import heterogeneous_problem, HeterogeneousParams
 
 __all__ = [
     "CostBasis",
@@ -25,6 +24,4 @@ __all__ = [
     "large_scale_problem",
     "LARGE_SCALE",
     "RequestRate",
-    "heterogeneous_problem",
-    "HeterogeneousParams",
 ]

@@ -1,8 +1,8 @@
-"""NP-hardness machinery behind Proposition 1.
+"""NP-hardness machinery behind Proposition 1 (a test oracle).
 
 The paper proves DOT NP-hard by reduction from the binary
 multi-dimensional knapsack problem (MDK).  This module makes the
-argument executable:
+argument executable for ``tests/test_core_nphard.py``:
 
 * an exact MDK solver (branch and bound with a fractional upper bound),
 * the polynomial reduction from 0/1 knapsack instances to DOT instances
@@ -11,7 +11,7 @@ argument executable:
   whenever any admitted task uses it, regardless of the admission
   ratio), which is what makes admission combinatorial.
 
-Tests verify that solving the reduced DOT instance to optimality with
+The tests verify that solving the reduced DOT instance to optimality with
 explicit rejection recovers the knapsack optimum, i.e. the reduction is
 answer-preserving on small instances.
 """

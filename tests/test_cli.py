@@ -28,6 +28,19 @@ BAD_DOCUMENTS = [
     (("solution", "assignments", 0), 7, "assignments[0] must be a JSON object, got int"),
 ]
 
+#: (command line, the flag argparse names) of out-of-range numbers: each
+#: used to end in a ValueError traceback or, for --users, a silent 20
+OUT_OF_RANGE = [
+    (["solve-small", "--tasks", "0"], "--tasks"),
+    (["emulate", "--tasks", "6"], "--tasks"),
+    (["serve-sim", "--tasks", "-1"], "--tasks"),
+    (["export-problem", "out.json", "--tasks", "6"], "--tasks"),
+    (["serve-sim", "--slice-margin", "-5"], "--slice-margin"),
+    (["emulate", "--duration", "0"], "--duration"),
+    (["solve-scale", "--users", "0"], "--users"),
+    (["solve-scale", "--users", "-20"], "--users"),
+]
+
 
 class TestParser:
     def test_requires_command(self):
@@ -80,6 +93,21 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: batch_window_s ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag", OUT_OF_RANGE, ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE]
+    )
+    def test_out_of_range_numbers_are_usage_errors(
+        self, argv, flag, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f": error: argument {flag}: " in captured.err.splitlines()[-1]
+        assert not (tmp_path / "out.json").exists()
 
     def test_profile_resnet(self, capsys):
         assert main(["profile", "--arch", "resnet18", "--input-size", "16",

@@ -1,19 +1,16 @@
-"""Unit tests for the dynamic (incremental) DOT extension."""
+"""Warm-start re-solves: the caller's clique memo across changing problems."""
 
 from __future__ import annotations
 
-import pytest
-
 from dataclasses import replace
 
+import pytest
+
+from repro.core.catalog import Catalog
 from repro.core.heuristic import OffloaDNNSolver
-from repro.core.incremental import deployed_block_ids, discount_problem
-from repro.core.objective import check_constraints
-from repro.core.problem import Budgets, DOTProblem
+from repro.core.problem import Budgets, DOTProblem, RadioModel
 from repro.core.tree import build_vector_tree
 from tests.conftest import make_block, make_path, make_task
-from repro.core.catalog import Catalog
-from repro.core.problem import RadioModel
 
 
 def _two_wave_problems():
@@ -39,123 +36,26 @@ def _two_wave_problems():
     return build([1, 2], [0.9, 0.8]), build([3, 4], [0.7, 0.6])
 
 
-class TestDiscountProblem:
-    def test_deployed_blocks_become_free(self):
-        wave1, wave2 = _two_wave_problems()
-        solution1 = OffloaDNNSolver().solve(wave1)
-        deployed = deployed_block_ids(solution1)
-        assert "shared" in deployed
-        incremental = discount_problem(wave2, deployed)
-        blocks = incremental.catalog.all_blocks()
-        assert blocks["shared"].memory_gb == 0.0
-        assert blocks["shared"].training_cost_s == 0.0
-        assert blocks["own3"].memory_gb == 0.5  # new blocks keep their cost
-
-    def test_capacities_discounted(self):
-        wave1, wave2 = _two_wave_problems()
-        solution1 = OffloaDNNSolver().solve(wave1)
-        incremental = discount_problem(
-            wave2,
-            deployed_block_ids(solution1),
-            used_memory_gb=solution1.total_memory_gb,
-            used_compute_s=solution1.total_inference_compute_s,
-            used_radio_blocks=solution1.total_radio_blocks,
-        )
-        assert incremental.budgets.memory_gb == pytest.approx(
-            8.0 - solution1.total_memory_gb
-        )
-        assert incremental.budgets.radio_blocks == int(
-            50 - solution1.total_radio_blocks
-        )
-
-    def test_incremental_solution_fits_global_budget(self):
-        """Wave-1 usage plus discounted wave-2 usage stays within the
-        original budgets — the correctness property of the extension."""
-        wave1, wave2 = _two_wave_problems()
-        solution1 = OffloaDNNSolver().solve(wave1)
-        incremental = discount_problem(
-            wave2,
-            deployed_block_ids(solution1),
-            used_memory_gb=solution1.total_memory_gb,
-            used_compute_s=solution1.total_inference_compute_s,
-            used_radio_blocks=solution1.total_radio_blocks,
-        )
-        solution2 = OffloaDNNSolver().solve(incremental)
-        assert check_constraints(incremental, solution2).feasible
-        total_memory = solution1.total_memory_gb + solution2.total_memory_gb
-        total_rbs = solution1.total_radio_blocks + solution2.total_radio_blocks
-        assert total_memory <= wave1.budgets.memory_gb + 1e-9
-        assert total_rbs <= wave1.budgets.radio_blocks + 1e-9
-
-    def test_newcomers_prefer_deployed_blocks(self):
-        """With the shared trunk free, the shared path dominates any
-        dedicated alternative of equal compute."""
-        wave1, wave2 = _two_wave_problems()
-        solution1 = OffloaDNNSolver().solve(wave1)
-        incremental = discount_problem(wave2, deployed_block_ids(solution1))
-        solution2 = OffloaDNNSolver().solve(incremental)
-        for assignment in solution2.admitted_assignments():
-            assert "shared" in assignment.path.block_ids()
-        # the shared block contributes no new memory
-        assert solution2.total_memory_gb == pytest.approx(2 * 0.5)
-
-    def test_exhausted_capacity_yields_zero_headroom_instance(self):
-        """A saturated platform is a *valid* instance, not an error:
-        solvers reject everything instead of the caller crashing."""
-        _, wave2 = _two_wave_problems()
-        incremental = discount_problem(wave2, frozenset(), used_memory_gb=8.0)
-        assert incremental.budgets.memory_gb == 0.0
-        solution = OffloaDNNSolver().solve(incremental)
-        assert solution.admitted_task_count == 0
-
-    def test_all_pools_exhausted_rejects_all(self):
-        _, wave2 = _two_wave_problems()
-        incremental = discount_problem(
-            wave2,
-            frozenset(),
-            used_memory_gb=100.0,
-            used_compute_s=100.0,
-            used_radio_blocks=100.0,
-        )
-        assert incremental.budgets.memory_gb == 0.0
-        assert incremental.budgets.compute_time_s == 0.0
-        assert incremental.budgets.radio_blocks == 0
-        for explore in (1, 3):
-            solution = OffloaDNNSolver(explore_branches=explore).solve(incremental)
-            assert solution.admitted_task_count == 0
-            assert check_constraints(incremental, solution).feasible
-
-    def test_radio_discount_floors_instead_of_truncating(self):
-        """Σ z·r fractionally below an integer must not eat a whole RB."""
-        _, wave2 = _two_wave_problems()
-        incremental = discount_problem(
-            wave2, frozenset(), used_radio_blocks=12.999999999
-        )
-        assert incremental.budgets.radio_blocks == 37
-
-    def test_discount_cache_shares_one_object_per_block_value(self):
-        """Value-keyed caching: every occurrence of a block across paths
-        maps to one discounted object, with the discount decided by the
-        block's own value (not whichever same-id block was seen first)."""
-        wave1, wave2 = _two_wave_problems()
-        solution1 = OffloaDNNSolver().solve(wave1)
-        incremental = discount_problem(wave2, deployed_block_ids(solution1))
-        seen: dict[str, object] = {}
-        for paths in incremental.catalog.paths_by_task.values():
-            for path in paths:
-                for block in path.blocks:
-                    assert seen.setdefault(block.block_id, block) is block
-        assert seen["shared"].memory_gb == 0.0
-        assert seen["own3"].memory_gb == 0.5
-        assert seen["own4"].memory_gb == 0.5
-
-    def test_no_deployed_blocks_is_identity_costs(self):
-        _, wave2 = _two_wave_problems()
-        incremental = discount_problem(wave2, frozenset())
-        original = wave2.catalog.all_blocks()
-        discounted = incremental.catalog.all_blocks()
-        for block_id, block in original.items():
-            assert discounted[block_id].memory_gb == block.memory_gb
+def _recosted(problem: DOTProblem, deployed: frozenset[str], memory_gb: float):
+    """``problem`` with the ``deployed`` blocks free (no memory, no
+    training cost) and ``memory_gb`` of memory: every path tuple is
+    rebuilt, one new object per distinct block value."""
+    catalog = Catalog()
+    rebuilt: dict = {}
+    for paths in problem.catalog.paths_by_task.values():
+        for path in paths:
+            blocks = tuple(
+                rebuilt.setdefault(
+                    b,
+                    replace(b, memory_gb=0.0, training_cost_s=0.0)
+                    if b.block_id in deployed else b,
+                )
+                for b in path.blocks
+            )
+            catalog.add_path(replace(path, blocks=blocks))
+    return replace(
+        problem, catalog=catalog, budgets=replace(problem.budgets, memory_gb=memory_gb)
+    )
 
 
 def _solution_key(solution):
@@ -275,19 +175,18 @@ class TestWarmStartSolver:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_discounted_resolve_matches_cold(self, seed):
-        """A block re-costed between re-solves (deployed blocks zeroed by
-        ``discount_problem``, which rebuilds every path tuple) must not be
-        charged the memory an earlier solve saw under its id."""
+        """A block re-costed between re-solves (deployed blocks zeroed and
+        every path tuple rebuilt) must not be charged the memory an
+        earlier solve saw under its id."""
         from tests.test_core_vectorized import random_problem, solution_key
 
         problem = random_problem(seed)
         solver = OffloaDNNSolver()
         memo: dict = {}
         first = solver.solve(problem, memo=memo)
-        discounted = discount_problem(
-            problem,
-            deployed_block_ids(first),
-            used_memory_gb=0.9 * problem.budgets.memory_gb,
+        memory_gb = problem.budgets.memory_gb
+        discounted = _recosted(
+            problem, frozenset(first.active_blocks()), memory_gb - 0.9 * memory_gb
         )
         assert _hits(discounted, memo) == 0
         cold = solver.solve(discounted)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.nphard import (
+from tests.nphard import (
     KnapsackInstance,
     dot_solution_to_selection,
     knapsack_to_dot,

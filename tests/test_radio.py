@@ -1,88 +1,10 @@
-"""Unit tests for the radio substrate: channel, PHY, slicing."""
+"""Unit tests for the radio substrate: RB slicing."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.radio.channel import ChannelModel, noise_power_dbm, path_loss_db, snr_db
-from repro.radio.phy import (
-    MCS_TABLE,
-    RB_SYMBOL_RATE,
-    bits_per_rb_from_sinr,
-    cqi_from_sinr,
-    spectral_efficiency,
-)
 from repro.radio.slicing import Slice, SliceManager
-
-
-class TestPathLoss:
-    def test_increases_with_distance(self):
-        assert path_loss_db(100.0) > path_loss_db(10.0)
-
-    def test_exponent_scaling(self):
-        # 10x distance at exponent 3 adds 30 dB
-        delta = path_loss_db(100.0, exponent=3.0) - path_loss_db(10.0, exponent=3.0)
-        assert delta == pytest.approx(30.0)
-
-    def test_invalid_distance(self):
-        with pytest.raises(ValueError):
-            path_loss_db(0.0)
-
-    def test_below_reference_clamped(self):
-        assert path_loss_db(0.5) == path_loss_db(1.0)
-
-
-class TestSnr:
-    def test_noise_grows_with_bandwidth(self):
-        assert noise_power_dbm(1e6) > noise_power_dbm(1e5)
-
-    def test_snr_decreases_with_loss(self):
-        assert snr_db(23.0, 100.0, 180e3) < snr_db(23.0, 80.0, 180e3)
-
-    def test_channel_model_static_loss(self):
-        model = ChannelModel(static_path_loss_db=0.0)
-        # 23 dBm - 0 dB loss - (-114ish dBm noise) -> very high SNR
-        assert model.mean_snr_db() > 100.0
-
-    def test_channel_model_distance_loss(self):
-        model = ChannelModel()
-        assert model.mean_snr_db(10.0) > model.mean_snr_db(1000.0)
-
-    def test_shadowing_sampling(self):
-        model = ChannelModel(shadowing_std_db=8.0)
-        rng = np.random.default_rng(0)
-        samples = [model.sample_snr_db(50.0, rng) for _ in range(200)]
-        assert np.std(samples) == pytest.approx(8.0, rel=0.25)
-
-    def test_no_shadowing_deterministic(self):
-        model = ChannelModel(shadowing_std_db=0.0)
-        rng = np.random.default_rng(0)
-        assert model.sample_snr_db(50.0, rng) == model.mean_snr_db(50.0)
-
-
-class TestPhy:
-    def test_cqi_monotone_in_sinr(self):
-        cqis = [cqi_from_sinr(s).cqi for s in (0.5, 5.0, 12.0, 23.0)]
-        assert cqis == sorted(cqis)
-
-    def test_below_cqi1_unusable(self):
-        assert cqi_from_sinr(-10.0) is None
-        assert spectral_efficiency(-10.0) == 0.0
-
-    def test_top_cqi_efficiency(self):
-        assert spectral_efficiency(30.0) == MCS_TABLE[-1].efficiency_bps_hz
-
-    def test_bits_per_rb_scales_with_symbol_rate(self):
-        assert bits_per_rb_from_sinr(12.0) == pytest.approx(
-            spectral_efficiency(12.0) * RB_SYMBOL_RATE
-        )
-
-    def test_table_iv_value_reachable(self):
-        """The paper's 0.35 Mbps/RB corresponds to a mid-range CQI."""
-        sinr_candidates = np.arange(-5, 25, 0.5)
-        rates = [bits_per_rb_from_sinr(s) for s in sinr_candidates]
-        assert min(rates) < 350_000.0 < max(rates)
 
 
 class TestSlicing:

@@ -5,10 +5,10 @@ bit-identical to the one-event-per-request DES it replaced
 (``tests/oracles.py::scalar_run``): same served set, same drop
 reasons, same metrics to the last float.  These tests pin that
 contract on the paper's small-scale scenario (deterministic
-and Poisson arrivals, several loads and seeds, both queue policies,
-tight queues, a one-node cluster) plus the engine's own mechanics:
-request pooling, same-instant event order, rerun-determinism of traces at
-10⁴ requests, and the dispatcher's ready-queue index and tick index
+and Poisson arrivals, several loads and seeds, tight queues, a
+one-node cluster) plus the engine's own mechanics: request pooling,
+same-instant event order, rerun-determinism of traces at 10⁴
+requests, and the dispatcher's ready-queue index and tick index
 against the full per-tick scans they replaced (``tests/oracles.py``).
 """
 
@@ -124,17 +124,9 @@ def test_engines_bit_identical_on_paper_scenario(
     assert _served_key(vec) == _served_key(ref)
 
 
-@pytest.mark.parametrize("policy", ["fifo", "edf"])
-def test_engines_agree_under_backpressure(problem, policy):
-    # depth-2 queues force queue_full drops through both disciplines
-    kw = dict(
-        duration_s=3.0,
-        load_factor=4.0,
-        seed=1,
-        poisson=True,
-        queue_depth=2,
-        queue_policy=policy,
-    )
+def test_engines_agree_under_backpressure(problem):
+    # depth-2 queues force queue_full drops
+    kw = dict(duration_s=3.0, load_factor=4.0, seed=1, poisson=True, queue_depth=2)
     vec = _runtime(problem, **kw)
     ref = _runtime(problem, **kw)
     assert _metrics_key(vec.run()) == _metrics_key(scalar_run(ref))
@@ -199,39 +191,41 @@ def test_engines_bit_identical_on_faded_cell(problem, poisson, slice_margin_rbs)
 @pytest.mark.parametrize(
     "case", ["poisson", "deterministic", "shallow queues", "faded cell", "three nodes"]
 )
-def test_edf_and_fifo_queues_serve_identical_runs(case):
-    # each queue holds one task, whose requests reach it in arrival order
-    # (one FIFO uplink slice) with deadline created + L_τ: the EDF heap pops
-    # in FIFO order, and on a full queue its victim is always the newcomer,
-    # which is the one FIFO turns away.  100 tasks at 3x load through a
-    # throttled dispatcher (serve_overload's shape, 2 s)
+def test_each_queue_sees_deadlines_in_arrival_order(case):
+    # a serving queue is FIFO, and FIFO is the earliest-deadline-first
+    # order only because each queue holds one task, whose requests reach
+    # it in uplink order (one FIFO slice) with deadline created + L_τ.
+    # Pin that premise: per task, in (uplink done, request id) order, the
+    # deadlines never fall.  100 tasks at 3x load through a throttled
+    # dispatcher (serve_overload's shape, 2 s)
     kw = dict(
         duration_s=2.0, load_factor=3.0, max_batch=4, batch_window_s=0.01,
         queue_depth=2 if case == "shallow queues" else 8, seed=3,
         poisson=case != "deterministic",
     )
-    results = []
-    for policy in ("edf", "fifo"):
-        runtime = _runtime(replicated_serving_problem(20), queue_policy=policy, **kw)
-        if case == "faded cell":
-            runtime.fading = BlockFading(sigma_db=0.4, seed=2)
-        if case == "three nodes":
-            runtime.cluster = ClusterDeployment.place(
-                runtime.problem, runtime.solution, runtime.tickets, default_topology(3)
-            )
-        runtime.obs = ObsSession()
-        metrics = _metrics_key(runtime.run())
-        hops = [repr(r.hops) for r in runtime.last_requests]
-        results.append(
-            (metrics, _served_key(runtime), hops, jsonl_lines([runtime.obs.virtual]))
+    runtime = _runtime(replicated_serving_problem(20), **kw)
+    if case == "faded cell":
+        runtime.fading = BlockFading(sigma_db=0.4, seed=2)
+    if case == "three nodes":
+        runtime.cluster = ClusterDeployment.place(
+            runtime.problem, runtime.solution, runtime.tickets, default_topology(3)
         )
-    assert results[0] == results[1]
+    runtime.run()
+    queued: dict[int, list] = {}
+    for r in runtime.last_requests:
+        if r.uplink_done_at == r.uplink_done_at:  # reached its queue
+            queued.setdefault(r.task_id, []).append(r)
+    assert len(queued) == sum(t.admitted for t in runtime.tickets.values())
+    for requests in queued.values():
+        requests.sort(key=lambda r: (r.uplink_done_at, r.request_id))
+        deadlines = [r.deadline_at for r in requests]
+        assert deadlines == sorted(deadlines)
     # the queues held backlogs (what an order could act on), and the
     # shallow ones overflowed
-    drops = {row[9] for row in results[0][1]}
-    assert DropReason.DEADLINE.value in drops
+    drops = {r.drop_reason for r in runtime.last_requests}
+    assert DropReason.DEADLINE in drops
     if case == "shallow queues":
-        assert DropReason.QUEUE_FULL.value in drops
+        assert DropReason.QUEUE_FULL in drops
 
 
 # -- determinism under pooling --------------------------------------------

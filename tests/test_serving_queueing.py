@@ -38,14 +38,14 @@ def make_request(request_id: int, deadline_at: float, created_at: float = 0.0,
 
 class TestFifoQueue:
     def test_arrival_order(self):
-        queue = ServingQueue(task_id=1, policy="fifo")
+        queue = ServingQueue(task_id=1)
         for i, deadline in enumerate([0.9, 0.1, 0.5]):
             assert queue.push(make_request(i, deadline)) is None
         order = [queue.pop_ready(0.0)[0].request_id for _ in range(3)]
         assert order == [0, 1, 2]
 
     def test_full_queue_drops_newcomer(self):
-        queue = ServingQueue(task_id=1, policy="fifo", max_depth=2)
+        queue = ServingQueue(task_id=1, max_depth=2)
         assert queue.push(make_request(0, 1.0)) is None
         assert queue.push(make_request(1, 1.0)) is None
         victim = queue.push(make_request(2, 1.0))
@@ -55,44 +55,9 @@ class TestFifoQueue:
         assert len(queue) == 2
 
 
-class TestEdfQueue:
-    def test_earliest_deadline_first(self):
-        queue = ServingQueue(task_id=1, policy="edf")
-        for i, deadline in enumerate([0.9, 0.1, 0.5]):
-            queue.push(make_request(i, deadline))
-        order = [queue.pop_ready(0.0)[0].request_id for _ in range(3)]
-        assert order == [1, 2, 0]
-
-    def test_deadline_ties_fifo(self):
-        queue = ServingQueue(task_id=1, policy="edf")
-        for i in range(3):
-            queue.push(make_request(i, 0.5))
-        order = [queue.pop_ready(0.0)[0].request_id for _ in range(3)]
-        assert order == [0, 1, 2]
-
-    def test_full_queue_drops_latest_deadline(self):
-        queue = ServingQueue(task_id=1, policy="edf", max_depth=2)
-        queue.push(make_request(0, 0.9))
-        queue.push(make_request(1, 0.1))
-        victim = queue.push(make_request(2, 0.5))
-        assert victim is not None
-        assert victim.request_id == 0  # the most relaxed deadline loses
-        assert victim.drop_reason is DropReason.QUEUE_FULL
-        assert len(queue) == 2
-
-    def test_urgent_newcomer_displaces(self):
-        queue = ServingQueue(task_id=1, policy="edf", max_depth=1)
-        queue.push(make_request(0, 0.9))
-        victim = queue.push(make_request(1, 0.1))
-        assert victim.request_id == 0
-        request, _ = queue.pop_ready(0.0)
-        assert request.request_id == 1
-
-
 class TestDeadlineDropping:
-    @pytest.mark.parametrize("policy", ["fifo", "edf"])
-    def test_expired_dropped_at_pop(self, policy):
-        queue = ServingQueue(task_id=1, policy=policy)
+    def test_expired_dropped_at_pop(self):
+        queue = ServingQueue(task_id=1)
         queue.push(make_request(0, deadline_at=0.1))
         queue.push(make_request(1, deadline_at=5.0))
         request, expired = queue.pop_ready(now=1.0)
@@ -103,7 +68,7 @@ class TestDeadlineDropping:
     def test_unreachable_deadline_dropped(self):
         # deadline nominally in the future, but the path's compute time
         # alone cannot fit: now + Σc > deadline
-        queue = ServingQueue(task_id=1, policy="fifo")
+        queue = ServingQueue(task_id=1)
         queue.push(make_request(0, deadline_at=1.05, compute_time_s=0.2))
         request, expired = queue.pop_ready(now=1.0)
         assert request is None
@@ -115,10 +80,6 @@ class TestDeadlineDropping:
 
 
 class TestValidation:
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            ServingQueue(task_id=1, policy="lifo")
-
     def test_bad_depth(self):
         with pytest.raises(ValueError):
             ServingQueue(task_id=1, max_depth=0)
@@ -145,13 +106,8 @@ class TestServingRequest:
 
 
 def _queue_contents(queue: ServingQueue) -> list[int]:
-    """Request ids still queued, in pop order (destructive)."""
-    out = []
-    while True:
-        request = queue._pop()
-        if request is None:
-            return out
-        out.append(request.request_id)
+    """Request ids still queued, in pop order."""
+    return [request.request_id for request in queue._fifo]
 
 
 # one step: push (task, deadline, compute time) or drain at (time advance)
@@ -168,17 +124,16 @@ class TestReadyQueuesMatchFullScan:
     @settings(max_examples=200, deadline=None)
     @given(
         steps=st.lists(st.one_of(_pushes, _drains), max_size=60),
-        policy=st.sampled_from(["fifo", "edf"]),
         max_depth=st.integers(1, 4),
         max_batch=st.sampled_from([None, 1, 3]),
     )
     def test_same_windows_expiries_and_leftovers(
-        self, steps, policy, max_depth, max_batch
+        self, steps, max_depth, max_batch
     ):
         def build(index_type):
             queues = {
                 # ids out of insertion order: drain order is by task id
-                tid: ServingQueue(task_id=tid, policy=policy, max_depth=max_depth)
+                tid: ServingQueue(task_id=tid, max_depth=max_depth)
                 for tid in (3, 0, 5, 1, 4, 2)
             }
             return queues, index_type(queues)
@@ -214,7 +169,7 @@ class TestReadyQueuesMatchFullScan:
             assert _queue_contents(queues[tid]) == _queue_contents(ref_queues[tid])
 
     def test_max_batch_leaves_later_queues_indexed(self):
-        queues = {tid: ServingQueue(task_id=tid, policy="fifo") for tid in (2, 1)}
+        queues = {tid: ServingQueue(task_id=tid) for tid in (2, 1)}
         index = ReadyQueues(queues)
         for request_id, task_id in enumerate((2, 1, 1)):
             request = make_request(request_id, deadline_at=9.0)
@@ -229,7 +184,7 @@ class TestReadyQueuesMatchFullScan:
     def test_a_queue_indexed_but_emptied_holds_no_work(self):
         # max_batch closes the window on the queue's last request: the
         # queue stays indexed until the next drain, but holds nothing
-        queues = {tid: ServingQueue(task_id=tid, policy="edf") for tid in (1, 2)}
+        queues = {tid: ServingQueue(task_id=tid) for tid in (1, 2)}
         index = ReadyQueues(queues)
         assert not index.holds_work()
         request = make_request(0, deadline_at=9.0)

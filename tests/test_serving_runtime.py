@@ -132,10 +132,6 @@ class TestRuntime:
                 100.0 * (served.completed - served.deadline_misses) / served.completed
             )
 
-    def test_fifo_policy_runs(self, runtime):
-        metrics = runtime.with_config(queue_policy="fifo", **CONFIG).run()
-        assert metrics.completed > 0
-
     def test_more_workers_not_slower(self, runtime):
         one = runtime.with_config(num_workers=1, **CONFIG).run()
         four = runtime.with_config(num_workers=4, **CONFIG).run()
@@ -155,7 +151,6 @@ class TestRuntime:
             {"result_return_s": -0.001},
             {"queue_depth": 0},
             {"num_workers": 0},
-            {"queue_policy": "lifo"},
         ):
             (name,) = bad
             with pytest.raises(ValueError, match=name):
@@ -201,7 +196,6 @@ class TestServeSimCli:
 
         args = build_parser().parse_args(["serve-sim"])
         assert args.tasks == 5
-        assert args.policy == "edf"
         assert not args.no_prefix_cache
 
     def test_runs_and_reports(self, capsys):
