@@ -12,7 +12,7 @@ import time
 
 from benchmarks._report import emit
 from repro.analysis.report import format_table
-from repro.core.subproblem import solve_branch, solve_branch_convex
+from repro.core.subproblem import BranchItem, solve_branch, solve_branch_convex
 from repro.core.tree import build_vector_tree
 from repro.workloads.largescale import RequestRate, large_scale_problem
 
@@ -21,9 +21,9 @@ def _branch_items(problem):
     """The first (least compute time) variant of every non-empty clique."""
     radio_blocks = problem.budgets.radio_blocks
     return [
-        items[0]
+        BranchItem(clique.task, clique.variant_path(feasible[0]), clique.bits_per_rb)
         for clique in build_vector_tree(problem).cliques
-        if (items := clique.items(radio_blocks))
+        if (feasible := clique.feasible(radio_blocks))
     ]
 
 

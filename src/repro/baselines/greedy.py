@@ -36,15 +36,15 @@ class GreedyNoSharingSolver:
         remaining_memory = problem.budgets.memory_gb
         chosen: Branch = []
         for clique in vtree.cliques:
-            picked = None
-            for item in clique.items(problem.budgets.radio_blocks):
-                memory = item.path.memory_gb
+            pick = -1
+            for i in clique.feasible(problem.budgets.radio_blocks):
+                memory = clique.base_path(i).memory_gb
                 if memory <= remaining_memory + 1e-12:
-                    picked = item
+                    pick = i
                     remaining_memory -= memory
                     break
-            chosen.append((clique.task.task_id, picked))
-        solution = allocate(problem, chosen, self.admission_floor)
+            chosen.append(pick)
+        solution = allocate(vtree, chosen, self.admission_floor)
         for task_id, assignment in list(solution.assignments.items()):
             path = assignment.path
             if path is None:

@@ -35,16 +35,16 @@ class RandomPathSolver:
         chosen: Branch = []
         for clique in vtree.cliques:
             fitting = [
-                item
-                for item in clique.items(budgets.radio_blocks)
-                if state.fits(item.path, budgets.memory_gb)
+                i
+                for i in clique.feasible(budgets.radio_blocks)
+                if state.fits(clique.base_path(i), budgets.memory_gb)
             ]
-            picked = None
+            pick = -1
             if fitting:
-                picked = fitting[rng.integers(len(fitting))]
-                state = state.extend(picked.path)
-            chosen.append((clique.task.task_id, picked))
-        solution = allocate(problem, chosen, self.admission_floor)
+                pick = fitting[rng.integers(len(fitting))]
+                state = state.extend(clique.base_path(pick))
+            chosen.append(pick)
+        solution = allocate(vtree, chosen, self.admission_floor)
         solution.solve_time_s = self.clock() - start
         solution.tree_build_time_s = vtree.build_time_s
         solution.solver_name = self.name

@@ -17,6 +17,9 @@
 The pipeline is a chain of plain stage functions every solver composes:
 ``build_vector_tree(problem, memo=None)`` -> ``first_branch`` or
 ``branches`` -> ``allocate`` (``heuristic.best_branch`` over several leaves).
+A walk returns a pick column, one variant index per clique (-1 for a
+task left without a path); ``allocate`` builds the water-fill's
+decisions lazily from ``(clique, pick)``, only as many as it reads.
 """
 
 from repro.core.task import Task, QualityLevel

@@ -54,9 +54,9 @@ import numpy as np
 from repro.core.catalog import Catalog
 from repro.core.problem import DOTProblem
 from repro.core.solution import Assignment, AssignmentRuns, DOTSolution, Run
-from repro.core.subproblem import _best_admission_for_item, _radio_spent
+from repro.core.subproblem import BranchItem, _best_admission_for_item, _radio_spent
 from repro.core.task import Task
-from repro.core.tree import Branch, build_vector_tree, first_branch
+from repro.core.tree import Branch, VectorClique, build_vector_tree, first_branch
 from repro.obs.trace import current_tracer
 
 __all__ = ["TaskGroup", "AggregationPlan", "aggregate_problem", "AggregateSolver"]
@@ -190,29 +190,34 @@ class AggregateSolver:
             with tracer.span("solver.select_branch", cat="solver", track="solver"):
                 chosen = first_branch(vtree, problem.budgets)
             with tracer.span("solver.allocate", cat="solver", track="solver"):
-                solution = self._allocate_groups(problem, plan, chosen)
+                solution = self._allocate_groups(problem, plan, vtree.cliques, chosen)
         else:
             chosen = first_branch(vtree, problem.budgets)
-            solution = self._allocate_groups(problem, plan, chosen)
+            solution = self._allocate_groups(problem, plan, vtree.cliques, chosen)
         solution.solve_time_s = time.perf_counter() - start
         solution.tree_build_time_s = build_time
         solution.solver_name = self.name
         return solution
 
     def _allocate_groups(
-        self, problem: DOTProblem, plan: AggregationPlan, chosen: Branch
+        self,
+        problem: DOTProblem,
+        plan: AggregationPlan,
+        cliques: list[VectorClique],
+        chosen: Branch,
     ) -> DOTSolution:
         budgets = problem.budgets
         floor_z = self.admission_floor
         remaining_radio = float(budgets.radio_blocks)
         remaining_compute = float(budgets.compute_time_s)
         runs: list[Run] = []
-        for rep_id, item in chosen:
-            group = plan.groups[rep_id]
+        for clique, pick in zip(cliques, chosen):
+            group = plan.groups[clique.task.task_id]
             members, rep = group.member_ids, group.representative
-            if item is None:
+            if pick < 0:
                 runs.append((Assignment(rep, None, 0.0, 0), members))
                 continue
+            item = BranchItem(clique.task, clique.variant_path(pick), clique.bits_per_rb)
             compute_per_z = item.task.request_rate * item.path.compute_time_s
             index = 0
             while index < len(members):

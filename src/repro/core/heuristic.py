@@ -23,17 +23,19 @@ solver that composes them.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 
+from repro.core.catalog import Path
 from repro.core.objective import objective_value
 from repro.core.problem import DOTProblem
 from repro.core.solution import Assignment, DOTSolution
-from repro.core.subproblem import BranchAllocation, solve_branch
+from repro.core.subproblem import BranchAllocation, BranchItem, solve_branch
 from repro.core.tree import (
     Branch,
     VectorClique,
+    VectorTree,
     branches,
     build_vector_tree,
     first_branch,
@@ -60,45 +62,67 @@ def _apply_margin(pool: float, allocation: BranchAllocation, margin_rbs: int) ->
                 used += z
 
 
+class _PlacedItems:
+    """A branch's placed layers as decisions, built as they are read.
+
+    Sized, so the water-fill can reject the unread tail in one step once
+    the radio pool is spent (:func:`~repro.core.subproblem.solve_branch`):
+    a 10⁴-task branch then builds a :class:`BranchItem` for the ≈ 20
+    layers the pool admits, not one per layer.
+    """
+
+    def __init__(self, cliques: list[VectorClique], paths: list[Path]) -> None:
+        self.cliques, self.paths = cliques, paths
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __iter__(self) -> Iterator[BranchItem]:
+        for clique, path in zip(self.cliques, self.paths):
+            yield BranchItem(clique.task, path, clique.bits_per_rb)
+
+
 def allocate(
-    problem: DOTProblem,
+    vtree: VectorTree,
     chosen: Branch,
     admission_floor: float = 1e-6,
     slice_margin_rbs: int = 0,
 ) -> DOTSolution:
     """Run the per-branch (z, r) solver and assemble the solution.
 
-    The one place a walked branch becomes a :class:`DOTSolution`: placed
-    tasks first, in branch order, then the tasks the walk left without a
-    path as rejected records.
+    The one place a walked branch — one pick per layer of ``vtree`` —
+    becomes a :class:`DOTSolution`: placed tasks first, in branch order,
+    then the tasks the walk left without a path as rejected records.
+    Each placed layer's variant path is built once and serves both its
+    lazy decision (:class:`_PlacedItems`) and its :class:`Assignment`.
     """
-    placed = [(task_id, item) for task_id, item in chosen if item is not None]
-    allocation = solve_branch(
-        [item for _, item in placed], problem.budgets, admission_floor
-    )
+    placed: list[VectorClique] = []
+    paths: list[Path] = []
+    for clique, pick in zip(vtree.cliques, chosen):
+        if pick >= 0:
+            placed.append(clique)
+            paths.append(clique.variant_path(pick))
+    budgets = vtree.problem.budgets
+    allocation = solve_branch(_PlacedItems(placed, paths), budgets, admission_floor)
     if slice_margin_rbs > 0:
-        _apply_margin(float(problem.budgets.radio_blocks), allocation, slice_margin_rbs)
+        _apply_margin(float(budgets.radio_blocks), allocation, slice_margin_rbs)
 
     solution = DOTSolution()
-    for (task_id, item), z, r in zip(
-        placed, allocation.admission, allocation.radio_blocks
+    assignments = solution.assignments
+    for clique, path, z, r in zip(
+        placed, paths, allocation.admission, allocation.radio_blocks
     ):
-        solution.assignments[task_id] = Assignment(
-            task=item.task, path=item.path, admission_ratio=z, radio_blocks=r
-        )
-    for task_id, item in chosen:
-        if item is None:
-            solution.assignments[task_id] = Assignment(
-                task=problem.task(task_id),
-                path=None,
-                admission_ratio=0.0,
-                radio_blocks=0,
-            )
+        task = clique.task
+        assignments[task.task_id] = Assignment(task, path, z, r)
+    for clique, pick in zip(vtree.cliques, chosen):
+        if pick < 0:
+            task = clique.task
+            assignments[task.task_id] = Assignment(task, None, 0.0, 0)
     return solution
 
 
 def best_branch(
-    problem: DOTProblem,
+    vtree: VectorTree,
     leaves: Iterable[Branch],
     admission_floor: float = 1e-6,
     slice_margin_rbs: int = 0,
@@ -106,17 +130,17 @@ def best_branch(
     """The least Eq. (1a) cost among the allocations of ``leaves``.
 
     ``leaves`` is a (prefix of a) :func:`~repro.core.tree.branches`
-    enumeration, which always yields at least one leaf; a later leaf
-    replaces the incumbent only by beating its cost.  The solution's
-    ``branches_explored`` counts the leaves evaluated.
+    enumeration of ``vtree``, which always yields at least one leaf; a
+    later leaf replaces the incumbent only by beating its cost.  The
+    solution's ``branches_explored`` counts the leaves evaluated.
     """
     best: DOTSolution | None = None
     best_cost = float("inf")
     explored = 0
     for chosen in leaves:
         explored += 1
-        candidate = allocate(problem, chosen, admission_floor, slice_margin_rbs)
-        cost = objective_value(problem, candidate)
+        candidate = allocate(vtree, chosen, admission_floor, slice_margin_rbs)
+        cost = objective_value(vtree.problem, candidate)
         if cost < best_cost - 1e-12:
             best_cost = cost
             best = candidate
@@ -178,15 +202,15 @@ class OffloaDNNSolver:
             leaves = islice(
                 branches(vtree, budgets, self.ordering), self.explore_branches
             )
-            solution = best_branch(problem, leaves, floor, margin)
+            solution = best_branch(vtree, leaves, floor, margin)
         elif tracer.enabled:
             with tracer.span("solver.select_branch", cat="solver", track="solver"):
                 chosen = first_branch(vtree, budgets, self.ordering)
             with tracer.span("solver.allocate", cat="solver", track="solver"):
-                solution = allocate(problem, chosen, floor, margin)
+                solution = allocate(vtree, chosen, floor, margin)
         else:
             chosen = first_branch(vtree, budgets, self.ordering)
-            solution = allocate(problem, chosen, floor, margin)
+            solution = allocate(vtree, chosen, floor, margin)
         solution.solve_time_s = time.perf_counter() - start
         solution.tree_build_time_s = vtree.build_time_s
         solution.solver_name = self.name

@@ -47,7 +47,7 @@ class OptimalSolver:
                 f"({self.max_branches}); use the OffloaDNN heuristic instead"
             )
         leaves = branches(vtree, problem.budgets, allow_reject=self.allow_reject)
-        solution = best_branch(problem, leaves, self.admission_floor)
+        solution = best_branch(vtree, leaves, self.admission_floor)
         solution.solve_time_s = time.perf_counter() - start
         solution.tree_build_time_s = vtree.build_time_s
         solution.solver_name = self.name

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 from repro.core.catalog import Catalog
 from repro.core.task import Task
@@ -87,8 +88,13 @@ class DOTProblem:
         self.catalog.validate(self.tasks)
 
     def tasks_by_priority(self) -> tuple[Task, ...]:
-        """Tasks in descending priority order (ties by id for determinism)."""
-        return tuple(sorted(self.tasks, key=lambda t: (-t.priority, t.task_id)))
+        """Tasks in descending priority order (ties by id for determinism).
+
+        Two stable sorts, by id and then by priority, give the order of the
+        ``(-priority, id)`` key without building a key tuple per task.
+        """
+        by_id = sorted(self.tasks, key=attrgetter("task_id"))
+        return tuple(sorted(by_id, key=attrgetter("priority"), reverse=True))
 
     @cached_property
     def _tasks_by_id(self) -> dict[int, Task]:

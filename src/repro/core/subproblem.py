@@ -25,6 +25,7 @@ the Eq. (1a) radio term for the chosen ``z``.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,20 +214,24 @@ def _radio_spent(remaining_radio: float) -> bool:
 
 
 def solve_branch(
-    items: list[BranchItem],
+    items: Collection[BranchItem],
     budgets: Budgets,
     admission_floor: float = 1e-6,
 ) -> BranchAllocation:
     """Exact structured solver (see module docstring).
 
     ``items`` must be in descending priority order — the branch order of
-    the weighted tree.  An item that cannot obtain an admission ratio of
-    at least ``admission_floor`` is rejected outright (``z = 0``), which
-    releases its radio and compute demand for lower-priority tasks and
-    lets the caller drop its otherwise-unused blocks.  Once the radio
+    the weighted tree — and may be any sized iterable: they are read in
+    order, each once, and not past the point where the pool is spent.
+    An item that cannot obtain an admission ratio of at least
+    ``admission_floor`` is rejected outright (``z = 0``), which releases
+    its radio and compute demand for lower-priority tasks and lets the
+    caller drop its otherwise-unused blocks.  Once the radio
     pool is spent (:func:`_radio_spent`) the rest of the branch is
-    rejected in one step, without a closed-form scan per item: a
-    10⁴-task branch whose first 20 items fill the pool costs 20 scans.
+    rejected in one step, without a closed-form scan per item and
+    without reading the rest: a 10⁴-task branch whose first 20 items fill
+    the pool costs 20 scans, and a lazy ``items`` (what
+    :func:`~repro.core.heuristic.allocate` passes) builds 21 items.
     """
     tracer = current_tracer()
     start = tracer.clock() if tracer.enabled else 0.0

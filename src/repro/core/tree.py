@@ -18,7 +18,10 @@ This is the only tree: :func:`build_vector_tree` builds it (cliques as
 flat arrays, from the one batched :func:`build_cliques`), and two walks
 read it — :func:`first_branch`, the heuristic's single traversal, and
 :func:`branches`, the memory-pruned enumeration of every branch.  A
-vertex taken out of a clique is a :class:`~repro.core.subproblem.BranchItem`.
+walk's output is a :data:`Branch`: one pick per layer, the index of the
+chosen variant in its clique.  Only the allocation turns picks into
+:class:`~repro.core.subproblem.BranchItem` decisions, and only as many
+as its water-fill reads.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import numpy as np
 
 from repro.core.catalog import Path
 from repro.core.problem import Budgets, DOTProblem
-from repro.core.subproblem import BranchItem
 from repro.core.task import QualityLevel, Task
 from repro.obs.trace import current_tracer
 
@@ -46,9 +48,9 @@ __all__ = [
     "branches",
 ]
 
-#: one entry per tree layer, in priority order: the task id and its
-#: chosen vertex, or ``None`` when no variant of the task fits
-Branch = list[tuple[int, BranchItem | None]]
+#: one entry per tree layer (``VectorTree.cliques``), in priority order:
+#: the chosen variant's index in its clique, or -1 when no variant fits
+Branch = list[int]
 
 
 @dataclass(frozen=True)
@@ -162,51 +164,49 @@ class VectorClique:
         """Variants whose latency-driven RB demand fits the radio capacity."""
         return np.flatnonzero(self.min_latency_rbs <= radio_blocks).tolist()
 
-    def items(self, radio_blocks: int) -> list[BranchItem]:
-        """The :meth:`feasible` variants as decisions, in clique order."""
-        return [
-            BranchItem(self.task, self.variant_path(i), self.bits_per_rb)
-            for i in self.feasible(radio_blocks)
-        ]
-
 
 def build_cliques(
-    specs: list[tuple[Task, tuple[Path, ...], float]]
+    tasks: list[Task],
+    paths: list[tuple[Path, ...]],
+    bits_per_rb: list[float],
 ) -> list[VectorClique]:
-    """The cliques of ``(task, candidate paths, bits per RB)`` specs.
+    """The cliques of the specs ``(tasks[k], paths[k], bits_per_rb[k])``.
 
     The one clique builder: every spec's (path × quality) variants are
     flattened into one set of arrays with a task column, filtered and
     sorted together (:func:`_build_chunk`), ``_CHUNK_TASKS`` specs at a
-    time.  It replicates the per-task scalar pipeline exactly (kept as
-    ``tests/oracles.py::scalar_cliques``) — same feasibility comparisons,
-    same float expressions for the latency RB demand, same sort keys —
-    so a clique is the same whatever batch it was built in.
+    time.  A spec is a task, its candidate paths and its bits per RB,
+    passed as three parallel lists.  It replicates the per-task scalar
+    pipeline exactly (kept as ``tests/oracles.py::scalar_cliques``) —
+    same feasibility comparisons, same float expressions for the latency
+    RB demand, same sort keys — so a clique is the same whatever batch
+    it was built in.
     """
     cliques: list[VectorClique] = []
-    for lo in range(0, len(specs), _CHUNK_TASKS):
-        cliques.extend(_build_chunk(specs[lo : lo + _CHUNK_TASKS]))
+    for lo in range(0, len(tasks), _CHUNK_TASKS):
+        hi = lo + _CHUNK_TASKS
+        cliques.extend(_build_chunk(tasks[lo:hi], paths[lo:hi], bits_per_rb[lo:hi]))
     return cliques
 
 
 def _build_chunk(
-    specs: list[tuple[Task, tuple[Path, ...], float]]
+    tasks: list[Task], paths_of: list[tuple[Path, ...]], bits_of: list[float]
 ) -> list[VectorClique]:
-    n_tasks = len(specs)
+    n_tasks = len(tasks)
     f8, i8 = np.float64, np.int64
     # per (task, path) pair; the sums are cached on the Path objects
-    pairs = [path for _, paths, _ in specs for path in paths]
+    pairs = [path for paths in paths_of for path in paths]
     pair_comp = np.array([path.compute_time_s for path in pairs], dtype=f8)
     pair_mem = np.array([path.memory_gb for path in pairs], dtype=f8)
     pair_acc = np.array([path.accuracy for path in pairs], dtype=f8)
-    qualities = [task.qualities for task, _, _ in specs]
+    qualities = [task.qualities for task in tasks]
     q_factor = np.array([q.accuracy_factor for qs in qualities for q in qs], dtype=f8)
     q_bits = np.array([q.bits_per_image for qs in qualities for q in qs], dtype=f8)
     n_q = np.array(list(map(len, qualities)), dtype=i8)
-    n_paths = np.array([len(paths) for _, paths, _ in specs], dtype=i8)
-    min_acc = np.array([task.min_accuracy for task, _, _ in specs], dtype=f8)
-    max_lat = np.array([task.max_latency_s for task, _, _ in specs], dtype=f8)
-    bits_per_rb = np.array([b for _, _, b in specs], dtype=f8)
+    n_paths = np.fromiter(map(len, paths_of), i8, n_tasks)
+    min_acc = np.array([task.min_accuracy for task in tasks], dtype=f8)
+    max_lat = np.array([task.max_latency_s for task in tasks], dtype=f8)
+    bits_per_rb = np.array(bits_of, dtype=f8)
 
     # variant layout: tasks outer, then paths, qualities inner (the
     # enumeration order, which the stable sort below preserves among ties)
@@ -266,8 +266,8 @@ def _build_chunk(
             min_latency_rbs=r_lat[lo:hi],
             filtered_static=dropped,
         )
-        for (task, paths, task_bits_per_rb), lo, hi, dropped in zip(
-            specs, bounds, bounds[1:], filtered
+        for task, paths, task_bits_per_rb, lo, hi, dropped in zip(
+            tasks, paths_of, bits_of, bounds, bounds[1:], filtered
         )
     ]
 
@@ -332,13 +332,25 @@ def build_vector_tree(
     """
     start = time.perf_counter()
     tracer = current_tracer()
-    specs: list[tuple[Task, tuple[Path, ...], float]] = []
-    replicas: dict[tuple, int] = {}
+    ordered = problem.tasks_by_priority()
+    paths_for, bits_for = problem.catalog.paths_for, problem.radio.bits_per_rb
+    # the specs to build, as parallel lists (one entry per distinct clique)
+    spec_tasks: list[Task] = []
+    spec_paths: list[tuple[Path, ...]] = []
+    spec_bits: list[float] = []
+    # a replica is found by the identity of its path tuple: the problem
+    # keeps the tuples alive, so ids are unique for this call.  Only a
+    # tuple shared by tasks that differ in bits per RB, accuracy, latency
+    # or quality set needs the full key of its further specs
+    by_paths: dict[int, int] = {}
+    by_key: dict[tuple, int] = {}
     cliques: list[VectorClique | None] = []
-    misses: list[tuple[int, Task, int]] = []
-    for task in problem.tasks_by_priority():
-        paths = problem.catalog.paths_for(task)
-        bits_per_rb = problem.radio.bits_per_rb(task)
+    # the layers to fill from the build, and each one's spec
+    miss_layers: list[int] = []
+    miss_slots: list[int] = []
+    for layer, task in enumerate(ordered):
+        paths = paths_for(task)
+        bits_per_rb = bits_for(task)
         if memo is not None:
             clique = memo.get(task.task_id)
             if (
@@ -349,22 +361,33 @@ def build_vector_tree(
             ):
                 cliques.append(clique)
                 continue
-        # identity, not value, of the two tuples: replicas share both, and
-        # the problem keeps them alive, so ids are unique for this call
-        key = (
-            id(paths),
-            bits_per_rb,
-            task.min_accuracy,
-            task.max_latency_s,
-            id(task.qualities),
-        )
-        slot = replicas.setdefault(key, len(specs))
-        if slot == len(specs):
-            specs.append((task, paths, bits_per_rb))
-        misses.append((len(cliques), task, slot))
+        new = len(spec_tasks)
+        slot = by_paths.setdefault(id(paths), new)
+        if slot != new:
+            first = spec_tasks[slot]
+            if not (
+                spec_bits[slot] == bits_per_rb
+                and first.min_accuracy == task.min_accuracy
+                and first.max_latency_s == task.max_latency_s
+                and first.qualities is task.qualities
+            ):
+                key = (
+                    id(paths),
+                    bits_per_rb,
+                    task.min_accuracy,
+                    task.max_latency_s,
+                    id(task.qualities),
+                )
+                slot = by_key.setdefault(key, new)
+        if slot == new:
+            spec_tasks.append(task)
+            spec_paths.append(paths)
+            spec_bits.append(bits_per_rb)
+        miss_layers.append(layer)
+        miss_slots.append(slot)
         cliques.append(None)
     build_start = time.perf_counter()
-    built = build_cliques(specs)
+    built = build_cliques(spec_tasks, spec_paths, spec_bits)
     if tracer.enabled:
         tracer.record(
             "solver.clique_build",
@@ -378,11 +401,11 @@ def build_vector_tree(
                 "variants": sum(map(len, built)),
             },
         )
-    for layer, task, slot in misses:
-        clique = built[slot]
+    for layer, slot in zip(miss_layers, miss_slots):
+        clique, task = built[slot], ordered[layer]
         cliques[layer] = clique if clique.task is task else replace(clique, task=task)
     if memo is not None:
-        memo.update((task.task_id, cliques[layer]) for layer, task, _ in misses)
+        memo.update((ordered[layer].task_id, cliques[layer]) for layer in miss_layers)
     elapsed = time.perf_counter() - start
     if tracer.enabled:
         tracer.record(
@@ -397,7 +420,7 @@ def build_vector_tree(
         problem=problem,
         cliques=cliques,
         build_time_s=elapsed,
-        cached_cliques=len(cliques) - len(misses),
+        cached_cliques=len(cliques) - len(miss_layers),
     )
 
 
@@ -428,8 +451,8 @@ def first_branch(
 
     Per clique: drop radio-infeasible variants and pick the first
     variant under ``ordering`` whose incremental memory — the blocks not
-    yet deployed, summed in path order — still fits; ``None`` marks a
-    task with no deployable path (rejected).  Under the paper's
+    yet deployed, summed in path order — still fits; -1 marks a task
+    with no deployable path (rejected).  Under the paper's
     ``"compute"`` ordering that first candidate is the clique's *head*,
     its first radio-feasible variant, and :func:`_clique_heads` finds
     every layer's head in one array pass; only a head that misses (1b)
@@ -438,9 +461,9 @@ def first_branch(
     clique's radio-feasible variants.  A base path whose blocks are all
     deployed is remembered: a later candidate on it skips the block loop
     and compares ``mem_used + 0`` with the limit, as the loop would.
-    Only the chosen variant's ``Path`` is built, so a 10⁵-task solve
-    allocates 10⁵ paths instead of millions of vertices.  It is the
-    first leaf of :func:`branches`, without building the other vertices.
+    The walk builds no path and no decision: it returns the pick column
+    (:data:`Branch`), the index of each layer's chosen variant or -1.  It
+    is the first leaf of :func:`branches`.
     """
     radio_blocks = budgets.radio_blocks
     memory_limit = budgets.memory_gb + 1e-12
@@ -497,10 +520,7 @@ def first_branch(
         else:
             rest = clique.feasible(radio_blocks)[1:]
             pick = next((i for i in rest if deploys(clique, i)), -1)
-        item = None
-        if pick >= 0:
-            item = BranchItem(clique.task, clique.variant_path(pick), clique.bits_per_rb)
-        chosen.append((clique.task.task_id, item))
+        chosen.append(pick)
     return chosen
 
 
@@ -519,44 +539,47 @@ def branches(
     against the current branch state.  The first leaf is exactly
     :func:`first_branch`'s.  ``allow_reject`` adds an explicit "serve no
     path" vertex at the end of every layer; without it a task is skipped
-    only when none of its vertices fits, so there is always a leaf.
+    only when none of its vertices fits, so there is always a leaf.  A
+    leaf is a :data:`Branch`, -1 where it skips a layer.
     """
-    layers = [
-        (clique.task.task_id, clique.items(budgets.radio_blocks))
-        for clique in vtree.cliques
-    ]
+    memory_gb, cliques = budgets.memory_gb, vtree.cliques
+    layers = [clique.feasible(budgets.radio_blocks) for clique in cliques]
     prefix: Branch = []
 
-    def ordered(items: list[BranchItem], state: BranchState) -> list[BranchItem]:
+    def ordered(clique: VectorClique, picks: list[int], state: BranchState) -> list[int]:
         if ordering == "memory":
             return sorted(
-                items,
-                key=lambda it: (state.incremental_memory(it.path), it.path.path_id),
+                picks,
+                key=lambda i: (
+                    state.incremental_memory(clique.base_path(i)),
+                    clique.variant_path_id(i),
+                ),
             )
         if ordering == "accuracy":
             return sorted(
-                items, key=lambda it: (-it.path.effective_accuracy, it.path.path_id)
+                picks, key=lambda i: (-clique.accuracy[i], clique.variant_path_id(i))
             )
-        return items
+        return picks
 
     def descend(layer: int, state: BranchState) -> Iterator[Branch]:
         if layer == len(layers):
             yield list(prefix)
             return
-        task_id, items = layers[layer]
+        clique = cliques[layer]
         descended = False
-        for item in ordered(items, state):
-            if not state.fits(item.path, budgets.memory_gb):
+        for pick in ordered(clique, layers[layer], state):
+            path = clique.base_path(pick)
+            if not state.fits(path, memory_gb):
                 continue  # halt this branch (memory pruning)
             descended = True
-            prefix.append((task_id, item))
-            yield from descend(layer + 1, state.extend(item.path))
+            prefix.append(pick)
+            yield from descend(layer + 1, state.extend(path))
             prefix.pop()
         # Skip the task when rejection is explicitly explored, or when no
         # vertex fits the remaining memory (otherwise the whole subtree
         # would dead-end and lower-priority tasks could never be placed).
         if allow_reject or not descended:
-            prefix.append((task_id, None))
+            prefix.append(-1)
             yield from descend(layer + 1, state)
             prefix.pop()
 

@@ -15,10 +15,10 @@ Steps:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.problem import Budgets, DOTProblem, RadioModel
-from repro.core.catalog import Catalog
+from repro.core.catalog import Block, Catalog, Path
 from repro.core.heuristic import OffloaDNNSolver
 from repro.core.solution import DOTSolution
 from repro.core.task import Task
@@ -89,7 +89,7 @@ class OffloaDNNController:
         )
         problem = DOTProblem(
             tasks=tasks,
-            catalog=catalog,
+            catalog=self._free_deployed(tasks, catalog),
             budgets=budgets,
             radio=self.radio,
             alpha=self.alpha,
@@ -148,6 +148,35 @@ class OffloaDNNController:
                 path_id=path.path_id,
             )
         return tickets
+
+    def _free_deployed(self, tasks: tuple[Task, ...], catalog: Catalog) -> Catalog:
+        """``catalog`` with the blocks the VIM has deployed made free.
+
+        The VIM's free memory already excludes every deployed block, so a
+        path is charged (1b) memory and training cost only for the blocks
+        it would newly deploy.  Each distinct path tuple is rebuilt once,
+        so replicas keep sharing one tuple (the solver's replica key); with
+        nothing deployed the catalog is returned as it is.
+        """
+        deployed = self.vim.deployments
+        if not deployed:
+            return catalog
+
+        def free(block: Block) -> Block:
+            if block.block_id not in deployed:
+                return block
+            return replace(block, memory_gb=0.0, training_cost_s=0.0)
+
+        rebuilt: dict[int, tuple[Path, ...]] = {}
+        out = Catalog()
+        for task in tasks:
+            paths = catalog.paths_for(task)
+            if id(paths) not in rebuilt:
+                rebuilt[id(paths)] = tuple(
+                    replace(path, blocks=tuple(map(free, path.blocks))) for path in paths
+                )
+            out.paths_by_task[task.task_id] = rebuilt[id(paths)]
+        return out
 
     def evict_task(self, task_id: int) -> None:
         """Tear down a task: release slice, compute and orphaned blocks."""

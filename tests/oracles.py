@@ -43,7 +43,11 @@ The solver's scalar ancestors live here too: the per-vertex tree
 ``build_cliques`` / ``first_branch`` replaced, the O(R) admission
 enumeration (:func:`admission_by_enumeration`) behind the closed-form
 candidate scan, and the water-fill that scanned every item after the
-radio pool was spent (:func:`per_item_solve_branch`).
+radio pool was spent (:func:`per_item_solve_branch`).  So does the
+solver whose walks returned one ``(task id, BranchItem)`` per layer
+(:func:`item_first_branch`, :func:`item_branches`, :func:`item_allocate`
+and the ``item_*_solve`` entry points): the pick-column solver must
+return its solutions, assignment order included.
 
 The DNN side has two: :func:`fresh_forward` runs a compiled plan with
 every buffer in memory of its own (no arena, no lifetime packing), and
@@ -56,20 +60,31 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import replace
+from itertools import islice
 from unittest.mock import patch
 
 import numpy as np
 
 from repro.cluster.qos import Hop
 from repro.core.catalog import Catalog
-from repro.core.solution import Assignment, DOTSolution
+from repro.core.heuristic import _apply_margin
+from repro.core.objective import objective_value
+from repro.core.solution import Assignment, AssignmentRuns, DOTSolution
 from repro.core.subproblem import (
     _SCAN_EPS,
     BranchAllocation,
     BranchItem,
     _best_admission_for_item,
+    _radio_spent,
+    solve_branch,
 )
-from repro.core.tree import build_vector_tree, first_branch
+from repro.core.tree import (
+    BranchState,
+    VectorClique,
+    _clique_heads,
+    build_vector_tree,
+    first_branch,
+)
 from repro.dnn import pruning
 from repro.dnn.compile import (
     CompiledModule,
@@ -603,7 +618,7 @@ def tuple_signature_groups(problem) -> list[tuple[int, tuple[int, ...]]]:
     return [(members[0], tuple(members)) for members in buckets.values()]
 
 
-def per_member_allocate_groups(self, problem, plan, chosen) -> DOTSolution:
+def per_member_allocate_groups(self, problem, plan, cliques, chosen) -> DOTSolution:
     """``AggregateSolver._allocate_groups`` with one dict entry per member
     (patch it over the method to get a solve's expanded twin)."""
     budgets = problem.budgets
@@ -619,11 +634,12 @@ def per_member_allocate_groups(self, problem, plan, chosen) -> DOTSolution:
                 task=tasks_by_id[member_id], path=path, admission_ratio=z, radio_blocks=r
             )
 
-    for rep_id, item in chosen:
-        members = plan.groups[rep_id].member_ids
-        if item is None:
+    for clique, pick in zip(cliques, chosen):
+        members = plan.groups[clique.task.task_id].member_ids
+        if pick < 0:
             assign(members, None, 0.0, 0)
             continue
+        item = BranchItem(clique.task, clique.variant_path(pick), clique.bits_per_rb)
         compute_per_z = item.task.request_rate * item.path.compute_time_s
         index = 0
         while index < len(members):
@@ -649,18 +665,29 @@ def per_member_allocate_groups(self, problem, plan, chosen) -> DOTSolution:
 
 
 def allocate_both_ways(solver, problem):
-    """``(plan, chosen, run-backed solution, per-member twin)`` of one
-    selection, so both solutions must hold the very same ``Path`` objects."""
+    """``(plan, {representative id: pick}, run-backed solution, per-member
+    twin)`` of one selection.  Both allocations read each pick's variant
+    path from one memo, so the two solutions must hold the very same
+    ``Path`` objects."""
     from repro.core.aggregate import aggregate_problem
 
     plan = aggregate_problem(problem)
-    chosen = first_branch(build_vector_tree(plan.meta_problem), problem.budgets)
-    return (
-        plan,
-        chosen,
-        solver._allocate_groups(problem, plan, chosen),
-        per_member_allocate_groups(solver, problem, plan, chosen),
-    )
+    vtree = build_vector_tree(plan.meta_problem)
+    cliques, chosen = vtree.cliques, first_branch(vtree, problem.budgets)
+    built: dict = {}
+    variant_path = VectorClique.variant_path
+
+    def shared_variant_path(clique, index):
+        key = (id(clique), index)
+        if key not in built:
+            built[key] = variant_path(clique, index)
+        return built[key]
+
+    with patch.object(VectorClique, "variant_path", shared_variant_path):
+        runs = solver._allocate_groups(problem, plan, cliques, chosen)
+        twin = per_member_allocate_groups(solver, problem, plan, cliques, chosen)
+    picks = {clique.task.task_id: pick for clique, pick in zip(cliques, chosen)}
+    return plan, picks, runs, twin
 
 
 def scalar_cliques(problem) -> list[tuple[object, list[BranchItem], int]]:
@@ -724,6 +751,274 @@ def scalar_first_branch(problem, ordering: str = "compute"):
                 memory += block.memory_gb
         chosen.append((task.task_id, picked))
     return chosen
+
+
+def clique_items(clique, radio_blocks: int) -> list[BranchItem]:
+    """A clique's radio-feasible variants as decisions, in clique order
+    (the ``VectorClique.items`` the pick column replaced)."""
+    return [
+        BranchItem(clique.task, clique.variant_path(i), clique.bits_per_rb)
+        for i in clique.feasible(radio_blocks)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# The item-per-layer solver: every walk returned ``(task id, BranchItem or
+# None)`` per layer and ``allocate`` read those.  The pick-column solver in
+# ``src/`` (one variant index per layer, items built only as the water-fill
+# reads them) must return the same solutions, assignment order included.
+# ---------------------------------------------------------------------------
+
+
+def item_first_branch(vtree, budgets, ordering: str = "compute"):
+    """``first_branch`` as it was: ``(task id, BranchItem or None)`` per layer."""
+    radio_blocks = budgets.radio_blocks
+    memory_limit = budgets.memory_gb + 1e-12
+    deployed: set[str] = set()
+    settled: set[int] = set()
+    mem_used = 0.0
+
+    def fresh_blocks(path):
+        return [b for b in path.blocks if b.block_id not in deployed]
+
+    def deploys(clique, i: int) -> bool:
+        nonlocal mem_used
+        path = clique.base_path(i)
+        if id(path) in settled:
+            return not mem_used + 0 > memory_limit
+        fresh = fresh_blocks(path)
+        if mem_used + sum(b.memory_gb for b in fresh) > memory_limit:
+            return False
+        for block in fresh:
+            if block.block_id not in deployed:
+                deployed.add(block.block_id)
+                mem_used += block.memory_gb
+        settled.add(id(path))
+        return True
+
+    if ordering == "compute":
+        heads = _clique_heads(vtree.cliques, radio_blocks)
+    else:
+        heads = [None] * len(vtree.cliques)
+    chosen = []
+    for clique, head in zip(vtree.cliques, heads):
+        if head is None:
+            candidates = clique.feasible(radio_blocks)
+            if ordering == "memory":
+                candidates.sort(
+                    key=lambda i: (
+                        sum(b.memory_gb for b in fresh_blocks(clique.base_path(i))),
+                        clique.variant_path_id(i),
+                    )
+                )
+            elif ordering == "accuracy":
+                candidates.sort(
+                    key=lambda i: (-clique.accuracy[i], clique.variant_path_id(i))
+                )
+            pick = next((i for i in candidates if deploys(clique, i)), -1)
+        elif head < 0 or deploys(clique, head):
+            pick = head
+        else:
+            rest = clique.feasible(radio_blocks)[1:]
+            pick = next((i for i in rest if deploys(clique, i)), -1)
+        item = None
+        if pick >= 0:
+            item = BranchItem(clique.task, clique.variant_path(pick), clique.bits_per_rb)
+        chosen.append((clique.task.task_id, item))
+    return chosen
+
+
+def item_branches(vtree, budgets, ordering: str = "compute", allow_reject: bool = False):
+    """``branches`` as it was: every leaf a list of ``(task id, item or None)``."""
+    layers = [
+        (clique.task.task_id, clique_items(clique, budgets.radio_blocks))
+        for clique in vtree.cliques
+    ]
+    prefix = []
+
+    def ordered(items, state):
+        if ordering == "memory":
+            return sorted(
+                items,
+                key=lambda it: (state.incremental_memory(it.path), it.path.path_id),
+            )
+        if ordering == "accuracy":
+            return sorted(
+                items, key=lambda it: (-it.path.effective_accuracy, it.path.path_id)
+            )
+        return items
+
+    def descend(layer, state):
+        if layer == len(layers):
+            yield list(prefix)
+            return
+        task_id, items = layers[layer]
+        descended = False
+        for item in ordered(items, state):
+            if not state.fits(item.path, budgets.memory_gb):
+                continue
+            descended = True
+            prefix.append((task_id, item))
+            yield from descend(layer + 1, state.extend(item.path))
+            prefix.pop()
+        if allow_reject or not descended:
+            prefix.append((task_id, None))
+            yield from descend(layer + 1, state)
+            prefix.pop()
+
+    return descend(0, BranchState())
+
+
+def item_allocate(problem, chosen, admission_floor: float = 1e-6, slice_margin_rbs: int = 0):
+    """``allocate`` as it was: the water-fill over a list of every placed
+    layer's item, then placed assignments, then rejected ones."""
+    placed = [(task_id, item) for task_id, item in chosen if item is not None]
+    allocation = solve_branch([item for _, item in placed], problem.budgets, admission_floor)
+    if slice_margin_rbs > 0:
+        _apply_margin(float(problem.budgets.radio_blocks), allocation, slice_margin_rbs)
+    solution = DOTSolution()
+    for (task_id, item), z, r in zip(placed, allocation.admission, allocation.radio_blocks):
+        solution.assignments[task_id] = Assignment(
+            task=item.task, path=item.path, admission_ratio=z, radio_blocks=r
+        )
+    for task_id, item in chosen:
+        if item is None:
+            solution.assignments[task_id] = Assignment(
+                task=problem.task(task_id), path=None, admission_ratio=0.0, radio_blocks=0
+            )
+    return solution
+
+
+def item_best_branch(problem, leaves, admission_floor=1e-6, slice_margin_rbs=0):
+    """``best_branch`` as it was, over item leaves."""
+    best, best_cost, explored = None, float("inf"), 0
+    for chosen in leaves:
+        explored += 1
+        candidate = item_allocate(problem, chosen, admission_floor, slice_margin_rbs)
+        cost = objective_value(problem, candidate)
+        if cost < best_cost - 1e-12:
+            best, best_cost = candidate, cost
+    best.branches_explored = explored
+    return best
+
+
+def item_solve(problem, ordering="compute", explore=1, margin=0, floor=1e-6, memo=None):
+    """``OffloaDNNSolver(...).solve(problem, memo)`` by the item walk."""
+    vtree = build_vector_tree(problem, memo)
+    if explore > 1:
+        leaves = islice(item_branches(vtree, problem.budgets, ordering), explore)
+        return item_best_branch(problem, leaves, floor, margin)
+    chosen = item_first_branch(vtree, problem.budgets, ordering)
+    return item_allocate(problem, chosen, floor, margin)
+
+
+def item_optimal_solve(problem, allow_reject=False, floor=1e-6):
+    """``OptimalSolver(allow_reject, admission_floor=floor).solve`` by item leaves."""
+    vtree = build_vector_tree(problem)
+    leaves = item_branches(vtree, problem.budgets, allow_reject=allow_reject)
+    return item_best_branch(problem, leaves, floor)
+
+
+def item_allocate_groups(self, problem, plan, chosen) -> DOTSolution:
+    """``AggregateSolver._allocate_groups`` as it was, over an item branch."""
+    budgets = problem.budgets
+    floor_z = self.admission_floor
+    remaining_radio = float(budgets.radio_blocks)
+    remaining_compute = float(budgets.compute_time_s)
+    runs = []
+    for rep_id, item in chosen:
+        group = plan.groups[rep_id]
+        members, rep = group.member_ids, group.representative
+        if item is None:
+            runs.append((Assignment(rep, None, 0.0, 0), members))
+            continue
+        compute_per_z = item.task.request_rate * item.path.compute_time_s
+        index = 0
+        while index < len(members):
+            if _radio_spent(remaining_radio):
+                z, r = 0.0, 0
+            else:
+                z, r = _best_admission_for_item(
+                    item, remaining_radio, remaining_compute, budgets.radio_blocks
+                )
+            if z < floor_z:
+                break
+            radio_demand = z * r
+            compute_demand = z * compute_per_z
+            run = len(members) - index
+            if radio_demand > 0:
+                run = min(run, math.floor(remaining_radio / radio_demand + 1e-9))
+            if compute_demand > 0:
+                run = min(run, math.floor(remaining_compute / compute_demand + 1e-9))
+            run = max(1, run)
+            runs.append((Assignment(rep, item.path, z, r), members[index : index + run]))
+            remaining_radio = max(0.0, remaining_radio - run * radio_demand)
+            remaining_compute = max(0.0, remaining_compute - run * compute_demand)
+            index += run
+        if index < len(members):
+            runs.append((Assignment(rep, None, 0.0, 0), members[index:]))
+    return DOTSolution(assignments=AssignmentRuns(runs, problem.task))
+
+
+def item_aggregate_solve(solver, problem) -> DOTSolution:
+    """``solver.solve(problem)`` (an ``AggregateSolver``) by the item walk."""
+    from repro.core.aggregate import aggregate_problem
+
+    plan = aggregate_problem(problem)
+    chosen = item_first_branch(build_vector_tree(plan.meta_problem), problem.budgets)
+    return item_allocate_groups(solver, problem, plan, chosen)
+
+
+def item_greedy_solve(problem, floor=1e-6) -> DOTSolution:
+    """``GreedyNoSharingSolver().solve`` over item lists, dedicated blocks included."""
+    vtree = build_vector_tree(problem)
+    remaining_memory = problem.budgets.memory_gb
+    chosen = []
+    for clique in vtree.cliques:
+        picked = None
+        for item in clique_items(clique, problem.budgets.radio_blocks):
+            memory = item.path.memory_gb
+            if memory <= remaining_memory + 1e-12:
+                picked = item
+                remaining_memory -= memory
+                break
+        chosen.append((clique.task.task_id, picked))
+    solution = item_allocate(problem, chosen, floor)
+    for task_id, assignment in list(solution.assignments.items()):
+        path = assignment.path
+        if path is None:
+            continue
+        blocks = tuple(
+            replace(
+                b,
+                block_id=f"dedicated:task{task_id}:{b.block_id}",
+                dnn_id=f"dedicated:task{task_id}:{b.dnn_id}",
+            )
+            for b in path.blocks
+        )
+        solution.assignments[task_id] = replace(assignment, path=replace(path, blocks=blocks))
+    return solution
+
+
+def item_random_solve(problem, seed=0, floor=1e-6) -> DOTSolution:
+    """``RandomPathSolver(seed).solve`` over item lists."""
+    vtree = build_vector_tree(problem)
+    rng = np.random.default_rng(seed)
+    budgets = problem.budgets
+    state = BranchState()
+    chosen = []
+    for clique in vtree.cliques:
+        fitting = [
+            item
+            for item in clique_items(clique, budgets.radio_blocks)
+            if state.fits(item.path, budgets.memory_gb)
+        ]
+        picked = None
+        if fitting:
+            picked = fitting[rng.integers(len(fitting))]
+            state = state.extend(picked.path)
+        chosen.append((clique.task.task_id, picked))
+    return item_allocate(problem, chosen, floor)
 
 
 def per_item_solve_branch(items, budgets, admission_floor: float = 1e-6) -> BranchAllocation:

@@ -207,15 +207,14 @@ def assert_same_solution(problem: DOTProblem, runs, twin) -> None:
 def shape(plan, chosen, runs) -> set[str]:
     """Which corners of the replay one allocation went through."""
     seen = set()
-    vertex_of = dict(chosen)
-    if any(vertex is None for vertex in vertex_of.values()):
+    if any(pick < 0 for pick in chosen.values()):
         seen.add("rejected group")
     group_of = {tid: g for g in plan.groups.values() for tid in g.member_ids}
     for assignment, ids in runs.assignments.runs:
         group = group_of[ids[0]]
         if assignment.admitted and len(ids) == 1 and group.weight > 1:
             seen.add("run of one")
-        if not assignment.admitted and vertex_of[group.representative.task_id] is not None:
+        if not assignment.admitted and chosen[group.representative.task_id] >= 0:
             seen.add("floor break" if len(ids) < group.weight else "group below floor")
     return seen
 

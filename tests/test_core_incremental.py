@@ -209,3 +209,67 @@ class TestWarmStartSolver:
         assert _hits(wave1, memo) == 1
         memo.clear()
         assert _hits(wave1, memo) == 0
+
+
+class TestControllerWaves:
+    """The controller solves a later wave against the VIM's free memory, which
+    already excludes the deployed blocks: those are free in (1b)."""
+
+    @staticmethod
+    def _controller(budgets: Budgets):
+        from repro.edge.controller import OffloaDNNController
+        from repro.edge.resources import Gpu
+        from repro.edge.vim import VirtualInfrastructureManager
+        from repro.radio.slicing import SliceManager
+
+        vim = VirtualInfrastructureManager(
+            gpus=(Gpu(0, vram_gb=5.0, compute_share=budgets.compute_time_s),)
+        )
+        return OffloaDNNController(
+            vim=vim,
+            slice_manager=SliceManager(capacity_rbs=budgets.radio_blocks),
+            radio=RadioModel(default_bits_per_rb=350_000.0),
+        )
+
+    def test_a_wave_on_the_deployed_trunk_is_admitted(self):
+        wave1, wave2 = _two_wave_problems()
+        controller = self._controller(wave1.budgets)
+        first = controller.handle_admission_requests(wave1.tasks, wave1.catalog)
+        assert all(ticket.admitted for ticket in first.values())
+        vim = controller.vim
+        assert vim.computing_status()["memory_free_gb"] == pytest.approx(2.0)
+        # wave 2 needs 1.0 GB of new memory (two own blocks) next to the
+        # deployed 2.0 GB trunk; charged the trunk again it fitted nothing
+        second = controller.handle_admission_requests(wave2.tasks, wave2.catalog)
+        assert all(ticket.admitted for ticket in second.values())
+        assert vim.deployed_memory_gb() == pytest.approx(4.0)
+        assert vim.deployments["shared"].reference_count == 4
+        # the blocks the VIM holds keep their cost: the zeroed copies only
+        # priced the solve
+        assert vim.deployments["shared"].block.memory_gb == 2.0
+
+    def test_the_catalog_is_untouched_while_nothing_is_deployed(self):
+        wave1, wave2 = _two_wave_problems()
+        controller = self._controller(wave1.budgets)
+        seen = []
+        solve = controller.solver.solve
+
+        def spy(problem):
+            seen.append(problem.catalog)
+            return solve(problem)
+
+        controller.solver = replace(controller.solver)
+        controller.solver.solve = spy
+        controller.handle_admission_requests(wave1.tasks, wave1.catalog)
+        assert seen[0] is wave1.catalog
+        # with blocks deployed each tuple is rebuilt once: tasks sharing a
+        # tuple keep sharing its rebuilt copy, in which only deployed
+        # blocks are free
+        wave2.catalog.paths_by_task[4] = wave2.catalog.paths_by_task[3]
+        controller.handle_admission_requests(wave2.tasks, wave2.catalog)
+        rebuilt = seen[1].paths_by_task
+        assert rebuilt[3] is rebuilt[4] and rebuilt[3] is not wave2.catalog.paths_by_task[3]
+        (path,) = rebuilt[3]
+        assert [(b.block_id, b.memory_gb, b.training_cost_s) for b in path.blocks] == [
+            ("shared", 0.0, 0.0), ("own3", 0.5, 20.0),
+        ]

@@ -42,7 +42,8 @@ class TestQualityExpansion:
         problem = _multi_quality_problem(min_accuracy=0.5)
         (clique,) = build_vector_tree(problem).cliques
         assert len(clique) == 2
-        names = {v.path.quality.name for v in clique.items(problem.budgets.radio_blocks)}
+        feasible = clique.feasible(problem.budgets.radio_blocks)
+        names = {clique.variant_path(i).quality.name for i in feasible}
         assert names == {"low", "high"}
 
     def test_accuracy_filter_prunes_compressed_variant(self):
@@ -83,5 +84,5 @@ class TestQualityExpansion:
     def test_single_quality_tasks_unchanged(self, tiny_problem):
         tree = build_vector_tree(tiny_problem)
         for clique in tree.cliques:
-            for vertex in clique.items(tiny_problem.budgets.radio_blocks):
-                assert "@" not in vertex.path.path_id
+            for i in clique.feasible(tiny_problem.budgets.radio_blocks):
+                assert "@" not in clique.variant_path(i).path_id

@@ -343,21 +343,27 @@ def _bits(allocation):
     return [float(z).hex() for z in allocation.admission], allocation.radio_blocks
 
 
-def _branch_problem(items, budgets):
-    """A problem holding the items' tasks, and a branch over them with a
-    path-less task every third layer."""
+def _branch_tree(items, budgets):
+    """The tree of a problem holding the items' tasks, one variant each
+    (the item's path), and a branch over it with a path-less task every
+    third layer."""
     from repro.core.catalog import Catalog
-    from repro.core.problem import DOTProblem
+    from repro.core.problem import DOTProblem, RadioModel
+    from repro.core.tree import build_vector_tree
 
-    chosen = [
-        (item.task.task_id, None if item.task.task_id % 3 == 0 else item)
-        for item in items
-    ]
     catalog = Catalog()
     for item in items:
         catalog.add_path(item.path)
+    radio = RadioModel(
+        per_task_bits_per_rb={item.task.task_id: item.bits_per_rb for item in items}
+    )
     tasks = tuple(item.task for item in items)
-    return DOTProblem(tasks=tasks, catalog=catalog, budgets=budgets), chosen
+    tree = build_vector_tree(
+        DOTProblem(tasks=tasks, catalog=catalog, budgets=budgets, radio=radio)
+    )
+    assert [(c.task, len(c)) for c in tree.cliques] == [(t, 1) for t in tasks]
+    chosen = [-1 if item.task.task_id % 3 == 0 else 0 for item in items]
+    return tree, chosen
 
 
 def _solution_bits(solution):
@@ -382,11 +388,11 @@ class TestRadioSpentStop:
         )
         if not items:
             return
-        problem, chosen = _branch_problem(items, budgets)
+        tree, chosen = _branch_tree(items, budgets)
         for margin in (0, 2):
-            got = heuristic.allocate(problem, chosen, floor, margin)
+            got = heuristic.allocate(tree, chosen, floor, margin)
             with mock.patch.object(heuristic, "solve_branch", per_item_solve_branch):
-                want = heuristic.allocate(problem, chosen, floor, margin)
+                want = heuristic.allocate(tree, chosen, floor, margin)
             assert _solution_bits(got) == _solution_bits(want)
 
     def test_the_corners_are_reached(self):

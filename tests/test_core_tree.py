@@ -10,6 +10,7 @@ from repro.core.catalog import Catalog
 from repro.core.problem import Budgets, DOTProblem, RadioModel
 from repro.core.tree import BranchState, branches, build_vector_tree, first_branch
 from tests.conftest import make_block, make_path, make_task
+from tests.oracles import clique_items
 
 
 def _problem_with_paths(paths_spec, budgets=None, tasks=None):
@@ -30,7 +31,7 @@ def _problem_with_paths(paths_spec, budgets=None, tasks=None):
 
 def _vertices(tree, layer=0):
     """A layer's vertices under the problem's radio capacity."""
-    return tree.cliques[layer].items(tree.problem.budgets.radio_blocks)
+    return clique_items(tree.cliques[layer], tree.problem.budgets.radio_blocks)
 
 
 class TestBuildTree:
@@ -181,17 +182,17 @@ class TestBranches:
         layers, expected = self._by_product(problem, allow_reject)
         tree = build_vector_tree(problem)
         leaves = list(branches(tree, problem.budgets, allow_reject=allow_reject))
-        got = [
-            tuple(
-                len(layer) if item is None else layer.index(item)
-                for (_, item), layer in zip(leaf, layers)
+        radio_blocks = problem.budgets.radio_blocks
+        feasible = [clique.feasible(radio_blocks) for clique in tree.cliques]
+
+        def positions(leaf):
+            return tuple(
+                len(layer) if pick < 0 else layer.index(pick)
+                for pick, layer in zip(leaf, feasible, strict=True)
             )
-            for leaf in leaves
-        ]
+
+        got = [positions(leaf) for leaf in leaves]
         assert got == expected  # same set, lexicographic order
-        assert got and got[0] == tuple(
-            len(layer) if item is None else layer.index(item)
-            for (_, item), layer in zip(first_branch(tree, problem.budgets), layers)
-        )
+        assert got and got[0] == positions(first_branch(tree, problem.budgets))
         if memory_gb == 8.0:
             assert len(got) == tree.num_branches(allow_reject)

@@ -27,7 +27,7 @@ from repro.core.problem import Budgets, DOTProblem, RadioModel
 from repro.core.task import QualityLevel
 from repro.core.tree import VectorClique, branches, build_cliques, build_vector_tree, first_branch
 from tests.conftest import make_block, make_path, make_task
-from tests.oracles import scalar_cliques, scalar_first_branch
+from tests.oracles import clique_items, item_allocate, scalar_cliques, scalar_first_branch
 
 
 def solution_key(solution):
@@ -152,8 +152,21 @@ WALK_GEOMETRIES = {
 }
 
 
-def branch_key(branch):
-    """A walked branch as ids and radio constants."""
+def branch_key(tree, picks):
+    """A walked pick column as ids and radio constants."""
+    return [
+        (clique.task.task_id, None if pick < 0 else (
+            clique.task.task_id,
+            clique.variant_path_id(pick),
+            clique.variant_path(pick).quality.name,
+            clique.bits_per_rb,
+        ))
+        for clique, pick in zip(tree.cliques, picks, strict=True)
+    ]
+
+
+def item_branch_key(branch):
+    """An oracle's ``(task id, vertex or None)`` branch in the same terms."""
     return [
         (tid, None if item is None else (
             item.task.task_id, item.path.path_id, item.path.quality.name, item.bits_per_rb
@@ -164,7 +177,7 @@ def branch_key(branch):
 
 def scalar_solve(problem, ordering="compute", margin=0):
     """The first-branch solution by the scalar oracle's tree and walk."""
-    return allocate(
+    return item_allocate(
         problem, scalar_first_branch(problem, ordering), slice_margin_rbs=margin
     )
 
@@ -189,7 +202,7 @@ def _tree_rows(tree):
     """The same rows read off a ``VectorTree`` under its problem's radio capacity."""
     radio_blocks = tree.problem.budgets.radio_blocks
     return [
-        (clique.task, _vertex_rows(clique.items(radio_blocks)),
+        (clique.task, _vertex_rows(clique_items(clique, radio_blocks)),
          tree.filtered_out[clique.task.task_id])
         for clique in tree.cliques
     ]
@@ -213,13 +226,13 @@ class TestVectorTreeMaterialize:
         assert build_vector_tree(tiny_problem).build_time_s > 0.0
 
 
-def _positions(leaf, cliques):
+def _positions(tree, leaf, cliques):
     """A branch as vertex positions in the scalar cliques (skip = clique size)."""
     row = []
-    for (task_id, item), (task, vertices, _) in zip(leaf, cliques, strict=True):
-        assert task_id == task.task_id
+    for clique, pick, (task, vertices, _) in zip(tree.cliques, leaf, cliques, strict=True):
+        assert clique.task.task_id == task.task_id
         ids = [v.path.path_id for v in vertices]
-        row.append(len(ids) if item is None else ids.index(item.path.path_id))
+        row.append(len(ids) if pick < 0 else ids.index(clique.variant_path_id(pick)))
     return row
 
 
@@ -249,14 +262,15 @@ class TestEngineParity:
         # the explored leaves, located in the scalar tree: they start at the
         # scalar first branch, ascend lexicographically and fit the memory
         cliques = scalar_cliques(problem)
-        leaves = list(islice(branches(build_vector_tree(problem), problem.budgets), explore))
+        tree = build_vector_tree(problem)
+        leaves = list(islice(branches(tree, problem.budgets), explore))
         assert solution.branches_explored == len(leaves) == explore
-        assert solution_key(allocate(problem, leaves[0], slice_margin_rbs=margin)) == (
+        assert solution_key(allocate(tree, leaves[0], slice_margin_rbs=margin)) == (
             solution_key(scalar_solve(problem, margin=margin))
         )
-        rows = [_positions(leaf, cliques) for leaf in leaves]
+        rows = [_positions(tree, leaf, cliques) for leaf in leaves]
         assert rows == sorted(rows) and len(set(map(tuple, rows))) == explore
-        candidates = [allocate(problem, leaf, slice_margin_rbs=margin) for leaf in leaves]
+        candidates = [allocate(tree, leaf, slice_margin_rbs=margin) for leaf in leaves]
         for candidate in candidates:
             assert candidate.total_memory_gb <= problem.budgets.memory_gb + 1e-9
         best = min(candidates, key=lambda c: objective_value(problem, c))
@@ -286,9 +300,9 @@ class TestEngineParity:
             assert tree.cached_cliques == len(tree.cliques)
         walked = first_branch(tree, problem.budgets, ordering)
         oracle = scalar_first_branch(problem, ordering)
-        assert branch_key(walked) == branch_key(oracle)
-        assert solution_key(allocate(problem, walked)) == solution_key(
-            allocate(problem, oracle)
+        assert branch_key(tree, walked) == item_branch_key(oracle)
+        assert solution_key(allocate(tree, walked)) == solution_key(
+            item_allocate(problem, oracle)
         )
 
     def test_the_fallback_corners_are_reached(self):
@@ -340,9 +354,13 @@ class TestEngineParity:
                 memory_gb=2.2359999999989997, radio_blocks=100,
             ),
         )
-        walked = first_branch(build_vector_tree(problem), problem.budgets)
-        assert [item and item.path.path_id for _, item in walked] == ["c", "ab", None]
-        assert branch_key(walked) == branch_key(scalar_first_branch(problem))
+        tree = build_vector_tree(problem)
+        walked = first_branch(tree, problem.budgets)
+        assert [
+            clique.variant_path_id(pick) if pick >= 0 else None
+            for clique, pick in zip(tree.cliques, walked)
+        ] == ["c", "ab", None]
+        assert branch_key(tree, walked) == item_branch_key(scalar_first_branch(problem))
 
     def test_zero_headroom_parity(self):
         problem = random_problem(3)
@@ -532,14 +550,13 @@ class TestBatchedBuild:
 
     def test_one_task_build_equals_its_clique_in_a_batch(self):
         problem = random_problem(11, num_tasks=50)
-        specs = [
-            (task, problem.catalog.paths_for(task), problem.radio.bits_per_rb(task))
-            for task in problem.tasks_by_priority()
-        ]
-        batch = build_cliques(specs)
+        tasks = list(problem.tasks_by_priority())
+        paths = [problem.catalog.paths_for(task) for task in tasks]
+        bits = [problem.radio.bits_per_rb(task) for task in tasks]
+        batch = build_cliques(tasks, paths, bits)
         assert len(batch) == 50
-        for spec, in_batch in zip(specs, batch):
-            (alone,) = build_cliques([spec])
+        for spec, in_batch in zip(zip(tasks, paths, bits), batch):
+            (alone,) = build_cliques(*([field] for field in spec))
             assert alone.task is in_batch.task
             assert alone.source_paths is in_batch.source_paths
             assert alone.bits_per_rb == in_batch.bits_per_rb

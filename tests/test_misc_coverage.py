@@ -11,6 +11,7 @@ from repro.core.subproblem import BranchAllocation, BranchItem, solve_branch
 from repro.core.task import QualityLevel
 from repro.core.tree import build_vector_tree
 from tests.conftest import make_block, make_path, make_task
+from tests.oracles import clique_items
 
 
 class TestBranchAllocationValidation:
@@ -57,7 +58,7 @@ class TestPerTaskRadioRates:
                 default_bits_per_rb=350_000.0, per_task_bits_per_rb={1: 999_000.0}
             ),
         )
-        (vertex,) = build_vector_tree(problem).cliques[0].items(50)
+        (vertex,) = clique_items(build_vector_tree(problem).cliques[0], 50)
         assert vertex.bits_per_rb == 999_000.0
 
 
