@@ -3,9 +3,8 @@
 
 Walks the numpy ResNet-18 through the paper's two motivating studies:
 
-1. fine-tuning cost of the Table I configurations (accuracy curves +
-   peak training memory, Fig. 2), plus a *real* numpy-Adam training run
-   of the classifier head on synthetic Table II-style features;
+1. fine-tuning cost of the Table I configurations (the declared
+   accuracy-curve surrogate + peak training memory, Fig. 2);
 2. the inference-time/accuracy trade-off of 80% structured pruning
    (Fig. 3), measured on dummy tensors.
 
@@ -13,12 +12,10 @@ Run:  python examples/pruning_tradeoffs.py
 """
 
 from repro.dnn.configs import TABLE_I_CONFIGS, get_config
-from repro.dnn.datasets import make_feature_dataset
 from repro.dnn.profiler import profile_model
 from repro.dnn.pruning import prune_resnet
 from repro.dnn.resnet import build_resnet18
 from repro.dnn.training import (
-    HeadTrainer,
     LearningCurveModel,
     TrainingMemoryModel,
     pruned_accuracy_drop,
@@ -36,18 +33,6 @@ def study_training() -> None:
         print(
             f"CONFIG {letter:4s} {str(curve.epochs_to_reach(0.8)):>14s} "
             f"{curve.accuracy_at(250):>9.3f} {memory.peak_mib(model, config):>9.0f}"
-        )
-
-    print("\nreal numpy-Adam training of the classifier head (CONFIG B style):")
-    data = make_feature_dataset(num_classes=10, samples_per_class=60,
-                                feature_dim=512, separability=3.0)
-    train, test = data.split(0.8, seed=0)
-    trainer = HeadTrainer(feature_dim=512, num_classes=10, lr=0.02, batch_size=256)
-    run = trainer.fit(train, test, epochs=12)
-    for epoch in (0, 3, 7, 11):
-        print(
-            f"  epoch {epoch + 1:2d}: loss {run.train_loss[epoch]:.3f}  "
-            f"test acc {run.test_accuracy[epoch]:.3f}"
         )
 
 

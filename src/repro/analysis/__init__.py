@@ -16,10 +16,9 @@ from repro.analysis.figures import (
     fig11_emulation_latency,
     headline_comparison,
 )
-from repro.analysis.report import format_table, render_figure_report
-from repro.analysis.plots import bar_chart, line_plot, sparkline
+from repro.analysis.report import format_table
+from repro.analysis.plots import sparkline
 from repro.analysis.sweep import (
-    sweep_alpha,
     sweep_memory_budget,
     sweep_radio_budget,
     sweep_request_rate,
@@ -36,11 +35,7 @@ __all__ = [
     "fig11_emulation_latency",
     "headline_comparison",
     "format_table",
-    "render_figure_report",
-    "bar_chart",
-    "line_plot",
     "sparkline",
-    "sweep_alpha",
     "sweep_memory_budget",
     "sweep_radio_budget",
     "sweep_request_rate",

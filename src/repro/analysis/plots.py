@@ -1,9 +1,8 @@
-"""Terminal plotting utilities for the evaluation artifacts.
+"""Terminal plotting for the evaluation artifacts.
 
-The paper's figures are line/bar charts; these helpers render the same
-data as unicode text so benches and examples can show the *shape* of a
-result (trends, crossovers, saturation) directly in a terminal or a
-text report without any plotting dependency.
+:func:`sparkline` renders a series as one line of unicode marks, so an
+example can show the *shape* of a latency trace directly in a terminal
+without any plotting dependency.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = ["sparkline", "bar_chart", "line_plot"]
+__all__ = ["sparkline"]
 
 _SPARK_MARKS = "▁▂▃▄▅▆▇█"
 
@@ -28,80 +27,3 @@ def sparkline(values: Sequence[float], maximum: float | None = None) -> str:
     levels = np.clip(data / top, 0.0, 1.0)
     indices = np.minimum((levels * len(_SPARK_MARKS)).astype(int), len(_SPARK_MARKS) - 1)
     return "".join(_SPARK_MARKS[i] for i in indices)
-
-
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """Horizontal bar chart, one row per label."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values disagree in length")
-    if not labels:
-        return ""
-    data = np.asarray(values, dtype=float)
-    top = float(data.max()) if data.max() > 0 else 1.0
-    label_width = max(len(str(l)) for l in labels)
-    lines = []
-    for label, value in zip(labels, data):
-        filled = int(round(width * value / top))
-        lines.append(
-            f"{str(label).ljust(label_width)} |{'█' * filled}{' ' * (width - filled)}| "
-            f"{value:g}{unit}"
-        )
-    return "\n".join(lines)
-
-
-def line_plot(
-    x: Sequence[float],
-    series: dict[str, Sequence[float]],
-    height: int = 10,
-    width: int = 60,
-    logy: bool = False,
-) -> str:
-    """Multi-series scatter/line plot on a character grid.
-
-    Each series gets a distinct marker; the legend maps markers to
-    series names.  ``logy`` plots log10 of the values (the Fig. 6
-    runtime axis).
-    """
-    if not series:
-        return ""
-    markers = "ox+*#@%&"
-    xs = np.asarray(x, dtype=float)
-    all_y = []
-    transformed: dict[str, np.ndarray] = {}
-    for name, values in series.items():
-        ys = np.asarray(values, dtype=float)
-        if len(ys) != len(xs):
-            raise ValueError(f"series {name!r} length mismatch")
-        if logy:
-            ys = np.log10(np.clip(ys, 1e-12, None))
-        transformed[name] = ys
-        all_y.append(ys)
-    stacked = np.concatenate(all_y)
-    y_min, y_max = float(stacked.min()), float(stacked.max())
-    if y_max == y_min:
-        y_max = y_min + 1.0
-    x_min, x_max = float(xs.min()), float(xs.max())
-    if x_max == x_min:
-        x_max = x_min + 1.0
-
-    grid = [[" "] * width for _ in range(height)]
-    for index, (name, ys) in enumerate(transformed.items()):
-        marker = markers[index % len(markers)]
-        for xv, yv in zip(xs, ys):
-            col = int(round((xv - x_min) / (x_max - x_min) * (width - 1)))
-            row = int(round((yv - y_min) / (y_max - y_min) * (height - 1)))
-            grid[height - 1 - row][col] = marker
-    axis_label = "log10(y)" if logy else "y"
-    lines = [f"{axis_label} in [{y_min:.3g}, {y_max:.3g}], x in [{x_min:g}, {x_max:g}]"]
-    lines += ["|" + "".join(row) for row in grid]
-    lines.append("+" + "-" * width)
-    legend = "  ".join(
-        f"{markers[i % len(markers)]}={name}" for i, name in enumerate(transformed)
-    )
-    lines.append(legend)
-    return "\n".join(lines)

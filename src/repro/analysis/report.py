@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-__all__ = ["format_table", "render_figure_report", "format_series"]
+__all__ = ["format_table", "format_series"]
 
 
 def format_table(
@@ -40,13 +40,3 @@ def format_series(name: str, values: Sequence[float], precision: int = 3) -> str
     """One labelled numeric series on a single line."""
     body = ", ".join(f"{v:.{precision}f}" for v in values)
     return f"{name}: [{body}]"
-
-
-def render_figure_report(title: str, sections: dict[str, str]) -> str:
-    """Compose a titled multi-section text report."""
-    lines = [f"=== {title} ===", ""]
-    for heading, body in sections.items():
-        lines.append(f"--- {heading} ---")
-        lines.append(body)
-        lines.append("")
-    return "\n".join(lines)

@@ -10,7 +10,6 @@ resource starts to bind:
   saturation point;
 * :func:`sweep_memory_budget` — with block sharing, memory binds only
   at a small fraction of the Table IV budget;
-* :func:`sweep_alpha` — the rejection-vs-resource weight of Eq. (1a);
 * :func:`sweep_request_rate` — a finer-grained version of the
   low/medium/high axis of Fig. 10.
 """
@@ -28,7 +27,6 @@ __all__ = [
     "SweepPoint",
     "sweep_radio_budget",
     "sweep_memory_budget",
-    "sweep_alpha",
     "sweep_request_rate",
 ]
 
@@ -98,26 +96,6 @@ def sweep_memory_budget(
     for memory in memory_gb:
         problem = _with_budgets(base, replace(base.budgets, memory_gb=memory))
         points.append(_solve_point(problem, memory))
-    return points
-
-
-def sweep_alpha(
-    alphas: list[float],
-    rate: RequestRate = RequestRate.HIGH,
-    seed: int = 0,
-) -> list[SweepPoint]:
-    """Objective response to the Eq. (1a) weight α."""
-    base = large_scale_problem(rate, seed=seed)
-    points = []
-    for alpha in alphas:
-        problem = DOTProblem(
-            tasks=base.tasks,
-            catalog=base.catalog,
-            budgets=base.budgets,
-            radio=base.radio,
-            alpha=alpha,
-        )
-        points.append(_solve_point(problem, alpha))
     return points
 
 

@@ -48,10 +48,11 @@ class NodeSpec:
             raise ValueError("node_id must be non-empty")
         if self.tier not in TIERS:
             raise ValueError(f"tier must be one of {TIERS}, got {self.tier!r}")
-        if self.cpu_scale <= 0:
-            raise ValueError("cpu_scale must be positive")
-        if self.memory_gb <= 0:
-            raise ValueError("memory_gb must be positive")
+        inf = float("inf")  # chained comparisons also reject NaN
+        if not 0 < self.cpu_scale < inf:
+            raise ValueError("cpu_scale must be finite and positive")
+        if not 0 < self.memory_gb < inf:
+            raise ValueError("memory_gb must be finite and positive")
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if not 0.0 <= self.failure_rate < 1.0:

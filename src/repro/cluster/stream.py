@@ -40,14 +40,15 @@ class LinkSpec:
     stall_factor: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ValueError("bandwidth_bps must be positive")
-        if self.latency_s < 0:
-            raise ValueError("latency_s must be >= 0")
+        inf = float("inf")  # chained comparisons also reject NaN
+        if not 0 < self.bandwidth_bps < inf:
+            raise ValueError("bandwidth_bps must be finite and positive")
+        if not 0 <= self.latency_s < inf:
+            raise ValueError("latency_s must be finite and >= 0")
         if not 0.0 <= self.stall_rate < 1.0:
             raise ValueError("stall_rate must be in [0, 1)")
-        if self.stall_factor < 1.0:
-            raise ValueError("stall_factor must be >= 1")
+        if not 1.0 <= self.stall_factor < inf:
+            raise ValueError("stall_factor must be finite and >= 1")
 
 
 @dataclass
@@ -179,32 +180,6 @@ class StreamRouter:
             wire.header_nbytes(ndim=4, quantize_int8=self.int8_activations)
             + payload_bytes
         )
-
-    def send_tensor(
-        self,
-        src: str,
-        dst: str,
-        tensor: np.ndarray,
-        now: float,
-        scale: float | None = None,
-    ) -> tuple[float, bytes]:
-        """Encode a real tensor and time its simulated transfer.
-
-        Returns ``(delivery_time, frame)`` — the frame is the actual
-        wire encoding, so tests can assert byte-level determinism on
-        what the link carried.  ``scale`` is the producing plan's
-        activation scale for int8 tensors (rides in the frame header).
-        """
-        frame = wire.encode_frame(
-            tensor,
-            downcast_fp16=self.fp16_activations,
-            quantize_int8=self.int8_activations,
-            scale=scale,
-        )
-        if src == dst:
-            return now, frame
-        delivery, _stalled = self.link(src, dst).transfer(len(frame), now)
-        return delivery, frame
 
     def reset(self) -> None:
         for link in self.links.values():

@@ -59,13 +59,14 @@ class Block:
     batch_marginal: float = DEFAULT_BATCH_MARGINAL
 
     def __post_init__(self) -> None:
-        if self.compute_time_s < 0:
-            raise ValueError("compute_time_s must be >= 0")
-        if self.memory_gb < 0:
-            raise ValueError("memory_gb must be >= 0")
-        if self.training_cost_s < 0:
-            raise ValueError("training_cost_s must be >= 0")
-        if not 0 <= self.batch_marginal < float("inf"):  # NaN fails too
+        inf = float("inf")  # chained comparisons also reject NaN
+        if not 0 <= self.compute_time_s < inf:
+            raise ValueError("compute_time_s must be finite and >= 0")
+        if not 0 <= self.memory_gb < inf:
+            raise ValueError("memory_gb must be finite and >= 0")
+        if not 0 <= self.training_cost_s < inf:
+            raise ValueError("training_cost_s must be finite and >= 0")
+        if not 0 <= self.batch_marginal < inf:
             raise ValueError("batch_marginal must be finite and >= 0")
 
 

@@ -65,6 +65,16 @@ class RadioModel:
         """``B(σ_τ)`` in bits/s carried by one RB for this task."""
         return self.per_task_bits_per_rb.get(task.task_id, self.default_bits_per_rb)
 
+    def __post_init__(self) -> None:
+        inf = float("inf")  # chained comparisons also reject NaN
+        if not 0 < self.default_bits_per_rb < inf:
+            raise ValueError("default_bits_per_rb must be finite and positive")
+        for task_id, bits in self.per_task_bits_per_rb.items():
+            if not 0 < bits < inf:
+                raise ValueError(
+                    f"per_task_bits_per_rb[{task_id}] must be finite and positive"
+                )
+
 
 @dataclass(frozen=True)
 class DOTProblem:

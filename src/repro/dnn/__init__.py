@@ -14,7 +14,7 @@ scratch on numpy:
 * :mod:`repro.dnn.pruning` -- DepGraph-style structured channel pruning
 * :mod:`repro.dnn.profiler` -- wall clock / FLOPs / memory measurement
 * :mod:`repro.dnn.training` -- fine-tuning surrogate for CONFIG A..E
-* :mod:`repro.dnn.datasets` -- the Table II base dataset (synthetic)
+  (learning curves, training memory and cost; no training loop)
 * :mod:`repro.dnn.configs` -- the Table I block configurations
 * :mod:`repro.dnn.repository` -- profiled block/path repository for DOT
 """

@@ -26,8 +26,6 @@ __all__ = [
     "max_pool2d",
     "global_avg_pool",
     "linear",
-    "softmax",
-    "cross_entropy",
     "conv_output_size",
 ]
 
@@ -324,18 +322,3 @@ def linear(
     if bias is not None:
         out = out + bias
     return out
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of integer ``labels`` under ``logits`` (N, K)."""
-    probs = softmax(logits, axis=1)
-    n = logits.shape[0]
-    picked = probs[np.arange(n), labels]
-    return float(-np.log(np.clip(picked, 1e-12, None)).mean())

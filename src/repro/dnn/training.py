@@ -1,4 +1,4 @@
-"""Fine-tuning simulator for the Table I configurations.
+"""Fine-tuning surrogate for the Table I configurations.
 
 The paper's first motivating experiment (Fig. 2) fine-tunes ResNet-18
 under CONFIG A..E with batch 256, Adam, cosine-annealing learning rate,
@@ -6,12 +6,8 @@ cross-entropy loss, and reports (left) testing accuracy per epoch and
 (right) peak GPU memory occupancy.  Training the real network for 250
 epochs is a multi-GPU-hour job; the DOT problem, however, only consumes
 the *converged accuracy* and the *training cost* of each block
-configuration.  We therefore provide:
+configuration.  No training loop is run here; this module declares:
 
-* :class:`HeadTrainer` — *real* numpy training (Adam + cosine annealing +
-  cross entropy, exactly the paper's recipe) of the classifier head on
-  feature data; it exhibits genuine convergence/overfitting dynamics and
-  anchors the surrogate below;
 * :class:`LearningCurveModel` — a documented surrogate mapping a
   :class:`~repro.dnn.configs.BlockConfig` to an accuracy-vs-epoch curve.
   Its parameters are derived from the configuration *structure* (how many
@@ -23,165 +19,27 @@ configuration.  We therefore provide:
   gradient / Adam-state / activation bookkeeping, with the frozen blocks
   contributing no gradient or optimizer state (the Fig. 2-right effect);
 * :func:`training_cost_seconds` — the ``ct(s)`` DOT input, from forward
-  and backward FLOPs of trainable blocks on a reference device.
+  and backward FLOPs of trainable blocks on a reference device;
+* :func:`pruned_accuracy_drop` — the accuracy a pruned configuration
+  loses (the Fig. 3-right ordering).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dnn import ops
 from repro.dnn.configs import STAGE_NAMES, BlockConfig
-from repro.dnn.datasets import FeatureDataset
 from repro.dnn.layers import BYTES_PER_PARAM
 from repro.dnn.resnet import BLOCK_NAMES, ResNet18
 
 __all__ = [
-    "AdamState",
-    "HeadTrainer",
-    "HeadTrainingRun",
     "LearningCurveModel",
     "TrainingMemoryModel",
-    "FineTuneOutcome",
-    "simulate_fine_tuning",
     "training_cost_seconds",
     "pruned_accuracy_drop",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Real head training (numpy Adam, the paper's optimizer recipe)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AdamState:
-    """Adam moment estimates for one parameter tensor."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def like(cls, param: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(param, dtype=np.float64), v=np.zeros_like(param, dtype=np.float64))
-
-    def step(
-        self,
-        param: np.ndarray,
-        grad: np.ndarray,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> np.ndarray:
-        """One Adam update; returns the new parameter value."""
-        self.t += 1
-        if weight_decay:
-            grad = grad + weight_decay * param
-        self.m = beta1 * self.m + (1 - beta1) * grad
-        self.v = beta2 * self.v + (1 - beta2) * grad**2
-        m_hat = self.m / (1 - beta1**self.t)
-        v_hat = self.v / (1 - beta2**self.t)
-        return param - lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
-def cosine_annealing_lr(base_lr: float, epoch: int, total_epochs: int, min_lr: float = 0.0) -> float:
-    """Cosine-annealing schedule (the paper's scheduler)."""
-    if total_epochs <= 0:
-        raise ValueError("total_epochs must be positive")
-    progress = min(max(epoch, 0), total_epochs) / total_epochs
-    return min_lr + 0.5 * (base_lr - min_lr) * (1 + np.cos(np.pi * progress))
-
-
-@dataclass
-class HeadTrainingRun:
-    """Per-epoch record of a real head-training run."""
-
-    train_accuracy: list[float] = field(default_factory=list)
-    test_accuracy: list[float] = field(default_factory=list)
-    train_loss: list[float] = field(default_factory=list)
-
-    @property
-    def best_test_accuracy(self) -> float:
-        return max(self.test_accuracy) if self.test_accuracy else 0.0
-
-
-class HeadTrainer:
-    """Train a softmax classifier head on feature data with numpy Adam.
-
-    This is *real* gradient-based training matching the paper's recipe
-    (Adam, cosine annealing, cross entropy, configurable batch size).
-    """
-
-    def __init__(
-        self,
-        feature_dim: int,
-        num_classes: int,
-        lr: float = 0.01,
-        weight_decay: float = 1e-3,
-        batch_size: int = 256,
-        seed: int = 0,
-    ) -> None:
-        rng = np.random.default_rng(seed)
-        self.weight = rng.normal(0.0, 0.01, (num_classes, feature_dim))
-        self.bias = np.zeros(num_classes)
-        self.lr = lr
-        self.weight_decay = weight_decay
-        self.batch_size = batch_size
-        self._w_state = AdamState.like(self.weight)
-        self._b_state = AdamState.like(self.bias)
-        self._rng = rng
-
-    def logits(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.weight.T + self.bias
-
-    def accuracy(self, dataset: FeatureDataset) -> float:
-        predictions = self.logits(dataset.features).argmax(axis=1)
-        return float((predictions == dataset.labels).mean())
-
-    def _epoch(self, train: FeatureDataset, lr: float) -> float:
-        order = self._rng.permutation(len(train.labels))
-        losses = []
-        for start in range(0, len(order), self.batch_size):
-            idx = order[start : start + self.batch_size]
-            x = train.features[idx]
-            y = train.labels[idx]
-            logits = self.logits(x)
-            probs = ops.softmax(logits, axis=1)
-            losses.append(ops.cross_entropy(logits, y))
-            # gradient of mean cross entropy wrt logits
-            grad_logits = probs
-            grad_logits[np.arange(len(y)), y] -= 1.0
-            grad_logits /= len(y)
-            grad_w = grad_logits.T @ x
-            grad_b = grad_logits.sum(axis=0)
-            self.weight = self._w_state.step(
-                self.weight, grad_w, lr, weight_decay=self.weight_decay
-            )
-            self.bias = self._b_state.step(self.bias, grad_b, lr)
-        return float(np.mean(losses))
-
-    def fit(
-        self,
-        train: FeatureDataset,
-        test: FeatureDataset,
-        epochs: int,
-    ) -> HeadTrainingRun:
-        """Train for ``epochs`` epochs, recording accuracy after each."""
-        if epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        run = HeadTrainingRun()
-        for epoch in range(epochs):
-            lr = cosine_annealing_lr(self.lr, epoch, epochs)
-            loss = self._epoch(train, lr)
-            run.train_loss.append(loss)
-            run.train_accuracy.append(self.accuracy(train))
-            run.test_accuracy.append(self.accuracy(test))
-        return run
 
 
 # ---------------------------------------------------------------------------
@@ -391,45 +249,3 @@ def pruned_accuracy_drop(
     )
     fraction = pruned_params / total_params if total_params else 0.0
     return base_drop + capacity_sensitivity * fraction * config.prune_ratio
-
-
-@dataclass(frozen=True)
-class FineTuneOutcome:
-    """Summary of a simulated fine-tuning run for one configuration."""
-
-    config_name: str
-    epochs: int
-    accuracy_curve: np.ndarray
-    final_accuracy: float
-    peak_memory_mib: float
-    training_cost_s: float
-
-
-def simulate_fine_tuning(
-    model: ResNet18,
-    config: BlockConfig,
-    epochs: int,
-    batch_size: int = 256,
-    seed: int = 0,
-    memory_model: TrainingMemoryModel | None = None,
-) -> FineTuneOutcome:
-    """Simulate fine-tuning ``config`` for ``epochs`` epochs.
-
-    Combines the learning-curve surrogate (accuracy trajectory), the
-    memory model (peak occupancy) and the analytic cost model — the three
-    quantities Fig. 2 and the DOT inputs require.
-    """
-    curve_model = LearningCurveModel.for_config(config, num_classes=model.num_classes + 1)
-    curve = curve_model.curve(epochs, seed=seed)
-    memory = memory_model or TrainingMemoryModel(batch_size=batch_size)
-    final = float(curve[-1]) if len(curve) else curve_model.floor
-    if config.pruned:
-        final = max(0.0, final - pruned_accuracy_drop(config, model))
-    return FineTuneOutcome(
-        config_name=config.name,
-        epochs=epochs,
-        accuracy_curve=curve,
-        final_accuracy=final,
-        peak_memory_mib=memory.peak_mib(model, config),
-        training_cost_s=training_cost_seconds(model, config, epochs),
-    )

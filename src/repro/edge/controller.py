@@ -56,7 +56,7 @@ class OffloaDNNController:
     training_budget_s: float = 1000.0
     #: last DOT solution, for inspection
     last_solution: DOTSolution | None = None
-    #: currently admitted tasks, for preemption decisions
+    #: currently admitted tasks
     active_tasks: dict[int, Task] = field(default_factory=dict)
 
     def handle_admission_requests(
@@ -183,45 +183,3 @@ class OffloaDNNController:
         self.slice_manager.release(task_id)
         self.vim.release_task(task_id)
         self.active_tasks.pop(task_id, None)
-
-    def admit_with_preemption(
-        self,
-        task: Task,
-        catalog: Catalog,
-        min_admission_ratio: float = 1e-9,
-    ) -> tuple[AdmissionTicket, list[int]]:
-        """Admit ``task``, evicting strictly lower-priority tasks if needed.
-
-        While the newcomer's admission ratio stays below
-        ``min_admission_ratio`` (default: any admission at all), the
-        lowest-priority active task is evicted and admission retried,
-        as long as lower-priority victims remain.  Pass 1.0 to demand
-        full-rate admission.  Returns the final ticket and the evicted
-        task ids.  Victims are not restored on failure — by construction
-        they only fall when the newcomer outranks them, the usual
-        priority-preemption contract.
-        """
-        if not 0.0 < min_admission_ratio <= 1.0:
-            raise ValueError("min_admission_ratio must be in (0, 1]")
-        evicted: list[int] = []
-        ticket = self.handle_admission_requests((task,), catalog)[task.task_id]
-        while ticket.admission_ratio < min_admission_ratio:
-            if ticket.admitted:
-                # a partial grant holds resources; release before retry
-                self.evict_task(task.task_id)
-            victims = [
-                tid
-                for tid, active in self.active_tasks.items()
-                if active.priority < task.priority and tid != task.task_id
-            ]
-            if not victims:
-                if not ticket.admitted:
-                    return ticket, evicted
-                # re-admit at the best achievable partial ratio
-                ticket = self.handle_admission_requests((task,), catalog)[task.task_id]
-                return ticket, evicted
-            victim = min(victims, key=lambda tid: self.active_tasks[tid].priority)
-            self.evict_task(victim)
-            evicted.append(victim)
-            ticket = self.handle_admission_requests((task,), catalog)[task.task_id]
-        return ticket, evicted

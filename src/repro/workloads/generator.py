@@ -32,7 +32,7 @@ from repro.core.catalog import (
     Path,
 )
 from repro.core.task import QualityLevel, Task
-from repro.dnn.configs import STAGE_NAMES, TABLE_I_CONFIGS, BlockConfig
+from repro.dnn.configs import TABLE_I_CONFIGS, BlockConfig
 
 __all__ = [
     "GROUP_NAMES",
@@ -42,7 +42,6 @@ __all__ = [
     "MethodProfile",
     "METHOD_PROFILES",
     "cost_basis_from_profiler",
-    "mobilenet_family_from_profiler",
 ]
 
 #: 4-block partition of the ResNet stages (matches repro.dnn.repository).
@@ -265,44 +264,6 @@ def cost_basis_from_profiler(
             int8_batch_marginal=full_int8.batch_marginal,
         )
     return basis
-
-
-def mobilenet_family_from_profiler(
-    family_id: str = "mnv2",
-    width_multiplier: float = 1.0,
-    input_size: int = 32,
-    repeats: int = 3,
-    accuracy_offset: float = -0.03,
-    seed: int = 0,
-) -> DNNFamily:
-    """Derive a MobileNetV2 :class:`DNNFamily` by measurement.
-
-    Profiles MobileNetV2 and ResNet-18 on the same input and expresses
-    the MobileNet family as compute/memory scales relative to the
-    ResNet reference basis — the honest way to add a second
-    architecture to the repository ``D`` without inventing numbers.
-    ``accuracy_offset`` encodes MobileNetV2's small top-1 gap versus
-    ResNet-18 at equal training (the paper's Sec. I comparison).
-    """
-    from repro.dnn.mobilenet import build_mobilenetv2
-    from repro.dnn.profiler import profile_model
-    from repro.dnn.resnet import build_resnet18
-
-    mobile = profile_model(
-        build_mobilenetv2(
-            input_size=input_size, width_multiplier=width_multiplier, seed=seed
-        ),
-        repeats=repeats,
-    )
-    resnet = profile_model(
-        build_resnet18(input_size=input_size, seed=seed), repeats=repeats
-    )
-    return DNNFamily(
-        family_id=family_id,
-        compute_scale=mobile.total_compute_time_s / resnet.total_compute_time_s,
-        memory_scale=mobile.total_memory_bytes / resnet.total_memory_bytes,
-        accuracy_offset=accuracy_offset,
-    )
 
 
 def _group_state(config: BlockConfig, group: str) -> tuple[bool, bool]:

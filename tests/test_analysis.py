@@ -12,7 +12,7 @@ from repro.analysis.figures import (
     fig9_admission_ratios,
     fig11_emulation_latency,
 )
-from repro.analysis.report import format_series, format_table, render_figure_report
+from repro.analysis.report import format_series, format_table
 
 
 class TestFig6Data:
@@ -68,9 +68,3 @@ class TestReportFormatting:
 
     def test_format_series(self):
         assert format_series("x", [1.0, 2.0], precision=1) == "x: [1.0, 2.0]"
-
-    def test_render_figure_report(self):
-        text = render_figure_report("Fig. X", {"panel": "body"})
-        assert "=== Fig. X ===" in text
-        assert "--- panel ---" in text
-        assert "body" in text

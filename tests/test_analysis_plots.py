@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from repro.analysis.plots import bar_chart, line_plot, sparkline
+from repro.analysis.plots import sparkline
 
 
 class TestSparkline:
@@ -26,45 +23,3 @@ class TestSparkline:
 
     def test_zero_max(self):
         assert sparkline([0.0, 0.0]) == "▁▁"
-
-
-class TestBarChart:
-    def test_rows_per_label(self):
-        text = bar_chart(["a", "bb"], [1.0, 2.0])
-        assert len(text.splitlines()) == 2
-        assert "bb" in text
-
-    def test_longest_bar_for_max(self):
-        lines = bar_chart(["a", "b"], [1.0, 4.0], width=8).splitlines()
-        assert lines[1].count("█") == 8
-        assert lines[0].count("█") == 2
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0, 2.0])
-
-    def test_empty(self):
-        assert bar_chart([], []) == ""
-
-
-class TestLinePlot:
-    def test_contains_markers_and_legend(self):
-        text = line_plot([1, 2, 3], {"up": [1, 2, 3], "down": [3, 2, 1]})
-        assert "o=up" in text
-        assert "x=down" in text
-        assert "o" in text and "x" in text
-
-    def test_logy_header(self):
-        text = line_plot([1, 2], {"s": [0.001, 100.0]}, logy=True)
-        assert text.startswith("log10(y)")
-
-    def test_constant_series_handled(self):
-        text = line_plot([1, 2], {"c": [5.0, 5.0]})
-        assert "c" in text
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            line_plot([1, 2], {"s": [1.0]})
-
-    def test_empty_series(self):
-        assert line_plot([1], {}) == ""

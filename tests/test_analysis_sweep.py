@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.sweep import (
-    sweep_alpha,
     sweep_memory_budget,
     sweep_radio_budget,
     sweep_request_rate,
@@ -42,17 +41,6 @@ class TestMemorySweep:
         assert points[0].memory_gb <= 0.5 + 1e-9
         # admission can only improve with more memory
         assert points[0].weighted_admission <= points[1].weighted_admission + 1e-9
-
-
-class TestAlphaSweep:
-    def test_objective_composition_changes(self):
-        points = sweep_alpha([0.0, 0.5, 1.0])
-        # with alpha=1 the objective is pure (weighted) rejection
-        assert points[2].objective >= 0.0
-        # admission itself is alpha-independent in the current solver
-        # (admission-first), so the admitted count is stable
-        counts = {p.admitted_tasks for p in points}
-        assert len(counts) == 1
 
 
 class TestRateSweep:

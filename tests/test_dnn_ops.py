@@ -71,6 +71,25 @@ class TestConv2d:
         w = np.ones((1, 1, 1, 1), dtype=np.float32)
         np.testing.assert_allclose(ops.conv2d(x, w), x, rtol=1e-6)
 
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_conv_linearity(self, seed):
+        """conv(a x) = a conv(x) — convolution is linear."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(1, 2, 6, 6)).astype(np.float32)
+        w = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
+        a = float(rng.uniform(0.5, 2.0))
+        np.testing.assert_allclose(
+            ops.conv2d(a * x, w, stride=1, padding=1),
+            a * ops.conv2d(x, w, stride=1, padding=1),
+            rtol=1e-3,
+            atol=1e-4,
+        )
+
+    def test_conv2d_flops_formula(self):
+        # 2 * Cin * Cout * K^2 * OH * OW
+        assert ops.conv2d_flops(3, 8, 3, 4, 4) == 2 * 3 * 8 * 9 * 16
+
 
 class TestIm2col:
     def test_shapes(self):
@@ -127,60 +146,6 @@ class TestPoolingAndLinear:
         w = rng.normal(size=(3, 6)).astype(np.float32)
         b = rng.normal(size=3).astype(np.float32)
         np.testing.assert_allclose(ops.linear(x, w, b), x @ w.T + b, rtol=1e-5)
-
-
-class TestSoftmaxCrossEntropy:
-    def test_softmax_sums_to_one(self):
-        x = np.random.default_rng(4).normal(size=(5, 7))
-        probs = ops.softmax(x, axis=1)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-6)
-
-    def test_softmax_shift_invariant(self):
-        x = np.random.default_rng(5).normal(size=(3, 4))
-        np.testing.assert_allclose(
-            ops.softmax(x), ops.softmax(x + 100.0), rtol=1e-5, atol=1e-7
-        )
-
-    def test_cross_entropy_perfect_prediction_near_zero(self):
-        logits = np.array([[100.0, 0.0], [0.0, 100.0]])
-        labels = np.array([0, 1])
-        assert ops.cross_entropy(logits, labels) < 1e-6
-
-    def test_cross_entropy_uniform_is_log_k(self):
-        logits = np.zeros((2, 4))
-        labels = np.array([0, 3])
-        assert abs(ops.cross_entropy(logits, labels) - np.log(4)) < 1e-6
-
-    @given(
-        st.integers(min_value=1, max_value=6),
-        st.integers(min_value=2, max_value=8),
-        st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_cross_entropy_nonnegative(self, n, k, seed):
-        rng = np.random.default_rng(seed)
-        logits = rng.normal(size=(n, k))
-        labels = rng.integers(0, k, size=n)
-        assert ops.cross_entropy(logits, labels) >= 0.0
-
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_conv_linearity(self, seed):
-        """conv(a x) = a conv(x) — convolution is linear."""
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(1, 2, 6, 6)).astype(np.float32)
-        w = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
-        a = float(rng.uniform(0.5, 2.0))
-        np.testing.assert_allclose(
-            ops.conv2d(a * x, w, stride=1, padding=1),
-            a * ops.conv2d(x, w, stride=1, padding=1),
-            rtol=1e-3,
-            atol=1e-4,
-        )
-
-    def test_conv2d_flops_formula(self):
-        # 2 * Cin * Cout * K^2 * OH * OW
-        assert ops.conv2d_flops(3, 8, 3, 4, 4) == 2 * 3 * 8 * 9 * 16
 
 
 class TestRelu:

@@ -6,16 +6,11 @@ import numpy as np
 import pytest
 
 from repro.dnn.configs import TABLE_I_CONFIGS, get_config
-from repro.dnn.datasets import make_feature_dataset
 from repro.dnn.resnet import build_resnet18
 from repro.dnn.training import (
-    AdamState,
-    HeadTrainer,
     LearningCurveModel,
     TrainingMemoryModel,
-    cosine_annealing_lr,
     pruned_accuracy_drop,
-    simulate_fine_tuning,
     training_cost_seconds,
 )
 
@@ -23,66 +18,6 @@ from repro.dnn.training import (
 @pytest.fixture(scope="module")
 def model():
     return build_resnet18(num_classes=20, input_size=16, width=8)
-
-
-class TestAdam:
-    def test_step_moves_against_gradient(self):
-        param = np.array([1.0])
-        state = AdamState.like(param)
-        new = state.step(param, np.array([1.0]), lr=0.1)
-        assert new[0] < param[0]
-
-    def test_weight_decay_shrinks_params(self):
-        param = np.array([10.0])
-        state = AdamState.like(param)
-        new = state.step(param, np.array([0.0]), lr=0.1, weight_decay=1.0)
-        assert new[0] < param[0]
-
-
-class TestCosineAnnealing:
-    def test_starts_at_base_lr(self):
-        assert cosine_annealing_lr(0.2, 0, 100) == pytest.approx(0.2)
-
-    def test_ends_at_min_lr(self):
-        assert cosine_annealing_lr(0.2, 100, 100) == pytest.approx(0.0, abs=1e-9)
-
-    def test_monotone_decay(self):
-        values = [cosine_annealing_lr(0.2, e, 100) for e in range(0, 101, 10)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_invalid_total_raises(self):
-        with pytest.raises(ValueError):
-            cosine_annealing_lr(0.2, 1, 0)
-
-
-class TestHeadTrainer:
-    def test_learns_separable_classes(self):
-        data = make_feature_dataset(num_classes=5, samples_per_class=60,
-                                    feature_dim=16, separability=4.0, seed=0)
-        train, test = data.split(0.8, seed=1)
-        trainer = HeadTrainer(feature_dim=16, num_classes=5, lr=0.05, seed=0)
-        run = trainer.fit(train, test, epochs=15)
-        assert run.test_accuracy[-1] > 0.9
-        assert run.train_loss[0] > run.train_loss[-1]
-
-    def test_harder_data_learns_worse(self):
-        easy = make_feature_dataset(num_classes=5, samples_per_class=40,
-                                    feature_dim=16, separability=4.0, seed=0)
-        hard = make_feature_dataset(num_classes=5, samples_per_class=40,
-                                    feature_dim=16, separability=0.5, seed=0)
-        results = {}
-        for name, data in (("easy", easy), ("hard", hard)):
-            train, test = data.split(0.8, seed=1)
-            trainer = HeadTrainer(feature_dim=16, num_classes=5, lr=0.05, seed=0)
-            run = trainer.fit(train, test, epochs=10)
-            results[name] = run.best_test_accuracy
-        assert results["easy"] > results["hard"]
-
-    def test_invalid_epochs(self):
-        trainer = HeadTrainer(feature_dim=4, num_classes=2)
-        data = make_feature_dataset(num_classes=2, samples_per_class=5, feature_dim=4)
-        with pytest.raises(ValueError):
-            trainer.fit(data, data, epochs=0)
 
 
 class TestLearningCurveModel:
@@ -209,17 +144,3 @@ class TestPrunedAccuracyDrop:
         }
         assert drops["CONFIG B-pruned"] == min(drops.values())
         assert drops["CONFIG A-pruned"] == max(drops.values())
-
-
-class TestSimulateFineTuning:
-    def test_outcome_fields(self, model):
-        outcome = simulate_fine_tuning(model, get_config("CONFIG C"), epochs=50)
-        assert outcome.config_name == "CONFIG C"
-        assert len(outcome.accuracy_curve) == 50
-        assert outcome.peak_memory_mib > 0
-        assert outcome.training_cost_s > 0
-
-    def test_pruned_outcome_less_accurate(self, model):
-        plain = simulate_fine_tuning(model, get_config("CONFIG C"), epochs=100)
-        pruned = simulate_fine_tuning(model, get_config("CONFIG C-pruned"), epochs=100)
-        assert pruned.final_accuracy < plain.final_accuracy

@@ -1,8 +1,6 @@
-"""Tests for priority preemption at the controller."""
+"""Tests for evicting admitted tasks at the controller."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core.problem import RadioModel
 from repro.core.task import QualityLevel, Task
@@ -40,89 +38,19 @@ def _admit(controller: OffloaDNNController, task: Task):
     return controller.handle_admission_requests((task,), catalog)[task.task_id]
 
 
-def _admit_preempting(
-    controller: OffloaDNNController, task: Task, min_ratio: float = 1e-9
-):
-    catalog = ScenarioCatalogBuilder(seed=0).build((task,), task.qualities[0])
-    return controller.admit_with_preemption(task, catalog, min_ratio)
-
-
 class TestPreemption:
-    def test_high_priority_evicts_lowest(self):
-        controller = _controller()
-        assert _admit(controller, _task(1, 0.3)).admitted
-        assert _admit(controller, _task(2, 0.5)).admitted
-        # pool full: plain admission of a third task fails
-        assert not _admit(controller, _task(3, 0.9)).admitted
-        ticket, evicted = _admit_preempting(controller, _task(3, 0.9))
-        assert ticket.admitted
-        assert evicted == [1]  # lowest priority went first
-        assert set(controller.active_tasks) == {2, 3}
-
-    def test_low_priority_cannot_preempt(self):
-        controller = _controller()
-        _admit(controller, _task(1, 0.8))
-        _admit(controller, _task(2, 0.9))
-        ticket, evicted = _admit_preempting(controller, _task(3, 0.1))
-        assert not ticket.admitted
-        assert evicted == []
-        assert set(controller.active_tasks) == {1, 2}
-
-    def test_no_preemption_when_capacity_suffices(self):
-        controller = _controller(radio_blocks=50)
-        _admit(controller, _task(1, 0.3))
-        ticket, evicted = _admit_preempting(controller, _task(2, 0.9))
-        assert ticket.admitted
-        assert evicted == []
-        assert set(controller.active_tasks) == {1, 2}
-
-    def test_partial_admission_after_one_eviction(self):
-        # newcomer needs ~10 RBs; one 5-RB victim leaves 7 free -> the
-        # default contract stops at the partial grant (z = 0.7)
-        controller = _controller(radio_blocks=12)
-        _admit(controller, _task(1, 0.2))
-        _admit(controller, _task(2, 0.3))
-        big = Task(
-            task_id=3, name="big", method="classification", priority=0.9,
-            request_rate=10.0, min_accuracy=0.7, max_latency_s=0.4,
-            qualities=(QualityLevel("full", 350_000.0),),
-        )
-        ticket, evicted = _admit_preempting(controller, big)
-        assert ticket.admitted
-        assert 0.0 < ticket.admission_ratio < 1.0
-        assert evicted == [1]
-
-    def test_full_rate_demand_evicts_more(self):
-        # demanding z = 1 forces both lower-priority victims out
-        controller = _controller(radio_blocks=12)
-        _admit(controller, _task(1, 0.2))
-        _admit(controller, _task(2, 0.3))
-        big = Task(
-            task_id=3, name="big", method="classification", priority=0.9,
-            request_rate=10.0, min_accuracy=0.7, max_latency_s=0.4,
-            qualities=(QualityLevel("full", 350_000.0),),
-        )
-        ticket, evicted = _admit_preempting(controller, big, min_ratio=1.0)
-        assert ticket.admitted
-        assert ticket.admission_ratio == pytest.approx(1.0)
-        assert evicted == [1, 2]
-
-    def test_invalid_min_ratio(self):
-        controller = _controller()
-        task = _task(1, 0.5)
-        catalog = ScenarioCatalogBuilder(seed=0).build((task,), task.qualities[0])
-        with pytest.raises(ValueError):
-            controller.admit_with_preemption(task, catalog, min_admission_ratio=0.0)
-
     def test_eviction_frees_blocks_and_slices(self):
         controller = _controller()
         _admit(controller, _task(1, 0.3))
         _admit(controller, _task(2, 0.5))
         memory_full = controller.vim.deployed_memory_gb()
-        _admit_preempting(controller, _task(3, 0.9))
+        free_rbs = controller.slice_manager.free_rbs
+        controller.evict_task(1)
         assert 1 not in controller.slice_manager.slices
-        # victim-only blocks unloaded; total deployments stay bounded
-        assert controller.vim.deployed_memory_gb() <= memory_full + 0.5
+        assert controller.slice_manager.free_rbs > free_rbs
+        # task-1-only blocks unloaded; blocks task 2 still uses stay
+        assert 0.0 < controller.vim.deployed_memory_gb() < memory_full
+        assert _admit(controller, _task(3, 0.9)).admitted
 
     def test_active_tasks_tracked(self):
         controller = _controller(radio_blocks=50)

@@ -7,40 +7,24 @@ import pytest
 from repro.core.heuristic import OffloaDNNSolver
 from repro.core.objective import check_constraints
 from repro.core.problem import Budgets, DOTProblem, RadioModel
-from repro.workloads.generator import (
-    DNNFamily,
-    ScenarioCatalogBuilder,
-    mobilenet_family_from_profiler,
-)
+from repro.workloads.generator import DNNFamily, ScenarioCatalogBuilder
 from tests.conftest import make_task
 
 
-@pytest.fixture(scope="module")
-def mobilenet_family() -> DNNFamily:
-    return mobilenet_family_from_profiler(repeats=1, input_size=16,
-                                          width_multiplier=0.25)
-
-
-class TestMobilenetFamily:
-    def test_measured_scales_positive(self, mobilenet_family):
-        assert mobilenet_family.compute_scale > 0
-        assert mobilenet_family.memory_scale > 0
-
-    def test_memory_lighter_than_resnet(self, mobilenet_family):
-        """MobileNetV2's depthwise design is far lighter in parameters."""
-        assert mobilenet_family.memory_scale < 0.6
-
-    def test_accuracy_offset_negative(self, mobilenet_family):
-        assert mobilenet_family.accuracy_offset < 0
+#: a second architecture declared by its cost scales relative to ResNet-18
+#: (MobileNetV2: lighter in compute and memory, a few points less accurate)
+MOBILENET = DNNFamily(
+    "mnv2", compute_scale=0.4, memory_scale=0.3, accuracy_offset=-0.03
+)
 
 
 class TestMixedArchitectureCatalog:
-    def _problem(self, mobilenet_family):
+    def _problem(self):
         tasks = tuple(
             make_task(i, priority=0.9 - 0.2 * i, min_accuracy=0.75) for i in range(3)
         )
         builder = ScenarioCatalogBuilder(
-            families=(DNNFamily("rn18"), mobilenet_family), seed=0
+            families=(DNNFamily("rn18"), MOBILENET), seed=0
         )
         catalog = builder.build(tasks, tasks[0].qualities[0])
         return DOTProblem(
@@ -51,12 +35,12 @@ class TestMixedArchitectureCatalog:
             radio=RadioModel(default_bits_per_rb=350_000.0),
         )
 
-    def test_twenty_paths_per_task(self, mobilenet_family):
-        problem = self._problem(mobilenet_family)
+    def test_twenty_paths_per_task(self):
+        problem = self._problem()
         assert len(problem.catalog.paths_for(0)) == 20  # 2 families x 10 configs
 
-    def test_families_do_not_share_blocks(self, mobilenet_family):
-        problem = self._problem(mobilenet_family)
+    def test_families_do_not_share_blocks(self):
+        problem = self._problem()
         blocks = problem.catalog.all_blocks()
         rn_shared = {b for b in blocks if b.startswith("rn18:base:")}
         mn_shared = {b for b in blocks if b.startswith("mnv2:base:")}
@@ -64,8 +48,8 @@ class TestMixedArchitectureCatalog:
         assert len(mn_shared) == 3
         assert not rn_shared & mn_shared
 
-    def test_solver_handles_mixed_catalog(self, mobilenet_family):
-        problem = self._problem(mobilenet_family)
+    def test_solver_handles_mixed_catalog(self):
+        problem = self._problem()
         solution = OffloaDNNSolver().solve(problem)
         assert check_constraints(problem, solution).feasible
         assert solution.admitted_task_count == 3
