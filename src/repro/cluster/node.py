@@ -14,7 +14,9 @@ utilization gauges never report > 1.0.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.serving.executor import WorkerPool
 
@@ -74,12 +76,21 @@ class BusyTracker:
     contiguous busy periods.  ``within(duration_s)`` counts only the
     busy time inside ``[0, duration_s]`` — the fix for utilization
     reporting > 1.0 when the last service extends past the measured run
-    horizon.
+    horizon.  Queries keep running sums of the closed periods' lengths,
+    added in period order as they are first needed, so a query is one
+    bisection plus one partial period however long the run has been,
+    and a run that never asks pays nothing.
     """
 
     #: merged (start, finish) busy periods, ascending and disjoint
     periods: list[tuple[float, float]] = field(default_factory=list)
     total_s: float = 0.0
+    #: ``busy_before[k]``: busy seconds of ``periods[:k]``, for every k up
+    #: to the number of closed periods a query has needed (the last
+    #: period is open: the next service may still extend it)
+    busy_before: list[float] = field(
+        default_factory=lambda: [0.0], init=False, repr=False, compare=False
+    )
 
     def add(self, start: float, finish: float) -> None:
         if finish < start:
@@ -94,13 +105,26 @@ class BusyTracker:
 
     def within(self, duration_s: float) -> float:
         """Busy seconds that fall inside the window ``[0, duration_s]``."""
-        return sum(
-            max(0.0, min(finish, duration_s) - min(start, duration_s))
-            for start, finish in self.periods
-        )
+        periods, sums = self.periods, self.busy_before
+        if not periods:
+            return 0.0
+        # periods ending by ``duration_s`` count whole, one running past
+        # it counts up to it, the ones after it not at all
+        whole = bisect_right(periods, duration_s, key=itemgetter(1))
+        while len(sums) <= min(whole, len(periods) - 1):
+            start, finish = periods[len(sums) - 1]
+            sums.append(sums[-1] + (finish - start))
+        if whole == len(periods):
+            start, finish = periods[-1]
+            return sums[-1] + (finish - start)
+        busy, start = sums[whole], periods[whole][0]
+        if start < duration_s:
+            busy += duration_s - start
+        return busy
 
     def clear(self) -> None:
         self.periods.clear()
+        del self.busy_before[1:]
         self.total_s = 0.0
 
 

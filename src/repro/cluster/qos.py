@@ -82,11 +82,6 @@ class QosMonitor:
     #: total bytes streamed across links (wire frames, headers included)
     bytes_streamed: int = 0
 
-    def observe_hops(self, hops: list[Hop]) -> None:
-        for hop in hops:
-            self.hop_counts[hop.kind] = self.hop_counts.get(hop.kind, 0) + 1
-            self.bytes_streamed += hop.nbytes
-
     def add_probes(self, sampler: DesSampler, now_fn) -> None:
         """Register per-node gauges on the run's DES sampler.
 

@@ -8,8 +8,12 @@ and the same constraints — so the control plane need not carry one tree
 clique per device.
 
 :func:`aggregate_problem` groups the tasks of a DOT instance by their
-*decision signature* and builds a meta-problem over one representative
-per group.  :class:`AggregateSolver` then
+*decision signature* — what the solver reads of a task: its candidate
+path tuple, priority, request rate, minimum accuracy, maximum latency,
+quality set and bits per RB — and builds a meta-problem over one
+representative per group.  The CV method is not in it: the catalog has
+already turned the method into the path tuple, and no solver reads it
+again.  :class:`AggregateSolver` then
 
 1. runs the first-branch selection on the meta-problem
    (path/quality choice is per *group*, which is exact: every member
@@ -33,9 +37,9 @@ groups share a priority level (the per-task cascade would interleave
 their members by task id, the replay keeps groups contiguous).  The
 test suite checks feasibility and admission-equivalence instead.
 
-Grouping sorts one numpy column per task field (Python work is per
-group) and keys on the *identity* of the candidate-path tuple, not its
-value: two tasks are poolable only when they share the very same
+Grouping sorts one numpy column per signature field (Python work is
+per group) and keys on the *identity* of the candidate-path tuple, not
+its value: two tasks are poolable only when they share the very same
 catalog entry, which is how the replicated workloads are built (see
 :mod:`repro.workloads.largescale`) and the only case where equality is
 O(1) at 10⁶ tasks.
@@ -116,7 +120,6 @@ def aggregate_problem(problem: DOTProblem) -> AggregationPlan:
     # the decision signature, one column per field
     columns = [
         np.fromiter(map(id, map(paths_by_task.get, id_list)), np.int64, count),
-        value_codes("method"),
         priority,
         column("request_rate"),
         column("min_accuracy"),

@@ -15,13 +15,13 @@ demand can never fit the radio capacity are masked per walk, so a
 clique does not depend on the budgets.
 
 This is the only tree: :func:`build_vector_tree` builds it (cliques as
-flat arrays, from the one batched :func:`build_cliques`), and two walks
-read it — :func:`first_branch`, the heuristic's single traversal, and
-:func:`branches`, the memory-pruned enumeration of every branch.  A
-walk's output is a :data:`Branch`: one pick per layer, the index of the
-chosen variant in its clique.  Only the allocation turns picks into
-:class:`~repro.core.subproblem.BranchItem` decisions, and only as many
-as its water-fill reads.
+row ranges of flat columns, from the one batched :func:`build_cliques`),
+and two walks read it — :func:`first_branch`, the heuristic's single
+traversal, and :func:`branches`, the memory-pruned enumeration of every
+branch.  A walk's output is a :data:`Branch`: one pick per layer, the
+index of the chosen variant in its clique.  Only the allocation turns
+picks into :class:`~repro.core.subproblem.BranchItem` decisions, and
+only as many as its water-fill reads.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +43,7 @@ from repro.obs.trace import current_tracer
 __all__ = [
     "Branch",
     "BranchState",
+    "CliqueColumns",
     "VectorClique",
     "VectorTree",
     "build_cliques",
@@ -115,18 +119,36 @@ def _variant_path_id(path: Path, quality: QualityLevel) -> str:
 _CHUNK_TASKS = 2048
 
 
-@dataclass
+class CliqueColumns(NamedTuple):
+    """The variant columns of one batch of cliques (:func:`build_cliques`).
+
+    One row per kept variant, cliques back to back in build order: the
+    base path's position in its clique's ``source_paths``, the quality's
+    position in its task's ``qualities``, the attainable accuracy and the
+    latency-driven RB demand.  A :class:`VectorClique` is a row range of
+    these columns.
+    """
+
+    path_pos: np.ndarray
+    quality_pos: np.ndarray
+    accuracy: np.ndarray
+    min_latency_rbs: np.ndarray
+
+
+@dataclass(slots=True)
 class VectorClique:
-    """One task's feasible (path × quality) variants as flat arrays.
+    """One task's feasible (path × quality) variants: a row range of columns.
 
     Variants are stored in clique order — sorted by ``(compute, memory,
     bits, path_id)`` — after the radio-independent (1f)/(1g) feasibility
     filters.  The radio filter ``min_latency_rbs ≤ R`` is applied per
     walk (:meth:`feasible`), which keeps a clique reusable across budget
     changes: a caller's clique memo (:func:`build_vector_tree`) relies on
-    that.  The arrays are views into the batch the clique was built in
-    (:func:`build_cliques`) and are shared read-only; blocks and their
-    costs are read off ``source_paths``, never copied.
+    that.  The clique's variants are rows ``lo:hi`` of the columns of the
+    batch it was built in (:func:`build_cliques`), shared read-only with
+    the batch's other cliques and with every replica; blocks and their
+    costs are read off ``source_paths``, never copied.  A variant index
+    runs over ``range(len(clique))``.
     """
 
     task: Task
@@ -134,35 +156,36 @@ class VectorClique:
     #: the catalog tuple this clique was derived from (identity check
     #: for cache validity)
     source_paths: tuple[Path, ...]
-    #: per variant, its base path's position in ``source_paths`` and its
-    #: quality's position in ``task.qualities``
-    path_pos: np.ndarray
-    quality_pos: np.ndarray
-    accuracy: np.ndarray
-    min_latency_rbs: np.ndarray
+    #: the build batch's columns; this clique's variants are rows lo:hi
+    columns: CliqueColumns
+    lo: int
+    hi: int
     #: variants removed by the (1f)/(1g) filters (radio filter excluded)
     filtered_static: int
 
     def __len__(self) -> int:
-        return len(self.path_pos)
+        return self.hi - self.lo
 
     def base_path(self, index: int) -> Path:
         """The catalog path a variant re-expresses (same blocks)."""
-        return self.source_paths[self.path_pos[index]]
+        return self.source_paths[self.columns.path_pos[self.lo + index]]
 
     def variant_path(self, index: int) -> Path:
         return _variant_path(
-            self.base_path(index), self.task.qualities[self.quality_pos[index]]
+            self.base_path(index),
+            self.task.qualities[self.columns.quality_pos[self.lo + index]],
         )
 
     def variant_path_id(self, index: int) -> str:
         return _variant_path_id(
-            self.base_path(index), self.task.qualities[self.quality_pos[index]]
+            self.base_path(index),
+            self.task.qualities[self.columns.quality_pos[self.lo + index]],
         )
 
     def feasible(self, radio_blocks: int) -> list[int]:
         """Variants whose latency-driven RB demand fits the radio capacity."""
-        return np.flatnonzero(self.min_latency_rbs <= radio_blocks).tolist()
+        demands = self.columns.min_latency_rbs[self.lo : self.hi]
+        return np.flatnonzero(demands <= radio_blocks).tolist()
 
 
 def build_cliques(
@@ -175,12 +198,13 @@ def build_cliques(
     The one clique builder: every spec's (path × quality) variants are
     flattened into one set of arrays with a task column, filtered and
     sorted together (:func:`_build_chunk`), ``_CHUNK_TASKS`` specs at a
-    time.  A spec is a task, its candidate paths and its bits per RB,
-    passed as three parallel lists.  It replicates the per-task scalar
-    pipeline exactly (kept as ``tests/oracles.py::scalar_cliques``) —
-    same feasibility comparisons, same float expressions for the latency
-    RB demand, same sort keys — so a clique is the same whatever batch
-    it was built in.
+    time; each chunk's cliques are row ranges of one
+    :class:`CliqueColumns`.  A spec is a task, its candidate paths and
+    its bits per RB, passed as three parallel lists.  It replicates the
+    per-task scalar pipeline exactly (kept as
+    ``tests/oracles.py::scalar_cliques``) — same feasibility comparisons,
+    same float expressions for the latency RB demand, same sort keys — so
+    a clique is the same whatever batch it was built in.
     """
     cliques: list[VectorClique] = []
     for lo in range(0, len(tasks), _CHUNK_TASKS):
@@ -194,18 +218,23 @@ def _build_chunk(
 ) -> list[VectorClique]:
     n_tasks = len(tasks)
     f8, i8 = np.float64, np.int64
+
+    def read(name: str, objects: list) -> np.ndarray:
+        return np.fromiter(map(attrgetter(name), objects), f8, len(objects))
+
     # per (task, path) pair; the sums are cached on the Path objects
-    pairs = [path for paths in paths_of for path in paths]
-    pair_comp = np.array([path.compute_time_s for path in pairs], dtype=f8)
-    pair_mem = np.array([path.memory_gb for path in pairs], dtype=f8)
-    pair_acc = np.array([path.accuracy for path in pairs], dtype=f8)
-    qualities = [task.qualities for task in tasks]
-    q_factor = np.array([q.accuracy_factor for qs in qualities for q in qs], dtype=f8)
-    q_bits = np.array([q.bits_per_image for qs in qualities for q in qs], dtype=f8)
-    n_q = np.array(list(map(len, qualities)), dtype=i8)
+    pairs = list(chain.from_iterable(paths_of))
+    pair_comp = read("compute_time_s", pairs)
+    pair_mem = read("memory_gb", pairs)
+    pair_acc = read("accuracy", pairs)
+    qualities = list(map(attrgetter("qualities"), tasks))
+    levels = list(chain.from_iterable(qualities))
+    q_factor = read("accuracy_factor", levels)
+    q_bits = read("bits_per_image", levels)
+    n_q = np.fromiter(map(len, qualities), i8, n_tasks)
     n_paths = np.fromiter(map(len, paths_of), i8, n_tasks)
-    min_acc = np.array([task.min_accuracy for task in tasks], dtype=f8)
-    max_lat = np.array([task.max_latency_s for task in tasks], dtype=f8)
+    min_acc = read("min_accuracy", tasks)
+    max_lat = read("max_latency_s", tasks)
     bits_per_rb = np.array(bits_of, dtype=f8)
 
     # variant layout: tasks outer, then paths, qualities inner (the
@@ -249,27 +278,24 @@ def _build_chunk(
     r_lat = np.maximum(
         1, np.ceil(keys[0] / (bits_per_rb[task_k] * slack) - 1e-12).astype(i8)
     )
-    acc_k, q_k = acc[kept], var_q[kept]
     pos_k = var_pair[kept] - (np.cumsum(n_paths) - n_paths)[task_k]
 
     survivors = np.bincount(task_k, minlength=n_tasks)
     filtered = (np.bincount(var_task, minlength=n_tasks) - survivors).tolist()
     bounds = np.concatenate(([0], np.cumsum(survivors))).tolist()
-    return [
-        VectorClique(
-            task=task,
-            bits_per_rb=task_bits_per_rb,
-            source_paths=paths,
-            path_pos=pos_k[lo:hi],
-            quality_pos=q_k[lo:hi],
-            accuracy=acc_k[lo:hi],
-            min_latency_rbs=r_lat[lo:hi],
-            filtered_static=dropped,
+    columns = CliqueColumns(pos_k, var_q[kept], acc[kept], r_lat)
+    return list(
+        map(
+            VectorClique,
+            tasks,
+            bits_of,
+            paths_of,
+            repeat(columns),
+            bounds,
+            bounds[1:],
+            filtered,
         )
-        for task, paths, task_bits_per_rb, lo, hi, dropped in zip(
-            tasks, paths_of, bits_of, bounds, bounds[1:], filtered
-        )
-    ]
+    )
 
 
 @dataclass
@@ -317,7 +343,7 @@ def build_vector_tree(
     on a task's identity, priority or rate, nor on the other tasks or the
     edge budgets — so replicated populations (many tasks sharing one
     catalog entry by identity) contribute each distinct clique once to
-    the batched build (:func:`build_cliques`) and share its arrays
+    the batched build (:func:`build_cliques`) and share its columns
     read-only.  That replica memo lives for this call only.
 
     What a caller wants carried from one solve to the next it hands in
@@ -427,20 +453,29 @@ def build_vector_tree(
 def _clique_heads(cliques: list[VectorClique], radio_blocks: int) -> list[int]:
     """Per clique, its first variant that fits the radio capacity, or -1.
 
-    One array pass over the cliques' ``min_latency_rbs`` arrays: they
-    are concatenated, the radio filter is one comparison, and each
-    clique's head is a ``searchsorted`` of its start among the
-    survivors' positions.
+    One array pass per batch of columns the cliques are rows of: the
+    radio filter is one comparison over the batch's ``min_latency_rbs``
+    column (laid end to end with the other batches'), and each clique's
+    head is a ``searchsorted`` of its first row among the survivors.
     """
     if not cliques:
         return []
-    demands = [clique.min_latency_rbs for clique in cliques]
-    sizes = np.fromiter(map(len, demands), np.int64, len(demands))
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
+    columns = list(map(attrgetter("columns"), cliques))
+    # each distinct batch once, in first-use order, at its offset in the
+    # concatenation
+    batches = dict(zip(map(id, columns), columns))
+    offsets, demands, end = {}, [], 0
+    for key, batch in batches.items():
+        offsets[key] = end
+        demands.append(batch.min_latency_rbs)
+        end += len(batch.min_latency_rbs)
+    count = len(cliques)
+    base = np.fromiter(map(offsets.__getitem__, map(id, columns)), np.int64, count)
+    starts = base + np.fromiter(map(attrgetter("lo"), cliques), np.int64, count)
+    ends = base + np.fromiter(map(attrgetter("hi"), cliques), np.int64, count)
     fits = np.flatnonzero(np.concatenate(demands) <= radio_blocks)
-    # the first survivor at or after each start; ends[-1] past the last one
-    first = np.append(fits, ends[-1])[np.searchsorted(fits, starts)]
+    # the first survivor at or after each start; `end` past the last one
+    first = np.append(fits, end)[np.searchsorted(fits, starts)]
     return np.where(first < ends, first - starts, -1).tolist()
 
 
@@ -512,7 +547,10 @@ def first_branch(
                 )
             elif ordering == "accuracy":
                 candidates.sort(
-                    key=lambda i: (-clique.accuracy[i], clique.variant_path_id(i))
+                    key=lambda i: (
+                        -clique.columns.accuracy[clique.lo + i],
+                        clique.variant_path_id(i),
+                    )
                 )
             pick = next((i for i in candidates if deploys(clique, i)), -1)
         elif head < 0 or deploys(clique, head):
@@ -557,7 +595,11 @@ def branches(
             )
         if ordering == "accuracy":
             return sorted(
-                picks, key=lambda i: (-clique.accuracy[i], clique.variant_path_id(i))
+                picks,
+                key=lambda i: (
+                    -clique.columns.accuracy[clique.lo + i],
+                    clique.variant_path_id(i),
+                ),
             )
         return picks
 

@@ -56,8 +56,6 @@ class OffloaDNNController:
     training_budget_s: float = 1000.0
     #: last DOT solution, for inspection
     last_solution: DOTSolution | None = None
-    #: currently admitted tasks
-    active_tasks: dict[int, Task] = field(default_factory=dict)
 
     def handle_admission_requests(
         self, tasks: tuple[Task, ...], catalog: Catalog
@@ -137,7 +135,6 @@ class OffloaDNNController:
             )
             for block in path.blocks:
                 self.vim.deploy_block(block, task.task_id)
-            self.active_tasks[task.task_id] = task
             # step 6: notify the device
             tickets[task.task_id] = AdmissionTicket(
                 task_id=task.task_id,
@@ -182,4 +179,3 @@ class OffloaDNNController:
         """Tear down a task: release slice, compute and orphaned blocks."""
         self.slice_manager.release(task_id)
         self.vim.release_task(task_id)
-        self.active_tasks.pop(task_id, None)

@@ -57,8 +57,9 @@ class WindowReport(NamedTuple):
     """Accounting for one executed batching window.
 
     A named tuple: a run logs one per window, and a tuple of numbers is
-    cheap to build and leaves the cyclic collector's view once it has
-    survived a collection.
+    cheap to build.  It stays in the cyclic collector's view for as long
+    as it lives: CPython untracks an exact ``tuple`` of atoms once it
+    survives a collection, never an instance of a subclass.
     """
 
     requests: int

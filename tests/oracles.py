@@ -36,7 +36,10 @@ memo (:func:`path_groups`), and the cluster dispatcher that re-derived
 routes, costs and hop records per request
 (:func:`per_request_cluster_dispatch`): the executors now cost a
 window per distinct (path, block sequence) group and build one hop record
-per batch, and must produce the same floats, stamps and draws.
+per batch, and must produce the same floats, stamps and draws.  A
+node's utilization walked every busy period on each query
+(:func:`full_walk_within`); the tracker's running sums must give the
+same float.
 
 The solver's scalar ancestors live here too: the per-vertex tree
 (:func:`scalar_cliques`, :func:`scalar_first_branch`) that the batched
@@ -531,7 +534,11 @@ def per_request_cluster_dispatch(self, requests, now: float):
             for request in batch:
                 request.service_done_at = at
             window_end = max(window_end, at)
-        self.qos.observe_hops(batch[0].hops)
+        # tally the batch's route once, as the hop walk does
+        qos = self.qos
+        for hop in batch[0].hops:
+            qos.hop_counts[hop.kind] = qos.hop_counts.get(hop.kind, 0) + 1
+            qos.bytes_streamed += hop.nbytes
 
     if window_start is None:
         window_start = now
@@ -544,6 +551,18 @@ def per_request_cluster_dispatch(self, requests, now: float):
             report.prefix_merges, report.saved_s,
         )
     return report
+
+
+def full_walk_within(tracker, duration_s: float) -> float:
+    """``BusyTracker.within`` by walking every period (patch it in as a
+    method): what each 50 ms utilization sample of a traced cluster run
+    used to cost, O(periods so far)."""
+    # added one by one, not with ``sum``, which compensates float
+    # additions from Python 3.12 on; the tracker's running sums do not
+    busy = 0.0
+    for start, finish in tracker.periods:
+        busy += max(0.0, min(finish, duration_s) - min(start, duration_s))
+    return busy
 
 
 def replicated_serving_problem(k: int):
@@ -599,14 +618,13 @@ def with_batch_marginal(problem, batch_marginal: float):
 def tuple_signature_groups(problem) -> list[tuple[int, tuple[int, ...]]]:
     """``(representative id, member ids)`` per group, in group order.
 
-    One 8-tuple per task, hashed into a dict in priority order: the first
+    One 7-tuple per task, hashed into a dict in priority order: the first
     member of a bucket (smallest id) represents it and members ascend.
     """
     buckets: dict[tuple, list[int]] = {}
     for task in problem.tasks_by_priority():
         signature = (
             id(problem.catalog.paths_for(task)),
-            task.method,
             task.priority,
             task.request_rate,
             task.min_accuracy,
@@ -813,7 +831,10 @@ def item_first_branch(vtree, budgets, ordering: str = "compute"):
                 )
             elif ordering == "accuracy":
                 candidates.sort(
-                    key=lambda i: (-clique.accuracy[i], clique.variant_path_id(i))
+                    key=lambda i: (
+                        -clique.columns.accuracy[clique.lo + i],
+                        clique.variant_path_id(i),
+                    )
                 )
             pick = next((i for i in candidates if deploys(clique, i)), -1)
         elif head < 0 or deploys(clique, head):

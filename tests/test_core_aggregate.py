@@ -262,6 +262,33 @@ class TestRunsMatchTheExpansion:
         assert len(distinct) == len(problem.tasks)
         assert aggregate_problem(problem).num_groups < len(problem.tasks)
 
+    def test_tasks_differing_only_in_method_pool(self):
+        """The signature holds what a solver reads.  ``method`` is not in
+        it: the catalog already turned it into the path tuple, so tasks
+        that differ in method alone under one tuple share a group."""
+        problem = population_problem(5, 4, 1.0)
+        relabelled = replace(
+            problem,
+            tasks=tuple(
+                replace(task, method="detection") if i % 2 else task
+                for i, task in enumerate(problem.tasks)
+            ),
+        )
+        method_of = {task.task_id: task.method for task in relabelled.tasks}
+        solver = AggregateSolver()
+        plan, _chosen, runs, twin = allocate_both_ways(solver, relabelled)
+        groups = [(rep_id, group.member_ids) for rep_id, group in plan.groups.items()]
+        assert groups == tuple_signature_groups(relabelled)
+        assert groups == [
+            (rep_id, group.member_ids)
+            for rep_id, group in aggregate_problem(problem).groups.items()
+        ]
+        assert any(
+            len({method_of[i] for i in group.member_ids}) == 2
+            for group in plan.groups.values()
+        )
+        assert_same_solution(relabelled, runs, twin)
+
     def test_lookups(self, replicated):
         solution = AggregateSolver().solve(replicated)
         mapping = solution.assignments

@@ -29,6 +29,7 @@ from repro.core.heuristic import OffloaDNNSolver
 from repro.core.optimal import OptimalSolver
 from repro.core.problem import Budgets, DOTProblem
 from repro.core.subproblem import BranchItem
+from repro.core import tree as tree_module
 from repro.core.tree import build_vector_tree, first_branch
 from repro.workloads.largescale import (
     RequestRate,
@@ -216,16 +217,26 @@ class TestReplicaKey:
             catalog=catalog,
             radio=replace(base.radio, per_task_bits_per_rb=overrides),
         )
-        tree = build_vector_tree(problem)
+        build = mock.patch.object(
+            tree_module, "build_cliques", side_effect=tree_module.build_cliques
+        )
+        with build as built:
+            tree = build_vector_tree(problem)
         assert _tree_rows(tree) == _oracle_rows(problem)
+        built_ids = {task.task_id for task in built.call_args.args[0]}
         by_id = {clique.task.task_id: clique for clique in tree.cliques}
         for task in base.tasks:
             first, *others, twin, rerated = (
                 by_id[10 * task.task_id + k] for k in range(len(changes) + 1)
             )
-            assert twin.min_latency_rbs is first.min_latency_rbs
+            # the twin is no spec of its own: it reads the first one's
+            # rows of the very same columns; every other one is built
+            assert first.task.task_id in built_ids
+            assert twin.task.task_id not in built_ids
+            assert twin.columns is first.columns
+            assert (twin.lo, twin.hi) == (first.lo, first.hi)
             for other in (*others, rerated):
-                assert other.min_latency_rbs is not first.min_latency_rbs
+                assert other.task.task_id in built_ids
 
 
 class TestAllocations:

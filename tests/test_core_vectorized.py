@@ -142,7 +142,7 @@ WALK_GEOMETRIES = {
     ),
     # whole cliques lose every variant to the radio filter: no head
     "starved_radio": lambda seed: with_budgets(random_problem(seed), radio_blocks=2),
-    # replicas share one demand array; memory runs out part-way
+    # replicas share one clique's rows; memory runs out part-way
     "replicated": lambda seed: with_budgets(
         replicated(random_problem(seed, 5), 4, deshare=False), memory_gb=2.0
     ),
@@ -308,7 +308,7 @@ class TestEngineParity:
     def test_the_fallback_corners_are_reached(self):
         """The parity above is not vacuous: under the compute ordering its
         geometries send heads through the feasible() scan, leave layers
-        without a head and share demand arrays between layers."""
+        without a head and share demand rows between layers."""
         seen = set()
         for geometry, build in WALK_GEOMETRIES.items():
             for seed in range(6):
@@ -325,7 +325,10 @@ class TestEngineParity:
                     seen.add(f"{geometry}: head misses memory")
                 if any(h < 0 and len(c) for h, c in zip(heads, tree.cliques)):
                     seen.add(f"{geometry}: no head")
-                if len({id(c.min_latency_rbs) for c in tree.cliques}) < len(tree.cliques):
+                # replicas read the same rows of the same columns (rows
+                # of two specs only meet where both are empty)
+                rows = [(id(c.columns), c.lo) for c in tree.cliques if len(c)]
+                if len(set(rows)) < len(rows):
                     seen.add(f"{geometry}: shared demand")
         assert seen >= {
             "tight_memory: head misses memory",
@@ -563,5 +566,7 @@ class TestBatchedBuild:
             assert alone.filtered_static == in_batch.filtered_static
             for name in ("path_pos", "quality_pos", "accuracy", "min_latency_rbs"):
                 np.testing.assert_array_equal(
-                    getattr(alone, name), getattr(in_batch, name), err_msg=name
+                    getattr(alone.columns, name)[alone.lo : alone.hi],
+                    getattr(in_batch.columns, name)[in_batch.lo : in_batch.hi],
+                    err_msg=name,
                 )

@@ -51,10 +51,3 @@ class TestPreemption:
         # task-1-only blocks unloaded; blocks task 2 still uses stay
         assert 0.0 < controller.vim.deployed_memory_gb() < memory_full
         assert _admit(controller, _task(3, 0.9)).admitted
-
-    def test_active_tasks_tracked(self):
-        controller = _controller(radio_blocks=50)
-        _admit(controller, _task(1, 0.4))
-        assert 1 in controller.active_tasks
-        controller.evict_task(1)
-        assert 1 not in controller.active_tasks

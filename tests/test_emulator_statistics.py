@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster import ClusterDeployment, default_topology
 from repro.cluster.node import BusyTracker, ClusterNode, NodeSpec
-from repro.serving import TaskServingMetrics, fig11_runtime
+from repro.core.heuristic import OffloaDNNSolver
+from repro.obs import ObsSession
+from repro.serving import ServingConfig, ServingRuntime, TaskServingMetrics, fig11_runtime
 from tests.conftest import make_request
+from tests.oracles import full_walk_within, replicated_serving_problem
 
 
 class TestTaskStatistics:
@@ -77,6 +85,106 @@ class TestServerUtilization:
     def test_invalid_duration(self):
         with pytest.raises(ValueError):
             ClusterNode(NodeSpec("gpu")).utilization(0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                # gap after the busy horizon: none and sub-1e-12 coalesce
+                st.one_of(st.just(0.0), st.floats(0.0, 1e-12), st.floats(0.0, 4.0)),
+                st.floats(0.0, 3.0),
+                st.lists(st.floats(-1.0, 200.0), max_size=3),
+            ),
+            max_size=40,
+        )
+    )
+    def test_within_is_the_full_walk_bit_for_bit(self, steps):
+        """Queries between adds, at every period edge and anywhere else."""
+        tracker, horizon = BusyTracker(), 0.0
+        for gap, length, queries in steps:
+            start = horizon + gap
+            tracker.add(start, start + length)
+            horizon = max(horizon, start + length)
+            edges = [t for period in tracker.periods for t in period]
+            for d in [*queries, *edges[-3:]]:
+                assert tracker.within(d).hex() == full_walk_within(tracker, d).hex()
+        for d in [t for period in tracker.periods for t in period]:
+            assert tracker.within(d).hex() == full_walk_within(tracker, d).hex()
+
+    def test_within_is_the_full_walk_on_a_long_random_stream(self):
+        """Thousands of periods with unrounded lengths, so every sum
+        rounds: queries in any order, before, inside and after them."""
+        rng = np.random.default_rng(5)
+        tracker, horizon = BusyTracker(), 0.0
+        for gap, length in zip(
+            rng.choice([0.0, 1e-13, 0.01, 0.3], 3000) * rng.random(3000),
+            rng.exponential(0.05, 3000),
+        ):
+            start = horizon + float(gap)
+            tracker.add(start, start + float(length))
+            horizon = max(horizon, start + float(length))
+        for d in rng.uniform(-1.0, horizon + 1.0, 400).tolist():
+            assert tracker.within(d).hex() == full_walk_within(tracker, d).hex()
+
+
+class _CountedPeriods(list):
+    """A tracker's period list that counts element reads and walks."""
+
+    reads = walks = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_traced_cluster_run_samples_utilization_without_walking_periods():
+    """Every 50 ms a traced cluster run samples each node's utilization.
+    A sample reads O(log periods) of a tracker's periods, and each period
+    joins the running sums once — the samples used to walk every period,
+    O(duration²) per run — and the gauge series are the full walk's."""
+    series, reads, within_of_a_tracker = [], [], BusyTracker.within
+
+    def counted(tracker, duration_s):
+        before = tracker.periods.reads
+        value = within_of_a_tracker(tracker, duration_s)
+        reads.append(tracker.periods.reads - before)
+        return value
+
+    for within in (counted, full_walk_within):
+        config = ServingConfig(duration_s=20.0, seed=3, poisson=True)
+        runtime = ServingRuntime.from_problem(
+            replicated_serving_problem(2), config,
+            solver=OffloaDNNSolver(slice_margin_rbs=10),
+        )
+        runtime.cluster = ClusterDeployment.place(
+            runtime.problem, runtime.solution, runtime.tickets, default_topology(4)
+        )
+        trackers = [
+            tracker
+            for node in runtime.cluster.registry.ordered_nodes()
+            for tracker in node.busy
+        ]
+        for tracker in trackers:
+            tracker.periods = _CountedPeriods()
+        runtime.obs = ObsSession()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BusyTracker, "within", within)
+            runtime.run()
+        gauges = runtime.obs.registry.gauges
+        series.append(
+            repr({name: g.series for name, g in gauges.items() if name.endswith(".util")})
+        )
+        if within is counted:
+            assert sum(tracker.periods.walks for tracker in trackers) == 0
+            periods = [len(tracker.periods) for tracker in trackers]
+    assert max(periods) > 300 and len(reads) > 1000
+    per_sample = math.ceil(math.log2(max(periods) + 1)) + 3
+    assert sum(reads) <= sum(periods) + len(reads) * per_sample
+    assert series[0] == series[1]
 
 
 class TestEmulationStatistics:
