@@ -54,8 +54,22 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _sweep_values(text: str) -> list[float]:
+    """An argparse ``type=`` for ``--values``: comma-separated finite
+    floats above zero (an RB count, a memory budget in GB or a rate)."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(_positive_float(item))
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentTypeError(f"{exc} in {text!r}") from None
+    return values
+
+
 #: the small-scale scenario has tasks 1..5
 _TASKS = _bounded_int(1, 5)
+#: numpy seeds are non-negative
+_SEED = _bounded_int(0)
 
 
 def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
@@ -99,14 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
     small.add_argument(
         "--optimal", action="store_true", help="also solve with the exhaustive optimum"
     )
-    small.add_argument("--seed", type=int, default=0)
+    small.add_argument("--seed", type=_SEED, default=0)
 
     large = sub.add_parser("solve-large", help="solve the Table IV large-scale scenario")
     large.add_argument(
         "--rate", choices=["low", "medium", "high"], default="medium",
         help="task request load",
     )
-    large.add_argument("--seed", type=int, default=0)
+    large.add_argument("--seed", type=_SEED, default=0)
 
     scale = sub.add_parser(
         "solve-scale",
@@ -123,22 +137,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-aggregate", action="store_true",
         help="solve per task instead of aggregating replicas into meta-tasks",
     )
-    scale.add_argument("--seed", type=int, default=0)
+    scale.add_argument("--seed", type=_SEED, default=0)
     _add_trace_arg(scale)
 
     emulate = sub.add_parser("emulate", help="run the Fig. 11 emulation")
     emulate.add_argument("--tasks", type=_TASKS, default=5)
     emulate.add_argument("--duration", type=_positive_float, default=20.0, help="seconds")
-    emulate.add_argument("--seed", type=int, default=0)
+    emulate.add_argument("--seed", type=_SEED, default=0)
     _add_trace_arg(emulate)
 
     profile = sub.add_parser("profile", help="profile a DNN substrate model")
     profile.add_argument(
         "--arch", choices=["resnet18", "mobilenetv2"], default="resnet18"
     )
-    profile.add_argument("--input-size", type=int, default=32)
-    profile.add_argument("--classes", type=int, default=60)
-    profile.add_argument("--repeats", type=int, default=5)
+    # both backbone builders reject an input under 8 pixels
+    profile.add_argument("--input-size", type=_bounded_int(8), default=32)
+    profile.add_argument("--classes", type=_bounded_int(1), default=60)
+    profile.add_argument("--repeats", type=_bounded_int(1), default=5)
     profile.add_argument(
         "--int8", action="store_true",
         help="time the int8-quantized plan instead of the fp32 one",
@@ -178,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(4x fewer payload bytes than fp32; multi-node only)",
     )
     serve.add_argument("--poisson", action="store_true", help="Poisson arrivals")
-    serve.add_argument("--seed", type=int, default=0)
+    serve.add_argument("--seed", type=_SEED, default=0)
     serve.add_argument(
         "--cluster", default=None, metavar="NODES",
         help="serve across a multi-node fabric: a nodes.json topology "
@@ -197,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="sensitivity sweep on the large scenario")
     sweep.add_argument("--knob", choices=["radio", "memory", "rate"], default="radio")
     sweep.add_argument(
-        "--values", type=str, default="",
+        "--values", type=_sweep_values, default=None,
         help="comma-separated knob values (defaults per knob)",
     )
 
@@ -559,10 +574,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "memory": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
         "rate": [2.0, 4.0, 6.0, 8.0, 10.0, 12.0],
     }
-    if args.values:
-        values = [float(v) for v in args.values.split(",")]
-    else:
-        values = defaults[args.knob]
+    values = args.values or defaults[args.knob]
     if args.knob == "radio":
         points = sweep_module.sweep_radio_budget([int(v) for v in values])
     elif args.knob == "memory":

@@ -1,9 +1,9 @@
 """repro.cluster — multi-node serving fabric.
 
 Node roles and registry, placement of solved DOT allocations onto
-nodes, a deterministic activation wire protocol over simulated links,
-a cluster-wide batching executor, and per-hop QoS monitoring through
-:mod:`repro.obs`.
+nodes, activation frames priced by their encoded size over simulated
+links, a cluster-wide batching executor, and per-hop QoS monitoring
+through :mod:`repro.obs`.
 """
 
 from repro.cluster.executor import ClusterDeployment, ClusterExecutor
@@ -12,19 +12,8 @@ from repro.cluster.orchestrator import ClusterOrchestrator, PlacementPlan, Segme
 from repro.cluster.qos import Hop, QosMonitor, record_hop_spans
 from repro.cluster.registry import ClusterTopology, NodeRegistry, default_topology
 from repro.cluster.stream import LinkSpec, SimulatedLink, StreamRouter
-from repro.cluster.wire import (
-    WIRE_VERSION,
-    TruncatedFrameError,
-    VersionMismatchError,
-    WireError,
-    decode_frame,
-    encode_frame,
-    frame_nbytes,
-    header_nbytes,
-)
 
 __all__ = [
-    "WIRE_VERSION",
     "ClusterDeployment",
     "ClusterExecutor",
     "ClusterNode",
@@ -39,13 +28,6 @@ __all__ = [
     "Segment",
     "SimulatedLink",
     "StreamRouter",
-    "TruncatedFrameError",
-    "VersionMismatchError",
-    "WireError",
-    "decode_frame",
     "default_topology",
-    "encode_frame",
-    "frame_nbytes",
-    "header_nbytes",
     "record_hop_spans",
 ]

@@ -79,22 +79,6 @@ class PlacementPlan:
             1 for segs in self.segments_by_task.values() if len(segs) > 1
         )
 
-    def describe(self) -> list[dict]:
-        return [
-            {
-                "task": task_id,
-                "segments": [
-                    {
-                        "node": seg.node_id,
-                        "blocks": list(seg.block_ids()),
-                        "egress_bits": seg.egress_bits,
-                    }
-                    for seg in segments
-                ],
-            }
-            for task_id, segments in sorted(self.segments_by_task.items())
-        ]
-
 
 def activation_bits_after(path: Path, index: int, decay: float) -> float:
     """Modeled activation size at the boundary after block ``index``."""

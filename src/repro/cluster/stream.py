@@ -1,9 +1,8 @@
 """Activation streams over simulated links.
 
-The :class:`StreamRouter` moves activation frames, encoded by
-:mod:`repro.cluster.wire`, between nodes over simulated links
-(:class:`SimulatedLink`).  A link is DES-timed and deterministic: a
-transfer occupies the link FIFO for ``latency + bytes·8/bandwidth``
+The :class:`StreamRouter` moves activation frames between nodes over
+simulated links (:class:`SimulatedLink`).  A link is DES-timed and
+deterministic: a transfer occupies the link FIFO for ``latency + bytes·8/bandwidth``
 seconds, with an optional seeded stall process for fault-injection (a
 stalled transfer takes ``stall_factor×`` longer, which is how the
 runtime's ``transfer_timeout`` drop reason gets exercised).  Nothing here touches
@@ -16,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from repro.cluster import wire
 
 __all__ = [
     "LinkSpec",
@@ -157,10 +154,7 @@ class StreamRouter:
         """Move an abstract activation of ``payload_bits`` from src to dst.
 
         Returns ``(delivery_time, stalled, frame_bytes)``.  The byte
-        count charged is the *encoded* frame size — wire header plus
-        payload, with the router's fp16 knob applied — so the DES pays
-        for exactly what :func:`repro.cluster.wire.encode_frame` would
-        put on a socket (4-D activations: N×C×H×W).
+        count charged is the *encoded* frame size (:meth:`frame_nbytes`).
         """
         if src == dst:
             return now, False, 0
@@ -169,17 +163,20 @@ class StreamRouter:
         return delivery, stalled, nbytes
 
     def frame_nbytes(self, payload_bits: float) -> int:
-        """Encoded size of one activation frame of ``payload_bits``: wire
-        header plus payload, with the router's fp16 / int8 knob applied."""
+        """Encoded size of one 4-D (N×C×H×W) activation frame of
+        ``payload_bits``, with the router's fp16 / int8 knob applied.
+
+        The header is a 13-byte prefix (magic, version, flags, 8-byte
+        dtype tag, ndim), 4 bytes per dimension and an 8-byte payload
+        length, plus a 4-byte f32 scale for an int8 frame.
+        """
+        header = 13 + 4 * 4 + 8
         payload_bytes = math.ceil(payload_bits / 8.0)
         if self.int8_activations:
-            payload_bytes = (payload_bytes + 3) // 4
-        elif self.fp16_activations:
+            return header + 4 + (payload_bytes + 3) // 4
+        if self.fp16_activations:
             payload_bytes = (payload_bytes + 1) // 2
-        return (
-            wire.header_nbytes(ndim=4, quantize_int8=self.int8_activations)
-            + payload_bytes
-        )
+        return header + payload_bytes
 
     def reset(self) -> None:
         for link in self.links.values():

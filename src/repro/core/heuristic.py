@@ -16,8 +16,8 @@ from the structured per-branch solver (:mod:`repro.core.subproblem`).
 The traversal itself is :func:`repro.core.tree.first_branch`; this module
 holds what follows it — :func:`allocate`, the one branch → solution
 assembly every tree-walking solver and baseline shares, and
-:func:`best_branch` for solvers that compare several leaves — and the
-solver that composes them.
+:func:`best_branch` for :class:`~repro.core.optimal.OptimalSolver`,
+which compares every leaf — and the solver that composes them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 from repro.core.catalog import Path
 from repro.core.objective import objective_value
@@ -36,7 +35,6 @@ from repro.core.tree import (
     Branch,
     VectorClique,
     VectorTree,
-    branches,
     build_vector_tree,
     first_branch,
 )
@@ -125,13 +123,12 @@ def best_branch(
     vtree: VectorTree,
     leaves: Iterable[Branch],
     admission_floor: float = 1e-6,
-    slice_margin_rbs: int = 0,
 ) -> DOTSolution:
     """The least Eq. (1a) cost among the allocations of ``leaves``.
 
-    ``leaves`` is a (prefix of a) :func:`~repro.core.tree.branches`
-    enumeration of ``vtree``, which always yields at least one leaf; a
-    later leaf replaces the incumbent only by beating its cost.  The
+    ``leaves`` is a :func:`~repro.core.tree.branches` enumeration of
+    ``vtree``, which always yields at least one leaf; a later leaf
+    replaces the incumbent only by beating its cost.  The
     solution's ``branches_explored`` counts the leaves evaluated.
     """
     best: DOTSolution | None = None
@@ -139,7 +136,7 @@ def best_branch(
     explored = 0
     for chosen in leaves:
         explored += 1
-        candidate = allocate(vtree, chosen, admission_floor, slice_margin_rbs)
+        candidate = allocate(vtree, chosen, admission_floor)
         cost = objective_value(vtree.problem, candidate)
         if cost < best_cost - 1e-12:
             best_cost = cost
@@ -163,13 +160,10 @@ class OffloaDNNSolver:
     admission_floor: float = 1e-6
     #: clique ordering criterion (see class docstring)
     ordering: str = "compute"
-    #: number of (lexicographically first) branches to evaluate; 1 is the
-    #: paper's first-branch rule, larger values trade runtime for cost
-    explore_branches: int = 1
-    #: extra RBs granted to each admitted slice (when the pool allows),
-    #: providing headroom against channel fading — the minimal
-    #: allocation runs slices at 100% utilization, which is unstable
-    #: under any sustained throughput loss
+    #: extra RBs granted to each admitted slice (when the pool allows):
+    #: a slice sized at its mean rate runs its uplink at ρ = 1, where
+    #: Poisson arrivals queue without bound (ROADMAP's admission-promise
+    #: table measures the on-time loss)
     slice_margin_rbs: int = 0
 
     name: str = "OffloaDNN"
@@ -177,8 +171,6 @@ class OffloaDNNSolver:
     def __post_init__(self) -> None:
         if self.ordering not in ("compute", "memory", "accuracy"):
             raise ValueError(f"unknown ordering {self.ordering!r}")
-        if self.explore_branches < 1:
-            raise ValueError("explore_branches must be >= 1")
         if self.slice_margin_rbs < 0:
             raise ValueError("slice_margin_rbs must be >= 0")
 
@@ -196,14 +188,7 @@ class OffloaDNNSolver:
         tracer = current_tracer()
         budgets = problem.budgets
         floor, margin = self.admission_floor, self.slice_margin_rbs
-        if self.explore_branches > 1:
-            # the first leaf is exactly the first-branch solution; any
-            # further candidate can only lower the Eq. (1a) cost
-            leaves = islice(
-                branches(vtree, budgets, self.ordering), self.explore_branches
-            )
-            solution = best_branch(vtree, leaves, floor, margin)
-        elif tracer.enabled:
+        if tracer.enabled:
             with tracer.span("solver.select_branch", cat="solver", track="solver"):
                 chosen = first_branch(vtree, budgets, self.ordering)
             with tracer.span("solver.allocate", cat="solver", track="solver"):

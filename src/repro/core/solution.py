@@ -91,7 +91,7 @@ class DOTSolution:
     tree_build_time_s: float = 0.0
     solver_name: str = ""
     #: tree leaves allocated and compared by an enumerating solve
-    #: (``OptimalSolver``, ``explore_branches > 1``); 0 when the solver
+    #: (``OptimalSolver``); 0 when the solver
     #: walked a single branch and compared nothing
     branches_explored: int = 0
 

@@ -76,11 +76,6 @@ class BranchItem:
         need = z * self.task.request_rate * self.path.bits_per_image
         return max(1, math.ceil(need / self.bits_per_rb - 1e-12))
 
-    def required_rbs(self, z: float) -> int:
-        if z <= 0:
-            return 0
-        return max(self.min_latency_rbs(), self.min_rate_rbs(z))
-
 
 def minimum_latency_rbs(
     bits_per_image: float,

@@ -497,8 +497,8 @@ def first_branch(
     deployed is remembered: a later candidate on it skips the block loop
     and compares ``mem_used + 0`` with the limit, as the loop would.
     The walk builds no path and no decision: it returns the pick column
-    (:data:`Branch`), the index of each layer's chosen variant or -1.  It
-    is the first leaf of :func:`branches`.
+    (:data:`Branch`), the index of each layer's chosen variant or -1.
+    Under ``"compute"`` it is the first leaf of :func:`branches`.
     """
     radio_blocks = budgets.radio_blocks
     memory_limit = budgets.memory_gb + 1e-12
@@ -565,43 +565,22 @@ def first_branch(
 def branches(
     vtree: VectorTree,
     budgets: Budgets,
-    ordering: str = "compute",
     allow_reject: bool = False,
 ) -> Iterator[Branch]:
     """Every memory-feasible branch, leftmost first (lexicographic order).
 
     A depth-first traversal that halts a branch as soon as its
     cumulative memory exceeds ``M`` (the paper's pruning rule).  Cliques
-    are visited under ``ordering``: they are stored compute-time sorted,
-    so the paper's ordering is a no-op; the ablation orderings re-rank
-    against the current branch state.  The first leaf is exactly
-    :func:`first_branch`'s.  ``allow_reject`` adds an explicit "serve no
-    path" vertex at the end of every layer; without it a task is skipped
-    only when none of its vertices fits, so there is always a leaf.  A
-    leaf is a :data:`Branch`, -1 where it skips a layer.
+    are visited in their stored compute-time order, so the first leaf is
+    exactly :func:`first_branch`'s under the paper's ordering.
+    ``allow_reject`` adds an explicit "serve no path" vertex at the end
+    of every layer; without it a task is skipped only when none of its
+    vertices fits, so there is always a leaf.  A leaf is a
+    :data:`Branch`, -1 where it skips a layer.
     """
     memory_gb, cliques = budgets.memory_gb, vtree.cliques
     layers = [clique.feasible(budgets.radio_blocks) for clique in cliques]
     prefix: Branch = []
-
-    def ordered(clique: VectorClique, picks: list[int], state: BranchState) -> list[int]:
-        if ordering == "memory":
-            return sorted(
-                picks,
-                key=lambda i: (
-                    state.incremental_memory(clique.base_path(i)),
-                    clique.variant_path_id(i),
-                ),
-            )
-        if ordering == "accuracy":
-            return sorted(
-                picks,
-                key=lambda i: (
-                    -clique.columns.accuracy[clique.lo + i],
-                    clique.variant_path_id(i),
-                ),
-            )
-        return picks
 
     def descend(layer: int, state: BranchState) -> Iterator[Branch]:
         if layer == len(layers):
@@ -609,7 +588,7 @@ def branches(
             return
         clique = cliques[layer]
         descended = False
-        for pick in ordered(clique, layers[layer], state):
+        for pick in layers[layer]:
             path = clique.base_path(pick)
             if not state.fits(path, memory_gb):
                 continue  # halt this branch (memory pruning)

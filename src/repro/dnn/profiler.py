@@ -83,10 +83,6 @@ class ModelProfile:
     def total_params(self) -> int:
         return sum(b.params for b in self.blocks)
 
-    @property
-    def total_memory_bytes(self) -> int:
-        return sum(b.memory_bytes for b in self.blocks)
-
     def block(self, name: str) -> BlockProfile:
         for profile in self.blocks:
             if profile.name == name:

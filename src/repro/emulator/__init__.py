@@ -7,7 +7,7 @@ over an emulated 20 MHz LTE cell (100 RBs, 0 dB path loss).
 
 This package holds the two substrates that experiment runs on in
 software: the discrete-event :class:`Simulator` and the TTI-granular
-:class:`LteCell` uplink (per-task slices, optional block fading).  The
+:class:`LteCell` uplink (per-task slices at a flat rate).  The
 request-level loop on top of them — devices, admission, queues, GPU,
 latency records — is :mod:`repro.serving`; the Fig. 11 run is
 :func:`repro.serving.fig11_runtime`.

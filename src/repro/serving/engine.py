@@ -14,8 +14,7 @@ waves:
    ratio (:func:`repro.serving.waves.wave_admissions`) — requests the
    gate sheds are *counted*, never materialized;
 3. uplink deliveries of the admitted subset replay the slice FIFO as
-   an array scan (:func:`repro.serving.waves.fifo_deliveries`; frame by
-   frame through :meth:`LteCell.enqueue_frame` when the cell fades);
+   an array scan (:func:`repro.serving.waves.fifo_deliveries`);
 4. the dispatcher's tick grid is laid out before the run exactly as the
    DES will accumulate it, and every admitted delivery is assigned the
    tick that enqueues it (the *tick index*); the tick itself — at most
@@ -256,17 +255,8 @@ class WavePlan:
             n_admitted = len(admitted_idx)
             admitted_arrivals = arrivals[admitted_idx]
             bits = path.bits_per_image
-            if cell.fading is None:
-                airtime = cell.transmission_duration(task.task_id, bits, now=0.0)
-                deliveries = waves.fifo_deliveries(admitted_arrivals, airtime)
-            else:
-                # airtime follows the fading block — a pure function of
-                # (task, time), so replaying the slice FIFO frame by frame
-                # in wave order gives the DES's floats
-                frames = admitted_arrivals.tolist()
-                deliveries = np.array(
-                    [cell.enqueue_frame(task.task_id, bits, now) for now in frames]
-                )
+            airtime = cell.transmission_duration(task.task_id, bits)
+            deliveries = waves.fifo_deliveries(admitted_arrivals, airtime)
             wave = TaskWave(
                 task_id=task.task_id,
                 path=path,

@@ -47,7 +47,7 @@ from repro.core.solution import DOTSolution
 from repro.edge.controller import AdmissionTicket, OffloaDNNController
 from repro.edge.resources import Gpu
 from repro.edge.vim import VirtualInfrastructureManager
-from repro.emulator.lte import TTI_S, BlockFading, LteCell
+from repro.emulator.lte import TTI_S, LteCell
 from repro.emulator.simulator import Simulator
 from repro.obs.session import ObsSession
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -162,8 +162,6 @@ class ServingRuntime:
     #: ClusterDeployment`): when set, windows execute across the
     #: deployment's placed segments instead of the local worker pool
     cluster: object | None = None
-    #: optional slow fading on the run's uplink cell
-    fading: BlockFading | None = None
 
     # run state (rebuilt by every run() call)
     simulator: Simulator = field(init=False, repr=False)
@@ -322,7 +320,7 @@ class _Run:
         if runtime.obs is not None:
             runtime.obs.bind_virtual_clock(lambda: sim.now)
             self.tracer = runtime.obs.virtual
-        self.cell = LteCell(slice_manager=runtime.slice_manager, fading=runtime.fading)
+        self.cell = LteCell(slice_manager=runtime.slice_manager)
         self.cell.reset()
         self.record_hop_spans = None
         # both executors book on the same window ledger

@@ -100,7 +100,7 @@ def make_request(
     )
 
 
-def serve_frame_per_job(problem, duration_s, slice_margin_rbs=0, fading=None, **config):
+def serve_frame_per_job(problem, duration_s, slice_margin_rbs=0, **config):
     """``problem`` admitted and served in the Fig. 11 regime: one frame per
     job, a dispatcher tick per TTI.  Returns ``(runtime, its metrics)``."""
     from repro.core.heuristic import OffloaDNNSolver
@@ -110,7 +110,6 @@ def serve_frame_per_job(problem, duration_s, slice_margin_rbs=0, fading=None, **
     config = ServingConfig(duration_s=duration_s, batch_window_s=TTI_S, max_batch=1, **config)
     solver = OffloaDNNSolver(slice_margin_rbs=slice_margin_rbs)
     runtime = ServingRuntime.from_problem(problem, config, solver=solver)
-    runtime.fading = fading
     return runtime, runtime.run()
 
 

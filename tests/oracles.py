@@ -56,14 +56,18 @@ The DNN side has two: :func:`fresh_forward` runs a compiled plan with
 every buffer in memory of its own (no arena, no lifetime packing), and
 :func:`bfs_pruning_groups` finds pruning groups by breadth-first search
 where the product uses a union-find.
+
+The cluster prices an activation hop by its encoded frame size
+(``StreamRouter.frame_nbytes``, plain header arithmetic); the encoder
+that size was read from is :func:`encode_frame`, the byte-count oracle.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections import Counter, deque
 from dataclasses import replace
-from itertools import islice
 from unittest.mock import patch
 
 import numpy as np
@@ -849,7 +853,7 @@ def item_first_branch(vtree, budgets, ordering: str = "compute"):
     return chosen
 
 
-def item_branches(vtree, budgets, ordering: str = "compute", allow_reject: bool = False):
+def item_branches(vtree, budgets, allow_reject: bool = False):
     """``branches`` as it was: every leaf a list of ``(task id, item or None)``."""
     layers = [
         (clique.task.task_id, clique_items(clique, budgets.radio_blocks))
@@ -857,25 +861,13 @@ def item_branches(vtree, budgets, ordering: str = "compute", allow_reject: bool 
     ]
     prefix = []
 
-    def ordered(items, state):
-        if ordering == "memory":
-            return sorted(
-                items,
-                key=lambda it: (state.incremental_memory(it.path), it.path.path_id),
-            )
-        if ordering == "accuracy":
-            return sorted(
-                items, key=lambda it: (-it.path.effective_accuracy, it.path.path_id)
-            )
-        return items
-
     def descend(layer, state):
         if layer == len(layers):
             yield list(prefix)
             return
         task_id, items = layers[layer]
         descended = False
-        for item in ordered(items, state):
+        for item in items:
             if not state.fits(item.path, budgets.memory_gb):
                 continue
             descended = True
@@ -910,12 +902,12 @@ def item_allocate(problem, chosen, admission_floor: float = 1e-6, slice_margin_r
     return solution
 
 
-def item_best_branch(problem, leaves, admission_floor=1e-6, slice_margin_rbs=0):
+def item_best_branch(problem, leaves, admission_floor=1e-6):
     """``best_branch`` as it was, over item leaves."""
     best, best_cost, explored = None, float("inf"), 0
     for chosen in leaves:
         explored += 1
-        candidate = item_allocate(problem, chosen, admission_floor, slice_margin_rbs)
+        candidate = item_allocate(problem, chosen, admission_floor)
         cost = objective_value(problem, candidate)
         if cost < best_cost - 1e-12:
             best, best_cost = candidate, cost
@@ -923,12 +915,9 @@ def item_best_branch(problem, leaves, admission_floor=1e-6, slice_margin_rbs=0):
     return best
 
 
-def item_solve(problem, ordering="compute", explore=1, margin=0, floor=1e-6, memo=None):
+def item_solve(problem, ordering="compute", margin=0, floor=1e-6, memo=None):
     """``OffloaDNNSolver(...).solve(problem, memo)`` by the item walk."""
     vtree = build_vector_tree(problem, memo)
-    if explore > 1:
-        leaves = islice(item_branches(vtree, problem.budgets, ordering), explore)
-        return item_best_branch(problem, leaves, floor, margin)
     chosen = item_first_branch(vtree, problem.budgets, ordering)
     return item_allocate(problem, chosen, floor, margin)
 
@@ -1188,3 +1177,48 @@ def fresh_forward(plan: CompiledModule, x: np.ndarray) -> np.ndarray:
     for step in plan.steps:
         x = step.run(x, binding)
     return x.copy()
+
+
+_FRAME_MAGIC = b"RC"
+_FRAME_VERSION = 2
+_FLAG_FP16 = 0x01
+_FLAG_INT8 = 0x02
+#: magic + version + flags + dtype[8] + ndim
+_FRAME_PREFIX = struct.Struct("<2sBB8sB")
+
+
+def encode_frame(
+    array: np.ndarray, downcast_fp16: bool = False, quantize_int8: bool = False
+) -> bytes:
+    """One activation tensor as a self-delimiting frame.
+
+    Layout (little-endian): the 13-byte prefix (magic ``b"RC"``,
+    version, flags, the logical dtype's ``str`` NUL-padded to 8 bytes,
+    ndim), one u32 per dimension, an f32 scale when the int8 flag is
+    set, the u64 payload length, then the C-order payload.  A floating
+    payload ships as float16 under ``downcast_fp16`` or as symmetric
+    int8 (``round(x / scale)`` clipped to ±127, ``scale = amax / 127``)
+    under ``quantize_int8``.
+    """
+    assert not (downcast_fp16 and quantize_int8), "fp16 and int8 are exclusive"
+    array = np.ascontiguousarray(array)
+    flags = 0
+    payload_array = array
+    if quantize_int8:
+        amax = float(np.max(np.abs(array))) if array.size else 0.0
+        scale = amax / 127.0 if amax > 0.0 else 1.0
+        q = np.rint(array.astype(np.float64) / scale)
+        payload_array = np.clip(q, -127, 127).astype(np.int8)
+        flags |= _FLAG_INT8
+    elif downcast_fp16 and array.dtype.itemsize > 2:
+        payload_array = array.astype(np.float16)
+        flags |= _FLAG_FP16
+    payload = payload_array.tobytes()
+    dtype_tag = array.dtype.str.encode("ascii")
+    parts = [_FRAME_PREFIX.pack(_FRAME_MAGIC, _FRAME_VERSION, flags, dtype_tag, array.ndim)]
+    parts.extend(struct.pack("<I", dim) for dim in array.shape)
+    if flags & _FLAG_INT8:
+        parts.append(struct.pack("<f", scale))
+    parts.append(struct.pack("<Q", len(payload)))
+    parts.append(payload)
+    return b"".join(parts)

@@ -39,6 +39,15 @@ OUT_OF_RANGE = [
     (["emulate", "--duration", "0"], "--duration"),
     (["solve-scale", "--users", "0"], "--users"),
     (["solve-scale", "--users", "-20"], "--users"),
+    *(([command, "--seed", "-1"], "--seed") for command in (
+        "solve-small", "solve-large", "solve-scale", "emulate", "serve-sim",
+    )),
+    (["profile", "--repeats", "0"], "--repeats"),
+    (["profile", "--input-size", "7"], "--input-size"),
+    (["profile", "--classes", "0"], "--classes"),
+    (["sweep", "--values", "abc"], "--values"),
+    (["sweep", "--knob", "radio", "--values", "nan"], "--values"),
+    (["sweep", "--knob", "memory", "--values", "-1"], "--values"),
 ]
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,11 @@ from repro.obs import ObsSession, jsonl_lines
 from repro.serving import ServingConfig, ServingRuntime
 from repro.serving.queueing import DropReason, ServingRequest
 from repro.workloads.smallscale import serving_small_scale_problem
-from tests.oracles import per_request_cluster_dispatch, replicated_serving_problem
+from tests.oracles import (
+    encode_frame,
+    per_request_cluster_dispatch,
+    replicated_serving_problem,
+)
 
 
 def _runtime(duration_s: float = 2.0, seed: int = 0) -> ServingRuntime:
@@ -289,7 +294,7 @@ def test_placement_covers_admitted_tasks_and_is_deterministic():
     topology = default_topology(3)
     first = _deploy(runtime, topology)
     second = _deploy(runtime, topology)
-    assert first.plan.describe() == second.plan.describe()
+    assert first.plan.segments_by_task == second.plan.segments_by_task
     admitted = {
         tid for tid, ticket in runtime.tickets.items() if ticket.admitted
     }
@@ -497,17 +502,40 @@ def test_topology_int8_roundtrip_and_exclusivity(tmp_path):
 def test_int8_router_charges_quarter_payload():
     from repro.cluster.stream import LinkSpec as StreamLinkSpec
     from repro.cluster.stream import StreamRouter
-    from repro.cluster.wire import header_nbytes
-
     spec = StreamLinkSpec(src="*", dst="*")
     fp32 = StreamRouter(default_spec=spec)
     int8 = StreamRouter(default_spec=spec, int8_activations=True)
     _, _, fp32_bytes = fp32.transfer_bits("a", "b", 32_000.0, 0.0)
     _, _, int8_bytes = int8.transfer_bits("a", "b", 32_000.0, 0.0)
-    assert fp32_bytes == header_nbytes(ndim=4) + 4000
-    assert int8_bytes == header_nbytes(ndim=4, quantize_int8=True) + 1000
+    # 37-byte 4-D header; int8 adds the 4-byte scale
+    assert fp32_bytes == 37 + 4000
+    assert int8_bytes == 41 + 1000
     # self-hops stay free in every mode
     assert int8.transfer_bits("a", "a", 32_000.0, 0.0) == (0.0, False, 0)
+
+
+@given(
+    shape=st.tuples(*[st.integers(min_value=0, max_value=6)] * 4),
+    seed=st.integers(0, 2**16),
+    mode=st.sampled_from(["fp32", "fp16", "int8"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_frame_nbytes_is_the_encoded_frame_size(shape, seed, mode):
+    """The router prices a hop at exactly the bytes the encoder writes for
+    a 4-D float32 activation, in each activation mode."""
+    from repro.cluster.stream import LinkSpec as StreamLinkSpec
+    from repro.cluster.stream import StreamRouter
+
+    activation = np.random.default_rng(seed).normal(size=shape).astype(np.float32)
+    router = StreamRouter(
+        default_spec=StreamLinkSpec(src="*", dst="*"),
+        fp16_activations=mode == "fp16",
+        int8_activations=mode == "int8",
+    )
+    frame = encode_frame(
+        activation, downcast_fp16=mode == "fp16", quantize_int8=mode == "int8"
+    )
+    assert router.frame_nbytes(activation.nbytes * 8) == len(frame)
 
 
 def test_int8_cluster_streams_fewer_bytes_same_service():

@@ -1,15 +1,13 @@
-"""Tests for the OffloaDNN solver options (margin, branch exploration)."""
+"""Tests for the OffloaDNN solver options (slice margin) and its first leaf."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.heuristic import OffloaDNNSolver, allocate
-from repro.core.objective import check_constraints, objective_value
-from repro.core.optimal import OptimalSolver
+from repro.core.objective import check_constraints
 from repro.core.tree import branches, build_vector_tree, first_branch
 from repro.workloads.largescale import RequestRate, large_scale_problem
-from repro.workloads.smallscale import small_scale_problem
 
 
 class TestSliceMargin:
@@ -58,46 +56,18 @@ class TestSliceMargin:
             assert l_margin < l_plain
 
 
-class TestExploreBranches:
-    def test_invalid_count_rejected(self):
-        with pytest.raises(ValueError):
-            OffloaDNNSolver(explore_branches=0)
-
-    def test_one_branch_equals_first_branch(self, tiny_problem):
-        """The first leaf ``branches`` yields is ``first_branch``'s — what lets
-        one generator serve ``explore_branches`` and ``OptimalSolver`` alike."""
+class TestBranchEnumeration:
+    def test_first_leaf_equals_first_branch(self, tiny_problem):
+        """The first leaf ``branches`` yields is ``first_branch``'s, so the
+        enumeration ``OptimalSolver`` compares starts at the heuristic's
+        solution; the heuristic itself compares no leaves."""
         from tests.test_core_vectorized import random_problem, solution_key
 
         for problem in [tiny_problem] + [random_problem(seed) for seed in range(6)]:
             tree = build_vector_tree(problem)
-            for ordering in ("compute", "memory", "accuracy"):
-                first = first_branch(tree, problem.budgets, ordering)
-                leaf = next(branches(tree, problem.budgets, ordering))
-                assert leaf == first
-                solver = OffloaDNNSolver(ordering=ordering)
-                assert solution_key(solver.solve(problem)) == solution_key(
-                    allocate(tree, leaf)
-                )
-
-    def test_more_branches_never_worse(self, tiny_problem):
-        costs = []
-        for k in (1, 4, 8):
-            solution = OffloaDNNSolver(explore_branches=k).solve(tiny_problem)
-            costs.append(objective_value(tiny_problem, solution))
-        assert costs[0] >= costs[1] - 1e-12 >= costs[2] - 1e-12
-
-    def test_all_branches_matches_optimum(self, tiny_problem):
-        """Exploring every branch (8 here) must reach the optimum cost."""
-        exhaustive = OffloaDNNSolver(explore_branches=100).solve(tiny_problem)
-        optimal = OptimalSolver().solve(tiny_problem)
-        assert objective_value(tiny_problem, exhaustive) == pytest.approx(
-            objective_value(tiny_problem, optimal)
-        )
-        # both counts come from the one generator's leaves
-        assert exhaustive.branches_explored == optimal.branches_explored == 8
-        assert OffloaDNNSolver().solve(tiny_problem).branches_explored == 0
-
-    def test_feasible_on_scenarios(self):
-        problem = small_scale_problem(3, seed=0)
-        solution = OffloaDNNSolver(explore_branches=5).solve(problem)
-        assert check_constraints(problem, solution).feasible
+            first = first_branch(tree, problem.budgets)
+            leaf = next(branches(tree, problem.budgets))
+            assert leaf == first
+            solution = OffloaDNNSolver().solve(problem)
+            assert solution_key(solution) == solution_key(allocate(tree, leaf))
+            assert solution.branches_explored == 0

@@ -133,11 +133,6 @@ class TestWarmStartSolver:
         assert all(memo[tid] is clique for tid, clique in survivors.items())
         assert sorted(memo) == [1, 2, 4]
         cold = OffloaDNNSolver().solve(problem2)
-        for explore in (1, 3):  # the old class refused branch exploration
-            solver = OffloaDNNSolver(explore_branches=explore)
-            assert _solution_key(solver.solve(problem2, memo=memo)) == _solution_key(
-                solver.solve(problem2)
-            )
         assert _solution_key(OffloaDNNSolver().solve(problem2, memo=memo)) == (
             _solution_key(cold)
         )

@@ -51,7 +51,7 @@ from tests.test_core_vectorized import random_problem, replicated, tie_heavy_pro
 #: exhaustive enumeration runs only where the whole tree is this small
 OPTIMAL_CAP = 5_000
 
-OPTIONS = list(product(("compute", "memory", "accuracy"), (1, 3)))
+ORDERINGS = ("compute", "memory", "accuracy")
 
 
 def rows(solution):
@@ -70,13 +70,11 @@ def rows(solution):
 
 
 def assert_offloadnn_parity(problem, margins=(0, 2)) -> None:
-    for (ordering, explore), margin in product(OPTIONS, margins):
-        solver = OffloaDNNSolver(
-            ordering=ordering, explore_branches=explore, slice_margin_rbs=margin
-        )
+    for ordering, margin in product(ORDERINGS, margins):
+        solver = OffloaDNNSolver(ordering=ordering, slice_margin_rbs=margin)
         got = solver.solve(problem)
-        want = item_solve(problem, ordering, explore, margin)
-        label = f"{ordering}/k{explore}/m{margin}"
+        want = item_solve(problem, ordering, margin)
+        label = f"{ordering}/m{margin}"
         assert rows(got) == rows(want), label
         assert got.branches_explored == want.branches_explored, label
 

@@ -1,7 +1,7 @@
 """Property-based invariants of a request-level serving run.
 
 Hypothesis draws serving configurations (arrival process, overload, drain
-cap, dispatcher period, queue depth, uplink fading) and checks conservation
+cap, dispatcher period, queue depth) and checks conservation
 (offered = gated + Σ drops by reason + completed; one record per
 gate-admitted request, ending dropped or completed), per-request causality
 (created <= uplink done <= dispatched <= started <= completed), FIFO uplink
@@ -18,12 +18,10 @@ import pathlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.emulator.lte import BlockFading
 from repro.serving import DropReason, ServingConfig, ServingRuntime
 from repro.workloads.smallscale import small_scale_problem
 
 _STAGES = ("created_at", "uplink_done_at", "dispatched_at", "started_at", "completed_at")
-_FADING = BlockFading(sigma_db=1.0, seed=4)
 
 
 @st.composite
@@ -39,13 +37,12 @@ def serving_runs(draw):
         seed=draw(st.integers(min_value=0, max_value=10_000)),
     )
     tasks = draw(st.integers(min_value=1, max_value=4))
-    return tasks, config, draw(st.sampled_from([None, _FADING]))
+    return tasks, config
 
 
 def _run(drawn):
-    num_tasks, config, fading = drawn
+    num_tasks, config = drawn
     runtime = ServingRuntime.from_problem(small_scale_problem(num_tasks, seed=0), config)
-    runtime.fading = fading
     return runtime, runtime.run()
 
 
@@ -114,7 +111,7 @@ def test_deterministic_given_seed(drawn):
 
 def test_invariants_agree_with_the_harness_copy():
     """Same records, same verdicts — ours and ``checks.py``'s — on an
-    overloaded faded run with all three drop kinds, then with one record
+    overloaded run with all three drop kinds, then with one record
     doctored."""
     path = pathlib.Path(__file__).parents[1] / "benchmarks" / "e2e" / "checks.py"
     spec = importlib.util.spec_from_file_location("e2e_checks", path)
@@ -124,7 +121,7 @@ def test_invariants_agree_with_the_harness_copy():
         duration_s=4.0, poisson=True, load_factor=3.0, max_batch=1,
         batch_window_s=0.25, queue_depth=1, seed=11,
     )
-    runtime, metrics = _run((4, overload, _FADING))
+    runtime, metrics = _run((4, overload))
     drops = {
         reason.value: sum(t.drops[reason] for t in metrics.tasks.values())
         for reason in DropReason
