@@ -21,7 +21,12 @@ def _branch_items(problem):
     """The first (least compute time) variant of every non-empty clique."""
     radio_blocks = problem.budgets.radio_blocks
     return [
-        BranchItem(clique.task, clique.variant_path(feasible[0]), clique.bits_per_rb)
+        BranchItem(
+            clique.task,
+            clique.variant_path(feasible[0]),
+            clique.bits_per_rb,
+            clique.min_latency_rbs(feasible[0]),
+        )
         for clique in build_vector_tree(problem).cliques
         if (feasible := clique.feasible(radio_blocks))
     ]

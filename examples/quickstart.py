@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core import OffloaDNNSolver, check_constraints, objective_value
-from repro.core.objective import end_to_end_latency
+from repro.core.latency import end_to_end_latency
 from repro.workloads import small_scale_problem
 
 

@@ -12,7 +12,8 @@ Public API tour:
 * the SEM-O-RAN baseline: :mod:`repro.baselines`
 * the edge platform and controller: :mod:`repro.edge`
 * the radio substrate: :mod:`repro.radio`
-* the Colosseum substitute's simulator and LTE cell: :mod:`repro.emulator`
+* the Colosseum substitute's simulator: :mod:`repro.emulator` (the uplink
+  airtime is the latency model's, :mod:`repro.core.latency`)
 * the serving runtime executing admitted streams: :mod:`repro.serving`
   (``ServingRuntime``, ``ServingConfig``, ``ServingMetrics``; Fig. 11
   is its ``fig11_runtime`` configuration)

@@ -25,15 +25,14 @@ would have allowed sharing.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.core.catalog import Block, Path
+from repro.core.latency import full_rate_rbs, min_latency_rbs
 from repro.core.problem import DOTProblem
 from repro.core.solution import Assignment, DOTSolution
-from repro.core.subproblem import minimum_latency_rbs
 from repro.core.task import Task
 
 __all__ = ["SemORANSolver"]
@@ -121,18 +120,13 @@ class SemORANSolver:
             if base.accuracy * quality.accuracy_factor < task.min_accuracy - 1e-12:
                 continue
             path = replace(base, quality=quality)
-            r_lat = minimum_latency_rbs(
+            r_lat = min_latency_rbs(
                 path.bits_per_image,
                 bits_per_rb,
                 task.max_latency_s,
                 path.compute_time_s,
             )
-            r_rate = max(
-                1,
-                math.ceil(
-                    task.request_rate * path.bits_per_image / bits_per_rb - 1e-12
-                ),
-            )
+            r_rate = full_rate_rbs(task.request_rate * path.bits_per_image, bits_per_rb)
             rbs = max(r_lat, r_rate)
             if rbs > problem.budgets.radio_blocks:
                 continue

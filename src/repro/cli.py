@@ -215,6 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--values", type=_sweep_values, default=None,
         help="comma-separated knob values (defaults per knob)",
     )
+    # whether a value must be a whole RB count depends on --knob
+    sweep.set_defaults(usage_error=sweep.error)
 
     export = sub.add_parser("export-problem", help="serialize a scenario to JSON")
     export.add_argument("output", help="destination JSON file")
@@ -576,6 +578,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     }
     values = args.values or defaults[args.knob]
     if args.knob == "radio":
+        fractional = [value for value in values if value != int(value)]
+        if fractional:
+            args.usage_error(
+                "argument --values: an RB count must be a whole number, "
+                f"got {fractional[0]:g}"
+            )
         points = sweep_module.sweep_radio_budget([int(v) for v in values])
     elif args.knob == "memory":
         points = sweep_module.sweep_memory_budget(values)

@@ -4,6 +4,8 @@
 * :mod:`repro.core.catalog` -- DNN blocks, paths and the repository catalog
 * :mod:`repro.core.problem` -- DOT problem instance (budgets, radio, alpha)
 * :mod:`repro.core.solution` -- solutions and per-task assignments
+* :mod:`repro.core.latency` -- the one latency model: airtime, r_min and
+  full-rate RB counts
 * :mod:`repro.core.objective` -- Eq. (1a) objective and (1b)-(1i) checks
 * :mod:`repro.core.subproblem` -- per-branch convex (z, r) optimization
 * :mod:`repro.core.tree` -- the weighted tree: clique build, first-branch

@@ -220,7 +220,8 @@ class AggregateSolver:
             if pick < 0:
                 runs.append((Assignment(rep, None, 0.0, 0), members))
                 continue
-            item = BranchItem(clique.task, clique.variant_path(pick), clique.bits_per_rb)
+            path, r_min = clique.variant_path(pick), clique.min_latency_rbs(pick)
+            item = BranchItem(clique.task, path, clique.bits_per_rb, r_min)
             compute_per_z = item.task.request_rate * item.path.compute_time_s
             index = 0
             while index < len(members):

@@ -69,15 +69,18 @@ class _PlacedItems:
     layers the pool admits, not one per layer.
     """
 
-    def __init__(self, cliques: list[VectorClique], paths: list[Path]) -> None:
-        self.cliques, self.paths = cliques, paths
+    def __init__(
+        self, cliques: list[VectorClique], picks: list[int], paths: list[Path]
+    ) -> None:
+        self.cliques, self.picks, self.paths = cliques, picks, paths
 
     def __len__(self) -> int:
         return len(self.paths)
 
     def __iter__(self) -> Iterator[BranchItem]:
-        for clique, path in zip(self.cliques, self.paths):
-            yield BranchItem(clique.task, path, clique.bits_per_rb)
+        for clique, pick, path in zip(self.cliques, self.picks, self.paths):
+            r_min = clique.min_latency_rbs(pick)
+            yield BranchItem(clique.task, path, clique.bits_per_rb, r_min)
 
 
 def allocate(
@@ -95,13 +98,16 @@ def allocate(
     lazy decision (:class:`_PlacedItems`) and its :class:`Assignment`.
     """
     placed: list[VectorClique] = []
+    picks: list[int] = []
     paths: list[Path] = []
     for clique, pick in zip(vtree.cliques, chosen):
         if pick >= 0:
             placed.append(clique)
+            picks.append(pick)
             paths.append(clique.variant_path(pick))
     budgets = vtree.problem.budgets
-    allocation = solve_branch(_PlacedItems(placed, paths), budgets, admission_floor)
+    items = _PlacedItems(placed, picks, paths)
+    allocation = solve_branch(items, budgets, admission_floor)
     if slice_margin_rbs > 0:
         _apply_margin(float(budgets.radio_blocks), allocation, slice_margin_rbs)
 

@@ -11,32 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.catalog import Path
+from repro.core.latency import end_to_end_latency
 from repro.core.problem import DOTProblem
 from repro.core.solution import Assignment, DOTSolution
 from repro.core.task import Task
 
 __all__ = [
-    "end_to_end_latency",
-    "transmission_time",
     "objective_value",
     "objective_breakdown",
     "ObjectiveBreakdown",
     "ConstraintReport",
     "check_constraints",
 ]
-
-
-def transmission_time(path: Path, radio_blocks: int, bits_per_rb: float) -> float:
-    """Networking latency: ``β(q) / (B(σ) · r)`` seconds."""
-    if radio_blocks <= 0:
-        return float("inf")
-    return path.bits_per_image / (bits_per_rb * radio_blocks)
-
-
-def end_to_end_latency(path: Path, radio_blocks: int, bits_per_rb: float) -> float:
-    """``l_τ = β(q)/(B(σ)·r) + Σ_{s∈π} c(s)`` (Sec. III-A)."""
-    return transmission_time(path, radio_blocks, bits_per_rb) + path.compute_time_s
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.catalog import Path
+from repro.core.latency import full_rate_rbs
 from repro.core.problem import Budgets, DOTProblem
 from repro.core.task import Task
 from repro.obs.trace import current_tracer
@@ -38,7 +39,6 @@ from repro.obs.trace import current_tracer
 __all__ = [
     "BranchItem",
     "BranchAllocation",
-    "minimum_latency_rbs",
     "solve_branch",
     "solve_branch_convex",
 ]
@@ -50,48 +50,20 @@ _SCAN_EPS = 1e-12
 
 @dataclass(frozen=True)
 class BranchItem:
-    """One (task, chosen path) pair on a branch, with radio constants."""
+    """One (task, chosen path) pair on a branch, with radio constants.
+
+    ``min_latency_rbs`` is the variant's ``r_min`` (1g), read off its
+    clique's column (:func:`repro.core.latency.min_latency_rbs`).
+    """
 
     task: Task
     path: Path
     bits_per_rb: float
+    min_latency_rbs: int
 
     @property
     def compute_time_s(self) -> float:
         return self.path.compute_time_s
-
-    def min_latency_rbs(self) -> int:
-        """Smallest ``r`` meeting the latency constraint (1g) for z > 0."""
-        return minimum_latency_rbs(
-            self.path.bits_per_image,
-            self.bits_per_rb,
-            self.task.max_latency_s,
-            self.path.compute_time_s,
-        )
-
-    def min_rate_rbs(self, z: float) -> int:
-        """Smallest ``r`` meeting the slice-rate constraint (1e) at ``z``."""
-        if z <= 0:
-            return 0
-        need = z * self.task.request_rate * self.path.bits_per_image
-        return max(1, math.ceil(need / self.bits_per_rb - 1e-12))
-
-
-def minimum_latency_rbs(
-    bits_per_image: float,
-    bits_per_rb: float,
-    max_latency_s: float,
-    compute_time_s: float,
-) -> int:
-    """Smallest RB count for which transmission + compute fits the limit.
-
-    Returns a value > any practical budget when the compute time alone
-    already exceeds the latency limit.
-    """
-    slack = max_latency_s - compute_time_s
-    if slack <= 0:
-        return 10**9
-    return max(1, math.ceil(bits_per_image / (bits_per_rb * slack) - 1e-12))
 
 
 @dataclass
@@ -165,7 +137,7 @@ def _best_admission_for_item(
     ``admission_by_enumeration`` in ``tests/oracles.py``), so ties on ``z``
     still prefer the smaller ``r``.
     """
-    r_latency = item.min_latency_rbs()
+    r_latency = item.min_latency_rbs
     if r_latency > max_rbs:
         return 0.0, 0
     rate_bits = item.task.request_rate * item.path.bits_per_image
@@ -179,7 +151,8 @@ def _best_admission_for_item(
         return 0.0, 0
 
     best_z, best_r = 0.0, 0
-    r_upper = min(max_rbs, max(r_latency, item.min_rate_rbs(1.0)))
+    r_full = full_rate_rbs(rate_bits, item.bits_per_rb)
+    r_upper = min(max_rbs, max(r_latency, r_full))
     for r in _candidate_rbs(
         r_latency, r_upper, rate_bits, item.bits_per_rb, remaining_radio, z_compute
     ):
@@ -198,7 +171,7 @@ def _radio_spent(remaining_radio: float) -> bool:
 
     Proof that a cascade may then settle every later item as ``(0.0, 0)``
     without scanning it: :func:`_best_admission_for_item` tries RB counts
-    ``r >= r_latency >= 1`` only (:func:`minimum_latency_rbs` is at least
+    ``r >= r_latency >= 1`` only (``r_min`` is at least
     1), each bounded by ``z <= z_radio = min(1, remaining / r) <=
     remaining <= 1e-9``, so its best ``z`` cannot clear the closing
     ``best_z <= 1e-9`` floor and it returns ``(0.0, 0)`` for any item and
@@ -303,7 +276,7 @@ def solve_branch_convex(
     comp = np.array([it.compute_time_s for it in items])
     beta = np.array([it.path.bits_per_image for it in items])
     bpr = np.array([it.bits_per_rb for it in items])
-    r_lat = np.array([it.min_latency_rbs() for it in items], dtype=float)
+    r_lat = np.array([it.min_latency_rbs for it in items], dtype=float)
     r_cap = float(budgets.radio_blocks)
 
     infeasible = r_lat > r_cap
@@ -355,7 +328,7 @@ def solve_branch_convex(
             admission.append(0.0)
             rbs.append(0)
             continue
-        ri = max(int(r[i]), item.min_latency_rbs())
+        ri = max(int(r[i]), item.min_latency_rbs)
         if ri <= 0:
             admission.append(0.0)
             rbs.append(0)

@@ -36,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.catalog import Path
+from repro.core.latency import min_latency_rbs
 from repro.core.problem import Budgets, DOTProblem
 from repro.core.task import QualityLevel, Task
 from repro.obs.trace import current_tracer
@@ -182,6 +183,10 @@ class VectorClique:
             self.task.qualities[self.columns.quality_pos[self.lo + index]],
         )
 
+    def min_latency_rbs(self, index: int) -> int:
+        """A variant's latency-driven RB demand ``r_min`` (1g)."""
+        return int(self.columns.min_latency_rbs[self.lo + index])
+
     def feasible(self, radio_blocks: int) -> list[int]:
         """Variants whose latency-driven RB demand fits the radio capacity."""
         demands = self.columns.min_latency_rbs[self.lo : self.hi]
@@ -203,8 +208,8 @@ def build_cliques(
     its bits per RB, passed as three parallel lists.  It replicates the
     per-task scalar pipeline exactly (kept as
     ``tests/oracles.py::scalar_cliques``) — same feasibility comparisons,
-    same float expressions for the latency RB demand, same sort keys — so
-    a clique is the same whatever batch it was built in.
+    the latency RB demand from :func:`repro.core.latency.min_latency_rbs`,
+    same sort keys — so a clique is the same whatever batch it was built in.
     """
     cliques: list[VectorClique] = []
     for lo in range(0, len(tasks), _CHUNK_TASKS):
@@ -272,12 +277,7 @@ def _build_chunk(
             kept[lo:hi] = sorted(kept[lo:hi].tolist(), key=path_id)
 
     task_k = var_task[kept]
-    # slack > 0 is guaranteed by the (1g) filter; replicate the exact
-    # float expression of minimum_latency_rbs
-    slack = max_lat[task_k] - keys[2]
-    r_lat = np.maximum(
-        1, np.ceil(keys[0] / (bits_per_rb[task_k] * slack) - 1e-12).astype(i8)
-    )
+    r_lat = min_latency_rbs(keys[0], bits_per_rb[task_k], max_lat[task_k], keys[2])
     pos_k = var_pair[kept] - (np.cumsum(n_paths) - n_paths)[task_k]
 
     survivors = np.bincount(task_k, minlength=n_tasks)

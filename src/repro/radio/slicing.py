@@ -3,8 +3,8 @@
 The OffloaDNN controller allocates ``r_τ`` RBs to the slice serving
 task ``τ`` (step 4 of the Fig. 4 workflow, realized by SCOPE in the
 Colosseum validation).  The slice manager enforces the pool capacity
-``Σ r_τ ≤ R`` and exposes the per-slice throughput used by the
-emulator's transmission timing.
+``Σ r_τ ≤ R``; a frame's airtime on a slice is
+:func:`repro.core.latency.uplink_tti_s`.
 """
 
 from __future__ import annotations
@@ -27,17 +27,6 @@ class Slice:
             raise ValueError("radio_blocks must be >= 0")
         if self.bits_per_rb <= 0:
             raise ValueError("bits_per_rb must be positive")
-
-    @property
-    def throughput_bps(self) -> float:
-        """Uplink capacity of the slice in bits per second."""
-        return self.radio_blocks * self.bits_per_rb
-
-    def transmission_time(self, bits: float) -> float:
-        """Seconds to transfer ``bits`` over the slice (inf if starved)."""
-        if self.throughput_bps <= 0:
-            return float("inf")
-        return bits / self.throughput_bps
 
 
 @dataclass

@@ -56,6 +56,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.latency import uplink_tti_s
+from repro.radio.slicing import SliceManager
 from repro.serving import waves
 from repro.serving.pool import RequestPool
 from repro.serving.queueing import ServingRequest
@@ -225,13 +227,14 @@ class WavePlan:
         served_tasks: list[tuple],
         config,
         ratios: dict[int, float],
-        cell,
+        slices: SliceManager,
     ) -> "WavePlan":
         """Precompute every task's wave for one run.
 
-        ``served_tasks`` is the runtime's ``(task, path)`` list and
+        ``served_tasks`` is the runtime's ``(task, path)`` list,
         ``ratios`` the admission ratio each served task's offered
-        stream is metered at.
+        stream is metered at and ``slices`` the radio slices, which fix
+        each task's TTI-granular frame airtime.
         """
         arrivals_per_task = []
         for task, _path in served_tasks:
@@ -255,7 +258,8 @@ class WavePlan:
             n_admitted = len(admitted_idx)
             admitted_arrivals = arrivals[admitted_idx]
             bits = path.bits_per_image
-            airtime = cell.transmission_duration(task.task_id, bits)
+            slc = slices.slice_for(task.task_id)
+            airtime = uplink_tti_s(bits, slc.bits_per_rb, slc.radio_blocks)
             deliveries = waves.fifo_deliveries(admitted_arrivals, airtime)
             wave = TaskWave(
                 task_id=task.task_id,

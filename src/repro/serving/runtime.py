@@ -9,8 +9,9 @@ Takes an :class:`~repro.edge.controller.OffloaDNNController` deployment
 2. each task's admission gate sheds everything beyond the solved
    admission ratio ``z_τ``, in closed form over the task's whole
    arrival wave (:func:`~repro.serving.waves.wave_admissions`);
-3. surviving requests ride the task's radio slice through
-   :class:`~repro.emulator.lte.LteCell` (TTI-granular, FIFO per slice);
+3. surviving requests ride the task's radio slice, FIFO, each frame
+   for its TTI-granular airtime
+   (:func:`~repro.core.latency.uplink_tti_s`);
 4. on arrival they enter the task's bounded, deadline-aware
    :class:`~repro.serving.queueing.ServingQueue`;
 5. a periodic dispatcher drains the queues into batching windows which
@@ -41,13 +42,12 @@ from operator import attrgetter
 import numpy as np
 
 from repro.core.heuristic import OffloaDNNSolver
-from repro.core.objective import end_to_end_latency
+from repro.core.latency import TTI_S, end_to_end_latency
 from repro.core.problem import DOTProblem
 from repro.core.solution import DOTSolution
 from repro.edge.controller import AdmissionTicket, OffloaDNNController
 from repro.edge.resources import Gpu
 from repro.edge.vim import VirtualInfrastructureManager
-from repro.emulator.lte import TTI_S, LteCell
 from repro.emulator.simulator import Simulator
 from repro.obs.session import ObsSession
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -320,8 +320,6 @@ class _Run:
         if runtime.obs is not None:
             runtime.obs.bind_virtual_clock(lambda: sim.now)
             self.tracer = runtime.obs.virtual
-        self.cell = LteCell(slice_manager=runtime.slice_manager)
-        self.cell.reset()
         self.record_hop_spans = None
         # both executors book on the same window ledger
         ledger = dict(
@@ -379,7 +377,9 @@ class _Run:
 
     def start_waves(self) -> None:
         """Precompute the arrival waves and schedule the first tick."""
-        self.plan = WavePlan.build(self.served_tasks, self.cfg, self.ratios, self.cell)
+        self.plan = WavePlan.build(
+            self.served_tasks, self.cfg, self.ratios, self.runtime.slice_manager
+        )
         self.runtime.pool.reset()
         # every admitted request is in flight from the start; queue_full,
         # deadline and completion decrements drain the count

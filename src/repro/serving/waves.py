@@ -130,7 +130,8 @@ def fifo_deliveries(arrivals: np.ndarray, airtime_s: float) -> np.ndarray:
     Replays ``finish_i = fl(max(arrival_i, finish_{i-1}) + airtime)``.
     The uncontended case (every frame finds the slice idle) vectorizes
     to one elementwise add; contended stretches use an exact scan so
-    the floats match the scalar :meth:`LteCell.enqueue_frame` sequence.
+    the floats match the scalar per-frame FIFO of
+    ``tests/oracles.py::SliceFifo``.
     """
     if airtime_s < 0:
         raise ValueError("airtime_s must be >= 0")

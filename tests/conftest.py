@@ -104,7 +104,7 @@ def serve_frame_per_job(problem, duration_s, slice_margin_rbs=0, **config):
     """``problem`` admitted and served in the Fig. 11 regime: one frame per
     job, a dispatcher tick per TTI.  Returns ``(runtime, its metrics)``."""
     from repro.core.heuristic import OffloaDNNSolver
-    from repro.emulator.lte import TTI_S
+    from repro.core.latency import TTI_S
     from repro.serving import ServingConfig, ServingRuntime
 
     config = ServingConfig(duration_s=duration_s, batch_window_s=TTI_S, max_batch=1, **config)

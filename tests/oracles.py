@@ -4,11 +4,12 @@
 replaced: every offered request is an emit event, a call to its task's
 :class:`TokenBucket` (the per-request admission gate that
 ``waves.wave_admissions`` evaluates in closed form) and (if admitted)
-an arrive event at its uplink delivery, and the dispatcher is its own
-event chain.  Only that arrival side lives here;
-queue insert, window drain, completion and metrics are the runtime's
-own (``repro.serving.runtime._Run``), so a disagreement can only come
-from the arrival side.
+a frame on its task's slice (:class:`SliceFifo`, the per-frame FIFO
+``waves.fifo_deliveries`` replays over a wave) and an arrive event at
+its delivery, and the dispatcher is its own event chain.  Only that
+arrival side lives here; queue insert, window drain, completion and
+metrics are the runtime's own (``repro.serving.runtime._Run``), so a
+disagreement can only come from the arrival side.
 
 The dispatcher also used to scan every task on every tick: every serving
 queue in :func:`drain_window`, every wave in ``WavePlan.push_due``.
@@ -43,7 +44,8 @@ same float.
 
 The solver's scalar ancestors live here too: the per-vertex tree
 (:func:`scalar_cliques`, :func:`scalar_first_branch`) that the batched
-``build_cliques`` / ``first_branch`` replaced, the O(R) admission
+``build_cliques`` / ``first_branch`` replaced, with the per-item
+``r_min`` expression (:func:`minimum_latency_rbs`) it priced vertices by, the O(R) admission
 enumeration (:func:`admission_by_enumeration`) behind the closed-form
 candidate scan, and the water-fill that scanned every item after the
 radio pool was spent (:func:`per_item_solve_branch`).  So does the
@@ -75,6 +77,7 @@ import numpy as np
 from repro.cluster.qos import Hop
 from repro.core.catalog import Catalog
 from repro.core.heuristic import _apply_margin
+from repro.core.latency import full_rate_rbs, uplink_tti_s
 from repro.core.objective import objective_value
 from repro.core.solution import Assignment, AssignmentRuns, DOTSolution
 from repro.core.subproblem import (
@@ -104,6 +107,7 @@ from repro.dnn.compile import (
 from repro.dnn.layers import BatchNorm2d, Conv2d
 from repro.emulator.simulator import Simulator
 from repro.obs.metrics import MetricsRegistry
+from repro.radio.slicing import SliceManager
 from repro.serving.metrics import LatencyStats, ServingMetrics, TaskServingMetrics
 from repro.serving.queueing import DropReason, ServingQueue, ServingRequest
 from repro.serving.runtime import ServingRuntime, _Run
@@ -136,6 +140,32 @@ class TokenBucket:
         return admitted
 
 
+class SliceFifo:
+    """The uplink one frame at a time: per-task slices, FIFO per slice.
+
+    A frame starts once the previous frame of its task has left the
+    slice (frames from several devices of one task share it) and takes
+    its TTI-granular airtime; ``waves.fifo_deliveries`` replays the
+    same sequence over a whole wave.
+    """
+
+    def __init__(self, slices: SliceManager) -> None:
+        self.slices = slices
+        #: virtual time at which each slice is next free
+        self._slice_busy_until: dict[int, float] = {}
+
+    def enqueue_frame(self, task_id: int, bits: float, now: float) -> float:
+        """Admit a frame into the slice queue; returns its delivery time."""
+        start = max(now, self._slice_busy_until.get(task_id, 0.0))
+        slc = self.slices.slice_for(task_id)
+        finish = start + uplink_tti_s(bits, slc.bits_per_rb, slc.radio_blocks)
+        self._slice_busy_until[task_id] = finish
+        return finish
+
+    def reset(self) -> None:
+        self._slice_busy_until.clear()
+
+
 def scalar_run(runtime: ServingRuntime) -> ServingMetrics:
     """``runtime.run()`` by the old rule: one DES event per offered request.
 
@@ -146,7 +176,8 @@ def scalar_run(runtime: ServingRuntime) -> ServingMetrics:
     """
     sim = Simulator()
     run = _Run(runtime, sim)
-    cfg, tracer, cell = run.cfg, run.tracer, run.cell
+    cfg, tracer = run.cfg, run.tracer
+    cell = SliceFifo(runtime.slice_manager)
     gate = {task_id: TokenBucket(ratio) for task_id, ratio in run.ratios.items()}
     records: list[ServingRequest] = []
 
@@ -661,7 +692,10 @@ def per_member_allocate_groups(self, problem, plan, cliques, chosen) -> DOTSolut
         if pick < 0:
             assign(members, None, 0.0, 0)
             continue
-        item = BranchItem(clique.task, clique.variant_path(pick), clique.bits_per_rb)
+        item = BranchItem(
+            clique.task, clique.variant_path(pick), clique.bits_per_rb,
+            clique.min_latency_rbs(pick),
+        )
         compute_per_z = item.task.request_rate * item.path.compute_time_s
         index = 0
         while index < len(members):
@@ -712,6 +746,21 @@ def allocate_both_ways(solver, problem):
     return plan, picks, runs, twin
 
 
+def minimum_latency_rbs(
+    bits_per_image: float,
+    bits_per_rb: float,
+    max_latency_s: float,
+    compute_time_s: float,
+) -> int:
+    """``r_min`` by the scalar expression the solver used per item before
+    ``repro.core.latency.min_latency_rbs`` (10**9 when compute alone
+    misses the limit)."""
+    slack = max_latency_s - compute_time_s
+    if slack <= 0:
+        return 10**9
+    return max(1, math.ceil(bits_per_image / (bits_per_rb * slack) - 1e-12))
+
+
 def scalar_cliques(problem) -> list[tuple[object, list[BranchItem], int]]:
     """``(task, vertices, filtered out)`` per layer, one vertex object at a time.
 
@@ -732,12 +781,21 @@ def scalar_cliques(problem) -> list[tuple[object, list[BranchItem], int]]:
         ]
         vertices = [
             vertex
-            for vertex in (BranchItem(task, path, bits_per_rb) for path in variants)
+            for vertex in (
+                BranchItem(
+                    task, path, bits_per_rb,
+                    minimum_latency_rbs(
+                        path.bits_per_image, bits_per_rb,
+                        task.max_latency_s, path.compute_time_s,
+                    ),
+                )
+                for path in variants
+            )
             # (1f) accuracy; (1g) compute must leave room for transmission;
             # the latency-driven RB demand must fit the radio capacity at all
             if vertex.path.effective_accuracy >= task.min_accuracy - 1e-12
             and vertex.compute_time_s < task.max_latency_s
-            and vertex.min_latency_rbs() <= radio_blocks
+            and vertex.min_latency_rbs <= radio_blocks
         ]
         vertices.sort(
             key=lambda v: (
@@ -779,7 +837,10 @@ def clique_items(clique, radio_blocks: int) -> list[BranchItem]:
     """A clique's radio-feasible variants as decisions, in clique order
     (the ``VectorClique.items`` the pick column replaced)."""
     return [
-        BranchItem(clique.task, clique.variant_path(i), clique.bits_per_rb)
+        BranchItem(
+            clique.task, clique.variant_path(i), clique.bits_per_rb,
+            clique.min_latency_rbs(i),
+        )
         for i in clique.feasible(radio_blocks)
     ]
 
@@ -848,7 +909,10 @@ def item_first_branch(vtree, budgets, ordering: str = "compute"):
             pick = next((i for i in rest if deploys(clique, i)), -1)
         item = None
         if pick >= 0:
-            item = BranchItem(clique.task, clique.variant_path(pick), clique.bits_per_rb)
+            item = BranchItem(
+            clique.task, clique.variant_path(pick), clique.bits_per_rb,
+            clique.min_latency_rbs(pick),
+        )
         chosen.append((clique.task.task_id, item))
     return chosen
 
@@ -1058,7 +1122,7 @@ def admission_by_enumeration(
 ) -> tuple[float, int]:
     """The original O(R) enumeration behind ``_best_admission_for_item``,
     which must return exactly this ``(z, r)`` for any item and pool state."""
-    r_latency = item.min_latency_rbs()
+    r_latency = item.min_latency_rbs
     if r_latency > max_rbs:
         return 0.0, 0
     rate_bits = item.task.request_rate * item.path.bits_per_image
@@ -1072,7 +1136,7 @@ def admission_by_enumeration(
         return 0.0, 0
 
     best_z, best_r = 0.0, 0
-    r_upper = min(max_rbs, max(r_latency, item.min_rate_rbs(1.0)))
+    r_upper = min(max_rbs, max(r_latency, full_rate_rbs(rate_bits, item.bits_per_rb)))
     for r in range(r_latency, r_upper + 1):
         z_rate = min(1.0, r * item.bits_per_rb / rate_bits) if rate_bits > 0 else 1.0
         z_radio = min(1.0, remaining_radio / r) if r > 0 else 1.0

@@ -47,6 +47,7 @@ OUT_OF_RANGE = [
     (["profile", "--classes", "0"], "--classes"),
     (["sweep", "--values", "abc"], "--values"),
     (["sweep", "--knob", "radio", "--values", "nan"], "--values"),
+    (["sweep", "--knob", "radio", "--values", "2.5"], "--values"),
     (["sweep", "--knob", "memory", "--values", "-1"], "--values"),
 ]
 

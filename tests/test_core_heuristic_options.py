@@ -39,7 +39,7 @@ class TestSliceMargin:
             OffloaDNNSolver(slice_margin_rbs=-1)
 
     def test_margin_shrinks_latency(self, tiny_problem):
-        from repro.core.objective import end_to_end_latency
+        from repro.core.latency import end_to_end_latency
 
         plain = OffloaDNNSolver().solve(tiny_problem)
         margined = OffloaDNNSolver(slice_margin_rbs=2).solve(tiny_problem)

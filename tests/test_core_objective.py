@@ -5,33 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.heuristic import OffloaDNNSolver
-from repro.core.objective import (
-    check_constraints,
-    end_to_end_latency,
-    objective_breakdown,
-    objective_value,
-    transmission_time,
-)
+from repro.core.objective import check_constraints, objective_breakdown, objective_value
 from repro.core.solution import Assignment, DOTSolution
 from tests.conftest import make_block, make_path, make_task
-
-
-class TestLatencyFunctions:
-    def test_transmission_time_formula(self):
-        task = make_task(1)
-        path = make_path(task, "p", (make_block("b"),))
-        # 350 kb over 5 RBs of 0.35 Mbps = 0.2 s
-        assert transmission_time(path, 5, 350_000.0) == pytest.approx(0.2)
-
-    def test_zero_rbs_infinite(self):
-        task = make_task(1)
-        path = make_path(task, "p", (make_block("b"),))
-        assert transmission_time(path, 0, 350_000.0) == float("inf")
-
-    def test_end_to_end_adds_compute(self):
-        task = make_task(1)
-        path = make_path(task, "p", (make_block("b", compute_time_s=0.05),))
-        assert end_to_end_latency(path, 5, 350_000.0) == pytest.approx(0.25)
 
 
 class TestObjective:

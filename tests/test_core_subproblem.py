@@ -9,13 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.latency import min_latency_rbs
 from repro.core.problem import Budgets
-from repro.core.subproblem import (
-    BranchItem,
-    minimum_latency_rbs,
-    solve_branch,
-    solve_branch_convex,
-)
+from repro.core.subproblem import BranchItem, solve_branch, solve_branch_convex
 from tests.conftest import make_block, make_path, make_task
 
 
@@ -39,25 +35,14 @@ def _item(
         quality=quality,
     )
     path = make_path(task, f"p{task_id}", (make_block(f"b{task_id}", compute_time_s=compute_time_s),))
-    return BranchItem(task=task, path=path, bits_per_rb=bits_per_rb)
+    r_min = min_latency_rbs(bits_per_image, bits_per_rb, max_latency_s, path.compute_time_s)
+    return BranchItem(task, path, bits_per_rb, r_min)
 
 
 def _budgets(radio: int = 50, compute: float = 2.5) -> Budgets:
     return Budgets(
         compute_time_s=compute, training_budget_s=1000.0, memory_gb=8.0, radio_blocks=radio
     )
-
-
-class TestMinimumLatencyRbs:
-    def test_formula(self):
-        # 350 kb, 0.35 Mbps/RB, 0.3 s limit, 0.1 s compute -> 1/(0.2) = 5
-        assert minimum_latency_rbs(350_000.0, 350_000.0, 0.3, 0.1) == 5
-
-    def test_compute_exceeding_latency_unreachable(self):
-        assert minimum_latency_rbs(350_000.0, 350_000.0, 0.1, 0.2) >= 10**9
-
-    def test_at_least_one_rb(self):
-        assert minimum_latency_rbs(1.0, 1e9, 10.0, 0.0) == 1
 
 
 class TestSolveBranchSingleTask:
@@ -161,7 +146,7 @@ class TestConvexCrossCheck:
                     item.bits_per_rb * r * (1 + 1e-6)
                 )
                 # latency constraint (1g)
-                assert r >= item.min_latency_rbs()
+                assert r >= item.min_latency_rbs
 
     def test_empty_branch(self):
         alloc = solve_branch_convex([], _budgets(), alpha=0.5)
@@ -210,7 +195,7 @@ def test_solve_branch_always_feasible_property(radio, compute, rates):
     for z, r, item in zip(alloc.admission, alloc.radio_blocks, items):
         assert 0.0 <= z <= 1.0
         if z > 0:
-            assert r >= item.min_latency_rbs()
+            assert r >= item.min_latency_rbs
             assert z * item.task.request_rate * item.path.bits_per_image <= (
                 item.bits_per_rb * r * (1 + 1e-9)
             )
@@ -405,7 +390,7 @@ class TestRadioSpentStop:
         from tests.oracles import per_item_solve_branch
 
         fill = [_item(task_id=i, request_rate=5.0) for i in range(1, 6)]
-        assert [it.min_latency_rbs() for it in fill] == [4] * 5
+        assert [it.min_latency_rbs for it in fill] == [4] * 5
         compute_first = [
             _item(task_id=1, request_rate=10.0, compute_time_s=0.05),
             *(_item(task_id=i, compute_time_s=0.0, bits_per_image=0.0) for i in (2, 3)),

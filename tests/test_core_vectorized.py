@@ -184,7 +184,7 @@ def scalar_solve(problem, ordering="compute", margin=0):
 def _vertex_rows(vertices):
     return [
         (v.path.path_id, v.path.quality.name, v.compute_time_s, v.path.bits_per_image,
-         v.path.effective_accuracy, v.min_latency_rbs(), v.bits_per_rb)
+         v.path.effective_accuracy, v.min_latency_rbs, v.bits_per_rb)
         for v in vertices
     ]
 

@@ -1,8 +1,10 @@
 """Unit tests for the DES substrates and the one-frame-per-job regime.
 
-The simulator and the LTE cell are tested directly; what used to be the
-emulator's own device / GPU / timeline classes is the serving runtime in
-its Fig. 11 configuration, driven here on hand-built one-task deployments.
+The simulator is tested directly (a frame's airtime is
+``tests/test_core_latency.py``'s, the slice FIFO ``tests/test_serving_waves.py``'s);
+what used to be the emulator's own device / GPU / timeline classes is the
+serving runtime in its Fig. 11 configuration, driven here on hand-built
+one-task deployments.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ import pytest
 
 from repro.core.catalog import Catalog
 from repro.core.problem import Budgets, DOTProblem, RadioModel
-from repro.emulator.lte import TTI_S, LteCell
+from repro.core.latency import TTI_S
 from repro.emulator.simulator import Simulator
-from repro.radio.slicing import SliceManager
 from repro.serving import TaskServingMetrics, latency_series, moving_average
 from tests.conftest import (
     make_block,
@@ -140,41 +141,6 @@ class TestSimulator:
         sim.schedule_at(2.0, lambda: log.append(0.0))
         sim.run()
         assert log == [0.0, 0.5, "step", 1.0, 1.5]
-
-
-class TestLteCell:
-    def _cell(self, rbs: int = 5) -> LteCell:
-        mgr = SliceManager(capacity_rbs=100)
-        mgr.allocate(1, rbs, 350_000.0)
-        return LteCell(slice_manager=mgr)
-
-    def test_duration_tti_granular(self):
-        cell = self._cell(rbs=5)
-        # 350 kb over 1.75 Mbps = 200 ms = 200 TTIs exactly
-        assert cell.transmission_duration(1, 350_000.0) == pytest.approx(0.2)
-
-    def test_duration_rounds_up_to_tti(self):
-        cell = self._cell(rbs=5)
-        duration = cell.transmission_duration(1, 100.0)
-        assert duration == TTI_S
-
-    def test_fifo_queueing_on_slice(self):
-        cell = self._cell(rbs=5)
-        first = cell.enqueue_frame(1, 350_000.0, now=0.0)
-        second = cell.enqueue_frame(1, 350_000.0, now=0.0)
-        assert second == pytest.approx(first + 0.2)
-
-    def test_idle_slice_starts_immediately(self):
-        cell = self._cell(rbs=5)
-        cell.enqueue_frame(1, 350_000.0, now=0.0)
-        later = cell.enqueue_frame(1, 350_000.0, now=1.0)
-        assert later == pytest.approx(1.2)
-
-    def test_reset_clears_queues(self):
-        cell = self._cell(rbs=5)
-        cell.enqueue_frame(1, 350_000.0, now=0.0)
-        cell.reset()
-        assert cell.enqueue_frame(1, 350_000.0, now=0.0) == pytest.approx(0.2)
 
 
 class TestMovingAverage:

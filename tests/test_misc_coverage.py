@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.catalog import Catalog
+from repro.core.latency import min_latency_rbs
 from repro.core.problem import Budgets, DOTProblem, RadioModel
 from repro.core.objective import objective_breakdown
 from repro.core.subproblem import BranchAllocation, BranchItem, solve_branch
@@ -32,11 +33,13 @@ class TestPerTaskRadioRates:
                 task=strong,
                 path=make_path(strong, "p1", (make_block("b1", compute_time_s=0.005),)),
                 bits_per_rb=350_000.0,
+                min_latency_rbs=min_latency_rbs(350_000.0, 350_000.0, 0.3, 0.005),
             ),
             BranchItem(
                 task=weak,
                 path=make_path(weak, "p2", (make_block("b2", compute_time_s=0.005),)),
                 bits_per_rb=175_000.0,  # half the per-RB capacity
+                min_latency_rbs=min_latency_rbs(350_000.0, 175_000.0, 0.3, 0.005),
             ),
         ]
         budgets = Budgets(compute_time_s=2.5, training_budget_s=1000.0,

@@ -4,19 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.radio.slicing import Slice, SliceManager
+from repro.radio.slicing import SliceManager
 
 
 class TestSlicing:
-    def test_slice_throughput(self):
-        s = Slice(task_id=1, radio_blocks=5, bits_per_rb=350_000.0)
-        assert s.throughput_bps == pytest.approx(1.75e6)
-        assert s.transmission_time(350_000.0) == pytest.approx(0.2)
-
-    def test_zero_rb_slice_starves(self):
-        s = Slice(task_id=1, radio_blocks=0, bits_per_rb=350_000.0)
-        assert s.transmission_time(100.0) == float("inf")
-
     def test_manager_capacity_enforced(self):
         mgr = SliceManager(capacity_rbs=10)
         mgr.allocate(1, 6, 350_000.0)

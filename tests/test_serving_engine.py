@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterDeployment, default_topology
 from repro.core.heuristic import OffloaDNNSolver
-from repro.emulator.lte import LteCell
+from repro.core.latency import uplink_tti_s
 from repro.emulator.simulator import Simulator
 from repro.obs import ObsSession, jsonl_lines
 from repro.serving import runtime as runtime_module
@@ -393,9 +393,8 @@ def test_deliveries_landing_exactly_on_ticks(
     base = _runtime(problem, duration_s=1.0)
     task = next(t for t in problem.tasks if base.tickets[t.task_id].admitted)
     path = base.solution.assignment(task).path
-    airtime = LteCell(slice_manager=base.slice_manager).transmission_duration(
-        task.task_id, path.bits_per_image
-    )
+    slc = base.slice_manager.slice_for(task.task_id)
+    airtime = uplink_tti_s(path.bits_per_image, slc.bits_per_rb, slc.radio_blocks)
     window = airtime / windows_per_airtime
     plans = _capture_plans(monkeypatch)
     vec = base.with_config(batch_window_s=window)

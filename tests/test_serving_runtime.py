@@ -109,7 +109,7 @@ class TestRuntime:
         assert drops > 0
 
     def test_promise_rows_set_1g_beside_delivered(self, runtime):
-        from repro.core.objective import end_to_end_latency
+        from repro.core.latency import end_to_end_latency
 
         metrics = runtime.with_config(duration_s=3.0, seed=3).run()
         rows = runtime.promise_rows(metrics)

@@ -4,8 +4,9 @@ The vector engine's correctness argument rests on four primitives each
 reproducing its scalar counterpart float for float; this module pins
 every one of them, including a hypothesis sweep of the closed-form
 admission gate against the per-request bucket in ``tests/oracles.py``
-(random ratios and stream lengths), and the admission law's own
-properties on the closed form.
+(random ratios and stream lengths), the admission law's own
+properties on the closed form, and the per-frame slice FIFO
+(``tests/oracles.py::SliceFifo``) the wave's uplink replays.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.latency import uplink_tti_s
+from repro.radio.slicing import SliceManager
 from repro.serving.waves import (
     arrival_times,
     fifo_deliveries,
     merge_arrival_order,
     wave_admissions,
 )
-from tests.oracles import TokenBucket
+from tests.oracles import SliceFifo, TokenBucket
 
 
 # -- arrival_times ---------------------------------------------------------
@@ -156,6 +159,45 @@ def test_fifo_matches_scalar_replay(gaps, airtime):
     arrivals = np.cumsum(np.asarray(gaps))
     assert fifo_deliveries(arrivals, airtime).tolist() == _scalar_fifo(
         arrivals, airtime
+    )
+
+
+# -- the per-frame slice FIFO the wave replays (tests/oracles.py) ----------
+
+
+def _slice_fifo(rbs: int = 5) -> SliceFifo:
+    slices = SliceManager(capacity_rbs=100)
+    slices.allocate(1, rbs, 350_000.0)
+    return SliceFifo(slices)
+
+
+def test_slice_fifo_queues_the_frames_of_one_task():
+    fifo = _slice_fifo()
+    first = fifo.enqueue_frame(1, 350_000.0, now=0.0)
+    second = fifo.enqueue_frame(1, 350_000.0, now=0.0)
+    assert second == pytest.approx(first + 0.2)
+
+
+def test_slice_fifo_idle_slice_starts_immediately():
+    fifo = _slice_fifo()
+    fifo.enqueue_frame(1, 350_000.0, now=0.0)
+    assert fifo.enqueue_frame(1, 350_000.0, now=1.0) == pytest.approx(1.2)
+
+
+def test_slice_fifo_reset_clears_queues():
+    fifo = _slice_fifo()
+    fifo.enqueue_frame(1, 350_000.0, now=0.0)
+    fifo.reset()
+    assert fifo.enqueue_frame(1, 350_000.0, now=0.0) == pytest.approx(0.2)
+
+
+def test_slice_fifo_frame_by_frame_is_the_wave_replay():
+    # contended stretches and idle gaps, at the latency model's airtime
+    arrivals = np.concatenate((np.cumsum(np.full(20, 0.01)), 1.0 + np.arange(5.0)))
+    fifo = _slice_fifo(rbs=3)
+    airtime = uplink_tti_s(350_000.0, 350_000.0, 3)
+    assert [fifo.enqueue_frame(1, 350_000.0, a) for a in arrivals] == (
+        fifo_deliveries(arrivals, airtime).tolist()
     )
 
 
