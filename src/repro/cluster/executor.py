@@ -19,8 +19,13 @@ driven through the :class:`~repro.cluster.orchestrator.PlacementPlan`:
    costed by the node's memo like hop 0, over the segment's blocks.
 
 Every stage a batch passes — queueing, executing, streaming, retrying —
-is one immutable :class:`~repro.cluster.qos.Hop`, built once and listed
-by every request of the batch (``request.hops``, in journey order).
+is one row of the run's :class:`~repro.cluster.qos.HopTable`
+(``qos.hops``), written once per batch.  No record is built while the
+run books: :meth:`ClusterExecutor.fill_hops` turns each batch's rows
+into one list of :class:`~repro.cluster.qos.Hop` shared by its requests
+(``request.hops``, in journey order) when they are read — after the run
+(``ServingRuntime.last_requests`` calls it on first read), or batch by
+batch while a traced run emits them as spans.
 
 **Failure semantics** (fault injection, seeded and deterministic):
 every segment dispatch draws against the target node's
@@ -44,7 +49,7 @@ import numpy as np
 
 from repro.cluster.node import ClusterNode
 from repro.cluster.orchestrator import ClusterOrchestrator, PlacementPlan, Segment
-from repro.cluster.qos import Hop, QosMonitor
+from repro.cluster.qos import QosMonitor
 from repro.cluster.registry import ClusterTopology, NodeRegistry
 from repro.cluster.stream import SimulatedLink, StreamRouter
 from repro.core.catalog import Path
@@ -54,11 +59,6 @@ from repro.serving.executor import (
 from repro.serving.queueing import UNSET, DropReason, ServingRequest
 
 __all__ = ["ClusterDeployment", "ClusterExecutor"]
-
-#: a :class:`Hop` from its five values, without the keyword-parsing
-#: constructor (the same tuple, for a fraction of the cost)
-_hop = tuple.__new__
-
 
 @dataclass
 class ClusterDeployment:
@@ -216,29 +216,36 @@ class ClusterExecutor(WindowLedger):
 
     def _transfer(
         self, src: str, dst: str, payload_bits: float, now: float
-    ) -> tuple[float | None, list[Hop]]:
-        """One (possibly retried) activation stream over a link.
+    ) -> float | None:
+        """One (possibly retried) activation stream over a link, each
+        attempt a row of the open batch.
 
-        Returns ``(delivery_or_None, hops)``; ``None`` delivery means
-        both attempts stalled past the timeout and the batch is dropped
-        with ``TRANSFER_TIMEOUT``.
+        Returns the delivery instant; ``None`` means both attempts
+        stalled past the timeout and the batch is dropped with
+        ``TRANSFER_TIMEOUT``.
         """
         router = self.deployment.registry.router
         timeout = self.deployment.transfer_timeout_s
         where = f"{src}->{dst}"
-        hops: list[Hop] = []
+        rows = self.qos.hops.rows
         at = now
         for _attempt in range(2):
             delivery, stalled, nbytes = router.transfer_bits(
                 src, dst, payload_bits, at, rng=self._rng
             )
             if not stalled or delivery - at <= timeout:
-                hops.append(Hop("transfer", where, at, delivery, nbytes))
-                return delivery, hops
+                rows.append(("transfer", where, at, delivery, nbytes))
+                return delivery
             # sender notices the stall at its timeout and (once) retries
-            hops.append(Hop("retry", where, at, at + timeout, nbytes))
+            rows.append(("retry", where, at, at + timeout, nbytes))
             at = at + timeout
-        return None, hops
+        return None
+
+    def fill_hops(self) -> None:
+        """Give every request booked so far its batch's ``hops``: one
+        list of :class:`~repro.cluster.qos.Hop` per batch, shared by its
+        requests."""
+        self.qos.hops.fill()
 
     def _drop_batch(
         self, batch: list[ServingRequest], reason: DropReason, at: float
@@ -392,21 +399,20 @@ class ClusterExecutor(WindowLedger):
         unshared: float,
     ) -> tuple[float, float, float]:
         """Walk one sub-batch of a hop-0 job (on node ``where``) through the
-        route's later hops, booking and counting each hop, and stamp its
-        members: ``(finished or dropped at, compute, unshared)``.
+        route's later hops, booking each hop as a row of the hop table,
+        and stamp its members: ``(finished or dropped at, compute,
+        unshared)``.
 
         ``compute`` / ``unshared`` are the window's running sums, carried
         through so that the floats add in booking order."""
         n = len(batch)
         first = batch[0]
         start, at = first.started_at, first.service_done_at
-        hops = [
-            _hop(Hop, ("queue", where, now, start, 0)),
-            _hop(Hop, ("exec", where, start, at, 0)),
-        ]
-        counts = self.qos.hop_counts
-        counts["queue"] = counts.get("queue", 0) + 1
-        counts["exec"] = counts.get("exec", 0) + 1
+        table = self.qos.hops
+        table.open(batch)
+        rows = table.rows
+        rows.append(("queue", where, now, start, 0))
+        rows.append(("exec", where, start, at, 0))
         spent = first.compute_time_s
         dropped = None
         for leg in route.legs:
@@ -414,18 +420,12 @@ class ClusterExecutor(WindowLedger):
             if leg.link is not None and where == leg.src:
                 # as placed, over a link that cannot stall: one attempt
                 delivery, _stalled = leg.link.transfer(nbytes, at)
-                hops.append(_hop(Hop, ("transfer", leg.where, at, delivery, nbytes)))
-                counts["transfer"] = counts.get("transfer", 0) + 1
-                self.qos.bytes_streamed += nbytes
+                rows.append(("transfer", leg.where, at, delivery, nbytes))
             else:
                 # batch travels as one frame: batch axis on the payload
-                delivery, attempts = self._transfer(
+                delivery = self._transfer(
                     where, leg.segment.node_id, leg.egress_bits * n, at
                 )
-                hops += attempts
-                for hop in attempts:
-                    counts[hop.kind] = counts.get(hop.kind, 0) + 1
-                    self.qos.bytes_streamed += hop.nbytes
                 if delivery is None:
                     dropped = DropReason.TRANSFER_TIMEOUT
                     at += 2 * self.deployment.transfer_timeout_s
@@ -446,18 +446,17 @@ class ClusterExecutor(WindowLedger):
             spent += cost / n
             where = exec_node.node_id
             if start > ready:
-                hops.append(_hop(Hop, ("queue", where, ready, start, 0)))
-                counts["queue"] += 1
-            hops.append(_hop(Hop, ("exec", where, start, finish, 0)))
-            counts["exec"] += 1
+                rows.append(("queue", where, ready, start, 0))
+            rows.append(("exec", where, start, finish, 0))
             at = finish
         if dropped is not None:
             self._drop_batch(batch, dropped, at)
         for request in batch:
-            request.hops = hops if request is first else list(hops)
             request.compute_time_s = spent
             if dropped is None:
                 request.service_done_at = at
+        if self.tracer.enabled:  # the tracer reads them when the batch completes
+            table.fill()
         return at, compute, unshared
 
     def busy_workers(self, now: float) -> int:

@@ -56,10 +56,11 @@ __all__ = ["WindowReport", "WorkerPool", "BatchExecutor", "BlockwiseRunner"]
 class WindowReport(NamedTuple):
     """Accounting for one executed batching window.
 
-    A named tuple: a run logs one per window, and a tuple of numbers is
-    cheap to build.  It stays in the cyclic collector's view for as long
-    as it lives: CPython untracks an exact ``tuple`` of atoms once it
-    survives a collection, never an instance of a subclass.
+    What ``dispatch`` returns.  The window log
+    (:attr:`WindowLedger.windows`) keeps each window as the exact tuple
+    of the same fields, in this order: CPython untracks an exact
+    ``tuple`` of atoms once it survives a collection, never an instance
+    of a subclass, so a run's log leaves the cyclic collector's view.
     """
 
     requests: int
@@ -189,7 +190,8 @@ class WindowLedger:
     result_return_s: float = 0.0
     #: DES-clock tracer recording one span per executed job
     tracer: Tracer | NullTracer = NULL_TRACER
-    windows: list[WindowReport] = field(default_factory=list)
+    #: one exact tuple per window, in :class:`WindowReport` field order
+    windows: list[tuple] = field(default_factory=list)
     total_compute_s: float = 0.0
     compute_saved_s: float = 0.0
     prefix_merges: int = 0
@@ -203,8 +205,8 @@ class WindowLedger:
         started_at: float,
         finished_at: float,
     ) -> WindowReport:
-        """Log one executed window: its report and the run totals."""
-        report = WindowReport(
+        """Log one executed window and the run totals; return its report."""
+        window = (
             requests,
             compute_s,
             unshared_s,
@@ -212,12 +214,13 @@ class WindowLedger:
             started_at,
             finished_at,
         )
-        self.windows.append(report)
+        self.windows.append(window)
         self.total_compute_s += compute_s
         if self.prefix_cache:
-            self.compute_saved_s += report.saved_s
+            self.compute_saved_s += unshared_s - compute_s
             self.prefix_merges += merges
-        return report
+        # the report over the same values, without the keyword-parsing constructor
+        return tuple.__new__(WindowReport, window)
 
     def _window_span(
         self,

@@ -79,7 +79,8 @@ class ServingRequest:
     #: when the request's job finished (cluster runs: its last segment);
     #: the result is back ``result_return_s`` later
     service_done_at: float = UNSET
-    #: per-hop journey through the cluster fabric (None on one node)
+    #: per-hop journey through the cluster fabric, shared by batch-mates
+    #: (None on one node, and until a cluster run's hops are read)
     hops: list | None = None
 
     @property

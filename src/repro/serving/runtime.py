@@ -168,10 +168,28 @@ class ServingRuntime:
     executor: object = field(init=False, repr=False)
     #: freelist of request records, reused across runs
     pool: RequestPool = field(init=False, repr=False, default_factory=RequestPool)
-    #: every request record of the last run (completed and dropped)
-    last_requests: list[ServingRequest] = field(
+    _last_requests: list[ServingRequest] = field(
         init=False, repr=False, default_factory=list
     )
+    #: a cluster run's records whose ``hops`` are still table rows
+    _hops_unfilled: bool = field(init=False, repr=False, default=False)
+
+    @property
+    def last_requests(self) -> list[ServingRequest]:
+        """Every request record of the last run (completed and dropped).
+
+        A cluster run books its hops as rows; the first read hands each
+        record its batch's ``hops`` (``ClusterExecutor.fill_hops``).
+        """
+        if self._hops_unfilled:
+            self._hops_unfilled = False
+            self.executor.fill_hops()
+        return self._last_requests
+
+    @last_requests.setter
+    def last_requests(self, records: list[ServingRequest]) -> None:
+        self._hops_unfilled = False
+        self._last_requests = records
 
     @classmethod
     def from_problem(
@@ -270,6 +288,7 @@ class ServingRuntime:
         del records
         self.last_requests = in_rows[np.argsort(ids)].tolist()
         del in_rows
+        self._hops_unfilled = self.cluster is not None
         return run.metrics(run.task_of(position), created, deadline, completed)
 
 

@@ -74,7 +74,6 @@ from unittest.mock import patch
 
 import numpy as np
 
-from repro.cluster.qos import Hop
 from repro.core.catalog import Catalog
 from repro.core.heuristic import _apply_margin
 from repro.core.latency import full_rate_rbs, uplink_tti_s
@@ -464,9 +463,11 @@ def per_request_cluster_dispatch(self, requests, now: float):
     """``ClusterExecutor.dispatch`` by the old rule (patch it in as a method).
 
     Routes through ``plan.segments()`` per task, hop-0 batches costed by
-    the per-request trie, later-hop cost re-summed per window, two fresh
-    ``Hop`` records per request per hop.  Failure and stall draws come
-    from the executor's own ``_rng``, in the same order.
+    the per-request trie, later-hop cost re-summed per window, and each
+    task's batch written to the hop table as the walk goes (hop-0 rows
+    kept per task until then; a traced run fills each batch's ``hops``
+    once it is written, as the executor does).  Failure and stall draws
+    come from the executor's own ``_rng``, in the same order.
     """
     plan = self.deployment.plan
     groups: dict[int, list[ServingRequest]] = {}
@@ -494,6 +495,7 @@ def per_request_cluster_dispatch(self, requests, now: float):
         by_node.setdefault(node.node_id, []).append(task_id)
 
     cursor: dict[int, float] = {}  # task -> time its batch reaches hop 1
+    head_rows: dict[int, list[tuple]] = {}  # task -> its hop-0 rows
     for node_id in sorted(by_node):
         node = self.deployment.registry.node(node_id)
         batch = [r for tid in by_node[node_id] for r in groups[tid]]
@@ -509,30 +511,31 @@ def per_request_cluster_dispatch(self, requests, now: float):
         for request in batch:
             request.started_at = start
             request.compute_time_s = share
-            request.hops = [
-                Hop("queue", node_id, now, start),
-                Hop("exec", node_id, start, finish),
-            ]
         compute += cost
         unshared += unmerged
         merges += node_merges
         window_start = start if window_start is None else min(window_start, start)
         for tid in by_node[node_id]:
             cursor[tid] = finish
+            head_rows[tid] = [
+                ("queue", node_id, now, start, 0),
+                ("exec", node_id, start, finish, 0),
+            ]
 
+    table = self.qos.hops
     for task_id in sorted(resolved):
         node, _delay, segments = resolved[task_id]
         batch = groups[task_id]
         at = cursor[task_id]
         prev_node_id = node.node_id
         dropped = False
+        table.open(batch)
+        table.rows += head_rows[task_id]
         for seg_index, segment in enumerate(segments[1:], start=1):
             payload_bits = segments[seg_index - 1].egress_bits * len(batch)
-            delivery, hops = self._transfer(
+            delivery = self._transfer(
                 prev_node_id, segment.node_id, payload_bits, at
             )
-            for request in batch:
-                request.hops.extend(hops)
             if delivery is None:
                 drop_at = at + 2 * self.deployment.transfer_timeout_s
                 self._drop_batch(batch, DropReason.TRANSFER_TIMEOUT, drop_at)
@@ -558,22 +561,19 @@ def per_request_cluster_dispatch(self, requests, now: float):
             share = cost / len(batch)
             for request in batch:
                 request.compute_time_s += share
-                if start > delivery + delay:
-                    request.hops.append(
-                        Hop("queue", exec_node.node_id, delivery + delay, start)
-                    )
-                request.hops.append(Hop("exec", exec_node.node_id, start, finish))
+            if start > delivery + delay:
+                table.rows.append(
+                    ("queue", exec_node.node_id, delivery + delay, start, 0)
+                )
+            table.rows.append(("exec", exec_node.node_id, start, finish, 0))
             prev_node_id = exec_node.node_id
             at = finish
         if not dropped:
             for request in batch:
                 request.service_done_at = at
             window_end = max(window_end, at)
-        # tally the batch's route once, as the hop walk does
-        qos = self.qos
-        for hop in batch[0].hops:
-            qos.hop_counts[hop.kind] = qos.hop_counts.get(hop.kind, 0) + 1
-            qos.bytes_streamed += hop.nbytes
+        if self.tracer.enabled:
+            self.fill_hops()
 
     if window_start is None:
         window_start = now

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 
@@ -15,6 +16,7 @@ from repro.cluster import (
     ClusterNode,
     ClusterOrchestrator,
     ClusterTopology,
+    Hop,
     LinkSpec,
     NodeRegistry,
     NodeSpec,
@@ -27,6 +29,7 @@ from repro.core.heuristic import OffloaDNNSolver
 from repro.core.task import QualityLevel
 from repro.obs import ObsSession, jsonl_lines
 from repro.serving import ServingConfig, ServingRuntime
+from repro.serving.executor import WindowReport
 from repro.serving.queueing import DropReason, ServingRequest
 from repro.workloads.smallscale import serving_small_scale_problem
 from tests.oracles import (
@@ -373,8 +376,11 @@ def test_one_node_cluster_books_the_same_ledger_as_batch_executor(prefix_cache):
     for num_workers in (1, 2, 3):
         local, fabric = _local_and_one_node_logs(num_workers, prefix_cache)
         windows, stamps = local
-        assert max(w.requests for w in windows) >= 3 and len(stamps) >= 25
-        assert prefix_cache == any(w.prefix_merges for w in windows)
+        # the log is exact tuples, which the cyclic collector untracks
+        assert {type(w) for w in windows} == {tuple}
+        reports = [WindowReport._make(w) for w in windows]
+        assert max(w.requests for w in reports) >= 3 and len(stamps) >= 25
+        assert prefix_cache == any(w.prefix_merges for w in reports)
         assert fabric == local
         # with more than one worker, windows are cut: members of one window
         # (same dispatch instant) do not all finish together
@@ -422,6 +428,8 @@ def test_a_node_cuts_its_hop_zero_group_over_its_workers():
         for i in range(4)
     ]
     report = executor.dispatch(requests, now=0.0)
+    assert all(r.hops is None for r in requests)  # rows until read
+    executor.fill_hops()
 
     hop0_done = {r.request_id: r.hops[1].end_s for r in requests}
     assert len(set(hop0_done.values())) == 2
@@ -482,6 +490,70 @@ def test_cluster_run_reports_qos_hops_and_streamed_bytes():
     for row in qos.node_rows(metrics.duration_s):
         util_pct = row[-1]
         assert 0.0 <= util_pct <= 100.0
+
+
+def _four_node_runtime(seed: int = 1) -> ServingRuntime:
+    config = ServingConfig(
+        duration_s=4.0, poisson=True, seed=seed, batch_window_s=0.1
+    )
+    runtime = ServingRuntime.from_problem(
+        replicated_serving_problem(2), config,
+        solver=OffloaDNNSolver(slice_margin_rbs=10),
+    )
+    runtime.cluster = _deploy(runtime, default_topology(4))
+    return runtime
+
+
+def _hop_records() -> list:
+    return [o for o in gc.get_objects() if isinstance(o, (Hop, WindowReport))]
+
+
+def test_a_run_books_hops_as_rows_and_builds_them_on_first_read():
+    # the fabric writes each batch-hop as a row of one table and each window
+    # as an exact tuple: a run leaves no Hop and no WindowReport for the
+    # cyclic collector to scan; reading last_requests turns each batch's rows
+    # into one Hop list shared by its requests
+    runtime = _four_node_runtime()
+    gc.collect()
+    before = _hop_records()
+    runtime.run()
+    known = {id(o) for o in before}
+    assert [o for o in _hop_records() if id(o) not in known] == []
+    qos = runtime.executor.qos
+    assert len(qos.hops.rows) == sum(qos.hop_counts.values())
+
+    records = runtime.last_requests
+    served = [r for r in records if r.drop_reason is None and r.hops]
+    by_batch: dict[tuple, list] = {}
+    for r in served:
+        by_batch.setdefault((r.task_id, r.dispatched_at), []).append(r)
+    assert max(map(len, by_batch.values())) >= 2
+    for mates in by_batch.values():
+        assert all(r.hops is mates[0].hops for r in mates)
+    # the count of the fabric that built a Hop list per request during the
+    # run: 875 hops over 197 served requests
+    assert (sum(len(r.hops) for r in served), len(served)) == (875, 197)
+    # counted per batch-hop: each shared list once, whatever its batch size
+    lists = {id(r.hops): r.hops for r in records if r.hops}
+    assert sum(map(len, lists.values())) == sum(qos.hop_counts.values())
+    assert qos.bytes_streamed == sum(
+        h.nbytes for hops in lists.values() for h in hops
+    )
+    assert {type(row) for row in qos.hops.rows} == {Hop}  # rows became Hops
+    assert runtime.last_requests is records  # filled once
+
+
+def test_hops_read_after_a_second_run_are_that_runs():
+    # records are recycled between runs: a run whose hops were never read
+    # leaves nothing in the next run's records
+    fresh = _four_node_runtime(seed=2)
+    fresh.run()
+    expected = [repr(r.hops) for r in fresh.last_requests]
+    runtime = _four_node_runtime()
+    runtime.run()  # never read
+    runtime.config = fresh.config
+    runtime.run()
+    assert [repr(r.hops) for r in runtime.last_requests] == expected
 
 
 # -- int8 activation streams ------------------------------------------------

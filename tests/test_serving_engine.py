@@ -272,15 +272,21 @@ def test_request_pool_resets_every_field(problem):
     path = problem.catalog.paths_for(problem.tasks[0])[0]
     pool = RequestPool()
     first = pool.acquire(1, 2, path, 0.0, 1.0, 5.0)
+    mate = pool.acquire(1, 3, path, 0.0, 1.0, 5.0)
     first.drop_reason = DropReason.DEADLINE
     first.completed_at = 0.7
-    first.hops = ["stale"]
+    # batch-mates of a cluster run share one hop list
+    shared = ["stale"]
+    first.hops = mate.hops = shared
     pool.reset()
     again = pool.acquire(3, 4, path, 0.5, 2.0, 6.0)
     assert again is first  # recycled, not reallocated
     assert again.task_id == 3 and again.request_id == 4
     assert again.drop_reason is None and again.hops is None
     assert again.completed_at != again.completed_at  # NaN
+    assert pool.acquire(3, 5, path, 0.5, 2.0, 6.0) is mate and mate.hops is None
+    # the list itself is left as it was: a reader of the last run keeps it
+    assert shared == ["stale"]
 
 
 # -- sorted-index regression (satellite S1) --------------------------------

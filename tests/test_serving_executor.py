@@ -167,6 +167,7 @@ class TestWindowCosts:
             reqs[0].task_id = 1
             reqs[1].task_id = reqs[2].task_id = 2
             report = executor.dispatch(reqs, now=0.0)
+            executor.fill_hops()
             return reqs[0].hops[1].duration_s, report
 
         trunk = sum(b.compute_time_s for b in TRUNK)
