@@ -651,6 +651,9 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
 
     try:
         tracers = load_records(args.input)
+    except OSError as exc:
+        print(f"error: {args.input}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -65,13 +65,6 @@ class PlacementPlan:
     def segments(self, task_id: int) -> tuple[Segment, ...]:
         return self.segments_by_task[task_id]
 
-    def nodes_used(self) -> frozenset[str]:
-        return frozenset(
-            seg.node_id
-            for segments in self.segments_by_task.values()
-            for seg in segments
-        )
-
     @property
     def split_tasks(self) -> int:
         """Tasks whose path crosses at least one link."""

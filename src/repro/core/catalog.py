@@ -165,11 +165,6 @@ class Catalog:
                         )
         return blocks
 
-    def dnn_ids(self) -> frozenset[str]:
-        return frozenset(
-            p.dnn_id for paths in self.paths_by_task.values() for p in paths
-        )
-
     def validate(self, tasks: tuple[Task, ...]) -> None:
         """Check every task has candidates and block costs are coherent."""
         self.all_blocks()  # raises on inconsistency

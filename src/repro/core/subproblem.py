@@ -2,24 +2,20 @@
 
 Once a tree branch fixes the DNN path of every task (the ``x``/``y``
 variables), the remaining problem in ``(z, r)`` is convex (Sec. IV-B).
-Two solvers are provided:
+:func:`solve_branch` is its one solver, an exact *structured* one
+exploiting the problem's separability: tasks couple only through the
+radio budget Σ z·r ≤ R and the compute budget Σ z·λ·Σc ≤ C.  It
+processes tasks in branch (priority) order and gives each the largest
+feasible admission ratio with the smallest RB allocation that still
+meets the latency and rate constraints — reproducing the published
+behaviour (top-priority tasks admitted fully, then diminishing ratios,
+then rejections as the radio pool saturates).
 
-* :func:`solve_branch` — an exact *structured* solver exploiting the
-  problem's separability: tasks couple only through the radio budget
-  Σ z·r ≤ R and the compute budget Σ z·λ·Σc ≤ C.  It processes tasks in
-  branch (priority) order and gives each the largest feasible admission
-  ratio with the smallest RB allocation that still meets the latency and
-  rate constraints — reproducing the published behaviour (top-priority
-  tasks admitted fully, then diminishing ratios, then rejections as the
-  radio pool saturates).
-* :func:`solve_branch_convex` — scipy SLSQP on the relaxed continuous
-  program, used as an independent cross-check in tests and for the
-  "any convex optimizer" variant the paper mentions.
-
-The structured solver maximizes admission lexicographically by priority
-(what the paper's evaluation shows both OffloaDNN and the optimum doing)
-while always choosing the cheapest feasible ``r`` — which also minimizes
-the Eq. (1a) radio term for the chosen ``z``.
+It maximizes admission lexicographically by priority (what the paper's
+evaluation shows both OffloaDNN and the optimum doing) while always
+choosing the cheapest feasible ``r`` — which also minimizes the Eq. (1a)
+radio term for the chosen ``z``.  A strict minimizer of Eq. (1a) (the
+SLSQP solve in ``tests/oracles.py``) rejects low-priority tasks instead.
 """
 
 from __future__ import annotations
@@ -28,11 +24,9 @@ import math
 from collections.abc import Collection
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.catalog import Path
 from repro.core.latency import full_rate_rbs
-from repro.core.problem import Budgets, DOTProblem
+from repro.core.problem import Budgets
 from repro.core.task import Task
 from repro.obs.trace import current_tracer
 
@@ -40,7 +34,6 @@ __all__ = [
     "BranchItem",
     "BranchAllocation",
     "solve_branch",
-    "solve_branch_convex",
 ]
 
 #: tie-break tolerance of the admission scan: a candidate must beat the
@@ -239,116 +232,4 @@ def solve_branch(
                 "radio_spent_at": spent_at,
             },
         )
-    return BranchAllocation(admission=admission, radio_blocks=rbs)
-
-
-def solve_branch_convex(
-    items: list[BranchItem],
-    budgets: Budgets,
-    alpha: float,
-    training_cost_s: float = 0.0,
-) -> BranchAllocation:
-    """SLSQP solve of the relaxed continuous subproblem.
-
-    Minimizes the Eq. (1a) objective restricted to the branch (paths
-    given, so the training term is a constant) over ``z ∈ [0, 1]`` and
-    continuous ``r``, subject to (1c)-(1e) and (1g); the returned ``r``
-    is rounded up to integers and ``z`` re-clipped to feasibility.
-
-    Because Eq. (1a) rewards rejecting low-priority tasks whose resource
-    cost exceeds ``α·p``, this solver can return lower admission than
-    :func:`solve_branch`; it exists as the faithful "convex optimizer"
-    variant and as a cross-check of the structured solver's feasibility.
-    """
-    from scipy.optimize import minimize  # local import: scipy is heavy
-
-    n = len(items)
-    if n == 0:
-        return BranchAllocation(admission=[], radio_blocks=[])
-    if budgets.radio_blocks <= 0 or budgets.compute_time_s <= 0:
-        # zero-headroom instance (e.g. an exhausted online platform):
-        # nothing can be admitted, and the normalized objective below
-        # would divide by the zero budget
-        return BranchAllocation(admission=[0.0] * n, radio_blocks=[0] * n)
-
-    lam = np.array([it.task.request_rate for it in items])
-    prio = np.array([it.task.priority for it in items])
-    comp = np.array([it.compute_time_s for it in items])
-    beta = np.array([it.path.bits_per_image for it in items])
-    bpr = np.array([it.bits_per_rb for it in items])
-    r_lat = np.array([it.min_latency_rbs for it in items], dtype=float)
-    r_cap = float(budgets.radio_blocks)
-
-    infeasible = r_lat > r_cap
-
-    def objective(xs: np.ndarray) -> float:
-        z, r = xs[:n], xs[n:]
-        rejection = float(((1.0 - z) * prio).sum())
-        radio = float((z * lam * r).sum()) / budgets.radio_blocks
-        inference = float((z * lam * comp).sum()) / budgets.compute_time_s
-        training = training_cost_s / budgets.training_budget_s
-        return alpha * rejection + (1 - alpha) * (training + radio + inference)
-
-    constraints = [
-        {  # (1d)
-            "type": "ineq",
-            "fun": lambda xs: budgets.radio_blocks - float((xs[:n] * xs[n:]).sum()),
-        },
-        {  # (1c)
-            "type": "ineq",
-            "fun": lambda xs: budgets.compute_time_s - float((xs[:n] * lam * comp).sum()),
-        },
-        {  # (1e) per task
-            "type": "ineq",
-            "fun": lambda xs: bpr * xs[n:] - xs[:n] * lam * beta,
-        },
-    ]
-    bounds = [(0.0, 1.0)] * n + [
-        (float(r_lat[i]) if not infeasible[i] else 0.0, r_cap) for i in range(n)
-    ]
-    x0 = np.concatenate([np.full(n, 0.5), np.maximum(r_lat, 1.0)])
-    x0[n:] = np.minimum(x0[n:], r_cap)
-    result = minimize(
-        objective,
-        x0,
-        method="SLSQP",
-        bounds=bounds,
-        constraints=constraints,
-        options={"maxiter": 300, "ftol": 1e-9},
-    )
-    z = np.clip(result.x[:n], 0.0, 1.0)
-    r = np.ceil(result.x[n:] - 1e-9).astype(int)
-    # re-clip to integer feasibility
-    admission: list[float] = []
-    rbs: list[int] = []
-    remaining_radio = float(budgets.radio_blocks)
-    remaining_compute = float(budgets.compute_time_s)
-    for i, item in enumerate(items):
-        if infeasible[i] or z[i] <= 1e-6:
-            admission.append(0.0)
-            rbs.append(0)
-            continue
-        ri = max(int(r[i]), item.min_latency_rbs)
-        if ri <= 0:
-            admission.append(0.0)
-            rbs.append(0)
-            continue
-        rate_bits = lam[i] * beta[i]
-        zi = min(
-            z[i],
-            # a zero-bits quality level (beta == 0) puts no load on the
-            # slice, so the rate constraint (1e) never binds
-            ri * item.bits_per_rb / rate_bits if rate_bits > 0 else 1.0,
-            remaining_radio / ri,
-            remaining_compute / (lam[i] * comp[i]) if comp[i] > 0 else 1.0,
-        )
-        zi = float(np.clip(zi, 0.0, 1.0))
-        if zi <= 1e-6:
-            admission.append(0.0)
-            rbs.append(0)
-            continue
-        admission.append(zi)
-        rbs.append(ri)
-        remaining_radio -= zi * ri
-        remaining_compute -= zi * lam[i] * comp[i]
     return BranchAllocation(admission=admission, radio_blocks=rbs)

@@ -5,10 +5,11 @@ inference compute time ``c(s)``, memory footprint ``mu(s)`` and training
 cost ``ct(s)``.  This package provides an equivalent substrate built from
 scratch on numpy:
 
-* :mod:`repro.dnn.ops` -- raw tensor operations (conv2d, depthwise, ...)
+* :mod:`repro.dnn.ops` -- the compiled engine's kernels and FLOP counters
 * :mod:`repro.dnn.layers` -- parameterized layer objects
 * :mod:`repro.dnn.graph` -- sequential / residual module composition
-* :mod:`repro.dnn.compile` -- fused, buffer-reusing inference plans
+* :mod:`repro.dnn.compile` -- fused, buffer-reusing inference plans (the
+  one executor of a model)
 * :mod:`repro.dnn.resnet` -- ResNet-18 as a stem + 4 layer-blocks + head
 * :mod:`repro.dnn.mobilenet` -- MobileNetV2 on the same block partition
 * :mod:`repro.dnn.pruning` -- DepGraph-style structured channel pruning
@@ -23,7 +24,6 @@ from repro.dnn.compile import CompiledModule, compile_module
 from repro.dnn.configs import BlockConfig, TABLE_I_CONFIGS
 from repro.dnn.mobilenet import build_mobilenetv2
 from repro.dnn.profiler import BlockProfile, ModelProfile, profile_model
-from repro.dnn.pruning import prune_module
 from repro.dnn.resnet import BlockwiseModel, ResNet18, build_resnet18
 
 __all__ = [
@@ -38,5 +38,4 @@ __all__ = [
     "profile_model",
     "BlockConfig",
     "TABLE_I_CONFIGS",
-    "prune_module",
 ]

@@ -1,12 +1,11 @@
 """Compiled inference engine: BN folding, op fusion, buffer-reusing plans.
 
-The eager engine (:mod:`repro.dnn.layers` / :mod:`repro.dnn.graph`) runs
-``Conv2d -> BatchNorm2d -> ReLU`` as three separate passes, each
-allocating a fresh intermediate tensor — fine as a parity oracle,
-wasteful for the inference loops the profiler, the serving runtime and
-the emulation benchmarks hammer.  This module is the standard CPU-engine
-answer: :func:`compile_module` walks a ``Sequential`` / ``Residual`` /
-``NamedModule`` tree once and emits an execution *plan* of fused steps.
+A model (:mod:`repro.dnn.layers` / :mod:`repro.dnn.graph`) describes
+its layers and does not run.  :func:`compile_module` is the one executor:
+it walks a ``Sequential`` / ``Residual`` / ``NamedModule`` tree once and
+emits an execution *plan* of fused steps, which the profiler, the
+serving runtime and the emulation benchmarks run.  A layer type it has
+no step for is a ``TypeError``, not a slower path nobody priced.
 
 Optimization passes
 -------------------
@@ -40,11 +39,10 @@ Optimization passes
    concurrent ``forward`` calls from different threads never share
    mutable buffers.
 
-:class:`CompiledModule` is a drop-in :class:`~repro.dnn.layers.Layer`
-(same ``forward`` / ``output_shape`` / ``flops`` interface, delegated to
-the source module), so the profiler, repository and
-``serving.BlockwiseRunner`` run it where the module stood.
-:func:`compile_module` is the one way to build a plan.
+:class:`CompiledModule` is a :class:`~repro.dnn.layers.Layer` whose
+``output_shape`` / ``flops`` delegate to the source module, plus the
+``forward`` the profiler, repository and ``serving.BlockwiseRunner``
+run.  :func:`compile_module` is the one way to build a plan.
 
 The plan snapshots the module's weights: mutate the source (pruning,
 fine-tuning) and you must re-compile.  Inputs are cast to float32; the
@@ -419,7 +417,7 @@ def _max_pool(
 
 
 class _MaxPool(_Step):
-    """Max pooling by tap-wise maximum, zero padding as the eager kernel."""
+    """Max pooling by tap-wise maximum over a zero-padded input."""
 
     def __init__(
         self,
@@ -517,20 +515,6 @@ class _ResidualStep(_Step):
         if self.activation == "relu":
             np.maximum(out, 0.0, out=out)
         return out
-
-
-class _EagerStep(_Step):
-    """Fallback: run an unrecognized layer eagerly (no fusion)."""
-
-    out_dtype = None  # the layer allocates its own result
-
-    def __init__(self, layer: Layer, shape: tuple[int, ...]) -> None:
-        self.layer = layer
-        self.out_shape = layer.output_shape(shape)
-        self.label = f"eager:{layer.kind}"
-
-    def run(self, x: np.ndarray, b: _Binding) -> np.ndarray:
-        return self.layer.forward(x)
 
 
 # ----------------------------------------------------------------------
@@ -675,9 +659,7 @@ def _build_steps(
             shape = layer.output_shape(shape)
             i += 1
         else:
-            steps.append(_EagerStep(layer, shape))
-            shape = layer.output_shape(shape)
-            i += 1
+            raise TypeError(f"compile_module has no step for {type(layer).__name__}")
     return steps, shape
 
 
@@ -699,9 +681,8 @@ def _walk(steps: list[_Step], src, spans: dict, tick: int) -> tuple[object, int]
 
     A residual runs its shortcut, then its body, then the merge, which
     reads both branch outputs; the fp32 merge writes in place into the
-    body's last buffer.  A step that binds no output hands on its input
-    as a view (``_Flatten``) or in memory of its own (``_EagerStep``):
-    either way the input is taken to stay live with the result.
+    body's last buffer.  A step that binds no output (``_Flatten``) hands
+    on its input as a view, so the input stays live with the result.
     """
     for step in steps:
         if getattr(step, "sub_plans", None) is not None:
@@ -765,15 +746,15 @@ def _pack(buffers: list[tuple[int, int, int]]) -> list[int]:
 
 
 class CompiledModule(Layer):
-    """A fused, buffer-reusing execution plan — a drop-in ``Layer``.
+    """A fused, buffer-reusing execution plan of a ``Layer``.
 
     ``output_shape`` / ``flops`` / ``parameters`` delegate to the source
-    module, so profiling arithmetic is unchanged; only ``forward`` runs
-    the optimized plan.  Compile once per (module, input shape).  The
-    plan holds weights only: the first ``forward`` at a batch size on a
-    thread *binds* it — lays its buffers out in that thread's arena —
-    and later calls reuse the binding, so concurrent ``forward`` calls
-    from different threads never share a mutable buffer.
+    module, so profiling arithmetic is unchanged; ``forward`` runs the
+    plan.  Compile once per (module, input shape).  The plan holds
+    weights only: the first ``forward`` at a batch size on a thread
+    *binds* it — lays its buffers out in that thread's arena — and later
+    calls reuse the binding, so concurrent ``forward`` calls from
+    different threads never share a mutable buffer.
     """
 
     kind = "compiled"
@@ -875,28 +856,6 @@ class CompiledModule(Layer):
 
     def parameters(self) -> list[np.ndarray]:
         return self.source.parameters()
-
-    def plan_summary(self) -> list[str]:
-        """Flat list of fused-step labels (nested steps indented with /)."""
-
-        def walk(steps: list[_Step], prefix: str) -> list[str]:
-            rows: list[str] = []
-            for step in steps:
-                rows.append(prefix + step.label)
-                body = getattr(step, "body", None)
-                if body is not None:
-                    rows.extend(walk(body, prefix + "  body/"))
-                    shortcut = getattr(step, "shortcut", None)
-                    if shortcut is not None:
-                        rows.extend(walk(shortcut, prefix + "  shortcut/"))
-            return rows
-
-        return walk(self.steps, "")
-
-    def release_buffers(self) -> None:
-        """Free the calling thread's arena — every plan's, since they
-        share it (it is re-allocated on the next call)."""
-        _thread_arena().release()
 
 
 def compile_module(

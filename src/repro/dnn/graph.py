@@ -39,7 +39,7 @@ class Module(Layer):
 
 
 class Sequential(Module):
-    """Run layers one after another."""
+    """Layers applied one after another."""
 
     kind = "sequential"
 
@@ -48,11 +48,6 @@ class Sequential(Module):
 
     def children(self) -> list[Layer]:
         return list(self.layers)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer(x)
-        return x
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         shape = input_shape
@@ -124,18 +119,6 @@ class Residual(Module):
         if self.shortcut is not None:
             kids.append(self.shortcut)
         return kids
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        identity = x if self.shortcut is None else self.shortcut(x)
-        out = self.body(x)
-        if out.shape != identity.shape:
-            raise ValueError(
-                f"residual shape mismatch: body {out.shape} vs shortcut {identity.shape}"
-            )
-        total = out + identity
-        if self.activation == "relu":
-            return np.maximum(total, 0.0)
-        return total
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return self.body.output_shape(input_shape)

@@ -1,8 +1,9 @@
 """Parameterized layer objects for the numpy DNN engine.
 
-Each layer knows how to run a forward pass, report its parameter count,
-FLOPs and activation size for a given input shape, and expose its
-parameter tensors for pruning and (head-only) training.
+A layer describes part of a model: it holds its parameter tensors (for
+pruning and compilation) and reports its parameter count, FLOPs and
+activation size for a given input shape.  It does not run:
+:func:`repro.dnn.compile.compile_module` is the one executor.
 """
 
 from __future__ import annotations
@@ -34,12 +35,6 @@ class Layer:
 
     #: human-readable layer kind, set by subclasses
     kind: str = "layer"
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         """Shape (without the batch dim) produced for ``input_shape``."""
@@ -92,9 +87,6 @@ class Conv2d(Layer):
         )
         self.bias = np.zeros(out_channels, dtype=np.float32) if bias else None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return ops.conv2d(x, self.weight, self.bias, self.stride, self.padding)
-
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         _, h, w = input_shape
         out_h = ops.conv_output_size(h, self.kernel, self.stride, self.padding)
@@ -135,9 +127,6 @@ class DepthwiseConv2d(Layer):
         std = float(np.sqrt(2.0 / (kernel * kernel)))
         self.weight = rng.normal(0.0, std, (channels, kernel, kernel)).astype(np.float32)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return ops.depthwise_conv2d(x, self.weight, self.stride, self.padding)
-
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         _, h, w = input_shape
         out_h = ops.conv_output_size(h, self.kernel, self.stride, self.padding)
@@ -156,9 +145,6 @@ class ReLU6(Layer):
     """MobileNet's clipped rectifier."""
 
     kind = "relu6"
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return ops.relu6(x)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return input_shape
@@ -179,9 +165,6 @@ class BatchNorm2d(Layer):
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return ops.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var)
-
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return input_shape
 
@@ -194,9 +177,6 @@ class BatchNorm2d(Layer):
 
 class ReLU(Layer):
     kind = "relu"
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return ops.relu(x)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return input_shape
@@ -213,9 +193,6 @@ class MaxPool2d(Layer):
         self.stride = stride
         self.padding = padding
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return ops.max_pool2d(x, self.kernel, self.stride, self.padding)
-
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         c, h, w = input_shape
         out_h = ops.conv_output_size(h, self.kernel, self.stride, self.padding)
@@ -229,9 +206,6 @@ class MaxPool2d(Layer):
 class GlobalAvgPool(Layer):
     kind = "globalavgpool"
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return ops.global_avg_pool(x)
-
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return (input_shape[0],)
 
@@ -242,24 +216,12 @@ class GlobalAvgPool(Layer):
 class Flatten(Layer):
     kind = "flatten"
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        # by the per-sample size: numpy cannot infer -1 for an empty batch
-        return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
-
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return (int(np.prod(input_shape)),)
 
 
 class Linear(Layer):
-    """Fully connected layer.
-
-    The GEMM wants the (in_features, out_features) transpose of the
-    stored weight; transposing per call yields a non-contiguous operand
-    that BLAS must repack every forward.  The layer therefore caches a
-    contiguous transposed copy, rebuilt lazily whenever the weight is
-    reassigned (pruning) or handed out for mutation (fine-tuning via
-    ``parameters()``).
-    """
+    """Fully connected layer."""
 
     kind = "linear"
 
@@ -276,32 +238,10 @@ class Linear(Layer):
         self.weight = rng.normal(0.0, std, (out_features, in_features)).astype(np.float32)
         self.bias = np.zeros(out_features, dtype=np.float32)
 
-    @property
-    def weight(self) -> np.ndarray:
-        return self._weight
-
-    @weight.setter
-    def weight(self, value: np.ndarray) -> None:
-        self._weight = value
-        self._weight_t: np.ndarray | None = None
-
-    @property
-    def weight_t(self) -> np.ndarray:
-        """Contiguous ``weight.T``, cached until the weight changes."""
-        if self._weight_t is None:
-            self._weight_t = np.ascontiguousarray(self._weight.T)
-        return self._weight_t
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return ops.linear(x, self.weight, self.bias, weight_t=self.weight_t)
-
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return (self.out_features,)
 
     def parameters(self) -> list[np.ndarray]:
-        # callers may mutate the returned arrays in place (fine-tuning
-        # does) — conservatively drop the cached transpose
-        self._weight_t = None
         return [self.weight, self.bias]
 
     def flops(self, input_shape: tuple[int, ...]) -> int:

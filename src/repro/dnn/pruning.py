@@ -16,7 +16,7 @@ This module reproduces that idea:
 2. derive *pruning groups* from its connected components,
 3. rank channels in each group by aggregated L2 magnitude and remove the
    lowest-magnitude fraction, slicing every coupled tensor consistently
-   so the pruned network still runs.
+   so the pruned network still compiles and runs.
 
 Residual additions couple the output channels of every basic block in a
 stage with the stage's projection shortcut and with the next stage's
@@ -40,7 +40,6 @@ __all__ = [
     "build_dependency_graph",
     "collect_groups",
     "prune_resnet",
-    "prune_module",
     "pruned_channels",
 ]
 
@@ -297,14 +296,3 @@ def prune_resnet(model: ResNet18, stages: set[str] | list[str], ratio: float) ->
         keep = np.sort(np.argsort(scores)[::-1][:keep_count])
         group.apply(keep)
     return len(groups)
-
-
-def prune_module(model: ResNet18, fine_tuned_blocks: list[str], ratio: float = 0.8) -> int:
-    """Paper-level entry point: prune only the fine-tuned layer-blocks.
-
-    ``fine_tuned_blocks`` may include ``"head"``; the classifier itself is
-    never pruned (its output size is the class count), but its input is
-    sliced automatically when ``layer4`` is pruned.
-    """
-    stages = [b for b in fine_tuned_blocks if b.startswith("layer")]
-    return prune_resnet(model, set(stages), ratio)

@@ -92,10 +92,7 @@ __all__ = [
     "QMAX",
     "weight_scales",
     "quantize_per_channel",
-    "dequantize_per_channel",
     "activation_scale",
-    "quantize_tensor",
-    "dequantize_tensor",
     "default_calibration_batch",
     "plan_param_bytes",
     "QuantizedModule",
@@ -109,7 +106,7 @@ _HI = np.float32(127.49997)
 
 
 # ----------------------------------------------------------------------
-# pure quantize/dequantize primitives (float64 internal math)
+# pure quantization primitives (float64 internal math)
 
 
 def weight_scales(weight: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -141,14 +138,6 @@ def quantize_per_channel(
     return q.astype(np.int8)
 
 
-def dequantize_per_channel(
-    q: np.ndarray, scales: np.ndarray, axis: int = 0
-) -> np.ndarray:
-    """Reconstruct float32 values from int8 ``q`` and per-channel scales."""
-    w = np.asarray(q, dtype=np.float64) * _expand(scales, q.ndim, axis)
-    return w.astype(np.float32)
-
-
 def activation_scale(x: np.ndarray) -> float:
     """Per-tensor symmetric scale for an activation: ``amax/127``.
 
@@ -156,18 +145,6 @@ def activation_scale(x: np.ndarray) -> float:
     """
     amax = float(np.max(np.abs(x))) if x.size else 0.0
     return amax / QMAX if amax > 0.0 else 1.0
-
-
-def quantize_tensor(x: np.ndarray, scale: float) -> np.ndarray:
-    """Symmetric per-tensor int8 quantization."""
-    q = np.rint(np.asarray(x, dtype=np.float64) / float(scale))
-    np.clip(q, -QMAX, QMAX, out=q)
-    return q.astype(np.int8)
-
-
-def dequantize_tensor(q: np.ndarray, scale: float) -> np.ndarray:
-    """Reconstruct float32 values from per-tensor int8."""
-    return (np.asarray(q, dtype=np.float64) * float(scale)).astype(np.float32)
 
 
 def default_calibration_batch(
@@ -722,7 +699,7 @@ class _QuantMaxPool(_QStep):
     """Tap-wise int8 max — max commutes with the (positive) scale, so
     the output keeps the input's scale and the pool is exact.  Zero
     padding: int8 0 is exactly fp32 0.0 under a symmetric scale,
-    matching the eager kernel's pad."""
+    matching the fp32 pool's pad."""
 
     def __init__(self, src: _MaxPool, scale: float) -> None:
         self.in_scale = self.out_scale = float(scale)
@@ -975,9 +952,6 @@ def plan_param_bytes(plan: CompiledModule) -> int:
             tensor = getattr(step, attr, None)
             if isinstance(tensor, np.ndarray):
                 total += tensor.nbytes
-        layer = getattr(step, "layer", None)
-        if layer is not None:
-            total += sum(int(p.nbytes) for p in layer.parameters())
     return total
 
 

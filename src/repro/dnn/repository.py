@@ -1,26 +1,25 @@
-"""From profiled ResNet configurations to DOT blocks and paths.
+"""From profiled ResNet configurations to the costs of DOT blocks.
 
 The paper characterizes each DNN block experimentally and feeds the
 measured costs to the DOT problem.  This module performs that step: it
 builds a ResNet-18 per Table I configuration (applying 80% structured
 pruning to the fine-tuned blocks of ``-pruned`` variants), profiles it,
 evaluates the converged fine-tuning accuracy with the training
-simulator, and packages the result as the 4-block paths the evaluation
-scenarios use ("each DNN path is composed of four blocks", Sec. V-A).
+simulator, and reports the cost of each of the 4 block groups the
+evaluation scenarios use ("each DNN path is composed of four blocks",
+Sec. V-A).
 
-Sharing semantics: shared (frozen, pretrained) stages map to *global*
-block ids (``base:<group>``) with zero training cost; fine-tuned stages
-map to per-task ids (``task<t>:<config>:<group>``).  Paths from
-different tasks therefore share exactly the blocks the configuration
-freezes — the coupling OffloaDNN exploits.
+Sharing semantics: a shared (frozen, pretrained) group is measured once
+on the base model and costs no training; a fine-tuned group is measured
+per configuration.  :func:`repro.workloads.generator.cost_basis_from_profiler`
+turns these costs into the basis the scenario catalogs are built from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.catalog import INT8_ACCURACY_DROP, Block, Path
-from repro.core.task import QualityLevel, Task
+from repro.core.catalog import INT8_ACCURACY_DROP
 from repro.dnn.configs import BlockConfig, TABLE_I_CONFIGS
 from repro.dnn.profiler import ModelProfile, profile_model
 from repro.dnn.pruning import prune_resnet
@@ -36,7 +35,6 @@ __all__ = [
     "GroupCost",
     "ProfiledConfig",
     "profile_table_i",
-    "build_task_paths",
 ]
 
 #: The 4-block partition of the ResNet layer-blocks used by the paper's
@@ -257,63 +255,3 @@ def profile_table_i(
                 quantize="int8",
             )
     return profiled
-
-
-def build_task_paths(
-    task: Task,
-    profiled: dict[str, ProfiledConfig],
-    quality: QualityLevel,
-    memory_scale: float = 1.0,
-    compute_scale: float = 1.0,
-    accuracy_offset: float = 0.0,
-) -> list[Path]:
-    """Instantiate catalog paths for ``task`` from profiled configs.
-
-    Shared groups become global ``base:`` blocks (memory and training
-    paid once across every task using them); fine-tuned groups become
-    per-task blocks.  ``memory_scale`` / ``compute_scale`` map the CPU
-    profiling substrate to scenario magnitudes and ``accuracy_offset``
-    models per-task difficulty.
-    """
-    paths: list[Path] = []
-    for name, pc in profiled.items():
-        # int8 variants deploy *different* shared blocks than fp32 ones
-        # (quantized weights), so their base ids live in a separate
-        # namespace — sharing happens among int8 paths, never across
-        # precisions.
-        base = "base" if pc.precision == "fp32" else f"base:{pc.precision}"
-        dnn_id = f"task{task.task_id}:{name}" if not _all_shared(pc) else base
-        blocks: list[Block] = []
-        for group in pc.groups:
-            if group.shared:
-                block_id = f"{base}:{group.group}"
-                block_dnn = base
-            else:
-                block_id = f"task{task.task_id}:{name}:{group.group}"
-                block_dnn = dnn_id
-            blocks.append(
-                Block(
-                    block_id=block_id,
-                    dnn_id=block_dnn,
-                    compute_time_s=group.compute_time_s * compute_scale,
-                    memory_gb=group.memory_gb * memory_scale,
-                    training_cost_s=group.training_cost_s,
-                    batch_marginal=group.batch_marginal,
-                )
-            )
-        accuracy = min(1.0, max(0.0, pc.accuracy + accuracy_offset))
-        paths.append(
-            Path(
-                path_id=f"task{task.task_id}:{name}",
-                dnn_id=dnn_id,
-                task_id=task.task_id,
-                blocks=tuple(blocks),
-                accuracy=accuracy,
-                quality=quality,
-            )
-        )
-    return paths
-
-
-def _all_shared(pc: ProfiledConfig) -> bool:
-    return all(g.shared for g in pc.groups)

@@ -94,27 +94,6 @@ class BlockwiseModel:
             raise ValueError(f"missing blocks: {missing}")
         self._as_sequential = Sequential(*[self.blocks[n] for n in BLOCK_NAMES])
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Full forward pass: images (N, C, H, W) -> logits (N, K)."""
-        return self._as_sequential(x)
-
-    __call__ = forward
-
-    def features(self, x: np.ndarray) -> np.ndarray:
-        """Forward through all blocks except the head -> (N, C, H, W)."""
-        for name in BLOCK_NAMES[:-1]:
-            x = self.blocks[name](x)
-        return x
-
-    def block_input_shape(self, name: str) -> tuple[int, ...]:
-        """Input shape (no batch dim) seen by block ``name``."""
-        shape: tuple[int, ...] = self.input_shape
-        for block_name in BLOCK_NAMES:
-            if block_name == name:
-                return shape
-            shape = self.blocks[block_name].output_shape(shape)
-        raise KeyError(name)
-
     def param_count(self) -> int:
         return sum(b.param_count() for b in self.blocks.values())
 

@@ -68,16 +68,6 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.samples.append(value)
 
-    def observe_many(self, values) -> None:
-        """Bulk-observe a sequence (numpy array or list) of samples.
-
-        One ``extend`` instead of N ``observe`` calls; the wave engine
-        records whole latency buffers this way.  Values are coerced to
-        python floats so the sample list stays homogeneous with the
-        scalar :meth:`observe` path.
-        """
-        self.samples.extend(float(v) for v in values)
-
     @property
     def count(self) -> int:
         return len(self.samples)

@@ -682,9 +682,9 @@ class BlockwiseRunner:
                 with tracer.span(
                     f"block.{block_ids[i]}", cat="runner", track="blockwise"
                 ):
-                    x = layers[i](x)
+                    x = layers[i].forward(x)
             else:
-                x = layers[i](x)
+                x = layers[i].forward(x)
             if i + 1 in keep:
                 self._remember((*tag, block_ids[: i + 1]), x)
         return x

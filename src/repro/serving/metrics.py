@@ -90,12 +90,6 @@ class LatencyStats:
     max_s: float
 
     @classmethod
-    def from_samples(cls, samples: list[float]) -> "LatencyStats":
-        histogram = Histogram(name="latency_s")
-        histogram.samples.extend(samples)
-        return cls.from_histogram(histogram)
-
-    @classmethod
     def from_histogram(cls, histogram: Histogram) -> "LatencyStats":
         """Summarize a registry histogram (raw samples, numpy math).
 
@@ -141,12 +135,6 @@ class TaskServingMetrics:
         if self.completed == 0:
             return float("nan")
         return self.deadline_misses / self.completed
-
-    @property
-    def served_fraction(self) -> float:
-        if self.offered == 0:
-            return float("nan")
-        return self.completed / self.offered
 
     @classmethod
     def from_requests(

@@ -52,16 +52,25 @@ radio pool was spent (:func:`per_item_solve_branch`).  So does the
 solver whose walks returned one ``(task id, BranchItem)`` per layer
 (:func:`item_first_branch`, :func:`item_branches`, :func:`item_allocate`
 and the ``item_*_solve`` entry points): the pick-column solver must
-return its solutions, assignment order included.
+return its solutions, assignment order included.  A strict minimizer
+of Eq. (1a) over one branch, scipy SLSQP (:func:`solve_branch_convex`),
+backs the one claim the structured water-fill is measured by: the
+minimizer admits less.
 
-The DNN side has two: :func:`fresh_forward` runs a compiled plan with
-every buffer in memory of its own (no arena, no lifetime packing), and
+The DNN side has three: :func:`eager_forward` runs a model one layer at
+a time, unfused, the arithmetic every compiled plan must reproduce;
+:func:`fresh_forward` runs a compiled plan with every buffer in memory
+of its own (no arena, no lifetime packing); and
 :func:`bfs_pruning_groups` finds pruning groups by breadth-first search
 where the product uses a union-find.
 
 The cluster prices an activation hop by its encoded frame size
 (``StreamRouter.frame_nbytes``, plain header arithmetic); the encoder
 that size was read from is :func:`encode_frame`, the byte-count oracle.
+
+The uplink is an M/D/1 queue when fed Poisson frames; its closed forms
+(:func:`md1_mean_sojourn`, :func:`md1_wait_cdf`, :func:`md1_wait_quantile`)
+are what the DES's FIFO replay must reproduce.
 """
 
 from __future__ import annotations
@@ -73,11 +82,13 @@ from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
+from scipy.optimize import minimize
 
 from repro.core.catalog import Catalog
 from repro.core.heuristic import _apply_margin
 from repro.core.latency import full_rate_rbs, uplink_tti_s
 from repro.core.objective import objective_value
+from repro.core.problem import Budgets
 from repro.core.solution import Assignment, AssignmentRuns, DOTSolution
 from repro.core.subproblem import (
     _SCAN_EPS,
@@ -103,7 +114,20 @@ from repro.dnn.compile import (
     _iter_steps,
     _pad_shape,
 )
-from repro.dnn.layers import BatchNorm2d, Conv2d
+from repro.dnn.graph import Residual, Sequential
+from repro.dnn.layers import (
+    BatchNorm2d,
+    Conv2d,
+    DepthwiseConv2d,
+    Flatten,
+    GlobalAvgPool,
+    Linear,
+    MaxPool2d,
+    ReLU,
+    ReLU6,
+)
+from repro.dnn.ops import BN_EPS, conv_output_size
+from repro.dnn.resnet import BlockwiseModel
 from repro.emulator.simulator import Simulator
 from repro.obs.metrics import MetricsRegistry
 from repro.radio.slicing import SliceManager
@@ -1117,6 +1141,117 @@ def per_item_solve_branch(items, budgets, admission_floor: float = 1e-6) -> Bran
     return BranchAllocation(admission=admission, radio_blocks=rbs)
 
 
+def solve_branch_convex(
+    items: list[BranchItem],
+    budgets: Budgets,
+    alpha: float,
+    training_cost_s: float = 0.0,
+) -> BranchAllocation:
+    """scipy SLSQP on the relaxed continuous branch program.
+
+    Minimizes the Eq. (1a) objective restricted to the branch (paths
+    given, so the training term is a constant) over ``z ∈ [0, 1]`` and
+    continuous ``r``, subject to (1c)-(1e) and (1g); the returned ``r``
+    is rounded up to integers and ``z`` re-clipped to feasibility.
+
+    Because Eq. (1a) rewards rejecting low-priority tasks whose resource
+    cost exceeds ``α·p``, it admits less than ``solve_branch``, which
+    fills the branch lexicographically by priority; it is the strict
+    (1a) minimizer that reading of the paper is pinned against, and a
+    cross-check of the structured solver's feasibility.
+    """
+    n = len(items)
+    if n == 0:
+        return BranchAllocation(admission=[], radio_blocks=[])
+    if budgets.radio_blocks <= 0 or budgets.compute_time_s <= 0:
+        # zero-headroom instance (e.g. an exhausted online platform):
+        # nothing can be admitted, and the normalized objective below
+        # would divide by the zero budget
+        return BranchAllocation(admission=[0.0] * n, radio_blocks=[0] * n)
+
+    lam = np.array([it.task.request_rate for it in items])
+    prio = np.array([it.task.priority for it in items])
+    comp = np.array([it.compute_time_s for it in items])
+    beta = np.array([it.path.bits_per_image for it in items])
+    bpr = np.array([it.bits_per_rb for it in items])
+    r_lat = np.array([it.min_latency_rbs for it in items], dtype=float)
+    r_cap = float(budgets.radio_blocks)
+
+    infeasible = r_lat > r_cap
+
+    def objective(xs: np.ndarray) -> float:
+        z, r = xs[:n], xs[n:]
+        rejection = float(((1.0 - z) * prio).sum())
+        radio = float((z * lam * r).sum()) / budgets.radio_blocks
+        inference = float((z * lam * comp).sum()) / budgets.compute_time_s
+        training = training_cost_s / budgets.training_budget_s
+        return alpha * rejection + (1 - alpha) * (training + radio + inference)
+
+    constraints = [
+        {  # (1d)
+            "type": "ineq",
+            "fun": lambda xs: budgets.radio_blocks - float((xs[:n] * xs[n:]).sum()),
+        },
+        {  # (1c)
+            "type": "ineq",
+            "fun": lambda xs: budgets.compute_time_s - float((xs[:n] * lam * comp).sum()),
+        },
+        {  # (1e) per task
+            "type": "ineq",
+            "fun": lambda xs: bpr * xs[n:] - xs[:n] * lam * beta,
+        },
+    ]
+    bounds = [(0.0, 1.0)] * n + [
+        (float(r_lat[i]) if not infeasible[i] else 0.0, r_cap) for i in range(n)
+    ]
+    x0 = np.concatenate([np.full(n, 0.5), np.maximum(r_lat, 1.0)])
+    x0[n:] = np.minimum(x0[n:], r_cap)
+    result = minimize(
+        objective,
+        x0,
+        method="SLSQP",
+        bounds=bounds,
+        constraints=constraints,
+        options={"maxiter": 300, "ftol": 1e-9},
+    )
+    z = np.clip(result.x[:n], 0.0, 1.0)
+    r = np.ceil(result.x[n:] - 1e-9).astype(int)
+    # re-clip to integer feasibility
+    admission: list[float] = []
+    rbs: list[int] = []
+    remaining_radio = float(budgets.radio_blocks)
+    remaining_compute = float(budgets.compute_time_s)
+    for i, item in enumerate(items):
+        if infeasible[i] or z[i] <= 1e-6:
+            admission.append(0.0)
+            rbs.append(0)
+            continue
+        ri = max(int(r[i]), item.min_latency_rbs)
+        if ri <= 0:
+            admission.append(0.0)
+            rbs.append(0)
+            continue
+        rate_bits = lam[i] * beta[i]
+        zi = min(
+            z[i],
+            # a zero-bits quality level (beta == 0) puts no load on the
+            # slice, so the rate constraint (1e) never binds
+            ri * item.bits_per_rb / rate_bits if rate_bits > 0 else 1.0,
+            remaining_radio / ri,
+            remaining_compute / (lam[i] * comp[i]) if comp[i] > 0 else 1.0,
+        )
+        zi = float(np.clip(zi, 0.0, 1.0))
+        if zi <= 1e-6:
+            admission.append(0.0)
+            rbs.append(0)
+            continue
+        admission.append(zi)
+        rbs.append(ri)
+        remaining_radio -= zi * ri
+        remaining_compute -= zi * lam[i] * comp[i]
+    return BranchAllocation(admission=admission, radio_blocks=rbs)
+
+
 def admission_by_enumeration(
     item: BranchItem, remaining_radio: float, remaining_compute: float, max_rbs: int
 ) -> tuple[float, int]:
@@ -1243,6 +1378,151 @@ def fresh_forward(plan: CompiledModule, x: np.ndarray) -> np.ndarray:
     return x.copy()
 
 
+
+# ---------------------------------------------------------------------------
+# The eager forward: every layer runs on its own, unfused, into a fresh
+# array (convolution by im2col + einsum, BN as its own pass, no buffer
+# reuse).  ``compile_module`` is the only executor in ``src/``; its plans
+# fold, fuse and lay out exactly this arithmetic, so they must match it to
+# float32 tolerance.
+# ---------------------------------------------------------------------------
+
+
+def im2col(
+    x: np.ndarray, kernel: int, stride: int, padding: int
+) -> tuple[np.ndarray, int, int]:
+    """Unfold ``x`` (N, C, H, W) into ``(N, C * kernel**2, out_h * out_w)``
+    columns; returns ``(cols, out_h, out_w)``."""
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    s0, s1, s2, s3 = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, kernel, kernel, out_h, out_w),
+        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
+        writeable=False,
+    )
+    cols = windows.reshape(n, c * kernel * kernel, out_h * out_w)
+    return np.ascontiguousarray(cols), out_h, out_w
+
+
+def conv2d(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: np.ndarray | None = None,
+    stride: int = 1,
+    padding: int = 0,
+) -> np.ndarray:
+    """``x`` (N, C_in, H, W) convolved with ``weight`` (C_out, C_in, K, K)."""
+    n = x.shape[0]
+    c_out, c_in, k, _ = weight.shape
+    if x.shape[1] != c_in:
+        raise ValueError(
+            f"channel mismatch: input has {x.shape[1]}, weight expects {c_in}"
+        )
+    cols, out_h, out_w = im2col(x, k, stride, padding)
+    out = np.einsum("oc,ncp->nop", weight.reshape(c_out, c_in * k * k), cols, optimize=True)
+    if bias is not None:
+        out += bias[None, :, None]
+    return out.reshape(n, c_out, out_h, out_w)
+
+
+def depthwise_conv2d(
+    x: np.ndarray, weight: np.ndarray, stride: int = 1, padding: int = 0
+) -> np.ndarray:
+    """One (K, K) filter of ``weight`` (C, K, K) per channel of ``x``."""
+    n, c, h, w = x.shape
+    if weight.shape[0] != c:
+        raise ValueError(
+            f"channel mismatch: input has {c}, depthwise weight expects {weight.shape[0]}"
+        )
+    k = weight.shape[1]
+    out_h = conv_output_size(h, k, stride, padding)
+    out_w = conv_output_size(w, k, stride, padding)
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    s0, s1, s2, s3 = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, k, k, out_h, out_w),
+        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
+        writeable=False,
+    )
+    return np.einsum("nckhij,ckh->ncij", windows, weight, optimize=True)
+
+
+def batch_norm(
+    x: np.ndarray,
+    gamma: np.ndarray,
+    beta: np.ndarray,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    eps: float = BN_EPS,
+) -> np.ndarray:
+    """Inference-mode batch normalization over the channel axis."""
+    scale = gamma / np.sqrt(running_var + eps)
+    shift = beta - running_mean * scale
+    return x * scale[None, :, None, None] + shift[None, :, None, None]
+
+
+def max_pool2d(x: np.ndarray, kernel: int, stride: int, padding: int = 0) -> np.ndarray:
+    """Max pooling over square windows, zero padding."""
+    cols, out_h, out_w = im2col(x, kernel, stride, padding)
+    n, c = x.shape[0], x.shape[1]
+    cols = cols.reshape(n, c, kernel * kernel, out_h * out_w)
+    return cols.max(axis=2).reshape(n, c, out_h, out_w)
+
+
+def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """``x`` (N, F) times ``weight`` (O, F) transposed, plus ``bias``."""
+    out = x @ weight.T
+    return out if bias is None else out + bias
+
+
+def eager_forward(layer, x: np.ndarray) -> np.ndarray:
+    """Run ``layer`` (a layer, a module tree or a ``BlockwiseModel``) on
+    ``x`` one layer at a time."""
+    if isinstance(layer, BlockwiseModel):
+        layer = layer._as_sequential
+    if isinstance(layer, Sequential):
+        for child in layer.layers:
+            x = eager_forward(child, x)
+        return x
+    if isinstance(layer, Residual):
+        identity = x if layer.shortcut is None else eager_forward(layer.shortcut, x)
+        out = eager_forward(layer.body, x)
+        if out.shape != identity.shape:
+            raise ValueError(
+                f"residual shape mismatch: body {out.shape} vs shortcut {identity.shape}"
+            )
+        total = out + identity
+        return np.maximum(total, 0.0) if layer.activation == "relu" else total
+    if isinstance(layer, Conv2d):
+        return conv2d(x, layer.weight, layer.bias, layer.stride, layer.padding)
+    if isinstance(layer, DepthwiseConv2d):
+        return depthwise_conv2d(x, layer.weight, layer.stride, layer.padding)
+    if isinstance(layer, BatchNorm2d):
+        return batch_norm(
+            x, layer.gamma, layer.beta, layer.running_mean, layer.running_var
+        )
+    if isinstance(layer, ReLU):
+        return np.maximum(x, 0.0)
+    if isinstance(layer, ReLU6):
+        return np.clip(x, 0.0, 6.0)
+    if isinstance(layer, MaxPool2d):
+        return max_pool2d(x, layer.kernel, layer.stride, layer.padding)
+    if isinstance(layer, GlobalAvgPool):
+        return x.mean(axis=(2, 3))
+    if isinstance(layer, Flatten):
+        # by the per-sample size: numpy cannot infer -1 for an empty batch
+        return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
+    if isinstance(layer, Linear):
+        return linear(x, layer.weight, layer.bias)
+    raise TypeError(f"no eager forward for {type(layer).__name__}")
+
 _FRAME_MAGIC = b"RC"
 _FRAME_VERSION = 2
 _FLAG_FP16 = 0x01
@@ -1286,3 +1566,44 @@ def encode_frame(
     parts.append(struct.pack("<Q", len(payload)))
     parts.append(payload)
     return b"".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# M/D/1: one slice fed Poisson frames of a fixed airtime D is exactly this
+# queue, so the DES's uplink must give its closed forms.
+# ---------------------------------------------------------------------------
+
+
+def md1_mean_sojourn(rate: float, service_s: float) -> float:
+    """Pollaczek–Khinchine: ``D + ρD / (2(1 − ρ))`` with ``ρ = λD``."""
+    rho = rate * service_s
+    return service_s + rho * service_s / (2.0 * (1.0 - rho))
+
+
+def md1_wait_cdf(t: float, rate: float, service_s: float) -> float:
+    """Erlang–Crommelin: ``P(W ≤ t) = (1 − ρ) Σ_{k ≤ ⌊t/D⌋} (λ(kD − t))^k / k!
+    · e^{−λ(kD − t)}``.  The series alternates, so it is only exact to
+    float precision while ``t / D`` stays small."""
+    rho = rate * service_s
+    total = 0.0
+    for k in range(int(math.floor(t / service_s)) + 1):
+        u = rate * (k * service_s - t)
+        total += u**k / math.factorial(k) * math.exp(-u)
+    return (1.0 - rho) * total
+
+
+def md1_wait_quantile(q: float, rate: float, service_s: float) -> float:
+    """The ``q``-quantile of the M/D/1 waiting time, by bisection on
+    :func:`md1_wait_cdf` (0 when the atom at no wait already holds ``q``)."""
+    if md1_wait_cdf(0.0, rate, service_s) >= q:
+        return 0.0
+    lo, hi = 0.0, service_s
+    while md1_wait_cdf(hi, rate, service_s) < q:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if md1_wait_cdf(mid, rate, service_s) < q:
+            lo = mid
+        else:
+            hi = mid
+    return hi

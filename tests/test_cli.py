@@ -257,3 +257,14 @@ class TestTraceCommands:
         bad.write_text("[1, 2]")  # a top-level list used to be an AttributeError
         assert main(["trace-summary", str(bad)]) == 1
         assert "not a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, reason", [("missing.json", "No such file or directory"), (".", "Is a directory")]
+    )
+    def test_trace_summary_reports_an_unreadable_path(self, capsys, tmp_path, name, reason):
+        """A missing file or a directory used to end in a traceback."""
+        path = tmp_path / name
+        assert main(["trace-summary", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {reason}\n"

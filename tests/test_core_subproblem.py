@@ -1,4 +1,5 @@
-"""Unit tests for the per-branch (z, r) subproblem solvers."""
+"""Unit tests for the per-branch (z, r) solver, and the SLSQP oracle it
+is checked against."""
 
 from __future__ import annotations
 
@@ -11,8 +12,11 @@ from hypothesis import strategies as st
 
 from repro.core.latency import min_latency_rbs
 from repro.core.problem import Budgets
-from repro.core.subproblem import BranchItem, solve_branch, solve_branch_convex
+from repro.core.subproblem import BranchItem, solve_branch
+from repro.core.tree import build_vector_tree
+from repro.workloads.largescale import RequestRate, large_scale_problem
 from tests.conftest import make_block, make_path, make_task
+from tests.oracles import solve_branch_convex
 
 
 def _item(
@@ -168,6 +172,39 @@ class TestConvexCrossCheck:
         )
         w_convex = sum(z * it.task.priority for z, it in zip(convex.admission, items))
         assert w_structured >= w_convex - 1e-6
+
+    @pytest.mark.parametrize("rate", list(RequestRate))
+    def test_strict_minimizer_admits_less_than_the_water_fill(self, rate):
+        """The reading note in EXPERIMENTS.md: a strict minimizer of Eq.
+        (1a) rejects low-priority tasks the published admission keeps.
+        On the first (least-compute) variant of every task of Table IV,
+        weighted admission read SLSQP 10.430 / 9.651 / 6.426 against
+        ``solve_branch``'s 10.500 / 10.500 / 9.044 (low / medium / high)."""
+        problem = large_scale_problem(rate)
+        radio = problem.budgets.radio_blocks
+        items = [
+            BranchItem(
+                clique.task,
+                clique.variant_path(feasible[0]),
+                clique.bits_per_rb,
+                clique.min_latency_rbs(feasible[0]),
+            )
+            for clique in build_vector_tree(problem).cliques
+            if (feasible := clique.feasible(radio))
+        ]
+        structured = solve_branch(items, problem.budgets)
+        convex = solve_branch_convex(items, problem.budgets, alpha=problem.alpha)
+
+        def weighted(allocation):
+            return sum(z * it.task.priority for z, it in zip(allocation.admission, items))
+
+        assert weighted(convex) < weighted(structured) - 1e-3
+        if rate is not RequestRate.HIGH:
+            # the radio pool fits everyone, and SLSQP still turns the
+            # lowest-priority task away
+            (last,) = [i for i, it in enumerate(items) if it.task.priority == 0.05]
+            assert structured.admission[last] == 1.0
+            assert convex.admission[last] == 0.0
 
 
 @given(

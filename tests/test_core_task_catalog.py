@@ -179,9 +179,3 @@ class TestCatalog:
         catalog.add_path(make_path(t1, "p0", (make_block("a"),)))
         with pytest.raises(ValueError, match="without candidate paths"):
             catalog.validate((t1, t2))
-
-    def test_dnn_ids_collected(self):
-        task = make_task(1)
-        catalog = Catalog()
-        catalog.add_path(make_path(task, "p0", (make_block("a", dnn_id="d1"),)))
-        assert catalog.dnn_ids() == frozenset({"d1"})

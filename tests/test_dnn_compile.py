@@ -1,9 +1,10 @@
-"""Compiled engine: numerical parity with eager, interface equivalence.
+"""Compiled engine: numerical parity with the eager oracle, interface.
 
 The compiled plan (BN folding, fused conv kernels, buffer arenas) must
-be indistinguishable from the eager engine to every consumer: same
-outputs to float32 tolerance, same ``flops``/``output_shape``
-arithmetic, stable across repeated calls on reused buffers.
+compute what the unfused layer-by-layer forward in ``tests/oracles.py``
+computes: same outputs to float32 tolerance, same ``flops`` /
+``output_shape`` arithmetic as its source module, stable across repeated
+calls on reused buffers.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.dnn.compile import (
     _ALIGN,
     CompiledModule,
     _Arena,
+    _iter_steps,
     _lifetimes,
     _thread_arena,
     compile_module,
@@ -30,6 +32,7 @@ from repro.dnn.layers import (
     BatchNorm2d,
     Conv2d,
     DepthwiseConv2d,
+    Layer,
     Linear,
     ReLU,
     ReLU6,
@@ -37,7 +40,7 @@ from repro.dnn.layers import (
 from repro.dnn.mobilenet import build_mobilenetv2
 from repro.dnn.pruning import prune_resnet
 from repro.dnn.resnet import build_resnet18
-from tests.oracles import fresh_forward
+from tests.oracles import eager_forward, fresh_forward
 
 PARITY_TOL = 1e-4
 
@@ -48,7 +51,7 @@ def _randomize_bn(module, rng, spread=0.5):
     ``spread`` bounds how far gamma/var stray from 1 — deep stacks
     (MobileNetV2 has ~35 BNs) need modest per-layer gain or activations
     amplify until plain float32 accumulation error breaks the eager
-    engine too, which is not what this suite is measuring.
+    oracle too, which is not what this suite is measuring.
     """
     for layer in module.iter_layers():
         if isinstance(layer, BatchNorm2d):
@@ -62,13 +65,15 @@ def _randomize_bn(module, rng, spread=0.5):
 
 
 def _assert_parity(model, batch_sizes=(1, 8), tol=PARITY_TOL, bn_spread=0.5):
+    """``bn_spread=None`` keeps the model's initial BN statistics."""
     rng = np.random.default_rng(0)
     seq = model._as_sequential
-    _randomize_bn(seq, rng, spread=bn_spread)
+    if bn_spread is not None:
+        _randomize_bn(seq, rng, spread=bn_spread)
     compiled = compile_module(model)
     for n in batch_sizes:
         x = rng.standard_normal((n, *model.input_shape), dtype=np.float32)
-        eager = seq.forward(x)
+        eager = eager_forward(seq, x)
         fused = compiled.forward(x)
         assert fused.shape == eager.shape
         assert float(np.abs(fused - eager).max()) < tol
@@ -92,6 +97,26 @@ class TestResNetParity:
         model = build_resnet18(num_classes=10, input_size=16, width=16, seed=2)
         prune_resnet(model, {"layer1", "layer2", "layer3", "layer4"}, 0.8)
         _assert_parity(model)
+
+
+class TestUntouchedStatistics:
+    """The engine benchmark's quick-run models (Table I A, C and
+    C-pruned at width 8, MobileNetV2 x0.25, 16 px) at their initial BN
+    statistics."""
+
+    @pytest.mark.parametrize("name", ["CONFIG A", "CONFIG C", "CONFIG C-pruned"])
+    def test_table_i_configs(self, name):
+        config = TABLE_I_CONFIGS[name]
+        model = build_resnet18(num_classes=10, input_size=16, width=8, seed=0)
+        if config.pruned:
+            prune_resnet(model, set(config.prunable_blocks), config.prune_ratio)
+        _assert_parity(model, bn_spread=None)
+
+    def test_mobilenet(self):
+        model = build_mobilenetv2(
+            num_classes=10, input_size=16, width_multiplier=0.25, seed=0
+        )
+        _assert_parity(model, bn_spread=None)
 
 
 class TestMobileNetParity:
@@ -123,7 +148,7 @@ class TestStridesAndPaddings:
         compiled = compile_module(seq, (3, 12, 12))
         for n in (1, 8):
             x = rng.standard_normal((n, 3, 12, 12), dtype=np.float32)
-            diff = np.abs(compiled.forward(x) - seq.forward(x)).max()
+            diff = np.abs(compiled.forward(x) - eager_forward(seq, x)).max()
             assert float(diff) < PARITY_TOL
 
     @pytest.mark.parametrize("stride", [1, 2])
@@ -138,7 +163,7 @@ class TestStridesAndPaddings:
         compiled = compile_module(seq, (5, 9, 9))
         for n in (1, 8):
             x = rng.standard_normal((n, 5, 9, 9), dtype=np.float32)
-            diff = np.abs(compiled.forward(x) - seq.forward(x)).max()
+            diff = np.abs(compiled.forward(x) - eager_forward(seq, x)).max()
             assert float(diff) < PARITY_TOL
 
 
@@ -185,18 +210,18 @@ class TestInterface:
 
     def test_plan_fuses_all_batchnorms(self):
         compiled = compile_module(self._model())
-        labels = compiled.plan_summary()
+        labels = [step.label for step in _iter_steps(compiled.steps)]
         assert labels
-        assert not any(label.lstrip().endswith("batchnorm") for label in labels)
+        assert not any(label.endswith("batchnorm") for label in labels)
         assert any("conv" in label and "+bn" in label for label in labels)
 
-    def test_release_buffers_then_rerun(self):
+    def test_released_arena_then_rerun(self):
         compiled = compile_module(self._model())
         x = np.random.default_rng(7).standard_normal((2, 3, 16, 16), dtype=np.float32)
         first = compiled.forward(x)
         arena = _thread_arena()
         assert arena.nbytes > 0 and arena.bound
-        compiled.release_buffers()
+        arena.release()
         assert arena.nbytes == 0 and not arena.bound
         np.testing.assert_array_equal(compiled.forward(x), first)
         assert arena.nbytes > 0
@@ -208,7 +233,7 @@ class TestInterface:
         model = build_resnet18(num_classes=7, input_size=16, width=8, seed=0)
         x = np.zeros((0, *model.input_shape), dtype=np.float32)
         if engine == "eager":
-            out = model.forward(x)
+            out = eager_forward(model, x)
         else:
             quantize = "int8" if engine == "int8" else None
             out = compile_module(model, quantize=quantize).forward(x)
@@ -218,6 +243,20 @@ class TestInterface:
         with pytest.raises(TypeError):
             compile_module(object())
 
+    def test_unsupported_layer_type_is_named(self):
+        """A layer the compiler has no step for is an error, not an
+        unfused fallback nobody priced."""
+
+        class Swish(Layer):
+            kind = "swish"
+
+            def output_shape(self, input_shape):
+                return input_shape
+
+        seq = Sequential(Conv2d(3, 4, kernel=3, padding=1), Swish())
+        with pytest.raises(TypeError, match="Swish"):
+            compile_module(seq, (3, 8, 8))
+
     def test_compile_layer_requires_input_shape(self):
         with pytest.raises(ValueError):
             compile_module(Sequential(ReLU()))
@@ -226,7 +265,7 @@ class TestInterface:
         seq = Sequential(Conv2d(3, 4, kernel=3, stride=1, padding=1), ReLU())
         compiled = compile_module(seq, (3, 8, 8))
         x = np.random.default_rng(8).standard_normal((1, 3, 8, 8), dtype=np.float32)
-        assert float(np.abs(compiled.forward(x) - seq.forward(x)).max()) < PARITY_TOL
+        assert float(np.abs(compiled.forward(x) - eager_forward(seq, x)).max()) < PARITY_TOL
 
     def test_blockwise_model_compile_hook(self):
         model = self._model()
@@ -246,36 +285,56 @@ class TestFoldBatchNorm:
         folded = Conv2d(3, 4, kernel=3, stride=1, padding=1)
         folded.weight, folded.bias = w, b
         x = rng.standard_normal((2, 3, 8, 8), dtype=np.float32)
-        assert float(np.abs(folded.forward(x) - seq.forward(x)).max()) < PARITY_TOL
+        diff = eager_forward(folded, x) - eager_forward(seq, x)
+        assert float(np.abs(diff).max()) < PARITY_TOL
 
 
-class TestLinearWeightCache:
-    def test_weight_t_is_contiguous_and_correct(self):
+class TestLinearStep:
+    """A compiled linear layer lays its transposed weight out once, at
+    compile time: the plan is a snapshot of the layer's parameters."""
+
+    @staticmethod
+    def _step(plan):
+        (step,) = [s for s in _iter_steps(plan.steps) if s.label == "linear"]
+        return step
+
+    def test_transposed_weight_is_contiguous_and_correct(self):
         layer = Linear(6, 4)
-        assert layer.weight_t.flags["C_CONTIGUOUS"]
-        np.testing.assert_array_equal(layer.weight_t, layer.weight.T)
-
-    def test_reassignment_invalidates(self):
-        layer = Linear(6, 4)
-        stale = layer.weight_t
-        layer.weight = np.ones((4, 6), dtype=np.float32)
-        assert layer.weight_t is not stale
-        np.testing.assert_array_equal(layer.weight_t, layer.weight.T)
-
-    def test_parameters_access_invalidates(self):
-        # fine-tuning mutates the arrays returned by parameters() in place
-        layer = Linear(6, 4)
-        _ = layer.weight_t
-        params = layer.parameters()
-        params[0][...] = 2.0
-        np.testing.assert_array_equal(layer.weight_t, layer.weight.T)
+        step = self._step(compile_module(layer, (6,)))
+        assert step.w_t.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(step.w_t, layer.weight.T)
 
     def test_forward_matches_manual_gemm(self):
         layer = Linear(6, 4)
         x = np.random.default_rng(10).standard_normal((3, 6), dtype=np.float32)
         np.testing.assert_allclose(
-            layer.forward(x), x @ layer.weight.T + layer.bias, atol=1e-6
+            compile_module(layer, (6,)).forward(x),
+            x @ layer.weight.T + layer.bias,
+            atol=1e-6,
         )
+
+    def test_reassigned_weight_reaches_the_next_plan_only(self):
+        layer = Linear(6, 4)
+        x = np.random.default_rng(11).standard_normal((2, 6), dtype=np.float32)
+        before = compile_module(layer, (6,))
+        expected = before.forward(x)
+        layer.weight = np.ones((4, 6), dtype=np.float32)
+        np.testing.assert_array_equal(before.forward(x), expected)
+        np.testing.assert_allclose(
+            compile_module(layer, (6,)).forward(x),
+            x @ layer.weight.T + layer.bias,
+            atol=1e-6,
+        )
+
+    def test_in_place_parameter_update_reaches_a_recompiled_plan(self):
+        # fine-tuning mutates the arrays returned by parameters() in place
+        layer = Linear(6, 4)
+        before = self._step(compile_module(layer, (6,))).w_t.copy()
+        params = layer.parameters()
+        params[0][...] = 2.0
+        after = self._step(compile_module(layer, (6,))).w_t
+        np.testing.assert_array_equal(after, np.full((6, 4), 2.0, np.float32))
+        assert not np.array_equal(before, after)
 
 
 class TestChunkedConv:
@@ -353,7 +412,7 @@ class TestArena:
     def test_interleaved_plans_match_fresh_memory(self):
         plans = _arena_plans()
         rng = np.random.default_rng(12)
-        plans[0].release_buffers()  # this thread's arena starts empty
+        _thread_arena().release()  # this thread's arena starts empty
         for n in self.SIZES:
             for plan in plans:
                 x = rng.standard_normal((n, *plan.input_shape), dtype=np.float32)
@@ -364,7 +423,7 @@ class TestArena:
 
     def test_arena_holds_one_plans_worth(self):
         plans = _arena_plans()
-        plans[0].release_buffers()
+        _thread_arena().release()
         needs = []
         for n in self.SIZES:
             for plan in plans:
@@ -378,7 +437,7 @@ class TestArena:
 
     def test_growth_rebinds_every_plan(self):
         small, _, other = _arena_plans()
-        small.release_buffers()
+        _thread_arena().release()
         arena = _thread_arena()
         x1 = np.zeros((1, *small.input_shape), dtype=np.float32)
         small.forward(x1)
@@ -421,7 +480,7 @@ class TestArena:
         ``_Binding.enter`` skips the zero."""
         plans = _arena_plans()
         plan, other = plans[index], plans[2]
-        plan.release_buffers()
+        _thread_arena().release()
         rng = np.random.default_rng(14)
         n = 8
         xs = [rng.standard_normal((n, *p.input_shape), dtype=np.float32) for p in plans]
@@ -480,7 +539,7 @@ class TestConcurrentForward:
             rng.standard_normal((4, *model.input_shape), dtype=np.float32)
             for _ in range(2)
         ]
-        expected = [model.forward(x) for x in inputs]
+        expected = [eager_forward(model, x) for x in inputs]
         errors: list[float] = []
         barrier = threading.Barrier(2)
 

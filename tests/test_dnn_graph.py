@@ -7,6 +7,7 @@ import pytest
 
 from repro.dnn.graph import NamedModule, Residual, Sequential
 from repro.dnn.layers import BatchNorm2d, Conv2d, Linear, ReLU
+from tests.oracles import eager_forward
 
 
 def _body(c_in: int, c_out: int, stride: int = 1) -> Sequential:
@@ -23,7 +24,7 @@ def _body(c_in: int, c_out: int, stride: int = 1) -> Sequential:
 class TestSequential:
     def test_forward_chains_layers(self):
         seq = Sequential(Conv2d(3, 4, kernel=3, padding=1), ReLU())
-        out = seq(np.zeros((1, 3, 8, 8), dtype=np.float32))
+        out = eager_forward(seq, np.zeros((1, 3, 8, 8), dtype=np.float32))
         assert out.shape == (1, 4, 8, 8)
         assert (out >= 0).all()
 
@@ -66,7 +67,7 @@ class TestResidual:
                 layer.weight = np.zeros_like(layer.weight)
         res = Residual(body)
         x = np.random.default_rng(1).normal(size=(1, 4, 6, 6)).astype(np.float32)
-        np.testing.assert_allclose(res(x), np.maximum(x, 0.0), atol=1e-5)
+        np.testing.assert_allclose(eager_forward(res, x), np.maximum(x, 0.0), atol=1e-5)
 
     def test_projection_shortcut_changes_channels(self):
         rng = np.random.default_rng(2)
@@ -74,18 +75,18 @@ class TestResidual:
             _body(4, 8, stride=2),
             Sequential(Conv2d(4, 8, kernel=1, stride=2, rng=rng), BatchNorm2d(8)),
         )
-        out = res(np.zeros((1, 4, 8, 8), dtype=np.float32))
+        out = eager_forward(res, np.zeros((1, 4, 8, 8), dtype=np.float32))
         assert out.shape == (1, 8, 4, 4)
 
     def test_mismatched_shapes_raise(self):
         res = Residual(_body(4, 8, stride=2))  # no shortcut but shape changes
         with pytest.raises(ValueError, match="residual shape mismatch"):
-            res(np.zeros((1, 4, 8, 8), dtype=np.float32))
+            eager_forward(res, np.zeros((1, 4, 8, 8), dtype=np.float32))
 
     def test_output_nonnegative(self):
         res = Residual(_body(4, 4))
         x = np.random.default_rng(3).normal(size=(2, 4, 5, 5)).astype(np.float32)
-        assert (res(x) >= 0).all()
+        assert (eager_forward(res, x) >= 0).all()
 
     def test_flops_includes_shortcut_and_add(self):
         body = _body(4, 8, stride=2)
@@ -106,7 +107,7 @@ class TestNamedModule:
 
     def test_behaves_like_sequential(self):
         mod = NamedModule("head", Linear(8, 3))
-        out = mod(np.zeros((2, 8), dtype=np.float32))
+        out = eager_forward(mod, np.zeros((2, 8), dtype=np.float32))
         assert out.shape == (2, 3)
 
     def test_total_activations_counts_all_layers(self):

@@ -1,4 +1,5 @@
-"""Unit tests for layer objects: shapes, parameters, FLOPs."""
+"""Unit tests for layer objects: shapes, parameters, FLOPs (forwards
+by the eager oracle)."""
 
 from __future__ import annotations
 
@@ -14,17 +15,18 @@ from repro.dnn.layers import (
     MaxPool2d,
     ReLU,
 )
+from tests.oracles import eager_forward
 
 
 class TestConv2dLayer:
     def test_forward_shape(self):
         layer = Conv2d(3, 8, kernel=3, stride=2, padding=1)
-        out = layer(np.zeros((2, 3, 16, 16), dtype=np.float32))
+        out = eager_forward(layer, np.zeros((2, 3, 16, 16), dtype=np.float32))
         assert out.shape == (2, 8, 8, 8)
 
     def test_output_shape_matches_forward(self):
         layer = Conv2d(3, 8, kernel=3, stride=2, padding=1)
-        out = layer(np.zeros((1, 3, 16, 16), dtype=np.float32))
+        out = eager_forward(layer, np.zeros((1, 3, 16, 16), dtype=np.float32))
         assert out.shape[1:] == layer.output_shape((3, 16, 16))
 
     def test_param_count_no_bias(self):
@@ -55,7 +57,7 @@ class TestBatchNormLayer:
     def test_identity_at_init(self):
         layer = BatchNorm2d(4)
         x = np.random.default_rng(0).normal(size=(2, 4, 3, 3)).astype(np.float32)
-        np.testing.assert_allclose(layer(x), x, rtol=1e-4, atol=1e-4)
+        np.testing.assert_allclose(eager_forward(layer, x), x, rtol=1e-4, atol=1e-4)
 
     def test_parameters_exposed(self):
         layer = BatchNorm2d(4)
@@ -69,12 +71,12 @@ class TestSimpleLayers:
     def test_relu_shape_and_values(self):
         layer = ReLU()
         x = np.array([[-1.0, 2.0]], dtype=np.float32)
-        np.testing.assert_array_equal(layer(x), [[0.0, 2.0]])
+        np.testing.assert_array_equal(eager_forward(layer, x), [[0.0, 2.0]])
 
     def test_maxpool_shape(self):
         layer = MaxPool2d(kernel=3, stride=2, padding=1)
         assert layer.output_shape((8, 16, 16)) == (8, 8, 8)
-        out = layer(np.zeros((1, 8, 16, 16), dtype=np.float32))
+        out = eager_forward(layer, np.zeros((1, 8, 16, 16), dtype=np.float32))
         assert out.shape == (1, 8, 8, 8)
 
     def test_global_avg_pool_shape(self):
@@ -83,13 +85,13 @@ class TestSimpleLayers:
 
     def test_flatten(self):
         layer = Flatten()
-        out = layer(np.zeros((2, 3, 4, 4), dtype=np.float32))
+        out = eager_forward(layer, np.zeros((2, 3, 4, 4), dtype=np.float32))
         assert out.shape == (2, 48)
         assert layer.output_shape((3, 4, 4)) == (48,)
 
     def test_linear_shapes_and_flops(self):
         layer = Linear(32, 10)
-        out = layer(np.zeros((5, 32), dtype=np.float32))
+        out = eager_forward(layer, np.zeros((5, 32), dtype=np.float32))
         assert out.shape == (5, 10)
         assert layer.param_count() == 32 * 10 + 10
         assert layer.flops((32,)) == 2 * 32 * 10

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dnn.compile import compile_module
 from repro.dnn.configs import TABLE_I_CONFIGS
 from repro.dnn.pruning import (
     build_dependency_graph,
     collect_groups,
-    prune_module,
     prune_resnet,
     pruned_channels,
 )
@@ -117,7 +117,7 @@ class TestPruneResnet:
         model = _model()
         prune_resnet(model, stages, 0.8)
         x = np.random.default_rng(0).normal(size=(2, 3, 16, 16)).astype(np.float32)
-        out = model(x)
+        out = compile_module(model).forward(x)
         assert out.shape == (2, 10)
         assert np.isfinite(out).all()
 
@@ -174,17 +174,5 @@ class TestPruneResnet:
         model = _model(seed=seed)
         prune_resnet(model, {"layer3", "layer4"}, ratio)
         x = np.random.default_rng(seed).normal(size=(1, 3, 16, 16)).astype(np.float32)
-        assert np.isfinite(model(x)).all()
+        assert np.isfinite(compile_module(model).forward(x)).all()
 
-
-class TestPruneModule:
-    def test_prunes_only_stage_blocks(self):
-        model = _model(width=16)
-        before = model.param_count()
-        groups = prune_module(model, ["layer4", "head"], ratio=0.8)
-        assert groups > 0
-        assert model.param_count() < before
-
-    def test_no_stages_is_noop(self):
-        model = _model()
-        assert prune_module(model, ["head"], ratio=0.8) == 0

@@ -1,6 +1,6 @@
 """Int8 quantization: round-trip bounds, e2e parity, determinism.
 
-The quantize/dequantize primitives are exact-arithmetic claims (f64
+The weight quantization primitives are exact-arithmetic claims (f64
 internal math) so the hypothesis suite proves hard error bounds; the
 end-to-end suite checks the property that actually matters to the
 catalog — int8 plans agree with fp32 on top-1 within a stated
@@ -17,16 +17,17 @@ from hypothesis import strategies as st
 from repro.core.catalog import INT8_ACCURACY_DROP
 from repro.dnn.compile import compile_module
 from repro.dnn.configs import TABLE_I_CONFIGS
+from repro.dnn.graph import Sequential
+from repro.dnn.layers import MaxPool2d
 from repro.dnn.pruning import prune_resnet
 from repro.dnn.quantize import (
     QMAX,
     QuantizedModule,
+    _DequantizeStep,
+    _QuantizeStep,
     activation_scale,
-    dequantize_per_channel,
-    dequantize_tensor,
     default_calibration_batch,
     quantize_per_channel,
-    quantize_tensor,
     weight_scales,
 )
 from repro.dnn.resnet import build_resnet18
@@ -49,6 +50,12 @@ def _weights(shape, seed: int, exponent: int) -> np.ndarray:
     return w
 
 
+def _dequantize(q: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """float32 values of int8 ``q`` under per-output-channel ``scales``."""
+    shape = (-1,) + (1,) * (q.ndim - 1)
+    return (q.astype(np.float64) * scales.reshape(shape)).astype(np.float32)
+
+
 # -- per-channel weight round-trip ------------------------------------------
 
 
@@ -66,7 +73,7 @@ def test_weight_roundtrip_error_bounded(shape, seed, exponent):
     assert q.dtype == np.int8
     # symmetric range: -128 is never produced
     assert int(q.min()) >= -QMAX and int(q.max()) <= QMAX
-    back = dequantize_per_channel(q, scales)
+    back = _dequantize(q, scales)
     err = np.abs(back.astype(np.float64) - w)
     bound = scales.reshape((-1,) + (1,) * (w.ndim - 1)) * 0.5
     # float32 output adds one ulp of slack at extreme magnitudes
@@ -78,7 +85,7 @@ def test_weight_roundtrip_error_bounded(shape, seed, exponent):
 def test_zero_and_constant_channels_are_exact(shape, seed):
     w = _weights(shape, seed, 0)
     scales = weight_scales(w)
-    back = dequantize_per_channel(quantize_per_channel(w, scales), scales)
+    back = _dequantize(quantize_per_channel(w, scales), scales)
     if shape[0] >= 2:
         # the all-zero channel reconstructs exactly (scale 1.0 by definition)
         np.testing.assert_array_equal(back[0], np.zeros_like(back[0]))
@@ -108,22 +115,40 @@ def test_quantize_clips_out_of_range_values():
 # -- per-tensor activation round-trip ---------------------------------------
 
 
+def _activation_roundtrip(x: np.ndarray, scale: float) -> tuple:
+    """``x`` through an int8 plan's entry quantize and exit dequantize
+    steps alone: ``(int8 tensor between them, fp32 result)``."""
+    shape = x.shape[1:]
+    quantize = _QuantizeStep(shape, scale)
+    plan = compile_module(Sequential(MaxPool2d(1, 1)), shape)
+    plan.steps = [quantize, _DequantizeStep(shape, scale)]
+    back = plan.forward(x)
+    # the entry step's output buffer, untouched until the next forward
+    q = plan._binding(x.shape[0]).bufs[quantize][2]
+    return q, back
+
+
 @given(
-    shape=st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple),
+    shape=st.tuples(*(st.integers(1, 5) for _ in range(4))),
     seed=st.integers(0, 2**16),
     exponent=st.integers(-20, 20),
 )
 @settings(max_examples=100, deadline=None)
 def test_tensor_roundtrip_error_bounded(shape, seed, exponent):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=shape) * 10.0**exponent
+    x = (rng.normal(size=shape) * 10.0**exponent).astype(np.float32)
     scale = activation_scale(x)
-    q = quantize_tensor(x, scale)
+    q, back = _activation_roundtrip(x, scale)
+    assert q.dtype == np.int8
     assert int(q.min()) >= -QMAX and int(q.max()) <= QMAX
-    back = dequantize_tensor(q, scale)
+    assert back.shape == x.shape
+    x64 = x.astype(np.float64)
     assert np.all(
-        np.abs(back.astype(np.float64) - x) <= scale * 0.5 + np.abs(x) * 1e-6
+        np.abs(back.astype(np.float64) - x64) <= scale * 0.5 + np.abs(x64) * 1e-6
     )
+
+
+# -- per-tensor activation scale ---------------------------------------------
 
 
 def test_activation_scale_degenerate_tensors():

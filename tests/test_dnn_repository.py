@@ -1,16 +1,11 @@
-"""Unit tests for the DNN repository (profiled configs -> DOT paths)."""
+"""Unit tests for the DNN repository (Table I configs -> measured group costs)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.catalog import INT8_ACCURACY_DROP, Catalog
-from repro.core.task import QualityLevel, Task
-from repro.dnn.repository import (
-    BLOCK_GROUPS,
-    build_task_paths,
-    profile_table_i,
-)
+from repro.core.catalog import INT8_ACCURACY_DROP, Block
+from repro.dnn.repository import BLOCK_GROUPS, profile_table_i
 
 
 @pytest.fixture(scope="module")
@@ -21,24 +16,6 @@ def with_int8():
 @pytest.fixture(scope="module")
 def profiled(with_int8):
     return {name: pc for name, pc in with_int8.items() if pc.precision == "fp32"}
-
-
-@pytest.fixture(scope="module")
-def quality():
-    return QualityLevel(name="full", bits_per_image=350_000.0)
-
-
-def _task(task_id: int, quality: QualityLevel) -> Task:
-    return Task(
-        task_id=task_id,
-        name=f"t{task_id}",
-        method="classification",
-        priority=0.5,
-        request_rate=5.0,
-        min_accuracy=0.5,
-        max_latency_s=0.5,
-        qualities=(quality,),
-    )
 
 
 class TestProfileTableI:
@@ -89,52 +66,6 @@ class TestProfileTableI:
             )
 
 
-class TestBuildTaskPaths:
-    def test_one_path_per_config(self, profiled, quality):
-        paths = build_task_paths(_task(1, quality), profiled, quality)
-        assert len(paths) == 10
-
-    def test_paths_have_four_blocks(self, profiled, quality):
-        for path in build_task_paths(_task(1, quality), profiled, quality):
-            assert len(path.blocks) == 4
-
-    def test_shared_blocks_have_base_ids(self, profiled, quality):
-        paths = {p.path_id: p for p in build_task_paths(_task(1, quality), profiled, quality)}
-        config_b = paths["task1:CONFIG B"]
-        base_blocks = [b for b in config_b.blocks if b.block_id.startswith("base:")]
-        assert len(base_blocks) == 3
-
-    def test_two_tasks_share_base_blocks(self, profiled, quality):
-        catalog = Catalog()
-        for tid in (1, 2):
-            for path in build_task_paths(_task(tid, quality), profiled, quality):
-                catalog.add_path(path)
-        blocks = catalog.all_blocks()
-        # exactly three distinct shared base blocks despite two tasks
-        assert sum(1 for b in blocks if b.startswith("base:")) == 3
-
-    def test_task_specific_blocks_not_shared(self, profiled, quality):
-        paths_1 = build_task_paths(_task(1, quality), profiled, quality)
-        paths_2 = build_task_paths(_task(2, quality), profiled, quality)
-        ids_1 = {b.block_id for p in paths_1 for b in p.blocks if not b.block_id.startswith("base:")}
-        ids_2 = {b.block_id for p in paths_2 for b in p.blocks if not b.block_id.startswith("base:")}
-        assert not ids_1 & ids_2
-
-    def test_scaling_applied(self, profiled, quality):
-        plain = build_task_paths(_task(1, quality), profiled, quality)
-        scaled = build_task_paths(
-            _task(1, quality), profiled, quality, memory_scale=10.0, compute_scale=2.0
-        )
-        for a, b in zip(plain, scaled):
-            assert b.compute_time_s == pytest.approx(2.0 * a.compute_time_s)
-
-    def test_accuracy_offset_clipped(self, profiled, quality):
-        paths = build_task_paths(
-            _task(1, quality), profiled, quality, accuracy_offset=2.0
-        )
-        assert all(p.accuracy == 1.0 for p in paths)
-
-
 class TestInt8Variants:
     """Quantized Table I variants: precision-aware profiling + sharing."""
 
@@ -155,35 +86,22 @@ class TestInt8Variants:
             # quantization costs the documented accuracy drop
             assert pc.accuracy == pytest.approx(fp32.accuracy - INT8_ACCURACY_DROP)
 
-    def test_int8_shared_blocks_live_in_own_namespace(self, with_int8, quality):
-        paths = {
-            p.path_id: p
-            for p in build_task_paths(_task(1, quality), with_int8, quality)
-        }
-        int8_b = paths["task1:CONFIG B-int8"]
-        fp32_b = paths["task1:CONFIG B"]
-        int8_shared = {
-            b.block_id for b in int8_b.blocks if "base" in b.block_id
-        }
-        fp32_shared = {
-            b.block_id for b in fp32_b.blocks if "base" in b.block_id
-        }
-        assert all(b.startswith("base:int8:") for b in int8_shared)
-        assert not int8_shared & fp32_shared  # never cross-precision
-
-    def test_blocks_are_charged_their_own_measured_batch_law(self, with_int8, quality):
+    def test_blocks_are_charged_their_own_measured_batch_law(self, with_int8):
         """Profile → group → block → window cost: a fused batch of one path
         costs what its configuration measured, in its own precision."""
         from repro.serving.executor import _window_costs
 
-        paths = build_task_paths(_task(1, quality), with_int8, quality)
         laws = set()
-        for path, pc in zip(paths, with_int8.values()):
-            assert [b.batch_marginal for b in path.blocks] == [
-                g.batch_marginal for g in pc.groups
-            ]
+        for name, pc in with_int8.items():
             assert all(g.batch_marginal >= 0.0 for g in pc.groups)
-            fused, _, _ = _window_costs([(path.path_id, path.blocks, 8)])
+            blocks = tuple(
+                Block(
+                    f"{name}:{g.group}", name, g.compute_time_s, g.memory_gb,
+                    batch_marginal=g.batch_marginal,
+                )
+                for g in pc.groups
+            )
+            fused, _, _ = _window_costs([(name, blocks, 8)])
             assert fused == pytest.approx(
                 pc.total_compute_time_s * (1.0 + 7 * pc.batch_marginal)
             )
@@ -201,19 +119,14 @@ class TestInt8Variants:
         from repro.dnn.configs import TABLE_I_CONFIGS
         from repro.dnn.graph import Sequential
 
-        timed, eager = [], []
-        time_forward, forward = profiler.time_forward, Sequential.forward
+        timed = []
+        time_forward = profiler.time_forward
 
         def spy_time_forward(fn, x, **kwargs):
             timed.append(fn.__self__)
             return time_forward(fn, x, **kwargs)
 
-        def spy_forward(module, x):
-            eager.append(module)
-            return forward(module, x)
-
         monkeypatch.setattr(profiler, "time_forward", spy_time_forward)
-        monkeypatch.setattr(Sequential, "forward", spy_forward)
         configs = {name: TABLE_I_CONFIGS[name] for name in ("CONFIG A", "CONFIG C-pruned")}
         profiled = profile_table_i(
             width=8, input_size=16, repeats=1, configs=configs, include_int8=True
@@ -223,7 +136,8 @@ class TestInt8Variants:
         assert len(timed) == 2 * 3 * 6 * 2
         assert all(isinstance(plan, CompiledModule) for plan in timed)
         assert {plan.precision for plan in timed} == {"fp32", "int8"}
-        assert not eager
+        # and a module has no forward to fall back to
+        assert not hasattr(Sequential, "forward")
 
     def test_exact_int8_weight_byte_math(self):
         """Pin the conv byte math: fp32 fused conv stores 4*(o*c*k*k)

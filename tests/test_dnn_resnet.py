@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.dnn.compile import compile_module
+from repro.dnn.graph import Sequential
 from repro.dnn.resnet import BLOCK_NAMES, ResNet18, basic_block, build_resnet18
+from tests.oracles import eager_forward
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +30,7 @@ class TestBasicBlock:
     def test_forward_shapes(self):
         rng = np.random.default_rng(0)
         block = basic_block(8, 16, stride=2, rng=rng)
-        out = block(np.zeros((1, 8, 8, 8), dtype=np.float32))
+        out = eager_forward(block, np.zeros((1, 8, 8, 8), dtype=np.float32))
         assert out.shape == (1, 16, 4, 4)
 
 
@@ -37,13 +40,14 @@ class TestBuildResnet18:
 
     def test_forward_produces_logits(self, small_model):
         x = np.random.default_rng(1).normal(size=(2, 3, 16, 16)).astype(np.float32)
-        logits = small_model(x)
+        logits = eager_forward(small_model, x)
         assert logits.shape == (2, 10)
         assert np.isfinite(logits).all()
 
     def test_features_shape(self, small_model):
+        trunk = Sequential(*(small_model.blocks[n] for n in BLOCK_NAMES[:-1]))
         x = np.zeros((1, 3, 16, 16), dtype=np.float32)
-        feats = small_model.features(x)
+        feats = compile_module(trunk, small_model.input_shape).forward(x)
         assert feats.shape == (1, 8 * 8, 2, 2)  # 8x width at 1/8 resolution
 
     def test_standard_width_param_count(self):
@@ -74,12 +78,6 @@ class TestBuildResnet18:
         # 7x7 stride-2 conv + 3x3 stride-2 pool: 64 -> 16
         assert model.blocks["stem"].output_shape((3, 64, 64))[1:] == (16, 16)
 
-    def test_block_input_shape(self, small_model):
-        assert small_model.block_input_shape("stem") == (3, 16, 16)
-        assert small_model.block_input_shape("layer2") == (8, 16, 16)
-        with pytest.raises(KeyError):
-            small_model.block_input_shape("nonexistent")
-
     def test_flops_positive(self, small_model):
         assert small_model.flops() > 0
 
@@ -97,4 +95,4 @@ class TestBuildResnet18:
         a = build_resnet18(num_classes=5, input_size=16, width=8, seed=7)
         b = build_resnet18(num_classes=5, input_size=16, width=8, seed=7)
         x = np.random.default_rng(0).normal(size=(1, 3, 16, 16)).astype(np.float32)
-        np.testing.assert_array_equal(a(x), b(x))
+        np.testing.assert_array_equal(eager_forward(a, x), eager_forward(b, x))

@@ -29,7 +29,6 @@ class TestTaskStatistics:
         stats = self._stats()
         assert stats.offered == stats.admitted == stats.completed == 2
         assert stats.latency.mean_s == pytest.approx((0.25 + 0.3) / 2)
-        assert stats.served_fraction == 1.0
 
     def test_deadline_misses(self):
         assert self._stats(deadline_s=0.27).deadline_miss_rate == pytest.approx(0.5)

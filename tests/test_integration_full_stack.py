@@ -17,15 +17,14 @@ from repro.core.optimal import OptimalSolver
 from repro.core.problem import Budgets, DOTProblem, RadioModel
 from repro.core.serialize import problem_from_dict, problem_to_dict
 from repro.core.task import QualityLevel, Task
-from repro.dnn.repository import build_task_paths, profile_table_i
 from repro.serving import latency_series
+from repro.workloads.generator import ScenarioCatalogBuilder, cost_basis_from_profiler
 from tests.conftest import serve_frame_per_job
 
 
 @pytest.fixture(scope="module")
 def live_problem() -> DOTProblem:
     """A problem whose block costs come from live substrate profiling."""
-    profiled = profile_table_i(width=16, input_size=16, repeats=2, seed=0)
     quality = QualityLevel("full", 350_000.0)
     tasks = tuple(
         Task(
@@ -40,15 +39,9 @@ def live_problem() -> DOTProblem:
         )
         for i in (1, 2, 3)
     )
-    from repro.core.catalog import Catalog
-
-    catalog = Catalog()
-    for task in tasks:
-        # scale profiled CPU costs into edge-server magnitudes
-        for path in build_task_paths(
-            task, profiled, quality, memory_scale=50.0, compute_scale=1.0
-        ):
-            catalog.add_path(path)
+    # scale profiled CPU memory into edge-server magnitudes
+    basis = cost_basis_from_profiler(width=16, input_size=16, repeats=2, memory_scale=50.0)
+    catalog = ScenarioCatalogBuilder(basis=basis).build(tasks, quality)
     return DOTProblem(
         tasks=tasks,
         catalog=catalog,
@@ -64,7 +57,7 @@ class TestFullStack:
     def test_catalog_built_from_measurements(self, live_problem):
         blocks = live_problem.catalog.all_blocks()
         assert all(b.compute_time_s > 0 for b in blocks.values())
-        shared = [b for b in blocks.values() if b.block_id.startswith("base:")]
+        shared = [b for b in blocks.values() if b.dnn_id == "rn18:base"]
         assert len(shared) == 3  # g1..g3 of the shared trunk
 
     def test_heuristic_and_optimum_agree_on_admission(self, live_problem):

@@ -30,7 +30,7 @@ from repro.serving.executor import (
     _window_costs,
 )
 from repro.serving.queueing import ServingRequest
-from tests.oracles import path_groups, per_request_window_costs
+from tests.oracles import eager_forward, path_groups, per_request_window_costs
 
 QUALITY = QualityLevel(name="full", bits_per_image=350_000.0)
 
@@ -494,13 +494,14 @@ class TestWindowCut:
 
 
 class TestBlockwiseRunner:
-    """The runner runs compiled plans; the eager module composition is
-    the oracle their outputs are compared against."""
+    """The runner runs compiled plans; the eager forward of the path's
+    modules (``tests/oracles.py``) is the oracle their outputs are
+    compared against."""
 
     @staticmethod
     def _eager(modules, path, x):
         for block in path.blocks:
-            x = modules[block.block_id](x)
+            x = eager_forward(modules[block.block_id], x)
         return x
 
     def _runner(self):

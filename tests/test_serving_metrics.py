@@ -7,20 +7,24 @@ import math
 import numpy as np
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.serving.metrics import LatencyStats, ServingMetrics, TaskServingMetrics
 from repro.serving.queueing import DropReason, ServingRequest
 
 
+def _stats(samples: list[float]) -> LatencyStats:
+    return LatencyStats.from_histogram(Histogram(name="latency_s", samples=list(samples)))
+
+
 class TestLatencyStatsEdgeCases:
     def test_empty_sample_is_nan_everywhere(self):
-        stats = LatencyStats.from_samples([])
+        stats = _stats([])
         assert stats.count == 0
         for value in (stats.mean_s, stats.p50_s, stats.p95_s, stats.p99_s, stats.max_s):
             assert math.isnan(value)
 
     def test_single_sample_percentiles_degenerate(self):
-        stats = LatencyStats.from_samples([0.042])
+        stats = _stats([0.042])
         assert stats.count == 1
         # with one sample every percentile IS the sample
         assert stats.mean_s == pytest.approx(0.042)
@@ -30,7 +34,7 @@ class TestLatencyStatsEdgeCases:
         assert stats.max_s == pytest.approx(0.042)
 
     def test_two_samples_interpolate(self):
-        stats = LatencyStats.from_samples([0.010, 0.030])
+        stats = _stats([0.010, 0.030])
         assert stats.p50_s == pytest.approx(0.020)
         assert stats.p95_s == pytest.approx(np.percentile([0.010, 0.030], 95))
         assert stats.max_s == pytest.approx(0.030)
@@ -44,7 +48,6 @@ class TestZeroRequestMetrics:
         task = self._empty_task()
         assert task.offered == 0 and task.completed == 0
         assert math.isnan(task.deadline_miss_rate)
-        assert math.isnan(task.served_fraction)
         assert all(count == 0 for count in task.drops.values())
 
     def test_run_summary_with_no_traffic(self):
@@ -80,7 +83,7 @@ class TestSingleSortPercentiles:
                0.044, 0.019, 0.072, 0.038]
 
     def test_latency_stats_pinned_values(self):
-        stats = LatencyStats.from_samples(self.SAMPLES)
+        stats = _stats(self.SAMPLES)
         values = np.asarray(self.SAMPLES, dtype=float)
         assert stats.p50_s == float(np.percentile(values, 50))
         assert stats.p95_s == float(np.percentile(values, 95))
@@ -91,11 +94,9 @@ class TestSingleSortPercentiles:
         assert stats.p99_s == pytest.approx(0.08802000000000001, abs=1e-15)
 
     def test_batched_percentiles_match_per_call(self):
-        from repro.obs.metrics import Histogram
-
         rng = np.random.default_rng(7)
         histogram = Histogram(name="h")
-        histogram.observe_many(rng.exponential(0.02, size=1001))
+        histogram.samples.extend(rng.exponential(0.02, size=1001).tolist())
         batched = histogram.percentiles((50, 95, 99))
         assert batched == tuple(histogram.percentile(q) for q in (50, 95, 99))
 

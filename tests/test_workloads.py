@@ -81,6 +81,21 @@ class TestScenarioCatalogBuilder:
         shared = [b for b in blocks if ":base:" in b]
         assert len(shared) == 3  # g1, g2, g3 of the single family
 
+    def test_task_specific_blocks_not_shared(self, quality):
+        builder = ScenarioCatalogBuilder(config_names=("CONFIG B", "CONFIG C"))
+        catalog = builder.build((make_task(1), make_task(2)), quality)
+        own = [
+            {
+                b.block_id
+                for p in catalog.paths_for(tid)
+                for b in p.blocks
+                if ":base:" not in b.block_id
+            }
+            for tid in (1, 2)
+        ]
+        assert own[0] and own[1]
+        assert not own[0] & own[1]
+
     def test_block_costs_consistent(self, quality):
         builder = ScenarioCatalogBuilder()
         catalog = builder.build(tuple(make_task(i) for i in range(1, 6)), quality)
@@ -109,6 +124,22 @@ class TestScenarioCatalogBuilder:
         path = catalog.paths_for(1)[0]
         basis = CostBasis()
         assert path.compute_time_s == pytest.approx(0.5 * sum(basis.compute_s.values()))
+
+    def test_accuracy_offset_clipped(self, quality):
+        builder = ScenarioCatalogBuilder(
+            families=(
+                DNNFamily("a", accuracy_offset=2.0),
+                DNNFamily("b", accuracy_offset=-2.0),
+            ),
+            config_names=("CONFIG A", "CONFIG C"),
+        )
+        catalog = builder.build((make_task(1),), quality)
+        accuracy = {p.path_id: p.accuracy for p in catalog.paths_for(1)}
+        assert len(accuracy) == 4
+        assert all(
+            a == (1.0 if path_id.startswith("a:") else 0.0)
+            for path_id, a in accuracy.items()
+        )
 
 
 class TestQuantizedVariants:
@@ -273,7 +304,8 @@ class TestLargeScale:
         """Table IV lists |D| = 125; our catalog realizes 100+ distinct
         dynamic structures (per-task fine-tuned variants + base)."""
         problem = large_scale_problem(RequestRate.LOW)
-        assert len(problem.catalog.dnn_ids()) >= 100
+        paths = problem.catalog.paths_by_task.values()
+        assert len({p.dnn_id for task_paths in paths for p in task_paths}) >= 100
 
     def test_rate_affects_tasks_only(self):
         low = large_scale_problem(RequestRate.LOW, seed=0)
