@@ -144,12 +144,20 @@ class _Leg:
 class _Route:
     """A task's placed route, compiled the first time the task dispatches."""
 
-    #: hop 0: the segment and its placed node
+    #: hop 0: the segment, its placed node and the node's job-cost memo
     head: Segment
     node: ClusterNode
+    memo: _JobCosts
     #: what hop 0 runs: the path, or its first segment when split
     unit: Path
     legs: tuple[_Leg, ...]
+    #: batch size -> the placed node's cost of a job of the task alone
+    by_size: dict[int, _JobCost] = field(default_factory=dict)
+
+    def sized(self, n: int) -> _JobCost:
+        """``by_size[n]``, filled on first sight."""
+        costs = self.by_size[n] = self.memo.batch(self.unit, n)
+        return costs
 
 
 @dataclass
@@ -157,13 +165,15 @@ class ClusterExecutor(WindowLedger):
     """Executes batching windows across the deployment's nodes.
 
     Each task's route is compiled once per run (:class:`_Route`), the
-    first time one of its windows dispatches: hop 0's placed node, and
-    for every later hop the node, the link into it, the segment's unit,
-    the node's job-cost memo and — per batch size — the frame bytes and
-    the memo's cost entry.  A window only looks these up.  A node that
-    cannot fail and a link that cannot stall are used as placed, with no
-    draw; everything else goes through :meth:`_resolve_node` and
-    :meth:`_transfer`, which draw in the order the route is walked.
+    first time one of its windows dispatches: hop 0's placed node, its
+    memo and — per batch size — the cost of a job of the task alone
+    there, and for every later hop the node, the link into it, the
+    segment's unit, the node's job-cost memo and — per batch size — the
+    frame bytes and the memo's cost entry.  A window only looks these
+    up.  A node that cannot fail and a link that cannot stall are used
+    as placed, with no draw; everything else goes through
+    :meth:`_resolve_node` and :meth:`_transfer`, which draw in the order
+    the route is walked.
     """
 
     deployment: ClusterDeployment
@@ -283,99 +293,169 @@ class ClusterExecutor(WindowLedger):
             )
         head = segments[0]
         route = self._routes[task_id] = _Route(
-            head, nodes[head.node_id], units[0], tuple(legs)
+            head, nodes[head.node_id], self._memos[head.node_id], units[0], tuple(legs)
         )
         return route
 
     # -- the window pipeline ----------------------------------------------
 
     def dispatch(self, requests: list[ServingRequest], now: float) -> WindowReport:
-        """Run one batching window through the placed segments."""
+        """Run one batching window through the placed segments.
+
+        A window builds only the containers its shape needs: a one-task
+        window no by-task grouping, a window on one hop-0 node no by-node
+        table and no node sort, and a node window left whole (one worker,
+        or one request) hands its groups, in task order, straight to the
+        journeys.
+        """
         if not requests:
             raise ValueError("cannot dispatch an empty window")
         routes = self._routes
-        if len(requests) == 1:
-            groups = [(requests[0].task_id, requests)]
+        task_id = requests[0].task_id
+        if len(requests) == 1 or (
+            requests[-1].task_id == task_id
+            and all(request.task_id == task_id for request in requests)
+        ):
+            route = routes.get(task_id) or self._compile(task_id, requests[0].path)
+            groups = ((task_id, route, requests),)
         else:
             by_task: dict[int, list[ServingRequest]] = {}
             for request in requests:
                 by_task.setdefault(request.task_id, []).append(request)
-            groups = sorted(by_task.items())  # task ids are unique keys
+            groups = [  # task ids are unique keys: the sort compares nothing more
+                (tid, routes.get(tid) or self._compile(tid, group[0].path), group)
+                for tid, group in sorted(by_task.items())
+            ]
 
-        # resolve hop-0 nodes first (failure draws in task order), then cut
-        # each node's group into jobs as the single-node executor cuts a window
+        # resolve hop-0 nodes first (failure draws in task order); the first
+        # node reached keeps its delay and groups in locals, and a group
+        # placed on another node opens the table of the others
         window_end = now
-        by_node: dict[str, list] = {}  # node id -> [node id, node, delay, groups]
-        for task_id, group in groups:
-            route = routes.get(task_id) or self._compile(task_id, group[0].path)
-            node, delay = route.node, 0.0
-            if node.spec.failure_rate > 0.0:
-                node, delay = self._resolve_node(route.head)
-                if node is None:
-                    self._drop_batch(group, DropReason.REMOTE_ERROR, now + delay)
-                    window_end = max(window_end, now + delay)
+        node = None
+        delay = 0.0
+        tasks = groups if len(groups) == 1 else []  # the first node's groups
+        others = None  # node id -> [node id, node, delay, groups]
+        for entry in groups:
+            route = entry[1]
+            placed, late = route.node, 0.0
+            if placed.spec.failure_rate > 0.0:
+                placed, late = self._resolve_node(route.head)
+                if placed is None:
+                    self._drop_batch(entry[2], DropReason.REMOTE_ERROR, now + late)
+                    window_end = max(window_end, now + late)
                     continue
-            placed = by_node.get(node.node_id)
-            if placed is None:
-                by_node[node.node_id] = [node.node_id, node, delay, [(task_id, group)]]
+            if node is None or placed is node:
+                node = placed
+                if late > delay:
+                    delay = late
+                if tasks is not groups:
+                    tasks.append(entry)
+                continue
+            if others is None:
+                others = {}
+            node_id = placed.spec.node_id
+            held = others.get(node_id)
+            if held is None:
+                others[node_id] = [node_id, placed, late, [entry]]
             else:
-                placed[2] = max(placed[2], delay)
-                placed[3].append((task_id, group))
-        placed = by_node.values()
-        if len(by_node) > 1:
-            placed = sorted(placed)  # node ids are unique keys
+                held[2] = max(held[2], late)
+                held[3].append(entry)
+        if node is None:
+            tasks = ()  # every group dropped: nothing to book
+        # node windows in node-id order: the first node's, unless others sort
+        # before it (``rest`` holds the ones still to book, last to book first)
+        rest = None
+        if others is not None:
+            rest = sorted(
+                [[node.spec.node_id, node, delay, tasks], *others.values()],
+                reverse=True,
+            )  # node ids are unique keys
+            _, node, delay, tasks = rest.pop()
 
+        # book each node's window, cut into jobs as the single-node executor
+        # cuts one; ``batches`` collects (task id, job order, route, hop-0
+        # node id, members, start, finish, cost share) once another node
+        # window or a job decides the journeys' order
         compute = unshared = 0.0
         merges = 0
         window_start = math.inf
-        batches = []  # (task id, job order, hop-0 node id, its members of the job)
-        for node_id, node, delay, tasks in placed:
+        batches = None if rest is None else []
+        while node is not None:
+            node_id = node.spec.node_id
             ready = now + delay
-            window = (
-                tasks[0][1] if len(tasks) == 1 else [r for _, g in tasks for r in g]
-            )
-            memo = self._memos[node_id]
+            if len(tasks) == 1:
+                _, route, window = tasks[0]
+            else:
+                route, window = None, [r for _, _, group in tasks for r in group]
             if node.spec.num_workers < 2 or len(window) < 2:
                 # one job, left whole: what cut_window and _book_jobs make of
-                # it, without building the job
-                costs = memo.window(window)
+                # it, without building the job (the task's own entry when it
+                # is alone on its placed node)
+                if route is not None and node is route.node:
+                    costs = route.by_size.get(len(window)) or route.sized(len(window))
+                else:
+                    costs = self._memos[node_id].window(window)
                 cost = costs.cost
                 _worker, start, finish = node.execute(cost, ready)
-                share = cost / len(window)
-                for request in window:
-                    request.started_at = start
-                    request.compute_time_s = share
-                    request.service_done_at = finish
+                jobs = None
                 compute += cost
                 unshared += costs.unshared
                 merges += costs.merges
-                window_start = min(window_start, start)
-                batches += [(tid, 0, node_id, group) for tid, group in tasks]
-                continue
-            jobs = cut_window(node.pool, memo, window, ready, self.result_return_s)
-            cost, unmerged, fused, start, _ = _book_jobs(jobs, node.execute, ready)
-            compute += cost
-            unshared += unmerged
-            merges += fused
-            window_start = min(window_start, start)
-            if len(jobs) == 1:  # left whole: each task's batch goes on as it came
-                batches += [(tid, 0, node_id, group) for tid, group in tasks]
-                continue
-            for order, job in enumerate(jobs):
-                job_tasks: dict[int, list[ServingRequest]] = {}
-                for request in job.members:
-                    job_tasks.setdefault(request.task_id, []).append(request)
-                batches += [(tid, order, node_id, b) for tid, b in job_tasks.items()]
-        if len(batches) > 1:
-            batches.sort()  # (task id, job order) is unique: nothing more compared
+            else:
+                jobs = cut_window(
+                    node.pool, self._memos[node_id], window, ready, self.result_return_s
+                )
+                cost, unmerged, fused, start, finish = _book_jobs(
+                    jobs, node.execute, ready
+                )
+                compute += cost
+                unshared += unmerged
+                merges += fused
+                if len(jobs) == 1:  # left whole: each task's batch goes on as it came
+                    jobs = None
+            if start < window_start:
+                window_start = start
+            if jobs is None:
+                share = cost / len(window)
+                if batches is not None:
+                    batches += [
+                        (tid, 0, route, node_id, group, start, finish, share)
+                        for tid, route, group in tasks
+                    ]
+            else:
+                if batches is None:
+                    batches = []
+                for order, job in enumerate(jobs):
+                    first = job.members[0]
+                    job_tasks: dict[int, list[ServingRequest]] = {}
+                    for request in job.members:
+                        job_tasks.setdefault(request.task_id, []).append(request)
+                    batches += [
+                        (tid, order, routes[tid], node_id, batch, first.started_at,
+                         first.service_done_at, first.compute_time_s)
+                        for tid, batch in job_tasks.items()
+                    ]
+            if not rest:
+                break
+            _, node, delay, tasks = rest.pop()
 
         # later hops: the sub-batches stream and execute independently, each
-        # once its own job is done
-        for task_id, _order, where, batch in batches:  # where: the batch's node
-            at, compute, unshared = self._journey(
-                routes[task_id], where, batch, now, compute, unshared
-            )
-            window_end = max(window_end, at)
+        # once its own job is done, in (task id, job order) order
+        if batches is None:  # one node window, left whole: its groups in task order
+            for _, route, group in tasks:
+                at, compute, unshared = self._journey(
+                    route, node_id, group, now, start, finish, share, compute, unshared
+                )
+                if at > window_end:
+                    window_end = at
+        else:
+            batches.sort()  # (task id, job order) is unique: nothing more compared
+            for _, _, route, where, batch, start, finish, share in batches:
+                at, compute, unshared = self._journey(
+                    route, where, batch, now, start, finish, share, compute, unshared
+                )
+                if at > window_end:
+                    window_end = at
 
         if window_start == math.inf:
             window_start = now
@@ -395,25 +475,26 @@ class ClusterExecutor(WindowLedger):
         where: str,
         batch: list[ServingRequest],
         now: float,
+        start: float,
+        at: float,
+        spent: float,
         compute: float,
         unshared: float,
     ) -> tuple[float, float, float]:
-        """Walk one sub-batch of a hop-0 job (on node ``where``) through the
-        route's later hops, booking each hop as a row of the hop table,
-        and stamp its members: ``(finished or dropped at, compute,
-        unshared)``.
+        """Walk one sub-batch of a hop-0 job through the route's later hops,
+        booking each hop as a row of the hop table, and stamp its members
+        once: ``(finished or dropped at, compute, unshared)``.
 
-        ``compute`` / ``unshared`` are the window's running sums, carried
-        through so that the floats add in booking order."""
+        The job ran on node ``where`` from ``start`` to ``at``, and each
+        member's share of it is ``spent``.  ``compute`` / ``unshared`` are
+        the window's running sums, carried through so that the floats add
+        in booking order."""
         n = len(batch)
-        first = batch[0]
-        start, at = first.started_at, first.service_done_at
         table = self.qos.hops
         table.open(batch)
         rows = table.rows
         rows.append(("queue", where, now, start, 0))
         rows.append(("exec", where, start, at, 0))
-        spent = first.compute_time_s
         dropped = None
         for leg in route.legs:
             nbytes, costs = leg.by_size.get(n) or leg.sized(n)
@@ -437,24 +518,28 @@ class ClusterExecutor(WindowLedger):
             if exec_node is None:
                 dropped, at = DropReason.REMOTE_ERROR, ready
                 break
+            where = exec_node.spec.node_id
             if exec_node is not leg.node:  # a retry elsewhere: that node's memo
-                costs = self._memos[exec_node.node_id].batch(leg.unit, n)
+                costs = self._memos[where].batch(leg.unit, n)
             cost = costs.cost
-            _worker, start, finish = exec_node.execute(cost, ready)
+            _worker, hop_start, finish = exec_node.execute(cost, ready)
             compute += cost
             unshared += costs.unshared
             spent += cost / n
-            where = exec_node.node_id
-            if start > ready:
-                rows.append(("queue", where, ready, start, 0))
-            rows.append(("exec", where, start, finish, 0))
+            if hop_start > ready:
+                rows.append(("queue", where, ready, hop_start, 0))
+            rows.append(("exec", where, hop_start, finish, 0))
             at = finish
-        if dropped is not None:
-            self._drop_batch(batch, dropped, at)
-        for request in batch:
-            request.compute_time_s = spent
-            if dropped is None:
+        if dropped is None:
+            for request in batch:
+                request.started_at = start
+                request.compute_time_s = spent
                 request.service_done_at = at
+        else:
+            self._drop_batch(batch, dropped, at)
+            for request in batch:
+                request.started_at = start
+                request.compute_time_s = spent
         if self.tracer.enabled:  # the tracer reads them when the batch completes
             table.fill()
         return at, compute, unshared

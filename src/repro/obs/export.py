@@ -339,9 +339,18 @@ def load_records(path: str | pathlib.Path) -> list[Tracer]:
 
     Malformed input raises :class:`ValueError` naming the trace line
     (JSONL) or the event (Chrome) at fault: a loaded span always has a
-    string name and finite numeric ``ts`` / ``dur``.
+    string name and finite numeric ``ts`` / ``dur``.  A file that is not
+    UTF-8 text, or holds nothing but whitespace, raises one naming the
+    path.
     """
-    text = pathlib.Path(path).read_text()
+    try:
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        raise ValueError(
+            f"{path}: not UTF-8 text (byte {error.start}: {error.reason})"
+        ) from None
+    if not text.strip():
+        raise ValueError(f"{path}: empty trace file")
     tracers: dict[str, Tracer] = {}
 
     def tracer_for(domain: str) -> Tracer:

@@ -152,14 +152,14 @@ class ReadyQueues:
     A batching window drains the serving queues in ascending task-id
     order.  Scanning every queue every tick costs ``tasks × ticks``
     whatever the traffic; this index keeps the *positions* (ranks in
-    task-id order) of the queues that may hold something in a min-heap
+    task-id order) of the queues that hold something in a min-heap
     with a membership flag, so a tick touches only queues that were
     pushed to since they last ran empty — no per-tick scan or sort.
 
-    Invariant: every non-empty queue is in the heap.  A queue outside it
-    is empty, and ``pop_ready`` on an empty queue decides nothing, so
-    skipping it leaves windows, expiries and their order exactly as the
-    full scan would have produced them.
+    Invariant: a queue is in the heap exactly while it holds a request.
+    A queue outside it is empty, and ``pop_ready`` on an empty queue
+    decides nothing, so skipping it leaves windows, expiries and their
+    order exactly as the full scan would have produced them.
     """
 
     __slots__ = ("_ordered", "_position", "_heap", "_marked")
@@ -185,16 +185,9 @@ class ReadyQueues:
         return self._ordered[position].push(request)
 
     def holds_work(self) -> bool:
-        """Whether any serving queue holds a request.
-
-        Only indexed queues can; one stays indexed but empty when
-        ``max_batch`` closed a window on its last request.
-        """
-        ordered = self._ordered
-        for position in self._heap:
-            if ordered[position]:
-                return True
-        return False
+        """Whether any serving queue holds a request: only indexed queues
+        do, and every indexed queue does."""
+        return bool(self._heap)
 
     def drain(
         self, now: float, max_batch: int | None = None
@@ -202,9 +195,11 @@ class ReadyQueues:
         """One window: ``(dispatched, expired)``, both in task-id order.
 
         Ready queues are emptied lowest task id first.  A queue leaves
-        the index when ``pop_ready`` finds nothing left in it; when
-        ``max_batch`` fills the window first, the queue being drained
-        and every later one stay indexed, untouched, for the next tick.
+        the index as soon as its deque is empty, so ``pop_ready`` runs
+        once per dispatched request, plus once for a queue that expiries
+        empty; when ``max_batch`` fills the window first, the queue being
+        drained (if anything is left in it) and every later one stay
+        indexed, untouched, for the next tick.
         """
         window: list[ServingRequest] = []
         expired: Sequence[ServingRequest] = _NONE_EXPIRED
@@ -212,15 +207,19 @@ class ReadyQueues:
         limit = sys.maxsize if max_batch is None else max_batch
         while heap and len(window) < limit:
             position = heap[0]
-            pop_ready = self._ordered[position].pop_ready
-            while len(window) < limit:
+            queue = self._ordered[position]
+            fifo, pop_ready = queue._fifo, queue.pop_ready
+            while True:
                 request, dropped = pop_ready(now)
                 if dropped:
                     expired = [*expired, *dropped]
-                if request is None:
+                if request is not None:
+                    request.dispatched_at = now
+                    window.append(request)
+                if not fifo:
                     heapq.heappop(heap)
                     self._marked[position] = False
                     break
-                request.dispatched_at = now
-                window.append(request)
+                if len(window) >= limit:
+                    break
         return window, expired

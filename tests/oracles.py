@@ -131,6 +131,7 @@ from repro.dnn.resnet import BlockwiseModel
 from repro.emulator.simulator import Simulator
 from repro.obs.metrics import MetricsRegistry
 from repro.radio.slicing import SliceManager
+from repro.serving.executor import _JobCosts, cut_window
 from repro.serving.metrics import LatencyStats, ServingMetrics, TaskServingMetrics
 from repro.serving.queueing import DropReason, ServingQueue, ServingRequest
 from repro.serving.runtime import ServingRuntime, _Run
@@ -486,12 +487,16 @@ def per_request_window_costs(requests, blocks_for=None):
 def per_request_cluster_dispatch(self, requests, now: float):
     """``ClusterExecutor.dispatch`` by the old rule (patch it in as a method).
 
-    Routes through ``plan.segments()`` per task, hop-0 batches costed by
-    the per-request trie, later-hop cost re-summed per window, and each
-    task's batch written to the hop table as the walk goes (hop-0 rows
-    kept per task until then; a traced run fills each batch's ``hops``
-    once it is written, as the executor does).  Failure and stall draws
-    come from the executor's own ``_rng``, in the same order.
+    Routes through ``plan.segments()`` per task, each hop-0 node's window
+    cut into jobs by ``cut_window`` (as the product cuts it; the oracle
+    keeps one job-cost memo per node on the executor, ``_oracle_memos``,
+    reading a request as its task's hop-0 unit) and split per (task,
+    job), a job left whole by the one-worker / one-request rule costed by
+    the per-request trie, later-hop cost re-summed per sub-batch, and
+    each sub-batch written to the hop table as the walk goes (hop-0 rows
+    kept per sub-batch until then; a traced run fills each batch's
+    ``hops`` once it is written, as the executor does).  Failure and
+    stall draws come from the executor's own ``_rng``, in the same order.
     """
     plan = self.deployment.plan
     groups: dict[int, list[ServingRequest]] = {}
@@ -518,43 +523,66 @@ def per_request_cluster_dispatch(self, requests, now: float):
     for task_id, (node, _delay, _segments) in resolved.items():
         by_node.setdefault(node.node_id, []).append(task_id)
 
-    cursor: dict[int, float] = {}  # task -> time its batch reaches hop 1
-    head_rows: dict[int, list[tuple]] = {}  # task -> its hop-0 rows
+    memos = self.__dict__.setdefault("_oracle_memos", {})
+    units = self.__dict__.setdefault("_oracle_units", {})  # task id -> hop-0 unit
+    for task_id in resolved:
+        if task_id not in units:
+            head = resolved[task_id][2][0]
+            path = groups[task_id][0].path
+            units[task_id] = (
+                path if len(resolved[task_id][2]) == 1
+                else replace(path, blocks=head.blocks)
+            )
+    # (task id, job order) -> (hop-0 node id, start, finish, members)
+    sub_batches: dict[tuple[int, int], tuple] = {}
     for node_id in sorted(by_node):
         node = self.deployment.registry.node(node_id)
         batch = [r for tid in by_node[node_id] for r in groups[tid]]
         segment_of = {tid: resolved[tid][2][0] for tid in by_node[node_id]}
         ready = now + max(resolved[tid][1] for tid in by_node[node_id])
-        merged, unmerged, node_merges = per_request_window_costs(
-            batch, lambda r: segment_of[r.task_id].blocks
-        )
-        unmerged = unmerged / node.spec.cpu_scale
-        cost = merged / node.spec.cpu_scale if self.prefix_cache else unmerged
-        _worker, start, finish = node.execute(cost, ready)
-        share = cost / len(batch)
-        for request in batch:
-            request.started_at = start
-            request.compute_time_s = share
-        compute += cost
-        unshared += unmerged
-        merges += node_merges
-        window_start = start if window_start is None else min(window_start, start)
-        for tid in by_node[node_id]:
-            cursor[tid] = finish
-            head_rows[tid] = [
-                ("queue", node_id, now, start, 0),
-                ("exec", node_id, start, finish, 0),
-            ]
+        memo = memos.get(node_id)
+        if memo is None:
+            memo = memos[node_id] = _JobCosts(
+                self.prefix_cache, node.spec.cpu_scale, lambda r: units[r.task_id]
+            )
+        jobs = cut_window(node.pool, memo, batch, ready, self.result_return_s)
+        whole = node.spec.num_workers < 2 or len(batch) < 2
+        for order, job in enumerate(jobs):
+            if whole:
+                merged, unmerged, job_merges = per_request_window_costs(
+                    job.members, lambda r: segment_of[r.task_id].blocks
+                )
+                unmerged = unmerged / node.spec.cpu_scale
+                cost = merged / node.spec.cpu_scale if self.prefix_cache else unmerged
+            else:
+                costs = job.costs
+                cost, unmerged, job_merges = costs.cost, costs.unshared, costs.merges
+            _worker, start, finish = node.execute(cost, ready, job.worker)
+            share = cost / len(job.members)
+            for request in job.members:
+                request.started_at = start
+                request.compute_time_s = share
+            compute += cost
+            unshared += unmerged
+            merges += job_merges
+            window_start = start if window_start is None else min(window_start, start)
+            for request in job.members:
+                key = (request.task_id, order)
+                if key not in sub_batches:
+                    sub_batches[key] = (node_id, start, finish, [])
+                sub_batches[key][3].append(request)
 
     table = self.qos.hops
-    for task_id in sorted(resolved):
-        node, _delay, segments = resolved[task_id]
-        batch = groups[task_id]
-        at = cursor[task_id]
-        prev_node_id = node.node_id
+    for task_id, order in sorted(sub_batches):
+        node_id, start, at, batch = sub_batches[task_id, order]
+        segments = resolved[task_id][2]
+        prev_node_id = node_id
         dropped = False
         table.open(batch)
-        table.rows += head_rows[task_id]
+        table.rows += [
+            ("queue", node_id, now, start, 0),
+            ("exec", node_id, start, at, 0),
+        ]
         for seg_index, segment in enumerate(segments[1:], start=1):
             payload_bits = segments[seg_index - 1].egress_bits * len(batch)
             delivery = self._transfer(

@@ -268,3 +268,20 @@ class TestTraceCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(b"\xff\xfe", "not UTF-8 text (byte 0: invalid start byte)"),
+         (b"", "empty trace file")],
+    )
+    def test_trace_summary_names_an_unreadable_or_empty_file(
+        self, capsys, tmp_path, content, reason
+    ):
+        """A non-UTF-8 file used to print the codec error without the path,
+        and an empty one passed as a trace of 0 records."""
+        path = tmp_path / "trace.json"
+        path.write_bytes(content)
+        assert main(["trace-summary", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {reason}\n"

@@ -22,6 +22,7 @@ from repro.cluster import (
     NodeSpec,
     default_topology,
 )
+from repro.cluster import executor as cluster_executor_module
 from repro.cluster.executor import ClusterExecutor
 from repro.cluster.orchestrator import PlacementPlan, Segment
 from repro.core.catalog import Block, Path
@@ -764,26 +765,30 @@ def test_faulty_run_is_identical_through_the_per_request_dispatcher(
     assert outcomes[0] == outcomes[1]
 
 
+#: the mixed-fault fabric: nodes that cannot fail beside nodes that can,
+#: steady links beside stalling ones
+MIXED_FAULT = ClusterTopology(
+    nodes=(
+        NodeSpec("n0"),
+        NodeSpec("n1", cpu_scale=1.5, failure_rate=0.4),
+        NodeSpec("n2", cpu_scale=2.0),
+        NodeSpec("n3", failure_rate=0.3),
+    ),
+    links=(
+        LinkSpec("n1", "n2", stall_rate=0.4, stall_factor=200.0),
+        LinkSpec("n3", "n2", stall_rate=0.3, stall_factor=200.0),
+    ),
+    default_link=LinkSpec(src="*", dst="*", bandwidth_bps=5e8),
+)
+
+
 @pytest.mark.parametrize("seed", [1, 4])
 def test_mixed_fault_run_is_identical_through_the_per_request_dispatcher(seed):
     # nodes that cannot fail beside nodes that can, steady links beside
     # stalling ones: the compiled routes use a node and a link as placed
     # (no draw) and hand the rest to the helpers, including a later hop
-    # that streams from a retry node the route did not place there (one
-    # worker per node: the oracle books a hop-0 group as one job)
-    topology = ClusterTopology(
-        nodes=(
-            NodeSpec("n0"),
-            NodeSpec("n1", cpu_scale=1.5, failure_rate=0.4),
-            NodeSpec("n2", cpu_scale=2.0),
-            NodeSpec("n3", failure_rate=0.3),
-        ),
-        links=(
-            LinkSpec("n1", "n2", stall_rate=0.4, stall_factor=200.0),
-            LinkSpec("n3", "n2", stall_rate=0.3, stall_factor=200.0),
-        ),
-        default_link=LinkSpec(src="*", dst="*", bandwidth_bps=5e8),
-    )
+    # that streams from a retry node the route did not place there
+    topology = MIXED_FAULT
     config = ServingConfig(duration_s=3.0, seed=seed, poisson=True)
     outcomes = []
     for dispatch in (ClusterExecutor.dispatch, per_request_cluster_dispatch):
@@ -819,6 +824,78 @@ def test_mixed_fault_run_is_identical_through_the_per_request_dispatcher(seed):
         for a, b in zip(segments, segments[1:])
     }
     assert any(link.transfers for pair, link in links.items() if pair not in placed)
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize(
+    "shape, topology, replicas, config",
+    [
+        # several jobs per node: windows of several requests on 2-worker
+        # nodes are cut, and each (task, job) sub-batch walks on its own
+        (
+            "multi_worker", default_topology(2, num_workers=2), 4,
+            dict(duration_s=10.0, seed=2, poisson=True, batch_window_s=0.05),
+        ),
+        # cluster_chain's shape: four one-worker nodes, mostly one-task windows
+        (
+            "chain", default_topology(4), 2,
+            dict(duration_s=30.0, seed=7, poisson=True, load_factor=1.0),
+        ),
+        ("mixed_fault", MIXED_FAULT, 4, dict(duration_s=3.0, seed=1, poisson=True)),
+    ],
+)
+def test_traced_run_is_identical_through_the_per_request_dispatcher(
+    shape, topology, replicas, config, monkeypatch
+):
+    # the dispatcher that builds containers only for the shapes that need
+    # them, and stamps each request once, against the one that regroups
+    # every window per node and per (task, job)
+    cut_jobs: list[int] = []
+    cut = cluster_executor_module.cut_window
+
+    def counted_cut(*args):
+        jobs = cut(*args)
+        cut_jobs.append(len(jobs))
+        return jobs
+
+    monkeypatch.setattr(cluster_executor_module, "cut_window", counted_cut)
+    outcomes = []
+    for dispatch in (ClusterExecutor.dispatch, per_request_cluster_dispatch):
+        runtime = ServingRuntime.from_problem(
+            replicated_serving_problem(replicas), ServingConfig(**config),
+            solver=OffloaDNNSolver(slice_margin_rbs=10),
+        )
+        runtime.cluster = _deploy(runtime, topology)
+        runtime.obs = ObsSession()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ClusterExecutor, "dispatch", dispatch)
+            metrics = runtime.run()
+        qos = runtime.executor.qos
+        duration = config["duration_s"]
+        outcomes.append(
+            (
+                repr(metrics),
+                [
+                    (r.request_id, r.dispatched_at, r.started_at, r.completed_at,
+                     r.compute_time_s, r.drop_reason, r.service_done_at, repr(r.hops))
+                    for r in runtime.last_requests
+                ],
+                runtime.executor.windows,
+                (qos.hop_counts, qos.bytes_streamed, qos.node_rows(duration),
+                 qos.link_rows()),
+                jsonl_lines([runtime.obs.virtual]),
+            )
+        )
+    assert runtime.cluster.plan.split_tasks > 0
+    sizes = [w[0] for w in runtime.executor.windows]
+    if shape == "multi_worker":
+        assert sum(jobs > 1 for jobs in cut_jobs) >= 5  # the product cut them
+    elif shape == "chain":
+        assert sizes.count(1) > 0.8 * len(sizes)
+    else:
+        assert {r.drop_reason for r in runtime.last_requests} & {
+            DropReason.REMOTE_ERROR, DropReason.TRANSFER_TIMEOUT
+        }
     assert outcomes[0] == outcomes[1]
 
 

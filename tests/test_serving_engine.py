@@ -536,7 +536,8 @@ def test_dispatcher_cost_follows_requests_not_tasks(sparse_problem, monkeypatch)
     metrics = runtime.run()
     admitted = sum(t.admitted for t in metrics.tasks.values())
     assert admitted > 1500 and counts["ticks"] * len(metrics.tasks) > 50 * admitted
-    assert counts["pops"] <= 2 * admitted + metrics.windows
+    # each pop dispatches a request or expires the rest of a queue
+    assert counts["pops"] <= admitted
     ((plan, searches_by_first_tick),) = built
     # everything is looked up before the first tick; a tick with something
     # due takes one slice of the packed rows, an empty one none

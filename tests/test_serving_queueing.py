@@ -181,9 +181,9 @@ class TestReadyQueuesMatchFullScan:
         assert [(r.task_id, r.request_id) for r in window] == [(1, 2), (2, 0)]
         assert index.drain(0.0) == ([], ())
 
-    def test_a_queue_indexed_but_emptied_holds_no_work(self):
+    def test_a_queue_emptied_by_max_batch_holds_no_work(self):
         # max_batch closes the window on the queue's last request: the
-        # queue stays indexed until the next drain, but holds nothing
+        # queue leaves the index with it
         queues = {tid: ServingQueue(task_id=tid) for tid in (1, 2)}
         index = ReadyQueues(queues)
         assert not index.holds_work()
@@ -194,3 +194,35 @@ class TestReadyQueuesMatchFullScan:
         window, _ = index.drain(0.0, max_batch=1)
         assert [r.request_id for r in window] == [0]
         assert not index.holds_work()
+        assert index._heap == [] and not any(index._marked)
+
+    def test_an_emptied_queue_leaves_the_index_at_once(self, monkeypatch):
+        # pop_ready runs once per dispatched request, plus once for a queue
+        # that expiries empty: never again only to find a queue empty
+        calls = []
+        pop_ready = ServingQueue.pop_ready
+
+        def counted(queue, now):
+            calls.append(queue.task_id)
+            return pop_ready(queue, now)
+
+        monkeypatch.setattr(ServingQueue, "pop_ready", counted)
+        queues = {tid: ServingQueue(task_id=tid) for tid in (1, 2, 3)}
+        index = ReadyQueues(queues)
+        # task 1: three servable; task 2: two expired; task 3: one expired,
+        # then one servable
+        for request_id, (task_id, deadline) in enumerate(
+            [(1, 9.0), (1, 9.0), (1, 9.0), (2, 0.5), (2, 0.5), (3, 0.5), (3, 9.0)]
+        ):
+            request = make_request(request_id, deadline_at=deadline)
+            request.task_id = task_id
+            index.push(request)
+        window, expired = index.drain(1.0)
+        assert [r.request_id for r in window] == [0, 1, 2, 6]
+        assert [r.request_id for r in expired] == [3, 4, 5]
+        assert calls == [1, 1, 1, 2, 3]
+        assert index._heap == [] and not any(index._marked)
+        assert not index.holds_work()
+        calls.clear()
+        assert index.drain(2.0) == ([], ())
+        assert calls == []
