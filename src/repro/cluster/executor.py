@@ -43,6 +43,7 @@ the same tick.  A node whose ``failure_rate`` is 0, and a link whose
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -128,13 +129,16 @@ class _Leg:
     #: ``router``
     egress_bits: float
     router: StreamRouter
-    #: batch size -> (frame bytes, the placed node's cost of the batch)
-    by_size: dict[int, tuple[int, _JobCost]] = field(default_factory=dict)
+    #: batch size -> (frame bytes, the placed link's nominal occupancy for
+    #: them (None without one), the placed node's cost of the batch)
+    by_size: dict[int, tuple[int, float | None, _JobCost]] = field(default_factory=dict)
 
-    def sized(self, n: int) -> tuple[int, _JobCost]:
+    def sized(self, n: int) -> tuple[int, float | None, _JobCost]:
         """``by_size[n]``, filled on first sight."""
+        nbytes = self.router.frame_nbytes(self.egress_bits * n)
         fixed = self.by_size[n] = (
-            self.router.frame_nbytes(self.egress_bits * n),
+            nbytes,
+            None if self.link is None else self.link.duration(nbytes),
             self.memo.batch(self.unit, n),
         )
         return fixed
@@ -179,6 +183,9 @@ class ClusterExecutor(WindowLedger):
     deployment: ClusterDeployment
     seed: int = 0
     qos: QosMonitor = field(init=False)
+    #: requests lost mid-execution per ``(task id, reason)``, tallied where
+    #: they drop (the serving run counts its other drops in the same tally)
+    drops: Counter = field(init=False, default_factory=Counter)
     _rng: np.random.Generator = field(init=False, repr=False)
     #: task id -> its compiled route
     _routes: dict[int, _Route] = field(init=False, repr=False)
@@ -260,9 +267,12 @@ class ClusterExecutor(WindowLedger):
     def _drop_batch(
         self, batch: list[ServingRequest], reason: DropReason, at: float
     ) -> None:
+        drops = self.drops
         for request in batch:
             request.drop_reason = reason
-            request.service_done_at = UNSET  # never finishes service
+            # never finishes service, never completes
+            request.service_done_at = request.completed_at = UNSET
+            drops[request.task_id, reason] += 1
             if self.tracer.enabled:
                 self.tracer.event_at(
                     f"drop.{reason.value}",
@@ -406,7 +416,7 @@ class ClusterExecutor(WindowLedger):
                     node.pool, self._memos[node_id], window, ready, self.result_return_s
                 )
                 cost, unmerged, fused, start, finish = _book_jobs(
-                    jobs, node.execute, ready
+                    jobs, node.execute, ready, self.result_return_s
                 )
                 compute += cost
                 unshared += unmerged
@@ -483,7 +493,9 @@ class ClusterExecutor(WindowLedger):
     ) -> tuple[float, float, float]:
         """Walk one sub-batch of a hop-0 job through the route's later hops,
         booking each hop as a row of the hop table, and stamp its members
-        once: ``(finished or dropped at, compute, unshared)``.
+        once (a completed member's result is back ``result_return_s`` after
+        the last hop; a lost batch is tallied in :attr:`drops`):
+        ``(finished or dropped at, compute, unshared)``.
 
         The job ran on node ``where`` from ``start`` to ``at``, and each
         member's share of it is ``spent``.  ``compute`` / ``unshared`` are
@@ -497,10 +509,10 @@ class ClusterExecutor(WindowLedger):
         rows.append(("exec", where, start, at, 0))
         dropped = None
         for leg in route.legs:
-            nbytes, costs = leg.by_size.get(n) or leg.sized(n)
+            nbytes, occupancy, costs = leg.by_size.get(n) or leg.sized(n)
             if leg.link is not None and where == leg.src:
                 # as placed, over a link that cannot stall: one attempt
-                delivery, _stalled = leg.link.transfer(nbytes, at)
+                delivery = leg.link.occupy(nbytes, occupancy, at)
                 rows.append(("transfer", leg.where, at, delivery, nbytes))
             else:
                 # batch travels as one frame: batch axis on the payload
@@ -531,10 +543,12 @@ class ClusterExecutor(WindowLedger):
             rows.append(("exec", where, hop_start, finish, 0))
             at = finish
         if dropped is None:
+            returned_at = at + self.result_return_s
             for request in batch:
                 request.started_at = start
                 request.compute_time_s = spent
                 request.service_done_at = at
+                request.completed_at = returned_at
         else:
             self._drop_batch(batch, dropped, at)
             for request in batch:

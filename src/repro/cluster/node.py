@@ -169,8 +169,6 @@ class ClusterNode:
         On ``worker`` if one is named, else on the earliest-free worker;
         returns ``(worker, start, finish)``, like the pool's ``claim``.
         """
-        if worker is None and self.spec.num_workers == 1:
-            worker = 0  # the earliest-free worker, without the search
         worker, start, finish = self.pool.claim(compute_s, now, worker)
         self.busy[worker].add(start, finish)
         self.segments_executed += 1

@@ -74,7 +74,6 @@ class SimulatedLink:
         ``stall_factor`` — the caller decides whether that breaches its
         timeout.
         """
-        start = max(now, self._busy_until)
         duration = self.duration(nbytes)
         stalled = False
         if self.spec.stall_rate > 0.0 and rng is not None:
@@ -82,11 +81,20 @@ class SimulatedLink:
             if stalled:
                 duration *= self.spec.stall_factor
                 self.stalls += 1
-        delivery = start + duration
-        self._busy_until = delivery
+        return self.occupy(nbytes, duration, now), stalled
+
+    def occupy(self, nbytes: int, duration: float, now: float) -> float:
+        """Hold the link ``duration`` seconds for ``nbytes``, FIFO after the
+        transfers before it and no earlier than ``now``: the delivery instant.
+
+        What :meth:`transfer` books once it knows the duration; a caller
+        that cached a transfer's nominal :meth:`duration` books it here.
+        """
+        start = max(now, self._busy_until)
+        delivery = self._busy_until = start + duration
         self.bytes_transferred += nbytes
         self.transfers += 1
-        return delivery, stalled
+        return delivery
 
     def reset(self) -> None:
         self._busy_until = 0.0

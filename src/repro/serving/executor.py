@@ -144,11 +144,12 @@ class WorkerPool:
         """Book ``cost_s`` of work ready at ``ready_at``: (worker, start, finish).
 
         On ``worker`` if one is named (see :meth:`slots`), else on the
-        earliest-free worker, lowest index on ties.
+        earliest-free worker, lowest index on ties: worker 0 of a
+        one-worker pool, without the search.
         """
         free_at = self.free_at
         if worker is None:
-            worker = free_at.index(min(free_at))
+            worker = free_at.index(min(free_at)) if len(free_at) > 1 else 0
         start = max(ready_at, free_at[worker])
         finish = start + cost_s
         free_at[worker] = finish
@@ -186,7 +187,8 @@ class WindowLedger:
 
     prefix_cache: bool = True
     #: what a finished request still spends on the downlink: the part of
-    #: its deadline no job may use
+    #: its deadline no job may use, and what its completion stamp adds to
+    #: its finish
     result_return_s: float = 0.0
     #: DES-clock tracer recording one span per executed job
     tracer: Tracer | NullTracer = NULL_TRACER
@@ -422,9 +424,10 @@ def cut_window(
     return jobs
 
 
-def _book_jobs(jobs: list[Job], claim, now: float) -> tuple:
+def _book_jobs(jobs: list[Job], claim, now: float, result_return_s: float) -> tuple:
     """Book jobs ready at ``now`` by ``claim`` (a pool's, or a node's ``execute``),
-    stamping each member with its job's start, finish and cost share:
+    stamping each member with its job's start, finish, cost share and the
+    instant its result is back, ``result_return_s`` after the finish:
     ``(compute, unshared, merges, first start, last finish)``."""
     compute = unshared = 0.0
     merges = 0
@@ -434,10 +437,12 @@ def _book_jobs(jobs: list[Job], claim, now: float) -> tuple:
         cost = costs.cost
         job.worker, start, finish = claim(cost, now, job.worker)
         share = cost / len(job.members)
+        returned_at = finish + result_return_s
         for request in job.members:
             request.started_at = start
             request.compute_time_s = share
             request.service_done_at = finish
+            request.completed_at = returned_at
         started_at = min(started_at, start)
         finished_at = max(finished_at, finish)
         compute += cost
@@ -475,7 +480,7 @@ class BatchExecutor(WindowLedger):
             raise ValueError("cannot dispatch an empty window")
         jobs = cut_window(self.pool, self._memo, requests, now, self.result_return_s)
         compute, unshared, merges, started_at, finished_at = _book_jobs(
-            jobs, self.pool.claim, now
+            jobs, self.pool.claim, now, self.result_return_s
         )
         if self.tracer.enabled:
             for job in jobs:

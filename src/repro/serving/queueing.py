@@ -202,7 +202,7 @@ class ReadyQueues:
         indexed, untouched, for the next tick.
         """
         window: list[ServingRequest] = []
-        expired: Sequence[ServingRequest] = _NONE_EXPIRED
+        expired: list[ServingRequest] | None = None  # made on the first expiry
         heap = self._heap
         limit = sys.maxsize if max_batch is None else max_batch
         while heap and len(window) < limit:
@@ -212,7 +212,9 @@ class ReadyQueues:
             while True:
                 request, dropped = pop_ready(now)
                 if dropped:
-                    expired = [*expired, *dropped]
+                    if expired is None:
+                        expired = []
+                    expired += dropped
                 if request is not None:
                     request.dispatched_at = now
                     window.append(request)
@@ -222,4 +224,4 @@ class ReadyQueues:
                     break
                 if len(window) >= limit:
                     break
-        return window, expired
+        return window, expired or _NONE_EXPIRED

@@ -21,11 +21,18 @@ Takes an :class:`~repro.edge.controller.OffloaDNNController` deployment
    a grid of ``batch_window_s`` steps, but only on the ticks that can
    do something: with every queue empty it sleeps to the next tick a
    delivery is due at (:meth:`_Run.tick`);
-6. completions (and every drop, with its reason) land in
+6. a request's completion is a stamp, not an event: the executor that
+   books its job (or its last cluster segment) also writes when its
+   result is back, ``result_return_s`` after the finish.  Only an
+   observed run schedules one completion event per window, which emits
+   the window's request spans when its last result is back;
+7. completions (and every drop, with its reason) land in
    :class:`~repro.serving.metrics.ServingMetrics`, built once the run
    ends from the request pool's records in row order (one column of
    completion instants read off them), the tick index's columns and the
    drop counts the run tallied where its drops happened.
+
+An unobserved run therefore processes one DES event per dispatcher tick.
 
 Everything is seeded and event-ordered, so two runs with the same
 configuration produce bit-identical metrics.
@@ -36,7 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import partial
-from math import inf
+from math import inf, nextafter
 from operator import attrgetter
 
 import numpy as np
@@ -314,7 +321,7 @@ def fig11_runtime(
 
 
 class _Run:
-    """One run's data plane: push → tick → drain window → complete.
+    """One run's data plane: push → tick → drain window.
 
     Everything downstream of the arrival side (queue insert and
     backpressure, FIFO pops, deadline drops, prefix fusion,
@@ -323,12 +330,19 @@ class _Run:
     own arrival events into :meth:`push` and :meth:`drain_window`, so
     its parity with :meth:`tick` is a property of the arrival side alone.
 
+    A window's completion is a stamp: the executor writes each request's
+    ``completed_at`` where it books the request's job, and the run keeps
+    only the instant the last result is back (:attr:`last_done`, which
+    :meth:`live` reads).  An observed run also schedules :meth:`complete`
+    there, once per window, for the request spans and the in-flight count
+    the ``serving.outstanding`` gauge samples.
+
     The run keeps no per-request bookkeeping for its summary: each drop
     is counted in :attr:`drops` where it happens (a queue-full victim in
     :meth:`push`, an expiry in :meth:`drain_window`, a batch the cluster
-    lost mid-execution in :meth:`complete`), and :meth:`metrics` reads
-    everything else off the record columns it is handed once the run
-    ends.
+    lost mid-execution in ``ClusterExecutor._drop_batch``, which tallies
+    into the same counter), and :meth:`metrics` reads everything else off
+    the record columns it is handed once the run ends.
     """
 
     def __init__(self, runtime: ServingRuntime, sim: Simulator) -> None:
@@ -346,6 +360,8 @@ class _Run:
             result_return_s=cfg.result_return_s,
             tracer=self.tracer,
         )
+        #: dropped records per (task id, drop reason), tallied where they drop
+        self.drops: Counter[tuple[int, DropReason]] = Counter()
         if runtime.cluster is not None:
             # lazy import: repro.cluster imports from repro.serving
             from repro.cluster.executor import ClusterExecutor
@@ -356,6 +372,8 @@ class _Run:
             self.executor = ClusterExecutor(
                 deployment=runtime.cluster, seed=cfg.seed, **ledger
             )
+            # the fabric tallies its mid-execution losses where it drops them
+            self.drops = self.executor.drops
         else:
             self.executor = BatchExecutor(num_workers=cfg.num_workers, **ledger)
         runtime.executor = self.executor
@@ -382,13 +400,17 @@ class _Run:
         # queue selection is its own stage: the index hands each window
         # the non-empty queues in task-id order without scanning the rest
         self.ready = ReadyQueues(self.queues)
-        #: dropped records per (task id, drop reason), tallied where they drop
-        self.drops: Counter[tuple[int, DropReason]] = Counter()
         #: empty until :meth:`start_waves` (never, for an empty deployment)
         self.plan = WavePlan(tasks=[], gated={}, batch_window_s=cfg.batch_window_s)
-        #: admitted requests not yet completed or dropped; the dispatcher
+        #: admitted requests not yet dispatched or dropped; the dispatcher
         #: keeps ticking until this drains after generation stops
         self.outstanding = 0
+        #: when the last result of a dispatched window is back (see :meth:`live`)
+        self.last_done = 0.0
+        #: an observed run schedules one completion event per window
+        self.observed = runtime.obs is not None
+        #: requests of the windows whose completion event is still due
+        self.in_flight = 0
         #: last *workload* event time: the sampler keeps ticking past it,
         #: so sim.now alone would make the reported duration depend on
         #: whether tracing was on
@@ -400,16 +422,37 @@ class _Run:
             self.served_tasks, self.cfg, self.ratios, self.runtime.slice_manager
         )
         self.runtime.pool.reset()
-        # every admitted request is in flight from the start; queue_full,
-        # deadline and completion decrements drain the count
+        # every admitted request is outstanding from the start; queue_full,
+        # deadline and dispatch decrements drain the count
         self.outstanding = self.plan.total_admitted
         if self.tracer.enabled:
             self.plan.emit_shed_traces(self.tracer)
         self.sim.schedule(self.cfg.batch_window_s, self.tick)
 
     def live(self) -> bool:
-        """Whether the dispatcher (and the sampler) must keep ticking."""
-        return self.sim.now < self.cfg.duration_s or self.outstanding > 0
+        """Whether the dispatcher (and the sampler) must keep ticking.
+
+        While requests are generated, while one is still to be dispatched
+        or dropped, and until the last dispatched result is back.  That is
+        the rule the run kept when every window was a completion event and
+        every request stayed outstanding until that event fired: an event
+        due at T fires before any tick at T.  It was scheduled inside the
+        tick that dispatched its window, and every later tick is armed at
+        or after that instant — with a higher sequence number when armed
+        in that same tick.  So a tick at T saw it pending only if T is
+        that dispatching tick (a result back the instant it left, which
+        :meth:`drain_window` keeps live by stamping :attr:`last_done` one
+        float later).  The sampler's ticks are armed on their own grid and
+        can precede the event at its instant: an observed run also counts
+        the windows whose event is still due (:attr:`in_flight`).
+        """
+        now = self.sim.now
+        return (
+            now < self.cfg.duration_s
+            or self.outstanding > 0
+            or now < self.last_done
+            or self.in_flight > 0
+        )
 
     def push(self, request: ServingRequest) -> None:
         """Queue insert at the request's uplink delivery; may evict."""
@@ -451,52 +494,47 @@ class _Run:
             self.sim.schedule(self.cfg.batch_window_s, self.tick)
 
     def drain_window(self, now: float) -> None:
-        """One batching window: pop, dispatch, schedule completion."""
+        """One batching window: pop, dispatch (which stamps completions)."""
         window, expired = self.ready.drain(now, self.cfg.max_batch)
-        self.outstanding -= len(expired)
-        for victim in expired:
-            self.drops[victim.task_id, DropReason.DEADLINE] += 1
-        if self.tracer.enabled:
+        if expired:
+            self.outstanding -= len(expired)
             for victim in expired:
-                self.tracer.event_at(
-                    "drop.deadline",
-                    now,
-                    cat="serving",
-                    track=f"task{victim.task_id}",
-                    args={"request": victim.request_id},
-                )
+                self.drops[victim.task_id, DropReason.DEADLINE] += 1
+            if self.tracer.enabled:
+                for victim in expired:
+                    self.tracer.event_at(
+                        "drop.deadline",
+                        now,
+                        cat="serving",
+                        track=f"task{victim.task_id}",
+                        args={"request": victim.request_id},
+                    )
         if window:
+            self.outstanding -= len(window)
             report = self.executor.dispatch(window, now)
-            # one event per window, when its last job (or segment) returns
-            self.sim.schedule_at(
-                report.finished_at + self.cfg.result_return_s,
-                partial(self.complete, window),
-            )
+            # the window's last job (or segment) is back; every member's own
+            # completion was stamped where its job was booked
+            done = report.finished_at + self.cfg.result_return_s
+            # a result back the instant it left keeps this tick live (see live)
+            back = done if done > now else nextafter(now, inf)
+            if back > self.last_done:
+                self.last_done = back
+            if self.observed:
+                self.in_flight += len(window)
+                self.sim.schedule_at(done, partial(self.complete, window))
         self.work_end = now
 
     def complete(self, batch: list[ServingRequest]) -> None:
-        """Stamp one window's completions (and their spans).
+        """An observed window's results are back: its request spans.
 
-        A request completes when *its* job (cluster: its last segment)
-        is done and the result is back, which for all but the window's
-        last finisher is before this event fires.
+        Each request completed when *its* job (cluster: its last segment)
+        was done and the result was back, stamped at booking; this event
+        fires with the window's last, and a request lost mid-execution
+        (cluster: remote_error or transfer_timeout) has no spans.
         """
-        result_return_s = self.cfg.result_return_s
-        # one float per job, not per request: the records of a run outlive it
-        returned_at: dict[float, float] = {}
-        for request in batch:
-            if request.dropped:
-                # lost mid-execution (cluster: remote_error
-                # or transfer_timeout); never completes
-                self.drops[request.task_id, request.drop_reason] += 1
-                continue
-            done = request.service_done_at
-            at = returned_at.get(done)
-            if at is None:
-                at = returned_at[done] = done + result_return_s
-            request.completed_at = at
-        self.outstanding -= len(batch)
+        self.in_flight -= len(batch)
         if self.tracer.enabled:
+            result_return_s = self.cfg.result_return_s
             for request in batch:
                 if not request.completed:
                     continue
@@ -515,7 +553,11 @@ class _Run:
         sampler = obs.sampler()
         for tid, queue in self.queues.items():
             sampler.add_probe(f"queue.depth.task{tid}", lambda q=queue: len(q))
-        sampler.add_probe("serving.outstanding", lambda: self.outstanding)
+        # admitted requests not yet completed or dropped: the undispatched
+        # ones and those of the windows whose completion event is still due
+        sampler.add_probe(
+            "serving.outstanding", lambda: self.outstanding + self.in_flight
+        )
         sampler.add_probe(
             "executor.busy_workers", lambda: executor.busy_workers(sim.now)
         )

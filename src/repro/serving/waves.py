@@ -140,13 +140,14 @@ def fifo_deliveries(arrivals: np.ndarray, airtime_s: float) -> np.ndarray:
     finishes = arrivals + airtime_s
     if len(arrivals) == 1 or bool(np.all(finishes[:-1] <= arrivals[1:])):
         return finishes
+    # over Python floats: the same IEEE doubles, without a numpy scalar per step
+    airtime_s = float(airtime_s)
     busy = 0.0
-    out = np.empty_like(arrivals)
-    for i, arrival in enumerate(arrivals):
-        start = arrival if arrival > busy else busy
-        busy = start + airtime_s
-        out[i] = busy
-    return out
+    out = []
+    for arrival in arrivals.tolist():
+        busy = (arrival if arrival > busy else busy) + airtime_s
+        out.append(busy)
+    return np.array(out)
 
 
 def merge_arrival_order(

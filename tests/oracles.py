@@ -20,7 +20,11 @@ they were, so tests can drive the same runs through them and demand the
 same windows, drops, metrics and trace bytes.  And the dispatcher used
 to tick every window, due or not; :func:`every_window_tick` is that
 rule, against which the tick that sleeps through idle windows must give
-the same records, trace bytes and gauge series.
+the same records, trace bytes and gauge series.  Each window's
+completion used to be an event, too, which stamped its requests and
+held them outstanding until it fired; :func:`completion_events` patches
+that back over the run, and the executors' completion stamps must give
+the same records, drop counts, run tail, trace bytes and gauge series.
 
 A run's bookends had their own per-task and per-record forms: the
 summary was :func:`per_task_metrics` once per task (a registry and a
@@ -79,6 +83,7 @@ import math
 import struct
 from collections import Counter, deque
 from dataclasses import replace
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -133,8 +138,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.radio.slicing import SliceManager
 from repro.serving.executor import _JobCosts, cut_window
 from repro.serving.metrics import LatencyStats, ServingMetrics, TaskServingMetrics
-from repro.serving.queueing import DropReason, ServingQueue, ServingRequest
-from repro.serving.runtime import ServingRuntime, _Run
+from repro.serving.queueing import UNSET, DropReason, ServingQueue, ServingRequest
+from repro.serving.runtime import ServingRuntime, _record_request_spans, _Run
 from repro.workloads.smallscale import serving_small_scale_problem
 
 
@@ -267,6 +272,78 @@ def every_window_tick(run: _Run) -> None:
     run.drain_window(now)
     if run.live():
         run.sim.schedule(run.cfg.batch_window_s, run.tick)
+
+
+def _event_drain_window(run: _Run, now: float) -> None:
+    if getattr(run.executor, "drops", None) is run.drops:
+        run.executor.drops = Counter()  # the event tallies the fabric's losses
+    window, expired = run.ready.drain(now, run.cfg.max_batch)
+    run.outstanding -= len(expired)
+    for victim in expired:
+        run.drops[victim.task_id, DropReason.DEADLINE] += 1
+    if run.tracer.enabled:
+        for victim in expired:
+            run.tracer.event_at(
+                "drop.deadline",
+                now,
+                cat="serving",
+                track=f"task{victim.task_id}",
+                args={"request": victim.request_id},
+            )
+    if window:
+        report = run.executor.dispatch(window, now)
+        for request in window:  # the event stamps them
+            request.completed_at = UNSET
+        run.sim.schedule_at(
+            report.finished_at + run.cfg.result_return_s,
+            partial(_event_complete, run, window),
+        )
+    run.work_end = now
+
+
+def _event_complete(run: _Run, batch: list[ServingRequest]) -> None:
+    result_return_s = run.cfg.result_return_s
+    returned_at: dict[float, float] = {}
+    for request in batch:
+        if request.dropped:
+            run.drops[request.task_id, request.drop_reason] += 1
+            continue
+        done = request.service_done_at
+        at = returned_at.get(done)
+        if at is None:
+            at = returned_at[done] = done + result_return_s
+        request.completed_at = at
+    run.outstanding -= len(batch)
+    if run.tracer.enabled:
+        for request in batch:
+            if not request.completed:
+                continue
+            _record_request_spans(run.tracer, request, result_return_s)
+            if request.hops and run.record_hop_spans is not None:
+                run.record_hop_spans(
+                    run.tracer, request.task_id, request.request_id, request.hops
+                )
+
+
+def _event_live(run: _Run) -> bool:
+    return run.sim.now < run.cfg.duration_s or run.outstanding > 0
+
+
+def completion_events(patch) -> None:
+    """``_Run``'s completion by the old rule, patched over it with ``patch``
+    (a ``pytest.MonkeyPatch``): every window's completion is a DES event at
+    ``report.finished_at + result_return_s``, traced or not.
+
+    The event stamps each completed request ``service_done_at +
+    result_return_s`` (the executor's own stamp is cleared at dispatch),
+    tallies the requests the fabric lost mid-execution and decrements
+    ``outstanding``, which counts a request until its window's event has
+    fired; ``live`` reads only that count.  The fabric's own loss tally
+    goes to a counter nobody reads, so each loss is counted once.
+    """
+    patch.setattr(_Run, "drain_window", _event_drain_window)
+    patch.setattr(_Run, "complete", _event_complete)
+    patch.setattr(_Run, "live", _event_live)
 
 
 class FullScanQueues:
@@ -623,6 +700,7 @@ def per_request_cluster_dispatch(self, requests, now: float):
         if not dropped:
             for request in batch:
                 request.service_done_at = at
+                request.completed_at = at + self.result_return_s
             window_end = max(window_end, at)
         if self.tracer.enabled:
             self.fill_hops()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import json
 import re
@@ -235,7 +236,9 @@ def test_topology_document_loads_as_written_or_names_the_field(cloud, edits):
         if value is None and key in target and index % 2:
             del target[key]
         else:
-            target[key] = value
+            # a copy: a drawn ``{}`` or ``[]`` is one shared object, which a
+            # later edit could write into (a cycle, or the next example's draw)
+            target[key] = copy.deepcopy(value)
     try:
         topology = ClusterTopology.from_dict(json.loads(json.dumps(document)))
     except ValueError as error:
