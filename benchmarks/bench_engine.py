@@ -29,8 +29,9 @@ to the committed ``BENCH_engine.json`` rows, the value of
 
 Three counts ride along (no clock): the bytes the thread's buffer arena
 owns after every plan and batch size of the run went through it, which
-must equal the neediest single (plan, batch size) — one arena serves
-them all, pads included; what the runner's prefix cache holds resident
+must equal the neediest single (plan, tile) binding — a forward of ``n``
+binds at most ``min(n, _TILE)`` samples, and one arena serves every
+plan and tile, pads included; what the runner's prefix cache holds resident
 (``BlockwiseRunner.cache_bytes``) after sixteen inputs per batch size
 went through five paths sharing ``stem..layer3`` — an entry at the one
 branch point per input, not one per trunk block; and the scheme every
@@ -58,7 +59,7 @@ import numpy as np
 
 from benchmarks._report import write_json
 from repro.analysis.report import format_table
-from repro.dnn.compile import _Arena, _thread_arena, compile_module
+from repro.dnn.compile import _TILE, _Arena, _thread_arena, compile_module
 from repro.dnn.configs import TABLE_I_CONFIGS
 from repro.core.catalog import Block, Path
 from repro.core.task import QualityLevel
@@ -92,9 +93,10 @@ def _median_time(fn, x: np.ndarray, repeats: int, warmup: int = 1) -> float:
 
 
 def _single_need(plan, n: int) -> int:
-    """Arena bytes ``plan`` alone needs at batch size ``n``."""
+    """Arena bytes ``plan`` alone needs for a forward of ``n``: its binding
+    at ``min(n, _TILE)``, the most samples a forward binds."""
     alone = _Arena()
-    plan._bind(alone, n)
+    plan._bind(alone, min(n, _TILE))
     return alone.nbytes
 
 
@@ -130,8 +132,12 @@ def _int8_models(quick: bool):
 
 
 def run_int8(quick: bool) -> dict:
-    """int8 quantized plans vs fp32 compiled plans (same models)."""
-    batches = [1, 8] if quick else [1, 8, 32]
+    """int8 quantized plans vs fp32 compiled plans (same models).
+
+    The quick batches include 12, above the tile, so the smoke runs a
+    tiled forward and its remainder tile (12 = 8 + 4).
+    """
+    batches = [1, 8, 12] if quick else [1, 8, 32]
     repeats = 3 if quick else 5
     probe_n = 16 if quick else 32
     rng = np.random.default_rng(SEED + 1)
@@ -391,7 +397,8 @@ def main() -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small-shape CI smoke: subset of models, batches 1/8",
+        help="small-shape CI smoke: subset of models, batches 1/8 (and 12 "
+        "for the int8 section)",
     )
     parser.add_argument(
         "--fit-default",
@@ -448,7 +455,7 @@ def main() -> int:
     ) + f"   (fatal > {LAW_MAPE_FATAL}, target <= {LAW_MAPE_TARGET})"
     arena_summary = (
         f"arena after every plan: "
-        f"{report['arena']['bytes'] / 1e6:.1f} MB   neediest single (plan, batch): "
+        f"{report['arena']['bytes'] / 1e6:.1f} MB   neediest single (plan, tile): "
         f"{report['arena']['largest_single_need_bytes'] / 1e6:.1f} MB"
     )
     cache = report["prefix_cache"]

@@ -23,7 +23,7 @@ Optimization passes
    convolution and the contiguous transpose of every ``Linear`` weight
    are materialized once at compile time instead of per call.
 4. **Buffer arena** — a plan owns weights, never buffers.  The first
-   ``forward`` at a batch size on a thread *binds* the plan: all
+   ``forward`` at a tile size (item 5) on a thread *binds* the plan: all
    activation shapes are known from the compiled input shape, so the
    shared im2col/temp scratch and every step's output and pad buffer get
    fixed offsets of that thread's one grow-only arena.  The scratch sits
@@ -35,9 +35,15 @@ Optimization passes
    not their sum; when it has to grow every binding is dropped and
    rebuilt on the new block.  A pad buffer is zeroed each time its step
    runs, since whatever ran in between may have written there.
-   Steady-state forwards allocate nothing but the final output copy, and
+   Steady-state forwards allocate nothing but the output they return, and
    concurrent ``forward`` calls from different threads never share
    mutable buffers.
+5. **Tiles** — a forward binds at most ``_TILE`` (8) samples: a larger
+   batch runs as consecutive tiles, the last one the remainder, each on
+   the binding of its own size and copied into the one output.  At 32
+   the int8 convs' whole-batch GEMM operands no longer fit in cache and
+   the whole-batch bindings are 3-4x larger; the tiles are as fast or
+   faster and give the same bits (see ``_TILE``).
 
 :class:`CompiledModule` is a :class:`~repro.dnn.layers.Layer` whose
 ``output_shape`` / ``flops`` delegate to the source module, plus the
@@ -102,6 +108,25 @@ _ALIGN = 64
 #: most bytes of im2col scratch an fp32 conv binds: it gathers and
 #: multiplies its batch in chunks that fit (its GEMMs are per sample)
 _COLS_CAP = 4 << 20
+#: most samples a forward binds: a larger batch runs as consecutive tiles
+#: of this many (``CompiledModule.forward``).  Not below the batch sizes
+#: the repository fits its batch law to (``repository._LAW_BATCH_SIZES``),
+#: so every binding the law is measured on runs unchanged.  A batch of 32
+#: through ResNet-18 w32 (32 px, its six block plans chained) run as
+#: tiles of t samples: ms per sample (min of 7 forwards) and the largest
+#: block binding (2-vCPU Xeon @ 2.1 GHz, numpy 2.4.6 on OpenBLAS 0.3.31,
+#: one BLAS thread)::
+#:
+#:     t             1     2     4     8     16    32
+#:     fp32 ms       6.36  7.14  5.64  6.24  7.58  7.60
+#:     int8 ms       8.00  6.18  5.71  5.25  5.43  6.56
+#:     fp32 arena MB 1.6   3.3   5.4   7.5   11.6  19.9
+#:     int8 arena MB 0.8   1.6   3.2   6.5   12.9  25.9
+#:
+#: Past 8 the int8 convs' whole-tile GEMM operands (w32 ``layer1``'s
+#: ``kw`` gather is 13.5 MB at 32) fall out of cache, and at 16 and up
+#: ``layer4`` binds F(2,3) Winograd and lays out its float32 shadows.
+_TILE = 8
 
 
 def _batch_shape(shape: tuple, n, dtype) -> tuple:
@@ -130,7 +155,7 @@ class _Arena:
     copy), so every plan and batch size a thread runs lays its scratch,
     step outputs and pad buffers out at offsets of the same ``block``,
     which is exactly as large as the neediest of them.  ``bound`` maps
-    plan -> batch size -> :class:`_Binding`; replacing the block drops
+    plan -> tile size -> :class:`_Binding`; replacing the block drops
     every binding, so no view of the old block survives to keep it alive
     or be written to.
     """
@@ -751,10 +776,11 @@ class CompiledModule(Layer):
     ``output_shape`` / ``flops`` / ``parameters`` delegate to the source
     module, so profiling arithmetic is unchanged; ``forward`` runs the
     plan.  Compile once per (module, input shape).  The plan holds
-    weights only: the first ``forward`` at a batch size on a thread
-    *binds* it — lays its buffers out in that thread's arena — and later
-    calls reuse the binding, so concurrent ``forward`` calls from
-    different threads never share a mutable buffer.
+    weights only: the first ``forward`` at a tile size (at most ``_TILE``
+    samples) on a thread *binds* it — lays its buffers out in that
+    thread's arena — and later calls reuse the binding, so concurrent
+    ``forward`` calls from different threads never share a mutable
+    buffer.
     """
 
     kind = "compiled"
@@ -822,28 +848,44 @@ class CompiledModule(Layer):
             return binding
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """Run the plan on a batch, ``_TILE`` samples at a time.
+
+        A batch of at most ``_TILE`` runs whole on the binding of its
+        size.  A larger one runs as consecutive tiles of ``_TILE``
+        samples, the last one the remainder, each on the binding of its
+        own size (12 = 8 + 4: the bindings at 8 and at 4), and each
+        tile's output is copied into one preallocated result.  Every step
+        treats samples independently, so a tile's output is the whole
+        batch's wherever both bind the same kernels (every fp32 step;
+        an int8 conv whose scheme at the tile size is the whole batch's).
+        """
         if tuple(x.shape[1:]) != self.input_shape:
             raise ValueError(
                 f"compiled for input shape {self.input_shape}, "
                 f"got {tuple(x.shape[1:])}"
             )
         x = np.ascontiguousarray(x, dtype=np.float32)
-        binding = self._binding(x.shape[0])
+        n = x.shape[0]
+        # the arena is rewritten by the next call — callers own the result
+        out = np.empty((n, *self.out_shape), dtype=np.float32)
         # the tracer predicate is hoisted out of the step loop so the
         # disabled path pays one thread-local read per forward, not one
         # per plan step
         tracer = current_tracer()
-        if tracer.enabled:
-            for step in self.steps:
-                with tracer.span(
-                    f"plan.{step.label}", cat="engine", track="engine"
-                ):
-                    x = step.run(x, binding)
-        else:
-            for step in self.steps:
-                x = step.run(x, binding)
-        # the arena is rewritten by the next call — callers own a copy
-        return x.copy()
+        for lo in range(0, n, _TILE):
+            tile = x[lo : lo + _TILE]
+            binding = self._binding(tile.shape[0])
+            if tracer.enabled:
+                for step in self.steps:
+                    with tracer.span(
+                        f"plan.{step.label}", cat="engine", track="engine"
+                    ):
+                        tile = step.run(tile, binding)
+            else:
+                for step in self.steps:
+                    tile = step.run(tile, binding)
+            out[lo : lo + _TILE] = tile
+        return out
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return self.source.output_shape(input_shape)

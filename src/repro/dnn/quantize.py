@@ -57,10 +57,10 @@ GEMM's arithmetic cost; the wins are layout and fusion co-design:
   4x fewer bytes between steps.
 
 * **Scheme by (shape, batch size)** — a conv picks its gather/GEMM
-  strategy when the plan binds to a batch size
-  (:func:`_conv_scheme`): Winograd's tile GEMMs have ``tiles * N``
-  columns, so it is bound only where the batch makes them fat enough
-  and the direct schemes serve batch 1.
+  strategy when the plan binds to a batch size, which is at most one
+  tile of ``compile._TILE`` samples (:func:`_conv_scheme`): Winograd's
+  tile GEMMs have ``tiles * N`` columns, so it is bound only where the
+  batch makes them fat enough and the direct schemes serve batch 1.
 
 Implementation note: because the GEMM runs on BLAS, each quantized step
 keeps an integer-valued *float32 shadow* of its int8 weights, laid out
@@ -75,6 +75,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dnn.compile import (
+    _TILE,
     CompiledModule,
     _Arena,
     _Binding,
@@ -250,6 +251,10 @@ def _conv_scheme(
     """Pick the gather/GEMM strategy for an int8 conv from (shape, batch).
 
     Deterministic, so a plan is a function of (model, input, batch size).
+    Schemes bind per tile: a forward binds at most ``_TILE`` (8) samples,
+    so ``n`` here is a tile size, and the n = 16 / 32 columns of the
+    table below are what a whole batch would bind, not what a forward
+    does (``QuantizedModule.conv_schemes``).
 
     * ``im2col`` — K*K-tap gather + one GEMM.  Wins when C_in is small
       (the gather is cheap and one well-blocked GEMM beats several) and
@@ -370,7 +375,7 @@ _WINO_G = {
 class _QuantConv(_QStep):
     """int8 conv (+ folded BN bias) + fused requant/activation clip.
 
-    Collapsed sgemm(s) over the whole batch.  The gather/GEMM strategy is
+    Collapsed sgemm(s) over the whole tile.  The gather/GEMM strategy is
     chosen by :func:`_conv_scheme` when the step binds to a batch size,
     and the float32 GEMM operands of a scheme are laid out the first
     time the step binds to it (``_laid``).  For the gathered schemes the
@@ -1002,9 +1007,12 @@ class QuantizedModule(CompiledModule):
         return plan_param_bytes(self)
 
     def conv_schemes(self, n: int) -> list[str]:
-        """Scheme each int8 conv binds to at batch size ``n``, in plan order."""
+        """Scheme each int8 conv of a forward of ``n`` binds, in plan order:
+        the schemes at ``min(n, _TILE)``, the tile a forward runs (a
+        remainder tile binds its own size's)."""
+        tile = min(n, _TILE)
         return [
-            step.scheme(n)
+            step.scheme(tile)
             for step in _iter_steps(self.steps)
             if isinstance(step, _QuantConv)
         ]

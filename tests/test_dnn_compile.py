@@ -422,6 +422,9 @@ class TestArena:
                 np.testing.assert_array_equal(plan.forward(x), expected)
 
     def test_arena_holds_one_plans_worth(self):
+        """A forward of ``n`` binds at most one tile, ``min(n, _TILE)``
+        samples, so the block is the neediest binding at that size (a
+        forward of 32 no longer lays out a whole-batch binding)."""
         plans = _arena_plans()
         _thread_arena().release()
         needs = []
@@ -429,13 +432,15 @@ class TestArena:
             for plan in plans:
                 plan.forward(np.zeros((n, *plan.input_shape), dtype=np.float32))
                 alone = _Arena()
-                plan._bind(alone, n)
+                plan._bind(alone, min(n, compile_mod._TILE))
                 needs.append(alone.nbytes)
         # counted from the arena, not from RSS: pads live in the block,
         # which is exactly the largest single need
         assert _thread_arena().nbytes == max(needs)
 
     def test_growth_rebinds_every_plan(self):
+        """A forward of 32 grows the block to the tile's binding, and
+        the growth drops every binding made on the old block."""
         small, _, other = _arena_plans()
         _thread_arena().release()
         arena = _thread_arena()
@@ -446,10 +451,11 @@ class TestArena:
         assert set(arena.bound) == {small, other}
         small.forward(np.zeros((32, *small.input_shape), dtype=np.float32))
         # the block was replaced: no binding made on the old one survives
+        tile = compile_mod._TILE
         assert arena.block is not block
-        assert set(arena.bound) == {small} and set(arena.bound[small]) == {32}
-        views = [arena.bound[small][32].cols, arena.bound[small][32].tmp]
-        views += [buf[2] for buf in arena.bound[small][32].bufs.values()]
+        assert set(arena.bound) == {small} and set(arena.bound[small]) == {tile}
+        views = [arena.bound[small][tile].cols, arena.bound[small][tile].tmp]
+        views += [buf[2] for buf in arena.bound[small][tile].bufs.values()]
         assert all(
             np.shares_memory(view, arena.block)
             for view in views

@@ -239,8 +239,10 @@ class TestEndToEndParity:
 
 
 class TestSchemeByBatch:
-    """A plan binds per batch size: Winograd's r^2 tile GEMMs only pay
-    once the batch makes them fat enough, and never below 64 channels."""
+    """A plan binds per tile size (a forward binds ``min(n, _TILE)``
+    samples, which ``conv_schemes(n)`` reports): Winograd's r^2 tile
+    GEMMs only pay once the batch makes them fat enough, and never below
+    64 channels."""
 
     @pytest.fixture(scope="class")
     def model(self):
