@@ -19,8 +19,14 @@ waves:
    DES will accumulate it, and every admitted delivery is assigned the
    tick that enqueues it (the *tick index*); the tick itself — at most
    one DES event per batching window, not one per request —
-   materializes its slice of the index from a freelist pool and pushes
-   it into the serving queues.  :meth:`WavePlan.next_due` names the next tick with
+   materializes its slice of the index from a freelist pool.  A capped
+   dispatcher pushes it into the serving queues.  An uncapped one empties
+   every queue on every tick, so a delivery never waits in a queue past
+   its own tick and what the queue stage would do to it is fixed by its
+   tick's rows: the index also carries each row's *fate* (dispatched,
+   queue-full victim or expired), decided in numpy when the plan is
+   built, and the tick hands over its window and drops with no queue
+   touched.  :meth:`WavePlan.next_due` names the next tick with
    something due, so a dispatcher with empty queues sleeps until it;
 5. the pool's records, in the order the ticks acquired them, are the
    index's rows: once the run ends, the index's columns
@@ -53,6 +59,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -60,13 +67,13 @@ from repro.core.latency import uplink_tti_s
 from repro.radio.slicing import SliceManager
 from repro.serving import waves
 from repro.serving.pool import RequestPool
-from repro.serving.queueing import ServingRequest
+from repro.serving.queueing import DropReason, ServingRequest
 
 __all__ = ["TaskWave", "WavePlan"]
 
-#: one row of the tick index: a materialized request's wave position, id
-#: and created / deadline / uplink-delivery instants, packed so that a tick
-#: reads its rows with one slice
+#: one row of the tick index: a materialized request's wave position, id,
+#: created / deadline / uplink-delivery instants and fate at its tick,
+#: packed so that a tick reads its rows with one slice
 ROW = np.dtype(
     [
         ("position", np.int32),
@@ -74,8 +81,18 @@ ROW = np.dtype(
         ("created", np.float64),
         ("deadline", np.float64),
         ("delivered", np.float64),
+        ("fate", np.int8),
     ]
 )
+
+#: a row's fate at its tick under a dispatcher that drains every queue on
+#: every tick (``max_batch=None``; decided by :meth:`WavePlan.build`)
+DISPATCHED, QUEUE_FULL, EXPIRED = 0, 1, 2
+
+#: what :meth:`WavePlan.push_due` hands back for a tick with nothing due
+_IDLE: tuple = ((), (), ())
+
+_task_id = attrgetter("task_id")
 
 
 @dataclass
@@ -171,6 +188,9 @@ class WavePlan:
     _cursor: int = field(init=False, repr=False, default=0)
     #: what every record of a wave shares, by wave position
     _static: list[tuple] = field(init=False, repr=False)
+    #: entries of ``_times`` whose rows are not in ascending task-id order
+    #: (fates decided only; wave position is not task-id rank)
+    _unsorted: set[int] = field(init=False, repr=False, default_factory=set)
 
     def __post_init__(self) -> None:
         tasks = self.tasks
@@ -204,7 +224,7 @@ class WavePlan:
                 tick[row] = on
         # stable over a wave-ordered concatenation = (tick, wave, in-wave)
         order = np.argsort(tick, kind="stable")
-        rows = self._rows = np.empty(len(order), dtype=ROW)
+        rows = self._rows = np.zeros(len(order), dtype=ROW)
         rows["position"] = np.repeat(
             np.arange(len(tasks), dtype=np.int32), np.diff(offsets)
         )[order]
@@ -275,13 +295,56 @@ class WavePlan:
             gated[task.task_id] = wave.gated
             total_offered += wave.offered
             total_admitted += n_admitted
-        return cls(
+        plan = cls(
             tasks=task_waves,
             gated=gated,
             batch_window_s=config.batch_window_s,
             total_offered=total_offered,
             total_admitted=total_admitted,
         )
+        if config.max_batch is None:
+            plan._decide(config.queue_depth)
+        return plan
+
+    def _decide(self, queue_depth: int) -> None:
+        """Each row's fate at its tick, for a dispatcher that empties every
+        queue on every tick.
+
+        Every queue is then empty when a tick starts, so what the queue
+        stage does to a row is a function of its tick's rows alone: with
+        ``queue_depth`` earlier rows of its task due on the tick it is the
+        queue's backpressure victim; otherwise it expires if even zero
+        queueing misses its deadline (``ServingQueue.pop_ready``'s float
+        expression, at the tick's instant); otherwise it is dispatched.
+        A tick's rows of one wave are contiguous and in delivery order.
+        """
+        rows = self._rows
+        n = len(rows)
+        if not n:
+            return
+        starts = np.asarray(self._starts)
+        position = rows["position"]
+        # each temporary is freed before the next is made: a repeat run
+        # builds its plan beside the last run's pooled records, so they add
+        # to its peak.  Run ids: a tick's rows of one wave are one run
+        head = np.diff(position, prepend=-1) != 0
+        head[starts[:-1]] = True
+        run = np.cumsum(head, dtype=np.int32)
+        full = np.zeros(n, dtype=bool)
+        full[queue_depth:] = run[queue_depth:] == run[:-queue_depth]
+        del run
+        at = np.repeat(self._times[:-1], np.diff(starts))
+        at += np.array([w.path.compute_time_s for w in self.tasks])[position]
+        fate = rows["fate"]
+        fate[at > rows["deadline"] + 1e-12] = EXPIRED
+        del at
+        fate[full] = QUEUE_FULL
+        # a window takes its queues in ascending task id: a tick whose rows
+        # descend in it somewhere is sorted when it fires
+        task_id = np.array([w.task_id for w in self.tasks])[position]
+        descends = np.flatnonzero(np.diff(task_id, prepend=task_id[0]) < 0)
+        tick = np.searchsorted(starts, descends, "right") - 1
+        self._unsorted = set(tick[starts[tick] != descends].tolist())
 
     def next_due(self) -> tuple[float, float]:
         """``(instant, armed at)`` of the next tick with something due.
@@ -296,39 +359,69 @@ class WavePlan:
         self,
         now: float,
         pool: RequestPool,
-        push: Callable[[ServingRequest], None],
-    ) -> None:
-        """Materialize and enqueue every request the tick at ``now`` owns.
+        push: Callable[[ServingRequest], None] | None = None,
+    ) -> tuple[list, list, list] | None:
+        """Materialize every request the tick at ``now`` owns.
 
         Which tick a delivery joins was settled when the index was built
         (strictly before the tick, or on it and winning the scalar
-        tie-break); the tick only slices its rows.  ``push`` runs the
-        runtime's queue-insert (backpressure, tracing).  Records are
-        acquired from ``pool`` in row order, so once every tick has run
-        the pool's records line up with :meth:`record_columns`.  A tick
-        with nothing due costs the one compare against the next non-empty
-        tick's instant (:meth:`next_due`).
+        tie-break); the tick only slices its rows.  Records are acquired
+        from ``pool`` in row order, so once every tick has run the pool's
+        records line up with :meth:`record_columns`.  A tick with nothing
+        due costs the one compare against the next non-empty tick's
+        instant (:meth:`next_due`).
+
+        With ``push`` (a capped dispatcher, and the reference runs), each
+        record goes through it: the runtime's queue insert.  Without, the
+        plan must have decided its fates (:meth:`build` with
+        ``max_batch=None``) and no queue is touched: the tick comes back
+        as ``(window, queue-full victims, expired)``, the window and the
+        expired in window order (ascending task id, then row order), the
+        victims in row order, each record stamped as the queue stage
+        would have stamped it.
         """
-        due_at = self._times[self._cursor]
+        cursor = self._cursor
+        due_at = self._times[cursor]
         if now < due_at:
-            return
+            return None if push is not None else _IDLE
         if now != due_at:
             raise RuntimeError(
                 f"dispatcher tick at {now!r} skipped the tick at {due_at!r} "
                 "the index was built on"
             )
-        lo, hi = self._starts[self._cursor], self._starts[self._cursor + 1]
-        self._cursor += 1
+        lo, hi = self._starts[cursor], self._starts[cursor + 1]
+        self._cursor = cursor + 1
         static = self._static
-        for position, request_id, created_at, deadline_at, delivered_at in (
-            self._rows[lo:hi].tolist()
-        ):
+        acquire = pool.acquire
+        rows = self._rows[lo:hi].tolist()
+        if push is not None:
+            for position, request_id, created_at, deadline_at, delivered_at, _ in rows:
+                task_id, path, bits = static[position]
+                request = acquire(task_id, request_id, path, created_at, deadline_at, bits)
+                request.uplink_done_at = delivered_at
+                push(request)
+            return None
+        window: list[ServingRequest] = []
+        victims: list[ServingRequest] = []
+        expired: list[ServingRequest] = []
+        for position, request_id, created_at, deadline_at, delivered_at, fate in rows:
             task_id, path, bits = static[position]
-            request = pool.acquire(
-                task_id, request_id, path, created_at, deadline_at, bits
-            )
+            request = acquire(task_id, request_id, path, created_at, deadline_at, bits)
             request.uplink_done_at = delivered_at
-            push(request)
+            if fate == DISPATCHED:
+                request.dispatched_at = now
+                window.append(request)
+            elif fate == QUEUE_FULL:
+                request.drop_reason = DropReason.QUEUE_FULL
+                victims.append(request)
+            else:
+                request.drop_reason = DropReason.DEADLINE
+                expired.append(request)
+        if cursor in self._unsorted:
+            # stable: within a task, row order is queue order
+            window.sort(key=_task_id)
+            expired.sort(key=_task_id)
+        return window, victims, expired
 
     def emit_shed_traces(self, tracer) -> None:
         """Replay admission-shed drop events into an enabled tracer.

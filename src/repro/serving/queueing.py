@@ -11,6 +11,13 @@ A queue serves in arrival order.  A task's requests share one slice
 and one latency target, so they reach the queue in deadline order
 too: arrival order is earliest-deadline-first order, and a full
 queue's latest deadline is always the newcomer's.
+
+The queues serve a capped dispatcher (``ServingConfig.max_batch``),
+whose windows leave requests behind for later ticks, and the reference
+runs in ``tests/oracles.py``.  An uncapped dispatcher empties every
+queue on every tick, so nothing waits across ticks: the wave plan
+decides each delivery's fate by these rules when it is built
+(``repro.serving.engine.WavePlan``) and its ticks touch no queue.
 """
 
 from __future__ import annotations

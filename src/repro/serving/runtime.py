@@ -13,14 +13,21 @@ Takes an :class:`~repro.edge.controller.OffloaDNNController` deployment
    for its TTI-granular airtime
    (:func:`~repro.core.latency.uplink_tti_s`);
 4. on arrival they enter the task's bounded, deadline-aware
-   :class:`~repro.serving.queueing.ServingQueue`;
+   :class:`~repro.serving.queueing.ServingQueue`, which sheds the
+   newcomer when full and expires a request that can no longer make
+   its deadline;
 5. a periodic dispatcher drains the queues into batching windows which
    the :class:`~repro.serving.executor.BatchExecutor` cuts into jobs
    that fit their members' deadlines, fuses each along shared
    frozen-block prefixes and runs on a worker of its pool.  It ticks on
    a grid of ``batch_window_s`` steps, but only on the ticks that can
    do something: with every queue empty it sleeps to the next tick a
-   delivery is due at (:meth:`_Run.tick`);
+   delivery is due at (:meth:`_Run.tick`).  A dispatcher without a
+   ``max_batch`` cap empties every queue on every tick, so steps 4 and
+   5 are a function of each tick's deliveries: the wave plan decides
+   every delivery's fate (dispatched, queue-full, expired) when it is
+   built, by the queues' own rules, and the tick dispatches its window
+   with no queue touched;
 6. a request's completion is a stamp, not an event: the executor that
    books its job (or its last cluster segment) also writes when its
    result is back, ``result_return_s`` after the finish.  Only an
@@ -41,6 +48,7 @@ configuration produce bit-identical metrics.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import partial
 from math import inf, nextafter
@@ -128,8 +136,10 @@ class ServingConfig:
     num_workers: int = 1
     prefix_cache: bool = True
     #: per-tick drain cap: at most this many requests leave the queues per
-    #: dispatcher tick; the executor cuts them into jobs (None = drain
-    #: everything; 1 = one frame per job, the Fig. 11 regime)
+    #: dispatcher tick; the executor cuts them into jobs (1 = one frame per
+    #: job, the Fig. 11 regime).  None drains everything, so no request
+    #: waits in a queue past its tick: the wave plan then decides each
+    #: request's window or drop when it is built and no queue is touched
     max_batch: int | None = None
     #: Poisson arrivals if True, deterministic spacing otherwise
     poisson: bool = False
@@ -321,14 +331,20 @@ def fig11_runtime(
 
 
 class _Run:
-    """One run's data plane: push → tick → drain window.
+    """One run's data plane: tick → window (queued or fated) → dispatch.
 
     Everything downstream of the arrival side (queue insert and
     backpressure, FIFO pops, deadline drops, prefix fusion,
-    completion timing, metrics) exists once, here.  The
-    one-event-per-request reference in ``tests/oracles.py`` drives its
+    completion timing, metrics) exists once, here.  A capped tick
+    pushes its deliveries through :meth:`push` and drains a window with
+    :meth:`drain_window`; an uncapped tick takes the window, victims and
+    expiries the plan decided when it was built.  Both tally and trace
+    their drops with :meth:`drop` and hand the window to :meth:`dispatch`.
+    The one-event-per-request reference in ``tests/oracles.py`` drives its
     own arrival events into :meth:`push` and :meth:`drain_window`, so
-    its parity with :meth:`tick` is a property of the arrival side alone.
+    its parity with :meth:`tick` is a property of the arrival side and
+    the plan's fates alone (``tests/oracles.py::queued_ticks`` drives the
+    uncapped tick through the queues too).
 
     A window's completion is a stamp: the executor writes each request's
     ``completed_at`` where it books the request's job, and the run keeps
@@ -338,11 +354,11 @@ class _Run:
     the ``serving.outstanding`` gauge samples.
 
     The run keeps no per-request bookkeeping for its summary: each drop
-    is counted in :attr:`drops` where it happens (a queue-full victim in
-    :meth:`push`, an expiry in :meth:`drain_window`, a batch the cluster
-    lost mid-execution in ``ClusterExecutor._drop_batch``, which tallies
-    into the same counter), and :meth:`metrics` reads everything else off
-    the record columns it is handed once the run ends.
+    is counted in :attr:`drops` where it happens (a queue-full victim or
+    an expiry in :meth:`drop`, a batch the cluster lost mid-execution in
+    ``ClusterExecutor._drop_batch``, which tallies into the same
+    counter), and :meth:`metrics` reads everything else off the record
+    columns it is handed once the run ends.
     """
 
     def __init__(self, runtime: ServingRuntime, sim: Simulator) -> None:
@@ -458,19 +474,43 @@ class _Run:
         """Queue insert at the request's uplink delivery; may evict."""
         victim = self.ready.push(request)
         if victim is not None:
-            self.outstanding -= 1
-            self.drops[victim.task_id, DropReason.QUEUE_FULL] += 1
-            if self.tracer.enabled:
+            self.drop((victim,), DropReason.QUEUE_FULL)
+
+    def drop(
+        self,
+        victims: Sequence[ServingRequest],
+        reason: DropReason,
+        at: float | None = None,
+    ) -> None:
+        """Tally (and trace) records that leave undispatched, in order.
+
+        A queue-full victim drops at its delivery; an expiry at the tick
+        that found it expired (``at``).
+        """
+        self.outstanding -= len(victims)
+        drops = self.drops
+        for victim in victims:
+            drops[victim.task_id, reason] += 1
+        if self.tracer.enabled:
+            name = f"drop.{reason.value}"
+            for victim in victims:
                 self.tracer.event_at(
-                    "drop.queue_full",
-                    request.uplink_done_at,
+                    name,
+                    victim.uplink_done_at if at is None else at,
                     cat="serving",
                     track=f"task{victim.task_id}",
                     args={"request": victim.request_id},
                 )
 
     def tick(self) -> None:
-        """One dispatcher tick: enqueue what is due, drain one window.
+        """One dispatcher tick: take in what is due, dispatch one window.
+
+        A capped dispatcher pushes the tick's deliveries into the serving
+        queues and drains at most ``max_batch`` of what they hold.  An
+        uncapped one empties every queue on every tick, so nothing is ever
+        queued across ticks: the plan decided each delivery's fate when it
+        was built, and the tick hands over the window and the drops with
+        no queue touched (:meth:`WavePlan.push_due` without ``push``).
 
         The next tick is one window later, unless every serving queue is
         empty and a delivery is still to come: then every tick before the
@@ -483,8 +523,16 @@ class _Run:
         """
         now = self.sim.now
         plan = self.plan
-        plan.push_due(now, self.runtime.pool, self.push)
-        self.drain_window(now)
+        if self.cfg.max_batch is None:
+            window, victims, expired = plan.push_due(now, self.runtime.pool)
+            if victims:
+                self.drop(victims, DropReason.QUEUE_FULL)
+            if expired:
+                self.drop(expired, DropReason.DEADLINE, now)
+            self.dispatch(window, now)
+        else:
+            plan.push_due(now, self.runtime.pool, self.push)
+            self.drain_window(now)
         if not self.live():
             return
         due, armed_at = plan.next_due()
@@ -494,21 +542,14 @@ class _Run:
             self.sim.schedule(self.cfg.batch_window_s, self.tick)
 
     def drain_window(self, now: float) -> None:
-        """One batching window: pop, dispatch (which stamps completions)."""
+        """One batching window out of the serving queues."""
         window, expired = self.ready.drain(now, self.cfg.max_batch)
         if expired:
-            self.outstanding -= len(expired)
-            for victim in expired:
-                self.drops[victim.task_id, DropReason.DEADLINE] += 1
-            if self.tracer.enabled:
-                for victim in expired:
-                    self.tracer.event_at(
-                        "drop.deadline",
-                        now,
-                        cat="serving",
-                        track=f"task{victim.task_id}",
-                        args={"request": victim.request_id},
-                    )
+            self.drop(expired, DropReason.DEADLINE, now)
+        self.dispatch(window, now)
+
+    def dispatch(self, window: list[ServingRequest], now: float) -> None:
+        """Run a window on the executor (which stamps completions)."""
         if window:
             self.outstanding -= len(window)
             report = self.executor.dispatch(window, now)

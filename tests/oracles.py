@@ -25,6 +25,10 @@ completion used to be an event, too, which stamped its requests and
 held them outstanding until it fired; :func:`completion_events` patches
 that back over the run, and the executors' completion stamps must give
 the same records, drop counts, run tail, trace bytes and gauge series.
+An uncapped dispatcher used to push every due delivery into its serving
+queue and pop it out again on the same tick; :func:`queued_ticks`
+patches that back over the run, and the fates the plan decides when it
+is built must give the same windows, drops, records and trace bytes.
 
 A run's bookends had their own per-task and per-record forms: the
 summary was :func:`per_task_metrics` once per task (a registry and a
@@ -274,22 +278,33 @@ def every_window_tick(run: _Run) -> None:
         run.sim.schedule(run.cfg.batch_window_s, run.tick)
 
 
-def _event_drain_window(run: _Run, now: float) -> None:
+def _queued_tick(run: _Run) -> None:
+    now = run.sim.now
+    plan = run.plan
+    plan.push_due(now, run.runtime.pool, run.push)
+    run.drain_window(now)
+    if not run.live():
+        return
+    due, armed_at = plan.next_due()
+    if due != math.inf and not run.ready.holds_work():
+        run.sim.schedule_as_of(armed_at, due, run.tick)
+    else:
+        run.sim.schedule(run.cfg.batch_window_s, run.tick)
+
+
+def queued_ticks(patch) -> None:
+    """``_Run.tick`` by the old rule, patched over it with ``patch`` (a
+    ``pytest.MonkeyPatch``): every dispatcher, capped or not, pushes each
+    due delivery into its serving queue (``_Run.push``: backpressure) and
+    drains a window out of them (``_Run.drain_window``: FIFO pops, expiry,
+    task-id order), as an uncapped one did before the plan decided its
+    rows' fates when it was built.  The sleep rule is the product's."""
+    patch.setattr(_Run, "tick", _queued_tick)
+
+
+def _event_dispatch(run: _Run, window: list[ServingRequest], now: float) -> None:
     if getattr(run.executor, "drops", None) is run.drops:
         run.executor.drops = Counter()  # the event tallies the fabric's losses
-    window, expired = run.ready.drain(now, run.cfg.max_batch)
-    run.outstanding -= len(expired)
-    for victim in expired:
-        run.drops[victim.task_id, DropReason.DEADLINE] += 1
-    if run.tracer.enabled:
-        for victim in expired:
-            run.tracer.event_at(
-                "drop.deadline",
-                now,
-                cat="serving",
-                track=f"task{victim.task_id}",
-                args={"request": victim.request_id},
-            )
     if window:
         report = run.executor.dispatch(window, now)
         for request in window:  # the event stamps them
@@ -341,7 +356,7 @@ def completion_events(patch) -> None:
     fired; ``live`` reads only that count.  The fabric's own loss tally
     goes to a counter nobody reads, so each loss is counted once.
     """
-    patch.setattr(_Run, "drain_window", _event_drain_window)
+    patch.setattr(_Run, "dispatch", _event_dispatch)
     patch.setattr(_Run, "complete", _event_complete)
     patch.setattr(_Run, "live", _event_live)
 

@@ -20,6 +20,7 @@ from repro.cluster.registry import ClusterTopology, LinkSpec, NodeSpec
 from repro.core.heuristic import OffloaDNNSolver
 from repro.obs import ObsSession, jsonl_lines
 from repro.serving import fig11_runtime
+from repro.serving.queueing import ServingQueue
 from repro.serving.runtime import ServingConfig, ServingRuntime, _Run
 from tests.oracles import every_window_tick, replicated_serving_problem
 
@@ -51,11 +52,22 @@ def _observables(runtime: ServingRuntime) -> dict[str, str]:
 def _assert_same_both_ways(runtime: ServingRuntime) -> None:
     sleeping = _observables(runtime)
     slept = runtime.simulator.events_processed
+    pushes = [0]
+    push = ServingQueue.push
+
+    def counted_push(queue, request):
+        pushes[0] += 1
+        return push(queue, request)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Run, "tick", every_window_tick)
+        patch.setattr(ServingQueue, "push", counted_push)
         stepping = _observables(runtime)
     for name in sleeping:
         assert sleeping[name] == stepping[name], name
+    # the old rule goes through the serving queues, capped or not, so an
+    # uncapped run compares the plan's fates with the queues' decisions
+    assert pushes[0] > 0
     # the sleep happened: fewer events than one tick per window
     assert slept < runtime.simulator.events_processed
 

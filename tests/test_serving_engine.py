@@ -35,6 +35,7 @@ from tests.oracles import (
     FullScanQueues,
     full_scan_next_due,
     full_scan_push_due,
+    queued_ticks,
     replicated_serving_problem,
     scalar_run,
 )
@@ -358,7 +359,9 @@ def test_sparse_many_task_run_matches_scalar_and_full_scan(
     )
     # trace bytes differ from the oracle's by design (shed events in bulk)
     assert (metrics, served) == (ref_metrics, ref_served)
-    # both driven by the old scans: same bytes, engine and oracle
+    # both driven by the old scans, through the serving queues: same bytes,
+    # engine and oracle
+    queued_ticks(monkeypatch)
     monkeypatch.setattr(runtime_module, "ReadyQueues", FullScanQueues)
     monkeypatch.setattr(WavePlan, "push_due", full_scan_push_due)
     monkeypatch.setattr(WavePlan, "next_due", full_scan_next_due)
@@ -491,17 +494,26 @@ class _CountedSlices(np.ndarray):
         return super().__getitem__(key)
 
 
-def test_dispatcher_cost_follows_requests_not_tasks(sparse_problem, monkeypatch):
+@pytest.mark.parametrize("max_batch", [None, 2])
+def test_dispatcher_cost_follows_requests_not_tasks(
+    sparse_problem, max_batch, monkeypatch
+):
     # no wall clock: a reintroduced per-tick scan over 200 tasks makes
     # ~10^5 queue pops here, and per-tick searches, per-wave slices of
     # the deliveries or per-column slices of the index show up in the
-    # counts below
-    counts = {"pops": 0, "searches": 0, "ticks": 0, "acquired": 0}
+    # counts below.  An uncapped dispatcher touches no queue at all: the
+    # plan decided every row's fate when it was built
+    counts = {"pushes": 0, "pops": 0, "searches": 0, "ticks": 0, "acquired": 0}
     slices = [0]
     tick_slices = [0]  # the slices taken inside ticks
-    pop_ready, acquire = ServingQueue.pop_ready, RequestPool.acquire
+    push, pop_ready = ServingQueue.push, ServingQueue.pop_ready
+    acquire = RequestPool.acquire
     searchsorted, push_due = np.searchsorted, WavePlan.push_due
     built: list[tuple[WavePlan, int]] = []
+
+    def counted_push(self, request):
+        counts["pushes"] += 1
+        return push(self, request)
 
     def counted_pop(self, now):
         counts["pops"] += 1
@@ -522,22 +534,27 @@ def test_dispatcher_cost_follows_requests_not_tasks(sparse_problem, monkeypatch)
             built.append((self, counts["searches"]))
         counts["ticks"] += 1
         before = slices[0]
-        push_due(self, *args)
+        due = push_due(self, *args)
         tick_slices[0] += slices[0] - before
+        return due
 
+    monkeypatch.setattr(ServingQueue, "push", counted_push)
     monkeypatch.setattr(ServingQueue, "pop_ready", counted_pop)
     monkeypatch.setattr(np, "searchsorted", counted_search)
     monkeypatch.setattr(RequestPool, "acquire", counted_acquire)
     monkeypatch.setattr(WavePlan, "push_due", counted_tick)
     runtime = _runtime(
         sparse_problem, duration_s=2.0, batch_window_s=0.002, num_workers=40,
-        poisson=True, seed=2,
+        poisson=True, seed=2, max_batch=max_batch,
     )
     metrics = runtime.run()
     admitted = sum(t.admitted for t in metrics.tasks.values())
     assert admitted > 1500 and counts["ticks"] * len(metrics.tasks) > 50 * admitted
-    # each pop dispatches a request or expires the rest of a queue
-    assert counts["pops"] <= admitted
+    if max_batch is None:
+        assert counts["pushes"] == counts["pops"] == 0
+    else:
+        # each pop dispatches a request or expires the rest of a queue
+        assert counts["pushes"] == admitted and counts["pops"] <= admitted
     ((plan, searches_by_first_tick),) = built
     # everything is looked up before the first tick; a tick with something
     # due takes one slice of the packed rows, an empty one none
