@@ -4,10 +4,10 @@
 The paper notes the DOT formulation "can be trivially extended to deal
 with a dynamic scenario": treat already-deployed blocks as free, and
 discount the radio/compute/memory capacities.  The OffloaDNN controller
-realizes exactly this — it pulls the *remaining* capacity from the VIM
-and the slice manager before every solve, and the VIM's
-reference-counted deployments make previously loaded shared blocks free
-for newcomers.
+realizes exactly this with one resource ledger: every solve runs
+against the ledger's *remaining* capacities (compute, memory, slice
+RBs), and the ledger's reference-counted deployed blocks make
+previously loaded shared blocks free for newcomers.
 
 This example admits two waves of tasks and then evicts one, showing the
 capacity bookkeeping across the lifecycle.
@@ -16,12 +16,9 @@ Run:  python examples/dynamic_admission.py
 """
 
 from repro.core.heuristic import OffloaDNNSolver
-from repro.core.problem import RadioModel
+from repro.core.problem import Budgets, RadioModel
 from repro.core.task import QualityLevel, Task
-from repro.edge.controller import OffloaDNNController
-from repro.edge.resources import Gpu
-from repro.edge.vim import VirtualInfrastructureManager
-from repro.radio.slicing import SliceManager
+from repro.edge.controller import OffloaDNNController, ResourceLedger
 from repro.workloads.generator import ScenarioCatalogBuilder
 
 
@@ -43,20 +40,21 @@ def make_tasks(ids, priorities):
 
 
 def show(controller, label):
-    status = controller.vim.computing_status()
+    free = controller.ledger.remaining()
     print(
-        f"  [{label}] memory free {status['memory_free_gb']:.2f} GB, "
-        f"compute free {status['compute_free_s']:.2f} s, "
-        f"RBs free {controller.slice_manager.free_rbs}, "
-        f"active blocks {int(status['active_blocks'])}"
+        f"  [{label}] memory free {free.memory_gb:.2f} GB, "
+        f"compute free {free.compute_time_s:.2f} s, "
+        f"RBs free {free.radio_blocks}, "
+        f"active blocks {len(controller.ledger.blocks)}"
     )
 
 
 def main() -> None:
-    vim = VirtualInfrastructureManager(gpus=(Gpu(0, vram_gb=8.0, compute_share=2.5),))
+    capacity = Budgets(
+        compute_time_s=2.5, training_budget_s=1000.0, memory_gb=8.0, radio_blocks=50
+    )
     controller = OffloaDNNController(
-        vim=vim,
-        slice_manager=SliceManager(capacity_rbs=50),
+        ledger=ResourceLedger(capacity),
         radio=RadioModel(default_bits_per_rb=350_000.0),
         solver=OffloaDNNSolver(),
     )

@@ -10,8 +10,8 @@ Public API tour:
 * the evaluation scenarios: :mod:`repro.workloads`
   (``small_scale_problem``, ``large_scale_problem``)
 * the SEM-O-RAN baseline: :mod:`repro.baselines`
-* the edge platform and controller: :mod:`repro.edge`
-* the radio substrate: :mod:`repro.radio`
+* the edge controller, its admission tickets and resource ledger:
+  :mod:`repro.edge` (the radio pool is the solver's slice grid)
 * the Colosseum substitute's simulator: :mod:`repro.emulator` (the uplink
   airtime is the latency model's, :mod:`repro.core.latency`)
 * the serving runtime executing admitted streams: :mod:`repro.serving`

@@ -233,7 +233,7 @@ class AggregateSolver:
                     )
                 if z < floor_z:
                     break
-                radio_demand = z * r
+                radio_demand = r
                 compute_demand = z * compute_per_z
                 run = len(members) - index
                 if radio_demand > 0:

@@ -47,17 +47,17 @@ def _apply_margin(pool: float, allocation: BranchAllocation, margin_rbs: int) ->
     """Grant up to ``margin_rbs`` extra RBs per admitted task.
 
     Extra RBs are added one task at a time, in order, as long as the
-    total ``Σ z·r`` stays within the pool — a leftover-spreading pass
+    slice grid ``Σ r`` stays within the pool — a leftover-spreading pass
     like SEM-O-RAN's balanced allocation, but bounded per task.
     """
-    used = sum(z * r for z, r in zip(allocation.admission, allocation.radio_blocks))
+    used = sum(allocation.radio_blocks)
     for _ in range(margin_rbs):
         for index, z in enumerate(allocation.admission):
             if z <= 0:
                 continue
-            if used + z <= pool + 1e-9:
+            if used + 1 <= pool:
                 allocation.radio_blocks[index] += 1
-                used += z
+                used += 1
 
 
 class _PlacedItems:

@@ -89,7 +89,8 @@ class ConstraintReport:
 
     memory_used_gb: float
     compute_used_s: float
-    radio_used_blocks: float
+    #: Σ r over admitted tasks (the slice grid)
+    radio_used_blocks: int
     violations: list[str] = field(default_factory=list)
 
     @property
@@ -133,7 +134,11 @@ def _check_task(
 
 def check_constraints(problem: DOTProblem, solution: DOTSolution) -> ConstraintReport:
     """Verify Eq. (1b)-(1g); (1h)/(1i) hold by construction because
-    ``m(s)`` is derived from the admitted paths."""
+    ``m(s)`` is derived from the admitted paths.
+
+    (1d) is checked on the slice grid: every admitted task holds all ``r``
+    RBs of its slice, so Σ r ≤ R, which implies the paper's Σ z·r ≤ R.
+    """
     violations: list[str] = []
     unassigned = {t.task_id for t in problem.tasks}.difference(solution.assignments)
     if unassigned:
@@ -152,9 +157,10 @@ def check_constraints(problem: DOTProblem, solution: DOTSolution) -> ConstraintR
         violations.append(
             f"compute {compute:.3f} s exceeds budget {problem.budgets.compute_time_s} s (1c)"
         )
-    if radio > problem.budgets.radio_blocks * (1 + 1e-9):
+    if radio > problem.budgets.radio_blocks:
         violations.append(
-            f"radio {radio:.2f} RBs exceeds budget {problem.budgets.radio_blocks} (1d)"
+            f"slice grid: slices hold {radio} RBs of a "
+            f"{problem.budgets.radio_blocks}-RB pool (1d)"
         )
     for assignment, member_ids in solution.runs():
         probe: list[str] = []

@@ -154,9 +154,10 @@ class DOTSolution:
         )
 
     @property
-    def total_radio_blocks(self) -> float:
-        """``Σ_τ z_τ r_τ`` (1d LHS)."""
-        return self._sum(lambda a: a.admission_ratio * a.radio_blocks)
+    def total_radio_blocks(self) -> int:
+        """``Σ_τ r_τ`` over admitted tasks: the slice grid every slice holds
+        in full, which bounds the paper's (1d) ``Σ_τ z_τ r_τ`` from above."""
+        return self._sum(lambda a: a.radio_blocks if a.admitted else 0)
 
     @property
     def weighted_admission_ratio(self) -> float:

@@ -4,7 +4,10 @@ Once a tree branch fixes the DNN path of every task (the ``x``/``y``
 variables), the remaining problem in ``(z, r)`` is convex (Sec. IV-B).
 :func:`solve_branch` is its one solver, an exact *structured* one
 exploiting the problem's separability: tasks couple only through the
-radio budget Σ z·r ≤ R and the compute budget Σ z·λ·Σc ≤ C.  It
+radio pool and the compute budget Σ z·λ·Σc ≤ C.  The radio pool is
+counted on the slice grid: an admitted task holds all ``r`` RBs of its
+slice, so the solver keeps Σ r ≤ R, and the paper's (1d) Σ z·r ≤ R
+holds a fortiori.  It
 processes tasks in branch (priority) order and gives each the largest
 feasible admission ratio with the smallest RB allocation that still
 meets the latency and rate constraints — reproducing the published
@@ -20,7 +23,6 @@ SLSQP solve in ``tests/oracles.py``) rejects low-priority tasks instead.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Collection
 from dataclasses import dataclass
 
@@ -71,48 +73,6 @@ class BranchAllocation:
             raise ValueError("admission and radio vectors disagree in length")
 
 
-def _candidate_rbs(
-    r_latency: int,
-    r_upper: int,
-    rate_bits: float,
-    bits_per_rb: float,
-    remaining_radio: float,
-    z_compute: float,
-) -> list[int]:
-    """The integer RB counts at which ``z(r)`` can change regime.
-
-    ``z(r) = min(z_rate(r), z_radio(r), z_compute)`` is the minimum of a
-    nondecreasing line, a nonincreasing hyperbola and a constant, so its
-    maximum over ``[r_latency, r_upper]`` — and the first integer within
-    the scan tolerance of it — lies at an interval endpoint or next to
-    one of the pairwise crossings.  Every crossing contributes its
-    neighbouring integers, which keeps the scan equivalent to the full
-    enumeration (proved empirically in the parity test suite).
-    """
-    candidates = {r_latency, min(r_latency + 1, r_upper), r_upper}
-    crossings: list[float] = []
-    if rate_bits > 0 and bits_per_rb > 0:
-        slope = bits_per_rb / rate_bits
-        # z_rate meets the flat caps (compute bound, full admission)
-        crossings.append(min(1.0, z_compute) / slope)
-        crossings.append(1.0 / slope)
-        if remaining_radio > 0:
-            # z_rate meets the declining radio bound: r² = remaining/slope
-            crossings.append(math.sqrt(remaining_radio / slope))
-    if remaining_radio > 0 and z_compute > 0:
-        # the radio bound drops below the compute bound
-        crossings.append(remaining_radio / z_compute)
-    for x in crossings:
-        if not math.isfinite(x):
-            continue
-        x = min(max(x, float(r_latency)), float(r_upper))
-        base = math.floor(x)
-        for r in (base - 1, base, base + 1, base + 2):
-            if r_latency <= r <= r_upper:
-                candidates.add(r)
-    return sorted(candidates)
-
-
 def _best_admission_for_item(
     item: BranchItem,
     remaining_radio: float,
@@ -121,19 +81,27 @@ def _best_admission_for_item(
 ) -> tuple[float, int]:
     """Largest feasible ``z`` (and its cheapest ``r``) for one item.
 
-    Closed form: instead of enumerating every integer in
-    ``[r_latency, r_upper]`` (O(R) per item), scan only the O(1)
-    candidate counts where the admission bound can peak — the interval
-    endpoints and the integers surrounding the crossings of the rate
-    (1e), radio (1d) and compute (1c) bounds.  The scan applies the same
-    update rule as the full enumeration (the parity oracle
-    ``admission_by_enumeration`` in ``tests/oracles.py``), so ties on ``z``
-    still prefer the smaller ``r``.
+    On the slice grid an admitted item holds all of its ``r`` RBs, so
+    ``r`` ranges over ``[r_latency, r_upper]`` with ``r_upper =
+    min(max_rbs, ⌊remaining⌋, max(r_latency, r_full))``, and there
+    ``z(r) = min(z_rate(r), z_compute)`` is nondecreasing: the rate
+    bound (1e) is a line through the origin, the compute bound (1c) a
+    constant.  The best ``z`` is first reached at the smallest ``r``
+    whose ``z_rate`` meets ``min(1, z_compute)``, clipped to the
+    interval — one closed form instead of an O(R) enumeration.  The
+    two short walks settle float rounding of that crossing by the full
+    enumeration's update rule (the parity oracle
+    ``admission_by_enumeration`` in ``tests/oracles.py``), so ties on
+    ``z`` still prefer the smaller ``r``.
     """
     r_latency = item.min_latency_rbs
-    if r_latency > max_rbs:
-        return 0.0, 0
+    bits_per_rb = item.bits_per_rb
     rate_bits = item.task.request_rate * item.path.bits_per_image
+    r_upper = min(
+        max_rbs, int(remaining_radio), max(r_latency, full_rate_rbs(rate_bits, bits_per_rb))
+    )
+    if r_latency > r_upper:
+        return 0.0, 0
     compute_per_unit_z = item.task.request_rate * item.compute_time_s
     z_compute = (
         1.0
@@ -143,35 +111,32 @@ def _best_admission_for_item(
     if z_compute <= 0:
         return 0.0, 0
 
-    best_z, best_r = 0.0, 0
-    r_full = full_rate_rbs(rate_bits, item.bits_per_rb)
-    r_upper = min(max_rbs, max(r_latency, r_full))
-    for r in _candidate_rbs(
-        r_latency, r_upper, rate_bits, item.bits_per_rb, remaining_radio, z_compute
-    ):
-        z_rate = min(1.0, r * item.bits_per_rb / rate_bits) if rate_bits > 0 else 1.0
-        z_radio = min(1.0, remaining_radio / r) if r > 0 else 1.0
-        z = min(z_rate, z_radio, z_compute)
-        if z > best_z + _SCAN_EPS:
-            best_z, best_r = z, r
-    if best_z <= 1e-9:
+    def z_at(r: int) -> float:
+        z_rate = min(1.0, r * bits_per_rb / rate_bits) if rate_bits > 0 else 1.0
+        return min(z_rate, z_compute)
+
+    r = min(max(r_latency, full_rate_rbs(z_compute * rate_bits, bits_per_rb)), r_upper)
+    while r > r_latency and not z_at(r) > z_at(r - 1) + _SCAN_EPS:
+        r -= 1
+    while r < r_upper and z_at(r + 1) > z_at(r) + _SCAN_EPS:
+        r += 1
+    z = z_at(r)
+    if z <= 1e-9:
         return 0.0, 0
-    return best_z, best_r
+    return z, r
 
 
 def _radio_spent(remaining_radio: float) -> bool:
     """Whether the radio pool (1d) is too spent to admit any further item.
 
     Proof that a cascade may then settle every later item as ``(0.0, 0)``
-    without scanning it: :func:`_best_admission_for_item` tries RB counts
-    ``r >= r_latency >= 1`` only (``r_min`` is at least
-    1), each bounded by ``z <= z_radio = min(1, remaining / r) <=
-    remaining <= 1e-9``, so its best ``z`` cannot clear the closing
-    ``best_z <= 1e-9`` floor and it returns ``(0.0, 0)`` for any item and
-    compute pool.  A ``z`` of 0 moves neither pool, so the pool stays
-    spent for the rest of the branch.
+    without scanning it: every slice holds ``r >= r_latency >= 1`` RBs
+    (``r_min`` is at least 1), so with less than one RB left
+    :func:`_best_admission_for_item`'s interval is empty and it returns
+    ``(0.0, 0)`` for any item and compute pool.  A ``z`` of 0 moves
+    neither pool, so the pool stays spent for the rest of the branch.
     """
-    return remaining_radio <= 1e-9
+    return remaining_radio < 1
 
 
 def solve_branch(
@@ -214,7 +179,7 @@ def solve_branch(
             continue
         admission.append(z)
         rbs.append(r)
-        remaining_radio -= z * r
+        remaining_radio -= r
         remaining_compute -= z * item.task.request_rate * item.compute_time_s
     if spent_at is not None:
         admission.extend([0.0] * (len(items) - spent_at))

@@ -1,21 +1,23 @@
-"""Edge computing platform: resource pools, VIM and the controller.
+"""Edge platform: the OffloaDNN controller and its resource ledger.
 
-Implements the right-hand side of Fig. 4: the Virtual Infrastructure
-Manager exposing computing status (GPUs, VRAM), the DNN repository
-deployment, and the OffloaDNN controller driving the 7-step workflow
-from task admission requests to per-task resource allocation.
+Implements the right-hand side of Fig. 4: the controller driving the
+7-step workflow from task admission requests to per-task tickets, and
+the ledger of what admitted tasks hold (deployed blocks, compute, slice
+RBs) across admission rounds.
 """
 
-from repro.edge.resources import ComputePool, MemoryPool, Gpu
-from repro.edge.vim import VirtualInfrastructureManager, Deployment
-from repro.edge.controller import OffloaDNNController, AdmissionTicket
+from repro.edge.controller import (
+    AdmissionError,
+    AdmissionTicket,
+    OffloaDNNController,
+    ResourceLedger,
+    admission_tickets,
+)
 
 __all__ = [
-    "ComputePool",
-    "MemoryPool",
-    "Gpu",
-    "VirtualInfrastructureManager",
-    "Deployment",
-    "OffloaDNNController",
+    "AdmissionError",
     "AdmissionTicket",
+    "OffloaDNNController",
+    "ResourceLedger",
+    "admission_tickets",
 ]

@@ -60,14 +60,18 @@ from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.latency import uplink_tti_s
-from repro.radio.slicing import SliceManager
+from repro.core.problem import RadioModel
 from repro.serving import waves
 from repro.serving.pool import RequestPool
 from repro.serving.queueing import DropReason, ServingRequest
+
+if TYPE_CHECKING:
+    from repro.edge.controller import AdmissionTicket
 
 __all__ = ["TaskWave", "WavePlan"]
 
@@ -247,14 +251,16 @@ class WavePlan:
         served_tasks: list[tuple],
         config,
         ratios: dict[int, float],
-        slices: SliceManager,
+        tickets: dict[int, AdmissionTicket],
+        radio: RadioModel,
     ) -> "WavePlan":
         """Precompute every task's wave for one run.
 
         ``served_tasks`` is the runtime's ``(task, path)`` list,
         ``ratios`` the admission ratio each served task's offered
-        stream is metered at and ``slices`` the radio slices, which fix
-        each task's TTI-granular frame airtime.
+        stream is metered at; a task's slice — its ticket's RBs, each
+        carrying ``radio.bits_per_rb(task)`` — fixes its TTI-granular
+        frame airtime.
         """
         arrivals_per_task = []
         for task, _path in served_tasks:
@@ -278,8 +284,9 @@ class WavePlan:
             n_admitted = len(admitted_idx)
             admitted_arrivals = arrivals[admitted_idx]
             bits = path.bits_per_image
-            slc = slices.slice_for(task.task_id)
-            airtime = uplink_tti_s(bits, slc.bits_per_rb, slc.radio_blocks)
+            airtime = uplink_tti_s(
+                bits, radio.bits_per_rb(task), tickets[task.task_id].radio_blocks
+            )
             deliveries = waves.fifo_deliveries(admitted_arrivals, airtime)
             wave = TaskWave(
                 task_id=task.task_id,

@@ -1,8 +1,8 @@
 """The serving runtime: executing admitted request streams.
 
-Takes an :class:`~repro.edge.controller.OffloaDNNController` deployment
-(admitted tasks, their DNN paths, slice allocations) and actually
-*serves* it on the discrete-event simulator:
+Takes a solved deployment (admitted tasks, their DNN paths, slice
+allocations: :func:`~repro.edge.controller.admission_tickets`) and
+actually *serves* it on the discrete-event simulator:
 
 1. devices generate requests at the offered rate ``λ_τ`` (optionally
    scaled by ``load_factor`` to study overload);
@@ -60,13 +60,10 @@ from repro.core.heuristic import OffloaDNNSolver
 from repro.core.latency import TTI_S, end_to_end_latency
 from repro.core.problem import DOTProblem
 from repro.core.solution import DOTSolution
-from repro.edge.controller import AdmissionTicket, OffloaDNNController
-from repro.edge.resources import Gpu
-from repro.edge.vim import VirtualInfrastructureManager
+from repro.edge.controller import AdmissionTicket, admission_tickets
 from repro.emulator.simulator import Simulator
 from repro.obs.session import ObsSession
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-from repro.radio.slicing import SliceManager
 from repro.serving.engine import WavePlan
 from repro.serving.executor import BatchExecutor
 from repro.serving.metrics import ServingMetrics, task_metrics
@@ -170,7 +167,6 @@ class ServingRuntime:
     problem: DOTProblem
     tickets: dict[int, AdmissionTicket]
     solution: DOTSolution
-    slice_manager: SliceManager
     config: ServingConfig = field(default_factory=ServingConfig)
     #: optional observability session — request-lifecycle spans on the
     #: DES clock, registry counters/histograms, and sampled gauges
@@ -215,33 +211,12 @@ class ServingRuntime:
         config: ServingConfig | None = None,
         solver: object | None = None,
     ) -> "ServingRuntime":
-        """Admit ``problem`` through a fresh controller and wrap the result."""
-        budgets = problem.budgets
-        vim = VirtualInfrastructureManager(
-            gpus=(
-                Gpu(
-                    gpu_id=0,
-                    vram_gb=budgets.memory_gb,
-                    compute_share=budgets.compute_time_s,
-                ),
-            )
-        )
-        slice_manager = SliceManager(capacity_rbs=budgets.radio_blocks)
-        controller = OffloaDNNController(
-            vim=vim,
-            slice_manager=slice_manager,
-            radio=problem.radio,
-            solver=solver or OffloaDNNSolver(),
-            alpha=problem.alpha,
-            training_budget_s=budgets.training_budget_s,
-        )
-        tickets = controller.handle_admission_requests(problem.tasks, problem.catalog)
-        assert controller.last_solution is not None
+        """Solve ``problem`` (OffloaDNN by default) and ticket its solution."""
+        solution = (solver or OffloaDNNSolver()).solve(problem)
         return cls(
             problem=problem,
-            tickets=tickets,
-            solution=controller.last_solution,
-            slice_manager=slice_manager,
+            tickets=admission_tickets(problem, solution),
+            solution=solution,
             config=config or ServingConfig(),
         )
 
@@ -435,7 +410,11 @@ class _Run:
     def start_waves(self) -> None:
         """Precompute the arrival waves and schedule the first tick."""
         self.plan = WavePlan.build(
-            self.served_tasks, self.cfg, self.ratios, self.runtime.slice_manager
+            self.served_tasks,
+            self.cfg,
+            self.ratios,
+            self.runtime.tickets,
+            self.runtime.problem.radio,
         )
         self.runtime.pool.reset()
         # every admitted request is outstanding from the start; queue_full,

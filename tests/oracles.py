@@ -54,8 +54,8 @@ The solver's scalar ancestors live here too: the per-vertex tree
 (:func:`scalar_cliques`, :func:`scalar_first_branch`) that the batched
 ``build_cliques`` / ``first_branch`` replaced, with the per-item
 ``r_min`` expression (:func:`minimum_latency_rbs`) it priced vertices by, the O(R) admission
-enumeration (:func:`admission_by_enumeration`) behind the closed-form
-candidate scan, and the water-fill that scanned every item after the
+enumeration (:func:`admission_by_enumeration`) behind the closed form
+on the slice grid, and the water-fill that scanned every item after the
 radio pool was spent (:func:`per_item_solve_branch`).  So does the
 solver whose walks returned one ``(task id, BranchItem)`` per layer
 (:func:`item_first_branch`, :func:`item_branches`, :func:`item_allocate`
@@ -139,7 +139,6 @@ from repro.dnn.ops import BN_EPS, conv_output_size
 from repro.dnn.resnet import BlockwiseModel
 from repro.emulator.simulator import Simulator
 from repro.obs.metrics import MetricsRegistry
-from repro.radio.slicing import SliceManager
 from repro.serving.executor import _JobCosts, cut_window
 from repro.serving.metrics import LatencyStats, ServingMetrics, TaskServingMetrics
 from repro.serving.queueing import UNSET, DropReason, ServingQueue, ServingRequest
@@ -179,10 +178,11 @@ class SliceFifo:
     A frame starts once the previous frame of its task has left the
     slice (frames from several devices of one task share it) and takes
     its TTI-granular airtime; ``waves.fifo_deliveries`` replays the
-    same sequence over a whole wave.
+    same sequence over a whole wave.  ``slices`` maps a task id to its
+    slice: the ticket's RB count and the bits each RB carries.
     """
 
-    def __init__(self, slices: SliceManager) -> None:
+    def __init__(self, slices: dict[int, tuple[int, float]]) -> None:
         self.slices = slices
         #: virtual time at which each slice is next free
         self._slice_busy_until: dict[int, float] = {}
@@ -190,8 +190,8 @@ class SliceFifo:
     def enqueue_frame(self, task_id: int, bits: float, now: float) -> float:
         """Admit a frame into the slice queue; returns its delivery time."""
         start = max(now, self._slice_busy_until.get(task_id, 0.0))
-        slc = self.slices.slice_for(task_id)
-        finish = start + uplink_tti_s(bits, slc.bits_per_rb, slc.radio_blocks)
+        radio_blocks, bits_per_rb = self.slices[task_id]
+        finish = start + uplink_tti_s(bits, bits_per_rb, radio_blocks)
         self._slice_busy_until[task_id] = finish
         return finish
 
@@ -210,7 +210,15 @@ def scalar_run(runtime: ServingRuntime) -> ServingMetrics:
     sim = Simulator()
     run = _Run(runtime, sim)
     cfg, tracer = run.cfg, run.tracer
-    cell = SliceFifo(runtime.slice_manager)
+    cell = SliceFifo(
+        {
+            task.task_id: (
+                runtime.tickets[task.task_id].radio_blocks,
+                runtime.problem.radio.bits_per_rb(task),
+            )
+            for task in runtime.problem.tasks
+        }
+    )
     gate = {task_id: TokenBucket(ratio) for task_id, ratio in run.ratios.items()}
     records: list[ServingRequest] = []
 
@@ -849,7 +857,7 @@ def per_member_allocate_groups(self, problem, plan, cliques, chosen) -> DOTSolut
             )
             if z < floor_z:
                 break
-            radio_demand = z * r
+            radio_demand = r
             compute_demand = z * compute_per_z
             run = len(members) - index
             if radio_demand > 0:
@@ -1162,7 +1170,7 @@ def item_allocate_groups(self, problem, plan, chosen) -> DOTSolution:
                 )
             if z < floor_z:
                 break
-            radio_demand = z * r
+            radio_demand = r
             compute_demand = z * compute_per_z
             run = len(members) - index
             if radio_demand > 0:
@@ -1257,7 +1265,7 @@ def per_item_solve_branch(items, budgets, admission_floor: float = 1e-6) -> Bran
             continue
         admission.append(z)
         rbs.append(r)
-        remaining_radio -= z * r
+        remaining_radio -= r
         remaining_compute -= z * item.task.request_rate * item.compute_time_s
     return BranchAllocation(admission=admission, radio_blocks=rbs)
 
@@ -1272,8 +1280,10 @@ def solve_branch_convex(
 
     Minimizes the Eq. (1a) objective restricted to the branch (paths
     given, so the training term is a constant) over ``z ∈ [0, 1]`` and
-    continuous ``r``, subject to (1c)-(1e) and (1g); the returned ``r``
-    is rounded up to integers and ``z`` re-clipped to feasibility.
+    continuous ``r``, subject to (1c)-(1e) and (1g), with the paper's
+    smooth (1d) Σ z·r ≤ R; the returned ``r`` is rounded up to integers,
+    each slice clipped to what the slice grid (Σ r ≤ R) has left, and
+    ``z`` re-clipped to feasibility.
 
     Because Eq. (1a) rewards rejecting low-priority tasks whose resource
     cost exceeds ``α·p``, it admits less than ``solve_branch``, which
@@ -1347,8 +1357,9 @@ def solve_branch_convex(
             admission.append(0.0)
             rbs.append(0)
             continue
-        ri = max(int(r[i]), item.min_latency_rbs)
-        if ri <= 0:
+        # a slice holds all its RBs: it is clipped to what the grid has left
+        ri = min(max(int(r[i]), item.min_latency_rbs), int(remaining_radio))
+        if ri < item.min_latency_rbs:
             admission.append(0.0)
             rbs.append(0)
             continue
@@ -1358,7 +1369,6 @@ def solve_branch_convex(
             # a zero-bits quality level (beta == 0) puts no load on the
             # slice, so the rate constraint (1e) never binds
             ri * item.bits_per_rb / rate_bits if rate_bits > 0 else 1.0,
-            remaining_radio / ri,
             remaining_compute / (lam[i] * comp[i]) if comp[i] > 0 else 1.0,
         )
         zi = float(np.clip(zi, 0.0, 1.0))
@@ -1368,7 +1378,7 @@ def solve_branch_convex(
             continue
         admission.append(zi)
         rbs.append(ri)
-        remaining_radio -= zi * ri
+        remaining_radio -= ri
         remaining_compute -= zi * lam[i] * comp[i]
     return BranchAllocation(admission=admission, radio_blocks=rbs)
 
@@ -1379,9 +1389,15 @@ def admission_by_enumeration(
     """The original O(R) enumeration behind ``_best_admission_for_item``,
     which must return exactly this ``(z, r)`` for any item and pool state."""
     r_latency = item.min_latency_rbs
-    if r_latency > max_rbs:
-        return 0.0, 0
     rate_bits = item.task.request_rate * item.path.bits_per_image
+    # on the slice grid a slice holds all its RBs: r fits the pool whole
+    r_upper = min(
+        max_rbs,
+        int(remaining_radio),
+        max(r_latency, full_rate_rbs(rate_bits, item.bits_per_rb)),
+    )
+    if r_latency > r_upper:
+        return 0.0, 0
     compute_per_unit_z = item.task.request_rate * item.compute_time_s
     z_compute = (
         1.0
@@ -1392,11 +1408,9 @@ def admission_by_enumeration(
         return 0.0, 0
 
     best_z, best_r = 0.0, 0
-    r_upper = min(max_rbs, max(r_latency, full_rate_rbs(rate_bits, item.bits_per_rb)))
     for r in range(r_latency, r_upper + 1):
         z_rate = min(1.0, r * item.bits_per_rb / rate_bits) if rate_bits > 0 else 1.0
-        z_radio = min(1.0, remaining_radio / r) if r > 0 else 1.0
-        z = min(z_rate, z_radio, z_compute)
+        z = min(z_rate, z_compute)
         if z > best_z + _SCAN_EPS:
             best_z, best_r = z, r
     if best_z <= 1e-9:

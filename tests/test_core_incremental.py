@@ -207,22 +207,16 @@ class TestWarmStartSolver:
 
 
 class TestControllerWaves:
-    """The controller solves a later wave against the VIM's free memory, which
-    already excludes the deployed blocks: those are free in (1b)."""
+    """The controller solves a later wave against the ledger's remaining
+    memory, which already excludes the deployed blocks: those are free in
+    (1b)."""
 
     @staticmethod
     def _controller(budgets: Budgets):
-        from repro.edge.controller import OffloaDNNController
-        from repro.edge.resources import Gpu
-        from repro.edge.vim import VirtualInfrastructureManager
-        from repro.radio.slicing import SliceManager
+        from repro.edge.controller import OffloaDNNController, ResourceLedger
 
-        vim = VirtualInfrastructureManager(
-            gpus=(Gpu(0, vram_gb=5.0, compute_share=budgets.compute_time_s),)
-        )
         return OffloaDNNController(
-            vim=vim,
-            slice_manager=SliceManager(capacity_rbs=budgets.radio_blocks),
+            ledger=ResourceLedger(replace(budgets, memory_gb=5.0)),
             radio=RadioModel(default_bits_per_rb=350_000.0),
         )
 
@@ -231,17 +225,18 @@ class TestControllerWaves:
         controller = self._controller(wave1.budgets)
         first = controller.handle_admission_requests(wave1.tasks, wave1.catalog)
         assert all(ticket.admitted for ticket in first.values())
-        vim = controller.vim
-        assert vim.computing_status()["memory_free_gb"] == pytest.approx(2.0)
+        ledger = controller.ledger
+        assert ledger.remaining().memory_gb == pytest.approx(2.0)
         # wave 2 needs 1.0 GB of new memory (two own blocks) next to the
         # deployed 2.0 GB trunk; charged the trunk again it fitted nothing
         second = controller.handle_admission_requests(wave2.tasks, wave2.catalog)
         assert all(ticket.admitted for ticket in second.values())
-        assert vim.deployed_memory_gb() == pytest.approx(4.0)
-        assert vim.deployments["shared"].reference_count == 4
-        # the blocks the VIM holds keep their cost: the zeroed copies only
-        # priced the solve
-        assert vim.deployments["shared"].block.memory_gb == 2.0
+        assert ledger.remaining().memory_gb == pytest.approx(1.0)
+        block, users = ledger.blocks["shared"]
+        assert users == {1, 2, 3, 4}
+        # the blocks the ledger holds keep their cost: the zeroed copies
+        # only priced the solve
+        assert block.memory_gb == 2.0
 
     def test_the_catalog_is_untouched_while_nothing_is_deployed(self):
         wave1, wave2 = _two_wave_problems()

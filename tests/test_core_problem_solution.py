@@ -149,9 +149,10 @@ class TestDOTSolution:
             2.0 * 0.015 + 2.0 * 0.025
         )
 
-    def test_radio_blocks_weighted_by_admission(self):
+    def test_radio_blocks_count_whole_slices(self):
+        # the slice grid: a partly admitted task holds its full slice too
         sol = self._solution()
-        assert sol.total_radio_blocks == pytest.approx(1.0 * 3 + 0.5 * 4)
+        assert sol.total_radio_blocks == 3 + 4
 
     def test_weighted_admission_ratio(self):
         sol = self._solution()

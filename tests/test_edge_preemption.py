@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from repro.core.problem import RadioModel
+from repro.core.problem import Budgets, RadioModel
 from repro.core.task import QualityLevel, Task
-from repro.edge.controller import OffloaDNNController
-from repro.edge.resources import Gpu
-from repro.edge.vim import VirtualInfrastructureManager
-from repro.radio.slicing import SliceManager
+from repro.edge.controller import OffloaDNNController, ResourceLedger
 from repro.workloads.generator import ScenarioCatalogBuilder
 
 
@@ -26,9 +23,12 @@ def _task(task_id: int, priority: float) -> Task:
 
 def _controller(radio_blocks: int = 12) -> OffloaDNNController:
     # a 12-RB pool fits two 5-RB tasks but not three
+    capacity = Budgets(
+        compute_time_s=2.5, training_budget_s=1000.0, memory_gb=8.0,
+        radio_blocks=radio_blocks,
+    )
     return OffloaDNNController(
-        vim=VirtualInfrastructureManager(gpus=(Gpu(0, vram_gb=8.0, compute_share=2.5),)),
-        slice_manager=SliceManager(capacity_rbs=radio_blocks),
+        ledger=ResourceLedger(capacity),
         radio=RadioModel(default_bits_per_rb=350_000.0),
     )
 
@@ -43,11 +43,15 @@ class TestPreemption:
         controller = _controller()
         _admit(controller, _task(1, 0.3))
         _admit(controller, _task(2, 0.5))
-        memory_full = controller.vim.deployed_memory_gb()
-        free_rbs = controller.slice_manager.free_rbs
-        controller.evict_task(1)
-        assert 1 not in controller.slice_manager.slices
-        assert controller.slice_manager.free_rbs > free_rbs
+        ledger = controller.ledger
+        full = ledger.remaining()
+        # a third 5-RB slice does not fit the 2 RBs the grid has left
+        assert full.radio_blocks == 2
+        assert not _admit(controller, _task(4, 0.9)).admitted
+        unloaded = controller.evict_task(1)
+        assert 1 not in ledger.radio_blocks and 1 not in ledger.compute_s
+        assert ledger.remaining().radio_blocks == 7
         # task-1-only blocks unloaded; blocks task 2 still uses stay
-        assert 0.0 < controller.vim.deployed_memory_gb() < memory_full
+        assert unloaded and all(block_id not in ledger.blocks for block_id in unloaded)
+        assert full.memory_gb < ledger.remaining().memory_gb < 8.0
         assert _admit(controller, _task(3, 0.9)).admitted

@@ -402,8 +402,11 @@ def test_deliveries_landing_exactly_on_ticks(
     base = _runtime(problem, duration_s=1.0)
     task = next(t for t in problem.tasks if base.tickets[t.task_id].admitted)
     path = base.solution.assignment(task).path
-    slc = base.slice_manager.slice_for(task.task_id)
-    airtime = uplink_tti_s(path.bits_per_image, slc.bits_per_rb, slc.radio_blocks)
+    airtime = uplink_tti_s(
+        path.bits_per_image,
+        problem.radio.bits_per_rb(task),
+        base.tickets[task.task_id].radio_blocks,
+    )
     window = airtime / windows_per_airtime
     plans = _capture_plans(monkeypatch)
     vec = base.with_config(batch_window_s=window)

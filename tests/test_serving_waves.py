@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.latency import TTI_S, uplink_tti_s
-from repro.radio.slicing import SliceManager
 from repro.serving.waves import (
     arrival_times,
     fifo_deliveries,
@@ -202,9 +201,7 @@ def test_uplink_is_md1(rho):
 
 
 def _slice_fifo(rbs: int = 5) -> SliceFifo:
-    slices = SliceManager(capacity_rbs=100)
-    slices.allocate(1, rbs, 350_000.0)
-    return SliceFifo(slices)
+    return SliceFifo({1: (rbs, 350_000.0)})
 
 
 def test_slice_fifo_queues_the_frames_of_one_task():
