@@ -1,9 +1,10 @@
 """Shared reporting for the benchmark harness.
 
 Every paper-figure bench regenerates one artifact (a table or figure)
-and both prints its rows and writes them under ``benchmarks/results/``
-(:func:`emit`) so the paper-vs-measured record in EXPERIMENTS.md can be
-refreshed from a single run.  The ``bench_*`` performance benches print
+and both prints the text of its generator in ``repro.analysis.artifacts``
+and writes it under ``benchmarks/results/`` (:func:`emit`), so the
+paper-vs-measured record in EXPERIMENTS.md can be refreshed from a
+single run.  The ``bench_*`` performance benches print
 their table and persist only a ``BENCH_*.json`` (:func:`write_json`).
 """
 

@@ -9,60 +9,13 @@ series for OffloaDNN.
 from __future__ import annotations
 
 from benchmarks._report import emit
-from repro.analysis.figures import fig10_largescale_comparison
-from repro.analysis.report import format_table
+from repro.analysis import artifacts
 
 
 def bench_fig10_largescale_comparison(benchmark):
-    data = benchmark.pedantic(
-        lambda: fig10_largescale_comparison(), rounds=1, iterations=1
-    )
-    rows = []
-    for rate in ("low", "medium", "high"):
-        d = data[rate]
-        rows.append(
-            [
-                rate,
-                d["offloadnn_weighted_admission"],
-                d["semoran_weighted_admission"],
-                d["offloadnn_rb_fraction"],
-                d["semoran_rb_fraction"],
-                d["offloadnn_memory_fraction"],
-                d["semoran_memory_fraction"],
-                d["offloadnn_inference_fraction"],
-                d["semoran_inference_fraction"],
-            ]
-        )
-    lines = [
-        "Fig. 10: large-scale comparison vs SEM-O-RAN",
-        format_table(
-            [
-                "rate",
-                "Off. w.adm",
-                "SEM w.adm",
-                "Off. RB",
-                "SEM RB",
-                "Off. mem",
-                "SEM mem",
-                "Off. inf",
-                "SEM inf",
-            ],
-            rows,
-        ),
-        "",
-        "In-text series (OffloaDNN): DOT cost "
-        + str([round(data[r]["offloadnn_dot_cost"], 2) for r in ("low", "medium", "high")])
-        + ", training compute "
-        + str(
-            [
-                round(data[r]["offloadnn_training_fraction"], 2)
-                for r in ("low", "medium", "high")
-            ]
-        )
-        + "  (paper: [0.35, 0.44, 0.74] and [0.81, 0.81, 0.67])",
-    ]
-    emit("fig10_largescale", "\n".join(lines))
-
+    artifact = benchmark.pedantic(artifacts.fig10, rounds=1, iterations=1)
+    emit(artifact.name, artifact.text)
+    data = artifact.data
     for rate in ("low", "medium", "high"):
         d = data[rate]
         assert d["offloadnn_weighted_admission"] >= d["semoran_weighted_admission"] - 1e-9

@@ -10,41 +10,13 @@ operational validation.
 
 from __future__ import annotations
 
-import numpy as np
-
 from benchmarks._report import emit
-from repro.analysis.figures import fig11_emulation_latency
-from repro.analysis.report import format_table
+from repro.analysis import artifacts
 
 
 def bench_fig11_emulation_latency(benchmark):
-    data = benchmark.pedantic(
-        lambda: fig11_emulation_latency(num_tasks=5, duration_s=20.0),
-        rounds=1,
-        iterations=1,
-    )
-    rows = []
-    for task_id, entry in sorted(data["series"].items()):
-        latency = np.asarray(entry["latency_s"], dtype=float)
-        rows.append(
-            [
-                task_id,
-                1e3 * float(latency.mean()),
-                1e3 * float(latency.max()),
-                1e3 * entry["limit_s"],
-                len(latency),
-            ]
-        )
-    emit(
-        "fig11_emulation",
-        "Fig. 11: emulated end-to-end latency (moving average, window 3)\n"
-        + format_table(
-            ["task", "mean [ms]", "max [ms]", "limit [ms]", "samples"],
-            rows,
-            precision=1,
-        )
-        + f"\nall tasks within latency targets: {data['within_limits']}"
-        + f"\nDES events processed: {data['events']}",
-    )
+    artifact = benchmark.pedantic(artifacts.fig11, rounds=1, iterations=1)
+    emit(artifact.name, artifact.text)
+    data = artifact.data
     assert data["within_limits"]
     assert len(data["series"]) == 5

@@ -9,34 +9,13 @@ during training (A highest; B ~1.8x lower).
 from __future__ import annotations
 
 from benchmarks._report import emit
-from repro.analysis.figures import fig2_training_curves
-from repro.analysis.report import format_series, format_table
+from repro.analysis import artifacts
 
 
 def bench_fig2_training_configurations(benchmark):
-    data = benchmark.pedantic(
-        lambda: fig2_training_curves(epochs=250, width=64, input_size=32),
-        rounds=1,
-        iterations=1,
-    )
-    sample_epochs = [1, 50, 150, 250]
-    lines = ["Fig. 2 (left): testing accuracy [%] at epochs " + str(sample_epochs)]
-    for name, entry in data.items():
-        curve = entry["accuracy_curve"]
-        picks = [100 * curve[e - 1] for e in sample_epochs]
-        lines.append(format_series(f"  {name}", picks, precision=1))
-        lines.append(
-            f"    epochs to 80%: {entry['epochs_to_80pct']}"
-        )
-    rows = [
-        [name, entry["peak_memory_mib"]] for name, entry in data.items()
-    ]
-    lines.append("")
-    lines.append("Fig. 2 (right): peak GPU memory occupancy [MiB]")
-    lines.append(format_table(["config", "peak MiB"], rows, precision=0))
-    ratio = data["CONFIG A"]["peak_memory_mib"] / data["CONFIG B"]["peak_memory_mib"]
-    lines.append(f"CONFIG A / CONFIG B memory ratio: {ratio:.2f}x (paper: ~1.8x)")
-    emit("fig2_training", "\n".join(lines))
-
+    artifact = benchmark.pedantic(artifacts.fig2, rounds=1, iterations=1)
+    emit(artifact.name, artifact.text)
+    data = artifact.data
     assert data["CONFIG A"]["epochs_to_80pct"] > 200
+    ratio = data["CONFIG A"]["peak_memory_mib"] / data["CONFIG B"]["peak_memory_mib"]
     assert ratio > 1.3

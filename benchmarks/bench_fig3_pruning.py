@@ -9,44 +9,13 @@ a bit worse; B-pruned best because it inherits the most base blocks).
 from __future__ import annotations
 
 from benchmarks._report import emit
-from repro.analysis.figures import fig3_pruning_effects
-from repro.analysis.report import format_table
+from repro.analysis import artifacts
 
 
 def bench_fig3_pruning_effects(benchmark):
-    data = benchmark.pedantic(
-        lambda: fig3_pruning_effects(width=64, input_size=32, repeats=3),
-        rounds=1,
-        iterations=1,
-    )
-    rows = []
-    for letter in "ABCDE":
-        base = data[f"CONFIG {letter}"]
-        pruned = data[f"CONFIG {letter}-pruned"]
-        rows.append(
-            [
-                f"CONFIG {letter}",
-                base["inference_time_ms"],
-                pruned["inference_time_ms"],
-                100 * base["class_accuracy"],
-                100 * pruned["class_accuracy"],
-            ]
-        )
-    emit(
-        "fig3_pruning",
-        "Fig. 3: effects of 80% structured pruning (100-epoch fine-tune)\n"
-        + format_table(
-            [
-                "config",
-                "time w/o prune [ms]",
-                "time pruned [ms]",
-                "acc w/o prune [%]",
-                "acc pruned [%]",
-            ],
-            rows,
-            precision=2,
-        ),
-    )
+    artifact = benchmark.pedantic(artifacts.fig3, rounds=1, iterations=1)
+    emit(artifact.name, artifact.text)
+    data = artifact.data
     pruned_times = {
         name: d["inference_time_ms"] for name, d in data.items() if name.endswith("-pruned")
     }

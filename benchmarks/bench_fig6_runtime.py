@@ -7,27 +7,13 @@ at T > 1, growing exponentially, while OffloaDNN stays flat.
 from __future__ import annotations
 
 from benchmarks._report import emit
-from repro.analysis.figures import fig6_runtime_comparison
-from repro.analysis.report import format_table
+from repro.analysis import artifacts
 
 
 def bench_fig6_runtime_comparison(benchmark):
-    data = benchmark.pedantic(
-        lambda: fig6_runtime_comparison(max_tasks=5),
-        rounds=1,
-        iterations=1,
-    )
-    rows = [
-        [t, h, o, o / h]
-        for t, h, o in zip(data["num_tasks"], data["offloadnn_s"], data["optimum_s"])
-    ]
-    emit(
-        "fig6_runtime",
-        "Fig. 6: average runtime [s] vs number of inference tasks\n"
-        + format_table(
-            ["T", "OffloaDNN [s]", "Optimum [s]", "slowdown"], rows, precision=4
-        ),
-    )
+    artifact = benchmark.pedantic(artifacts.fig6, rounds=1, iterations=1)
+    emit(artifact.name, artifact.text)
+    data = artifact.data
     # the published relationship: >= 10x gap for every T >= 2
     for t, h, o in zip(data["num_tasks"], data["offloadnn_s"], data["optimum_s"]):
         if t >= 2:

@@ -7,33 +7,13 @@ memory is only slightly higher and never above 64% of the 8 GB budget.
 from __future__ import annotations
 
 from benchmarks._report import emit
-from repro.analysis.figures import fig7_cost_and_memory
-from repro.analysis.report import format_table
+from repro.analysis import artifacts
 
 
 def bench_fig7_cost_and_memory(benchmark):
-    data = benchmark.pedantic(
-        lambda: fig7_cost_and_memory(max_tasks=5),
-        rounds=1,
-        iterations=1,
-    )
-    rows = [
-        [t, hc, oc, hm, om]
-        for t, hc, oc, hm, om in zip(
-            data["num_tasks"],
-            data["offloadnn_cost"],
-            data["optimum_cost"],
-            data["offloadnn_memory"],
-            data["optimum_memory"],
-        )
-    ]
-    emit(
-        "fig7_cost_memory",
-        "Fig. 7: normalized DOT cost (left) and normalized memory (right)\n"
-        + format_table(
-            ["T", "Off. cost", "Opt. cost", "Off. mem", "Opt. mem"], rows
-        ),
-    )
+    artifact = benchmark.pedantic(artifacts.fig7, rounds=1, iterations=1)
+    emit(artifact.name, artifact.text)
+    data = artifact.data
     for hc, oc in zip(data["offloadnn_cost"], data["optimum_cost"]):
         assert hc <= oc * 1.15 + 1e-9  # heuristic matches the optimum closely
     assert max(data["offloadnn_memory"]) <= 0.64  # paper: at most 64% of M

@@ -9,60 +9,17 @@ higher — the price of first-branch selection), inference compute
 from __future__ import annotations
 
 from benchmarks._report import emit
-from repro.analysis.figures import fig8_cost_breakdown
-from repro.analysis.report import format_table
+from repro.analysis import artifacts
 
 
 def bench_fig8_cost_breakdown(benchmark):
-    data = benchmark.pedantic(
-        lambda: fig8_cost_breakdown(max_tasks=5),
-        rounds=1,
-        iterations=1,
-    )
-    rows = []
-    for i, t in enumerate(data["num_tasks"]):
-        rows.append(
-            [
-                t,
-                data["offloadnn_weighted_admission"][i],
-                data["optimum_weighted_admission"][i],
-                data["offloadnn_rb_fraction"][i],
-                data["optimum_rb_fraction"][i],
-                data["offloadnn_training"][i],
-                data["optimum_training"][i],
-                data["offloadnn_inference"][i],
-                data["optimum_inference"][i],
-            ]
-        )
-    emit(
-        "fig8_breakdown",
-        "Fig. 8: cost breakdown, OffloaDNN vs optimum (T = 1..5)\n"
-        + format_table(
-            [
-                "T",
-                "Off. w.adm",
-                "Opt. w.adm",
-                "Off. RB",
-                "Opt. RB",
-                "Off. train",
-                "Opt. train",
-                "Off. inf",
-                "Opt. inf",
-            ],
-            rows,
-        ),
-    )
-    for i in range(len(data["num_tasks"])):
-        assert (
-            abs(
-                data["offloadnn_weighted_admission"][i]
-                - data["optimum_weighted_admission"][i]
-            )
-            < 1e-6
-        )
-        assert (
-            data["offloadnn_inference"][i] <= data["optimum_inference"][i] + 1e-9
-        )
-        assert (
-            data["offloadnn_training"][i] >= data["optimum_training"][i] - 1e-9
-        )
+    artifact = benchmark.pedantic(artifacts.fig8, rounds=1, iterations=1)
+    emit(artifact.name, artifact.text)
+    data = artifact.data
+
+    def panel(name):
+        return zip(data[f"offloadnn_{name}"], data[f"optimum_{name}"])
+
+    assert all(abs(off - opt) < 1e-6 for off, opt in panel("weighted_admission"))
+    assert all(off <= opt + 1e-9 for off, opt in panel("inference"))
+    assert all(off >= opt - 1e-9 for off, opt in panel("training"))

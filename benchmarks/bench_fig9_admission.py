@@ -9,20 +9,13 @@ SEM-O-RAN admits only 13 all-or-nothing.
 from __future__ import annotations
 
 from benchmarks._report import emit
-from repro.analysis.figures import fig9_admission_ratios
-from repro.analysis.report import format_series
+from repro.analysis import artifacts
 
 
 def bench_fig9_admission_ratios(benchmark):
-    data = benchmark.pedantic(lambda: fig9_admission_ratios(), rounds=1, iterations=1)
-    lines = ["Fig. 9: admission ratio per task (ids 1..20)"]
-    for rate in ("low", "medium", "high"):
-        series = data[rate]
-        lines.append(f"[{rate} request rate]")
-        lines.append(format_series("  OffloaDNN", series["offloadnn"], precision=2))
-        lines.append(format_series("  SEM-O-RAN", series["semoran"], precision=2))
-    emit("fig9_admission", "\n".join(lines))
-
+    artifact = benchmark.pedantic(artifacts.fig9, rounds=1, iterations=1)
+    emit(artifact.name, artifact.text)
+    data = artifact.data
     assert all(z == 1.0 for z in data["low"]["offloadnn"])
     assert sum(data["low"]["semoran"]) == 16
     assert sum(1 for z in data["medium"]["offloadnn"] if z >= 0.99) >= 19

@@ -8,29 +8,14 @@ resources (averaged over the three request rates).
 from __future__ import annotations
 
 from benchmarks._report import emit
-from repro.analysis.figures import headline_comparison
-from repro.analysis.report import format_table
-
-PAPER = {
-    "admitted_tasks_gain_pct": 26.9,
-    "memory_saving_pct": 82.5,
-    "inference_compute_saving_pct": 77.4,
-    "radio_saving_pct": 4.4,
-}
+from repro.analysis import artifacts
 
 
 def bench_headline_comparison(benchmark):
-    measured = benchmark.pedantic(lambda: headline_comparison(), rounds=1, iterations=1)
-    rows = [
-        [metric, PAPER[metric], measured[metric]]
-        for metric in PAPER
-    ]
-    emit(
-        "headline",
-        "Headline: OffloaDNN vs SEM-O-RAN (average over low/medium/high)\n"
-        + format_table(["metric", "paper", "measured"], rows, precision=1),
-    )
-    assert 15.0 < measured["admitted_tasks_gain_pct"] < 40.0
-    assert 70.0 < measured["memory_saving_pct"] < 95.0
-    assert 65.0 < measured["inference_compute_saving_pct"] < 90.0
-    assert measured["radio_saving_pct"] > 0.0
+    artifact = benchmark.pedantic(artifacts.headline, rounds=1, iterations=1)
+    emit(artifact.name, artifact.text)
+    data = artifact.data
+    assert 15.0 < data["admitted_tasks_gain_pct"] < 40.0
+    assert 70.0 < data["memory_saving_pct"] < 95.0
+    assert 65.0 < data["inference_compute_saving_pct"] < 90.0
+    assert data["radio_saving_pct"] > 0.0

@@ -8,41 +8,13 @@ paper's three levels.
 from __future__ import annotations
 
 from benchmarks._report import emit
-from repro.analysis.report import format_table
-from repro.analysis.sweep import (
-    sweep_memory_budget,
-    sweep_radio_budget,
-    sweep_request_rate,
-)
+from repro.analysis import artifacts
 
 
 def bench_sensitivity_sweeps(benchmark):
-    def run():
-        return {
-            "radio": sweep_radio_budget([20, 40, 60, 80, 100, 140]),
-            "memory": sweep_memory_budget([0.5, 1.0, 2.0, 4.0, 8.0, 16.0]),
-            "rate": sweep_request_rate([2.0, 4.0, 6.0, 8.0, 10.0, 12.0]),
-        }
-
-    data = benchmark.pedantic(run, rounds=1, iterations=1)
-    sections = []
-    for name, x_label in (("radio", "RB pool"), ("memory", "memory GB"),
-                          ("rate", "req/s per task")):
-        rows = [
-            [p.value, p.weighted_admission, p.admitted_tasks, p.memory_gb,
-             p.radio_blocks]
-            for p in data[name]
-        ]
-        sections.append(
-            f"sweep over {x_label}:\n"
-            + format_table(
-                [x_label, "w. admission", "admitted", "memory GB", "RBs"], rows,
-                precision=2,
-            )
-        )
-    emit("sensitivity", "Sensitivity sweeps (large scale, OffloaDNN)\n\n"
-         + "\n\n".join(sections))
-
+    artifact = benchmark.pedantic(artifacts.sensitivity, rounds=1, iterations=1)
+    emit(artifact.name, artifact.text)
+    data = artifact.data
     radio = data["radio"]
     assert radio[0].weighted_admission < radio[-1].weighted_admission
     memory = data["memory"]

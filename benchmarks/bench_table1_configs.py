@@ -8,37 +8,11 @@ profiling pipeline that produces the DOT inputs.
 from __future__ import annotations
 
 from benchmarks._report import emit
-from repro.analysis.report import format_table
-from repro.dnn.configs import TABLE_I_CONFIGS
-from repro.dnn.repository import profile_table_i
+from repro.analysis import artifacts
 
 
 def bench_table1_configuration_profiling(benchmark):
-    profiled = benchmark.pedantic(
-        lambda: profile_table_i(width=32, input_size=32, repeats=2),
-        rounds=1,
-        iterations=1,
-    )
-    rows = []
-    for name in sorted(TABLE_I_CONFIGS):
-        pc = profiled[name]
-        config = pc.config
-        rows.append(
-            [
-                name,
-                ",".join(config.shared_stages) or "-",
-                f"{config.prune_ratio:.0%}" if config.pruned else "-",
-                pc.total_compute_time_s * 1e3,
-                pc.total_memory_gb * 1e3,
-                pc.accuracy,
-            ]
-        )
-    emit(
-        "table1_configs",
-        "Table I: DNN block configurations (ResNet-18 substrate)\n"
-        + format_table(
-            ["config", "shared stages", "prune", "inference ms", "memory MB", "accuracy"],
-            rows,
-        ),
-    )
-    assert len(profiled) == 10
+    artifact = benchmark.pedantic(artifacts.table1, rounds=1, iterations=1)
+    emit(artifact.name, artifact.text)
+    data = artifact.data
+    assert len(data) == 10

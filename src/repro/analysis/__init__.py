@@ -1,10 +1,13 @@
 """Evaluation analysis: figure/table data assembly and reporting.
 
-One function per paper artifact (Fig. 2 .. Fig. 11, Table I/II/IV and
-the headline comparison), each returning plain data structures that the
-benchmark harness prints and EXPERIMENTS.md records.
+One data function per paper artifact (Fig. 2 .. Fig. 11, Table I and
+the headline comparison) returning plain data structures, and one
+generator per artifact (:data:`repro.analysis.artifacts.ARTIFACTS`)
+returning that data with the exact text its record under
+``benchmarks/results/`` holds.
 """
 
+from repro.analysis.artifacts import ARTIFACTS, Artifact
 from repro.analysis.figures import (
     fig2_training_curves,
     fig3_pruning_effects,
@@ -25,6 +28,8 @@ from repro.analysis.sweep import (
 )
 
 __all__ = [
+    "ARTIFACTS",
+    "Artifact",
     "fig2_training_curves",
     "fig3_pruning_effects",
     "fig6_runtime_comparison",

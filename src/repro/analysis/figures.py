@@ -10,6 +10,7 @@ crossovers fall).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -71,7 +72,6 @@ def fig2_training_curves(
         out[name] = {
             "accuracy_curve": curve,
             "epochs_to_80pct": curve_model.epochs_to_reach(0.80),
-            "final_accuracy": float(curve[-1]),
             "peak_memory_mib": memory_model.peak_mib(model, config),
         }
     return out
@@ -135,65 +135,49 @@ class SolverPair:
     optimal: DOTSolution
 
 
+@cache
 def _solve_small_scale(num_tasks: int, seed: int = 0) -> SolverPair:
+    """One small-scale instance solved once by each strategy.
+
+    Cached: Figs. 6, 7 and 8 read the same pass, so a process that
+    renders all three runs the exhaustive optimum once per ``T``.
+    """
     problem = small_scale_problem(num_tasks, seed=seed)
     heuristic = OffloaDNNSolver().solve(problem)
     optimal = OptimalSolver().solve(problem)
     return SolverPair(problem=problem, heuristic=heuristic, optimal=optimal)
 
 
-def fig6_runtime_comparison(
-    max_tasks: int = 5, repeats: int = 1, seed: int = 0
-) -> dict[str, list[float]]:
-    """Average solver runtime vs number of tasks (log-scale in the paper)."""
-    heuristic_times: list[float] = []
-    optimal_times: list[float] = []
-    for num_tasks in range(1, max_tasks + 1):
-        h_samples, o_samples = [], []
-        for rep in range(repeats):
-            pair = _solve_small_scale(num_tasks, seed=seed + rep)
-            # Fig. 6 plots end-to-end solver runtime, so the tree build
-            # belongs in the number (each solver builds its own tree)
-            h_samples.append(pair.heuristic.total_time_s)
-            o_samples.append(pair.optimal.total_time_s)
-        heuristic_times.append(float(np.mean(h_samples)))
-        optimal_times.append(float(np.mean(o_samples)))
+def fig6_runtime_comparison(max_tasks: int = 5, seed: int = 0) -> dict[str, list[float]]:
+    """Solver runtime vs number of tasks (log-scale in the paper).
+
+    Fig. 6 plots end-to-end solver runtime, so the tree build belongs in
+    the number (each solver builds its own tree).
+    """
+    pairs = [_solve_small_scale(t, seed) for t in range(1, max_tasks + 1)]
     return {
         "num_tasks": list(range(1, max_tasks + 1)),
-        "offloadnn_s": heuristic_times,
-        "optimum_s": optimal_times,
+        "offloadnn_s": [pair.heuristic.total_time_s for pair in pairs],
+        "optimum_s": [pair.optimal.total_time_s for pair in pairs],
     }
 
 
 def fig7_cost_and_memory(max_tasks: int = 5, seed: int = 0) -> dict[str, list[float]]:
     """Normalized DOT cost and normalized memory, heuristic vs optimum."""
-    rows: dict[str, list[float]] = {
-        "num_tasks": [],
-        "offloadnn_cost": [],
-        "optimum_cost": [],
-        "offloadnn_memory": [],
-        "optimum_memory": [],
+    pairs = [_solve_small_scale(t, seed) for t in range(1, max_tasks + 1)]
+    costs = [
+        (objective_value(p.problem, p.heuristic), objective_value(p.problem, p.optimal))
+        for p in pairs
+    ]
+    max_cost = max(max(h, o) for h, o in costs) or 1.0
+    memory_budget = pairs[0].problem.budgets.memory_gb
+    return {
+        "num_tasks": list(range(1, max_tasks + 1)),
+        "offloadnn_cost": [h / max_cost for h, _ in costs],
+        "optimum_cost": [o / max_cost for _, o in costs],
+        "offloadnn_memory": [p.heuristic.total_memory_gb / memory_budget for p in pairs],
+        "optimum_memory": [p.optimal.total_memory_gb / memory_budget for p in pairs],
     }
-    raw: list[tuple[float, float, float, float]] = []
-    for num_tasks in range(1, max_tasks + 1):
-        pair = _solve_small_scale(num_tasks, seed=seed)
-        raw.append(
-            (
-                objective_value(pair.problem, pair.heuristic),
-                objective_value(pair.problem, pair.optimal),
-                pair.heuristic.total_memory_gb,
-                pair.optimal.total_memory_gb,
-            )
-        )
-        rows["num_tasks"].append(num_tasks)
-    max_cost = max(max(h, o) for h, o, _, _ in raw) or 1.0
-    memory_budget = small_scale_problem(1, seed=seed).budgets.memory_gb
-    for h_cost, o_cost, h_mem, o_mem in raw:
-        rows["offloadnn_cost"].append(h_cost / max_cost)
-        rows["optimum_cost"].append(o_cost / max_cost)
-        rows["offloadnn_memory"].append(h_mem / memory_budget)
-        rows["optimum_memory"].append(o_mem / memory_budget)
-    return rows
 
 
 def fig8_cost_breakdown(max_tasks: int = 5, seed: int = 0) -> dict[str, list[float]]:
@@ -210,7 +194,7 @@ def fig8_cost_breakdown(max_tasks: int = 5, seed: int = 0) -> dict[str, list[flo
         "optimum_inference",
     )}
     for num_tasks in range(1, max_tasks + 1):
-        pair = _solve_small_scale(num_tasks, seed=seed)
+        pair = _solve_small_scale(num_tasks, seed)
         budgets = pair.problem.budgets
         rows["num_tasks"].append(num_tasks)
         for label, sol in (("offloadnn", pair.heuristic), ("optimum", pair.optimal)):
@@ -317,16 +301,15 @@ def headline_comparison(seed: int = 0) -> dict[str, float]:
 def fig11_emulation_latency(
     num_tasks: int = 5, duration_s: float = 20.0, seed: int = 0
 ) -> dict[str, object]:
-    """Per-task end-to-end latency series from the Fig. 11 serving run."""
+    """Per-task smoothed end-to-end latency series from the Fig. 11 serving run."""
     runtime = fig11_runtime(num_tasks, duration_s, seed)
-    metrics = runtime.run()
+    runtime.run()
     series: dict[int, dict[str, object]] = {}
     for task_id, (times, latencies) in latency_series(runtime.last_requests).items():
         series[task_id] = {
             "times_s": times,
             "latency_s": latencies,
             "limit_s": runtime.problem.task(task_id).max_latency_s,
-            "mean_latency_s": metrics.tasks[task_id].latency.mean_s,
         }
     return {
         "series": series,

@@ -16,22 +16,21 @@ resource starts to bind:
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from repro.core.heuristic import OffloaDNNSolver
 from repro.core.objective import objective_value
-from repro.core.problem import Budgets, DOTProblem
+from repro.core.problem import DOTProblem
+from repro.workloads.generator import ScenarioCatalogBuilder
 from repro.workloads.largescale import RequestRate, large_scale_problem
 
 __all__ = [
     "SweepPoint",
+    "sweep",
     "sweep_radio_budget",
     "sweep_memory_budget",
     "sweep_request_rate",
 ]
-
-
-from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -47,9 +46,8 @@ class SweepPoint:
     objective: float
 
 
-def _solve_point(problem: DOTProblem, value: float, solver=None) -> SweepPoint:
-    solver = solver or OffloaDNNSolver()
-    solution = solver.solve(problem)
+def _solve_point(problem: DOTProblem, value: float) -> SweepPoint:
+    solution = OffloaDNNSolver().solve(problem)
     return SweepPoint(
         value=value,
         weighted_admission=solution.weighted_admission_ratio,
@@ -61,16 +59,6 @@ def _solve_point(problem: DOTProblem, value: float, solver=None) -> SweepPoint:
     )
 
 
-def _with_budgets(problem: DOTProblem, budgets: Budgets) -> DOTProblem:
-    return DOTProblem(
-        tasks=problem.tasks,
-        catalog=problem.catalog,
-        budgets=budgets,
-        radio=problem.radio,
-        alpha=problem.alpha,
-    )
-
-
 def sweep_radio_budget(
     radio_blocks: list[int],
     rate: RequestRate = RequestRate.MEDIUM,
@@ -78,11 +66,12 @@ def sweep_radio_budget(
 ) -> list[SweepPoint]:
     """Admission response to the RB pool size."""
     base = large_scale_problem(rate, seed=seed)
-    points = []
-    for blocks in radio_blocks:
-        problem = _with_budgets(base, replace(base.budgets, radio_blocks=blocks))
-        points.append(_solve_point(problem, float(blocks)))
-    return points
+    return [
+        _solve_point(
+            replace(base, budgets=replace(base.budgets, radio_blocks=blocks)), float(blocks)
+        )
+        for blocks in radio_blocks
+    ]
 
 
 def sweep_memory_budget(
@@ -92,46 +81,28 @@ def sweep_memory_budget(
 ) -> list[SweepPoint]:
     """Admission response to the edge memory budget."""
     base = large_scale_problem(rate, seed=seed)
-    points = []
-    for memory in memory_gb:
-        problem = _with_budgets(base, replace(base.budgets, memory_gb=memory))
-        points.append(_solve_point(problem, memory))
-    return points
+    return [
+        _solve_point(replace(base, budgets=replace(base.budgets, memory_gb=memory)), memory)
+        for memory in memory_gb
+    ]
 
 
-def sweep_request_rate(
-    rates: list[float],
-    seed: int = 0,
-) -> list[SweepPoint]:
+def sweep_request_rate(rates: list[float], seed: int = 0) -> list[SweepPoint]:
     """Fine-grained load axis: admission vs per-task request rate."""
-    from repro.workloads.largescale import LARGE_SCALE, large_scale_tasks
-    from repro.workloads.generator import ScenarioCatalogBuilder
-
+    base = large_scale_problem(RequestRate.LOW, seed=seed)
     points = []
     for rate_value in rates:
-        # build tasks at an arbitrary (non-enum) rate
-        reference = large_scale_tasks(RequestRate.LOW)
-        tasks = tuple(replace(t, request_rate=rate_value) for t in reference)
-        builder = ScenarioCatalogBuilder(seed=seed)
-        catalog = builder.build(tasks, tasks[0].qualities[0])
-        problem = DOTProblem(
-            tasks=tasks,
-            catalog=catalog,
-            budgets=Budgets(
-                compute_time_s=LARGE_SCALE.compute_budget_s,
-                training_budget_s=LARGE_SCALE.training_budget_s,
-                memory_gb=LARGE_SCALE.memory_gb,
-                radio_blocks=LARGE_SCALE.radio_blocks,
-            ),
-            radio=problem_radio(),
-            alpha=LARGE_SCALE.alpha,
-        )
-        points.append(_solve_point(problem, rate_value))
+        # the Table IV tasks and budgets at an arbitrary (non-enum) rate
+        tasks = tuple(replace(t, request_rate=rate_value) for t in base.tasks)
+        catalog = ScenarioCatalogBuilder(seed=seed).build(tasks, tasks[0].qualities[0])
+        points.append(_solve_point(replace(base, tasks=tasks, catalog=catalog), rate_value))
     return points
 
 
-def problem_radio():
-    from repro.core.problem import RadioModel
-    from repro.workloads.largescale import LARGE_SCALE
-
-    return RadioModel(default_bits_per_rb=LARGE_SCALE.bits_per_rb)
+def sweep(knob: str, values: list) -> list[SweepPoint]:
+    """The sweep over ``knob`` (``"radio"``, ``"memory"`` or ``"rate"``)."""
+    return {
+        "radio": sweep_radio_budget,
+        "memory": sweep_memory_budget,
+        "rate": sweep_request_rate,
+    }[knob](values)

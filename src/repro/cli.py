@@ -10,8 +10,8 @@ Python::
     python -m repro profile --arch mobilenetv2
     python -m repro reproduce fig9
 
-``reproduce`` regenerates one paper artifact (or ``headline``) and
-prints the same rows/series the paper reports.
+``reproduce`` regenerates one paper artifact and prints the text its
+record under ``benchmarks/results/`` holds.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import contextlib
 import sys
 from collections.abc import Sequence
 
+from repro.analysis.artifacts import ARTIFACTS, SWEEPS, sweep_section
 from repro.analysis.report import format_series, format_table
 
 __all__ = ["main", "build_parser"]
@@ -159,11 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="time the int8-quantized plan instead of the fp32 one",
     )
 
-    reproduce = sub.add_parser("reproduce", help="regenerate a paper artifact")
-    reproduce.add_argument(
-        "artifact",
-        choices=["fig2", "fig3", "fig6", "fig7", "fig9", "fig10", "fig11", "headline"],
+    reproduce = sub.add_parser(
+        "reproduce", help="print a paper artifact as benchmarks/results/ holds it"
     )
+    reproduce.add_argument("artifact", choices=list(ARTIFACTS))
 
     serve = sub.add_parser(
         "serve-sim", help="run the serving runtime on the small-scale scenario"
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep = sub.add_parser("sweep", help="sensitivity sweep on the large scenario")
-    sweep.add_argument("--knob", choices=["radio", "memory", "rate"], default="radio")
+    sweep.add_argument("--knob", choices=list(SWEEPS), default="radio")
     sweep.add_argument(
         "--values", type=_sweep_values, default=None,
         help="comma-separated knob values (defaults per knob)",
@@ -398,61 +398,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    from repro.analysis import figures
-
-    artifact = args.artifact
-    if artifact == "fig2":
-        data = figures.fig2_training_curves(epochs=250)
-        for name, entry in data.items():
-            print(
-                f"{name}: epochs-to-80% {entry['epochs_to_80pct']}, "
-                f"final acc {entry['final_accuracy']:.3f}, "
-                f"peak memory {entry['peak_memory_mib']:.0f} MiB"
-            )
-    elif artifact == "fig3":
-        data = figures.fig3_pruning_effects()
-        rows = [
-            [name, d["inference_time_ms"], 100 * d["class_accuracy"]]
-            for name, d in sorted(data.items())
-        ]
-        print(format_table(["config", "time ms", "acc %"], rows, precision=2))
-    elif artifact == "fig6":
-        data = figures.fig6_runtime_comparison(max_tasks=4)
-        rows = list(zip(data["num_tasks"], data["offloadnn_s"], data["optimum_s"]))
-        print(format_table(["T", "OffloaDNN s", "Optimum s"], rows, precision=4))
-    elif artifact == "fig7":
-        data = figures.fig7_cost_and_memory(max_tasks=4)
-        rows = list(
-            zip(
-                data["num_tasks"],
-                data["offloadnn_cost"],
-                data["optimum_cost"],
-                data["offloadnn_memory"],
-            )
-        )
-        print(format_table(["T", "Off cost", "Opt cost", "Off mem"], rows))
-    elif artifact == "fig9":
-        data = figures.fig9_admission_ratios()
-        for rate, series in data.items():
-            print(f"[{rate}]")
-            print(format_series("  OffloaDNN", series["offloadnn"], precision=2))
-            print(format_series("  SEM-O-RAN", series["semoran"], precision=2))
-    elif artifact == "fig10":
-        data = figures.fig10_largescale_comparison()
-        for rate, metrics in data.items():
-            print(f"[{rate}] " + ", ".join(f"{k}={v:.3f}" for k, v in metrics.items()))
-    elif artifact == "fig11":
-        data = figures.fig11_emulation_latency()
-        for task_id, entry in sorted(data["series"].items()):
-            print(
-                f"task {task_id}: mean {float(entry['mean_latency_s']) * 1e3:.1f} ms "
-                f"(limit {entry['limit_s'] * 1e3:.0f} ms)"
-            )
-        print(f"within limits: {data['within_limits']}")
-    else:  # headline
-        data = figures.headline_comparison()
-        for metric, value in data.items():
-            print(f"{metric}: {value:+.1f}%")
+    print(ARTIFACTS[args.artifact]().text)
     return 0
 
 
@@ -569,14 +515,9 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis import sweep as sweep_module
+    from repro.analysis.sweep import sweep
 
-    defaults = {
-        "radio": [20, 40, 60, 80, 100, 140],
-        "memory": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
-        "rate": [2.0, 4.0, 6.0, 8.0, 10.0, 12.0],
-    }
-    values = args.values or defaults[args.knob]
+    values = args.values or SWEEPS[args.knob][1]
     if args.knob == "radio":
         fractional = [value for value in values if value != int(value)]
         if fractional:
@@ -584,21 +525,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "argument --values: an RB count must be a whole number, "
                 f"got {fractional[0]:g}"
             )
-        points = sweep_module.sweep_radio_budget([int(v) for v in values])
-    elif args.knob == "memory":
-        points = sweep_module.sweep_memory_budget(values)
-    else:
-        points = sweep_module.sweep_request_rate(values)
-    rows = [
-        [p.value, p.weighted_admission, p.admitted_tasks, p.memory_gb, p.radio_blocks]
-        for p in points
-    ]
-    print(
-        format_table(
-            [args.knob, "w. admission", "admitted", "memory GB", "RBs"], rows,
-            precision=2,
-        )
-    )
+        values = [int(v) for v in values]
+    print(sweep_section(args.knob, sweep(args.knob, values)))
     return 0
 
 

@@ -16,11 +16,11 @@ the path — and scores candidate placements on:
   prefix fusion the single-node executor exploits.
 
 The activation shipped across a split after block ``i`` is modeled as
-``bits_per_image · decay^(i+1)`` (activations shrink as the network
-downsamples; ``decay`` is a topology-level knob), floored at
-``MIN_ACTIVATION_BITS``.  Splitting after block 0 therefore lays the
-exact groundwork for a future *device-side* prefix: the boundary
-tensor a device would upload instead of the raw image.
+``bits_per_image · ACTIVATION_DECAY^(i+1)`` (activations shrink as the
+network downsamples), floored at ``MIN_ACTIVATION_BITS``.  Splitting
+after block 0 therefore lays the exact groundwork for a future
+*device-side* prefix: the boundary tensor a device would upload instead
+of the raw image.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ __all__ = ["Segment", "PlacementPlan", "ClusterOrchestrator"]
 
 #: floor on the modeled activation size at any split boundary
 MIN_ACTIVATION_BITS = 8_000.0
+#: per-boundary activation shrink factor: activations shrink as the
+#: network downsamples (see the module docstring)
+ACTIVATION_DECAY = 0.5
 
 
 @dataclass(frozen=True)
@@ -73,9 +76,9 @@ class PlacementPlan:
         )
 
 
-def activation_bits_after(path: Path, index: int, decay: float) -> float:
+def activation_bits_after(path: Path, index: int) -> float:
     """Modeled activation size at the boundary after block ``index``."""
-    bits = path.bits_per_image * decay ** (index + 1)
+    bits = path.bits_per_image * ACTIVATION_DECAY ** (index + 1)
     return max(MIN_ACTIVATION_BITS, bits)
 
 
@@ -86,8 +89,6 @@ class ClusterOrchestrator:
     registry: NodeRegistry
     #: maximum segments one path may be split into (1 = never split)
     max_segments: int = 2
-    #: per-boundary activation shrink factor (see module docstring)
-    activation_decay: float = 0.5
     #: weight of projected per-worker congestion in the placement score
     congestion_weight: float = 0.5
     #: bonus per profiled second of leading blocks already co-placed
@@ -96,8 +97,6 @@ class ClusterOrchestrator:
     def __post_init__(self) -> None:
         if self.max_segments < 1:
             raise ValueError("max_segments must be >= 1")
-        if not 0.0 < self.activation_decay <= 1.0:
-            raise ValueError("activation_decay must be in (0, 1]")
 
     def place(
         self,
@@ -147,7 +146,7 @@ class ClusterOrchestrator:
             return candidates
         for split in range(1, len(blocks)):
             head, tail = blocks[:split], blocks[split:]
-            egress = activation_bits_after(path, split - 1, self.activation_decay)
+            egress = activation_bits_after(path, split - 1)
             heads = self.registry.eligible_nodes(b.block_id for b in head)
             tails = self.registry.eligible_nodes(b.block_id for b in tail)
             for head_node in heads:

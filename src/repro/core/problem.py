@@ -45,8 +45,11 @@ class Budgets:
             raise ValueError("training budget must be finite and positive")
         if not 0 <= self.memory_gb < inf:
             raise ValueError("memory budget must be finite and >= 0")
-        if not 0 <= self.radio_blocks < inf:
-            raise ValueError("radio budget must be finite and >= 0")
+        # whole: the solver admits on the slice grid (Σ r ≤ R)
+        if not (0 <= self.radio_blocks < inf and float(self.radio_blocks).is_integer()):
+            raise ValueError(
+                f"radio_blocks must be a whole number >= 0, got {self.radio_blocks!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,10 @@ class Assignment:
     def __post_init__(self) -> None:
         if not 0.0 <= self.admission_ratio <= 1.0:
             raise ValueError("admission ratio must be in [0, 1]")
-        if self.radio_blocks < 0:
-            raise ValueError("radio_blocks must be >= 0")
+        if not (self.radio_blocks >= 0 and float(self.radio_blocks).is_integer()):
+            raise ValueError(
+                f"radio_blocks must be a whole number >= 0, got {self.radio_blocks!r}"
+            )
         if self.admitted and self.path is None:
             raise ValueError("an admitted task needs a path")
 

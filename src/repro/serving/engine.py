@@ -404,17 +404,18 @@ class WavePlan:
         if push is not None:
             for position, request_id, created_at, deadline_at, delivered_at, _ in rows:
                 task_id, path, bits = static[position]
-                request = acquire(task_id, request_id, path, created_at, deadline_at, bits)
-                request.uplink_done_at = delivered_at
-                push(request)
+                push(
+                    acquire(task_id, request_id, path, created_at, deadline_at, bits, delivered_at)
+                )
             return None
         window: list[ServingRequest] = []
         victims: list[ServingRequest] = []
         expired: list[ServingRequest] = []
         for position, request_id, created_at, deadline_at, delivered_at, fate in rows:
             task_id, path, bits = static[position]
-            request = acquire(task_id, request_id, path, created_at, deadline_at, bits)
-            request.uplink_done_at = delivered_at
+            request = acquire(
+                task_id, request_id, path, created_at, deadline_at, bits, delivered_at
+            )
             if fate == DISPATCHED:
                 request.dispatched_at = now
                 window.append(request)

@@ -53,8 +53,10 @@ class RequestPool:
         created_at: float,
         deadline_at: float,
         bits: float,
+        uplink_done_at: float,
     ) -> ServingRequest:
-        """A fresh-looking record, recycled when one is available."""
+        """A fresh-looking record delivered at ``uplink_done_at``, recycled
+        when one is available."""
         if self._used < len(self._items):
             request = self._items[self._used]
             request.task_id = task_id
@@ -63,7 +65,7 @@ class RequestPool:
             request.created_at = created_at
             request.deadline_at = deadline_at
             request.bits = bits
-            request.uplink_done_at = UNSET
+            request.uplink_done_at = uplink_done_at
             request.dispatched_at = UNSET
             request.started_at = UNSET
             request.completed_at = UNSET
@@ -79,6 +81,7 @@ class RequestPool:
                 created_at=created_at,
                 deadline_at=deadline_at,
                 bits=bits,
+                uplink_done_at=uplink_done_at,
             )
             self._items.append(request)
         self._used += 1

@@ -432,8 +432,8 @@ def full_scan_push_due(plan, now: float, pool, push) -> None:
                 created_at=float(wave.arrivals[arrival_index]),
                 deadline_at=float(wave.deadlines[i]),
                 bits=wave.bits,
+                uplink_done_at=float(wave.deliveries[i]),
             )
-            request.uplink_done_at = float(wave.deliveries[i])
             cursors[position] = i + 1
             push(request)
 

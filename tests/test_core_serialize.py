@@ -216,6 +216,36 @@ class TestSolutionRoundTrip:
         )
 
 
+class TestWholeRadioBlocks:
+    """An RB count is whole (the solver admits on the slice grid): a
+    fractional one is refused by name where it is built and where it is
+    loaded; a whole-valued float is accepted."""
+
+    def test_construction(self, tiny_problem):
+        from repro.core.solution import Assignment
+
+        task = tiny_problem.tasks[0]
+        for blocks in (2.5, float("nan")):
+            with pytest.raises(ValueError, match="radio_blocks"):
+                replace(tiny_problem.budgets, radio_blocks=blocks)
+            with pytest.raises(ValueError, match="radio_blocks"):
+                Assignment(task=task, path=None, admission_ratio=0.0, radio_blocks=blocks)
+        assert replace(tiny_problem.budgets, radio_blocks=20.0).radio_blocks == 20
+        assert Assignment(task=task, path=None, admission_ratio=0.0, radio_blocks=3.0)
+
+    def test_load(self, tiny_problem):
+        problem_doc = problem_to_dict(tiny_problem)
+        problem_doc["budgets"]["radio_blocks"] = 2.5
+        with pytest.raises(ValueError, match="radio_blocks"):
+            problem_from_dict(problem_doc)
+        solution_doc = solution_to_dict(OffloaDNNSolver().solve(tiny_problem))
+        solution_doc["assignments"][0]["radio_blocks"] = 2.5
+        with pytest.raises(ValueError, match="radio_blocks"):
+            solution_from_dict(solution_doc, tiny_problem)
+        problem_doc["budgets"]["radio_blocks"] = 50.0
+        assert problem_from_dict(problem_doc).budgets == tiny_problem.budgets
+
+
 class TestRunBackedSolution:
     """A population solve keeps runs; its dump is the expanded dict's."""
 

@@ -272,20 +272,20 @@ def test_simulator_keeps_same_instant_event_order():
 def test_request_pool_resets_every_field(problem):
     path = problem.catalog.paths_for(problem.tasks[0])[0]
     pool = RequestPool()
-    first = pool.acquire(1, 2, path, 0.0, 1.0, 5.0)
-    mate = pool.acquire(1, 3, path, 0.0, 1.0, 5.0)
+    first = pool.acquire(1, 2, path, 0.0, 1.0, 5.0, 0.25)
+    mate = pool.acquire(1, 3, path, 0.0, 1.0, 5.0, 0.25)
     first.drop_reason = DropReason.DEADLINE
     first.completed_at = 0.7
     # batch-mates of a cluster run share one hop list
     shared = ["stale"]
     first.hops = mate.hops = shared
     pool.reset()
-    again = pool.acquire(3, 4, path, 0.5, 2.0, 6.0)
+    again = pool.acquire(3, 4, path, 0.5, 2.0, 6.0, 0.75)
     assert again is first  # recycled, not reallocated
-    assert again.task_id == 3 and again.request_id == 4
+    assert again.task_id == 3 and again.request_id == 4 and again.uplink_done_at == 0.75
     assert again.drop_reason is None and again.hops is None
     assert again.completed_at != again.completed_at  # NaN
-    assert pool.acquire(3, 5, path, 0.5, 2.0, 6.0) is mate and mate.hops is None
+    assert pool.acquire(3, 5, path, 0.5, 2.0, 6.0, 0.75) is mate and mate.hops is None
     # the list itself is left as it was: a reader of the last run keeps it
     assert shared == ["stale"]
 
