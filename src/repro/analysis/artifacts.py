@@ -29,6 +29,7 @@ from repro.analysis.figures import (
 from repro.analysis.report import format_series, format_table
 from repro.analysis.sweep import SweepPoint, sweep
 from repro.dnn.repository import profile_table_i
+from repro.obs.session import ObsSession
 
 __all__ = [
     "Artifact",
@@ -195,9 +196,12 @@ def fig10() -> Artifact:
     return Artifact("fig10_largescale", data, "\n".join(lines))
 
 
-def fig11() -> Artifact:
-    """Fig. 11: the emulated run's smoothed end-to-end latency per task."""
-    data = fig11_emulation_latency()
+def fig11(
+    num_tasks: int = 5, duration_s: float = 20.0, seed: int = 0, obs: ObsSession | None = None
+) -> Artifact:
+    """Fig. 11: the emulated run's smoothed end-to-end latency per task
+    (``repro emulate`` prints it at its own run arguments)."""
+    data = fig11_emulation_latency(num_tasks, duration_s, seed, obs)
     rows = []
     for task_id, entry in sorted(data["series"].items()):
         latency = np.asarray(entry["latency_s"], dtype=float)

@@ -28,6 +28,7 @@ from repro.dnn.training import (
     TrainingMemoryModel,
     pruned_accuracy_drop,
 )
+from repro.obs.session import ObsSession
 from repro.serving import fig11_runtime, latency_series
 from repro.workloads.largescale import RequestRate, large_scale_problem
 from repro.workloads.smallscale import small_scale_problem
@@ -299,10 +300,18 @@ def headline_comparison(seed: int = 0) -> dict[str, float]:
 
 
 def fig11_emulation_latency(
-    num_tasks: int = 5, duration_s: float = 20.0, seed: int = 0
+    num_tasks: int = 5,
+    duration_s: float = 20.0,
+    seed: int = 0,
+    obs: ObsSession | None = None,
 ) -> dict[str, object]:
-    """Per-task smoothed end-to-end latency series from the Fig. 11 serving run."""
+    """Per-task smoothed end-to-end latency series from the Fig. 11 serving run.
+
+    ``obs`` observes the run (``repro emulate --trace``); an observed run
+    also schedules a completion event per window, so ``events`` grows.
+    """
     runtime = fig11_runtime(num_tasks, duration_s, seed)
+    runtime.obs = obs
     runtime.run()
     series: dict[int, dict[str, object]] = {}
     for task_id, (times, latencies) in latency_series(runtime.last_requests).items():

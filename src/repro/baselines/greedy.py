@@ -26,7 +26,6 @@ class GreedyNoSharingSolver:
     """Priority-greedy fractional admission without block sharing."""
 
     name: str = "greedy-no-sharing"
-    admission_floor: float = 1e-6
     #: timestamp source for ``solve_time_s`` (injectable for testing)
     clock: Callable[[], float] = time.perf_counter
 
@@ -44,7 +43,7 @@ class GreedyNoSharingSolver:
                     remaining_memory -= memory
                     break
             chosen.append(pick)
-        solution = allocate(vtree, chosen, self.admission_floor)
+        solution = allocate(vtree, chosen)
         for task_id, assignment in list(solution.assignments.items()):
             path = assignment.path
             if path is None:

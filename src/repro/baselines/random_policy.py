@@ -22,7 +22,6 @@ class RandomPathSolver:
 
     seed: int = 0
     name: str = "random"
-    admission_floor: float = 1e-6
     #: timestamp source for ``solve_time_s`` (injectable for testing)
     clock: Callable[[], float] = time.perf_counter
 
@@ -44,7 +43,7 @@ class RandomPathSolver:
                 pick = fitting[rng.integers(len(fitting))]
                 state = state.extend(clique.base_path(pick))
             chosen.append(pick)
-        solution = allocate(vtree, chosen, self.admission_floor)
+        solution = allocate(vtree, chosen)
         solution.solve_time_s = self.clock() - start
         solution.tree_build_time_s = vtree.build_time_s
         solution.solver_name = self.name

@@ -56,9 +56,6 @@ class SemORANSolver:
     """Greedy value-ordered binary admission with dedicated DNNs."""
 
     name: str = "SEM-O-RAN"
-    #: whether leftover RBs are spread across admitted slices (the
-    #: "balanced allocation" behaviour); disable for ablations
-    spread_leftover_rbs: bool = True
     #: timestamp source for ``solve_time_s`` (injectable for testing)
     clock: Callable[[], float] = time.perf_counter
 
@@ -139,7 +136,7 @@ class SemORANSolver:
     ) -> list[int]:
         """Spread leftover RBs proportionally to slice load (balanced)."""
         rbs = [r for _, _, r in admitted]
-        if not self.spread_leftover_rbs or not admitted or leftover <= 0:
+        if not admitted or leftover <= 0:
             return rbs
         total = sum(rbs)
         extra = [int(leftover * r / total) for r in rbs] if total else [0] * len(rbs)

@@ -206,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_summary.add_argument("input", help="Chrome trace JSON or span JSONL file")
     trace_summary.add_argument(
-        "--top", type=int, default=40, help="max root spans shown per clock domain"
+        "--top", type=_bounded_int(0), default=40,
+        help="max root spans shown per clock domain",
     )
 
     sweep = sub.add_parser("sweep", help="sensitivity sweep on the large scenario")
@@ -332,34 +333,15 @@ def _cmd_solve_scale(args: argparse.Namespace) -> int:
 
 
 def _cmd_emulate(args: argparse.Namespace) -> int:
-    from repro.serving import fig11_runtime, latency_series
+    from repro.analysis.artifacts import fig11
 
     obs, scope = _start_trace(args.trace)
     with scope:
-        runtime = fig11_runtime(args.tasks, args.duration, args.seed)
-    runtime.obs = obs
-    metrics = runtime.run()
-    rows = []
-    for task in runtime.problem.tasks:
-        latency = metrics.tasks[task.task_id].latency
-        rows.append(
-            [task.task_id, latency.mean_s * 1e3, latency.max_s * 1e3,
-             task.max_latency_s * 1e3, latency.count]
-        )
-    print(
-        format_table(
-            ["task", "mean ms", "max ms", "limit ms", "samples"], rows, precision=1
-        )
-    )
-    # the Fig. 11 criterion: the smoothed (window 3) trace stays under L_τ
-    verdict = all(
-        bool((smoothed <= runtime.problem.task(task_id).max_latency_s).all())
-        for task_id, (_, smoothed) in latency_series(runtime.last_requests).items()
-    )
-    print(f"all within latency targets: {verdict}")
+        artifact = fig11(args.tasks, args.duration, args.seed, obs)
+    print(artifact.text)
     if obs is not None:
         _finish_trace(obs, args.trace)
-    return 0 if verdict else 1
+    return 0 if artifact.data["within_limits"] else 1
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:

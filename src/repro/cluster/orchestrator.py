@@ -39,6 +39,10 @@ MIN_ACTIVATION_BITS = 8_000.0
 #: per-boundary activation shrink factor: activations shrink as the
 #: network downsamples (see the module docstring)
 ACTIVATION_DECAY = 0.5
+#: weight of projected per-worker congestion in the placement score
+CONGESTION_WEIGHT = 0.5
+#: bonus per profiled second of leading blocks already co-placed
+SHARING_WEIGHT = 0.25
 
 
 @dataclass(frozen=True)
@@ -84,19 +88,12 @@ def activation_bits_after(path: Path, index: int) -> float:
 
 @dataclass
 class ClusterOrchestrator:
-    """Places a solved allocation's paths onto the registered nodes."""
+    """Places a solved allocation's paths onto the registered nodes.
+
+    A path runs whole on one node or split into two segments.
+    """
 
     registry: NodeRegistry
-    #: maximum segments one path may be split into (1 = never split)
-    max_segments: int = 2
-    #: weight of projected per-worker congestion in the placement score
-    congestion_weight: float = 0.5
-    #: bonus per profiled second of leading blocks already co-placed
-    sharing_weight: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.max_segments < 1:
-            raise ValueError("max_segments must be >= 1")
 
     def place(
         self,
@@ -133,16 +130,15 @@ class ClusterOrchestrator:
         """Every placement considered for one path.
 
         Single-node placements on each eligible node, plus (when the
-        fabric has more than one node and ``max_segments >= 2``) every
-        two-segment split at every block boundary across eligible node
-        pairs.  Paths are short (Table I configs have ~4 blocks) and
+        fabric has more than one node) every two-segment split at every
+        block boundary across eligible node pairs.  Paths are short (Table I configs have ~4 blocks) and
         fabrics small, so exhaustive scoring stays cheap.
         """
         blocks = path.blocks
         candidates: list[tuple[Segment, ...]] = []
         for node in self.registry.eligible_nodes(b.block_id for b in blocks):
             candidates.append((Segment(node_id=node.node_id, blocks=blocks),))
-        if self.max_segments < 2 or len(self.registry.nodes) < 2:
+        if len(self.registry.nodes) < 2:
             return candidates
         for split in range(1, len(blocks)):
             head, tail = blocks[:split], blocks[split:]
@@ -198,8 +194,8 @@ class ClusterOrchestrator:
             sharing += block.compute_time_s
         return (
             latency
-            + self.congestion_weight * congestion
-            - self.sharing_weight * sharing
+            + CONGESTION_WEIGHT * congestion
+            - SHARING_WEIGHT * sharing
         )
 
     def _place_one(

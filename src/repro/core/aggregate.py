@@ -18,24 +18,28 @@ again.  :class:`AggregateSolver` then
 1. runs the first-branch selection on the meta-problem
    (path/quality choice is per *group*, which is exact: every member
    would pick the same variant);
-2. replays the admission cascade over the group weights: each round
-   computes one member's ``(z, r)`` against the live pools with the
-   closed-form subproblem and assigns it to as many remaining members
-   as the pools allow in one subtraction.  A pool-bound member yields a
-   run of one, so the replay degrades to the per-task cascade exactly
-   where it matters and stays O(#groups) everywhere else.  Once the
-   radio pool is spent (``subproblem._radio_spent``) a round takes the
-   scan's known result ``(0.0, 0)`` without running it;
-3. returns the rounds as runs ``(assignment, member ids)``, ids ascending:
-   :class:`~repro.core.solution.AssignmentRuns` reads like the expanded
-   dict (same keys, order, values, one shared ``Path`` per run), builds
-   an ``Assignment`` only on lookup, and sums fold over runs.
+2. builds one branch item per placed group and runs the one admission
+   cascade, :func:`~repro.core.subproblem.solve_branch`, with each
+   item's member count: each round computes one member's ``(z, r)``
+   against the live pools and gives it to as many remaining members as
+   the pools allow in one subtraction.  A pool-bound member yields a
+   round of one, so the cascade is the per-task one exactly where it
+   matters and stays O(#groups) everywhere else;
+3. turns the rounds into runs ``(assignment, member ids)``, ids
+   ascending: :class:`~repro.core.solution.AssignmentRuns` reads like
+   the expanded dict (same keys, order, values, one shared ``Path`` per
+   run), builds an ``Assignment`` only on lookup, and sums fold over
+   runs.  A placed group's rejected members keep its path at
+   ``z = 0``, ``r = 0``, as a per-task solve records a rejected task;
+   a group the selection left without a path gets ``None``.
 
-The replay is feasibility-preserving by construction; it is *not*
-promised bit-identical to the per-task solve when distinct
+The group cascade is feasibility-preserving by construction; it is
+*not* promised bit-identical to the per-task solve when distinct
 groups share a priority level (the per-task cascade would interleave
-their members by task id, the replay keeps groups contiguous).  The
-test suite checks feasibility and admission-equivalence instead.
+their members by task id, the group cascade keeps groups contiguous).
+Without replicas every group is one task and the two solves agree task
+by task; otherwise the test suite checks feasibility and
+admission-equivalence.
 
 Grouping sorts one numpy column per signature field (Python work is
 per group) and keys on the *identity* of the candidate-path tuple, not
@@ -47,7 +51,6 @@ O(1) at 10⁶ tasks.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -58,7 +61,7 @@ import numpy as np
 from repro.core.catalog import Catalog
 from repro.core.problem import DOTProblem
 from repro.core.solution import Assignment, AssignmentRuns, DOTSolution, Run
-from repro.core.subproblem import BranchItem, _best_admission_for_item, _radio_spent
+from repro.core.subproblem import BranchItem, solve_branch
 from repro.core.task import Task
 from repro.core.tree import Branch, VectorClique, build_vector_tree, first_branch
 from repro.obs.trace import current_tracer
@@ -170,12 +173,9 @@ class AggregateSolver:
     """OffloaDNN over meta-tasks, returned as per-task assignment runs.
 
     First branch in the paper's compute ordering only: branch exploration
-    and margin spreading are defined on per-task cascades, not weighted
-    replays.
+    and margin spreading are defined on per-task cascades, not on groups.
     """
 
-    #: minimum admission ratio below which a task is rejected outright
-    admission_floor: float = 1e-6
     name: str = "OffloaDNN-aggregated"
     #: plan of the most recent solve, for inspection
     last_plan: AggregationPlan | None = field(default=None, repr=False)
@@ -209,10 +209,18 @@ class AggregateSolver:
         cliques: list[VectorClique],
         chosen: Branch,
     ) -> DOTSolution:
-        budgets = problem.budgets
-        floor_z = self.admission_floor
-        remaining_radio = float(budgets.radio_blocks)
-        remaining_compute = float(budgets.compute_time_s)
+        placed = [(clique, pick) for clique, pick in zip(cliques, chosen) if pick >= 0]
+        items = [
+            BranchItem(
+                clique.task, clique.variant_path(pick), clique.bits_per_rb,
+                clique.min_latency_rbs(pick),
+            )
+            for clique, pick in placed
+        ]
+        weights = [plan.groups[clique.task.task_id].weight for clique, _ in placed]
+        allocation = solve_branch(items, problem.budgets, weights)
+        rounds = zip(allocation.admission, allocation.radio_blocks, allocation.members)
+        paths = (item.path for item in items)
         runs: list[Run] = []
         for clique, pick in zip(cliques, chosen):
             group = plan.groups[clique.task.task_id]
@@ -220,39 +228,9 @@ class AggregateSolver:
             if pick < 0:
                 runs.append((Assignment(rep, None, 0.0, 0), members))
                 continue
-            path, r_min = clique.variant_path(pick), clique.min_latency_rbs(pick)
-            item = BranchItem(clique.task, path, clique.bits_per_rb, r_min)
-            compute_per_z = item.task.request_rate * item.path.compute_time_s
-            index = 0
+            path, index = next(paths), 0
             while index < len(members):
-                if _radio_spent(remaining_radio):
-                    z, r = 0.0, 0
-                else:
-                    z, r = _best_admission_for_item(
-                        item, remaining_radio, remaining_compute, budgets.radio_blocks
-                    )
-                if z < floor_z:
-                    break
-                radio_demand = r
-                compute_demand = z * compute_per_z
-                run = len(members) - index
-                if radio_demand > 0:
-                    run = min(
-                        run, math.floor(remaining_radio / radio_demand + 1e-9)
-                    )
-                if compute_demand > 0:
-                    run = min(
-                        run, math.floor(remaining_compute / compute_demand + 1e-9)
-                    )
-                # the member the closed form was computed for always fits
-                run = max(1, run)
-                admitted = Assignment(rep, item.path, z, r)
-                runs.append((admitted, members[index : index + run]))
-                remaining_radio = max(0.0, remaining_radio - run * radio_demand)
-                remaining_compute = max(
-                    0.0, remaining_compute - run * compute_demand
-                )
-                index += run
-            if index < len(members):
-                runs.append((Assignment(rep, None, 0.0, 0), members[index:]))
+                z, r, count = next(rounds)
+                runs.append((Assignment(rep, path, z, r), members[index : index + count]))
+                index += count
         return DOTSolution(assignments=AssignmentRuns(runs, problem.task))

@@ -84,10 +84,7 @@ class _PlacedItems:
 
 
 def allocate(
-    vtree: VectorTree,
-    chosen: Branch,
-    admission_floor: float = 1e-6,
-    slice_margin_rbs: int = 0,
+    vtree: VectorTree, chosen: Branch, slice_margin_rbs: int = 0
 ) -> DOTSolution:
     """Run the per-branch (z, r) solver and assemble the solution.
 
@@ -107,7 +104,7 @@ def allocate(
             paths.append(clique.variant_path(pick))
     budgets = vtree.problem.budgets
     items = _PlacedItems(placed, picks, paths)
-    allocation = solve_branch(items, budgets, admission_floor)
+    allocation = solve_branch(items, budgets)
     if slice_margin_rbs > 0:
         _apply_margin(float(budgets.radio_blocks), allocation, slice_margin_rbs)
 
@@ -125,11 +122,7 @@ def allocate(
     return solution
 
 
-def best_branch(
-    vtree: VectorTree,
-    leaves: Iterable[Branch],
-    admission_floor: float = 1e-6,
-) -> DOTSolution:
+def best_branch(vtree: VectorTree, leaves: Iterable[Branch]) -> DOTSolution:
     """The least Eq. (1a) cost among the allocations of ``leaves``.
 
     ``leaves`` is a :func:`~repro.core.tree.branches` enumeration of
@@ -142,7 +135,7 @@ def best_branch(
     explored = 0
     for chosen in leaves:
         explored += 1
-        candidate = allocate(vtree, chosen, admission_floor)
+        candidate = allocate(vtree, chosen)
         cost = objective_value(vtree.problem, candidate)
         if cost < best_cost - 1e-12:
             best_cost = cost
@@ -162,8 +155,6 @@ class OffloaDNNSolver:
     (highest accuracy first — another ablation).
     """
 
-    #: minimum admission ratio below which a task is rejected outright
-    admission_floor: float = 1e-6
     #: clique ordering criterion (see class docstring)
     ordering: str = "compute"
     #: extra RBs granted to each admitted slice (when the pool allows):
@@ -193,15 +184,15 @@ class OffloaDNNSolver:
         start = time.perf_counter()
         tracer = current_tracer()
         budgets = problem.budgets
-        floor, margin = self.admission_floor, self.slice_margin_rbs
+        margin = self.slice_margin_rbs
         if tracer.enabled:
             with tracer.span("solver.select_branch", cat="solver", track="solver"):
                 chosen = first_branch(vtree, budgets, self.ordering)
             with tracer.span("solver.allocate", cat="solver", track="solver"):
-                solution = allocate(vtree, chosen, floor, margin)
+                solution = allocate(vtree, chosen, margin)
         else:
             chosen = first_branch(vtree, budgets, self.ordering)
-            solution = allocate(vtree, chosen, floor, margin)
+            solution = allocate(vtree, chosen, margin)
         solution.solve_time_s = time.perf_counter() - start
         solution.tree_build_time_s = vtree.build_time_s
         solution.solver_name = self.name

@@ -26,28 +26,24 @@ __all__ = ["OptimalSolver"]
 class OptimalSolver:
     """Exact solver by full tree traversal.
 
-    ``allow_reject`` adds an explicit "serve no path" option per layer;
-    the paper's tree does not include it (rejection emerges from
-    ``z = 0`` in the subproblem), so it defaults to off.  ``max_branches``
-    guards against accidentally launching astronomically large searches.
+    The paper's tree has no "serve no path" vertex: rejection emerges
+    from ``z = 0`` in the subproblem.  ``max_branches`` guards against
+    accidentally launching astronomically large searches.
     """
 
-    allow_reject: bool = False
     max_branches: int = 20_000_000
-    admission_floor: float = 1e-6
     name: str = "Optimum"
 
     def solve(self, problem: DOTProblem) -> DOTSolution:
         vtree = build_vector_tree(problem)
         start = time.perf_counter()
-        bound = vtree.num_branches(self.allow_reject)
+        bound = vtree.num_branches()
         if bound > self.max_branches:
             raise ValueError(
                 f"tree has ~{bound} branches, above the max_branches guard "
                 f"({self.max_branches}); use the OffloaDNN heuristic instead"
             )
-        leaves = branches(vtree, problem.budgets, allow_reject=self.allow_reject)
-        solution = best_branch(vtree, leaves, self.admission_floor)
+        solution = best_branch(vtree, branches(vtree, problem.budgets))
         solution.solve_time_s = time.perf_counter() - start
         solution.tree_build_time_s = vtree.build_time_s
         solution.solver_name = self.name

@@ -1,4 +1,4 @@
-"""Per-branch optimization of the admission ratios ``z`` and RB counts ``r``.
+"""The admission cascade: per-branch ``(z, r)`` for every task.
 
 Once a tree branch fixes the DNN path of every task (the ``x``/``y``
 variables), the remaining problem in ``(z, r)`` is convex (Sec. IV-B).
@@ -19,11 +19,18 @@ evaluation shows both OffloaDNN and the optimum doing) while always
 choosing the cheapest feasible ``r`` — which also minimizes the Eq. (1a)
 radio term for the chosen ``z``.  A strict minimizer of Eq. (1a) (the
 SLSQP solve in ``tests/oracles.py``) rejects low-priority tasks instead.
+
+Every tree-walking solver runs this one cascade.  A branch item may
+stand for several interchangeable tasks (a replica group of
+:class:`~repro.core.aggregate.AggregateSolver`); the cascade then
+settles its members in rounds, one closed form per round, and a
+per-task solver is the case of one member per item.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection
+import math
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 from repro.core.catalog import Path
@@ -33,10 +40,16 @@ from repro.core.task import Task
 from repro.obs.trace import current_tracer
 
 __all__ = [
+    "ADMISSION_FLOOR",
     "BranchItem",
     "BranchAllocation",
     "solve_branch",
 ]
+
+#: the least admission ratio the cascade grants: an item that cannot
+#: reach it is rejected outright (``z = 0``), which releases its radio
+#: and compute demand for lower-priority items
+ADMISSION_FLOOR = 1e-6
 
 #: tie-break tolerance of the admission scan: a candidate must beat the
 #: incumbent by more than this to displace it (ties prefer smaller r)
@@ -63,14 +76,18 @@ class BranchItem:
 
 @dataclass
 class BranchAllocation:
-    """Solver output: per-item admission ratio and RB count."""
+    """Solver output: one admission ratio, RB count and member count per
+    round, rounds in item order.  An item's rounds hold its members in
+    order (their counts sum to its member count), so with one member per
+    item the rounds are the items."""
 
     admission: list[float]
     radio_blocks: list[int]
+    members: list[int]
 
     def __post_init__(self) -> None:
-        if len(self.admission) != len(self.radio_blocks):
-            raise ValueError("admission and radio vectors disagree in length")
+        if not len(self.admission) == len(self.radio_blocks) == len(self.members):
+            raise ValueError("admission, radio and member vectors disagree in length")
 
 
 def _best_admission_for_item(
@@ -142,48 +159,72 @@ def _radio_spent(remaining_radio: float) -> bool:
 def solve_branch(
     items: Collection[BranchItem],
     budgets: Budgets,
-    admission_floor: float = 1e-6,
+    members: Sequence[int] | None = None,
 ) -> BranchAllocation:
-    """Exact structured solver (see module docstring).
+    """The admission cascade (see module docstring).
 
     ``items`` must be in descending priority order — the branch order of
     the weighted tree — and may be any sized iterable: they are read in
     order, each once, and not past the point where the pool is spent.
-    An item that cannot obtain an admission ratio of at least
-    ``admission_floor`` is rejected outright (``z = 0``), which releases
-    its radio and compute demand for lower-priority tasks and lets the
-    caller drop its otherwise-unused blocks.  Once the radio
-    pool is spent (:func:`_radio_spent`) the rest of the branch is
-    rejected in one step, without a closed-form scan per item and
-    without reading the rest: a 10⁴-task branch whose first 20 items fill
-    the pool costs 20 scans, and a lazy ``items`` (what
-    :func:`~repro.core.heuristic.allocate` passes) builds 21 items.
+    ``members`` counts the tasks each item stands for (one each when
+    ``None``).  An item's members are settled in rounds: a round is one
+    closed-form ``(z, r)`` against the live pools, held by as many of
+    the item's members as both pools allow, so a one-member round
+    subtracts exactly ``r`` and ``z·λ·c``.  A ``z`` below
+    :data:`ADMISSION_FLOOR` rejects the item's remaining members in one
+    round (``z = 0``, ``r = 0``): the pools do not move, so each of them
+    would meet the same ``z``.  Once the radio pool is spent
+    (:func:`_radio_spent`) every later item is rejected in one round,
+    without a closed-form scan and without reading it: a 10⁴-task
+    branch whose first 20 items fill the pool costs 20 scans, and a lazy
+    ``items`` (what :func:`~repro.core.heuristic.allocate` passes)
+    builds 21 items.
     """
     tracer = current_tracer()
     start = tracer.clock() if tracer.enabled else 0.0
-    remaining_radio = float(budgets.radio_blocks)
+    radio_blocks = budgets.radio_blocks
+    remaining_radio = float(radio_blocks)
     remaining_compute = float(budgets.compute_time_s)
     admission: list[float] = []
     rbs: list[int] = []
+    counts: list[int] = []
+    admitted = 0
     spent_at = None
     for position, item in enumerate(items):
         if _radio_spent(remaining_radio):
             spent_at = position
             break
-        z, r = _best_admission_for_item(
-            item, remaining_radio, remaining_compute, budgets.radio_blocks
-        )
-        if z < admission_floor:
-            admission.append(0.0)
-            rbs.append(0)
-            continue
-        admission.append(z)
-        rbs.append(r)
-        remaining_radio -= r
-        remaining_compute -= z * item.task.request_rate * item.compute_time_s
+        left = 1 if members is None else members[position]
+        while left:
+            z, r = _best_admission_for_item(
+                item, remaining_radio, remaining_compute, radio_blocks
+            )
+            if z < ADMISSION_FLOOR:
+                admission.append(0.0)
+                rbs.append(0)
+                counts.append(left)
+                break
+            compute = z * item.task.request_rate * item.compute_time_s
+            run = left
+            if run > 1:
+                # r >= r_min >= 1; the member the closed form was
+                # computed for always fits
+                run = min(run, math.floor(remaining_radio / r + 1e-9))
+                if compute > 0:
+                    run = min(run, math.floor(remaining_compute / compute + 1e-9))
+                run = max(1, run)
+            admission.append(z)
+            rbs.append(r)
+            counts.append(run)
+            remaining_radio -= run * r
+            remaining_compute -= run * compute
+            admitted += run
+            left -= run
     if spent_at is not None:
-        admission.extend([0.0] * (len(items) - spent_at))
-        rbs.extend([0] * (len(items) - spent_at))
+        tail = len(items) - spent_at
+        admission.extend([0.0] * tail)
+        rbs.extend([0] * tail)
+        counts.extend([1] * tail if members is None else members[spent_at:])
     if tracer.enabled:
         tracer.record(
             "solver.water_fill",
@@ -191,10 +232,6 @@ def solve_branch(
             tracer.clock() - start,
             cat="solver",
             track="solver",
-            args={
-                "items": len(items),
-                "admitted": sum(z > 0 for z in admission[:spent_at]),
-                "radio_spent_at": spent_at,
-            },
+            args={"items": len(items), "admitted": admitted, "radio_spent_at": spent_at},
         )
-    return BranchAllocation(admission=admission, radio_blocks=rbs)
+    return BranchAllocation(admission=admission, radio_blocks=rbs, members=counts)

@@ -322,11 +322,11 @@ class VectorTree:
             for clique, size in zip(self.cliques, self.clique_sizes())
         }
 
-    def num_branches(self, allow_reject: bool = False) -> int:
+    def num_branches(self) -> int:
         """Branches in the complete tree (product of clique sizes)."""
         total = 1
         for size in self.clique_sizes():
-            total *= size + 1 if allow_reject else max(size, 1)
+            total *= max(size, 1)
         return total
 
     def tasks_without_options(self) -> list[Task]:
@@ -562,21 +562,15 @@ def first_branch(
     return chosen
 
 
-def branches(
-    vtree: VectorTree,
-    budgets: Budgets,
-    allow_reject: bool = False,
-) -> Iterator[Branch]:
+def branches(vtree: VectorTree, budgets: Budgets) -> Iterator[Branch]:
     """Every memory-feasible branch, leftmost first (lexicographic order).
 
     A depth-first traversal that halts a branch as soon as its
     cumulative memory exceeds ``M`` (the paper's pruning rule).  Cliques
     are visited in their stored compute-time order, so the first leaf is
-    exactly :func:`first_branch`'s under the paper's ordering.
-    ``allow_reject`` adds an explicit "serve no path" vertex at the end
-    of every layer; without it a task is skipped only when none of its
-    vertices fits, so there is always a leaf.  A leaf is a
-    :data:`Branch`, -1 where it skips a layer.
+    exactly :func:`first_branch`'s under the paper's ordering.  A task
+    is skipped only when none of its vertices fits, so there is always a
+    leaf.  A leaf is a :data:`Branch`, -1 where it skips a layer.
     """
     memory_gb, cliques = budgets.memory_gb, vtree.cliques
     layers = [clique.feasible(budgets.radio_blocks) for clique in cliques]
@@ -596,10 +590,10 @@ def branches(
             prefix.append(pick)
             yield from descend(layer + 1, state.extend(path))
             prefix.pop()
-        # Skip the task when rejection is explicitly explored, or when no
-        # vertex fits the remaining memory (otherwise the whole subtree
-        # would dead-end and lower-priority tasks could never be placed).
-        if allow_reject or not descended:
+        # Skip the task when no vertex fits the remaining memory
+        # (otherwise the whole subtree would dead-end and lower-priority
+        # tasks could never be placed).
+        if not descended:
             prefix.append(-1)
             yield from descend(layer + 1, state)
             prefix.pop()

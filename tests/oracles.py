@@ -101,6 +101,7 @@ from repro.core.problem import Budgets
 from repro.core.solution import Assignment, AssignmentRuns, DOTSolution
 from repro.core.subproblem import (
     _SCAN_EPS,
+    ADMISSION_FLOOR,
     BranchAllocation,
     BranchItem,
     _best_admission_for_item,
@@ -826,9 +827,9 @@ def tuple_signature_groups(problem) -> list[tuple[int, tuple[int, ...]]]:
 
 def per_member_allocate_groups(self, problem, plan, cliques, chosen) -> DOTSolution:
     """``AggregateSolver._allocate_groups`` with one dict entry per member
-    (patch it over the method to get a solve's expanded twin)."""
+    (patch it over the method to get a solve's expanded twin): the group
+    replay written out, a placed group's rejected members on its path."""
     budgets = problem.budgets
-    floor_z = self.admission_floor
     remaining_radio = float(budgets.radio_blocks)
     remaining_compute = float(budgets.compute_time_s)
     tasks_by_id = {t.task_id: t for t in problem.tasks}
@@ -849,16 +850,15 @@ def per_member_allocate_groups(self, problem, plan, cliques, chosen) -> DOTSolut
             clique.task, clique.variant_path(pick), clique.bits_per_rb,
             clique.min_latency_rbs(pick),
         )
-        compute_per_z = item.task.request_rate * item.path.compute_time_s
         index = 0
         while index < len(members):
             z, r = _best_admission_for_item(
                 item, remaining_radio, remaining_compute, budgets.radio_blocks
             )
-            if z < floor_z:
+            if z < ADMISSION_FLOOR:
                 break
             radio_demand = r
-            compute_demand = z * compute_per_z
+            compute_demand = z * item.task.request_rate * item.path.compute_time_s
             run = len(members) - index
             if radio_demand > 0:
                 run = min(run, math.floor(remaining_radio / radio_demand + 1e-9))
@@ -869,7 +869,7 @@ def per_member_allocate_groups(self, problem, plan, cliques, chosen) -> DOTSolut
             remaining_radio = max(0.0, remaining_radio - run * radio_demand)
             remaining_compute = max(0.0, remaining_compute - run * compute_demand)
             index += run
-        assign(members[index:], None, 0.0, 0)
+        assign(members[index:], item.path, 0.0, 0)
     return solution
 
 
@@ -1099,11 +1099,11 @@ def item_branches(vtree, budgets, allow_reject: bool = False):
     return descend(0, BranchState())
 
 
-def item_allocate(problem, chosen, admission_floor: float = 1e-6, slice_margin_rbs: int = 0):
+def item_allocate(problem, chosen, slice_margin_rbs: int = 0):
     """``allocate`` as it was: the water-fill over a list of every placed
     layer's item, then placed assignments, then rejected ones."""
     placed = [(task_id, item) for task_id, item in chosen if item is not None]
-    allocation = solve_branch([item for _, item in placed], problem.budgets, admission_floor)
+    allocation = solve_branch([item for _, item in placed], problem.budgets)
     if slice_margin_rbs > 0:
         _apply_margin(float(problem.budgets.radio_blocks), allocation, slice_margin_rbs)
     solution = DOTSolution()
@@ -1119,12 +1119,12 @@ def item_allocate(problem, chosen, admission_floor: float = 1e-6, slice_margin_r
     return solution
 
 
-def item_best_branch(problem, leaves, admission_floor=1e-6):
+def item_best_branch(problem, leaves):
     """``best_branch`` as it was, over item leaves."""
     best, best_cost, explored = None, float("inf"), 0
     for chosen in leaves:
         explored += 1
-        candidate = item_allocate(problem, chosen, admission_floor)
+        candidate = item_allocate(problem, chosen)
         cost = objective_value(problem, candidate)
         if cost < best_cost - 1e-12:
             best, best_cost = candidate, cost
@@ -1132,24 +1132,25 @@ def item_best_branch(problem, leaves, admission_floor=1e-6):
     return best
 
 
-def item_solve(problem, ordering="compute", margin=0, floor=1e-6, memo=None):
+def item_solve(problem, ordering="compute", margin=0, memo=None):
     """``OffloaDNNSolver(...).solve(problem, memo)`` by the item walk."""
     vtree = build_vector_tree(problem, memo)
     chosen = item_first_branch(vtree, problem.budgets, ordering)
-    return item_allocate(problem, chosen, floor, margin)
+    return item_allocate(problem, chosen, margin)
 
 
-def item_optimal_solve(problem, allow_reject=False, floor=1e-6):
-    """``OptimalSolver(allow_reject, admission_floor=floor).solve`` by item leaves."""
+def item_optimal_solve(problem, allow_reject=False):
+    """``OptimalSolver().solve`` by item leaves; ``allow_reject`` also
+    explores an explicit "serve no path" vertex per layer, which the
+    paper's tree (and the solver) do not have."""
     vtree = build_vector_tree(problem)
     leaves = item_branches(vtree, problem.budgets, allow_reject=allow_reject)
-    return item_best_branch(problem, leaves, floor)
+    return item_best_branch(problem, leaves)
 
 
 def item_allocate_groups(self, problem, plan, chosen) -> DOTSolution:
     """``AggregateSolver._allocate_groups`` as it was, over an item branch."""
     budgets = problem.budgets
-    floor_z = self.admission_floor
     remaining_radio = float(budgets.radio_blocks)
     remaining_compute = float(budgets.compute_time_s)
     runs = []
@@ -1159,7 +1160,6 @@ def item_allocate_groups(self, problem, plan, chosen) -> DOTSolution:
         if item is None:
             runs.append((Assignment(rep, None, 0.0, 0), members))
             continue
-        compute_per_z = item.task.request_rate * item.path.compute_time_s
         index = 0
         while index < len(members):
             if _radio_spent(remaining_radio):
@@ -1168,10 +1168,10 @@ def item_allocate_groups(self, problem, plan, chosen) -> DOTSolution:
                 z, r = _best_admission_for_item(
                     item, remaining_radio, remaining_compute, budgets.radio_blocks
                 )
-            if z < floor_z:
+            if z < ADMISSION_FLOOR:
                 break
             radio_demand = r
-            compute_demand = z * compute_per_z
+            compute_demand = z * item.task.request_rate * item.path.compute_time_s
             run = len(members) - index
             if radio_demand > 0:
                 run = min(run, math.floor(remaining_radio / radio_demand + 1e-9))
@@ -1183,7 +1183,7 @@ def item_allocate_groups(self, problem, plan, chosen) -> DOTSolution:
             remaining_compute = max(0.0, remaining_compute - run * compute_demand)
             index += run
         if index < len(members):
-            runs.append((Assignment(rep, None, 0.0, 0), members[index:]))
+            runs.append((Assignment(rep, item.path, 0.0, 0), members[index:]))
     return DOTSolution(assignments=AssignmentRuns(runs, problem.task))
 
 
@@ -1196,7 +1196,7 @@ def item_aggregate_solve(solver, problem) -> DOTSolution:
     return item_allocate_groups(solver, problem, plan, chosen)
 
 
-def item_greedy_solve(problem, floor=1e-6) -> DOTSolution:
+def item_greedy_solve(problem) -> DOTSolution:
     """``GreedyNoSharingSolver().solve`` over item lists, dedicated blocks included."""
     vtree = build_vector_tree(problem)
     remaining_memory = problem.budgets.memory_gb
@@ -1210,7 +1210,7 @@ def item_greedy_solve(problem, floor=1e-6) -> DOTSolution:
                 remaining_memory -= memory
                 break
         chosen.append((clique.task.task_id, picked))
-    solution = item_allocate(problem, chosen, floor)
+    solution = item_allocate(problem, chosen)
     for task_id, assignment in list(solution.assignments.items()):
         path = assignment.path
         if path is None:
@@ -1227,7 +1227,7 @@ def item_greedy_solve(problem, floor=1e-6) -> DOTSolution:
     return solution
 
 
-def item_random_solve(problem, seed=0, floor=1e-6) -> DOTSolution:
+def item_random_solve(problem, seed=0) -> DOTSolution:
     """``RandomPathSolver(seed).solve`` over item lists."""
     vtree = build_vector_tree(problem)
     rng = np.random.default_rng(seed)
@@ -1245,10 +1245,10 @@ def item_random_solve(problem, seed=0, floor=1e-6) -> DOTSolution:
             picked = fitting[rng.integers(len(fitting))]
             state = state.extend(picked.path)
         chosen.append((clique.task.task_id, picked))
-    return item_allocate(problem, chosen, floor)
+    return item_allocate(problem, chosen)
 
 
-def per_item_solve_branch(items, budgets, admission_floor: float = 1e-6) -> BranchAllocation:
+def per_item_solve_branch(items, budgets) -> BranchAllocation:
     """The water-fill with one closed-form scan per item, also after the
     radio pool is spent: ``solve_branch`` must return exactly this."""
     remaining_radio = float(budgets.radio_blocks)
@@ -1259,7 +1259,7 @@ def per_item_solve_branch(items, budgets, admission_floor: float = 1e-6) -> Bran
         z, r = _best_admission_for_item(
             item, remaining_radio, remaining_compute, budgets.radio_blocks
         )
-        if z < admission_floor:
+        if z < ADMISSION_FLOOR:
             admission.append(0.0)
             rbs.append(0)
             continue
@@ -1267,7 +1267,7 @@ def per_item_solve_branch(items, budgets, admission_floor: float = 1e-6) -> Bran
         rbs.append(r)
         remaining_radio -= r
         remaining_compute -= z * item.task.request_rate * item.compute_time_s
-    return BranchAllocation(admission=admission, radio_blocks=rbs)
+    return BranchAllocation(admission=admission, radio_blocks=rbs, members=[1] * len(rbs))
 
 
 def solve_branch_convex(
@@ -1293,12 +1293,12 @@ def solve_branch_convex(
     """
     n = len(items)
     if n == 0:
-        return BranchAllocation(admission=[], radio_blocks=[])
+        return BranchAllocation(admission=[], radio_blocks=[], members=[])
     if budgets.radio_blocks <= 0 or budgets.compute_time_s <= 0:
         # zero-headroom instance (e.g. an exhausted online platform):
         # nothing can be admitted, and the normalized objective below
         # would divide by the zero budget
-        return BranchAllocation(admission=[0.0] * n, radio_blocks=[0] * n)
+        return BranchAllocation(admission=[0.0] * n, radio_blocks=[0] * n, members=[1] * n)
 
     lam = np.array([it.task.request_rate for it in items])
     prio = np.array([it.task.priority for it in items])
@@ -1380,7 +1380,7 @@ def solve_branch_convex(
         rbs.append(ri)
         remaining_radio -= ri
         remaining_compute -= zi * lam[i] * comp[i]
-    return BranchAllocation(admission=admission, radio_blocks=rbs)
+    return BranchAllocation(admission=admission, radio_blocks=rbs, members=[1] * n)
 
 
 def admission_by_enumeration(

@@ -93,10 +93,16 @@ class TestSemORANSolver:
         assert solution.assignment(task).path.quality.name == "high"
 
     def test_leftover_rbs_spread(self):
+        """The balanced allocation hands the admitted slices RBs beyond
+        the minimum each was admitted at, within the pool."""
         problem = large_scale_problem(RequestRate.LOW)
-        spread = SemORANSolver(spread_leftover_rbs=True).solve(problem)
-        tight = SemORANSolver(spread_leftover_rbs=False).solve(problem)
-        assert spread.total_radio_blocks > tight.total_radio_blocks
+        solver = SemORANSolver()
+        spread = solver.solve(problem)
+        tight = sum(
+            solver._choose(problem, assignment.task)[1]
+            for assignment in spread.admitted_assignments()
+        )
+        assert spread.total_radio_blocks > tight
         assert spread.total_radio_blocks <= problem.budgets.radio_blocks + 1e-9
 
     def test_admits_fewer_than_offloadnn(self):

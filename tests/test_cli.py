@@ -52,6 +52,8 @@ OUT_OF_RANGE = [
     (["sweep", "--knob", "radio", "--values", "nan"], "--values"),
     (["sweep", "--knob", "radio", "--values", "2.5"], "--values"),
     (["sweep", "--knob", "memory", "--values", "-1"], "--values"),
+    # a negative --top used to print "... N more roots elided" and exit 0
+    (["trace-summary", "t.json", "--top", "-3"], "--top"),
 ]
 
 
@@ -96,7 +98,13 @@ class TestCommands:
     def test_emulate(self, capsys):
         assert main(["emulate", "--tasks", "2", "--duration", "3"]) == 0
         out = capsys.readouterr().out
-        assert "all within latency targets: True" in out
+        assert "\nall tasks within latency targets: True\n" in out
+
+    def test_emulate_prints_the_fig11_record(self, capsys):
+        """``emulate`` is the Fig. 11 generator at its run arguments: at
+        the defaults it prints the committed record."""
+        assert main(["emulate"]) == 0
+        assert capsys.readouterr().out == (RESULTS / "fig11_emulation.txt").read_text()
 
     def test_serve_sim_rejects_non_finite_window(self, capsys):
         # an infinite window used to "run": nothing completed, an infinite

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.cluster import (
     ClusterDeployment,
     ClusterNode,
-    ClusterOrchestrator,
     ClusterTopology,
     Hop,
     LinkSpec,
@@ -325,15 +324,6 @@ def test_placement_single_node_never_splits():
     deployment = _deploy(runtime, default_topology(1))
     assert deployment.plan.split_tasks == 0
     assert _nodes_used(deployment.plan) == {"edge0"}
-
-
-def test_orchestrator_max_segments_one_disables_splits():
-    runtime = _runtime()
-    registry = NodeRegistry.from_topology(default_topology(3))
-    orchestrator = ClusterOrchestrator(registry=registry, max_segments=1)
-    plan = orchestrator.place(runtime.problem, runtime.solution, runtime.tickets)
-    assert plan.split_tasks == 0
-    assert len(_nodes_used(plan)) > 1  # still load-balances whole paths
 
 
 # -- cluster serving through the runtime -----------------------------------

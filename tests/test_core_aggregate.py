@@ -17,10 +17,21 @@ from repro.core.problem import Budgets, DOTProblem, RadioModel
 from repro.core.solution import Assignment, AssignmentRuns
 from repro.workloads.largescale import (
     RequestRate,
+    large_scale_problem,
     replicated_large_scale_problem,
 )
+from repro.workloads.smallscale import serving_small_scale_problem, small_scale_problem
 from tests.oracles import allocate_both_ways, tuple_signature_groups
 from tests.test_core_vectorized import random_problem
+
+
+#: every builder problem without replicas
+UNREPLICATED = {
+    **{f"table4-{rate.label}": lambda rate=rate: large_scale_problem(rate) for rate in RequestRate},
+    "replicas1-medium": lambda: replicated_large_scale_problem(RequestRate.MEDIUM, replicas=1),
+    **{f"small{t}": lambda t=t: small_scale_problem(t) for t in range(1, 6)},
+    **{f"serving{t}": lambda t=t: serving_small_scale_problem(t) for t in range(1, 6)},
+}
 
 
 @pytest.fixture(scope="module")
@@ -93,20 +104,29 @@ class TestAggregateSolver:
         )
         assert agg.total_memory_gb == pytest.approx(direct.total_memory_gb)
 
-    def test_unreplicated_instance_matches_vector_solver_exactly(self):
-        """With one member per group the replay *is* the scalar cascade."""
-        problem = replicated_large_scale_problem(RequestRate.MEDIUM, replicas=1)
+    @pytest.mark.parametrize("name", sorted(UNREPLICATED))
+    def test_without_replicas_the_solves_agree_task_by_task(self, name):
+        """With one member per group the group cascade *is* the per-task
+        one, rejections included: a placed task the cascade rejects keeps
+        its path at z = 0, r = 0 under both solvers."""
+        problem = UNREPLICATED[name]()
+        assert aggregate_problem(problem).num_groups == len(problem.tasks)
         agg = AggregateSolver().solve(problem)
         direct = OffloaDNNSolver().solve(problem)
 
         def key(sol):
-            return [
-                (tid, a.path.path_id if a.path else None, a.admission_ratio,
+            return sorted(
+                (tid, a.path.path_id if a.path else None, a.admission_ratio.hex(),
                  a.radio_blocks)
-                for tid, a in sorted(sol.assignments.items())
-            ]
+                for tid, a in sol.assignments.items()
+            )
 
         assert key(agg) == key(direct)
+        if name == "table4-high":
+            # the pools run out: some placed tasks are rejected on their path
+            assert any(
+                a.path is not None and not a.admitted for a in agg.assignments.values()
+            )
 
     def test_members_of_a_group_share_the_path_object(self, replicated):
         solution = AggregateSolver().solve(replicated)
@@ -215,7 +235,9 @@ def shape(plan, chosen, runs) -> set[str]:
         if assignment.admitted and len(ids) == 1 and group.weight > 1:
             seen.add("run of one")
         if not assignment.admitted and chosen[group.representative.task_id] >= 0:
-            seen.add("floor break" if len(ids) < group.weight else "group below floor")
+            # a placed group's rejected members keep its path
+            assert assignment.path is not None
+            seen.add("rejected tail" if len(ids) < group.weight else "placed group rejected")
     return seen
 
 
@@ -225,11 +247,10 @@ class TestRunsMatchTheExpansion:
         seed=st.integers(0, 10_000),
         copies=st.integers(1, 9),
         budget_scale=st.sampled_from([0.0, 0.2, 1.0, 4.0]),
-        floor=st.sampled_from([0.0, 1e-6, 0.3, 0.95]),
     )
-    def test_groups_and_assignments(self, seed, copies, budget_scale, floor):
+    def test_groups_and_assignments(self, seed, copies, budget_scale):
         problem = population_problem(seed, copies, budget_scale)
-        solver = AggregateSolver(admission_floor=floor)
+        solver = AggregateSolver()
         plan, _chosen, runs, twin = allocate_both_ways(solver, problem)
         assert [
             (rep_id, group.representative.task_id, group.member_ids)
@@ -241,20 +262,23 @@ class TestRunsMatchTheExpansion:
         assert_same_solution(problem, runs, twin)
 
     def test_the_corners_are_reached(self):
-        """The property above is not vacuous: over a fixed sweep the replay
-        hits pool-bound runs of one, the admission-floor break, groups the
-        selection rejected and exhausted budgets."""
+        """The property above is not vacuous: over a fixed sweep the group
+        cascade hits pool-bound runs of one, a group the pools run out in
+        the middle of, placed groups rejected whole, groups the selection
+        rejected and exhausted budgets."""
         seen: set[str] = set()
         for seed in range(12):
-            for budget_scale, floor in ((0.0, 1e-6), (0.2, 0.3), (1.0, 0.95), (4.0, 1e-6)):
+            for budget_scale in (0.0, 0.2, 1.0, 4.0):
                 problem = population_problem(seed, 6, budget_scale)
-                solver = AggregateSolver(admission_floor=floor)
+                solver = AggregateSolver()
                 plan, chosen, runs, twin = allocate_both_ways(solver, problem)
                 assert_same_solution(problem, runs, twin)
                 seen |= shape(plan, chosen, runs)
                 if budget_scale == 0.0:
                     assert runs.admitted_task_count == 0
-        assert seen >= {"run of one", "floor break", "rejected group", "group below floor"}
+        assert seen >= {
+            "run of one", "rejected tail", "rejected group", "placed group rejected"
+        }
 
     def test_value_equal_qualities_pool(self):
         problem = population_problem(3, 4, 1.0)

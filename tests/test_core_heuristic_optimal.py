@@ -107,11 +107,6 @@ class TestOptimalSolver:
         with pytest.raises(ValueError, match="max_branches"):
             OptimalSolver(max_branches=2).solve(tiny_problem)
 
-    def test_allow_reject_explores_skip_options(self, tiny_problem):
-        optimal = OptimalSolver(allow_reject=True).solve(tiny_problem)
-        assert optimal.branches_explored == 27  # (2+1)^3
-        assert check_constraints(tiny_problem, optimal).feasible
-
     def test_solver_name(self, tiny_problem):
         assert OptimalSolver().solve(tiny_problem).solver_name == "Optimum"
 

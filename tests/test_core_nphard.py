@@ -14,7 +14,7 @@ from tests.nphard import (
     knapsack_to_dot,
     solve_mdk,
 )
-from repro.core.optimal import OptimalSolver
+from tests.oracles import item_optimal_solve
 
 
 def brute_force_mdk(instance: KnapsackInstance) -> float:
@@ -132,7 +132,9 @@ class TestReduction:
         )
         knap_value, _ = solve_mdk(instance)
         problem = knapsack_to_dot(instance)
-        solution = OptimalSolver(allow_reject=True).solve(problem)
+        # the reduction needs an explicit "serve no path" vertex per layer,
+        # which the paper's tree does not have: the item-leaf oracle's
+        solution = item_optimal_solve(problem, allow_reject=True)
         chosen = dot_solution_to_selection(solution)
         dot_value = sum(values[i] for i in chosen)
         assert dot_value == pytest.approx(knap_value)

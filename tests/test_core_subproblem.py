@@ -362,7 +362,11 @@ def cascades(draw):
 
 def _bits(allocation):
     """An allocation as exact floats and counts."""
-    return [float(z).hex() for z in allocation.admission], allocation.radio_blocks
+    return (
+        [float(z).hex() for z in allocation.admission],
+        allocation.radio_blocks,
+        allocation.members,
+    )
 
 
 def _branch_tree(items, budgets):
@@ -397,29 +401,29 @@ def _solution_bits(solution):
 
 class TestRadioSpentStop:
     @settings(max_examples=300, deadline=None)
-    @given(cascade=cascades(), floor=st.sampled_from([0.0, 1e-6]))
-    def test_equals_the_per_item_water_fill(self, cascade, floor):
+    @given(cascade=cascades())
+    def test_equals_the_per_item_water_fill(self, cascade):
         from unittest import mock
 
         from repro.core import heuristic
         from tests.oracles import per_item_solve_branch
 
         items, budgets = cascade
-        assert _bits(solve_branch(items, budgets, floor)) == _bits(
-            per_item_solve_branch(items, budgets, floor)
+        assert _bits(solve_branch(items, budgets)) == _bits(
+            per_item_solve_branch(items, budgets)
         )
         if not items:
             return
         tree, chosen = _branch_tree(items, budgets)
         for margin in (0, 2):
-            got = heuristic.allocate(tree, chosen, floor, margin)
+            got = heuristic.allocate(tree, chosen, margin)
             with mock.patch.object(heuristic, "solve_branch", per_item_solve_branch):
-                want = heuristic.allocate(tree, chosen, floor, margin)
+                want = heuristic.allocate(tree, chosen, margin)
             assert _solution_bits(got) == _solution_bits(want)
 
     def test_the_corners_are_reached(self):
-        """The stop fires on a pool spent to exactly 0.0 mid-branch (with
-        both floors), and a compute-bound cascade that leaves radio over
+        """The stop fires on a pool spent to exactly 0.0 mid-branch, and a
+        compute-bound cascade that leaves radio over
         scans every item, zero-compute ones included."""
         from unittest import mock
 
@@ -434,23 +438,22 @@ class TestRadioSpentStop:
         ]
         cases = [
             # z = 1 on r = 5 twice drains 10 RBs to exactly 0.0
-            (fill, _budgets(radio=10), 1e-6, 2),
-            (fill, _budgets(radio=10), 0.0, 2),
+            (fill, _budgets(radio=10), 2),
             # compute binds at item 1; the zero-compute items still fit
-            (compute_first, _budgets(radio=50, compute=0.25), 1e-6, None),
-            (fill, _budgets(radio=0), 1e-6, 0),
+            (compute_first, _budgets(radio=50, compute=0.25), None),
+            (fill, _budgets(radio=0), 0),
         ]
-        for items, budgets, floor, spent_at in cases:
+        for items, budgets, spent_at in cases:
             spy = mock.patch.object(
                 subproblem, "_best_admission_for_item",
                 wraps=subproblem._best_admission_for_item,
             )
             with spy as scans:
-                got = solve_branch(items, budgets, floor)
-            assert _bits(got) == _bits(per_item_solve_branch(items, budgets, floor))
+                got = solve_branch(items, budgets)
+            assert _bits(got) == _bits(per_item_solve_branch(items, budgets))
             assert scans.call_count == (len(items) if spent_at is None else spent_at)
         assert _bits(solve_branch(compute_first, _budgets(radio=50, compute=0.25))) == (
-            [(0.5).hex(), (1.0).hex(), (1.0).hex()], [5, 1, 1]
+            [(0.5).hex(), (1.0).hex(), (1.0).hex()], [5, 1, 1], [1, 1, 1]
         )
 
     def test_a_population_solve_scans_the_admitted_only(self):
@@ -519,3 +522,41 @@ class TestRadioSpentStop:
         args, solution = water_fill_args(roomy)
         assert args["radio_spent_at"] is None
         assert args["admitted"] == solution.admitted_task_count > 20
+
+
+class TestRounds:
+    """Items standing for several members: one cascade, settled in rounds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cascade=cascades(), data=st.data())
+    def test_rounds_hold_every_member_within_the_pools(self, cascade, data):
+        items, budgets = cascade
+        members = [data.draw(st.integers(1, 40)) for _ in items]
+        got = solve_branch(items, budgets, members)
+        # a member count of one everywhere is the per-task cascade
+        assert _bits(solve_branch(items, budgets, [1] * len(items))) == _bits(
+            solve_branch(items, budgets)
+        )
+        # each item's rounds hold its members, in order
+        rounds = iter(zip(got.admission, got.radio_blocks, got.members))
+        radio = compute = 0.0
+        for item, count in zip(items, members):
+            held = 0
+            while held < count:
+                z, r, n = next(rounds)
+                assert n >= 1 and (z > 0) == (r > 0)
+                held += n
+                radio += n * r
+                compute += n * z * item.task.request_rate * item.compute_time_s
+            assert held == count
+        assert next(rounds, None) is None
+        assert radio <= budgets.radio_blocks
+        assert compute <= budgets.compute_time_s * (1 + 1e-6) + 1e-12
+
+    def test_a_group_is_settled_in_as_few_rounds_as_the_pools_allow(self):
+        """Ten members at r = 5 on 23 RBs: four fit whole, a fifth at the
+        three RBs left is below r_min, and the rest are one rejected round."""
+        item = _item(task_id=1, request_rate=5.0)
+        assert item.min_latency_rbs == 4
+        got = solve_branch([item], _budgets(radio=23), [10])
+        assert (got.admission, got.radio_blocks, got.members) == ([1.0, 0.0], [5, 0], [4, 6])

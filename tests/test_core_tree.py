@@ -85,7 +85,6 @@ class TestBuildTree:
     def test_num_branches_product(self, tiny_problem):
         tree = build_vector_tree(tiny_problem)
         assert tree.num_branches() == 2 * 2 * 2
-        assert tree.num_branches(allow_reject=True) == 3 * 3 * 3
 
 
 class TestBranchState:
@@ -141,7 +140,7 @@ class TestBranches:
     """``branches`` against a filter over the full Cartesian product."""
 
     @staticmethod
-    def _by_product(problem, allow_reject):
+    def _by_product(problem):
         """Index tuples (skip = clique size) of the valid branches, ascending."""
         tree = build_vector_tree(problem)
         layers = [_vertices(tree, i) for i in range(len(tree.cliques))]
@@ -152,8 +151,8 @@ class TestBranches:
             for layer, index in zip(layers, combo):
                 fitting = [v for v in layer if state.fits(v.path, memory)]
                 if index == len(layer):
-                    # a skip: explored on request, forced when nothing fits
-                    if fitting and not allow_reject:
+                    # a skip: only when nothing fits
+                    if fitting:
                         break
                 elif layer[index] not in fitting:
                     break
@@ -163,9 +162,8 @@ class TestBranches:
                 valid.append(combo)
         return layers, valid
 
-    @pytest.mark.parametrize("allow_reject", [False, True])
     @pytest.mark.parametrize("memory_gb", [8.0, 1.2, 0.6, 0.0])
-    def test_yields_exactly_the_memory_feasible_branches(self, memory_gb, allow_reject):
+    def test_yields_exactly_the_memory_feasible_branches(self, memory_gb):
         trunk = make_block("trunk", memory_gb=0.5)
         specs = {}
         for tid in (1, 2, 3):
@@ -179,9 +177,9 @@ class TestBranches:
             compute_time_s=2.5, training_budget_s=1000.0, memory_gb=memory_gb, radio_blocks=50
         )
         problem = _problem_with_paths(specs, budgets=budgets)
-        layers, expected = self._by_product(problem, allow_reject)
+        layers, expected = self._by_product(problem)
         tree = build_vector_tree(problem)
-        leaves = list(branches(tree, problem.budgets, allow_reject=allow_reject))
+        leaves = list(branches(tree, problem.budgets))
         radio_blocks = problem.budgets.radio_blocks
         feasible = [clique.feasible(radio_blocks) for clique in tree.cliques]
 
@@ -195,4 +193,4 @@ class TestBranches:
         assert got == expected  # same set, lexicographic order
         assert got and got[0] == positions(first_branch(tree, problem.budgets))
         if memory_gb == 8.0:
-            assert len(got) == tree.num_branches(allow_reject)
+            assert len(got) == tree.num_branches()

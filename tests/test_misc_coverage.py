@@ -18,7 +18,9 @@ from tests.oracles import clique_items
 class TestBranchAllocationValidation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            BranchAllocation(admission=[1.0], radio_blocks=[1, 2])
+            BranchAllocation(admission=[1.0], radio_blocks=[1, 2], members=[1])
+        with pytest.raises(ValueError):
+            BranchAllocation(admission=[1.0], radio_blocks=[1], members=[1, 1])
 
 
 class TestPerTaskRadioRates:

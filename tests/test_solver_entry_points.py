@@ -46,9 +46,8 @@ def entry_points(problem):
     for ordering, margin in product(("compute", "memory", "accuracy"), (0, 2)):
         solver = OffloaDNNSolver(ordering=ordering, slice_margin_rbs=margin)
         yield f"offloadnn/{ordering}/m{margin}", solver.solve
-    if build_vector_tree(problem).num_branches(allow_reject=True) <= OPTIMAL_CAP:
+    if build_vector_tree(problem).num_branches() <= OPTIMAL_CAP:
         yield "optimal", OptimalSolver().solve
-        yield "optimal/allow_reject", OptimalSolver(allow_reject=True).solve
     yield "aggregate", AggregateSolver().solve
     yield "memo-warm", _memo_warm
     yield "greedy", GreedyNoSharingSolver().solve
